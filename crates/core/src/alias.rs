@@ -551,7 +551,9 @@ pub struct AccessPath {
 }
 
 impl AccessPath {
-    /// Renders like `*(&x->f)` / `p` given a variable-name resolver.
+    /// Renders like `*(&x->f)` / `p` given a variable-name resolver. Index
+    /// variables (`&(a)[i]`) go through the resolver too, so the text
+    /// names no module-global variable id.
     pub fn render(
         &self,
         name_of: impl Fn(VarId) -> String,
@@ -563,7 +565,10 @@ impl AccessPath {
                 Label::Deref => s = format!("*({s})"),
                 Label::Field(f) => s = format!("&({s})->{}", interner.resolve(*f)),
                 Label::ElemConst(c) => s = format!("&({s})[{c}]"),
-                Label::ElemVar(v) => s = format!("&({s})[%{v}]"),
+                Label::ElemVar(v) => {
+                    let index = name_of(VarId::from_index(*v as usize));
+                    s = format!("&({s})[{index}]");
+                }
             }
         }
         s
@@ -585,6 +590,18 @@ mod tests {
         assert_eq!(g.node_of_var(v(0)), Some(n));
         assert_eq!(g.node_of_var(v(1)), Some(n));
         assert_eq!(g.alias_set_size(n), 2);
+    }
+
+    #[test]
+    fn render_names_index_variables() {
+        let mut interner = pata_ir::Interner::new();
+        let f = interner.intern("buf");
+        let ap = AccessPath {
+            base: v(7),
+            labels: vec![Label::Field(f), Label::ElemVar(9), Label::Deref],
+        };
+        let name_of = |x: VarId| format!("fn:v{}", x.index());
+        assert_eq!(ap.render(name_of, &interner), "*(&(&(fn:v7)->buf)[fn:v9])");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! everything a later process needs to skip re-exploring unchanged roots:
 //!
 //! * a **header** — [`STORE_SCHEMA_VERSION`], a fingerprint of the
-//!   verdict-relevant configuration, and a corpus fingerprint over every
-//!   function's printed IR;
+//!   verdict-relevant configuration, and a corpus fingerprint over the
+//!   function database;
 //! * the **function database** (paper §4 P1: "records function information
 //!   in a database") — one `(name, fingerprint)` pair per function, the
 //!   input to change detection;
@@ -26,30 +26,39 @@
 //! crashed writer leaves either the old store or the new one, not a
 //! truncated hybrid (which the infallible loader would shrug off anyway).
 //!
-//! Function fingerprints hash the function's printed IR
-//! ([`pata_ir::function_text`]), which includes module-global variable
-//! numbers and source line numbers. That makes them *conservative*: an
-//! edit early in a file can shift the printed form of later functions and
-//! over-invalidate — but never under-invalidate, which is the soundness
-//! direction that matters.
+//! Function fingerprints are *structural*: one walk over the function's
+//! PIR feeds tagged `u64` words to a stable mixer (see `Fingerprinter`).
+//! Everything the explorer reads of a function enters the hash — its
+//! instructions, operands, callee names, source lines and file names, and
+//! the layouts of the struct types its variables carry — but no
+//! module-global id does: variables hash by their first-occurrence
+//! ordinal within the function, functions, fields, externs, files and
+//! structs by name. So an edit re-fingerprints exactly the functions it
+//! touches, even though it renumbers every variable lowered after it. An
+//! edit that moves source lines still changes the functions below it in
+//! the same file, which over-invalidates but never under-invalidates.
 
 use crate::checkers::BugKind;
 use crate::collector::CallGraph;
 use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject::{self, FaultPlan};
+use crate::fingerprint::mix;
 use crate::json::{quote, JsonValue};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
-use pata_ir::{function_text, BlockId, FileId, FuncId, InstId, Loc, Module};
+use pata_ir::{
+    BinOp, BlockId, Callee, ConstVal, FileId, FuncId, Function, InstId, InstKind, Loc, Module,
+    Operand, StructId, Terminator, Type, VarId, VarKind,
+};
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
 
 /// Version of the on-disk store schema. Bump on any change to the layout
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
-pub const STORE_SCHEMA_VERSION: u64 = 1;
+pub const STORE_SCHEMA_VERSION: u64 = 2;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -67,10 +76,434 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The per-function change-detection fingerprint: FNV-1a over the
-/// function's printed IR.
-pub(crate) fn function_fingerprint(module: &Module, func: FuncId) -> u64 {
-    fnv64(function_text(module, module.function(func)).as_bytes())
+/// A streaming hash over explicit `u64` words, each folded in through the
+/// splitmix64 finalizer ([`mix`]). Every input has a fixed width (no
+/// `usize`, no `#[derive(Hash)]`), so the value is stable across processes
+/// and platforms and may be persisted; changing the encoding below is a
+/// store schema change.
+#[derive(Clone, Copy)]
+struct StableHash(u64);
+
+impl StableHash {
+    fn new() -> Self {
+        StableHash(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = mix(self.0 ^ w);
+    }
+
+    /// A length-prefixed string, eight bytes per word.
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(buf));
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+fn str_word(s: &str) -> u64 {
+    let mut h = StableHash::new();
+    h.str(s);
+    h.finish()
+}
+
+// Structural-hash tags. Every encoded item starts with one, and its
+// variable-length parts are length-prefixed, so the encoding is
+// unambiguous. A tag fits in the low 8 bits; small payloads (an ordinal,
+// a line, an operator code) ride in the bits above it.
+const T_VOID: u64 = 1;
+const T_INT: u64 = 2;
+const T_BOOL: u64 = 3;
+const T_PTR: u64 = 4;
+const T_STRUCT: u64 = 5;
+const T_ARRAY: u64 = 6;
+const T_VAR_FIRST: u64 = 7;
+const T_VAR_AGAIN: u64 = 8;
+const T_CONST_INT: u64 = 9;
+const T_CONST_NULL: u64 = 10;
+const T_MOVE: u64 = 11;
+const T_CONST: u64 = 12;
+const T_LOAD: u64 = 13;
+const T_STORE: u64 = 14;
+const T_GEP: u64 = 15;
+const T_FUNC_ADDR: u64 = 16;
+const T_ADDR_OF: u64 = 17;
+const T_INDEX: u64 = 18;
+const T_BIN: u64 = 19;
+const T_CMP: u64 = 20;
+const T_CALL: u64 = 21;
+const T_ALLOCA: u64 = 22;
+const T_MALLOC: u64 = 23;
+const T_FREE: u64 = 24;
+const T_MEMSET: u64 = 25;
+const T_LOCK: u64 = 26;
+const T_UNLOCK: u64 = 27;
+const T_DIRECT: u64 = 28;
+const T_EXTERNAL: u64 = 29;
+const T_INDIRECT: u64 = 30;
+const T_NO_DST: u64 = 31;
+const T_JUMP: u64 = 32;
+const T_BRANCH: u64 = 33;
+const T_RET: u64 = 34;
+const T_RET_VOID: u64 = 35;
+const T_UNREACHABLE: u64 = 36;
+const T_BLOCK: u64 = 37;
+const T_LINE: u64 = 38;
+const T_LINE_IN: u64 = 39;
+
+fn bin_code(op: BinOp) -> u64 {
+    match op {
+        BinOp::Add => 1,
+        BinOp::Sub => 2,
+        BinOp::Mul => 3,
+        BinOp::Div => 4,
+        BinOp::Rem => 5,
+        BinOp::And => 6,
+        BinOp::Or => 7,
+        BinOp::Xor => 8,
+        BinOp::Shl => 9,
+        BinOp::Shr => 10,
+    }
+}
+
+fn cmp_code(op: pata_ir::CmpOp) -> u64 {
+    match op {
+        pata_ir::CmpOp::Eq => 1,
+        pata_ir::CmpOp::Ne => 2,
+        pata_ir::CmpOp::Lt => 3,
+        pata_ir::CmpOp::Le => 4,
+        pata_ir::CmpOp::Gt => 5,
+        pata_ir::CmpOp::Ge => 6,
+    }
+}
+
+fn kind_word(kind: VarKind) -> u64 {
+    match kind {
+        VarKind::Param => 1,
+        VarKind::Local => 2,
+        VarKind::Temp => 3,
+        VarKind::Global => 4,
+    }
+}
+
+fn type_into(h: &mut StableHash, ty: &Type, struct_word: &impl Fn(StructId) -> u64) {
+    match ty {
+        Type::Void => h.word(T_VOID),
+        Type::Int => h.word(T_INT),
+        Type::Bool => h.word(T_BOOL),
+        Type::Ptr(inner) => {
+            h.word(T_PTR);
+            type_into(h, inner, struct_word);
+        }
+        Type::Array(elem) => {
+            h.word(T_ARRAY);
+            type_into(h, elem, struct_word);
+        }
+        Type::Struct(id) => {
+            h.word(T_STRUCT);
+            h.word(struct_word(*id));
+        }
+    }
+}
+
+/// Computes structural function fingerprints over one module.
+///
+/// The walk covers parameters, return type, blocks, instructions,
+/// terminators and source locations, and no module-global id enters it:
+///
+/// * function-local variables hash by first-occurrence ordinal within the
+///   function, with their kind, name and type hashed at that first
+///   occurrence (globals likewise, which pins them by name and type);
+/// * direct callees and `func-addr` operands hash by function name;
+/// * fields and externs hash by their interned string;
+/// * files hash by name;
+/// * struct types hash by name plus field names and types two levels
+///   deep, the depth the alias-unaware constraint accounting reads.
+///
+/// So an edit in one function leaves every other function's fingerprint
+/// alone, even though it renumbers the variables lowered after it.
+struct Fingerprinter<'m> {
+    module: &'m Module,
+    /// Per `FileId`: the file name's hash.
+    files: Vec<u64>,
+    /// Per `FuncId`: the function name's hash.
+    names: Vec<u64>,
+    /// Per `StructId`: name plus fields two levels deep.
+    structs: Vec<u64>,
+    /// Per `VarId`: `(stamp, ordinal)` — the variable's first-occurrence
+    /// ordinal in the function whose walk set `stamp`.
+    seen: Vec<(u32, u32)>,
+    /// The current function's stamp (its index plus one) and file.
+    stamp: u32,
+    file: FileId,
+    /// Variables seen so far in the current function.
+    next_ordinal: u32,
+    h: StableHash,
+}
+
+impl<'m> Fingerprinter<'m> {
+    fn new(module: &'m Module) -> Self {
+        let defs = module.structs();
+        // Level 2: the name only. Level 1: name plus fields whose struct
+        // types stop at level 2. Level 0 (what types use): the same over
+        // level-1 words.
+        let names_only: Vec<u64> = defs.iter().map(|d| str_word(&d.name)).collect();
+        let with_fields = |inner: &[u64]| -> Vec<u64> {
+            defs.iter()
+                .map(|d| {
+                    let mut h = StableHash::new();
+                    h.str(&d.name);
+                    h.word(d.fields.len() as u64);
+                    for (field, ty) in &d.fields {
+                        h.str(module.interner.resolve(*field));
+                        type_into(&mut h, ty, &|id: StructId| inner[id.index()]);
+                    }
+                    h.finish()
+                })
+                .collect()
+        };
+        let level1 = with_fields(&names_only);
+        Fingerprinter {
+            module,
+            files: module.files().iter().map(|f| str_word(&f.name)).collect(),
+            names: module
+                .functions()
+                .iter()
+                .map(|f| str_word(f.name()))
+                .collect(),
+            structs: with_fields(&level1),
+            seen: vec![(0, 0); module.var_count()],
+            stamp: 0,
+            file: FileId::from_index(0),
+            next_ordinal: 0,
+            h: StableHash::new(),
+        }
+    }
+
+    fn ty(&mut self, ty: &Type) {
+        let structs = &self.structs;
+        type_into(&mut self.h, ty, &|id: StructId| structs[id.index()]);
+    }
+
+    fn var(&mut self, v: VarId) {
+        let seen = &mut self.seen[v.index()];
+        if seen.0 == self.stamp {
+            self.h.word(T_VAR_AGAIN | u64::from(seen.1) << 8);
+            return;
+        }
+        *seen = (self.stamp, self.next_ordinal);
+        self.next_ordinal += 1;
+        let info = self.module.var(v);
+        self.h.word(T_VAR_FIRST | kind_word(info.kind) << 8);
+        self.h.str(&info.name);
+        self.ty(&info.ty);
+    }
+
+    fn operand(&mut self, op: &Operand) {
+        match op {
+            Operand::Var(v) => self.var(*v),
+            Operand::Const(ConstVal::Int(c)) => {
+                self.h.word(T_CONST_INT);
+                self.h.word(*c as u64);
+            }
+            Operand::Const(ConstVal::Null) => self.h.word(T_CONST_NULL),
+        }
+    }
+
+    fn loc(&mut self, loc: Loc) {
+        if loc.file == self.file {
+            self.h.word(T_LINE | u64::from(loc.line) << 8);
+        } else {
+            self.h.word(T_LINE_IN | u64::from(loc.line) << 8);
+            self.h.word(self.files[loc.file.index()]);
+        }
+    }
+
+    fn inst(&mut self, kind: &InstKind) {
+        match kind {
+            InstKind::Move { dst, src } => {
+                self.h.word(T_MOVE);
+                self.var(*dst);
+                self.var(*src);
+            }
+            InstKind::Const { dst, value } => {
+                self.h.word(T_CONST);
+                self.var(*dst);
+                self.operand(&Operand::Const(*value));
+            }
+            InstKind::Load { dst, addr } => {
+                self.h.word(T_LOAD);
+                self.var(*dst);
+                self.var(*addr);
+            }
+            InstKind::Store { addr, val } => {
+                self.h.word(T_STORE);
+                self.var(*addr);
+                self.operand(val);
+            }
+            InstKind::Gep { dst, base, field } => {
+                self.h.word(T_GEP);
+                self.var(*dst);
+                self.var(*base);
+                self.h.str(self.module.interner.resolve(*field));
+            }
+            InstKind::FuncAddr { dst, func } => {
+                self.h.word(T_FUNC_ADDR);
+                self.var(*dst);
+                self.h.word(self.names[func.index()]);
+            }
+            InstKind::AddrOf { dst, src } => {
+                self.h.word(T_ADDR_OF);
+                self.var(*dst);
+                self.var(*src);
+            }
+            InstKind::Index { dst, base, index } => {
+                self.h.word(T_INDEX);
+                self.var(*dst);
+                self.var(*base);
+                self.operand(index);
+            }
+            InstKind::Bin { dst, op, lhs, rhs } => {
+                self.h.word(T_BIN | bin_code(*op) << 8);
+                self.var(*dst);
+                self.operand(lhs);
+                self.operand(rhs);
+            }
+            InstKind::Cmp { dst, op, lhs, rhs } => {
+                self.h.word(T_CMP | cmp_code(*op) << 8);
+                self.var(*dst);
+                self.operand(lhs);
+                self.operand(rhs);
+            }
+            InstKind::Call { dst, callee, args } => {
+                self.h.word(T_CALL);
+                match dst {
+                    Some(d) => self.var(*d),
+                    None => self.h.word(T_NO_DST),
+                }
+                match callee {
+                    Callee::Direct(f) => {
+                        self.h.word(T_DIRECT);
+                        self.h.word(self.names[f.index()]);
+                    }
+                    Callee::External(s) => {
+                        self.h.word(T_EXTERNAL);
+                        self.h.str(self.module.interner.resolve(*s));
+                    }
+                    Callee::Indirect(v) => {
+                        self.h.word(T_INDIRECT);
+                        self.var(*v);
+                    }
+                }
+                self.h.word(args.len() as u64);
+                for a in args {
+                    self.operand(a);
+                }
+            }
+            InstKind::Alloca { dst, storage } => {
+                self.h.word(T_ALLOCA);
+                self.var(*dst);
+                self.h.word(u64::from(*storage));
+            }
+            InstKind::Malloc { dst } => {
+                self.h.word(T_MALLOC);
+                self.var(*dst);
+            }
+            InstKind::Free { ptr } => {
+                self.h.word(T_FREE);
+                self.var(*ptr);
+            }
+            InstKind::Memset { ptr } => {
+                self.h.word(T_MEMSET);
+                self.var(*ptr);
+            }
+            InstKind::Lock { obj } => {
+                self.h.word(T_LOCK);
+                self.var(*obj);
+            }
+            InstKind::Unlock { obj } => {
+                self.h.word(T_UNLOCK);
+                self.var(*obj);
+            }
+        }
+    }
+
+    fn terminator(&mut self, term: &Terminator) {
+        match term {
+            Terminator::Jump(b) => {
+                self.h.word(T_JUMP);
+                self.h.word(b.index() as u64);
+            }
+            Terminator::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
+                self.h.word(T_BRANCH);
+                self.var(*cond);
+                self.h.word(then_bb.index() as u64);
+                self.h.word(else_bb.index() as u64);
+            }
+            Terminator::Ret(Some(v)) => {
+                self.h.word(T_RET);
+                self.operand(v);
+            }
+            Terminator::Ret(None) => self.h.word(T_RET_VOID),
+            Terminator::Unreachable => self.h.word(T_UNREACHABLE),
+        }
+    }
+
+    /// The fingerprint of one function.
+    fn function(&mut self, f: &Function) -> u64 {
+        self.stamp = u32::try_from(f.id().index() + 1).expect("too many functions");
+        self.file = f.file();
+        self.next_ordinal = 0;
+        self.h = StableHash::new();
+        self.h.word(self.files[f.file().index()]);
+        self.h.word(f.params().len() as u64);
+        for &p in f.params() {
+            self.var(p);
+        }
+        self.ty(f.ret_ty());
+        self.h.word(f.entry().index() as u64);
+        self.h.word(f.blocks().len() as u64);
+        for block in f.blocks() {
+            self.h.word(T_BLOCK);
+            self.h.word(block.insts.len() as u64);
+            for inst in &block.insts {
+                self.inst(&inst.kind);
+                self.loc(inst.loc);
+            }
+            self.terminator(&block.term);
+            self.loc(block.term_loc);
+        }
+        self.h.finish()
+    }
+}
+
+/// One closure member: the hash of a function's `(name, fingerprint)`
+/// pair.
+fn member_word(name_word: u64, fp: u64) -> u64 {
+    let mut h = StableHash::new();
+    h.word(name_word);
+    h.word(fp);
+    h.finish()
+}
+
+/// The closure fingerprint of a set of members: their wrapping sum (a
+/// multiset hash, so no name sort is needed) bound to the set's size.
+fn closure_word(sum: u64, count: u64) -> u64 {
+    let mut h = StableHash::new();
+    h.word(count);
+    h.word(sum);
+    h.finish()
 }
 
 /// Fingerprint of the verdict-relevant configuration. Two configurations
@@ -130,55 +563,14 @@ pub(crate) struct FunctionDb {
 }
 
 impl FunctionDb {
-    /// Builds the database for `module`. Returns `None` when two functions
-    /// share a name — names are the cross-process identity of functions,
-    /// so an ambiguous module cannot be persisted (the session then runs
-    /// every root cold, which is always safe).
-    #[cfg(test)]
-    pub(crate) fn build(module: &Module) -> Option<FunctionDb> {
-        Self::build_with_reuse(module, None, 0)
-    }
-
-    /// Builds the database for `module` with source-prefix reuse:
-    /// functions defined in the first `unchanged_files` source files of
-    /// the module reuse their fingerprint from `prev` instead of
-    /// re-printing their IR. Returns `None` when two functions share a
-    /// name — names are the cross-process identity of functions, so an
-    /// ambiguous module cannot be persisted (the session then runs every
-    /// root cold, which is always safe).
-    ///
-    /// This is sound because the printed IR of a function depends only on
-    /// its own source file and the files lowered before it (module-global
-    /// variable numbering): when every file up to index `unchanged_files`
-    /// is byte-identical to the previous request, the IR of the functions
-    /// in those files is too. The caller establishes that prefix by
-    /// comparing per-file source hashes.
-    pub(crate) fn build_with_reuse(
-        module: &Module,
-        prev: Option<&FunctionDb>,
-        unchanged_files: usize,
-    ) -> Option<FunctionDb> {
-        let mut entries = BTreeMap::new();
-        for f in module.functions() {
-            let fp = prev
-                .filter(|_| f.file().index() < unchanged_files)
-                .and_then(|db| db.entries.get(f.name()).copied())
-                .unwrap_or_else(|| function_fingerprint(module, f.id()));
-            if entries.insert(f.name().to_owned(), fp).is_some() {
-                return None;
-            }
-        }
-        Some(FunctionDb { entries })
-    }
-
     /// Hash of the whole corpus — the store-header fingerprint.
     pub(crate) fn corpus_fingerprint(&self) -> u64 {
-        let mut text = String::new();
-        for (name, fp) in &self.entries {
-            text.push_str(name);
-            text.push_str(&format!("={fp:016x};"));
+        let mut h = StableHash::new();
+        for (name, &fp) in &self.entries {
+            h.str(name);
+            h.word(fp);
         }
-        fnv64(text.as_bytes())
+        h.finish()
     }
 
     /// How many functions changed (different fingerprint) or appeared
@@ -191,48 +583,81 @@ impl FunctionDb {
     }
 }
 
-/// The closure fingerprint of `root`: a hash over the `(name,
-/// fingerprint)` pairs of every function transitively reachable from it
-/// through direct calls, in name order. With `resolve_fptrs` the explorer
-/// can enter *any* function whose address flows along a path, so the
-/// closure conservatively widens to the whole module.
-pub(crate) fn root_closure_fp(
-    module: &Module,
-    graph: &CallGraph,
-    root: FuncId,
-    resolve_fptrs: bool,
-    db: &FunctionDb,
-) -> u64 {
-    let n = module.functions().len();
-    let mut reachable = vec![false; n];
-    if resolve_fptrs {
-        reachable = vec![true; n];
-    } else {
-        let mut stack = vec![root];
-        reachable[root.index()] = true;
-        while let Some(f) = stack.pop() {
-            for &callee in &graph.callees[f.index()] {
-                if !reachable[callee.index()] {
-                    reachable[callee.index()] = true;
-                    stack.push(callee);
-                }
+/// Every fingerprint change detection needs for one module: the function
+/// database plus, per function, its closure member word.
+#[derive(Debug)]
+pub(crate) struct ModuleFingerprints {
+    pub(crate) db: FunctionDb,
+    /// Per `FuncId`: [`member_word`] of the function's name and
+    /// fingerprint.
+    members: Vec<u64>,
+}
+
+impl ModuleFingerprints {
+    /// Fingerprints every function of `module` in one structural walk.
+    /// Returns `None` when two functions share a name — names are the
+    /// cross-process identity of functions, so an ambiguous module cannot
+    /// be persisted (the session then runs every root cold, which is
+    /// always safe).
+    pub(crate) fn build(module: &Module) -> Option<ModuleFingerprints> {
+        let mut fp = Fingerprinter::new(module);
+        let mut entries = BTreeMap::new();
+        let mut members = Vec::with_capacity(module.functions().len());
+        for f in module.functions() {
+            let value = fp.function(f);
+            if entries.insert(f.name().to_owned(), value).is_some() {
+                return None;
             }
+            members.push(member_word(fp.names[f.id().index()], value));
         }
+        Some(ModuleFingerprints {
+            db: FunctionDb { entries },
+            members,
+        })
     }
-    let mut names: Vec<&str> = module
-        .functions()
-        .iter()
-        .filter(|f| reachable[f.id().index()])
-        .map(|f| f.name())
-        .collect();
-    names.sort_unstable();
-    let mut text = String::new();
-    for name in names {
-        let fp = db.entries.get(name).copied().unwrap_or(0);
-        text.push_str(name);
-        text.push_str(&format!("={fp:016x};"));
+
+    /// The closure fingerprint of each of `roots`, in order: a hash over
+    /// the `(name, fingerprint)` pairs of every function transitively
+    /// reachable from the root through direct calls. Each walk visits only
+    /// the root's reachable set. With `resolve_fptrs` the explorer can
+    /// enter *any* function whose address flows along a path, so every
+    /// closure conservatively widens to the whole module, hashed once.
+    pub(crate) fn closure_fps(
+        &self,
+        graph: &CallGraph,
+        roots: &[FuncId],
+        resolve_fptrs: bool,
+    ) -> Vec<u64> {
+        if resolve_fptrs {
+            let sum = self.members.iter().fold(0u64, |a, &m| a.wrapping_add(m));
+            let whole = closure_word(sum, self.members.len() as u64);
+            return vec![whole; roots.len()];
+        }
+        // `visited[f] == stamp` marks `f` as reached by the current root's
+        // walk; bumping the stamp resets the set without touching it.
+        let mut visited = vec![0u32; self.members.len()];
+        let mut stack = Vec::new();
+        roots
+            .iter()
+            .zip(1u32..)
+            .map(|(&root, stamp)| {
+                visited[root.index()] = stamp;
+                stack.push(root);
+                let (mut sum, mut count) = (0u64, 0u64);
+                while let Some(f) = stack.pop() {
+                    sum = sum.wrapping_add(self.members[f.index()]);
+                    count += 1;
+                    for &callee in &graph.callees[f.index()] {
+                        if visited[callee.index()] != stamp {
+                            visited[callee.index()] = stamp;
+                            stack.push(callee);
+                        }
+                    }
+                }
+                closure_word(sum, count)
+            })
+            .collect()
     }
-    fnv64(text.as_bytes())
 }
 
 // --------------------------------------------------------------------
@@ -296,10 +721,16 @@ impl StoredBug {
         }
     }
 
-    /// Re-binds the bug to `module`. `None` when a function or file named
-    /// in the record no longer exists or an index is out of range — the
-    /// caller then treats the whole root as dirty.
-    pub(crate) fn resolve(&self, module: &Module, root: FuncId) -> Option<PossibleBug> {
+    /// Re-binds the bug to `module`, whose files `file_ids` maps by name
+    /// (see [`file_ids`]). `None` when a function or file named in the
+    /// record no longer exists or an index is out of range — the caller
+    /// then treats the whole root as dirty.
+    pub(crate) fn resolve(
+        &self,
+        module: &Module,
+        file_ids: &HashMap<&str, FileId>,
+        root: FuncId,
+    ) -> Option<PossibleBug> {
         let inst = |s: &StoredInst| -> Option<InstId> {
             let func = module.function_by_name(&s.func)?;
             let blocks = module.function(func).blocks();
@@ -315,8 +746,7 @@ impl StoredBug {
             })
         };
         let loc = |s: &StoredLoc| -> Option<Loc> {
-            let idx = module.files().iter().position(|f| f.name == s.file)?;
-            Some(Loc::new(FileId::from_index(idx), s.line))
+            Some(Loc::new(*file_ids.get(s.file.as_str())?, s.line))
         };
         Some(PossibleBug {
             kind: self.kind,
@@ -330,6 +760,17 @@ impl StoredBug {
             root,
         })
     }
+}
+
+/// Maps each file name of `module` to its id (the first, should a name
+/// repeat) — built once per request for [`StoredBug::resolve`].
+pub(crate) fn file_ids(module: &Module) -> HashMap<&str, FileId> {
+    let mut ids = HashMap::with_capacity(module.files().len());
+    for (i, f) in module.files().iter().enumerate() {
+        ids.entry(f.name.as_str())
+            .or_insert_with(|| FileId::from_index(i));
+    }
+    ids
 }
 
 /// One root's persisted exploration result.
@@ -367,10 +808,6 @@ pub(crate) struct Store {
     pub(crate) corpus_fp: u64,
     /// The function database: `(name, fingerprint)`, sorted by name.
     pub(crate) functions: FunctionDb,
-    /// Per-source-file `(name, content hash)` in request order — the
-    /// basis for fingerprint prefix reuse (see
-    /// [`FunctionDb::build_with_reuse`]).
-    pub(crate) files: Vec<(String, u64)>,
     /// Per-root cached results, in the recorded root order.
     pub(crate) roots: Vec<StoredRoot>,
     /// Stage-2 verdicts under canonical keys, sorted by key.
@@ -398,16 +835,6 @@ impl Store {
             }
             out.push_str(&format!(
                 "{{\"name\": {}, \"fp\": \"{fp:016x}\"}}",
-                quote(name)
-            ));
-        }
-        out.push_str("], \"files\": [");
-        for (i, (name, hash)) in self.files.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"hash\": \"{hash:016x}\"}}",
                 quote(name)
             ));
         }
@@ -459,12 +886,6 @@ impl Store {
             let fp = parse_hex64(item.get("fp")?.as_str()?)?;
             functions.entries.insert(name, fp);
         }
-        let mut files = Vec::new();
-        for item in doc.get("files")?.as_array()? {
-            let name = item.get("name")?.as_str()?.to_owned();
-            let hash = parse_hex64(item.get("hash")?.as_str()?)?;
-            files.push((name, hash));
-        }
         let mut roots = Vec::new();
         for item in doc.get("roots")?.as_array()? {
             roots.push(parse_root(item)?);
@@ -484,7 +905,6 @@ impl Store {
             config_fp,
             corpus_fp,
             functions,
-            files,
             roots,
             validation,
         })
@@ -919,7 +1339,6 @@ mod tests {
             config_fp: 7,
             corpus_fp,
             functions,
-            files: vec![("a.c".into(), 0xfeed_f00d), ("dir/b.c".into(), 3)],
             roots: vec![StoredRoot {
                 root: "probe".into(),
                 closure_fp: 0x1234,
@@ -980,7 +1399,6 @@ mod tests {
         assert_eq!(back.config_fp, store.config_fp);
         assert_eq!(back.corpus_fp, store.corpus_fp);
         assert_eq!(back.functions, store.functions);
-        assert_eq!(back.files, store.files);
         assert_eq!(back.roots, store.roots);
         assert_eq!(back.validation, store.validation);
         // Byte-stable: serializing the parsed image reproduces the text.
@@ -995,9 +1413,10 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_cold_start() {
-        let text = sample_store()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 999");
+        let text = sample_store().to_json().replace(
+            &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
+            "\"schema_version\": 999",
+        );
         assert!(Store::parse(&text, 7).is_none());
     }
 
@@ -1142,54 +1561,93 @@ mod tests {
             int lonely(void) { return 5; }
         "#;
         let m = pata_cc::compile_one("cf.c", src).unwrap();
-        let db = FunctionDb::build(&m).unwrap();
+        let fps = ModuleFingerprints::build(&m).unwrap();
         let cg = CallGraph::build(&m);
-        let top = m.function_by_name("top").unwrap();
-        let lonely = m.function_by_name("lonely").unwrap();
-        let top_fp = root_closure_fp(&m, &cg, top, false, &db);
-        let lonely_fp = root_closure_fp(&m, &cg, lonely, false, &db);
+        let id = |name: &str| m.function_by_name(name).unwrap();
+        let roots = [id("top"), id("lonely")];
+        let before = fps.closure_fps(&cg, &roots, false);
 
         // Change `leaf` by pretending its fingerprint moved: top's closure
         // reacts, lonely's does not.
-        let mut db2 = db.clone();
-        *db2.entries.get_mut("leaf").unwrap() ^= 1;
-        assert_ne!(root_closure_fp(&m, &cg, top, false, &db2), top_fp);
-        assert_eq!(root_closure_fp(&m, &cg, lonely, false, &db2), lonely_fp);
+        let mut moved = ModuleFingerprints::build(&m).unwrap();
+        let leaf = id("leaf").index();
+        moved.members[leaf] = member_word(str_word("leaf"), fps.db.entries["leaf"] ^ 1);
+        let after = moved.closure_fps(&cg, &roots, false);
+        assert_ne!(after[0], before[0]);
+        assert_eq!(after[1], before[1]);
 
         // With fptr resolution the closure is the whole module.
-        assert_ne!(
-            root_closure_fp(&m, &cg, lonely, true, &db2),
-            root_closure_fp(&m, &cg, lonely, true, &db)
-        );
+        let whole = fps.closure_fps(&cg, &roots, true);
+        assert_eq!(whole[0], whole[1]);
+        assert_ne!(moved.closure_fps(&cg, &roots, true)[1], whole[1]);
     }
 
     #[test]
-    fn prefix_reuse_matches_fresh_fingerprints() {
-        let first = "int alpha(int x) { return x + 1; }\n";
-        let second = "int beta(int *p) { if (p == NULL) { } return *p; }\n";
-        let compile = |second_text: &str| {
-            let mut cc = pata_cc::Compiler::new();
-            cc.add_source("a.c", first);
-            cc.add_source("b.c", second_text);
-            cc.compile().unwrap()
-        };
-        let m1 = compile(second);
-        let fresh = FunctionDb::build(&m1).unwrap();
+    fn structural_fingerprint_is_pinned() {
+        // Pinned value: the structural encoding is part of the store
+        // schema. A change here needs a STORE_SCHEMA_VERSION bump.
+        let m = pata_cc::compile_one("pin.c", "int pin(int *p) { return *p; }\n").unwrap();
+        let pin = m.function(m.function_by_name("pin").unwrap());
+        assert_eq!(Fingerprinter::new(&m).function(pin), 0x7753_6ed7_a7ca_7b11);
+    }
 
-        // Unchanged prefix of 2 (both files identical): reused fingerprints
-        // equal freshly computed ones even when `prev` holds poison values
-        // for functions outside the prefix.
-        let reused = FunctionDb::build_with_reuse(&m1, Some(&fresh), 2).unwrap();
-        assert_eq!(reused, fresh);
+    fn fingerprints(files: &[(&str, &str)]) -> FunctionDb {
+        let mut cc = pata_cc::Compiler::new();
+        for (name, text) in files {
+            cc.add_source(name, text);
+        }
+        ModuleFingerprints::build(&cc.compile().unwrap())
+            .unwrap()
+            .db
+    }
 
-        // Edit the second file: with prefix 1, alpha's fingerprint is
-        // reused verbatim and beta's is recomputed, matching a fresh build
-        // of the edited module.
-        let m2 = compile("int beta(int *p) { if (p == NULL) { return 0; } return *p; }\n");
-        let fresh2 = FunctionDb::build(&m2).unwrap();
-        let reused2 = FunctionDb::build_with_reuse(&m2, Some(&fresh), 1).unwrap();
-        assert_eq!(reused2, fresh2);
-        assert_eq!(reused2.entries["alpha"], fresh.entries["alpha"]);
-        assert_ne!(reused2.entries["beta"], fresh.entries["beta"]);
+    #[test]
+    fn fingerprints_ignore_module_global_numbering() {
+        let later = (
+            "b.c",
+            "struct s { int *p; };\nint g;\nint beta(struct s *x) { int *q = x->p; return *q + g; }\n",
+        );
+        let base = fingerprints(&[("a.c", "int alpha(int x) { return x + 1; }\n"), later]);
+        // A new local and an `if` in a.c renumber every variable of b.c,
+        // and a new struct before `s` renumbers its StructId.
+        let edited = fingerprints(&[
+            (
+                "a.c",
+                "struct t { int a; }; int alpha(int x) { int y = 2; if (x > y) { x = 0; } return x + 1; }\n",
+            ),
+            later,
+        ]);
+        assert_ne!(edited.entries["alpha"], base.entries["alpha"]);
+        assert_eq!(edited.entries["beta"], base.entries["beta"]);
+        assert_eq!(edited.changed_since(&base), 1);
+    }
+
+    #[test]
+    fn fingerprints_see_what_the_analysis_reads() {
+        let base_src = "struct s { int *p; };\nint beta(struct s *x) { return *x->p + 1; }\n";
+        let base = fingerprints(&[("a.c", base_src)]).entries["beta"];
+        for (what, src) in [
+            (
+                "constant",
+                "struct s { int *p; };\nint beta(struct s *x) { return *x->p + 2; }\n",
+            ),
+            (
+                "line",
+                "struct s { int *p; };\n\nint beta(struct s *x) { return *x->p + 1; }\n",
+            ),
+            (
+                "struct layout",
+                "struct s { int *p; int n; };\nint beta(struct s *x) { return *x->p + 1; }\n",
+            ),
+            (
+                "field type",
+                "struct s { int **p; };\nint beta(struct s *x) { return **x->p + 1; }\n",
+            ),
+        ] {
+            let changed = fingerprints(&[("a.c", src)]).entries["beta"];
+            assert_ne!(changed, base, "{what} edit must change the fingerprint");
+        }
+        // The file name is part of every location.
+        assert_ne!(fingerprints(&[("b.c", base_src)]).entries["beta"], base);
     }
 }

@@ -29,7 +29,7 @@ use crate::driver::{Pata, RootRun};
 use crate::faultinject;
 use crate::filter;
 use crate::persist::{
-    config_fingerprint, fnv64, root_closure_fp, FunctionDb, Store, StoredBug, StoredRoot,
+    self, config_fingerprint, FunctionDb, ModuleFingerprints, Store, StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{DegradedRoot, PossibleBug, Report};
@@ -145,11 +145,6 @@ pub struct SessionOutcome {
 #[derive(Debug)]
 struct WarmState {
     functions: FunctionDb,
-    /// Per-source-file `(name, content hash)` in request order. When a
-    /// prefix of the new request matches byte-for-byte, functions in
-    /// those files keep their previous fingerprints without re-printing
-    /// their IR (fingerprint prefix reuse).
-    file_hashes: Vec<(String, u64)>,
     roots: Vec<StoredRoot>,
 }
 
@@ -237,7 +232,6 @@ impl AnalysisSession {
             session.driver.validation_cache().import(store.validation);
             session.warm = Some(WarmState {
                 functions: store.functions,
-                file_hashes: store.files,
                 roots: store.roots,
             });
             session.store_synced = true;
@@ -321,11 +315,6 @@ impl AnalysisSession {
             telemetry
                 .record_direct(|sink| sink.record_ns("driver.serve.compile", None, compile_ns));
         }
-        let file_hashes: Vec<(String, u64)> = request
-            .files
-            .iter()
-            .map(|f| (f.name.clone(), fnv64(f.text.as_bytes())))
-            .collect();
         // The last containment boundary: per-root faults are absorbed by
         // the quarantine/demotion ladder below, but a panic outside those
         // scopes (collection, fingerprinting, splicing, store writing)
@@ -333,7 +322,7 @@ impl AnalysisSession {
         // wrapping it. Warm state may be half-updated at the panic point,
         // so it is discarded wholesale.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_compiled(module, start, file_hashes)
+            self.analyze_compiled(module, start)
         })) {
             Ok(outcome) => Ok(outcome),
             Err(payload) => {
@@ -354,15 +343,8 @@ impl AnalysisSession {
         self.synced_validation_len = 0;
     }
 
-    /// The incremental pipeline on a compiled module. `file_hashes` are
-    /// the per-source-file content hashes in request order (which is also
-    /// the compiler's `FileId` order).
-    fn analyze_compiled(
-        &mut self,
-        mut module: Module,
-        start: Instant,
-        file_hashes: Vec<(String, u64)>,
-    ) -> SessionOutcome {
+    /// The incremental pipeline on a compiled module.
+    fn analyze_compiled(&mut self, mut module: Module, start: Instant) -> SessionOutcome {
         let telemetry = Arc::clone(self.driver.telemetry());
         let tel_on = telemetry.is_enabled();
         let checkers = self.driver.instantiate_checkers();
@@ -380,34 +362,15 @@ impl AnalysisSession {
             });
         }
 
-        // Change detection. `db` is `None` when function names are
+        // Change detection. `fps` is `None` when function names are
         // ambiguous — then nothing can be cached and every root is dirty.
-        // Fingerprint prefix reuse: a function's printed IR depends only
-        // on its own source file and the files lowered before it
-        // (module-global variable numbering), and `FileId`s are assigned
-        // in request order — so when the first `unchanged_prefix` files
-        // are byte-identical to the previous run, functions in those
-        // files keep their fingerprints without re-printing their IR.
         let fp_start = Instant::now();
-        let unchanged_prefix = self.warm.as_ref().map_or(0, |w| {
-            w.file_hashes
-                .iter()
-                .zip(&file_hashes)
-                .take_while(|(a, b)| a == b)
-                .count()
-        });
-        let db = FunctionDb::build_with_reuse(
-            &module,
-            self.warm.as_ref().map(|w| &w.functions),
-            unchanged_prefix,
-        );
-        let closures: Vec<u64> = match &db {
-            Some(db) => roots
-                .iter()
-                .map(|&r| root_closure_fp(&module, &call_graph, r, config.resolve_fptrs, db))
-                .collect(),
+        let fps = ModuleFingerprints::build(&module);
+        let closures: Vec<u64> = match &fps {
+            Some(fps) => fps.closure_fps(&call_graph, &roots, config.resolve_fptrs),
             None => vec![0; roots.len()],
         };
+        let db = fps.map(|fps| fps.db);
         let warm_start = self.warm.is_some();
         let changed_functions = match (&db, &self.warm) {
             (Some(db), Some(warm)) => db.changed_since(&warm.functions),
@@ -423,6 +386,7 @@ impl AnalysisSession {
             .as_ref()
             .map(|w| w.roots.iter().map(|r| (r.root.as_str(), r)).collect())
             .unwrap_or_default();
+        let file_ids = persist::file_ids(&module);
         enum Plan<'a> {
             Clean(&'a StoredRoot, Vec<PossibleBug>),
             Dirty,
@@ -444,7 +408,7 @@ impl AnalysisSession {
                 let resolved: Option<Vec<PossibleBug>> = stored
                     .candidates
                     .iter()
-                    .map(|b| b.resolve(&module, root))
+                    .map(|b| b.resolve(&module, &file_ids, root))
                     .collect();
                 match resolved {
                     Some(candidates) => Plan::Clean(stored, candidates),
@@ -565,32 +529,23 @@ impl AnalysisSession {
         stats.time = start.elapsed();
 
         // Update the warm state and (if open) the on-disk store. A fully
-        // clean request (no dirty roots, no function changes, no new
-        // validation verdicts, same root/function sets) would rewrite the
-        // store byte-identically — skip the redundant serialization.
-        let prev_counts = self
-            .warm
-            .as_ref()
-            .map(|w| (w.functions.entries.len(), w.roots.len()));
-        let files_unchanged = self
-            .warm
-            .as_ref()
-            .is_some_and(|w| w.file_hashes == file_hashes);
+        // clean request (the same function database, no dirty roots, the
+        // same root count, no new validation verdicts) would rewrite the
+        // store with the same content — skip the redundant serialization.
+        let prev = self.warm.take().map(|w| (w.functions, w.roots.len()));
         self.warm = db.map(|functions| WarmState {
             functions,
-            file_hashes,
             roots: new_roots,
         });
         let store_unchanged = self.store_synced
-            && files_unchanged
             && incremental.dirty_roots == 0
-            && changed_functions == 0
             && self.driver.validation_cache().len() == self.synced_validation_len
-            && prev_counts
-                == self
-                    .warm
-                    .as_ref()
-                    .map(|w| (w.functions.entries.len(), w.roots.len()));
+            && match (&prev, &self.warm) {
+                (Some((functions, roots)), Some(w)) => {
+                    *functions == w.functions && *roots == w.roots.len()
+                }
+                _ => false,
+            };
         if store_unchanged {
             // Nothing to write; the on-disk store already matches.
         } else if let (Some(path), Some(warm)) = (&self.store_path, &self.warm) {
@@ -598,7 +553,6 @@ impl AnalysisSession {
                 config_fp: self.config_fp,
                 corpus_fp: warm.functions.corpus_fingerprint(),
                 functions: warm.functions.clone(),
-                files: warm.file_hashes.clone(),
                 roots: warm.roots.clone(),
                 validation: if config.validation_cache {
                     self.driver.validation_cache().export()

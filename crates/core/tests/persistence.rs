@@ -291,3 +291,97 @@ fn validation_verdicts_survive_restart() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The outcome's statistics minus what legitimately differs between a
+/// warm and a cold run: wall-clock time, and the stage-2 cache counters
+/// (a warm session starts with the store's verdicts).
+fn counters(out: &SessionOutcome) -> pata_core::AnalysisStats {
+    pata_core::AnalysisStats {
+        time: std::time::Duration::ZERO,
+        validation_cache_hits: 0,
+        validation_cache_misses: 0,
+        validation_scope_reuse: 0,
+        ..out.stats.clone()
+    }
+}
+
+#[test]
+fn struct_only_edit_matches_a_cold_run() {
+    // Regression: a struct layout reaches the alias-unaware constraint
+    // counts of every function holding a pointer to it, so growing the
+    // struct on its existing line must dirty those roots.
+    const BEFORE: &str = "struct dev { int *res; int len; };\n\
+        int net_probe(struct dev *d) {\n\
+            struct dev *e = d;\n\
+            if (e->res == NULL) { }\n\
+            return *d->res;\n\
+        }\n";
+    let after = BEFORE.replace("int len; };", "int len; int irq; int dma; };");
+    let dir = tempdir("struct-only");
+    let store = dir.join("store.json");
+    let first = run(&store, 1, &[("drivers/net.c", BEFORE)]);
+    let warm = run(&store, 1, &[("drivers/net.c", &after)]);
+    let cold = AnalysisSession::new(config(1))
+        .analyze(&request(&[("drivers/net.c", &after)]))
+        .unwrap();
+    assert!(warm.incremental.warm_start);
+    assert_eq!(
+        warm.incremental.dirty_roots, 1,
+        "struct edit dirties the root"
+    );
+    assert_ne!(
+        counters(&first).constraints_unaware,
+        counters(&cold).constraints_unaware,
+        "the edit must matter to the counters for this test to bite"
+    );
+    assert_eq!(counters(&warm), counters(&cold));
+    assert_eq!(warm.report.to_json(), cold.report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn earlier_edit_leaves_later_report_strings_alone() {
+    // `fold` reports an alias path through an index variable. An added
+    // local in an earlier file renumbers all of fold's variables; its
+    // report must still read the same, warm or cold.
+    const FOLD: &str = "struct dev { int count; };\n\
+        int fold(struct dev *d, int i) {\n\
+            int *buf = kmalloc(32);\n\
+            if (buf == NULL) {\n\
+                return -1;\n\
+            }\n\
+            buf[i + 1] = d->count;\n\
+            int j = i + 1;\n\
+            int v = buf[j];\n\
+            kfree(buf);\n\
+            return v;\n\
+        }\n";
+    const EARLY: &str = "int early(int x) {\n    return x;\n}\n";
+    let early_edited = EARLY.replace("return x;", "int y = 1; return x + y;");
+    let dir = tempdir("index-names");
+    let store = dir.join("store.json");
+    let before = run(&store, 1, &[("a.c", EARLY), ("b.c", FOLD)]);
+    let warm = run(&store, 1, &[("a.c", &early_edited), ("b.c", FOLD)]);
+    let cold = AnalysisSession::new(config(1))
+        .analyze(&request(&[("a.c", &early_edited), ("b.c", FOLD)]))
+        .unwrap();
+    assert_eq!(warm.incremental.changed_functions, 1);
+    assert_eq!(warm.incremental.dirty_roots, 1, "only `early` re-explores");
+    let fold_strings = |out: &SessionOutcome| -> Vec<String> {
+        out.report
+            .reports
+            .iter()
+            .filter(|r| r.function == "fold")
+            .map(|r| format!("{:?} {}", r.alias_paths, r.message))
+            .collect()
+    };
+    let strings = fold_strings(&before);
+    assert!(
+        strings.iter().any(|s| s.contains("[fold:j]")),
+        "index variable rendered by name: {strings:?}"
+    );
+    assert_eq!(fold_strings(&warm), strings);
+    assert_eq!(fold_strings(&cold), strings);
+    assert_eq!(warm.report.to_json(), cold.report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}

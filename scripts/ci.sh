@@ -64,8 +64,9 @@ echo "stage timing (ns): collect=$(stage_ns collect) explore=$(stage_ns explore)
 echo "== serve round-trip (smoke)"
 # Start a daemon on a unix socket, analyze the generated corpus, touch one
 # corpus function (a new file with one new root), re-analyze, and check
-# that only the touched root was re-explored. Then shut the daemon down
-# cleanly through the client.
+# that only the touched root was re-explored. Then add a local to the
+# first corpus file and check that only that function changed. Then shut
+# the daemon down cleanly through the client.
 sock="$tmp_dir/pata.sock"
 cargo run -q --release --bin pata -- serve --socket "$sock" \
     --store "$tmp_dir/serve-store.json" &
@@ -91,10 +92,24 @@ echo "$second" | grep -q '"dirty_roots": 1,' \
     || { echo "serve: edit must dirty exactly one root"; exit 1; }
 echo "$second" | grep -q '"changed_functions": 1,' \
     || { echo "serve: edit must change exactly one function"; exit 1; }
+# Insert a local on an existing line of the first corpus file's first
+# function. That renumbers every variable lowered after it, but function
+# fingerprints are numbering-independent: exactly one function changes.
+first_file=$(ls "$tmp_dir"/corp/*/*.c | head -n 1)
+cp "$first_file" "$tmp_dir/first.orig"
+sed -i '0,/^static [^=]*) {$/s//& int ci_renumber = 1;/' "$first_file"
+! cmp -s "$first_file" "$tmp_dir/first.orig" \
+    || { echo "serve: renumbering edit did not apply"; exit 1; }
+third=$(cargo run -q --release --bin pata -- client --socket "$sock" \
+    "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c")
+echo "$third" | grep -q '"ok": true' \
+    || { echo "serve: third analyze failed"; exit 1; }
+echo "$third" | grep -q '"changed_functions": 1,' \
+    || { echo "serve: renumbering edit must change exactly one function"; exit 1; }
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: daemon exited non-zero"; exit 1; }
-echo "serve round-trip OK (second request re-explored 1 root)"
+echo "serve round-trip OK (second request re-explored 1 root, third changed 1 function)"
 
 echo "== fault-injection smoke matrix"
 # Inject a panic, a validation panic, a deadline trip, and a store IO
