@@ -15,8 +15,9 @@ use pata_ir::Module;
 /// The PATA-NA analyzer.
 ///
 /// Checkers are instantiated through a [`CheckerRegistry`] — the same open
-/// extension point `Pata` uses — so plugin checkers registered via
-/// [`PataNaAnalyzer::with_registry`] run in the alias-unaware variant too.
+/// extension point [`AnalysisSession`] uses — so plugin checkers registered
+/// via [`PataNaAnalyzer::with_registry`] run in the alias-unaware variant
+/// too.
 #[derive(Debug, Default)]
 pub struct PataNaAnalyzer {
     /// Optional configuration override (checkers, budgets).

@@ -8,10 +8,8 @@
 //! 2. `caches on`  — subsumption table + callee-summary memo (defaults).
 //!
 //! Both must produce bit-identical bug reports — checked here via the full
-//! versioned report document, not just timed. A third configuration runs
-//! with caches on across several threads with fork helpers enabled, and its
-//! report must also be bit-identical (intra-root parallelism is a cache
-//! warmer, never a verdict source).
+//! versioned report document, not just timed. The report must also be
+//! bit-identical with caches on at threads 1, 2 and 4.
 //!
 //! The target (ISSUE 3): caches cut live DFS steps
 //! (`insts_processed - insts_replayed`) by at least 30%, with the wall-clock
@@ -34,12 +32,11 @@ use pata_bench::results;
 use pata_core::{AnalysisConfig, AnalysisSession, AnalysisStats, PossibleBug, Report};
 use pata_corpus::{Corpus, OsProfile};
 
-fn config(caches: bool, threads: usize, fork_depth: usize, cow: bool) -> AnalysisConfig {
+fn config(caches: bool, threads: usize, cow: bool) -> AnalysisConfig {
     AnalysisConfig::builder()
         .threads(threads)
         .exploration_cache(caches)
         .callee_memo(caches)
-        .fork_depth(fork_depth)
         .cow_state(cow)
         .build()
         .expect("valid bench config")
@@ -47,21 +44,14 @@ fn config(caches: bool, threads: usize, fork_depth: usize, cow: bool) -> Analysi
 
 /// Stage-1 only (the timed region): path exploration without validation.
 fn explore(module: &pata_ir::Module, caches: bool, cow: bool) -> (Vec<PossibleBug>, AnalysisStats) {
-    let pata = AnalysisSession::new(config(caches, 1, 0, cow));
+    let pata = AnalysisSession::new(config(caches, 1, cow));
     let (_, candidates, stats) = pata.collect_candidates(module.clone());
     (candidates, stats)
 }
 
 /// Full pipeline: the versioned report document, for bit-identity checks.
-fn full_report(
-    module: &pata_ir::Module,
-    caches: bool,
-    threads: usize,
-    fork_depth: usize,
-    cow: bool,
-) -> String {
-    let outcome = AnalysisSession::new(config(caches, threads, fork_depth, cow))
-        .analyze_module(module.clone());
+fn full_report(module: &pata_ir::Module, caches: bool, threads: usize, cow: bool) -> String {
+    let outcome = AnalysisSession::new(config(caches, threads, cow)).analyze_module(module.clone());
     Report::new(outcome.reports)
         .with_budget_notes(outcome.budget_notes)
         .to_json()
@@ -74,7 +64,6 @@ fn fork_telemetry(module: &pata_ir::Module) -> (u64, u64, i64) {
             .threads(1)
             .exploration_cache(false)
             .callee_memo(false)
-            .fork_depth(0)
             .telemetry(true)
             .build()
             .expect("valid bench config"),
@@ -153,23 +142,17 @@ fn main() {
         clone_s = clone_s.min(t);
     }
 
-    // Bit-identical bug reports: caches on vs off, single thread vs forked
-    // parallel exploration, copy-on-write vs clone-based forking at
-    // threads 1, 2 and 4.
-    let report_off = full_report(&module, false, 1, 0, true);
-    let report_on = full_report(&module, true, 1, 0, true);
+    // Bit-identical bug reports: caches on vs off, copy-on-write vs
+    // clone-based forking at threads 1, 2 and 4.
+    let report_off = full_report(&module, false, 1, true);
+    let report_on = full_report(&module, true, 1, true);
     assert_eq!(
         report_on, report_off,
         "caches must produce a bit-identical report document"
     );
-    let report_forked = full_report(&module, true, 4, 2, true);
-    assert_eq!(
-        report_forked, report_off,
-        "forked exploration must produce a bit-identical report document"
-    );
     for threads in [1, 2, 4] {
         for cow in [true, false] {
-            let report = full_report(&module, true, threads, 0, cow);
+            let report = full_report(&module, true, threads, cow);
             assert_eq!(
                 report, report_off,
                 "report must be byte-identical (threads {threads}, cow_state {cow})"
@@ -218,10 +201,7 @@ fn main() {
         "forks: {forks}  bytes copied at forks: {fork_bytes_copied}  \
          peak live state: {peak_live_bytes} bytes"
     );
-    println!(
-        "reports: bit-identical across caches on/off, forked parallel exploration, \
-         and cow on/off at threads 1/2/4"
-    );
+    println!("reports: bit-identical across caches on/off and cow on/off at threads 1/2/4");
     println!("live DFS step cut: {step_cut:.1}%  wall-clock cut: {wall_cut:+.1}%");
     println!(
         "cow live-step throughput: {:.2e} steps/s, {cow_speedup:.1}x clone-based forking",

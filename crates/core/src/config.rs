@@ -100,11 +100,6 @@ pub struct AnalysisConfig {
     /// inlining, instead of re-exploring the callee body. Verdict-neutral;
     /// disable with `--no-callee-memo` to measure.
     pub callee_memo: bool,
-    /// How many shallow branch decisions idle workers may pre-force to
-    /// explore a heavy root's later DFS regions speculatively, warming the
-    /// shared exploration caches (`0` disables intra-root forking). Only
-    /// takes effect when there are more worker threads than roots.
-    pub fork_depth: usize,
     /// Copy-on-write path state (DESIGN.md "Copy-on-write path state"):
     /// branch forks take a fixed-size mark and sibling arms restore by
     /// undo-journal rollback, costing O(changed). Disabling falls back to
@@ -152,7 +147,6 @@ impl Default for AnalysisConfig {
             telemetry: false,
             exploration_cache: true,
             callee_memo: true,
-            fork_depth: 2,
             cow_state: true,
             root_deadline_ms: 0,
             max_live_bytes: 0,
@@ -337,12 +331,6 @@ impl AnalysisConfigBuilder {
     /// Enables or disables the stage-1 callee-summary cache.
     pub fn callee_memo(mut self, on: bool) -> Self {
         self.config.callee_memo = on;
-        self
-    }
-
-    /// Sets the speculative intra-root fork depth (0 disables forking).
-    pub fn fork_depth(mut self, n: usize) -> Self {
-        self.config.fork_depth = n;
         self
     }
 

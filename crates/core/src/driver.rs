@@ -1,48 +1,20 @@
-//! The analysis driver tying the pipeline together (paper Fig. 10):
-//! information collection → per-root path-sensitive code analysis
-//! (parallelized across roots with a work-stealing scheduler) → bug
-//! filtering.
+//! The per-root exploration scheduler behind [`crate::AnalysisSession`]
+//! (paper Fig. 10, phase P2): roots are explored by a work-stealing
+//! scheduler, each under the fault-containment ladder, and their results
+//! are merged back in root order.
 
-use crate::collector;
 use crate::config::AnalysisConfig;
-use crate::filter;
-use crate::path::{ExploreResult, Explorer, ForkStats, SharedTables};
-use crate::registry::CheckerRegistry;
-use crate::report::{BugReport, DegradedRoot, PossibleBug};
+use crate::path::{ExploreResult, Explorer, ForkStats};
+use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
-use crate::telemetry::{Span, Telemetry, TelemetrySink, TelemetrySnapshot};
+use crate::telemetry::{Span, Telemetry, TelemetrySink};
 use crate::typestate::Checker;
-use crate::validate::ValidationCache;
 use pata_ir::{FuncId, Module};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-
-/// The result of a full PATA run.
-#[derive(Debug)]
-pub struct AnalysisOutcome {
-    /// Final validated bug reports.
-    pub reports: Vec<BugReport>,
-    /// The surviving candidates behind the reports.
-    pub real_bugs: Vec<PossibleBug>,
-    /// Aggregate statistics (Table 5 counters).
-    pub stats: AnalysisStats,
-    /// The analyzed module, with interface functions marked.
-    pub module: Module,
-    /// Telemetry collected during this run; empty unless
-    /// [`AnalysisConfig::telemetry`] is set. See
-    /// [`TelemetrySnapshot::to_json`] for the stable wire format.
-    pub telemetry: TelemetrySnapshot,
-    /// Per-root budget-exhaustion detail (in root order): which roots hit
-    /// `max_insts`/`max_paths`, and whether their verdicts come from the
-    /// deterministic cache-free re-run. Empty when no root was truncated.
-    pub budget_notes: Vec<BudgetNote>,
-    /// Roots the fault-containment ladder quarantined or demoted, sorted by
-    /// `(root, stage)`. Empty on a healthy run.
-    pub degraded: Vec<DegradedRoot>,
-}
 
 /// A root the fault-containment ladder could not complete normally: the
 /// structured record of a quarantine (panic caught) or demotion (resource
@@ -92,618 +64,253 @@ pub(crate) struct RootRun {
     pub(crate) failure: Option<RootFailure>,
 }
 
-/// The PATA analysis engine.
+/// Explores `roots` (any subset of the module's interface functions) and
+/// returns each root's result separately, in root order. The session
+/// passes every root for a one-shot run, and only the *dirty* roots for an
+/// incremental one. Every root's counters are merged into `stats`.
 ///
-/// This is the internal pipeline driver. Construct analyses through
-/// [`crate::AnalysisSession`] — the one public entry point — rather than
-/// through the deprecated constructors kept here for compatibility:
-///
-/// ```
-/// use pata_core::{AnalysisConfig, AnalysisSession};
-///
-/// let module = pata_cc::compile_one("m.c", "void root(void) { }").unwrap();
-/// let session = AnalysisSession::new(AnalysisConfig::default());
-/// let outcome = session.analyze_module(module);
-/// assert_eq!(outcome.stats.roots, 1);
-/// ```
-#[derive(Debug)]
-pub struct Pata {
-    config: AnalysisConfig,
-    /// Stage-2 conjunction verdicts, shared across every `analyze` call on
-    /// this analyzer (and, being `Sync`, across threads).
-    cache: Arc<ValidationCache>,
-    /// Checker factories; [`Pata::analyze`] instantiates checkers through
-    /// it so out-of-tree checkers registered by embedders run alongside the
-    /// built-ins.
-    registry: CheckerRegistry,
-    /// Metrics registry. Cheap when `config.telemetry` is off: every
-    /// recording site branches on one relaxed atomic load.
-    telemetry: Arc<Telemetry>,
-}
+/// Root-level parallelism uses work stealing: roots are dealt round-robin
+/// into per-worker deques; a worker pops from its own queue's front and,
+/// when empty, steals from the back of another worker's queue. Root costs
+/// are wildly uneven (one hot root can dominate a static split), so idle
+/// workers pull the remaining work instead of waiting. The task set is
+/// static — no queue ever grows — so one full empty scan means the phase is
+/// done. A single worker runs inline on the calling thread.
+pub(crate) fn explore_roots(
+    module: &Module,
+    config: &AnalysisConfig,
+    checkers: &[Box<dyn Checker>],
+    roots: &[FuncId],
+    telemetry: &Telemetry,
+    stats: &mut AnalysisStats,
+) -> Vec<RootRun> {
+    let hw_threads = if config.threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        config.threads
+    };
+    let threads = hw_threads.min(roots.len().max(1));
+    let tel_on = telemetry.is_enabled();
 
-impl Pata {
-    /// Creates an engine with `config` and the built-in checker registry.
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::new` — the session API is the one public entry point"
-    )]
-    pub fn new(config: AnalysisConfig) -> Self {
-        Self::create(config)
-    }
-
-    /// Creates an engine with a custom [`CheckerRegistry`].
-    #[doc(hidden)]
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `AnalysisSession::with_registry` — the session API is the one public entry point"
-    )]
-    pub fn with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        Self::create_with_registry(config, registry)
-    }
-
-    /// Internal constructor backing [`crate::AnalysisSession`].
-    pub(crate) fn create(config: AnalysisConfig) -> Self {
-        Self::create_with_registry(config, CheckerRegistry::with_builtins())
-    }
-
-    /// Internal constructor backing [`crate::AnalysisSession::with_registry`].
-    pub(crate) fn create_with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        let telemetry = Arc::new(Telemetry::new(config.telemetry));
-        Pata {
-            config,
-            cache: Arc::new(ValidationCache::new()),
-            registry,
-            telemetry,
-        }
-    }
-
-    /// Instantiates the configured checkers through the registry.
-    pub(crate) fn instantiate_checkers(&self) -> Vec<Box<dyn Checker>> {
-        self.registry.instantiate_for(&self.config.checkers)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
-    /// The analyzer's shared validation cache (persists across runs).
-    pub fn validation_cache(&self) -> &Arc<ValidationCache> {
-        &self.cache
-    }
-
-    /// The analyzer's checker registry.
-    pub fn registry(&self) -> &CheckerRegistry {
-        &self.registry
-    }
-
-    /// The analyzer's telemetry registry. Metrics accumulate across
-    /// `analyze` calls; each [`AnalysisOutcome`] carries a snapshot taken
-    /// at the end of its run.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
-    }
-
-    /// Runs the full pipeline on `module`.
-    pub fn analyze(&self, module: Module) -> AnalysisOutcome {
-        let checkers = self.registry.instantiate_for(&self.config.checkers);
-        self.analyze_with(module, &checkers)
-    }
-
-    /// Runs the pipeline with custom checker instances (e.g. user-defined
-    /// FSMs; see `examples/custom_checker.rs`).
-    pub fn analyze_with(
-        &self,
-        mut module: Module,
-        checkers: &[Box<dyn Checker>],
-    ) -> AnalysisOutcome {
-        let start = Instant::now();
-        let tel_on = self.telemetry.is_enabled();
-
-        // P1: information collection.
-        let span = Span::start(tel_on, "stage.collect");
-        let (roots, call_graph) = collector::mark_interfaces_with_graph(&mut module);
-        if tel_on {
-            self.telemetry.record_direct(|sink| {
-                span.finish(sink);
-                sink.add("collect.roots", roots.len() as u64);
-                sink.add("collect.call_edges", call_graph.edge_count() as u64);
-            });
-        }
-
-        // P2: per-root path-sensitive analysis.
-        let span = Span::start(tel_on, "stage.explore");
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let (candidates, budget_notes, mut degraded) =
-            self.run_roots(&module, checkers, &roots, &mut stats);
-        if tel_on {
-            self.telemetry.record_direct(|sink| span.finish(sink));
-        }
-
-        // P3: bug filtering (dedup + path validation).
-        let span = Span::start(tel_on, "stage.filter");
-        let cache = self.config.validation_cache.then(|| &*self.cache);
-        let result = filter::filter(
-            &module,
-            candidates,
-            self.config.validate_paths,
-            cache,
-            Some(&self.telemetry),
-            &mut stats,
-        );
-        if tel_on {
-            self.telemetry.record_direct(|sink| span.finish(sink));
-        }
-        degraded.extend(result.failures);
-        degraded.sort();
-        stats.time = start.elapsed();
-        AnalysisOutcome {
-            reports: result.reports,
-            real_bugs: result.real_bugs,
-            stats,
-            module,
-            telemetry: self.telemetry.snapshot(),
-            budget_notes,
-            degraded,
-        }
-    }
-
-    /// Runs phases P1 + P2 only, returning the marked module, the raw
-    /// (pre-dedup, pre-validation) candidates and the exploration stats —
-    /// the exact input [`filter::filter`] consumes. Lets benchmarks and
-    /// experiments time stage-2 validation in isolation.
-    pub fn collect_candidates(
-        &self,
-        mut module: Module,
-    ) -> (Module, Vec<PossibleBug>, AnalysisStats) {
-        let checkers: Vec<Box<dyn Checker>> = self
-            .config
-            .checkers
-            .iter()
-            .map(|k| k.instantiate())
-            .collect();
-        let roots = collector::mark_interfaces(&mut module);
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let (candidates, _notes, _degraded) =
-            self.run_roots(&module, &checkers, &roots, &mut stats);
-        (module, candidates, stats)
-    }
-
-    fn run_roots(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-    ) -> (Vec<PossibleBug>, Vec<BudgetNote>, Vec<DegradedRoot>) {
-        let runs = self.explore_roots(module, checkers, roots, stats);
-        let mut all = Vec::new();
-        let mut notes = Vec::new();
-        let mut degraded = Vec::new();
-        for run in runs {
-            all.extend(run.candidates);
-            notes.extend(run.note);
-            degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
-        }
-        (all, notes, degraded)
-    }
-
-    /// Explores `roots` (any subset of the module's interface functions)
-    /// and returns each root's result separately, in root order. This is
-    /// the incremental re-analysis entry point: the session layer passes
-    /// only the *dirty* roots and splices cached results in for the rest.
-    /// Aggregate exploration counters are merged into `stats` exactly as a
-    /// full run would.
-    pub(crate) fn explore_roots(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-    ) -> Vec<RootRun> {
-        let hw_threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        let threads = hw_threads.min(roots.len().max(1));
-        let tel_on = self.telemetry.is_enabled();
-        let base = stats.clone();
-
-        // Intra-root parallelism: when there are more workers than roots,
-        // the spare workers fork into the roots' DFS trees as *cache
-        // warmers* — same root, a forced branch prefix steering them into a
-        // region the owner reaches late, results discarded. They only
-        // populate the shared subsumption/memo tables, which the owners
-        // then hit; reports and stats come solely from the owners, so the
-        // outcome is bit-identical to an unforked run by replay exactness.
-        let spare = hw_threads.saturating_sub(roots.len().max(1));
-        let fork_depth = self.config.fork_depth;
-        let fork_on = spare > 0
-            && !roots.is_empty()
-            && fork_depth > 0
-            && (self.config.exploration_cache || self.config.callee_memo);
-        let shared = if fork_on {
-            Some(Arc::new(SharedTables::new()))
-        } else {
-            None
-        };
-        // At most 2^depth - 1 useful prefixes per root (the owner covers
-        // the all-`false` region first on its own).
-        let helper_count = if fork_on {
-            spare.min(roots.len() * ((1usize << fork_depth.min(4)) - 1))
-        } else {
-            0
-        };
-
-        let runs = std::thread::scope(|scope| {
-            for j in 0..helper_count {
-                let shared_t = Arc::clone(shared.as_ref().unwrap());
-                let root = roots[j % roots.len()];
-                let prefix = helper_prefix(j / roots.len(), fork_depth);
-                let config = &self.config;
-                scope.spawn(move || {
-                    // `thread::scope` re-raises a spawned thread's panic at
-                    // the scope exit, which would defeat the per-root
-                    // quarantine — so a helper (which runs the same
-                    // arbitrary checker code as the owner, results
-                    // discarded) contains its own panics. The shared-table
-                    // shards tolerate the poisoned locks this can leave.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        let mut helper = Explorer::new(module, config, checkers, root);
-                        helper.use_shared_tables(shared_t);
-                        helper.set_fork_helper(prefix);
-                        // Candidates and stats are intentionally dropped.
-                        let _ = helper.explore();
-                    }));
-                });
-            }
-            self.run_owners(module, checkers, roots, stats, threads, shared.as_ref())
-        });
-        if tel_on && helper_count > 0 {
-            self.telemetry.record_direct(|sink| {
-                sink.add("driver.explore.forks", helper_count as u64);
-            });
-        }
-        if tel_on {
-            self.record_exploration_counters(stats, &base);
-        }
-        runs
-    }
-
-    /// Runs the per-root owner explorers (sequentially or with the
-    /// work-stealing scheduler) and returns their results in root order,
-    /// merging every root's counters into `stats`.
-    fn run_owners(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        roots: &[FuncId],
-        stats: &mut AnalysisStats,
-        threads: usize,
-        shared: Option<&Arc<SharedTables>>,
-    ) -> Vec<RootRun> {
-        let tel_on = self.telemetry.is_enabled();
-
-        if threads <= 1 || roots.len() <= 1 {
-            let mut runs = Vec::with_capacity(roots.len());
-            let mut sink = TelemetrySink::new();
-            let mut alias_ops = [0u64; 7];
-            let mut fork_total = ForkStats::default();
-            for (i, &root) in roots.iter().enumerate() {
-                let span = Span::start(tel_on, "explore.root");
-                let (result, failure) =
-                    self.run_one_root(module, checkers, root, shared, &mut sink, tel_on);
-                if tel_on {
-                    span.finish_labeled(&mut sink, Some(module.function(root).name().into()));
-                    for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
-                        *acc += n;
-                    }
-                    flush_root_fork_stats(
-                        &mut sink,
-                        module.function(root).name(),
-                        &result.fork_stats,
-                    );
-                    fork_total.merge(&result.fork_stats);
-                }
-                *stats += &result.stats;
-                runs.push(RootRun {
-                    index: i,
-                    candidates: result.candidates,
-                    stats: result.stats,
-                    note: result.budget_note,
-                    failure,
-                });
-            }
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
+        .map(|w| Mutex::new((w..roots.len()).step_by(threads).collect()))
+        .collect();
+    let steals = AtomicU64::new(0);
+    let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::with_capacity(roots.len()));
+    let worker = |w: usize| {
+        // Per-worker telemetry shard: lock-free while the worker runs,
+        // merged into the shared registry once at exit.
+        let mut sink = TelemetrySink::new();
+        let mut alias_ops = [0u64; 7];
+        let mut fork_total = ForkStats::default();
+        while let Some(i) = next_task(&queues, w, &steals) {
+            let root = roots[i];
+            let span = Span::start(tel_on, "explore.root");
+            let (result, failure) = run_one_root(module, config, checkers, root, &mut sink, tel_on);
             if tel_on {
-                flush_alias_ops(&mut sink, &alias_ops);
-                flush_fork_totals(&mut sink, &fork_total);
-                sink.gauge_max("driver.threads", 1);
-                self.telemetry.merge(sink);
+                let name = module.function(root).name();
+                span.finish_labeled(&mut sink, Some(name.into()));
+                for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
+                    *acc += n;
+                }
+                flush_root_fork_stats(&mut sink, name, &result.fork_stats);
+                fork_total.merge(&result.fork_stats);
             }
-            // Results are ordered by root for determinism.
-            return runs;
+            lock_ok(collected.lock()).push(RootRun {
+                index: i,
+                candidates: result.candidates,
+                stats: result.stats,
+                note: result.budget_note,
+                failure,
+            });
         }
-
-        // Root-level parallelism with work stealing: roots are dealt
-        // round-robin into per-worker deques; a worker pops from its own
-        // queue's front and, when empty, steals from the back of another
-        // worker's queue. Root costs are wildly uneven (one hot root can
-        // dominate a static split), so idle workers pull the remaining work
-        // instead of waiting. The task set is static — no queue ever grows —
-        // so one full empty scan means the phase is done.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..roots.len() {
-            lock_ok(queues[i % threads].lock()).push_back(i);
+        if tel_on {
+            flush_alias_ops(&mut sink, &alias_ops);
+            flush_fork_totals(&mut sink, &fork_total);
+            telemetry.merge(sink);
         }
-        let steals = AtomicU64::new(0);
-        let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::new());
+    };
+    if threads == 1 {
+        worker(0);
+    } else {
         std::thread::scope(|scope| {
             for w in 0..threads {
-                let queues = &queues;
-                let collected = &collected;
-                let steals = &steals;
-                let telemetry = &self.telemetry;
-                scope.spawn(move || {
-                    // Per-worker telemetry shard: lock-free while the worker
-                    // runs, merged into the shared registry once at exit.
-                    let mut sink = TelemetrySink::new();
-                    let mut alias_ops = [0u64; 7];
-                    let mut fork_total = ForkStats::default();
-                    loop {
-                        let mut task = lock_ok(queues[w].lock()).pop_front();
-                        if task.is_none() {
-                            for off in 1..threads {
-                                let victim = (w + off) % threads;
-                                task = lock_ok(queues[victim].lock()).pop_back();
-                                if task.is_some() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(i) = task else { break };
-                        let span = Span::start(tel_on, "explore.root");
-                        let (result, failure) = self
-                            .run_one_root(module, checkers, roots[i], shared, &mut sink, tel_on);
-                        if tel_on {
-                            span.finish_labeled(
-                                &mut sink,
-                                Some(module.function(roots[i]).name().into()),
-                            );
-                            for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
-                                *acc += n;
-                            }
-                            flush_root_fork_stats(
-                                &mut sink,
-                                module.function(roots[i]).name(),
-                                &result.fork_stats,
-                            );
-                            fork_total.merge(&result.fork_stats);
-                        }
-                        lock_ok(collected.lock()).push(RootRun {
-                            index: i,
-                            candidates: result.candidates,
-                            stats: result.stats,
-                            note: result.budget_note,
-                            failure,
-                        });
-                    }
-                    if tel_on {
-                        flush_alias_ops(&mut sink, &alias_ops);
-                        flush_fork_totals(&mut sink, &fork_total);
-                        if !sink.is_empty() {
-                            telemetry.merge(sink);
-                        }
-                    }
-                });
+                let worker = &worker;
+                scope.spawn(move || worker(w));
             }
         });
-
-        let mut per_root = collected
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Merge in root order regardless of which worker ran what — the
-        // candidate stream (and so the final report set) is identical to a
-        // single-threaded run.
-        per_root.sort_by_key(|run| run.index);
-        for run in &per_root {
-            *stats += &run.stats;
-        }
-        let stolen = steals.into_inner();
-        stats.work_steals += stolen;
-        if tel_on {
-            self.telemetry.record_direct(|sink| {
-                sink.gauge_max("driver.threads", threads as i64);
-                sink.add("driver.work_steals", stolen);
-            });
-        }
-        per_root
     }
 
-    /// Explores one root under the fault-containment ladder (DESIGN.md
-    /// "Fault containment & degraded reports"):
-    ///
-    /// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
-    ///    checker, an injected fault — **quarantines** the root: its partial
-    ///    results are dropped entirely (partial progress varies with the
-    ///    cache/thread configuration; a fixed empty result keeps reports and
-    ///    stats byte-identical) and a [`RootFailure`] records the payload.
-    /// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
-    ///    bounded cache-free re-run (path/instruction budgets clamped, no
-    ///    shared tables) whose verdicts are kept, flagged `"demoted"`. The
-    ///    bounded budgets make the re-run deterministic and finite even
-    ///    though the original trip was time- or memory-driven.
-    /// 3. A demoted run that panics or trips a resource budget again is
-    ///    quarantined.
-    ///
-    /// Recovery telemetry (`driver.recover.*`) lands in the caller's worker
-    /// sink; the counters are exact across thread counts for a fixed fault
-    /// plan, like every other counter.
-    fn run_one_root(
-        &self,
-        module: &Module,
-        checkers: &[Box<dyn Checker>],
-        root: FuncId,
-        shared: Option<&Arc<SharedTables>>,
-        sink: &mut TelemetrySink,
-        tel_on: bool,
-    ) -> (ExploreResult, Option<RootFailure>) {
-        let name = module.function(root).name();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut explorer = Explorer::new(module, &self.config, checkers, root);
-            if let Some(t) = shared {
-                explorer.use_shared_tables(Arc::clone(t));
-            }
-            explorer.explore()
-        }));
-        let result = match attempt {
-            Ok(result) => result,
-            Err(payload) => {
-                if tel_on {
-                    sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
-                }
-                let failure = RootFailure {
-                    root: name.to_string(),
-                    stage: "explore",
-                    reason: panic_reason(payload.as_ref()),
-                    action: "quarantined",
-                };
-                return (quarantined_result(), Some(failure));
-            }
-        };
-        let tripped = result
-            .budget_note
-            .as_ref()
-            .filter(|n| n.reason == "deadline" || n.reason == "live_bytes")
-            .map(|n| n.reason.clone());
-        let Some(reason) = tripped else {
-            return (result, None);
-        };
-        if tel_on {
-            let counter = if reason == "deadline" {
-                "driver.recover.deadline_hits"
-            } else {
-                "driver.recover.live_bytes_hits"
+    let mut runs = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    // Merge in root order regardless of which worker ran what — the
+    // candidate stream (and so the final report set) is identical to a
+    // single-threaded run.
+    runs.sort_by_key(|run| run.index);
+    let base = stats.clone();
+    for run in &runs {
+        *stats += &run.stats;
+    }
+    let stolen = steals.into_inner();
+    stats.work_steals += stolen;
+    if tel_on {
+        telemetry.record_direct(|sink| {
+            sink.gauge_max("driver.threads", threads as i64);
+            sink.add("driver.work_steals", stolen);
+        });
+        record_exploration_counters(telemetry, stats, &base);
+    }
+    runs
+}
+
+/// The next root index for worker `w`: the front of its own queue, else
+/// the back of the first non-empty other queue (counted as a steal).
+fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) -> Option<usize> {
+    let own = lock_ok(queues[w].lock()).pop_front();
+    own.or_else(|| {
+        let stolen = (1..queues.len())
+            .find_map(|off| lock_ok(queues[(w + off) % queues.len()].lock()).pop_back());
+        if stolen.is_some() {
+            steals.fetch_add(1, Ordering::Relaxed);
+        }
+        stolen
+    })
+}
+
+/// Explores one root under the fault-containment ladder (DESIGN.md
+/// "Fault containment & degraded reports"):
+///
+/// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
+///    checker, an injected fault — **quarantines** the root: its partial
+///    results are dropped entirely (partial progress varies with the
+///    cache/thread configuration; a fixed empty result keeps reports and
+///    stats byte-identical) and a [`RootFailure`] records the payload.
+/// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
+///    bounded cache-free re-run (path/instruction budgets clamped) whose
+///    verdicts are kept, flagged `"demoted"`. The bounded budgets make the
+///    re-run deterministic and finite even though the original trip was
+///    time- or memory-driven.
+/// 3. A demoted run that panics or trips a resource budget again is
+///    quarantined.
+///
+/// Recovery telemetry (`driver.recover.*`) lands in the caller's worker
+/// sink; the counters are exact across thread counts for a fixed fault
+/// plan, like every other counter.
+fn run_one_root(
+    module: &Module,
+    config: &AnalysisConfig,
+    checkers: &[Box<dyn Checker>],
+    root: FuncId,
+    sink: &mut TelemetrySink,
+    tel_on: bool,
+) -> (ExploreResult, Option<RootFailure>) {
+    let attempt = |config: &AnalysisConfig| {
+        catch_unwind(AssertUnwindSafe(|| {
+            Explorer::new(module, config, checkers, root).explore()
+        }))
+        .map_err(|payload| panic_reason(payload.as_ref()))
+    };
+    let (result, action, reason) = match attempt(config) {
+        Err(panic) => (quarantined_result(), "quarantined", panic),
+        Ok(result) => {
+            let Some(reason) = resource_trip(&result) else {
+                return (result, None);
             };
-            sink.add(counter, 1);
-        }
-        // Demotion: bounded cache-free re-run. Budgets are clamped so the
-        // re-run terminates quickly even for the pathological root that
-        // burned the full deadline; caches/memo stay off (the cache-free
-        // truncation contract of `Explorer::explore`), and the deadline and
-        // ceiling stay armed so a root that cannot finish even degraded is
-        // caught again.
-        let mut demoted = self.config.clone();
-        demoted.exploration_cache = false;
-        demoted.callee_memo = false;
-        demoted.fork_depth = 0;
-        demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
-        demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
-        let retry = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            Explorer::new(module, &demoted, checkers, root).explore()
-        }));
-        if tel_on {
-            sink.record_ns(
-                "driver.recover.retry_ns",
-                Some("explore".into()),
-                retry.elapsed().as_nanos() as u64,
-            );
-        }
-        match attempt {
-            Ok(result) => {
-                let retripped = result
-                    .budget_note
-                    .as_ref()
-                    .is_some_and(|n| n.reason == "deadline" || n.reason == "live_bytes");
-                if retripped {
-                    if tel_on {
-                        sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
-                    }
-                    let failure = RootFailure {
-                        root: name.to_string(),
-                        stage: "explore",
-                        reason,
-                        action: "quarantined",
-                    };
-                    (quarantined_result(), Some(failure))
+            if tel_on {
+                let counter = if reason == "deadline" {
+                    "driver.recover.deadline_hits"
                 } else {
-                    if tel_on {
-                        sink.add("driver.recover.demoted", 1);
-                    }
-                    let failure = RootFailure {
-                        root: name.to_string(),
-                        stage: "explore",
-                        reason,
-                        action: "demoted",
-                    };
-                    (result, Some(failure))
-                }
-            }
-            Err(payload) => {
-                if tel_on {
-                    sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
-                }
-                let failure = RootFailure {
-                    root: name.to_string(),
-                    stage: "explore",
-                    reason: panic_reason(payload.as_ref()),
-                    action: "quarantined",
+                    "driver.recover.live_bytes_hits"
                 };
-                (quarantined_result(), Some(failure))
+                sink.add(counter, 1);
+            }
+            // Demotion: bounded cache-free re-run. Budgets are clamped so
+            // the re-run terminates quickly even for the pathological root
+            // that burned the full deadline; caches/memo stay off (the
+            // cache-free truncation contract of `Explorer::explore`), and
+            // the deadline and ceiling stay armed so a root that cannot
+            // finish even degraded is caught again.
+            let mut demoted = config.clone();
+            demoted.exploration_cache = false;
+            demoted.callee_memo = false;
+            demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
+            demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
+            let retry = Instant::now();
+            let rerun = attempt(&demoted);
+            if tel_on {
+                sink.record_ns(
+                    "driver.recover.retry_ns",
+                    Some("explore".into()),
+                    retry.elapsed().as_nanos() as u64,
+                );
+            }
+            match rerun {
+                Ok(result) if resource_trip(&result).is_none() => (result, "demoted", reason),
+                Ok(_) => (quarantined_result(), "quarantined", reason),
+                Err(panic) => (quarantined_result(), "quarantined", panic),
             }
         }
+    };
+    if tel_on {
+        if action == "demoted" {
+            sink.add("driver.recover.demoted", 1);
+        } else {
+            sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
+        }
     }
+    let failure = RootFailure {
+        root: module.function(root).name().to_string(),
+        stage: "explore",
+        reason,
+        action,
+    };
+    (result, Some(failure))
+}
 
-    /// Records the exploration-volume counters derived from the merged
-    /// per-root statistics — once per run, as the delta against the stats
-    /// at `run_roots` entry, so they stay exact for any thread count.
-    fn record_exploration_counters(&self, stats: &AnalysisStats, base: &AnalysisStats) {
-        self.telemetry.record_direct(|sink| {
-            sink.add("path.paths", stats.paths_explored - base.paths_explored);
-            sink.add("path.insts", stats.insts_processed - base.insts_processed);
-            sink.add(
-                "path.budget_exhausted",
-                stats.budget_exhausted_roots - base.budget_exhausted_roots,
-            );
-            sink.add(
-                "typestate.transitions",
-                stats.typestates_aware - base.typestates_aware,
-            );
-            sink.add(
-                "constraints.emitted",
-                stats.constraints_aware - base.constraints_aware,
-            );
-            // Exploration-reuse counters. Exact for unforked runs; with
-            // fork helpers warming shared tables, hit counts depend on
-            // helper/owner timing (the verdicts never do).
-            sink.add(
-                "driver.explore.sub_hits",
-                stats.exploration_cache_hits - base.exploration_cache_hits,
-            );
-            sink.add(
-                "driver.explore.memo_hits",
-                stats.callee_memo_hits - base.callee_memo_hits,
-            );
-            sink.add(
-                "driver.explore.insts_replayed",
-                stats.insts_replayed - base.insts_replayed,
-            );
-        });
-    }
+/// The resource budget (`deadline` / `live_bytes`) `result` tripped, if any.
+fn resource_trip(result: &ExploreResult) -> Option<String> {
+    result
+        .budget_note
+        .as_ref()
+        .filter(|n| n.reason == "deadline" || n.reason == "live_bytes")
+        .map(|n| n.reason.clone())
+}
+
+/// Records the exploration-volume counters derived from the merged
+/// per-root statistics — once per run, as the delta against the stats at
+/// `explore_roots` entry, so they stay exact for any thread count.
+fn record_exploration_counters(telemetry: &Telemetry, stats: &AnalysisStats, base: &AnalysisStats) {
+    telemetry.record_direct(|sink| {
+        sink.add("path.paths", stats.paths_explored - base.paths_explored);
+        sink.add("path.insts", stats.insts_processed - base.insts_processed);
+        sink.add(
+            "path.budget_exhausted",
+            stats.budget_exhausted_roots - base.budget_exhausted_roots,
+        );
+        sink.add(
+            "typestate.transitions",
+            stats.typestates_aware - base.typestates_aware,
+        );
+        sink.add(
+            "constraints.emitted",
+            stats.constraints_aware - base.constraints_aware,
+        );
+        sink.add(
+            "driver.explore.sub_hits",
+            stats.exploration_cache_hits - base.exploration_cache_hits,
+        );
+        sink.add(
+            "driver.explore.memo_hits",
+            stats.callee_memo_hits - base.callee_memo_hits,
+        );
+        sink.add(
+            "driver.explore.insts_replayed",
+            stats.insts_replayed - base.insts_replayed,
+        );
+    });
 }
 
 /// Demoted-run clamp on completed paths per root.
@@ -713,9 +320,9 @@ const DEMOTED_MAX_INSTS: usize = 50_000;
 
 /// The deterministic result recorded for a quarantined root: no candidates,
 /// no counters beyond the root itself. Partial progress up to the panic
-/// depends on caches, CoW mode and helper timing — dropping it entirely is
-/// what keeps stats and reports byte-identical across configurations for a
-/// fixed failure set.
+/// depends on caches and CoW mode — dropping it entirely is what keeps
+/// stats and reports byte-identical across configurations for a fixed
+/// failure set.
 fn quarantined_result() -> ExploreResult {
     ExploreResult {
         candidates: Vec::new(),
@@ -748,15 +355,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// in depth) cannot leave either in a half-written state.
 fn lock_ok<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The forced branch prefix for helper `k` at `depth`: the binary digits of
-/// `k + 1` (skipping the all-`false` region the owner explores first),
-/// most-significant first, cycling when `k` exceeds the prefix space.
-fn helper_prefix(k: usize, depth: usize) -> Vec<bool> {
-    let slots = (1usize << depth.min(4)).saturating_sub(1).max(1);
-    let v = (k % slots) + 1;
-    (0..depth.min(4)).rev().map(|b| (v >> b) & 1 == 1).collect()
 }
 
 /// Converts a per-worker alias-op array into labeled `alias.op` counters.
@@ -803,16 +401,17 @@ fn flush_fork_totals(sink: &mut TelemetrySink, fs: &ForkStats) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::checkers::BugKind;
+    use crate::config::AnalysisConfig;
+    use crate::session::{AnalysisOutcome, AnalysisSession};
 
     fn analyze(src: &str) -> AnalysisOutcome {
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        Pata::create(AnalysisConfig {
+        AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module)
+        .analyze_module(module)
     }
 
     fn analyze_all(src: &str) -> AnalysisOutcome {
@@ -821,7 +420,7 @@ mod tests {
             threads: 1,
             ..AnalysisConfig::all_checkers()
         };
-        Pata::create(cfg).analyze(module)
+        AnalysisSession::new(cfg).analyze_module(module)
     }
 
     fn kinds(outcome: &AnalysisOutcome) -> Vec<BugKind> {
@@ -1233,11 +832,11 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let na = Pata::create(AnalysisConfig {
+        let na = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::without_alias()
         })
-        .analyze(module);
+        .analyze_module(module);
         let na_kinds = kinds(&na);
         // The direct bug (check + deref of the same variable) survives…
         assert!(
@@ -1266,11 +865,11 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(out.stats.typestates_unaware > out.stats.typestates_aware);
         assert!(out.stats.constraints_unaware > out.stats.constraints_aware);
     }
@@ -1396,11 +995,11 @@ mod tests {
         // and thus it cannot find bugs whose bug-trigger paths pass through
         // indirect function calls" (§7).
         let module = pata_cc::compile_one("t.c", CALLBACK_SRC).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(
             !out.reports
                 .iter()
@@ -1413,12 +1012,12 @@ mod tests {
     #[test]
     fn indirect_call_resolved_with_extension() {
         let module = pata_cc::compile_one("t.c", CALLBACK_SRC).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             resolve_fptrs: true,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         let hit = out
             .reports
             .iter()
@@ -1443,12 +1042,12 @@ mod tests {
             }
         "#;
         let module = pata_cc::compile_one("t.c", src).unwrap();
-        let out = Pata::create(AnalysisConfig {
+        let out = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             resolve_fptrs: true,
             ..AnalysisConfig::default()
         })
-        .analyze(module);
+        .analyze_module(module);
         assert!(
             out.reports.iter().any(|r| r.function == "deref_cb"),
             "{:?}",
@@ -1479,11 +1078,11 @@ mod tests {
         "#;
         let one = {
             let module = pata_cc::compile_one("t.c", src).unwrap();
-            Pata::create(AnalysisConfig {
+            AnalysisSession::new(AnalysisConfig {
                 threads: 1,
                 ..AnalysisConfig::default()
             })
-            .analyze(module)
+            .analyze_module(module)
         };
         assert!(
             !one.reports
@@ -1499,7 +1098,7 @@ mod tests {
                 ..AnalysisConfig::default()
             };
             cfg.budget.loop_iterations = 2;
-            Pata::create(cfg).analyze(module)
+            AnalysisSession::new(cfg).analyze_module(module)
         };
         assert!(
             two.reports
@@ -1547,17 +1146,17 @@ mod tests {
             lines.sort();
             lines
         };
-        let seq = Pata::create(AnalysisConfig {
+        let seq = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(pata_cc::compile_one("t.c", src).unwrap());
+        .analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         for threads in [0, 2, 3] {
-            let par = Pata::create(AnalysisConfig {
+            let par = AnalysisSession::new(AnalysisConfig {
                 threads,
                 ..AnalysisConfig::default()
             })
-            .analyze(pata_cc::compile_one("t.c", src).unwrap());
+            .analyze_module(pata_cc::compile_one("t.c", src).unwrap());
             assert_eq!(render(&seq), render(&par), "threads={threads}");
             assert_eq!(seq.stats.paths_explored, par.stats.paths_explored);
             assert_eq!(seq.stats.false_bugs_dropped, par.stats.false_bugs_dropped);
@@ -1566,14 +1165,14 @@ mod tests {
 
     #[test]
     fn validation_cache_persists_across_runs() {
-        let pata = Pata::create(AnalysisConfig {
+        let session = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         });
         let src = "int f(int *p) { if (p == NULL) { } return *p; }";
-        let first = pata.analyze(pata_cc::compile_one("t.c", src).unwrap());
+        let first = session.analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         assert!(first.stats.validation_cache_misses > 0, "{:?}", first.stats);
-        let second = pata.analyze(pata_cc::compile_one("t.c", src).unwrap());
+        let second = session.analyze_module(pata_cc::compile_one("t.c", src).unwrap());
         assert_eq!(
             second.stats.validation_cache_misses, 0,
             "the second identical run must be fully cached: {:?}",
@@ -1593,16 +1192,16 @@ mod tests {
         "#;
         let m1 = pata_cc::compile_one("t.c", src).unwrap();
         let m2 = pata_cc::compile_one("t.c", src).unwrap();
-        let seq = Pata::create(AnalysisConfig {
+        let seq = AnalysisSession::new(AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         })
-        .analyze(m1);
-        let par = Pata::create(AnalysisConfig {
+        .analyze_module(m1);
+        let par = AnalysisSession::new(AnalysisConfig {
             threads: 4,
             ..AnalysisConfig::default()
         })
-        .analyze(m2);
+        .analyze_module(m2);
         assert_eq!(seq.reports.len(), par.reports.len());
         assert_eq!(seq.stats.paths_explored, par.stats.paths_explored);
     }

@@ -21,10 +21,10 @@
 //! The pipeline mirrors the paper's three phases (§4): the information
 //! collector ([`collector`]) finds *module interface functions* (functions
 //! with no explicit caller — e.g. driver `probe` callbacks registered via
-//! function-pointer fields, Fig. 1); the code analyzer ([`path`], driven by
-//! [`driver::Pata`]) explores paths from those roots while tracking alias
-//! graphs and typestates; the bug filter ([`filter`]) deduplicates repeated
-//! bugs and validates path feasibility.
+//! function-pointer fields, Fig. 1); the code analyzer ([`path`], scheduled
+//! across roots by [`AnalysisSession`]) explores paths from those roots
+//! while tracking alias graphs and typestates; the bug filter ([`filter`])
+//! deduplicates repeated bugs and validates path feasibility.
 //!
 //! Everything is reachable through one entry point: build an
 //! [`AnalysisConfig`], open an [`AnalysisSession`] (optionally backed by an
@@ -68,7 +68,7 @@ pub mod alias;
 pub mod checkers;
 pub mod collector;
 pub mod config;
-pub mod driver;
+mod driver;
 pub mod faultinject;
 pub mod filter;
 pub(crate) mod fingerprint;
@@ -86,7 +86,6 @@ pub mod validate;
 
 pub use checkers::BugKind;
 pub use config::{AliasMode, AnalysisConfig, AnalysisConfigBuilder, ConfigError, PathBudget};
-pub use driver::{AnalysisOutcome, Pata};
 pub use faultinject::{FaultAction, FaultPlan, FaultPlanError};
 pub use persist::STORE_SCHEMA_VERSION;
 pub use registry::{BuiltinChecker, CheckerFactory, CheckerRegistry, RegistryError};
@@ -100,7 +99,8 @@ pub use serve::{
     handle_line, serve_loop, serve_loop_with, ServeOptions, ServeTotals, SERVE_PROTOCOL_VERSION,
 };
 pub use session::{
-    AnalysisRequest, AnalysisSession, IncrementalStats, SessionError, SessionOutcome, SourceFile,
+    AnalysisOutcome, AnalysisRequest, AnalysisSession, IncrementalStats, SessionError,
+    SessionOutcome, SourceFile,
 };
 pub use stats::{AnalysisStats, BudgetNote};
 pub use telemetry::{Telemetry, TelemetrySink, TelemetrySnapshot};

@@ -41,7 +41,7 @@
 use crate::alias::{AliasGraph, Label, Mark as GraphMark, NodeId, Op as GraphOp};
 use crate::checkers::ml;
 use crate::config::{AliasMode, AnalysisConfig};
-use crate::faultinject::{self, FaultPlan};
+use crate::faultinject;
 use crate::fingerprint::{
     hash2, hash4, mix, FxHashMap, TAG_ARG, TAG_CALLSTACK, TAG_COND, TAG_CONT, TAG_FPTR, TAG_FRAME,
     TAG_HEAP, TAG_SYM, TAG_VISIT,
@@ -57,7 +57,7 @@ use pata_ir::{
     Terminator, VarId,
 };
 use pata_smt::{CmpOp as SmtOp, Constraint, SymId, Term};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The definition of a branch-condition temporary (`c = a < b`).
 #[derive(Debug, Clone, Copy)]
@@ -307,54 +307,10 @@ struct MemoRecorder {
 const EVENT_CAP: usize = 256;
 /// Cap on return paths per callee recording.
 const SEGMENT_CAP: usize = 64;
-/// Cap on subsumption-table entries (per table or per shard).
+/// Cap on subsumption-table entries.
 const SUB_TABLE_CAP: usize = 1 << 16;
-/// Cap on callee-memo entries (per table or per shard).
+/// Cap on callee-memo entries.
 const MEMO_TABLE_CAP: usize = 1 << 12;
-/// Lock shards for the shared (fork-mode) tables.
-const SHARDS: usize = 8;
-
-/// Fingerprint-sharded tables shared between a root's owner explorer and
-/// its fork helpers. Entries are `Arc`'d so a lookup copies a pointer, not
-/// a journal.
-pub(crate) struct SharedTables {
-    sub: Vec<Mutex<FxHashMap<SubKey, Arc<SubEntry>>>>,
-    memo: Vec<Mutex<FxHashMap<MemoKey, Arc<MemoEntry>>>>,
-}
-
-impl SharedTables {
-    /// Creates empty shared tables.
-    pub(crate) fn new() -> Self {
-        SharedTables {
-            sub: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            memo: (0..SHARDS).map(|_| Mutex::default()).collect(),
-        }
-    }
-}
-
-fn shard_of(fp: u64) -> usize {
-    (fp as usize) % SHARDS
-}
-
-/// Recovers a shared-table shard guard from a poisoned lock. Safe because
-/// every entry is a fully-constructed `Arc` inserted by move under a plain
-/// `HashMap::insert` of a `u64`-tuple key — a panicking explorer (the
-/// quarantine path) can never leave a half-written value behind, so the
-/// other explorers may keep using the shard.
-fn poison_ok<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Where this explorer's cache entries live: thread-local maps for the
-/// common case, lock-sharded shared maps when fork helpers warm the caches
-/// for a heavy root.
-enum Tables {
-    Local {
-        sub: FxHashMap<SubKey, Arc<SubEntry>>,
-        memo: FxHashMap<MemoKey, Arc<MemoEntry>>,
-    },
-    Shared(Arc<SharedTables>),
-}
 
 /// The per-root path explorer. Construct one per analysis root via
 /// [`Explorer::new`] and run [`Explorer::explore`].
@@ -408,21 +364,16 @@ pub struct Explorer<'a> {
     /// Alias-graph updates by rule, indexed by [`ALIAS_OP_NAMES`].
     alias_ops: [u64; ALIAS_OP_NAMES.len()],
 
-    /// Subsumption/memo tables (thread-local or fork-shared).
-    tables: Tables,
+    /// Subsumption table. Entries are `Arc`'d so a lookup copies a
+    /// pointer, not a journal, and replay can mutate `self` while holding it.
+    sub_table: FxHashMap<SubKey, Arc<SubEntry>>,
+    /// Callee-memo table, `Arc`'d like `sub_table`.
+    memo_table: FxHashMap<MemoKey, Arc<MemoEntry>>,
     /// Active subsumption recordings, one per live `exec_block` activation.
     sub_recs: Vec<SubRecorder>,
     /// Active callee-summary recording (outermost memoizable call wins; at
     /// most one at a time so segment boundaries stay unambiguous).
     memo_rec: Option<MemoRecorder>,
-    /// Forced branch directions for the first `len()` eligible branches —
-    /// empty for owner explorers, a distinct prefix per fork helper.
-    fork_prefix: Vec<bool>,
-    /// Eligible branches taken so far (index into `fork_prefix`).
-    fork_taken: usize,
-    /// Fork helper mode: explore only to warm the shared tables; candidates
-    /// are not collected and results are discarded by the driver.
-    discard: bool,
     /// Hard-disables both caches regardless of config — set for the
     /// deterministic cache-free re-run of a budget-exhausted root.
     caches_off: bool,
@@ -538,15 +489,10 @@ impl<'a> Explorer<'a> {
             stats: AnalysisStats::default(),
             tel_enabled: config.telemetry,
             alias_ops: [0; ALIAS_OP_NAMES.len()],
-            tables: Tables::Local {
-                sub: FxHashMap::default(),
-                memo: FxHashMap::default(),
-            },
+            sub_table: FxHashMap::default(),
+            memo_table: FxHashMap::default(),
             sub_recs: Vec::new(),
             memo_rec: None,
-            fork_prefix: Vec::new(),
-            fork_taken: 0,
-            discard: false,
             caches_off: false,
             budget_reason: None,
             deadline: None,
@@ -555,22 +501,6 @@ impl<'a> Explorer<'a> {
             verify_fp: false,
             fork_stats: ForkStats::default(),
         }
-    }
-
-    /// Switches the explorer onto fork-shared tables (see
-    /// [`SharedTables`]); called by the driver when spare workers warm a
-    /// root's caches.
-    pub(crate) fn use_shared_tables(&mut self, tables: Arc<SharedTables>) {
-        self.tables = Tables::Shared(tables);
-    }
-
-    /// Marks this explorer as a fork helper: its first branches are forced
-    /// along `prefix` (steering it into a different DFS region than the
-    /// owner) and its results are discarded — it exists only to populate
-    /// the shared tables.
-    pub(crate) fn set_fork_helper(&mut self, prefix: Vec<bool>) {
-        self.fork_prefix = prefix;
-        self.discard = true;
     }
 
     /// Runs the exploration and returns candidates plus statistics.
@@ -585,8 +515,8 @@ impl<'a> Explorer<'a> {
     /// wins over the wasted first attempt.
     pub fn explore(self) -> ExploreResult {
         let (module, config, checkers, root) = (self.module, self.config, self.checkers, self.root);
-        let caches_usable = !self.caches_off && (config.exploration_cache || config.callee_memo);
-        let rerun_on_exhaustion = caches_usable && !self.discard;
+        let rerun_on_exhaustion =
+            !self.caches_off && (config.exploration_cache || config.callee_memo);
         let verify_fp = self.verify_fp;
         let result = self.run_root();
         // Resource-budget trips (deadline / live-bytes) do NOT take the
@@ -606,23 +536,9 @@ impl<'a> Explorer<'a> {
         result
     }
 
-    /// The active fault plan at this explorer's injection sites. Fork
-    /// helpers explore the same roots concurrently with owners and their
-    /// results are discarded, so faults are suppressed for them — hit
-    /// counters stay deterministic (a root's owning exploration is
-    /// single-threaded) and a helper can never panic a root the owner
-    /// completes.
-    fn fault(&self) -> Option<&'a FaultPlan> {
-        if self.discard {
-            None
-        } else {
-            self.config.fault_plan.as_deref()
-        }
-    }
-
     fn run_root(mut self) -> ExploreResult {
         faultinject::maybe_panic(
-            self.fault(),
+            self.config.fault_plan.as_deref(),
             "explore",
             self.module.function(self.root).name(),
         );
@@ -941,7 +857,7 @@ impl<'a> Explorer<'a> {
         // Checker callbacks are arbitrary user code (CheckerRegistry); this
         // is the site where a misbehaving checker's panic is simulated.
         faultinject::maybe_panic(
-            self.fault(),
+            self.config.fault_plan.as_deref(),
             "checker",
             self.module.function(self.root).name(),
         );
@@ -1083,10 +999,6 @@ impl<'a> Explorer<'a> {
         }
         *count += 1;
         self.stats.candidates += 1;
-        if self.discard {
-            // Fork helper: candidates are thrown away; skip the clones.
-            return;
-        }
         let mut constraints = self.trace.clone();
         if let Some(s) = replay_suffix {
             constraints.extend_from_slice(s);
@@ -1294,60 +1206,15 @@ impl<'a> Explorer<'a> {
             && self.config.alias_mode == AliasMode::PathBased
     }
 
-    fn get_sub(&self, key: &SubKey) -> Option<Arc<SubEntry>> {
-        match &self.tables {
-            Tables::Local { sub, .. } => sub.get(key).cloned(),
-            Tables::Shared(t) => poison_ok(t.sub[shard_of(key.2)].lock()).get(key).cloned(),
-        }
-    }
-
     fn insert_sub(&mut self, key: SubKey, entry: SubEntry) {
-        match &mut self.tables {
-            Tables::Local { sub, .. } => {
-                if sub.len() < SUB_TABLE_CAP {
-                    sub.insert(key, Arc::new(entry));
-                }
-            }
-            Tables::Shared(t) => {
-                let mut shard = poison_ok(t.sub[shard_of(key.2)].lock());
-                if shard.len() < SUB_TABLE_CAP / SHARDS {
-                    shard.insert(key, Arc::new(entry));
-                }
-            }
-        }
-    }
-
-    fn get_memo(&self, key: &MemoKey) -> Option<Arc<MemoEntry>> {
-        match &self.tables {
-            Tables::Local { memo, .. } => memo.get(key).cloned(),
-            Tables::Shared(t) => poison_ok(t.memo[shard_of(key.1)].lock()).get(key).cloned(),
+        if self.sub_table.len() < SUB_TABLE_CAP {
+            self.sub_table.insert(key, Arc::new(entry));
         }
     }
 
     fn insert_memo(&mut self, key: MemoKey, entry: MemoEntry) {
-        match &mut self.tables {
-            Tables::Local { memo, .. } => {
-                if memo.len() < MEMO_TABLE_CAP {
-                    memo.insert(key, Arc::new(entry));
-                }
-            }
-            Tables::Shared(t) => {
-                let mut shard = poison_ok(t.memo[shard_of(key.1)].lock());
-                if shard.len() < MEMO_TABLE_CAP / SHARDS {
-                    shard.insert(key, Arc::new(entry));
-                }
-            }
-        }
-    }
-
-    /// Poisons every active recording — called when a forced fork prefix
-    /// truncates the subtree the recordings would describe.
-    fn poison_recorders(&mut self) {
-        for rec in &mut self.sub_recs {
-            rec.poisoned = true;
-        }
-        if let Some(m) = &mut self.memo_rec {
-            m.poisoned = true;
+        if self.memo_table.len() < MEMO_TABLE_CAP {
+            self.memo_table.insert(key, Arc::new(entry));
         }
     }
 
@@ -1423,7 +1290,7 @@ impl<'a> Explorer<'a> {
             return false;
         }
         let mut trip: Option<&'static str> = None;
-        if let Some(plan) = self.fault() {
+        if let Some(plan) = self.config.fault_plan.as_deref() {
             let name = self.module.function(self.root).name();
             if plan.should_fire("deadline", name) {
                 trip = Some("deadline");
@@ -1497,7 +1364,7 @@ impl<'a> Explorer<'a> {
                 self.graph.node_count() as u64,
             );
             if self.sub_lookup_allowed() {
-                if let Some(entry) = self.get_sub(&key) {
+                if let Some(entry) = self.sub_table.get(&key).cloned() {
                     if self.replay_fits(&entry.d_stats) {
                         self.replay_sub(&entry);
                         return;
@@ -1596,20 +1463,8 @@ impl<'a> Explorer<'a> {
                     return;
                 }
                 let pred = self.cond_defs.get(&cond).copied();
-                // Fork helpers force their first branches along a distinct
-                // prefix, steering them into a DFS region the owner reaches
-                // late. Forcing truncates the subtree every active recorder
-                // would describe, so recordings in flight are poisoned.
-                let forced = self.fork_prefix.get(self.fork_taken).copied();
-                if forced.is_some() {
-                    self.poison_recorders();
-                }
-                self.fork_taken += 1;
                 let mut any = false;
                 for (succ, taken) in [(then_bb, true), (else_bb, false)] {
-                    if forced.is_some_and(|dir| dir != taken) {
-                        continue;
-                    }
                     if !self.may_enter(succ) {
                         continue;
                     }
@@ -1643,7 +1498,6 @@ impl<'a> Explorer<'a> {
                         self.restore_snapshot(snap);
                     }
                 }
-                self.fork_taken -= 1;
                 if !any {
                     self.path_end();
                 }
@@ -2481,7 +2335,7 @@ impl<'a> Explorer<'a> {
             None
         };
         if let Some(key) = &memo_key {
-            if let Some(entry) = self.get_memo(key) {
+            if let Some(entry) = self.memo_table.get(key).cloned() {
                 if entry
                     .segments
                     .first()

@@ -509,10 +509,9 @@ fn closure_word(sum: u64, count: u64) -> u64 {
 /// Fingerprint of the verdict-relevant configuration. Two configurations
 /// with equal fingerprints produce byte-identical reports on the same
 /// input, so cached results can be shared between them. Deliberately
-/// excluded: `threads`, `telemetry`, and the verdict-neutral cache/fork
-/// switches (`validation_cache`, `exploration_cache`, `callee_memo`,
-/// `fork_depth`) — the load-bearing determinism invariant says they never
-/// change a verdict.
+/// excluded: `threads`, `telemetry`, and the verdict-neutral cache
+/// switches (`validation_cache`, `exploration_cache`, `callee_memo`) — the
+/// load-bearing determinism invariant says they never change a verdict.
 pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
     let mut text = String::new();
     for kind in &config.checkers {
@@ -1449,7 +1448,6 @@ mod tests {
         neutral.validation_cache = false;
         neutral.exploration_cache = false;
         neutral.callee_memo = false;
-        neutral.fork_depth = 0;
         assert_eq!(config_fingerprint(&neutral), base_fp);
         // …verdict-relevant knobs do not.
         let mut relevant = base.clone();

@@ -1,9 +1,11 @@
 //! The analysis session — the one public entry point of the crate.
 //!
-//! [`AnalysisSession`] wraps the internal pipeline driver with the pieces
-//! a long-lived analysis service needs: source compilation, an optional
-//! on-disk store ([`crate::persist`]), fingerprint-based change detection,
-//! and incremental re-analysis that re-explores only *dirty* roots.
+//! [`AnalysisSession`] runs the paper's pipeline (Fig. 10): information
+//! collection, per-root exploration (the scheduler in `driver.rs`) and bug
+//! filtering. Around it sit the pieces a long-lived analysis service
+//! needs: source compilation, an optional on-disk store
+//! ([`crate::persist`]), fingerprint-based change detection, and
+//! incremental re-analysis that re-explores only *dirty* roots.
 //!
 //! ```text
 //! AnalysisConfig::builder() … .build()
@@ -23,26 +25,50 @@
 //! validation consumes the same candidate stream either way, and its
 //! cache is keyed canonically (verdict-neutral by construction).
 
-use crate::collector;
+use crate::collector::{self, CallGraph};
 use crate::config::AnalysisConfig;
-use crate::driver::{Pata, RootRun};
+use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
-use crate::filter;
+use crate::filter::{self, FilterResult};
 use crate::persist::{
     self, config_fingerprint, FunctionDb, ModuleFingerprints, Store, StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
-use crate::report::{DegradedRoot, PossibleBug, Report};
+use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
 use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
-use pata_ir::Module;
+use pata_ir::{FuncId, Module};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The result of a one-shot run ([`AnalysisSession::analyze_module`]).
+#[derive(Debug)]
+pub struct AnalysisOutcome {
+    /// Final validated bug reports.
+    pub reports: Vec<BugReport>,
+    /// The surviving candidates behind the reports.
+    pub real_bugs: Vec<PossibleBug>,
+    /// Aggregate statistics (Table 5 counters).
+    pub stats: AnalysisStats,
+    /// The analyzed module, with interface functions marked.
+    pub module: Module,
+    /// Telemetry collected during this run; empty unless
+    /// [`AnalysisConfig::telemetry`] is set. See
+    /// [`TelemetrySnapshot::to_json`] for the stable wire format.
+    pub telemetry: TelemetrySnapshot,
+    /// Per-root budget-exhaustion detail (in root order): which roots hit
+    /// `max_insts`/`max_paths`, and whether their verdicts come from the
+    /// deterministic cache-free re-run. Empty when no root was truncated.
+    pub budget_notes: Vec<BudgetNote>,
+    /// Roots the fault-containment ladder quarantined or demoted, sorted by
+    /// `(root, stage)`. Empty on a healthy run.
+    pub degraded: Vec<DegradedRoot>,
+}
 
 /// One source file of an [`AnalysisRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,7 +205,17 @@ struct WarmState {
 /// ```
 #[derive(Debug)]
 pub struct AnalysisSession {
-    driver: Pata,
+    config: AnalysisConfig,
+    /// Checker factories; every run instantiates its checkers through it,
+    /// so out-of-tree checkers registered by embedders run alongside the
+    /// built-ins.
+    registry: CheckerRegistry,
+    /// Stage-2 conjunction verdicts, shared across every call on this
+    /// session (and, being `Sync`, across threads).
+    cache: Arc<ValidationCache>,
+    /// Metrics registry. Cheap when `config.telemetry` is off: every
+    /// recording site branches on one relaxed atomic load.
+    telemetry: Arc<Telemetry>,
     config_fp: u64,
     store_path: Option<PathBuf>,
     warm: Option<WarmState>,
@@ -199,10 +235,12 @@ impl AnalysisSession {
     /// An in-memory session with a custom [`CheckerRegistry`] (out-of-tree
     /// checkers run alongside the built-ins; see `examples/`).
     pub fn with_registry(config: AnalysisConfig, registry: CheckerRegistry) -> Self {
-        let config_fp = config_fingerprint(&config);
         AnalysisSession {
-            driver: Pata::create_with_registry(config, registry),
-            config_fp,
+            config_fp: config_fingerprint(&config),
+            telemetry: Arc::new(Telemetry::new(config.telemetry)),
+            cache: Arc::new(ValidationCache::new()),
+            config,
+            registry,
             store_path: None,
             warm: None,
             store_synced: false,
@@ -229,16 +267,16 @@ impl AnalysisSession {
         let path = path.as_ref().to_path_buf();
         let t0 = Instant::now();
         if let Some(store) = Store::load(&path, session.config_fp) {
-            session.driver.validation_cache().import(store.validation);
+            session.cache.import(store.validation);
             session.warm = Some(WarmState {
                 functions: store.functions,
                 roots: store.roots,
             });
             session.store_synced = true;
-            session.synced_validation_len = session.driver.validation_cache().len();
+            session.synced_validation_len = session.cache.len();
         }
         let load_ns = t0.elapsed().as_nanos() as u64;
-        session.driver.telemetry().record_direct(|sink| {
+        session.telemetry.record_direct(|sink| {
             sink.record_ns("driver.serve.store_load", None, load_ns);
             sink.add(
                 "driver.serve.store_loaded",
@@ -251,46 +289,158 @@ impl AnalysisSession {
 
     /// The active configuration.
     pub fn config(&self) -> &AnalysisConfig {
-        self.driver.config()
+        &self.config
     }
 
     /// The session's telemetry registry (metrics accumulate across calls).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.driver.telemetry()
+        &self.telemetry
     }
 
     /// The session's shared stage-2 validation cache.
     pub fn validation_cache(&self) -> &Arc<ValidationCache> {
-        self.driver.validation_cache()
+        &self.cache
     }
 
     /// The session's checker registry.
     pub fn registry(&self) -> &CheckerRegistry {
-        self.driver.registry()
+        &self.registry
     }
 
     /// Runs the full pipeline on an already-compiled module, without
-    /// touching the warm state or the store. The in-memory equivalent of
-    /// the retired `Pata::new(config).analyze(module)` pattern; stage-2
-    /// verdicts still share the session's validation cache across calls.
-    pub fn analyze_module(&self, module: Module) -> crate::driver::AnalysisOutcome {
-        self.driver.analyze(module)
+    /// touching the warm state or the store: every root is explored.
+    /// Stage-2 verdicts still share the session's validation cache across
+    /// calls.
+    pub fn analyze_module(&self, module: Module) -> AnalysisOutcome {
+        self.analyze_module_with(module, &self.checkers())
     }
 
     /// [`AnalysisSession::analyze_module`] with explicit checker instances
     /// (e.g. user-defined FSMs; see `examples/custom_checker.rs`).
     pub fn analyze_module_with(
         &self,
-        module: Module,
+        mut module: Module,
         checkers: &[Box<dyn Checker>],
-    ) -> crate::driver::AnalysisOutcome {
-        self.driver.analyze_with(module, checkers)
+    ) -> AnalysisOutcome {
+        let start = Instant::now();
+        let (runs, mut stats) = self.collect_and_explore(&mut module, checkers);
+        let mut candidates = Vec::new();
+        let mut budget_notes = Vec::new();
+        let mut degraded = Vec::new();
+        for run in runs {
+            candidates.extend(run.candidates);
+            budget_notes.extend(run.note);
+            degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
+        }
+        let result = self.filter(&module, candidates, &mut stats);
+        degraded.extend(result.failures);
+        degraded.sort();
+        stats.time = start.elapsed();
+        AnalysisOutcome {
+            reports: result.reports,
+            real_bugs: result.real_bugs,
+            stats,
+            module,
+            telemetry: self.telemetry.snapshot(),
+            budget_notes,
+            degraded,
+        }
     }
 
-    /// Runs phases P1 + P2 only (see [`Pata::collect_candidates`]); used
-    /// by benchmarks that time stage-2 validation in isolation.
-    pub fn collect_candidates(&self, module: Module) -> (Module, Vec<PossibleBug>, AnalysisStats) {
-        self.driver.collect_candidates(module)
+    /// Runs phases P1 + P2 only, returning the marked module, the raw
+    /// (pre-dedup, pre-validation) candidates and the exploration stats —
+    /// the exact input [`filter::filter`] consumes. Lets benchmarks time
+    /// stage-2 validation in isolation.
+    pub fn collect_candidates(
+        &self,
+        mut module: Module,
+    ) -> (Module, Vec<PossibleBug>, AnalysisStats) {
+        let (runs, stats) = self.collect_and_explore(&mut module, &self.checkers());
+        let candidates = runs.into_iter().flat_map(|run| run.candidates).collect();
+        (module, candidates, stats)
+    }
+
+    /// The configured checkers, instantiated through the registry.
+    fn checkers(&self) -> Vec<Box<dyn Checker>> {
+        self.registry.instantiate_for(&self.config.checkers)
+    }
+
+    /// P1 + P2 with every root dirty: no fingerprinting, no store work.
+    fn collect_and_explore(
+        &self,
+        module: &mut Module,
+        checkers: &[Box<dyn Checker>],
+    ) -> (Vec<RootRun>, AnalysisStats) {
+        let (roots, _) = self.collect(module);
+        let mut stats = module_stats(module);
+        let runs = self.explore(module, checkers, &roots, &mut stats);
+        (runs, stats)
+    }
+
+    /// P1: information collection — marks the module's interface functions
+    /// and returns them with the call graph.
+    fn collect(&self, module: &mut Module) -> (Vec<FuncId>, CallGraph) {
+        let tel_on = self.telemetry.is_enabled();
+        let span = Span::start(tel_on, "stage.collect");
+        let (roots, call_graph) = collector::mark_interfaces_with_graph(module);
+        if tel_on {
+            self.telemetry.record_direct(|sink| {
+                span.finish(sink);
+                sink.add("collect.roots", roots.len() as u64);
+                sink.add("collect.call_edges", call_graph.edge_count() as u64);
+            });
+        }
+        (roots, call_graph)
+    }
+
+    /// P2: per-root path-sensitive analysis of `roots`, merging their
+    /// counters into `stats`.
+    fn explore(
+        &self,
+        module: &Module,
+        checkers: &[Box<dyn Checker>],
+        roots: &[FuncId],
+        stats: &mut AnalysisStats,
+    ) -> Vec<RootRun> {
+        let tel_on = self.telemetry.is_enabled();
+        let span = Span::start(tel_on, "stage.explore");
+        let runs = driver::explore_roots(
+            module,
+            &self.config,
+            checkers,
+            roots,
+            &self.telemetry,
+            stats,
+        );
+        if tel_on {
+            self.telemetry.record_direct(|sink| span.finish(sink));
+        }
+        runs
+    }
+
+    /// P3: bug filtering (dedup + path validation) through the session's
+    /// validation cache, with the configured fault plan armed.
+    fn filter(
+        &self,
+        module: &Module,
+        candidates: Vec<PossibleBug>,
+        stats: &mut AnalysisStats,
+    ) -> FilterResult {
+        let tel_on = self.telemetry.is_enabled();
+        let span = Span::start(tel_on, "stage.filter");
+        let result = filter::filter_with_faults(
+            module,
+            candidates,
+            self.config.validate_paths,
+            self.config.validation_cache.then(|| &*self.cache),
+            Some(&self.telemetry),
+            stats,
+            self.config.fault_plan.as_deref(),
+        );
+        if tel_on {
+            self.telemetry.record_direct(|sink| span.finish(sink));
+        }
+        result
     }
 
     /// Compiles and analyzes `request`, re-exploring only roots whose
@@ -310,11 +460,8 @@ impl AnalysisSession {
             SessionError::Compile(diags.iter().map(ToString::to_string).collect())
         })?;
         let compile_ns = start.elapsed().as_nanos() as u64;
-        let telemetry = Arc::clone(self.driver.telemetry());
-        if telemetry.is_enabled() {
-            telemetry
-                .record_direct(|sink| sink.record_ns("driver.serve.compile", None, compile_ns));
-        }
+        self.telemetry
+            .record_direct(|sink| sink.record_ns("driver.serve.compile", None, compile_ns));
         // The last containment boundary: per-root faults are absorbed by
         // the quarantine/demotion ladder below, but a panic outside those
         // scopes (collection, fingerprinting, splicing, store writing)
@@ -345,22 +492,12 @@ impl AnalysisSession {
 
     /// The incremental pipeline on a compiled module.
     fn analyze_compiled(&mut self, mut module: Module, start: Instant) -> SessionOutcome {
-        let telemetry = Arc::clone(self.driver.telemetry());
-        let tel_on = telemetry.is_enabled();
-        let checkers = self.driver.instantiate_checkers();
-        let config = self.driver.config().clone();
+        let tel_on = self.telemetry.is_enabled();
+        let checkers = self.checkers();
+        let config = &self.config;
         faultinject::maybe_panic(config.fault_plan.as_deref(), "session.analyze", "");
 
-        // P1: information collection.
-        let span = Span::start(tel_on, "stage.collect");
-        let (roots, call_graph) = collector::mark_interfaces_with_graph(&mut module);
-        if tel_on {
-            telemetry.record_direct(|sink| {
-                span.finish(sink);
-                sink.add("collect.roots", roots.len() as u64);
-                sink.add("collect.call_edges", call_graph.edge_count() as u64);
-            });
-        }
+        let (roots, call_graph) = self.collect(&mut module);
 
         // Change detection. `fps` is `None` when function names are
         // ambiguous — then nothing can be cached and every root is dirty.
@@ -431,7 +568,7 @@ impl AnalysisSession {
         };
         let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
         if tel_on {
-            telemetry.record_direct(|sink| {
+            self.telemetry.record_direct(|sink| {
                 sink.record_ns("driver.serve.fingerprint", None, fingerprint_ns);
                 sink.add("driver.serve.requests", 1);
                 sink.add("driver.serve.dirty_roots", incremental.dirty_roots);
@@ -445,19 +582,9 @@ impl AnalysisSession {
             });
         }
 
-        // P2: explore the dirty roots, splice clean results from the cache.
-        let span = Span::start(tel_on, "stage.explore");
-        let mut stats = AnalysisStats {
-            files_analyzed: module.files().len() as u64,
-            loc_analyzed: module.total_loc(),
-            ..AnalysisStats::default()
-        };
-        let runs = self
-            .driver
-            .explore_roots(&module, &checkers, &dirty_ids, &mut stats);
-        if tel_on {
-            telemetry.record_direct(|sink| span.finish(sink));
-        }
+        // Explore the dirty roots, splice clean results from the cache.
+        let mut stats = module_stats(&module);
+        let runs = self.explore(&module, &checkers, &dirty_ids, &mut stats);
         let mut runs_iter = runs.into_iter();
         let mut candidates: Vec<PossibleBug> = Vec::new();
         let mut notes: Vec<BudgetNote> = Vec::new();
@@ -508,24 +635,8 @@ impl AnalysisSession {
             }
         }
 
-        // P3: bug filtering (dedup + path validation).
-        let span = Span::start(tel_on, "stage.filter");
-        let cache = config
-            .validation_cache
-            .then(|| &**self.driver.validation_cache());
-        let result = filter::filter_with_faults(
-            &module,
-            candidates,
-            config.validate_paths,
-            cache,
-            Some(&telemetry),
-            &mut stats,
-            config.fault_plan.as_deref(),
-        );
-        degraded.extend(result.failures.iter().cloned());
-        if tel_on {
-            telemetry.record_direct(|sink| span.finish(sink));
-        }
+        let result = self.filter(&module, candidates, &mut stats);
+        degraded.extend(result.failures);
         stats.time = start.elapsed();
 
         // Update the warm state and (if open) the on-disk store. A fully
@@ -539,7 +650,7 @@ impl AnalysisSession {
         });
         let store_unchanged = self.store_synced
             && incremental.dirty_roots == 0
-            && self.driver.validation_cache().len() == self.synced_validation_len
+            && self.cache.len() == self.synced_validation_len
             && match (&prev, &self.warm) {
                 (Some((functions, roots)), Some(w)) => {
                     *functions == w.functions && *roots == w.roots.len()
@@ -555,7 +666,7 @@ impl AnalysisSession {
                 functions: warm.functions.clone(),
                 roots: warm.roots.clone(),
                 validation: if config.validation_cache {
-                    self.driver.validation_cache().export()
+                    self.cache.export()
                 } else {
                     Vec::new()
                 },
@@ -566,9 +677,9 @@ impl AnalysisSession {
                 .is_ok();
             let save_ns = t0.elapsed().as_nanos() as u64;
             self.store_synced = saved;
-            self.synced_validation_len = self.driver.validation_cache().len();
+            self.synced_validation_len = self.cache.len();
             if tel_on {
-                telemetry.record_direct(|sink| {
+                self.telemetry.record_direct(|sink| {
                     sink.record_ns("driver.serve.store_save", None, save_ns);
                     if !saved {
                         sink.add("driver.serve.store_save_errors", 1);
@@ -587,9 +698,18 @@ impl AnalysisSession {
         SessionOutcome {
             report,
             stats,
-            telemetry: telemetry.snapshot(),
+            telemetry: self.telemetry.snapshot(),
             incremental,
         }
+    }
+}
+
+/// A fresh run's statistics before exploration: the module's size.
+fn module_stats(module: &Module) -> AnalysisStats {
+    AnalysisStats {
+        files_analyzed: module.files().len() as u64,
+        loc_analyzed: module.total_loc(),
+        ..AnalysisStats::default()
     }
 }
 

@@ -8,7 +8,7 @@
 //! observability backbone: every stage records into a [`TelemetrySink`],
 //! per-worker sinks are merged deterministically at the end (mirroring the
 //! work-stealing driver's result merge), and the merged
-//! [`TelemetrySnapshot`] travels on [`crate::driver::AnalysisOutcome`] so
+//! [`TelemetrySnapshot`] travels on [`crate::AnalysisOutcome`] so
 //! the CLI (`--stats-json`, `--profile`) and the bench binaries consume
 //! structured data instead of scraping counters.
 //!
@@ -352,7 +352,7 @@ pub struct MetricEntry {
 }
 
 /// An immutable, sorted view of everything recorded during one analysis.
-/// Carried on [`crate::driver::AnalysisOutcome`].
+/// Carried on [`crate::AnalysisOutcome`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// All metrics, sorted by `(name, label)`.

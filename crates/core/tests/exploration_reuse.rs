@@ -1,7 +1,6 @@
 //! Integration tests for the stage-1 exploration-reuse layer: determinism
-//! across cache configurations and thread counts (including fork-based
-//! intra-root parallelism), and the interaction between the loop budget and
-//! the subsumption table.
+//! across cache configurations and thread counts, and the interaction
+//! between the loop budget and the subsumption table.
 
 use pata_core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, Report};
 
@@ -52,19 +51,18 @@ fn module() -> pata_ir::Module {
 /// *genuinely* divergent states — the fingerprint correctly refuses to
 /// subsume them — so the hit-count assertions below use the defaults and
 /// [`all_checkers_stay_equivalent`] covers the full set separately.
-fn config(caches: bool, threads: usize, fork_depth: usize) -> AnalysisConfig {
+fn config(caches: bool, threads: usize) -> AnalysisConfig {
     AnalysisConfig::builder()
         .threads(threads)
         .telemetry(true)
         .exploration_cache(caches)
         .callee_memo(caches)
-        .fork_depth(fork_depth)
         .build()
         .unwrap()
 }
 
-fn run(caches: bool, threads: usize, fork_depth: usize) -> AnalysisOutcome {
-    AnalysisSession::new(config(caches, threads, fork_depth)).analyze_module(module())
+fn run(caches: bool, threads: usize) -> AnalysisOutcome {
+    AnalysisSession::new(config(caches, threads)).analyze_module(module())
 }
 
 fn report_json(o: &AnalysisOutcome) -> String {
@@ -78,8 +76,8 @@ fn report_json(o: &AnalysisOutcome) -> String {
 /// path and instruction the live run would have executed).
 #[test]
 fn caches_are_observationally_equivalent() {
-    let off = run(false, 1, 0);
-    let on = run(true, 1, 0);
+    let off = run(false, 1);
+    let on = run(true, 1);
 
     assert_eq!(report_json(&on), report_json(&off));
     assert_eq!(on.stats.paths_explored, off.stats.paths_explored);
@@ -100,17 +98,60 @@ fn caches_are_observationally_equivalent() {
     assert!(on.stats.live_steps() < off.stats.live_steps());
 }
 
-/// Fork helpers only warm shared tables; verdicts come from the owners.
-/// A single heavy root with spare workers forces helper forks, and the
-/// report must stay bit-identical to the unforked single-threaded run.
-#[test]
-fn forked_exploration_matches_sequential_report() {
-    let base = run(false, 1, 0);
-    let forked = run(true, 4, 2);
-    assert_eq!(report_json(&forked), report_json(&base));
+/// One heavy root: two symmetric diamonds calling the same helper in both
+/// arms (callee-memo fodder) followed by six constraint-distinct parameter
+/// branches.
+const HEAVY_ROOT_SRC: &str = r#"
+    struct dev { int *res; int mode; int flags; };
 
-    let seq = run(true, 1, 2); // fork depth set but no spare workers
-    assert_eq!(report_json(&seq), report_json(&base));
+    static int heavy_clamp(int v) {
+        if (v > 8) { v = 8; }
+        return v;
+    }
+
+    static int heavy_root(struct dev *d, int lim, int a0, int a1, int a2, int a3, int a4, int a5) {
+        int acc = 0;
+        int w = 0;
+        int k = 0;
+        if (d->mode > 0) { w = heavy_clamp(lim); } else { w = heavy_clamp(lim); }
+        if (d->flags > 0) { k = heavy_clamp(4); } else { k = heavy_clamp(4); }
+        if (a0 > 10) { acc = acc + 1; } else { acc = acc - 1; }
+        if (a1 > 20) { acc = acc + 2; } else { acc = acc - 1; }
+        if (a2 > 30) { acc = acc + 3; } else { acc = acc - 1; }
+        if (a3 > 40) { acc = acc + 4; } else { acc = acc - 1; }
+        if (a4 > 50) { acc = acc + 5; } else { acc = acc - 1; }
+        if (a5 > 60) { acc = acc + 6; } else { acc = acc - 1; }
+        if (d->res == NULL) { acc = 0; }
+        return *d->res + acc + w + k;
+    }
+
+    static struct ops heavy_ops = { .run = heavy_root };
+"#;
+
+/// Every counter is exact at any thread count: a root is explored by one
+/// worker alone, so the stats (minus wall time and the scheduler's steal
+/// count), the report and the exploration-reuse telemetry of a single heavy
+/// root cannot depend on how many workers the run has.
+#[test]
+fn heavy_root_counters_exact_across_threads() {
+    let mk = |threads: usize| {
+        let module = pata_cc::compile_one("heavy.c", HEAVY_ROOT_SRC).unwrap();
+        AnalysisSession::new(config(true, threads)).analyze_module(module)
+    };
+    let exact = |o: &AnalysisOutcome| {
+        let mut stats = o.stats.clone();
+        stats.time = Default::default();
+        stats.work_steals = 0;
+        let reuse = ["sub_hits", "memo_hits", "insts_replayed"]
+            .map(|c| o.telemetry.counter(&format!("driver.explore.{c}")));
+        (stats, report_json(o), reuse)
+    };
+    let base = mk(1);
+    assert_eq!(base.stats.roots, 1);
+    assert!(base.stats.callee_memo_hits > 0, "{:?}", base.stats);
+    for threads in [2, 4] {
+        assert_eq!(exact(&mk(threads)), exact(&base), "threads {threads}");
+    }
 }
 
 /// Telemetry counter equality across cache configurations: everything
@@ -130,8 +171,8 @@ fn counters_exact_across_cache_configurations() {
         cs.sort();
         cs
     };
-    let off = run(false, 1, 0);
-    let on = run(true, 1, 0);
+    let off = run(false, 1);
+    let on = run(true, 1);
     assert!(
         counters(&off)
             .iter()
@@ -140,11 +181,8 @@ fn counters_exact_across_cache_configurations() {
     );
     assert_eq!(counters(&on), counters(&off));
 
-    // Forked runs keep the same owner-side counters too: helpers tally
-    // into neither stats nor telemetry (only `driver.explore.*` reflects
-    // the racy shared-table traffic, and it is excluded above).
-    let forked = run(true, 4, 2);
-    assert_eq!(counters(&forked), counters(&off));
+    // Multi-threaded runs keep the same counters too.
+    assert_eq!(counters(&run(true, 4)), counters(&off));
 }
 
 /// With every built-in checker enabled the value-tracking ones (AIU, DBZ)

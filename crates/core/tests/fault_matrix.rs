@@ -165,6 +165,26 @@ fn validate_panic_drops_the_group_and_reports_it() {
     assert!(outcome.report.reports.len() < base.report.reports.len());
 }
 
+/// A one-shot `analyze_module` run filters through the same stage as
+/// `session.analyze`, fault plan included, so a validate fault degrades
+/// both alike.
+#[test]
+fn one_shot_run_degrades_like_a_session_run() {
+    const SRC: &str = "int f(int *p) { if (p == NULL) { } return *p; }";
+    let spec = Some("validate@1,seed=3");
+    let one_shot = AnalysisSession::new(config(1, true, true, spec))
+        .analyze_module(pata_cc::compile_one("f.c", SRC).unwrap());
+    let session = AnalysisSession::new(config(1, true, true, spec))
+        .analyze(&AnalysisRequest::new().file("f.c", SRC))
+        .expect("analyze succeeds");
+    assert_eq!(one_shot.degraded.len(), 1);
+    assert_eq!(one_shot.degraded, session.report.degraded);
+    assert_eq!(
+        Report::new(one_shot.reports).to_json(),
+        Report::new(session.report.reports).to_json()
+    );
+}
+
 #[test]
 fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
     let outcome = analyze(config(1, true, true, Some("deadline:net_probe@1")));

@@ -1,11 +1,13 @@
 //! Registering an **out-of-tree checker plugin** through the open
 //! [`CheckerRegistry`] API.
 //!
-//! Where `examples/custom_checker.rs` hands `Pata::analyze_with` a
-//! ready-made checker list, this example goes through the registry — the
-//! same construction path the seven built-ins use: implement
-//! [`CheckerFactory`], `register()` it, and every `Pata::analyze` call on
-//! the analyzer runs the plugin alongside the configured built-ins.
+//! Where `examples/custom_checker.rs` hands
+//! `AnalysisSession::analyze_module_with` a ready-made checker list, this
+//! example goes through the registry — the same construction path the
+//! seven built-ins use: implement [`CheckerFactory`], `register()` it, and
+//! every run of the session (`analyze`, `analyze_module`,
+//! `collect_candidates`) runs the plugin alongside the configured
+//! built-ins.
 //!
 //! The plugin is a strict double-unlock checker. The built-in lock checker
 //! forgives a bare `unlock` in the start state (the lock may be caller
@@ -68,8 +70,9 @@ impl Checker for StrictDoubleUnlockChecker {
 }
 
 /// The factory the registry stores. Its id is not a built-in slug, so the
-/// registry's selection policy always runs it.
-struct StrictDoubleUnlockFactory;
+/// registry's selection policy always runs it. Public so the test suite can
+/// register the same plugin.
+pub struct StrictDoubleUnlockFactory;
 
 impl CheckerFactory for StrictDoubleUnlockFactory {
     fn id(&self) -> &str {

@@ -61,6 +61,48 @@ stage_ns() {
 }
 echo "stage timing (ns): collect=$(stage_ns collect) explore=$(stage_ns explore) filter=$(stage_ns filter)"
 
+echo "== counter exactness across thread counts"
+# One heavy root: two symmetric diamonds calling a helper in both arms,
+# then six parameter branches. A root is explored by one worker alone, so
+# every --stats counter must match between --threads 1 and --threads 2;
+# only the wall time and the scheduler's steal count may differ.
+cat > "$tmp_dir/ci_heavy.c" <<'EOF_C'
+struct dev { int *res; int mode; int flags; };
+static int heavy_clamp(int v) {
+    if (v > 8) { v = 8; }
+    return v;
+}
+static int heavy_root(struct dev *d, int lim, int a0, int a1, int a2, int a3, int a4, int a5) {
+    int acc = 0;
+    int w = 0;
+    int k = 0;
+    if (d->mode > 0) { w = heavy_clamp(lim); } else { w = heavy_clamp(lim); }
+    if (d->flags > 0) { k = heavy_clamp(4); } else { k = heavy_clamp(4); }
+    if (a0 > 10) { acc = acc + 1; } else { acc = acc - 1; }
+    if (a1 > 20) { acc = acc + 2; } else { acc = acc - 1; }
+    if (a2 > 30) { acc = acc + 3; } else { acc = acc - 1; }
+    if (a3 > 40) { acc = acc + 4; } else { acc = acc - 1; }
+    if (a4 > 50) { acc = acc + 5; } else { acc = acc - 1; }
+    if (a5 > 60) { acc = acc + 6; } else { acc = acc - 1; }
+    if (d->res == NULL) { acc = 0; }
+    return *d->res + acc + w + k;
+}
+static struct ops heavy_ops = { .run = heavy_root };
+EOF_C
+heavy_counters() {
+    cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_heavy.c" \
+        --stats --threads "$1" 2>&1 >/dev/null \
+        | sed -e 's/time: [^ ]*//' -e 's/work steals: [0-9]*//'
+}
+heavy_one=$(heavy_counters 1)
+heavy_two=$(heavy_counters 2)
+echo "$heavy_one" | grep -q 'callee memo hits: [1-9]' \
+    || { echo "counter check: heavy root must hit the callee memo"; exit 1; }
+[ "$heavy_one" = "$heavy_two" ] \
+    || { echo "counter check: --stats counters differ across thread counts"; \
+         echo "threads 1: $heavy_one"; echo "threads 2: $heavy_two"; exit 1; }
+echo "counter exactness OK"
+
 echo "== serve round-trip (smoke)"
 # Start a daemon on a unix socket, analyze the generated corpus, touch one
 # corpus function (a new file with one new root), re-analyze, and check

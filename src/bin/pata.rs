@@ -93,7 +93,6 @@ analysis knobs (analyze and serve):
   --threads N             worker threads for stage-1 exploration (0 = auto)
   --no-exploration-cache  disable stage-1 fingerprint subsumption reuse
   --no-callee-memo        disable the callee summary memo
-  --fork-depth N          depth of speculative exploration forks (default 2)
   --no-cow-state          fork branch state by deep clone instead of the
                           copy-on-write undo journal (differential oracle)
 
@@ -147,7 +146,6 @@ const CONFIG_FLAGS: &[(&str, bool)] = &[
     ("threads", true),
     ("no-exploration-cache", false),
     ("no-callee-memo", false),
-    ("fork-depth", true),
     ("no-cow-state", false),
     ("root-deadline-ms", true),
     ("max-live-bytes", true),
@@ -302,12 +300,6 @@ fn build_config(
     }
     if flag(flags, "no-callee-memo").is_some() {
         builder = builder.callee_memo(false);
-    }
-    if let Some(Some(n)) = flag(flags, "fork-depth") {
-        builder = builder.fork_depth(
-            n.parse()
-                .map_err(|_| format!("bad --fork-depth value `{n}`"))?,
-        );
     }
     if flag(flags, "no-cow-state").is_some() {
         builder = builder.cow_state(false);

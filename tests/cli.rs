@@ -225,7 +225,6 @@ fn help_enumerates_every_knob() {
         "--threads",
         "--no-exploration-cache",
         "--no-callee-memo",
-        "--fork-depth",
         "--store",
         "--socket",
         "--stdio",
@@ -253,7 +252,7 @@ fn misspelled_flag_suggests_nearest_match() {
     std::fs::create_dir_all(&dir).unwrap();
     let file = write_demo(&dir);
     for (typo, suggestion) in [
-        ("--fork-dpeth", "--fork-depth"),
+        ("--max-live-btyes", "--max-live-bytes"),
         ("--theads", "--threads"),
         ("--fault-pan", "--fault-plan"),
     ] {

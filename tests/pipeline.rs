@@ -5,8 +5,12 @@ use pata::baselines::{
     intra::IntraPatternAnalyzer, pata_na::PataNaAnalyzer, svf_null::SvfNullAnalyzer,
     value_flow::ValueFlowLeakAnalyzer, Analyzer,
 };
-use pata::core::{AnalysisConfig, AnalysisSession};
+use pata::core::{AnalysisConfig, AnalysisRequest, AnalysisSession, BugKind, CheckerRegistry};
 use pata::corpus::{Corpus, OsProfile};
+
+#[allow(dead_code)]
+#[path = "../examples/double_unlock_plugin.rs"]
+mod double_unlock_plugin;
 
 fn small(profile: OsProfile) -> Corpus {
     Corpus::generate(&profile.with_scale(0.25))
@@ -217,4 +221,44 @@ fn fp_rate_stable_across_seeds() {
             "seed {seed}: only extra-checker bugs may be missed by the default config"
         );
     }
+}
+
+#[test]
+fn registry_plugins_run_in_every_entry_point() {
+    // Only the NPD built-in is selected: every double-unlock finding below
+    // comes from the registered plugin.
+    const SRC: &str = r#"
+        struct dev { int lock; };
+        static void irq_bad(struct dev *d) {
+            spin_lock(&d->lock);
+            spin_unlock(&d->lock);
+            spin_unlock(&d->lock);
+        }
+        static struct irq_ops ops = { .h1 = irq_bad };
+    "#;
+    let session = || {
+        let mut registry = CheckerRegistry::with_builtins();
+        registry
+            .register(Box::new(double_unlock_plugin::StrictDoubleUnlockFactory))
+            .unwrap();
+        let config = AnalysisConfig::builder()
+            .checkers(vec![BugKind::NullPointerDeref])
+            .build()
+            .unwrap();
+        AnalysisSession::with_registry(config, registry)
+    };
+    let module = || pata::cc::compile_one("irq.c", SRC).unwrap();
+    let is_plugin = |kind: BugKind| kind == BugKind::DoubleLock;
+
+    let (_, candidates, _) = session().collect_candidates(module());
+    assert!(
+        candidates.iter().any(|c| is_plugin(c.kind)),
+        "{candidates:?}"
+    );
+    let one_shot = session().analyze_module(module());
+    assert!(one_shot.reports.iter().any(|r| is_plugin(r.kind)));
+    let served = session()
+        .analyze(&AnalysisRequest::new().file("irq.c", SRC))
+        .unwrap();
+    assert!(served.report.reports.iter().any(|r| is_plugin(r.kind)));
 }
