@@ -56,7 +56,7 @@ pub use ast::*;
 pub use diag::{Diag, DiagKind};
 pub use lexer::Lexer;
 pub use lower::Compiler;
-pub use parser::Parser;
+pub use parser::{Parser, MAX_NESTING};
 pub use token::{Token, TokenKind};
 
 /// Compiles a single mini-C source string into a fresh module.

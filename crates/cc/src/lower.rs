@@ -22,7 +22,7 @@ use crate::diag::{Diag, DiagKind};
 use crate::parser::Parser;
 use pata_ir::{
     BinOp, BlockId, Callee, Category, CmpOp, ConstVal, FileId, FuncId, FunctionBuilder, Module,
-    Operand, StructDef, Type, VarId,
+    Operand, StructDef, StructId, Symbol, Type, VarId,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -116,25 +116,23 @@ impl Compiler {
         }
 
         // Pass 2: globals.
-        let mut globals: HashMap<String, VarId> = HashMap::new();
-        let mut registered: HashSet<String> = HashSet::new();
+        let mut globals: HashMap<&str, VarId> = HashMap::new();
         for (unit, _) in &units {
             for g in &unit.globals {
                 let ty = resolve_type(&mut module, &g.ty);
                 let id = module.add_global(&g.name, ty);
-                globals.insert(g.name.clone(), id);
-                registered.extend(g.registered_funcs.iter().cloned());
+                globals.insert(&g.name, id);
             }
         }
 
         // Pass 3: assign function ids in declaration order so direct calls
         // across files resolve (the information collector's database).
-        let mut func_ids: HashMap<String, FuncId> = HashMap::new();
+        let mut func_ids: HashMap<&str, FuncId> = HashMap::new();
         let mut all_funcs: Vec<(usize, &FuncDecl, FileId, Category)> = Vec::new();
         for ((unit, category), &file) in units.iter().zip(&files) {
             let cat = category.unwrap_or_else(|| infer_category(&unit.file));
             for f in &unit.functions {
-                if func_ids.contains_key(&f.name) {
+                if func_ids.contains_key(f.name.as_str()) {
                     diags.push(Diag::new(
                         DiagKind::Sema,
                         &unit.file,
@@ -143,7 +141,7 @@ impl Compiler {
                     ));
                     continue;
                 }
-                func_ids.insert(f.name.clone(), FuncId::from_index(all_funcs.len()));
+                func_ids.insert(&f.name, FuncId::from_index(all_funcs.len()));
                 all_funcs.push((all_funcs.len(), f, file, cat));
             }
         }
@@ -191,6 +189,24 @@ fn infer_category(path: &str) -> Category {
     }
 }
 
+/// Whether [`LowerFn::infer_ty`] on `e` reaches a cast, whose type it then
+/// resolves. It follows the same operands that `infer_ty` does.
+fn cast_on_typed_spine(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Cast(..) => true,
+        ExprKind::Arrow(inner, _)
+        | ExprKind::Dot(inner, _)
+        | ExprKind::Index(inner, _)
+        | ExprKind::Deref(inner)
+        | ExprKind::AddrOf(inner)
+        | ExprKind::Assign(_, inner) => cast_on_typed_spine(inner),
+        ExprKind::Bin(op, lhs, _) => {
+            !op.is_comparison() && !op.is_logical() && cast_on_typed_spine(lhs)
+        }
+        _ => false,
+    }
+}
+
 fn resolve_type(module: &mut Module, t: &TypeExpr) -> Type {
     match t {
         TypeExpr::Int => Type::Int,
@@ -208,19 +224,24 @@ fn resolve_type(module: &mut Module, t: &TypeExpr) -> Type {
     }
 }
 
-/// Per-function lowering state.
+/// Per-function lowering state. It borrows the function's AST: names in
+/// the scope and label stacks point into it.
 struct LowerFn<'a, 'm> {
     b: FunctionBuilder<'m>,
-    file: String,
+    file: FileId,
     decl: &'a FuncDecl,
-    func_ids: &'a HashMap<String, FuncId>,
-    globals: &'a HashMap<String, VarId>,
+    func_ids: &'a HashMap<&'a str, FuncId>,
+    globals: &'a HashMap<&'a str, VarId>,
     diags: &'a mut Vec<Diag>,
-    scopes: Vec<HashMap<String, VarId>>,
+    /// Every visible declaration, outermost first; a scope is the suffix
+    /// pushed since its mark ([`LowerFn::scoped`]). Lookups search from the
+    /// innermost end, so a shadowing declaration wins.
+    scopes: Vec<(&'a str, VarId)>,
     /// Locals declared as struct *values*: the VarId is the address of the
     /// storage, so `&x` is the variable itself.
     struct_locals: HashSet<VarId>,
-    labels: HashMap<String, BlockId>,
+    /// Function-wide label targets (a `goto` may precede its label).
+    labels: Vec<(&'a str, BlockId)>,
     loop_stack: Vec<(BlockId, BlockId)>, // (continue target, break target)
 }
 
@@ -231,56 +252,53 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         decl: &'a FuncDecl,
         file: FileId,
         category: Category,
-        func_ids: &'a HashMap<String, FuncId>,
-        globals: &'a HashMap<String, VarId>,
+        func_ids: &'a HashMap<&'a str, FuncId>,
+        globals: &'a HashMap<&'a str, VarId>,
         diags: &'a mut Vec<Diag>,
     ) -> Self {
-        let file_name = module.file(file).name.clone();
         let mut b = FunctionBuilder::new(module, &decl.name, file);
         b.set_category(category);
         LowerFn {
             b,
-            file: file_name,
+            file,
             decl,
             func_ids,
             globals,
             diags,
-            scopes: vec![HashMap::new()],
+            scopes: Vec::new(),
             struct_locals: HashSet::new(),
-            labels: HashMap::new(),
+            labels: Vec::new(),
             loop_stack: Vec::new(),
         }
     }
 
     fn error(&mut self, line: u32, msg: impl Into<String>) {
-        self.diags
-            .push(Diag::new(DiagKind::Sema, &self.file, line, msg));
+        let file = &self.b.module().file(self.file).name;
+        self.diags.push(Diag::new(DiagKind::Sema, file, line, msg));
     }
 
     fn lower(mut self) -> FuncId {
-        let ret = resolve_type(self.b.module(), &self.decl.ret);
+        let decl = self.decl;
+        let ret = resolve_type(self.b.module(), &decl.ret);
         self.b.set_ret_ty(ret);
-        for p in &self.decl.params.clone() {
+        for p in &decl.params {
             let ty = resolve_type(self.b.module(), &p.ty);
             let v = self.b.param(&p.name, ty);
-            self.scopes[0].insert(p.name.clone(), v);
+            self.scopes.push((&p.name, v));
         }
-        let body = self.decl.body.clone();
-        self.lower_stmts(&body);
+        self.lower_stmts(&decl.body);
         if !self.b.is_terminated() {
-            let line = body.last().map(|s| s.line).unwrap_or(self.decl.line);
+            let line = decl.body.last().map(|s| s.line).unwrap_or(decl.line);
             self.b.ret(None, line);
         }
         self.b.finish()
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&v) = scope.get(name) {
-                return Some(v);
-            }
+        match self.scopes.iter().rev().find(|(n, _)| *n == name) {
+            Some(&(_, v)) => Some(v),
+            None => self.globals.get(name).copied(),
         }
-        self.globals.get(name).copied()
     }
 
     fn var_ty(&mut self, v: VarId) -> Type {
@@ -344,7 +362,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                         }
                         _ => {}
                     }
-                    if let Some(&fid) = self.func_ids.get(name) {
+                    if let Some(&fid) = self.func_ids.get(name.as_str()) {
                         if fid.index() < self.b.module().functions().len() {
                             return self.b.module().function(fid).ret_ty().clone();
                         }
@@ -363,14 +381,28 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         }
     }
 
+    /// The type of `field` in the struct `base_ty` names (through one
+    /// pointer); `Int` when unknown.
     fn field_ty(&mut self, base_ty: &Type, field: &str) -> Type {
-        if let Some(sid) = base_ty.struct_id() {
-            let sym = self.b.module().interner.intern(field);
-            if let Some(t) = self.b.module().struct_def(sid).field_ty(sym) {
-                return t.clone();
+        match base_ty.struct_id() {
+            Some(sid) => {
+                let sym = self.b.module().interner.intern(field);
+                self.struct_field_ty(sid, sym)
             }
+            None => Type::Int,
         }
-        Type::Int
+    }
+
+    fn struct_field_ty(&mut self, sid: StructId, field: Symbol) -> Type {
+        let def = self.b.module().struct_def(sid);
+        def.field_ty(field).cloned().unwrap_or(Type::Int)
+    }
+
+    /// The type a pointer-typed variable points to; `Int` when `v` is not a
+    /// pointer.
+    fn pointee_ty(&mut self, v: VarId) -> Type {
+        let ty = &self.b.module().var(v).ty;
+        ty.pointee().cloned().unwrap_or(Type::Int)
     }
 
     /// The constant that means "zero/false/null" for a comparison against
@@ -387,22 +419,22 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     // Statements
     // ------------------------------------------------------------------
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) {
+    fn lower_stmts(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             self.lower_stmt(s);
         }
     }
 
-    fn label_block(&mut self, name: &str) -> BlockId {
-        if let Some(&b) = self.labels.get(name) {
+    fn label_block(&mut self, name: &'a str) -> BlockId {
+        if let Some(&(_, b)) = self.labels.iter().find(|(n, _)| *n == name) {
             return b;
         }
         let b = self.b.new_block();
-        self.labels.insert(name.to_owned(), b);
+        self.labels.push((name, b));
         b
     }
 
-    fn lower_stmt(&mut self, s: &Stmt) {
+    fn lower_stmt(&mut self, s: &'a Stmt) {
         let line = s.line;
         match &s.kind {
             StmtKind::Decl {
@@ -420,7 +452,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                     (resolved, false)
                 };
                 let v = self.b.local(name, var_ty);
-                self.scopes.last_mut().unwrap().insert(name.clone(), v);
+                self.scopes.push((name, v));
                 if is_struct_value {
                     self.struct_locals.insert(v);
                     // The storage itself is fresh and uninitialized.
@@ -480,7 +512,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                let mark = self.scopes.len();
                 if let Some(i) = init {
                     self.lower_stmt(i);
                 }
@@ -505,7 +537,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 }
                 self.b.jump(header, line);
                 self.b.switch_to(exit);
-                self.scopes.pop();
+                self.scopes.truncate(mark);
             }
             StmtKind::Return(value) => {
                 let op = value.as_ref().map(|e| self.lower_expr(e));
@@ -533,9 +565,9 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     }
 
     fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
-        self.scopes.push(HashMap::new());
+        let mark = self.scopes.len();
         f(self);
-        self.scopes.pop();
+        self.scopes.truncate(mark);
     }
 
     fn assign_into_var(&mut self, dst: VarId, rv: Operand, line: u32) {
@@ -545,7 +577,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         }
     }
 
-    fn lower_assign(&mut self, lhs: &Expr, rhs: &Expr, line: u32) {
+    fn lower_assign(&mut self, lhs: &'a Expr, rhs: &'a Expr, line: u32) {
         match &lhs.kind {
             ExprKind::Ident(name) => {
                 let Some(v) = self.lookup(name) else {
@@ -590,36 +622,34 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     // ------------------------------------------------------------------
 
     /// `&base->field`.
-    fn lower_field_addr_arrow(&mut self, base: &Expr, field: &str, line: u32) -> VarId {
+    fn lower_field_addr_arrow(&mut self, base: &'a Expr, field: &str, line: u32) -> VarId {
         let bv = self.lower_expr_as_var(base);
-        let fty = {
-            let bt = self.var_ty(bv);
-            self.field_ty(&bt, field)
-        };
-        let sym = self.b.module().interner.intern(field);
-        let t = self.b.temp(Type::ptr(fty));
-        self.b.gep(t, bv, sym, line);
-        t
+        self.field_addr(bv, field, line)
     }
 
     /// `&base.field` — base must itself be addressable.
-    fn lower_field_addr_dot(&mut self, base: &Expr, field: &str, line: u32) -> VarId {
+    fn lower_field_addr_dot(&mut self, base: &'a Expr, field: &str, line: u32) -> VarId {
         let addr = self.lower_addr(base, line);
-        let fty = {
-            let bt = self.var_ty(addr);
-            self.field_ty(&bt, field)
-        };
+        self.field_addr(addr, field, line)
+    }
+
+    /// A `gep` of `field` off the struct pointer `base`.
+    fn field_addr(&mut self, base: VarId, field: &str, line: u32) -> VarId {
         let sym = self.b.module().interner.intern(field);
+        let fty = match self.b.module().var(base).ty.struct_id() {
+            Some(sid) => self.struct_field_ty(sid, sym),
+            None => Type::Int,
+        };
         let t = self.b.temp(Type::ptr(fty));
-        self.b.gep(t, addr, sym, line);
+        self.b.gep(t, base, sym, line);
         t
     }
 
     /// `&base[idx]`.
-    fn lower_index_addr(&mut self, base: &Expr, idx: &Expr, line: u32) -> VarId {
+    fn lower_index_addr(&mut self, base: &'a Expr, idx: &'a Expr, line: u32) -> VarId {
         let bv = self.lower_expr_as_var(base);
         let ety = {
-            let bt = self.var_ty(bv);
+            let bt = &self.b.module().var(bv).ty;
             bt.element().cloned().unwrap_or(Type::Int)
         };
         let iv = self.lower_expr(idx);
@@ -629,7 +659,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     }
 
     /// The address of an lvalue expression (`&e`).
-    fn lower_addr(&mut self, e: &Expr, line: u32) -> VarId {
+    fn lower_addr(&mut self, e: &'a Expr, line: u32) -> VarId {
         match &e.kind {
             ExprKind::Ident(name) => {
                 let Some(v) = self.lookup(name) else {
@@ -661,13 +691,27 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn lower_expr_as_var(&mut self, e: &Expr) -> VarId {
-        let ty = self.infer_ty(e);
-        let op = self.lower_expr(e);
-        self.as_var(op, ty, e.line)
+    /// Lowers `e` into a variable; only a constant needs its static type
+    /// (for the temporary that holds it).
+    fn lower_expr_as_var(&mut self, e: &'a Expr) -> VarId {
+        // Typing a cast declares any struct it names that is not yet known,
+        // so a cast on the typed spine is typed first, as lowering always
+        // did, to keep struct numbering unchanged.
+        let cast_ty = if cast_on_typed_spine(e) {
+            Some(self.infer_ty(e))
+        } else {
+            None
+        };
+        match self.lower_expr(e) {
+            Operand::Var(v) => v,
+            op @ Operand::Const(_) => {
+                let ty = cast_ty.unwrap_or_else(|| self.infer_ty(e));
+                self.as_var(op, ty, e.line)
+            }
+        }
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> Operand {
+    fn lower_expr(&mut self, e: &'a Expr) -> Operand {
         let line = e.line;
         match &e.kind {
             ExprKind::Int(v) => Operand::Const(ConstVal::Int(*v)),
@@ -678,7 +722,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             ExprKind::Ident(name) => match self.lookup(name) {
                 Some(v) => Operand::Var(v),
                 None => {
-                    if let Some(&fid) = self.func_ids.get(name) {
+                    if let Some(&fid) = self.func_ids.get(name.as_str()) {
                         // Function used as a value: a first-class function
                         // address (runtime callback registration). The
                         // analysis may resolve indirect calls through it
@@ -695,28 +739,28 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             },
             ExprKind::Arrow(base, field) => {
                 let addr = self.lower_field_addr_arrow(base, field, line);
-                let vty = self.var_ty(addr).pointee().cloned().unwrap_or(Type::Int);
+                let vty = self.pointee_ty(addr);
                 let r = self.b.temp(vty);
                 self.b.load(r, addr, line);
                 Operand::Var(r)
             }
             ExprKind::Dot(base, field) => {
                 let addr = self.lower_field_addr_dot(base, field, line);
-                let vty = self.var_ty(addr).pointee().cloned().unwrap_or(Type::Int);
+                let vty = self.pointee_ty(addr);
                 let r = self.b.temp(vty);
                 self.b.load(r, addr, line);
                 Operand::Var(r)
             }
             ExprKind::Index(base, idx) => {
                 let addr = self.lower_index_addr(base, idx, line);
-                let vty = self.var_ty(addr).pointee().cloned().unwrap_or(Type::Int);
+                let vty = self.pointee_ty(addr);
                 let r = self.b.temp(vty);
                 self.b.load(r, addr, line);
                 Operand::Var(r)
             }
             ExprKind::Deref(inner) => {
                 let pv = self.lower_expr_as_var(inner);
-                let vty = self.var_ty(pv).pointee().cloned().unwrap_or(Type::Int);
+                let vty = self.pointee_ty(pv);
                 let r = self.b.temp(vty);
                 self.b.load(r, pv, line);
                 Operand::Var(r)
@@ -755,7 +799,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         }
     }
 
-    fn lower_binop(&mut self, op: AstBinOp, lhs: &Expr, rhs: &Expr, line: u32) -> Operand {
+    fn lower_binop(&mut self, op: AstBinOp, lhs: &'a Expr, rhs: &'a Expr, line: u32) -> Operand {
         let ir_op = match op {
             AstBinOp::Add => Some(BinOp::Add),
             AstBinOp::Sub => Some(BinOp::Sub),
@@ -792,7 +836,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         Operand::Var(r)
     }
 
-    fn lower_call(&mut self, callee: &Expr, args: &[Expr], line: u32) -> Operand {
+    fn lower_call(&mut self, callee: &'a Expr, args: &'a [Expr], line: u32) -> Operand {
         // A call through a *variable* (function pointer held in a local,
         // parameter or global) is indirect, even when the spelling looks
         // like a plain identifier call.
@@ -865,18 +909,13 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 _ => {}
             }
             let arg_ops: Vec<Operand> = args.iter().map(|a| self.lower_expr(a)).collect();
-            if let Some(&fid) = self.func_ids.get(name) {
-                let ret_ty = self.func_ret_ty(name).unwrap_or(Type::Int);
-                let dst = if matches!(ret_ty, Type::Void) {
-                    None
-                } else {
-                    Some(self.b.temp(ret_ty))
-                };
-                self.b.call(dst, Callee::Direct(fid), arg_ops, line);
-                return match dst {
-                    Some(d) => Operand::Var(d),
-                    None => Operand::Const(ConstVal::Int(0)),
-                };
+            if let Some(&fid) = self.func_ids.get(name.as_str()) {
+                // The callee may not be lowered yet, so its return type is
+                // unknown here. A pointer-compatible `Int` result is
+                // adequate: PIR is not type-checked across assignments.
+                let dst = self.b.temp(Type::Int);
+                self.b.call(Some(dst), Callee::Direct(fid), arg_ops, line);
+                return Operand::Var(dst);
             }
             // External function.
             let sym = self.b.module().interner.intern(name);
@@ -893,21 +932,11 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         Operand::Var(dst)
     }
 
-    /// The declared return type of a not-yet-lowered function, from the AST
-    /// signature table; `None` for unknown names.
-    fn func_ret_ty(&mut self, _name: &str) -> Option<Type> {
-        // All signatures share the module's resolve rules; callers that need
-        // the exact type look it up post-lowering. A pointer-compatible
-        // `Int` default is adequate during lowering because PIR is not
-        // type-checked across assignments.
-        None
-    }
-
     // ------------------------------------------------------------------
     // Branch conditions (short-circuit lowering)
     // ------------------------------------------------------------------
 
-    fn lower_cond(&mut self, cond: &Expr, then_bb: BlockId, else_bb: BlockId) {
+    fn lower_cond(&mut self, cond: &'a Expr, then_bb: BlockId, else_bb: BlockId) {
         let line = cond.line;
         match &cond.kind {
             ExprKind::Bin(AstBinOp::LogAnd, a, bx) => {
@@ -1179,6 +1208,21 @@ mod tests {
             .flat_map(|b| &b.insts)
             .any(|i| matches!(&i.kind, InstKind::AddrOf { .. }));
         assert!(has_addrof);
+    }
+
+    #[test]
+    fn operand_cast_declares_its_struct_in_order() {
+        // Typing `*(struct undeclared *)p`'s operand declares the struct,
+        // before `struct later` is met; the struct ids are printed.
+        let m = compile(
+            r#"
+            int f(int *p) { return *(struct undeclared *)p; }
+            void g(void) { struct later *q; }
+            "#,
+        );
+        let undeclared = m.struct_by_name("undeclared").expect("declared");
+        let later = m.struct_by_name("later").expect("declared");
+        assert!(undeclared.index() < later.index());
     }
 
     #[test]

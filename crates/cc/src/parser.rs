@@ -1,9 +1,21 @@
 //! Recursive-descent parser for mini-C.
+//!
+//! Tokens are moved out of the lexed vector exactly once ([`Parser::bump`]);
+//! binary expressions are parsed by precedence climbing over one operator
+//! table. Every construct that deepens the AST (statement bodies,
+//! expressions, prefix operators, postfix and binary folds, pointer
+//! declarators) counts against [`MAX_NESTING`], so neither the parser nor
+//! the recursive lowering over its output can exhaust the stack.
 
 use crate::ast::*;
 use crate::diag::{Diag, DiagKind};
 use crate::lexer::Lexer;
 use crate::token::{Token, TokenKind};
+
+/// How deep constructs may nest before the parser refuses the input with a
+/// "nesting too deep" [`Diag`]. Input at this depth still parses and lowers
+/// on a 2 MiB thread stack in an unoptimized build.
+pub const MAX_NESTING: u32 = 256;
 
 /// Parses one mini-C translation unit.
 ///
@@ -21,6 +33,7 @@ pub struct Parser {
     file: String,
     tokens: Vec<Token>,
     pos: usize,
+    depth: u32,
 }
 
 impl Parser {
@@ -31,11 +44,16 @@ impl Parser {
     /// Returns the first lexical or syntactic error.
     pub fn parse_source(file: &str, source: &str) -> Result<Unit, Diag> {
         let tokens = Lexer::new(file, source).lex()?;
-        let lines = source.lines().count() as u32;
+        // The lexer counts every newline: the end-of-input token sits on
+        // line `newlines + 1`. A final line without a newline counts too,
+        // as in `str::lines`.
+        let newlines = tokens.last().map_or(0, |t| t.line - 1);
+        let lines = newlines + u32::from(!source.is_empty() && !source.ends_with('\n'));
         let mut parser = Parser {
             file: file.to_owned(),
             tokens,
             pos: 0,
+            depth: 0,
         };
         let mut unit = parser.parse_unit()?;
         unit.lines = lines;
@@ -54,14 +72,32 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].line
     }
 
+    /// Moves the current token out (each token is consumed once; the last,
+    /// `Eof`, is left in place) and advances.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            self.pos = self.tokens.len();
+            return TokenKind::Eof;
         }
-        t
+        self.pos += 1;
+        std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+    }
+
+    /// Descends one nesting level; past [`MAX_NESTING`] the input is refused.
+    /// Every error abandons the whole parse, so error returns skip the
+    /// matching [`Parser::leave`].
+    fn enter(&mut self) -> Result<(), Diag> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Ascends `levels` nesting levels.
+    fn leave(&mut self, levels: u32) {
+        self.depth -= levels;
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -146,12 +182,14 @@ impl Parser {
         loop {
             self.skip_qualifiers();
             if self.eat(&TokenKind::Star) {
+                self.enter()?;
                 levels += 1;
             } else {
                 break;
             }
         }
-        Ok(base.with_pointers(levels))
+        self.leave(levels);
+        Ok(base.with_pointers(levels as usize))
     }
 
     fn parse_top_level(&mut self, unit: &mut Unit) -> Result<(), Diag> {
@@ -242,9 +280,8 @@ impl Parser {
                     if self.eat(&TokenKind::Dot) {
                         let _field = self.expect_ident()?;
                         self.expect(TokenKind::Assign)?;
-                        if let TokenKind::Ident(f) = self.peek().clone() {
-                            self.bump();
-                            registered.push(f);
+                        if matches!(self.peek(), TokenKind::Ident(_)) {
+                            registered.push(self.expect_ident()?);
                         } else {
                             // Non-function initializer value.
                             let _ = self.parse_assignment()?;
@@ -284,117 +321,132 @@ impl Parser {
         Ok(stmts)
     }
 
+    /// One statement. Every level of statement nesting repeats this frame,
+    /// so it only picks the statement's parser and calls it once.
     fn parse_stmt(&mut self) -> Result<Stmt, Diag> {
+        self.enter()?;
         let line = self.line();
-        match self.peek().clone() {
-            TokenKind::LBrace => {
-                self.bump();
-                let body = self.parse_block_body()?;
-                Ok(Stmt::new(StmtKind::Block(body), line))
-            }
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_assignment()?;
-                self.expect(TokenKind::RParen)?;
-                let then_body = self.parse_stmt_as_block()?;
-                let else_body = if self.eat(&TokenKind::KwElse) {
-                    self.parse_stmt_as_block()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::new(
-                    StmtKind::If {
-                        cond,
-                        then_body,
-                        else_body,
-                    },
-                    line,
-                ))
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_assignment()?;
-                self.expect(TokenKind::RParen)?;
-                let body = self.parse_stmt_as_block()?;
-                Ok(Stmt::new(StmtKind::While { cond, body }, line))
-            }
-            TokenKind::KwFor => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let init = if self.peek() == &TokenKind::Semi {
-                    self.bump();
-                    None
-                } else {
-                    let s = self.parse_simple_stmt()?;
-                    self.expect(TokenKind::Semi)?;
-                    Some(Box::new(s))
-                };
-                let cond = if self.peek() == &TokenKind::Semi {
-                    None
-                } else {
-                    Some(self.parse_assignment()?)
-                };
-                self.expect(TokenKind::Semi)?;
-                let step = if self.peek() == &TokenKind::RParen {
-                    None
-                } else {
-                    Some(Box::new(self.parse_simple_stmt()?))
-                };
-                self.expect(TokenKind::RParen)?;
-                let body = self.parse_stmt_as_block()?;
-                Ok(Stmt::new(
-                    StmtKind::For {
-                        init,
-                        cond,
-                        step,
-                        body,
-                    },
-                    line,
-                ))
-            }
-            TokenKind::KwReturn => {
-                self.bump();
-                let value = if self.peek() == &TokenKind::Semi {
-                    None
-                } else {
-                    Some(self.parse_assignment()?)
-                };
-                self.expect(TokenKind::Semi)?;
-                Ok(Stmt::new(StmtKind::Return(value), line))
-            }
-            TokenKind::KwGoto => {
-                self.bump();
-                let label = self.expect_ident()?;
-                self.expect(TokenKind::Semi)?;
-                Ok(Stmt::new(StmtKind::Goto(label), line))
-            }
-            TokenKind::KwBreak => {
-                self.bump();
-                self.expect(TokenKind::Semi)?;
-                Ok(Stmt::new(StmtKind::Break, line))
-            }
-            TokenKind::KwContinue => {
-                self.bump();
-                self.expect(TokenKind::Semi)?;
-                Ok(Stmt::new(StmtKind::Continue, line))
-            }
-            TokenKind::Ident(_) if self.peek_at(1) == &TokenKind::Colon => {
-                let label = self.expect_ident()?;
-                self.expect(TokenKind::Colon)?;
-                Ok(Stmt::new(StmtKind::Label(label), line))
-            }
-            TokenKind::Semi => {
-                self.bump();
-                Ok(Stmt::new(StmtKind::Block(Vec::new()), line))
-            }
-            _ => {
-                let s = self.parse_simple_stmt()?;
-                self.expect(TokenKind::Semi)?;
-                Ok(s)
-            }
-        }
+        let parse: fn(&mut Self) -> Result<StmtKind, Diag> = match self.peek() {
+            TokenKind::LBrace => Self::parse_block_stmt,
+            TokenKind::KwIf => Self::parse_if,
+            TokenKind::KwWhile => Self::parse_while,
+            TokenKind::KwFor => Self::parse_for,
+            TokenKind::KwReturn => Self::parse_return,
+            TokenKind::KwGoto | TokenKind::KwBreak | TokenKind::KwContinue => Self::parse_jump,
+            TokenKind::Ident(_) if self.peek_at(1) == &TokenKind::Colon => Self::parse_label,
+            TokenKind::Semi => Self::parse_empty,
+            _ => Self::parse_expr_stmt,
+        };
+        let kind = parse(self)?;
+        self.leave(1);
+        Ok(Stmt::new(kind, line))
+    }
+
+    fn parse_block_stmt(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        Ok(StmtKind::Block(self.parse_block_body()?))
+    }
+
+    fn parse_if(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        let cond = self.parse_condition()?;
+        let then_body = self.parse_stmt_as_block()?;
+        let else_body = if self.eat(&TokenKind::KwElse) {
+            self.parse_stmt_as_block()?
+        } else {
+            Vec::new()
+        };
+        Ok(StmtKind::If {
+            cond,
+            then_body,
+            else_body,
+        })
+    }
+
+    fn parse_while(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        let cond = self.parse_condition()?;
+        let body = self.parse_stmt_as_block()?;
+        Ok(StmtKind::While { cond, body })
+    }
+
+    /// `( expression )` after `if` or `while`.
+    fn parse_condition(&mut self) -> Result<Expr, Diag> {
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_assignment()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(cond)
+    }
+
+    fn parse_for(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let init = if self.eat(&TokenKind::Semi) {
+            None
+        } else {
+            let s = self.parse_simple_stmt()?;
+            self.expect(TokenKind::Semi)?;
+            Some(Box::new(s))
+        };
+        let cond = if self.peek() == &TokenKind::Semi {
+            None
+        } else {
+            Some(self.parse_assignment()?)
+        };
+        self.expect(TokenKind::Semi)?;
+        let step = if self.peek() == &TokenKind::RParen {
+            None
+        } else {
+            Some(Box::new(self.parse_simple_stmt()?))
+        };
+        self.expect(TokenKind::RParen)?;
+        let body = self.parse_stmt_as_block()?;
+        Ok(StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        })
+    }
+
+    fn parse_return(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        let value = if self.peek() == &TokenKind::Semi {
+            None
+        } else {
+            Some(self.parse_assignment()?)
+        };
+        self.expect(TokenKind::Semi)?;
+        Ok(StmtKind::Return(value))
+    }
+
+    /// `goto label;`, `break;` or `continue;`.
+    fn parse_jump(&mut self) -> Result<StmtKind, Diag> {
+        let kind = match self.bump() {
+            TokenKind::KwGoto => StmtKind::Goto(self.expect_ident()?),
+            TokenKind::KwBreak => StmtKind::Break,
+            _ => StmtKind::Continue,
+        };
+        self.expect(TokenKind::Semi)?;
+        Ok(kind)
+    }
+
+    fn parse_label(&mut self) -> Result<StmtKind, Diag> {
+        let label = self.expect_ident()?;
+        self.expect(TokenKind::Colon)?;
+        Ok(StmtKind::Label(label))
+    }
+
+    /// A lone `;`: an empty block.
+    fn parse_empty(&mut self) -> Result<StmtKind, Diag> {
+        self.bump();
+        Ok(StmtKind::Block(Vec::new()))
+    }
+
+    fn parse_expr_stmt(&mut self) -> Result<StmtKind, Diag> {
+        let s = self.parse_simple_stmt()?;
+        self.expect(TokenKind::Semi)?;
+        Ok(s.kind)
     }
 
     fn parse_stmt_as_block(&mut self) -> Result<Vec<Stmt>, Diag> {
@@ -448,182 +500,168 @@ impl Parser {
         }
     }
 
-    /// assignment := logical-or (`=` assignment)? | compound/incdec sugar
+    /// assignment := binary (`=` assignment)? | compound/incdec sugar
     fn parse_assignment(&mut self) -> Result<Expr, Diag> {
+        self.enter()?;
         let line = self.line();
-        let lhs = self.parse_binary(0)?;
-        match self.peek() {
-            TokenKind::Assign => {
-                self.bump();
-                let rhs = self.parse_assignment()?;
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(lhs), Box::new(rhs)),
-                    line,
-                ))
-            }
-            TokenKind::PlusAssign => {
-                self.bump();
-                let rhs = self.parse_assignment()?;
-                let sum = Expr::new(
-                    ExprKind::Bin(AstBinOp::Add, Box::new(lhs.clone()), Box::new(rhs)),
-                    line,
-                );
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(lhs), Box::new(sum)),
-                    line,
-                ))
-            }
-            TokenKind::MinusAssign => {
-                self.bump();
-                let rhs = self.parse_assignment()?;
-                let diff = Expr::new(
-                    ExprKind::Bin(AstBinOp::Sub, Box::new(lhs.clone()), Box::new(rhs)),
-                    line,
-                );
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(lhs), Box::new(diff)),
-                    line,
-                ))
-            }
-            TokenKind::PlusPlus => {
-                self.bump();
-                let one = Expr::new(ExprKind::Int(1), line);
-                let sum = Expr::new(
-                    ExprKind::Bin(AstBinOp::Add, Box::new(lhs.clone()), Box::new(one)),
-                    line,
-                );
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(lhs), Box::new(sum)),
-                    line,
-                ))
-            }
-            TokenKind::MinusMinus => {
-                self.bump();
-                let one = Expr::new(ExprKind::Int(1), line);
-                let diff = Expr::new(
-                    ExprKind::Bin(AstBinOp::Sub, Box::new(lhs.clone()), Box::new(one)),
-                    line,
-                );
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(lhs), Box::new(diff)),
-                    line,
-                ))
-            }
-            _ => Ok(lhs),
+        let mut e = self.parse_binary(0)?;
+        if matches!(
+            self.peek(),
+            TokenKind::Assign
+                | TokenKind::PlusAssign
+                | TokenKind::MinusAssign
+                | TokenKind::PlusPlus
+                | TokenKind::MinusMinus
+        ) {
+            e = self.parse_assign_op(e, line)?;
         }
+        self.leave(1);
+        Ok(e)
     }
 
-    fn binop_at(&self, level: usize) -> Option<AstBinOp> {
-        let op = match (level, self.peek()) {
-            (0, TokenKind::OrOr) => AstBinOp::LogOr,
-            (1, TokenKind::AndAnd) => AstBinOp::LogAnd,
-            (2, TokenKind::Pipe) => AstBinOp::BitOr,
-            (3, TokenKind::Caret) => AstBinOp::BitXor,
-            (4, TokenKind::Amp) => AstBinOp::BitAnd,
-            (5, TokenKind::EqEq) => AstBinOp::Eq,
-            (5, TokenKind::NotEq) => AstBinOp::Ne,
-            (6, TokenKind::Lt) => AstBinOp::Lt,
-            (6, TokenKind::Le) => AstBinOp::Le,
-            (6, TokenKind::Gt) => AstBinOp::Gt,
-            (6, TokenKind::Ge) => AstBinOp::Ge,
-            (7, TokenKind::Shl) => AstBinOp::Shl,
-            (7, TokenKind::Shr) => AstBinOp::Shr,
-            (8, TokenKind::Plus) => AstBinOp::Add,
-            (8, TokenKind::Minus) => AstBinOp::Sub,
-            (9, TokenKind::Star) => AstBinOp::Mul,
-            (9, TokenKind::Slash) => AstBinOp::Div,
-            (9, TokenKind::Percent) => AstBinOp::Rem,
+    /// The assignment operator after `lhs`, with its right-hand side;
+    /// compound and postfix updates desugar to plain assignments.
+    fn parse_assign_op(&mut self, lhs: Expr, line: u32) -> Result<Expr, Diag> {
+        let (op, rhs) = match self.bump() {
+            TokenKind::Assign => {
+                let rhs = self.parse_assignment()?;
+                return Ok(Expr::new(
+                    ExprKind::Assign(Box::new(lhs), Box::new(rhs)),
+                    line,
+                ));
+            }
+            TokenKind::PlusAssign => (AstBinOp::Add, self.parse_assignment()?),
+            TokenKind::MinusAssign => (AstBinOp::Sub, self.parse_assignment()?),
+            TokenKind::PlusPlus => (AstBinOp::Add, Expr::new(ExprKind::Int(1), line)),
+            _ => (AstBinOp::Sub, Expr::new(ExprKind::Int(1), line)),
+        };
+        Ok(update(lhs, op, rhs, line))
+    }
+
+    /// The binary operator at the cursor with its precedence level, from
+    /// `||` (loosest, 0) to the multiplicative operators (tightest, 9). All
+    /// of them are left-associative.
+    fn binop(&self) -> Option<(AstBinOp, u8)> {
+        let op = match self.peek() {
+            TokenKind::OrOr => (AstBinOp::LogOr, 0),
+            TokenKind::AndAnd => (AstBinOp::LogAnd, 1),
+            TokenKind::Pipe => (AstBinOp::BitOr, 2),
+            TokenKind::Caret => (AstBinOp::BitXor, 3),
+            TokenKind::Amp => (AstBinOp::BitAnd, 4),
+            TokenKind::EqEq => (AstBinOp::Eq, 5),
+            TokenKind::NotEq => (AstBinOp::Ne, 5),
+            TokenKind::Lt => (AstBinOp::Lt, 6),
+            TokenKind::Le => (AstBinOp::Le, 6),
+            TokenKind::Gt => (AstBinOp::Gt, 6),
+            TokenKind::Ge => (AstBinOp::Ge, 6),
+            TokenKind::Shl => (AstBinOp::Shl, 7),
+            TokenKind::Shr => (AstBinOp::Shr, 7),
+            TokenKind::Plus => (AstBinOp::Add, 8),
+            TokenKind::Minus => (AstBinOp::Sub, 8),
+            TokenKind::Star => (AstBinOp::Mul, 9),
+            TokenKind::Slash => (AstBinOp::Div, 9),
+            TokenKind::Percent => (AstBinOp::Rem, 9),
             _ => return None,
         };
         Some(op)
     }
 
-    const MAX_LEVEL: usize = 9;
-
-    fn parse_binary(&mut self, level: usize) -> Result<Expr, Diag> {
-        if level > Self::MAX_LEVEL {
-            return self.parse_unary();
-        }
-        let mut lhs = self.parse_binary(level + 1)?;
-        loop {
-            let line = self.line();
-            let Some(op) = self.binop_at(level) else {
+    /// Precedence climbing: parses a unary operand, then folds every
+    /// operator binding at least as tightly as `min_level`. Each fold
+    /// deepens the tree, so it counts as one nesting level.
+    fn parse_binary(&mut self, min_level: u8) -> Result<Expr, Diag> {
+        let mut lhs = self.parse_unary()?;
+        let mut folds = 0;
+        while let Some((op, level)) = self.binop() {
+            if level < min_level {
                 break;
-            };
+            }
+            let line = self.line();
             self.bump();
+            self.enter()?;
+            folds += 1;
             let rhs = self.parse_binary(level + 1)?;
             lhs = Expr::new(ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)), line);
         }
+        self.leave(folds);
         Ok(lhs)
     }
 
+    /// A unary expression: prefix operators (each one nesting level) over a
+    /// postfix expression.
     fn parse_unary(&mut self) -> Result<Expr, Diag> {
+        if !self.at_prefix_op() {
+            return self.parse_postfix();
+        }
+        self.enter()?;
+        let e = self.parse_prefixed()?;
+        self.leave(1);
+        Ok(e)
+    }
+
+    /// Whether the cursor is at a prefix operator, `sizeof` or a cast.
+    fn at_prefix_op(&self) -> bool {
+        match self.peek() {
+            TokenKind::Star
+            | TokenKind::Amp
+            | TokenKind::Not
+            | TokenKind::Minus
+            | TokenKind::Tilde
+            | TokenKind::PlusPlus
+            | TokenKind::MinusMinus
+            | TokenKind::KwSizeof => true,
+            TokenKind::LParen => self.is_cast_start(),
+            _ => false,
+        }
+    }
+
+    /// A prefix operator, `sizeof` or cast with its operand.
+    fn parse_prefixed(&mut self) -> Result<Expr, Diag> {
         let line = self.line();
-        match self.peek().clone() {
-            TokenKind::Star => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::Deref(Box::new(e)), line))
-            }
-            TokenKind::Amp => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::AddrOf(Box::new(e)), line))
-            }
-            TokenKind::Not => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::Not(Box::new(e)), line))
-            }
-            TokenKind::Minus => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::Neg(Box::new(e)), line))
-            }
-            TokenKind::Tilde => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::BitNot(Box::new(e)), line))
-            }
-            TokenKind::PlusPlus | TokenKind::MinusMinus => {
-                // Prefix increment/decrement as statement sugar.
-                let is_inc = self.bump() == TokenKind::PlusPlus;
-                let e = self.parse_unary()?;
-                let one = Expr::new(ExprKind::Int(1), line);
-                let op = if is_inc { AstBinOp::Add } else { AstBinOp::Sub };
-                let upd = Expr::new(ExprKind::Bin(op, Box::new(e.clone()), Box::new(one)), line);
-                Ok(Expr::new(
-                    ExprKind::Assign(Box::new(e), Box::new(upd)),
-                    line,
-                ))
-            }
-            TokenKind::KwSizeof => {
-                self.bump();
-                if self.eat(&TokenKind::LParen) {
-                    // sizeof(type) or sizeof(expr) — skip to matching paren.
-                    let mut depth = 1;
-                    while depth > 0 {
-                        match self.bump() {
-                            TokenKind::LParen => depth += 1,
-                            TokenKind::RParen => depth -= 1,
-                            TokenKind::Eof => return Err(self.err("unterminated sizeof")),
-                            _ => {}
-                        }
-                    }
-                } else {
-                    let _ = self.parse_unary()?;
-                }
-                Ok(Expr::new(ExprKind::Sizeof, line))
-            }
-            TokenKind::LParen if self.is_cast_start() => {
-                self.bump();
+        let wrap: fn(Box<Expr>) -> ExprKind = match self.bump() {
+            TokenKind::Star => ExprKind::Deref,
+            TokenKind::Amp => ExprKind::AddrOf,
+            TokenKind::Not => ExprKind::Not,
+            TokenKind::Minus => ExprKind::Neg,
+            TokenKind::Tilde => ExprKind::BitNot,
+            TokenKind::PlusPlus => return self.parse_prefix_update(AstBinOp::Add, line),
+            TokenKind::MinusMinus => return self.parse_prefix_update(AstBinOp::Sub, line),
+            TokenKind::KwSizeof => return self.parse_sizeof(line),
+            _ => {
                 let ty = self.parse_type()?;
                 self.expect(TokenKind::RParen)?;
                 let e = self.parse_unary()?;
-                Ok(Expr::new(ExprKind::Cast(ty, Box::new(e)), line))
+                return Ok(Expr::new(ExprKind::Cast(ty, Box::new(e)), line));
             }
-            _ => self.parse_postfix(),
+        };
+        let e = self.parse_unary()?;
+        Ok(Expr::new(wrap(Box::new(e)), line))
+    }
+
+    /// Prefix increment/decrement as statement sugar.
+    fn parse_prefix_update(&mut self, op: AstBinOp, line: u32) -> Result<Expr, Diag> {
+        let e = self.parse_unary()?;
+        let one = Expr::new(ExprKind::Int(1), line);
+        Ok(update(e, op, one, line))
+    }
+
+    /// `sizeof(type)`, `sizeof(expr)` or `sizeof expr`: an opaque constant.
+    fn parse_sizeof(&mut self, line: u32) -> Result<Expr, Diag> {
+        if self.eat(&TokenKind::LParen) {
+            // Skip to the matching parenthesis.
+            let mut open = 1;
+            while open > 0 {
+                match self.bump() {
+                    TokenKind::LParen => open += 1,
+                    TokenKind::RParen => open -= 1,
+                    TokenKind::Eof => return Err(self.err("unterminated sizeof")),
+                    _ => {}
+                }
+            }
+        } else {
+            let _ = self.parse_unary()?;
         }
+        Ok(Expr::new(ExprKind::Sizeof, line))
     }
 
     /// Whether the upcoming `(`-token starts a cast like `(struct s *)`.
@@ -641,67 +679,84 @@ impl Parser {
         )
     }
 
+    /// A primary expression and its postfix chain; each `->`, `.`, `[]` or
+    /// call wraps the tree once more and counts as one nesting level.
     fn parse_postfix(&mut self) -> Result<Expr, Diag> {
         let mut e = self.parse_primary()?;
-        loop {
-            let line = self.line();
-            match self.peek() {
-                TokenKind::Arrow => {
-                    self.bump();
-                    let field = self.expect_ident()?;
-                    e = Expr::new(ExprKind::Arrow(Box::new(e), field), line);
-                }
-                TokenKind::Dot => {
-                    self.bump();
-                    let field = self.expect_ident()?;
-                    e = Expr::new(ExprKind::Dot(Box::new(e), field), line);
-                }
-                TokenKind::LBracket => {
-                    self.bump();
-                    let idx = self.parse_assignment()?;
-                    self.expect(TokenKind::RBracket)?;
-                    e = Expr::new(ExprKind::Index(Box::new(e), Box::new(idx)), line);
-                }
-                TokenKind::LParen => {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &TokenKind::RParen {
-                        loop {
-                            args.push(self.parse_assignment()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
+        let mut folds = 0;
+        while matches!(
+            self.peek(),
+            TokenKind::Arrow | TokenKind::Dot | TokenKind::LBracket | TokenKind::LParen
+        ) {
+            self.enter()?;
+            folds += 1;
+            e = self.parse_postfix_op(e)?;
+        }
+        self.leave(folds);
+        Ok(e)
+    }
+
+    /// One `->field`, `.field`, `[index]` or `(args)` applied to `e`.
+    fn parse_postfix_op(&mut self, e: Expr) -> Result<Expr, Diag> {
+        let line = self.line();
+        let base = Box::new(e);
+        let kind = match self.bump() {
+            TokenKind::Arrow => ExprKind::Arrow(base, self.expect_ident()?),
+            TokenKind::Dot => ExprKind::Dot(base, self.expect_ident()?),
+            TokenKind::LBracket => {
+                let idx = self.parse_assignment()?;
+                self.expect(TokenKind::RBracket)?;
+                ExprKind::Index(base, Box::new(idx))
+            }
+            _ => {
+                let mut args = Vec::new();
+                if self.peek() != &TokenKind::RParen {
+                    loop {
+                        args.push(self.parse_assignment()?);
+                        if !self.eat(&TokenKind::Comma) {
+                            break;
                         }
                     }
-                    self.expect(TokenKind::RParen)?;
-                    e = Expr::new(ExprKind::Call(Box::new(e), args), line);
                 }
-                _ => break,
+                self.expect(TokenKind::RParen)?;
+                ExprKind::Call(base, args)
             }
-        }
-        Ok(e)
+        };
+        Ok(Expr::new(kind, line))
     }
 
     fn parse_primary(&mut self) -> Result<Expr, Diag> {
         let line = self.line();
-        match self.bump() {
-            TokenKind::Int(v) => Ok(Expr::new(ExprKind::Int(v), line)),
-            TokenKind::KwNull => Ok(Expr::new(ExprKind::Null, line)),
-            TokenKind::Str(s) => Ok(Expr::new(ExprKind::Str(s), line)),
-            TokenKind::Ident(name) => Ok(Expr::new(ExprKind::Ident(name), line)),
+        let kind = match self.bump() {
+            TokenKind::Int(v) => ExprKind::Int(v),
+            TokenKind::KwNull => ExprKind::Null,
+            TokenKind::Str(s) => ExprKind::Str(s),
+            TokenKind::Ident(name) => ExprKind::Ident(name),
             TokenKind::LParen => {
                 let e = self.parse_assignment()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(Diag::new(
-                DiagKind::Parse,
-                &self.file,
-                line,
-                format!("expected expression, found {other}"),
-            )),
-        }
+            other => {
+                return Err(Diag::new(
+                    DiagKind::Parse,
+                    &self.file,
+                    line,
+                    format!("expected expression, found {other}"),
+                ))
+            }
+        };
+        Ok(Expr::new(kind, line))
     }
+}
+
+/// `target = target op rhs`: the desugaring of `+=`, `-=`, `++` and `--`.
+fn update(target: Expr, op: AstBinOp, rhs: Expr, line: u32) -> Expr {
+    let value = Expr::new(
+        ExprKind::Bin(op, Box::new(target.clone()), Box::new(rhs)),
+        line,
+    );
+    Expr::new(ExprKind::Assign(Box::new(target), Box::new(value)), line)
 }
 
 #[cfg(test)]
@@ -804,5 +859,14 @@ mod tests {
     fn line_count_recorded() {
         let u = parse("int f(void)\n{\n return 0;\n}\n");
         assert_eq!(u.lines, 4);
+        for src in [
+            "",
+            "\n",
+            "int x;",
+            "int x;\n\n",
+            "int x;\r\n/* a\nb */ int y;",
+        ] {
+            assert_eq!(parse(src).lines as usize, src.lines().count(), "{src:?}");
+        }
     }
 }

@@ -15,6 +15,11 @@
 
 use std::fmt;
 
+/// How deep arrays and objects may nest. Every document this crate writes
+/// stays within a handful of levels; deeper input is refused with a
+/// [`JsonError`] instead of recursing until the stack overflows.
+pub const MAX_DEPTH: u32 = 128;
+
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -42,6 +47,7 @@ impl JsonValue {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -131,6 +137,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: u32,
 }
 
 impl Parser<'_> {
@@ -171,8 +179,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -180,6 +188,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -388,6 +410,23 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("1 2").is_err());
         assert!(JsonValue::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let depth = MAX_DEPTH as usize;
+        let at_limit = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        assert!(JsonValue::parse(&objects).is_ok());
+        for past in [
+            format!("[{at_limit}]"),
+            format!("{{\"a\": {objects}}}"),
+            "[".repeat(100_000),
+        ] {
+            let err = JsonValue::parse(&past).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+        }
     }
 
     #[test]

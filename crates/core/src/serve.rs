@@ -712,6 +712,41 @@ mod tests {
         assert_eq!(doc.get("id").unwrap().as_u64(), Some(9));
     }
 
+    /// Sends `frame` and then a ping: the frame gets an error response and
+    /// the ping is still answered.
+    fn refused_then_ping(frame: &str) -> String {
+        let mut s = session();
+        let mut totals = ServeTotals::default();
+        let (response, quit) = handle_line(&mut s, frame, &mut totals);
+        assert!(!quit);
+        let doc = JsonValue::parse(&response).unwrap();
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
+        let (pong, _) = handle_line(&mut s, "{\"id\": 2, \"op\": \"ping\"}", &mut totals);
+        let pong = JsonValue::parse(&pong).unwrap();
+        assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+        doc.get("error").unwrap().as_str().unwrap().to_owned()
+    }
+
+    #[test]
+    fn deeply_nested_source_is_an_error_response() {
+        let depth = 20_000;
+        let src = format!(
+            "int f(int x) {{ return {}x{}; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let error = refused_then_ping(&analyze_line(1, "deep.c", &src));
+        assert!(error.contains("nesting too deep"), "{error}");
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_an_error_response() {
+        let frame = format!("{{\"op\": \"ping\", \"pad\": {}", "[".repeat(100_000));
+        assert!(frame.len() > 100_000);
+        let error = refused_then_ping(&frame);
+        assert!(error.contains("nesting too deep"), "{error}");
+    }
+
     #[cfg(unix)]
     #[test]
     fn unix_daemon_serves_concurrent_clients_and_shuts_down() {

@@ -141,11 +141,13 @@ fn corrupted_store_is_a_clean_cold_start() {
     let store = dir.join("store.json");
     let cold = run(&store, 1, CORPUS);
 
+    let nested = "[".repeat(100_000);
     for garbage in [
         "not json at all",
         "{\"schema_version\": 1", // truncated document
         "{}",                     // missing fields
         "{\"schema_version\": 1, \"roots\": \"what\"}",
+        &nested, // deeper than the JSON reader's nesting limit
     ] {
         std::fs::write(&store, garbage).unwrap();
         let out = run(&store, 1, CORPUS);

@@ -115,7 +115,7 @@ impl<'m> FunctionBuilder<'m> {
 
     /// Creates a fresh compiler temporary.
     pub fn temp(&mut self, ty: Type) -> VarId {
-        let name = format!("t{}", self.temp_counter);
+        let name = temp_name(self.temp_counter);
         self.temp_counter += 1;
         self.module.add_var(VarInfo {
             name,
@@ -353,6 +353,26 @@ impl<'m> FunctionBuilder<'m> {
     }
 }
 
+/// `t{n}`, spelled without the formatting machinery: lowering names a
+/// temporary for nearly every instruction.
+fn temp_name(n: u32) -> String {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut name = String::with_capacity(1 + digits.len() - at);
+    name.push('t');
+    name.extend(digits[at..].iter().map(|&d| char::from(d)));
+    name
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,5 +419,12 @@ mod tests {
         b.finish();
         assert_ne!(m.var(t1).name, m.var(t2).name);
         assert_eq!(m.var(t1).kind, VarKind::Temp);
+    }
+
+    #[test]
+    fn temp_names_are_decimal() {
+        for n in [0, 7, 10, 99, 1_234, u32::MAX] {
+            assert_eq!(temp_name(n), format!("t{n}"));
+        }
     }
 }

@@ -39,10 +39,16 @@ cargo bench -p pata-bench --bench exploration -- --smoke
 echo "== persistence bench (smoke)"
 cargo bench -p pata-bench --bench persistence -- --smoke
 
+echo "== front-end bench (smoke)"
+# Times lex, parse and lower over the linux model at scales 0.2, 1 and 4.
+# Gates only on machine-independent values: token counts, IR instruction
+# counts and printed-module hashes must match the pinned ones.
+cargo bench -p pata-bench --bench frontend -- --smoke
+
 echo "== stage-1 bench summary (results/BENCH_stage1.json)"
 # The smoke benches above just rewrote their sections; print the headline
 # per-stage numbers on one line each.
-grep -E '"(exploration|persistence)":' results/BENCH_stage1.json \
+grep -E '"(exploration|frontend|persistence)":' results/BENCH_stage1.json \
     || { echo "BENCH_stage1.json missing expected sections"; exit 1; }
 
 echo "== stage timing summary"
