@@ -31,9 +31,9 @@ fn config(threads: usize) -> AnalysisConfig {
 }
 
 /// A deep-path interface function: `branches` sequential condition
-/// diamonds produce `2^branches` constraint-distinct paths (no state
-/// subsumption applies — every path carries a different constraint set),
-/// so exploration cost dwarfs parse cost, as it does on real OS code.
+/// diamonds produce `2^branches` constraint-distinct paths, each walked by
+/// the DFS, so exploration cost dwarfs parse cost, as it does on real OS
+/// code.
 /// The function is bug-free: replaying it from the store costs nothing.
 fn heavy_file(i: usize, branches: usize) -> String {
     let mut text = format!("int heavy_probe_{i}(int *p, int n) {{\n");

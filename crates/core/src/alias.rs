@@ -13,7 +13,6 @@
 //! control-flow path its own alias graph without cloning (the paper's
 //! "COPY" at branches, Fig. 7, implemented as copy-on-return).
 
-use crate::fingerprint::{hash2, hash4, TAG_EDGE, TAG_VAR_PLACED};
 use pata_ir::{Symbol, VarId};
 use std::fmt;
 
@@ -70,9 +69,7 @@ struct NodeData {
 }
 
 /// Journal entries. Each entry carries enough to *reverse* the mutation
-/// (rollback) and enough to *redo* it against a state identical to the one
-/// it was first applied to (callee-summary replay, see
-/// [`AliasGraph::apply_op`]).
+/// (rollback).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     /// `v` was inserted into `to`; it previously resided in `from`.
@@ -81,12 +78,8 @@ pub(crate) enum Op {
         from: Option<NodeId>,
         to: NodeId,
     },
-    /// An edge `n --label--> target` was added.
-    EdgeAdded {
-        n: NodeId,
-        label: Label,
-        target: NodeId,
-    },
+    /// An edge `n --label--> _` was added.
+    EdgeAdded { n: NodeId, label: Label },
     /// The edge `n --label--> old` was removed.
     EdgeRemoved {
         n: NodeId,
@@ -95,30 +88,6 @@ pub(crate) enum Op {
     },
     /// A fresh node was pushed.
     NodeCreated,
-}
-
-/// Fingerprint term for "variable `v` resides in node `n`".
-#[inline]
-fn fp_var(v: VarId, n: NodeId) -> u64 {
-    hash2(TAG_VAR_PLACED, v.index() as u64, n.index() as u64)
-}
-
-/// Encodes an edge label into two hashable lanes.
-#[inline]
-fn label_lanes(label: Label) -> (u64, u64) {
-    match label {
-        Label::Deref => (0, 0),
-        Label::Field(s) => (1, s.index() as u64),
-        Label::ElemConst(c) => (2, c as u64),
-        Label::ElemVar(v) => (3, u64::from(v)),
-    }
-}
-
-/// Fingerprint term for the edge `n --label--> target`.
-#[inline]
-fn fp_edge(n: NodeId, label: Label, target: NodeId) -> u64 {
-    let (lk, lv) = label_lanes(label);
-    hash4(TAG_EDGE, n.index() as u64, lk, lv, target.index() as u64)
 }
 
 /// A rollback point returned by [`AliasGraph::mark`].
@@ -154,10 +123,12 @@ pub struct AliasGraph {
     /// lookup path of the explorer (`node_of` per operand), so a flat
     /// vector beats any hash map; untouched variables cost one `None`.
     var_node: Vec<Option<NodeId>>,
+    /// How many variables are placed in some node. `var_node`'s length
+    /// follows module numbering, this count follows only what the path
+    /// touched; [`AliasGraph::approx_bytes`] uses it so a budget trip does
+    /// not depend on where the root's variables fall in the module.
+    placed: usize,
     journal: Vec<Op>,
-    /// Incremental XOR fingerprint over placements and edges (see
-    /// [`crate::fingerprint`]); maintained by every mutation and rollback.
-    fp: u64,
 }
 
 /// What a `STORE` update changed — consumed by typestate tracking, which
@@ -186,47 +157,19 @@ impl AliasGraph {
         self.nodes.len()
     }
 
-    /// The incremental fingerprint of the current placements and edges.
-    /// Equal fingerprints mean (modulo 64-bit collisions) literally equal
-    /// graphs, including node numbering.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
-    /// The journal suffix since `mark` — the *net* mutations, because
-    /// intervening rollbacks pop their entries. Used to record callee
-    /// effect journals.
-    pub(crate) fn ops_since(&self, mark: Mark) -> &[Op] {
-        &self.journal[mark.0..]
-    }
-
-    /// Redoes a recorded op against a state identical (fingerprint-equal)
-    /// to the one it was recorded from. Routed through the journaled
-    /// primitives, so replays roll back and fingerprint like live updates;
-    /// `from`/`old` fields are recomputed from the live state.
-    pub(crate) fn apply_op(&mut self, op: &Op) {
-        match *op {
-            Op::VarMoved { v, to, .. } => self.place_var(v, to),
-            Op::EdgeAdded { n, label, target } => self.add_edge(n, label, target),
-            Op::EdgeRemoved { n, label, .. } => self.remove_edge(n, label),
-            Op::NodeCreated => {
-                self.new_node();
-            }
-        }
-    }
-
     /// The node a variable currently resides in, if it was ever touched.
     pub fn node_of_var(&self, v: VarId) -> Option<NodeId> {
         self.var_node.get(v.index()).copied().flatten()
     }
 
     /// An O(1) estimate of the live bytes this graph holds — what a
-    /// clone-based branch fork would copy. Counts the node and journal
-    /// vectors by element size; per-node `vars`/`out` spill is approximated
-    /// by the journal (every placement and edge passed through it).
+    /// clone-based branch fork would copy. Counts the nodes, the placed
+    /// variables and the journal by element size; per-node `vars`/`out`
+    /// spill is approximated by the journal (every placement and edge
+    /// passed through it).
     pub(crate) fn approx_bytes(&self) -> u64 {
         (self.nodes.len() * std::mem::size_of::<NodeData>()
-            + self.var_node.len() * std::mem::size_of::<Option<NodeId>>()
+            + self.placed * std::mem::size_of::<Option<NodeId>>()
             + self.journal.len() * std::mem::size_of::<Op>()) as u64
     }
 
@@ -279,31 +222,28 @@ impl AliasGraph {
         if from == Some(to) {
             return;
         }
-        if let Some(f) = from {
-            self.nodes[f.index()].vars.retain(|&x| x != v);
-            self.fp ^= fp_var(v, f);
+        match from {
+            Some(f) => self.nodes[f.index()].vars.retain(|&x| x != v),
+            None => self.placed += 1,
         }
         self.nodes[to.index()].vars.push(v);
         if self.var_node.len() <= v.index() {
             self.var_node.resize(v.index() + 1, None);
         }
         self.var_node[v.index()] = Some(to);
-        self.fp ^= fp_var(v, to);
         self.journal.push(Op::VarMoved { v, from, to });
     }
 
     fn add_edge(&mut self, n: NodeId, label: Label, target: NodeId) {
         debug_assert!(self.out_edge(n, label).is_none(), "duplicate label edge");
         self.nodes[n.index()].out.push((label, target));
-        self.fp ^= fp_edge(n, label, target);
-        self.journal.push(Op::EdgeAdded { n, label, target });
+        self.journal.push(Op::EdgeAdded { n, label });
     }
 
     fn remove_edge(&mut self, n: NodeId, label: Label) {
         let data = &mut self.nodes[n.index()];
         if let Some(pos) = data.out.iter().position(|(l, _)| *l == label) {
             let (_, old) = data.out.remove(pos);
-            self.fp ^= fp_edge(n, label, old);
             self.journal.push(Op::EdgeRemoved { n, label, old });
         }
     }
@@ -464,28 +404,25 @@ impl AliasGraph {
             match self.journal.pop().unwrap() {
                 Op::VarMoved { v, from, to } => {
                     self.nodes[to.index()].vars.retain(|&x| x != v);
-                    self.fp ^= fp_var(v, to);
                     match from {
                         Some(f) => {
                             self.nodes[f.index()].vars.push(v);
                             self.var_node[v.index()] = Some(f);
-                            self.fp ^= fp_var(v, f);
                         }
                         None => {
                             self.var_node[v.index()] = None;
+                            self.placed -= 1;
                         }
                     }
                 }
-                Op::EdgeAdded { n, label, target } => {
+                Op::EdgeAdded { n, label } => {
                     let data = &mut self.nodes[n.index()];
                     if let Some(pos) = data.out.iter().position(|(l, _)| *l == label) {
                         data.out.remove(pos);
                     }
-                    self.fp ^= fp_edge(n, label, target);
                 }
                 Op::EdgeRemoved { n, label, old } => {
                     self.nodes[n.index()].out.push((label, old));
-                    self.fp ^= fp_edge(n, label, old);
                 }
                 Op::NodeCreated => {
                     let node = self.nodes.pop().expect("journal/node mismatch");
@@ -747,59 +684,6 @@ mod tests {
         assert!(paths
             .iter()
             .any(|ap| ap.base == x && ap.labels == vec![Label::Field(f), Label::Deref]));
-    }
-
-    #[test]
-    fn fingerprint_tracks_rollback_and_reconvergence() {
-        let mut g = AliasGraph::new();
-        let mut interner = pata_ir::Interner::new();
-        let f = interner.intern("f");
-        g.handle_move(v(1), v(0));
-        let fp_before = g.fingerprint();
-        let mark = g.mark();
-        g.handle_gep(v(2), v(1), f);
-        g.handle_store(v(0), v(2));
-        assert_ne!(g.fingerprint(), fp_before);
-        g.rollback(mark);
-        assert_eq!(g.fingerprint(), fp_before);
-        // Re-applying the same mutations reconverges to the same value.
-        g.handle_gep(v(2), v(1), f);
-        g.handle_store(v(0), v(2));
-        let fp_redo = g.fingerprint();
-        g.rollback(mark);
-        g.handle_gep(v(2), v(1), f);
-        g.handle_store(v(0), v(2));
-        assert_eq!(g.fingerprint(), fp_redo);
-    }
-
-    #[test]
-    fn apply_op_replays_recorded_journal() {
-        let mut interner = pata_ir::Interner::new();
-        let f = interner.intern("f");
-        // Record the net effect of a callee-like mutation burst.
-        let mut g = AliasGraph::new();
-        g.handle_move(v(1), v(0));
-        let entry = g.mark();
-        g.handle_gep(v(2), v(1), f);
-        g.handle_store(v(0), v(2));
-        let ops: Vec<Op> = g.ops_since(entry).to_vec();
-        let fp_after = g.fingerprint();
-        // Roll back to the entry state and replay the recorded ops.
-        g.rollback(entry);
-        for op in &ops {
-            g.apply_op(op);
-        }
-        assert_eq!(g.fingerprint(), fp_after);
-        let n1 = g.node_of(v(1));
-        assert_eq!(g.node_of_var(v(2)), g.out_edge(n1, Label::Field(f)));
-        // The replay journaled like live updates: rollback restores entry.
-        let fp_entry = {
-            let mut h = AliasGraph::new();
-            h.handle_move(v(1), v(0));
-            h.fingerprint()
-        };
-        g.rollback(entry);
-        assert_eq!(g.fingerprint(), fp_entry);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! Construct configurations through [`AnalysisConfig::builder`], which
 //! validates the result ([`AnalysisConfigBuilder::build`] rejects empty
-//! checker sets and zero budgets). The former `with_*` methods survive as
-//! deprecated shims.
+//! checker sets and zero budgets).
 
 use crate::checkers::BugKind;
 use crate::faultinject::FaultPlan;
@@ -90,16 +89,6 @@ pub struct AnalysisConfig {
     /// telemetry costs one branch per record site (`--stats-json` /
     /// `--profile` turn it on in the CLI).
     pub telemetry: bool,
-    /// Stage-1 subsumption cache: skip re-exploring a block whose exact
-    /// entry state (fingerprint) was already fully explored from that
-    /// block, replaying the recorded effects instead. Verdict-neutral by
-    /// construction; disable with `--no-exploration-cache` to measure.
-    pub exploration_cache: bool,
-    /// Stage-1 callee-summary cache: replay a recorded effect journal for
-    /// an inlined call whose callee and entry state match a previous
-    /// inlining, instead of re-exploring the callee body. Verdict-neutral;
-    /// disable with `--no-callee-memo` to measure.
-    pub callee_memo: bool,
     /// Copy-on-write path state (DESIGN.md "Copy-on-write path state"):
     /// branch forks take a fixed-size mark and sibling arms restore by
     /// undo-journal rollback, costing O(changed). Disabling falls back to
@@ -112,7 +101,7 @@ pub struct AnalysisConfig {
     pub cow_state: bool,
     /// Per-root wall-clock deadline in milliseconds, checked at branch fork
     /// points. `0` disables the deadline. A root that exceeds it is demoted
-    /// to a bounded cache-free re-run and, failing that, quarantined into
+    /// to a bounded re-run and, failing that, quarantined into
     /// the report's `degraded` section (DESIGN.md "Fault containment").
     /// Wall-clock trips are inherently environment-dependent; the
     /// byte-identity contract covers injected `deadline` faults.
@@ -145,8 +134,6 @@ impl Default for AnalysisConfig {
             threads: 0,
             resolve_fptrs: false,
             telemetry: false,
-            exploration_cache: true,
-            callee_memo: true,
             cow_state: true,
             root_deadline_ms: 0,
             max_live_bytes: 0,
@@ -177,20 +164,6 @@ impl AnalysisConfig {
         AnalysisConfigBuilder {
             config: AnalysisConfig::default(),
         }
-    }
-
-    /// Builder-style checker selection.
-    #[deprecated(since = "0.2.0", note = "use `AnalysisConfig::builder().checkers(..)`")]
-    pub fn with_checkers(mut self, checkers: Vec<BugKind>) -> Self {
-        self.checkers = checkers;
-        self
-    }
-
-    /// Builder-style budget override.
-    #[deprecated(since = "0.2.0", note = "use `AnalysisConfig::builder().budget(..)`")]
-    pub fn with_budget(mut self, budget: PathBudget) -> Self {
-        self.budget = budget;
-        self
     }
 }
 
@@ -322,15 +295,19 @@ impl AnalysisConfigBuilder {
         self
     }
 
-    /// Enables or disables the stage-1 subsumption cache.
-    pub fn exploration_cache(mut self, on: bool) -> Self {
-        self.config.exploration_cache = on;
+    /// Does nothing: stage 1 has no subsumption table. Kept so the
+    /// benchmark harness compiles until its next revision (ROADMAP "For
+    /// the benchmark's next revision").
+    #[deprecated(note = "stage 1 has no subsumption table; this is a no-op")]
+    pub fn exploration_cache(self, _on: bool) -> Self {
         self
     }
 
-    /// Enables or disables the stage-1 callee-summary cache.
-    pub fn callee_memo(mut self, on: bool) -> Self {
-        self.config.callee_memo = on;
+    /// Does nothing: stage 1 has no callee memo. Kept so the benchmark
+    /// harness compiles until its next revision (ROADMAP "For the
+    /// benchmark's next revision").
+    #[deprecated(note = "stage 1 has no callee memo; this is a no-op")]
+    pub fn callee_memo(self, _on: bool) -> Self {
         self
     }
 
@@ -484,14 +461,5 @@ mod tests {
         assert_eq!(d.root_deadline_ms, 0);
         assert_eq!(d.max_live_bytes, 0);
         assert!(d.fault_plan.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_compile() {
-        let c = AnalysisConfig::default()
-            .with_checkers(vec![BugKind::UseAfterFree])
-            .with_budget(PathBudget::default());
-        assert_eq!(c.checkers, vec![BugKind::UseAfterFree]);
     }
 }

@@ -19,8 +19,8 @@ use std::time::Instant;
 /// A root the fault-containment ladder could not complete normally: the
 /// structured record of a quarantine (panic caught) or demotion (resource
 /// budget tripped, bounded re-run kept). Stats from a quarantined attempt
-/// are dropped entirely — partial progress varies with the cache and
-/// thread configuration, while the failure record itself is deterministic.
+/// are dropped entirely — partial progress varies with the copy-on-write
+/// and thread configuration, while the failure record itself is deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct RootFailure {
     /// Root function name.
@@ -186,10 +186,10 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) ->
 /// 1. Full-budget attempt under `catch_unwind`. A panic — a misbehaving
 ///    checker, an injected fault — **quarantines** the root: its partial
 ///    results are dropped entirely (partial progress varies with the
-///    cache/thread configuration; a fixed empty result keeps reports and
+///    copy-on-write/thread configuration; a fixed empty result keeps reports and
 ///    stats byte-identical) and a [`RootFailure`] records the payload.
 /// 2. A `deadline` / `live_bytes` budget trip **demotes** the root to a
-///    bounded cache-free re-run (path/instruction budgets clamped) whose
+///    bounded re-run (path/instruction budgets clamped) whose
 ///    verdicts are kept, flagged `"demoted"`. The bounded budgets make the
 ///    re-run deterministic and finite even though the original trip was
 ///    time- or memory-driven.
@@ -227,15 +227,11 @@ fn run_one_root(
                 };
                 sink.add(counter, 1);
             }
-            // Demotion: bounded cache-free re-run. Budgets are clamped so
-            // the re-run terminates quickly even for the pathological root
-            // that burned the full deadline; caches/memo stay off (the
-            // cache-free truncation contract of `Explorer::explore`), and
-            // the deadline and ceiling stay armed so a root that cannot
-            // finish even degraded is caught again.
+            // Demotion: bounded re-run. Budgets are clamped so the re-run
+            // terminates quickly even for the pathological root that burned
+            // the full deadline, and the deadline and ceiling stay armed so
+            // a root that cannot finish even degraded is caught again.
             let mut demoted = config.clone();
-            demoted.exploration_cache = false;
-            demoted.callee_memo = false;
             demoted.budget.max_paths = demoted.budget.max_paths.min(DEMOTED_MAX_PATHS);
             demoted.budget.max_insts = demoted.budget.max_insts.min(DEMOTED_MAX_INSTS);
             let retry = Instant::now();
@@ -298,18 +294,6 @@ fn record_exploration_counters(telemetry: &Telemetry, stats: &AnalysisStats, bas
             "constraints.emitted",
             stats.constraints_aware - base.constraints_aware,
         );
-        sink.add(
-            "driver.explore.sub_hits",
-            stats.exploration_cache_hits - base.exploration_cache_hits,
-        );
-        sink.add(
-            "driver.explore.memo_hits",
-            stats.callee_memo_hits - base.callee_memo_hits,
-        );
-        sink.add(
-            "driver.explore.insts_replayed",
-            stats.insts_replayed - base.insts_replayed,
-        );
     });
 }
 
@@ -320,7 +304,7 @@ const DEMOTED_MAX_INSTS: usize = 50_000;
 
 /// The deterministic result recorded for a quarantined root: no candidates,
 /// no counters beyond the root itself. Partial progress up to the panic
-/// depends on caches and CoW mode — dropping it entirely is what keeps
+/// depends on the CoW mode — dropping it entirely is what keeps
 /// stats and reports byte-identical across configurations for a fixed
 /// failure set.
 fn quarantined_result() -> ExploreResult {

@@ -1,31 +1,12 @@
-//! Cheap incremental 64-bit fingerprints over live analysis state.
+//! Hashing primitives for the analysis hot path.
 //!
-//! The exploration-reuse layer (subsumption table and callee-summary
-//! cache, see DESIGN.md) keys its tables by a hash of the *exact* live
-//! state: alias-graph placements and edges, typestate entries, condition
-//! definitions, symbol and function-pointer bindings, and the structural
-//! stacks. Every mutation XORs the hash of the touched fact in or out, so
-//! the fingerprint stays current under both forward execution and journal
-//! rollback at O(1) per update:
-//!
-//! * XOR is commutative and associative, so the fingerprint is independent
-//!   of insertion order — two paths that reconverge to the same literal
-//!   state carry the same fingerprint.
-//! * XOR is its own inverse, so undoing a mutation applies the identical
-//!   update as doing it.
-//!
-//! Facts are hashed with their *literal* identifiers (node ids, symbol
-//! ids, variable ids). Fingerprint equality therefore means literal state
-//! equality (modulo 64-bit collisions), which is what makes replaying a
-//! recorded effect journal sound: every id a recorded effect mentions
-//! denotes the same object in the replaying state.
-//!
-//! This module also hosts [`FxHashMap`], the multiply-rotate hasher used
-//! by every per-step map on the exploration hot path. The keys there are
-//! small dense integers (variable ids, node ids, packed tuples) for which
-//! the default SipHash is pure overhead; the Fx construction (one multiply
-//! and a rotate per word, as popularized by the rustc compiler's FxHash)
-//! is a measurable share of the copy-on-write path-state speedup.
+//! [`FxHashMap`] is the multiply-rotate hasher used by every per-step map
+//! on the exploration hot path. The keys there are small dense integers
+//! (variable ids, node ids, packed tuples) for which the default SipHash
+//! is pure overhead; the Fx construction (one multiply and a rotate per
+//! word, as popularized by the rustc compiler's FxHash) is a measurable
+//! share of the copy-on-write path-state speedup. [`mix`] is the
+//! `splitmix64` finalizer the store's function fingerprints build on.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -108,61 +89,9 @@ pub(crate) fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hashes a fact of up to four 64-bit lanes plus a domain tag. The tag
-/// keeps structurally identical facts from different domains (e.g. an
-/// alias edge and a typestate entry) from cancelling each other out.
-#[inline]
-pub(crate) fn hash4(tag: u64, a: u64, b: u64, c: u64, d: u64) -> u64 {
-    mix(tag ^ mix(a ^ mix(b ^ mix(c ^ mix(d)))))
-}
-
-#[inline]
-pub(crate) fn hash2(tag: u64, a: u64, b: u64) -> u64 {
-    hash4(tag, a, b, 0, 0)
-}
-
-// Domain tags. Arbitrary distinct constants; never persisted.
-pub(crate) const TAG_VAR_PLACED: u64 = 0x01;
-pub(crate) const TAG_EDGE: u64 = 0x02;
-pub(crate) const TAG_STATE: u64 = 0x03;
-pub(crate) const TAG_COND: u64 = 0x04;
-pub(crate) const TAG_SYM: u64 = 0x05;
-pub(crate) const TAG_FPTR: u64 = 0x06;
-pub(crate) const TAG_FRAME: u64 = 0x07;
-pub(crate) const TAG_VISIT: u64 = 0x08;
-pub(crate) const TAG_HEAP: u64 = 0x09;
-pub(crate) const TAG_CONT: u64 = 0x0a;
-pub(crate) const TAG_CALLSTACK: u64 = 0x0b;
-pub(crate) const TAG_ARG: u64 = 0x0c;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn xor_roundtrip_restores_fingerprint() {
-        let mut fp = 0u64;
-        let f1 = hash2(TAG_EDGE, 3, 4);
-        let f2 = hash4(TAG_STATE, 1, 2, 9, 0);
-        fp ^= f1;
-        fp ^= f2;
-        fp ^= f1; // undo f1
-        assert_eq!(fp, hash4(TAG_STATE, 1, 2, 9, 0));
-        fp ^= f2;
-        assert_eq!(fp, 0);
-    }
-
-    #[test]
-    fn order_independent() {
-        let a = hash2(TAG_SYM, 1, 2);
-        let b = hash2(TAG_SYM, 7, 8);
-        assert_eq!(a ^ b, b ^ a);
-    }
-
-    #[test]
-    fn tags_separate_domains() {
-        assert_ne!(hash2(TAG_EDGE, 1, 2), hash2(TAG_STATE, 1, 2));
-    }
 
     #[test]
     fn fx_hasher_behaves_like_a_map_hasher() {

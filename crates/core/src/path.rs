@@ -22,6 +22,9 @@
 //! the call stack is treated as opaque (the paper's Fig. 6 lines 32-38 and
 //! §3.1 soundness discussion).
 //!
+//! Every step runs live: nothing recorded on one path is replayed on
+//! another (DESIGN.md "No reuse cache in stage 1").
+//!
 //! ## Calls (paper Fig. 6, HandleCALL)
 //!
 //! A direct call is inlined: actual arguments `MOVE` into formal parameters
@@ -38,26 +41,23 @@
 //! construction; the explorer counts what an alias-unaware encoding would
 //! have emitted instead (Table 5's "SMT constraints unaware" column).
 
-use crate::alias::{AliasGraph, Label, Mark as GraphMark, NodeId, Op as GraphOp};
+use crate::alias::{AliasGraph, Label, Mark as GraphMark, NodeId};
 use crate::checkers::ml;
 use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject;
-use crate::fingerprint::{
-    hash2, hash4, mix, FxHashMap, TAG_ARG, TAG_CALLSTACK, TAG_COND, TAG_CONT, TAG_FPTR, TAG_FRAME,
-    TAG_HEAP, TAG_SYM, TAG_VISIT,
-};
+use crate::fingerprint::FxHashMap;
 use crate::report::PossibleBug;
 use crate::stats::{AnalysisStats, BudgetNote};
 use crate::typestate::{
-    BranchEvent, Checker, FrameEndEvent, HeapObject, OperandKey, PendingBug, StateMark, StateOp,
-    StateTable, TrackCtx, TrackKey, UpdateInfo,
+    BranchEvent, Checker, FrameEndEvent, HeapObject, OperandKey, PendingBug, StateMark, StateTable,
+    TrackCtx, TrackKey, UpdateInfo,
 };
 use pata_ir::{
     BlockId, Callee, CmpOp, ConstVal, FuncId, Inst, InstId, InstKind, Loc, Module, Operand,
     Terminator, VarId,
 };
 use pata_smt::{CmpOp as SmtOp, Constraint, SymId, Term};
-use std::sync::Arc;
+use std::hash::Hash;
 
 /// The definition of a branch-condition temporary (`c = a < b`).
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +73,8 @@ struct Frame {
     func: FuncId,
     /// Explorer-unique id; heap-journal entries name their frame by serial
     /// so rollback can tell a dead frame's leftover entries (nothing to
-    /// undo — the frame's facts left `frames_fp` when it was popped) from
-    /// entries of the frame currently at that depth.
+    /// undo — the frame itself is gone) from entries of the frame currently
+    /// at that depth.
     serial: u64,
     /// Per-block visit counts on the current DFS stack within this frame
     /// (the loop cut: a block may appear `loop_iterations + 1` times on a
@@ -84,40 +84,11 @@ struct Frame {
     /// this counter is hit on every block entry/exit, so an array beats a
     /// hash map on both lookup cost and allocation churn.
     visited: Vec<u32>,
-    /// Which blocks lie on a CFG cycle (shared per function; see
-    /// [`Explorer::cyclic_mask`]). Visit counts of non-cyclic blocks are
-    /// pure path history — `may_enter` can never consult them again — so
-    /// the subsumption fingerprint omits them; without this, the arm blocks
-    /// of every diamond would poison the fingerprint at the join and two
-    /// converging states could never be recognized as equal.
-    cyclic: Arc<Vec<bool>>,
     /// Heap objects allocated while this frame was active.
     heap_objects: Vec<HeapObject>,
-    /// Incremental XOR of this frame's fingerprint facts (frame identity at
-    /// its depth, cyclic visit counts, heap objects). Kept current by the
-    /// mutation helpers; valid as long as the frame sits at the depth it
-    /// was created for (frames are only ever re-pushed at the same depth).
-    fp: u64,
 }
 
 impl Frame {
-    fn new(
-        func: FuncId,
-        serial: u64,
-        block_count: usize,
-        cyclic: Arc<Vec<bool>>,
-        depth: usize,
-    ) -> Self {
-        Frame {
-            func,
-            serial,
-            visited: vec![0; block_count],
-            cyclic,
-            heap_objects: Vec::new(),
-            fp: hash2(TAG_FRAME, depth as u64, func.index() as u64),
-        }
-    }
-
     /// Rough heap footprint of one deep-cloned frame.
     fn approx_bytes(&self) -> u64 {
         (self.visited.len() * std::mem::size_of::<u32>()
@@ -157,10 +128,10 @@ struct FullMark {
     fptrs: usize,
     /// Symbol counter at the mark. Restoring it makes symbol allocation a
     /// pure function of (state, remaining program): sibling branch arms
-    /// allocate identical ids for identical work, so converging states
-    /// carry equal `next_sym` / symbol maps and can hit the subsumption
-    /// table. (Constraints never escape their path, so reuse across
-    /// rolled-back siblings cannot collide.)
+    /// allocate identical ids for identical work, so a path's constraints
+    /// do not depend on which siblings ran before it. (Constraints never
+    /// escape their path, so reuse across rolled-back siblings cannot
+    /// collide.)
     next_sym: u32,
     trace: usize,
     heap: usize,
@@ -174,8 +145,8 @@ struct FullMark {
 /// reports across both). It exists as the measured baseline for the
 /// `driver.explore.fork.*` telemetry and as a differential oracle for the
 /// journaled mode. The continuation stack is deliberately absent: branch
-/// arms are call-balanced, so `conts` (and its accumulator) return to their
-/// fork-time values on their own.
+/// arms are call-balanced, so `conts` returns to its fork-time value on its
+/// own.
 struct CloneSnapshot {
     graph: AliasGraph,
     states: StateTable,
@@ -189,128 +160,7 @@ struct CloneSnapshot {
     next_sym: u32,
     trace: Vec<Constraint>,
     frames: Vec<Frame>,
-    maps_fp: u64,
-    frames_fp: u64,
 }
-
-// ==================================================================
-// Exploration reuse: subsumption table & callee-summary cache
-// ==================================================================
-//
-// Both caches rely on the same soundness argument (DESIGN.md): table keys
-// embed a fingerprint of the *exact* live analysis state with literal
-// identifiers, plus `next_sym` and the alias-graph node count. Key equality
-// therefore means the recorded trajectory — every id it mentions, every
-// fresh id it would allocate — denotes the same objects in the replaying
-// state, so replaying the recorded effects is bit-identical to re-running
-// the subtree. Anything that breaks the argument (budget exhaustion mid
-// subtree, forced fork prefixes, event overflow) poisons the recording
-// instead of inserting an unsound entry.
-
-/// A bug emitted somewhere inside a recorded subtree: everything needed to
-/// re-emit it at replay time. `suffix` holds the constraints the subtree
-/// pushed after the recorder's entry point; the replaying path prepends its
-/// own live trace prefix, which is exactly what a re-run would have cloned.
-/// The bug body and rendered alias paths are `Arc`-shared: every recorder
-/// observing the emission (nested subsumption recorders plus the callee
-/// recorder) holds the same allocation, and replay re-emits by bumping a
-/// refcount instead of deep-cloning strings.
-#[derive(Debug, Clone)]
-struct RecordedBug {
-    pb: Arc<PendingBug>,
-    alias_paths: Arc<Vec<String>>,
-    suffix: Vec<Constraint>,
-}
-
-/// Subsumption key: block entered, dynamic state fingerprint (graph, states,
-/// condition/symbol/fptr maps, frames with visit counts and heap objects,
-/// pending continuations), symbol counter, and node count (two states with
-/// equal fingerprints but different node-vector lengths would allocate
-/// different fresh `NodeId`s during the subtree).
-type SubKey = (FuncId, BlockId, u64, u32, u64);
-
-/// A fully explored `(block, state)` subtree: replaying it re-emits the
-/// recorded bugs through the live dedup filter and adds the exploration
-/// volume the subtree cost, without touching any journaled state — a
-/// completed subtree's net state effect is nil (its enclosing branch arm
-/// rolls it back), and everything it leaves behind is write-only.
-struct SubEntry {
-    d_stats: AnalysisStats,
-    d_alias_ops: [u64; ALIAS_OP_NAMES.len()],
-    d_next_sym: u32,
-    events: Vec<RecordedBug>,
-}
-
-/// In-flight subsumption recording; one per live `exec_block` activation.
-struct SubRecorder {
-    key: SubKey,
-    base_stats: AnalysisStats,
-    base_alias_ops: [u64; ALIAS_OP_NAMES.len()],
-    base_next_sym: u32,
-    trace_len: usize,
-    events: Vec<RecordedBug>,
-    poisoned: bool,
-}
-
-/// Callee-memo key: callee, state fingerprint over graph/states/maps (the
-/// structural stacks are irrelevant to a callee's behavior), symbol counter,
-/// node count, and a call-stack fingerprint (the stack decides recursion
-/// cuts and the depth cap for nested inlining).
-type MemoKey = (FuncId, u64, u32, u64, u64);
-
-/// One return path through a memoized callee: the net journal effects from
-/// the call site to the `Ret`, the constraint suffix, the recorded bugs, and
-/// the return value to bind. The caller continuation after each `Ret` is
-/// *not* recorded — it re-runs live at replay (it belongs to the caller, and
-/// its exploration depends on caller context the key does not cover).
-struct MemoSegment {
-    graph_ops: Vec<GraphOp>,
-    state_ops: Vec<StateOp>,
-    cond_delta: Vec<(VarId, Option<PredDef>)>,
-    sym_delta: Vec<(TrackKey, Option<SymId>)>,
-    fptr_delta: Vec<(TrackKey, Option<FuncId>)>,
-    trace_suffix: Vec<Constraint>,
-    d_stats: AnalysisStats,
-    d_alias_ops: [u64; ALIAS_OP_NAMES.len()],
-    d_next_sym: u32,
-    events: Vec<RecordedBug>,
-    /// `Some` for a real return path: (returned operand, ret loc, ret inst).
-    /// `None` for the trailing segment covering dead-end exploration after
-    /// the last `Ret` (budget-relevant work with no caller continuation).
-    ret: Option<(Option<Operand>, Loc, InstId)>,
-}
-
-/// A recorded callee exploration: segments in discovery order.
-struct MemoEntry {
-    segments: Vec<MemoSegment>,
-}
-
-/// In-flight callee-summary recording. Recording *suspends* while the live
-/// caller continuation runs after each `Ret` (that work belongs to the
-/// caller) and resumes when the callee's DFS backtracks past the return.
-struct MemoRecorder {
-    key: MemoKey,
-    entry_mark: FullMark,
-    /// `conts.len()` at the call site; a `Ret` popping back to this depth is
-    /// a segment boundary.
-    base_conts: usize,
-    seg_base_stats: AnalysisStats,
-    seg_base_alias_ops: [u64; ALIAS_OP_NAMES.len()],
-    seg_events: Vec<RecordedBug>,
-    segments: Vec<MemoSegment>,
-    suspended: bool,
-    poisoned: bool,
-}
-
-/// Cap on recorded bugs per recording; noisier subtrees are cheaper to
-/// re-run than to record.
-const EVENT_CAP: usize = 256;
-/// Cap on return paths per callee recording.
-const SEGMENT_CAP: usize = 64;
-/// Cap on subsumption-table entries.
-const SUB_TABLE_CAP: usize = 1 << 16;
-/// Cap on callee-memo entries.
-const MEMO_TABLE_CAP: usize = 1 << 12;
 
 /// The per-root path explorer. Construct one per analysis root via
 /// [`Explorer::new`] and run [`Explorer::explore`].
@@ -337,17 +187,6 @@ pub struct Explorer<'a> {
     next_sym: u32,
     trace: Vec<Constraint>,
 
-    /// Incremental XOR accumulators mirroring the slow fingerprint folds
-    /// (see [`Explorer::slow_dyn_fp`]): path-local maps, frame facts, and
-    /// pending-continuation facts. Every mutation of the underlying data
-    /// funnels through the `set_*` / `push_*` / `pop_*` / `bump_visited` /
-    /// `push_heap` helpers, which keep these current; `dyn_fp` cross-checks
-    /// them against the slow folds under `debug_assert`, so the whole test
-    /// suite verifies the incremental maintenance.
-    maps_fp: u64,
-    frames_fp: u64,
-    conts_fp: u64,
-
     frames: Vec<Frame>,
     call_stack: Vec<FuncId>,
 
@@ -363,36 +202,16 @@ pub struct Explorer<'a> {
     tel_enabled: bool,
     /// Alias-graph updates by rule, indexed by [`ALIAS_OP_NAMES`].
     alias_ops: [u64; ALIAS_OP_NAMES.len()],
-
-    /// Subsumption table. Entries are `Arc`'d so a lookup copies a
-    /// pointer, not a journal, and replay can mutate `self` while holding it.
-    sub_table: FxHashMap<SubKey, Arc<SubEntry>>,
-    /// Callee-memo table, `Arc`'d like `sub_table`.
-    memo_table: FxHashMap<MemoKey, Arc<MemoEntry>>,
-    /// Active subsumption recordings, one per live `exec_block` activation.
-    sub_recs: Vec<SubRecorder>,
-    /// Active callee-summary recording (outermost memoizable call wins; at
-    /// most one at a time so segment boundaries stay unambiguous).
-    memo_rec: Option<MemoRecorder>,
-    /// Hard-disables both caches regardless of config — set for the
-    /// deterministic cache-free re-run of a budget-exhausted root.
-    caches_off: bool,
     /// Which budget tripped first ("max_insts" / "max_paths" /
     /// "deadline" / "live_bytes"), if any.
     budget_reason: Option<&'static str>,
-    /// Wall-clock deadline for this root, armed at `run_root` entry when
+    /// Wall-clock deadline for this root, armed at `explore` entry when
     /// [`AnalysisConfig::root_deadline_ms`] is non-zero; checked at fork
     /// points by `check_resource_budgets`.
     deadline: Option<std::time::Instant>,
-    /// Cached per-function cyclic-block masks (see [`Explorer::cyclic_mask`]).
-    cyclic_masks: FxHashMap<FuncId, Arc<Vec<bool>>>,
     /// Reusable per-instruction alias-resolution scratch; cleared (keeping
     /// its `Vec` capacity) instead of reallocated on every instruction.
     info_scratch: UpdateInfo,
-    /// Runs the slow fingerprint fold against the incremental accumulators
-    /// at every block entry, independent of `debug_assert` — lets a release
-    /// -mode test exercise the cross-check (see `fingerprint_cross_check`).
-    verify_fp: bool,
     /// Branch-fork telemetry (`driver.explore.fork.*`), tallied only when
     /// telemetry is enabled.
     fork_stats: ForkStats,
@@ -400,9 +219,9 @@ pub struct Explorer<'a> {
 
 /// Branch-fork cost counters for one root, merged into the
 /// `driver.explore.fork.*` telemetry family by the driver. Kept out of
-/// [`AnalysisStats`] on purpose: fork cost depends on the CoW knob and the
-/// cache configuration, while `AnalysisStats` must stay bit-identical
-/// across all of them (the equivalence tests compare it directly).
+/// [`AnalysisStats`] on purpose: fork cost depends on the CoW knob, while
+/// `AnalysisStats` must stay bit-identical across it (the equivalence tests
+/// compare it directly).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ForkStats {
     /// Branch arms explored through a state fork (mark/rollback or clone).
@@ -444,9 +263,7 @@ pub struct ExploreResult {
     /// and materializes labeled metrics once per run, keeping the per-root
     /// cost away from map operations.
     pub alias_ops: [u64; 7],
-    /// Set when this root hit an exploration budget (which budget, and
-    /// whether the caches were disabled for the run that produced the
-    /// verdicts).
+    /// Set when this root hit an exploration budget (which one).
     pub budget_note: Option<BudgetNote>,
     /// Branch-fork cost counters (all zero unless telemetry is enabled).
     pub(crate) fork_stats: ForkStats,
@@ -476,9 +293,6 @@ impl<'a> Explorer<'a> {
             frame_serial: 0,
             next_sym: 0,
             trace: Vec::new(),
-            maps_fp: 0,
-            frames_fp: 0,
-            conts_fp: 0,
             frames: Vec::new(),
             call_stack: Vec::new(),
             root,
@@ -489,54 +303,15 @@ impl<'a> Explorer<'a> {
             stats: AnalysisStats::default(),
             tel_enabled: config.telemetry,
             alias_ops: [0; ALIAS_OP_NAMES.len()],
-            sub_table: FxHashMap::default(),
-            memo_table: FxHashMap::default(),
-            sub_recs: Vec::new(),
-            memo_rec: None,
-            caches_off: false,
             budget_reason: None,
             deadline: None,
-            cyclic_masks: FxHashMap::default(),
             info_scratch: UpdateInfo::default(),
-            verify_fp: false,
             fork_stats: ForkStats::default(),
         }
     }
 
     /// Runs the exploration and returns candidates plus statistics.
-    ///
-    /// Determinism fallback: a root that exhausts an exploration budget
-    /// with caches enabled is re-explored cache-free. Replay consumes
-    /// budget in recorded-subtree chunks (a hit is refused unless it fits
-    /// strictly, which can declare exhaustion earlier than live stepping
-    /// would), so truncated verdicts are only bit-identical across cache
-    /// configurations if the truncated exploration itself ran cache-free.
-    /// Budget exhaustion is rare and already the slow path; correctness
-    /// wins over the wasted first attempt.
-    pub fn explore(self) -> ExploreResult {
-        let (module, config, checkers, root) = (self.module, self.config, self.checkers, self.root);
-        let rerun_on_exhaustion =
-            !self.caches_off && (config.exploration_cache || config.callee_memo);
-        let verify_fp = self.verify_fp;
-        let result = self.run_root();
-        // Resource-budget trips (deadline / live-bytes) do NOT take the
-        // internal cache-free rerun: re-exploring at full budget would trip
-        // again (and burn the deadline twice). The driver's demotion ladder
-        // handles them with a *bounded* re-run instead.
-        let resource_trip = matches!(
-            result.budget_note.as_ref().map(|n| n.reason.as_str()),
-            Some("deadline" | "live_bytes")
-        );
-        if rerun_on_exhaustion && !resource_trip && result.stats.budget_exhausted_roots > 0 {
-            let mut fresh = Explorer::new(module, config, checkers, root);
-            fresh.caches_off = true;
-            fresh.verify_fp = verify_fp;
-            return fresh.run_root();
-        }
-        result
-    }
-
-    fn run_root(mut self) -> ExploreResult {
+    pub fn explore(mut self) -> ExploreResult {
         faultinject::maybe_panic(
             self.config.fault_plan.as_deref(),
             "explore",
@@ -548,10 +323,8 @@ impl<'a> Explorer<'a> {
                     + std::time::Duration::from_millis(self.config.root_deadline_ms),
             );
         }
-        let nblocks = self.module.function(self.root).blocks().len();
-        let cyclic = self.cyclic_mask(self.root);
-        let frame = self.new_frame(self.root, nblocks, cyclic, 0);
-        self.push_frame(frame);
+        let frame = self.new_frame(self.root);
+        self.frames.push(frame);
         self.call_stack.push(self.root);
         let entry = self.module.function(self.root).entry();
         let mut conts = Vec::new();
@@ -563,8 +336,6 @@ impl<'a> Explorer<'a> {
         let budget_note = self.budget_reason.map(|reason| BudgetNote {
             root: self.module.function(self.root).name().to_string(),
             reason: reason.to_string(),
-            caches_disabled: self.caches_off
-                || !(self.config.exploration_cache || self.config.callee_memo),
         });
         ExploreResult {
             candidates: self.candidates,
@@ -575,17 +346,17 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Allocates a frame with a fresh serial (see [`Frame::serial`]).
-    fn new_frame(
-        &mut self,
-        func: FuncId,
-        block_count: usize,
-        cyclic: Arc<Vec<bool>>,
-        depth: usize,
-    ) -> Frame {
+    /// Allocates a frame for `func` with a fresh serial (see
+    /// [`Frame::serial`]).
+    fn new_frame(&mut self, func: FuncId) -> Frame {
         let serial = self.frame_serial;
         self.frame_serial += 1;
-        Frame::new(func, serial, block_count, cyclic, depth)
+        Frame {
+            func,
+            serial,
+            visited: vec![0; self.module.function(func).blocks().len()],
+            heap_objects: Vec::new(),
+        }
     }
 
     /// Counts one alias-graph update of rule `op` (index into
@@ -619,122 +390,21 @@ impl<'a> Explorer<'a> {
     fn full_rollback(&mut self, mark: &FullMark) {
         self.graph.rollback(mark.graph);
         self.states.rollback(mark.states);
-        while self.cond_journal.len() > mark.conds {
-            let (v, old) = self.cond_journal.pop().unwrap();
-            self.set_cond(v, old);
-        }
-        while self.sym_journal.len() > mark.syms {
-            let (k, old) = self.sym_journal.pop().unwrap();
-            self.set_sym(k, old);
-        }
-        while self.fptr_journal.len() > mark.fptrs {
-            let (k, old) = self.fptr_journal.pop().unwrap();
-            self.set_fptr(k, old);
-        }
+        undo_map(&mut self.cond_defs, &mut self.cond_journal, mark.conds);
+        undo_map(&mut self.syms, &mut self.sym_journal, mark.syms);
+        undo_map(&mut self.fptrs, &mut self.fptr_journal, mark.fptrs);
         self.next_sym = mark.next_sym;
         self.trace.truncate(mark.trace);
-        while self.heap_journal.len() > mark.heap {
-            let e = self.heap_journal.pop().unwrap();
-            let d = e.depth as usize;
+        for e in self.heap_journal.drain(mark.heap..).rev() {
             // An entry whose frame has since been discarded (a callee frame
             // dropped at its call site, possibly with objects its dead-end
-            // paths never released) needs no undo: the frame's facts left
-            // `frames_fp` wholesale when the frame was popped. The serial
-            // distinguishes that case from the live frame now at depth `d`.
-            if let Some(frame) = self.frames.get_mut(d) {
+            // paths never released) needs no undo. The serial distinguishes
+            // that case from the live frame now at depth `e.depth`.
+            if let Some(frame) = self.frames.get_mut(e.depth as usize) {
                 if frame.serial == e.serial {
-                    let h = frame.heap_objects.pop().unwrap();
-                    let fact = heap_fact(d, frame.heap_objects.len(), &h);
-                    frame.fp ^= fact;
-                    self.frames_fp ^= fact;
+                    frame.heap_objects.pop();
                 }
             }
-        }
-    }
-
-    // ==============================================================
-    // Fingerprint-maintaining mutation helpers
-    // ==============================================================
-    //
-    // All writes to the path-local maps and the structural stacks go
-    // through these so the incremental accumulators stay in lockstep.
-
-    /// Sets (or, with `None`, removes) the predicate definition of `v`,
-    /// returning the previous value for the caller to journal.
-    fn set_cond(&mut self, v: VarId, new: Option<PredDef>) -> Option<PredDef> {
-        let old = match new {
-            Some(p) => {
-                self.maps_fp ^= cond_fact(v, &p);
-                self.cond_defs.insert(v, p)
-            }
-            None => self.cond_defs.remove(&v),
-        };
-        if let Some(p) = &old {
-            self.maps_fp ^= cond_fact(v, p);
-        }
-        old
-    }
-
-    /// Sets (or removes) the symbol binding of `k`, returning the old one.
-    fn set_sym(&mut self, k: TrackKey, new: Option<SymId>) -> Option<SymId> {
-        let old = match new {
-            Some(s) => {
-                self.maps_fp ^= hash2(TAG_SYM, key_lane(k), s.index() as u64);
-                self.syms.insert(k, s)
-            }
-            None => self.syms.remove(&k),
-        };
-        if let Some(s) = old {
-            self.maps_fp ^= hash2(TAG_SYM, key_lane(k), s.index() as u64);
-        }
-        old
-    }
-
-    /// Sets (or removes) the function-pointer binding of `k`.
-    fn set_fptr(&mut self, k: TrackKey, new: Option<FuncId>) -> Option<FuncId> {
-        let old = match new {
-            Some(f) => {
-                self.maps_fp ^= hash2(TAG_FPTR, key_lane(k), f.index() as u64);
-                self.fptrs.insert(k, f)
-            }
-            None => self.fptrs.remove(&k),
-        };
-        if let Some(f) = old {
-            self.maps_fp ^= hash2(TAG_FPTR, key_lane(k), f.index() as u64);
-        }
-        old
-    }
-
-    fn push_frame(&mut self, frame: Frame) {
-        self.frames_fp ^= frame.fp;
-        self.frames.push(frame);
-    }
-
-    fn pop_frame(&mut self) -> Frame {
-        let f = self.frames.pop().expect("frame");
-        self.frames_fp ^= f.fp;
-        f
-    }
-
-    /// Adjusts the top frame's visit count for `block` by ±1. Only cyclic
-    /// blocks contribute fingerprint facts (see [`Frame::cyclic`]).
-    fn bump_visited(&mut self, block: BlockId, up: bool) {
-        let d = self.frames.len() - 1;
-        let frame = self.frames.last_mut().expect("frame");
-        let b = block.index();
-        let old = frame.visited[b];
-        let new = if up { old + 1 } else { old - 1 };
-        frame.visited[b] = new;
-        if frame.cyclic[b] {
-            let mut delta = 0u64;
-            if old > 0 {
-                delta ^= hash4(TAG_VISIT, d as u64, b as u64, old as u64, 0);
-            }
-            if new > 0 {
-                delta ^= hash4(TAG_VISIT, d as u64, b as u64, new as u64, 0);
-            }
-            frame.fp ^= delta;
-            self.frames_fp ^= delta;
         }
     }
 
@@ -742,30 +412,17 @@ impl<'a> Explorer<'a> {
     /// the push so a later [`Explorer::full_rollback`] can undo it without
     /// the mark having snapshotted any per-frame lengths.
     fn push_heap(&mut self, obj: HeapObject) {
-        let d = self.frames.len() - 1;
+        let depth = self.frames.len() as u32 - 1;
         let frame = self.frames.last_mut().expect("frame");
-        let fact = heap_fact(d, frame.heap_objects.len(), &obj);
         self.heap_journal.push(HeapPush {
             serial: frame.serial,
-            depth: d as u32,
+            depth,
         });
         frame.heap_objects.push(obj);
-        frame.fp ^= fact;
-        self.frames_fp ^= fact;
-    }
-
-    fn push_cont(&mut self, conts: &mut Vec<Cont>, c: Cont) {
-        self.conts_fp ^= cont_fact(conts.len(), &c);
-        conts.push(c);
-    }
-
-    fn pop_cont(&mut self, conts: &mut Vec<Cont>) -> Cont {
-        let c = conts.pop().expect("cont");
-        self.conts_fp ^= cont_fact(conts.len(), &c);
-        c
     }
 
     // ==============================================================
+    // Keys, symbols, terms    // ==============================================================
     // Keys, symbols, terms
     // ==============================================================
 
@@ -782,7 +439,7 @@ impl<'a> Explorer<'a> {
         }
         let s = SymId(self.next_sym);
         self.next_sym += 1;
-        let old = self.set_sym(key, Some(s));
+        let old = self.syms.insert(key, s);
         self.sym_journal.push((key, old));
         s
     }
@@ -793,7 +450,7 @@ impl<'a> Explorer<'a> {
     fn fresh_sym_for(&mut self, key: TrackKey) -> SymId {
         let s = SymId(self.next_sym);
         self.next_sym += 1;
-        let old = self.set_sym(key, Some(s));
+        let old = self.syms.insert(key, s);
         self.sym_journal.push((key, old));
         s
     }
@@ -931,84 +588,24 @@ impl<'a> Explorer<'a> {
     const MAX_PATHS_PER_BUG: u8 = 4;
 
     /// Converts pending checker reports into candidates, deduplicating by
-    /// problematic-instruction pair (§4 P3) *before* cloning the trace.
+    /// problematic-instruction pair (§4 P3) *before* cloning the trace and
+    /// rendering alias paths.
     fn flush_pending(&mut self) {
         while let Some(pb) = self.pending.pop() {
+            let count = self
+                .seen
+                .entry((pb.kind, pb.origin_id, pb.site_id))
+                .or_insert(0);
+            if *count >= Self::MAX_PATHS_PER_BUG {
+                self.stats.repeated_bugs_dropped += 1;
+                continue;
+            }
+            *count += 1;
+            self.stats.candidates += 1;
             let alias_paths = self.render_alias_paths(pb.key);
-            self.emit_bug(Arc::new(pb), Arc::new(alias_paths), None);
+            self.candidates
+                .push(pb.into_possible(self.trace.clone(), alias_paths, self.root));
         }
-    }
-
-    /// The single bug-emission funnel, shared by live discovery and cache
-    /// replay. `replay_suffix` is `Some` when re-emitting a recorded bug:
-    /// the bug's path constraints are then the *live* trace (the replaying
-    /// path's prefix) plus the constraints the recorded subtree pushed —
-    /// exactly what a re-run would have cloned. Active recorders capture
-    /// the bug with a suffix relative to their own entry point, so replay
-    /// composes across nested recordings.
-    fn emit_bug(
-        &mut self,
-        pb: Arc<PendingBug>,
-        alias_paths: Arc<Vec<String>>,
-        replay_suffix: Option<&[Constraint]>,
-    ) {
-        // Every observing recorder shares the same bug body and rendered
-        // alias paths by refcount; only the constraint suffix (different
-        // per recorder entry point) is materialized per recorder.
-        for rec in &mut self.sub_recs {
-            if rec.poisoned {
-                continue;
-            }
-            if rec.events.len() >= EVENT_CAP {
-                rec.poisoned = true;
-                continue;
-            }
-            let mut suffix = self.trace[rec.trace_len..].to_vec();
-            if let Some(s) = replay_suffix {
-                suffix.extend_from_slice(s);
-            }
-            rec.events.push(RecordedBug {
-                pb: Arc::clone(&pb),
-                alias_paths: Arc::clone(&alias_paths),
-                suffix,
-            });
-        }
-        if let Some(m) = &mut self.memo_rec {
-            if !m.suspended && !m.poisoned {
-                if m.seg_events.len() >= EVENT_CAP {
-                    m.poisoned = true;
-                } else {
-                    let mut suffix = self.trace[m.entry_mark.trace..].to_vec();
-                    if let Some(s) = replay_suffix {
-                        suffix.extend_from_slice(s);
-                    }
-                    m.seg_events.push(RecordedBug {
-                        pb: Arc::clone(&pb),
-                        alias_paths: Arc::clone(&alias_paths),
-                        suffix,
-                    });
-                }
-            }
-        }
-
-        let key = (pb.kind, pb.origin_id, pb.site_id);
-        let count = self.seen.entry(key).or_insert(0);
-        if *count >= Self::MAX_PATHS_PER_BUG {
-            self.stats.repeated_bugs_dropped += 1;
-            return;
-        }
-        *count += 1;
-        self.stats.candidates += 1;
-        let mut constraints = self.trace.clone();
-        if let Some(s) = replay_suffix {
-            constraints.extend_from_slice(s);
-        }
-        // When no recorder kept a reference, unwrapping recovers the owned
-        // values without a deep clone.
-        let pb = Arc::try_unwrap(pb).unwrap_or_else(|a| (*a).clone());
-        let alias_paths = Arc::try_unwrap(alias_paths).unwrap_or_else(|a| (*a).clone());
-        self.candidates
-            .push(pb.into_possible(constraints, alias_paths, self.root));
     }
 
     /// Renders up to four access paths of the offending alias set in the
@@ -1052,208 +649,6 @@ impl<'a> Explorer<'a> {
     }
 
     // ==============================================================
-    // State fingerprints
-    // ==============================================================
-
-    /// Mask of `func`'s blocks that lie on a CFG cycle, i.e. can be entered
-    /// more than once within one frame (recursive calls get a fresh frame).
-    /// Computed once per function by successor-set reachability and shared
-    /// by every frame running `func`.
-    fn cyclic_mask(&mut self, func: FuncId) -> Arc<Vec<bool>> {
-        if let Some(m) = self.cyclic_masks.get(&func) {
-            return Arc::clone(m);
-        }
-        let f = self.module.function(func);
-        let n = f.blocks().len();
-        let succs: Vec<Vec<usize>> = f
-            .blocks()
-            .iter()
-            .map(|b| match &b.term {
-                Terminator::Jump(t) => vec![t.index()],
-                Terminator::Branch {
-                    then_bb, else_bb, ..
-                } => vec![then_bb.index(), else_bb.index()],
-                Terminator::Ret(_) | Terminator::Unreachable => Vec::new(),
-            })
-            .collect();
-        let mut cyclic = vec![false; n];
-        let mut seen = vec![false; n];
-        for (b, mask) in cyclic.iter_mut().enumerate() {
-            seen.iter_mut().for_each(|s| *s = false);
-            let mut stack = succs[b].clone();
-            while let Some(x) = stack.pop() {
-                if x == b {
-                    *mask = true;
-                    break;
-                }
-                if !std::mem::replace(&mut seen[x], true) {
-                    stack.extend_from_slice(&succs[x]);
-                }
-            }
-        }
-        let mask = Arc::new(cyclic);
-        self.cyclic_masks.insert(func, Arc::clone(&mask));
-        mask
-    }
-
-    /// Slow XOR-fold of the path-local maps (condition definitions,
-    /// symbols, function pointers) — the reference implementation for the
-    /// incrementally maintained `maps_fp` accumulator, kept for the
-    /// `debug_assert` cross-checks.
-    fn slow_maps_fp(&self) -> u64 {
-        let mut fp = 0u64;
-        for (v, p) in &self.cond_defs {
-            fp ^= cond_fact(*v, p);
-        }
-        for (k, s) in &self.syms {
-            fp ^= hash2(TAG_SYM, key_lane(*k), s.index() as u64);
-        }
-        for (k, f) in &self.fptrs {
-            fp ^= hash2(TAG_FPTR, key_lane(*k), f.index() as u64);
-        }
-        fp
-    }
-
-    /// The full dynamic-state fingerprint keying the subsumption table:
-    /// everything a subtree's exploration can read. O(1): an XOR of the
-    /// incrementally maintained accumulators, cross-checked against the
-    /// slow recomputation in debug builds.
-    fn dyn_fp(&self, conts: &[Cont]) -> u64 {
-        let fp = self.graph.fingerprint()
-            ^ self.states.fingerprint()
-            ^ self.maps_fp
-            ^ self.frames_fp
-            ^ self.conts_fp;
-        debug_assert_eq!(fp, self.slow_dyn_fp(conts));
-        fp
-    }
-
-    /// Slow recomputation of [`Explorer::dyn_fp`] from first principles.
-    /// Structural facts carry their stack index as a hash lane so identical
-    /// facts at different positions (or duplicated facts) cannot XOR-cancel.
-    fn slow_dyn_fp(&self, conts: &[Cont]) -> u64 {
-        let mut fp = self.graph.fingerprint() ^ self.states.fingerprint() ^ self.slow_maps_fp();
-        for (d, frame) in self.frames.iter().enumerate() {
-            fp ^= hash2(TAG_FRAME, d as u64, frame.func.index() as u64);
-            // Only cyclic blocks: an acyclic block can never be re-entered
-            // within a frame, so its count is unreadable path history.
-            for (b, &count) in frame.visited.iter().enumerate() {
-                if count > 0 && frame.cyclic[b] {
-                    fp ^= hash4(TAG_VISIT, d as u64, b as u64, count as u64, 0);
-                }
-            }
-            for (i, h) in frame.heap_objects.iter().enumerate() {
-                fp ^= heap_fact(d, i, h);
-            }
-        }
-        for (i, c) in conts.iter().enumerate() {
-            fp ^= cont_fact(i, c);
-        }
-        fp
-    }
-
-    fn call_stack_fp(&self) -> u64 {
-        let mut fp = 0u64;
-        for (i, f) in self.call_stack.iter().enumerate() {
-            fp ^= hash2(TAG_CALLSTACK, i as u64, f.index() as u64);
-        }
-        fp
-    }
-
-    fn memo_key(&self, callee: FuncId, args: &[Operand]) -> MemoKey {
-        // The argument operands are part of the key: the state fingerprint
-        // is taken *before* parameter binding, so two sites calling the
-        // same callee with different operands (`h(d, 1)` vs `h(d, 2)`)
-        // would otherwise collide and replay the wrong binding.
-        let mut args_fp = 0u64;
-        for (i, a) in args.iter().enumerate() {
-            args_fp ^= hash2(TAG_ARG, i as u64, operand_lane(*a));
-        }
-        debug_assert_eq!(self.maps_fp, self.slow_maps_fp());
-        (
-            callee,
-            self.graph.fingerprint() ^ self.states.fingerprint() ^ self.maps_fp ^ args_fp,
-            self.next_sym,
-            self.graph.node_count() as u64,
-            self.call_stack_fp(),
-        )
-    }
-
-    // ==============================================================
-    // Cache tables & gates
-    // ==============================================================
-
-    fn sub_enabled(&self) -> bool {
-        self.config.exploration_cache && !self.caches_off
-    }
-
-    /// Subsumption lookups are refused while a callee recording is active
-    /// and un-suspended: a hit would swallow the `Ret` that delimits the
-    /// recording's current segment.
-    fn sub_lookup_allowed(&self) -> bool {
-        match &self.memo_rec {
-            Some(m) => m.suspended,
-            None => true,
-        }
-    }
-
-    /// Callee memoization needs alias mode: in PATA-NA mode state is keyed
-    /// by caller-scoped variables, which a callee-local effect journal
-    /// cannot name portably.
-    fn memo_enabled(&self) -> bool {
-        self.config.callee_memo
-            && !self.caches_off
-            && self.config.alias_mode == AliasMode::PathBased
-    }
-
-    fn insert_sub(&mut self, key: SubKey, entry: SubEntry) {
-        if self.sub_table.len() < SUB_TABLE_CAP {
-            self.sub_table.insert(key, Arc::new(entry));
-        }
-    }
-
-    fn insert_memo(&mut self, key: MemoKey, entry: MemoEntry) {
-        if self.memo_table.len() < MEMO_TABLE_CAP {
-            self.memo_table.insert(key, Arc::new(entry));
-        }
-    }
-
-    /// Whether a recorded exploration delta fits strictly under the
-    /// remaining budget. Strict fit keeps replay deterministic: exhaustion
-    /// always trips *between* recorded units, never inside one, and a
-    /// subtree that would cross the line re-runs live so the budgeted
-    /// truncation lands on the same instruction a cache-free run stops at.
-    fn replay_fits(&self, d: &AnalysisStats) -> bool {
-        let b = &self.config.budget;
-        self.stats.insts_processed + d.insts_processed < b.max_insts as u64
-            && self.stats.paths_explored + d.paths_explored < b.max_paths as u64
-    }
-
-    // ==============================================================
-    // Replay
-    // ==============================================================
-
-    /// Replays a completed-subtree entry: pure accounting plus re-emitting
-    /// the recorded bugs through the live dedup filter.
-    fn replay_sub(&mut self, entry: &SubEntry) {
-        self.stats += &entry.d_stats;
-        self.stats.insts_replayed += entry.d_stats.insts_processed;
-        self.stats.exploration_cache_hits += 1;
-        for (a, d) in self.alias_ops.iter_mut().zip(&entry.d_alias_ops) {
-            *a += d;
-        }
-        self.next_sym += entry.d_next_sym;
-        for i in 0..entry.events.len() {
-            let RecordedBug {
-                pb,
-                alias_paths,
-                suffix,
-            } = entry.events[i].clone();
-            self.emit_bug(pb, alias_paths, Some(&suffix));
-        }
-    }
-
-    // ==============================================================
     // Execution
     // ==============================================================
 
@@ -1284,7 +679,7 @@ impl<'a> Explorer<'a> {
     /// real wall-clock deadline and live-bytes ceiling. Returns whether a
     /// budget tripped *now* — the root is then marked exhausted with the
     /// budget reason and the driver's demote-then-quarantine ladder takes
-    /// over (the internal cache-free rerun is skipped for these reasons).
+    /// over.
     fn check_resource_budgets(&mut self) -> bool {
         if self.exhausted {
             return false;
@@ -1332,82 +727,10 @@ impl<'a> Explorer<'a> {
         if !self.budget_ok() {
             return;
         }
-
-        // Fingerprint cross-check, active independent of `debug_assert` so
-        // a release-mode test can drive it (see `tests` below). The hot
-        // path pays one predicted branch.
-        if self.verify_fp {
-            let fast = self.graph.fingerprint()
-                ^ self.states.fingerprint()
-                ^ self.maps_fp
-                ^ self.frames_fp
-                ^ self.conts_fp;
-            assert_eq!(
-                fast,
-                self.slow_dyn_fp(conts),
-                "incremental fingerprint accumulators diverged from the slow fold"
-            );
-        }
-
-        // Subsumption: if this exact (block, state) was fully explored
-        // before and its recorded volume fits the remaining budget, replay
-        // the recorded effects instead of re-walking the subtree. The
-        // fingerprint is taken *before* this entry's visit-count bump, the
-        // same point the recording keyed on.
-        let mut rec_pushed = false;
-        if self.sub_enabled() {
-            let key = (
-                func,
-                block,
-                self.dyn_fp(conts),
-                self.next_sym,
-                self.graph.node_count() as u64,
-            );
-            if self.sub_lookup_allowed() {
-                if let Some(entry) = self.sub_table.get(&key).cloned() {
-                    if self.replay_fits(&entry.d_stats) {
-                        self.replay_sub(&entry);
-                        return;
-                    }
-                }
-            }
-            self.sub_recs.push(SubRecorder {
-                key,
-                base_stats: self.stats.clone(),
-                base_alias_ops: self.alias_ops,
-                base_next_sym: self.next_sym,
-                trace_len: self.trace.len(),
-                events: Vec::new(),
-                poisoned: false,
-            });
-            rec_pushed = true;
-        }
-
         debug_assert_eq!(self.frames.last().expect("frame").func, func);
-        self.bump_visited(block, true);
+        self.frames.last_mut().expect("frame").visited[block.index()] += 1;
         self.exec_from(func, block, 0, conts);
-        self.bump_visited(block, false);
-
-        if rec_pushed {
-            let rec = self.sub_recs.pop().expect("recorder");
-            // An exhausted subtree is incomplete; inserting it would let a
-            // replay claim exploration that never happened.
-            if !self.exhausted && !rec.poisoned {
-                let mut d_alias_ops = self.alias_ops;
-                for (d, b) in d_alias_ops.iter_mut().zip(&rec.base_alias_ops) {
-                    *d -= b;
-                }
-                self.insert_sub(
-                    rec.key,
-                    SubEntry {
-                        d_stats: self.stats.exploration_delta(&rec.base_stats),
-                        d_alias_ops,
-                        d_next_sym: self.next_sym - rec.base_next_sym,
-                        events: rec.events,
-                    },
-                );
-            }
-        }
+        self.frames.last_mut().expect("frame").visited[block.index()] -= 1;
     }
 
     fn exec_from(&mut self, func: FuncId, block: BlockId, start: usize, conts: &mut Vec<Cont>) {
@@ -1593,14 +916,13 @@ impl<'a> Explorer<'a> {
             next_sym: self.next_sym,
             trace: self.trace.clone(),
             frames: self.frames.clone(),
-            maps_fp: self.maps_fp,
-            frames_fp: self.frames_fp,
         }
     }
 
     /// Restores a clone-fork snapshot by move-assignment. Journals are
-    /// restored to their fork-time prefixes, so marks held by recorders
-    /// opened before the fork stay valid, exactly as under rollback.
+    /// restored to their fork-time prefixes, exactly as under rollback, so
+    /// the journal-depth telemetry and the live-bytes estimate agree across
+    /// both fork modes.
     fn restore_snapshot(&mut self, snap: CloneSnapshot) {
         self.graph = snap.graph;
         self.states = snap.states;
@@ -1614,8 +936,6 @@ impl<'a> Explorer<'a> {
         self.next_sym = snap.next_sym;
         self.trace = snap.trace;
         self.frames = snap.frames;
-        self.maps_fp = snap.maps_fp;
-        self.frames_fp = snap.frames_fp;
     }
 
     fn assert_branch(&mut self, p: PredDef, taken: bool, loc: Loc, inst_id: InstId) {
@@ -1700,49 +1020,11 @@ impl<'a> Explorer<'a> {
         }
 
         // Return into the caller's continuation.
-        let cont = self.pop_cont(conts);
-        let frame = self.pop_frame();
+        let cont = conts.pop().expect("cont");
+        let frame = self.frames.pop().expect("frame");
         let callee = self.call_stack.pop().unwrap();
 
-        // Popping back to the memoized call site's depth delimits one
-        // return path of the recording: snapshot its net effects, then
-        // suspend while the *caller's* continuation runs live (that work
-        // belongs to the caller, not the callee summary).
-        let memo_boundary = matches!(
-            &self.memo_rec,
-            Some(m) if !m.suspended && conts.len() == m.base_conts
-        );
-        if memo_boundary {
-            self.memo_end_segment(Some((value, loc, inst_id)));
-        }
-
-        self.ret_into_caller(cont.dst, value, loc, inst_id, &cont, conts);
-
-        // Restore structural stacks for sibling paths in the callee. The
-        // frame re-enters at the depth it was created for, so its cached
-        // fingerprint is still valid.
-        self.call_stack.push(callee);
-        self.push_frame(frame);
-        self.push_cont(conts, cont);
-        if memo_boundary {
-            self.memo_resume();
-        }
-    }
-
-    /// The live caller-side tail of a return: bind the value, re-own
-    /// returned heap objects, and continue the caller's block. Shared by
-    /// normal returns and callee-memo replay (which re-runs this part live
-    /// at every replayed return path).
-    fn ret_into_caller(
-        &mut self,
-        dst: Option<VarId>,
-        value: Option<Operand>,
-        loc: Loc,
-        inst_id: InstId,
-        cont: &Cont,
-        conts: &mut Vec<Cont>,
-    ) {
-        if let Some(dst) = dst {
+        if let Some(dst) = cont.dst {
             self.bind_value(dst, value, loc, inst_id);
             // Re-own heap objects transferred by `return p` (ML RETURNED →
             // SNF in the caller's frame).
@@ -1774,162 +1056,12 @@ impl<'a> Explorer<'a> {
                 }
             }
         }
-
         self.exec_from(cont.func, cont.block, cont.next_inst, conts);
-    }
 
-    // ==============================================================
-    // Callee-summary recording & replay
-    // ==============================================================
-
-    /// Closes the current recording segment: net journal effects since the
-    /// call site, the constraint suffix, exploration volume since the last
-    /// resume, and (for a real return path) the value to bind.
-    fn memo_end_segment(&mut self, ret: Option<(Option<Operand>, Loc, InstId)>) {
-        let Some(mut m) = self.memo_rec.take() else {
-            return;
-        };
-        if m.segments.len() >= SEGMENT_CAP {
-            m.poisoned = true;
-        }
-        if !m.poisoned {
-            // Net map deltas: touched keys from the journal suffix, with
-            // their *current* values (rollbacks between return paths pop
-            // their journal entries, so the suffix is pollution-free).
-            let mut cond_delta = Vec::new();
-            let mut cond_seen = FxHashMap::default();
-            for (v, _) in &self.cond_journal[m.entry_mark.conds..] {
-                if cond_seen.insert(*v, ()).is_none() {
-                    cond_delta.push((*v, self.cond_defs.get(v).copied()));
-                }
-            }
-            let mut sym_delta = Vec::new();
-            let mut sym_seen = FxHashMap::default();
-            for (k, _) in &self.sym_journal[m.entry_mark.syms..] {
-                if sym_seen.insert(*k, ()).is_none() {
-                    sym_delta.push((*k, self.syms.get(k).copied()));
-                }
-            }
-            let mut fptr_delta = Vec::new();
-            let mut fptr_seen = FxHashMap::default();
-            for (k, _) in &self.fptr_journal[m.entry_mark.fptrs..] {
-                if fptr_seen.insert(*k, ()).is_none() {
-                    fptr_delta.push((*k, self.fptrs.get(k).copied()));
-                }
-            }
-            let mut d_alias_ops = self.alias_ops;
-            for (d, b) in d_alias_ops.iter_mut().zip(&m.seg_base_alias_ops) {
-                *d -= b;
-            }
-            m.segments.push(MemoSegment {
-                graph_ops: self.graph.ops_since(m.entry_mark.graph).to_vec(),
-                state_ops: self.states.ops_since(m.entry_mark.states).to_vec(),
-                cond_delta,
-                sym_delta,
-                fptr_delta,
-                trace_suffix: self.trace[m.entry_mark.trace..].to_vec(),
-                d_stats: self.stats.exploration_delta(&m.seg_base_stats),
-                d_alias_ops,
-                // Entry-relative, like every journaled delta: branch
-                // rollbacks inside the callee restore `next_sym`, so the
-                // value at each `Ret` is entry + this path's allocations —
-                // exactly what the replay's per-segment rollback expects.
-                d_next_sym: self.next_sym - m.entry_mark.next_sym,
-                events: std::mem::take(&mut m.seg_events),
-                ret,
-            });
-        }
-        m.suspended = true;
-        self.memo_rec = Some(m);
-    }
-
-    /// Resumes recording after the live caller tail of a return path.
-    fn memo_resume(&mut self) {
-        if let Some(m) = &mut self.memo_rec {
-            m.suspended = false;
-            m.seg_base_stats = self.stats.clone();
-            m.seg_base_alias_ops = self.alias_ops;
-        }
-    }
-
-    /// Replays a recorded callee exploration at a call site whose entry
-    /// state matches the recording's key: per return path, apply the net
-    /// effects through the journaled primitives, re-emit recorded bugs, run
-    /// the caller continuation live, and roll back for the next path.
-    fn replay_memo(
-        &mut self,
-        entry: &MemoEntry,
-        func: FuncId,
-        inst_id: InstId,
-        dst: Option<VarId>,
-        conts: &mut Vec<Cont>,
-    ) {
-        self.stats.callee_memo_hits += 1;
-        let mark = self.full_mark();
-        let cont = Cont {
-            func,
-            block: inst_id.block,
-            next_inst: inst_id.inst + 1,
-            dst,
-        };
-        for seg in &entry.segments {
-            if self.exhausted {
-                break;
-            }
-            if !self.replay_fits(&seg.d_stats) {
-                // The recording would cross a budget line mid-path; stop
-                // here. explore() re-runs the root cache-free, so the
-                // truncated verdicts never reach the user.
-                self.exhausted = true;
-                let b = &self.config.budget;
-                let reason = if self.stats.insts_processed + seg.d_stats.insts_processed
-                    >= b.max_insts as u64
-                {
-                    "max_insts"
-                } else {
-                    "max_paths"
-                };
-                self.budget_reason.get_or_insert(reason);
-                break;
-            }
-            for op in &seg.graph_ops {
-                self.graph.apply_op(op);
-            }
-            for op in &seg.state_ops {
-                self.states.apply_op(op);
-            }
-            for (v, new) in &seg.cond_delta {
-                let old = self.set_cond(*v, *new);
-                self.cond_journal.push((*v, old));
-            }
-            for (k, new) in &seg.sym_delta {
-                let old = self.set_sym(*k, *new);
-                self.sym_journal.push((*k, old));
-            }
-            for (k, new) in &seg.fptr_delta {
-                let old = self.set_fptr(*k, *new);
-                self.fptr_journal.push((*k, old));
-            }
-            self.next_sym += seg.d_next_sym;
-            self.stats += &seg.d_stats;
-            self.stats.insts_replayed += seg.d_stats.insts_processed;
-            for (a, d) in self.alias_ops.iter_mut().zip(&seg.d_alias_ops) {
-                *a += d;
-            }
-            for i in 0..seg.events.len() {
-                let RecordedBug {
-                    pb,
-                    alias_paths,
-                    suffix,
-                } = seg.events[i].clone();
-                self.emit_bug(pb, alias_paths, Some(&suffix));
-            }
-            self.trace.extend_from_slice(&seg.trace_suffix);
-            if let Some((value, rloc, rid)) = seg.ret {
-                self.ret_into_caller(dst, value, rloc, rid, &cont, conts);
-            }
-            self.full_rollback(&mark);
-        }
+        // Restore structural stacks for sibling paths in the callee.
+        self.call_stack.push(callee);
+        self.frames.push(frame);
+        conts.push(cont);
     }
 
     /// Binds `value` into `dst` as the paper's return-MOVE (Fig. 6 line 20).
@@ -2185,13 +1317,13 @@ impl<'a> Explorer<'a> {
                     }
                 }
                 // Remember the predicate for the branch that consumes dst.
-                let old = self.set_cond(
+                let old = self.cond_defs.insert(
                     *dst,
-                    Some(PredDef {
+                    PredDef {
                         op: *op,
                         lhs: *lhs,
                         rhs: *rhs,
-                    }),
+                    },
                 );
                 self.cond_journal.push((*dst, old));
                 self.na_clear_def(*dst);
@@ -2210,7 +1342,7 @@ impl<'a> Explorer<'a> {
                 } else {
                     TrackKey::Var(*dst)
                 };
-                let old = self.set_fptr(key, Some(*target));
+                let old = self.fptrs.insert(key, *target);
                 self.fptr_journal.push((key, old));
                 info.dst_key = Some(key);
             }
@@ -2326,44 +1458,6 @@ impl<'a> Explorer<'a> {
         self.run_checkers_inst(kind, &info, loc, inst_id);
         self.info_scratch = info;
 
-        // Callee-summary cache: the memoized span runs from parameter
-        // binding through the callee's whole exploration (the call-site
-        // checker dispatch above stays live — it is common to both).
-        let memo_key = if self.memo_enabled() {
-            Some(self.memo_key(f, args))
-        } else {
-            None
-        };
-        if let Some(key) = &memo_key {
-            if let Some(entry) = self.memo_table.get(key).cloned() {
-                if entry
-                    .segments
-                    .first()
-                    .is_some_and(|seg| self.replay_fits(&seg.d_stats))
-                {
-                    self.replay_memo(&entry, func, inst_id, dst, conts);
-                    return Flow::EnteredCall;
-                }
-            }
-        }
-        // Record only the outermost memoizable call: one recorder at a time
-        // keeps segment boundaries unambiguous, and inner calls are covered
-        // the next time they are reached directly.
-        let record = memo_key.is_some() && self.memo_rec.is_none();
-        if record {
-            self.memo_rec = Some(MemoRecorder {
-                key: memo_key.unwrap(),
-                entry_mark: self.full_mark(),
-                base_conts: conts.len(),
-                seg_base_stats: self.stats.clone(),
-                seg_base_alias_ops: self.alias_ops,
-                seg_events: Vec::new(),
-                segments: Vec::new(),
-                suspended: false,
-                poisoned: false,
-            });
-        }
-
         // HandleCALL (Fig. 6): parameter passing is a sequence of MOVEs.
         // Borrowed straight from the module (its lifetime outlives `self`
         // borrows) — the old copy into a fresh `Vec` was pure churn.
@@ -2377,42 +1471,20 @@ impl<'a> Explorer<'a> {
             self.bind_value(param, Some(arg), loc, inst_id);
         }
 
-        self.push_cont(
-            conts,
-            Cont {
-                func,
-                block: inst_id.block,
-                next_inst: inst_id.inst + 1,
-                dst,
-            },
-        );
+        conts.push(Cont {
+            func,
+            block: inst_id.block,
+            next_inst: inst_id.inst + 1,
+            dst,
+        });
         self.call_stack.push(f);
-        let nblocks = self.module.function(f).blocks().len();
-        let cyclic = self.cyclic_mask(f);
-        let depth = self.frames.len();
-        let frame = self.new_frame(f, nblocks, cyclic, depth);
-        self.push_frame(frame);
+        let frame = self.new_frame(f);
+        self.frames.push(frame);
         let entry = self.module.function(f).entry();
         self.exec_block(f, entry, conts);
-        self.pop_frame();
+        self.frames.pop();
         self.call_stack.pop();
-        self.pop_cont(conts);
-
-        if record {
-            // Close the trailing segment (dead-end exploration after the
-            // last return path: budget-relevant, no caller continuation),
-            // then publish the recording if it stayed clean.
-            self.memo_end_segment(None);
-            let m = self.memo_rec.take().expect("memo recorder");
-            if !self.exhausted && !m.poisoned {
-                self.insert_memo(
-                    m.key,
-                    MemoEntry {
-                        segments: m.segments,
-                    },
-                );
-            }
-        }
+        conts.pop();
         Flow::EnteredCall
     }
 }
@@ -2426,60 +1498,19 @@ fn nkey(n: NodeId) -> TrackKey {
     TrackKey::Node(n)
 }
 
-/// Collapses a tracking key into one hash lane; mirrors the state table's
-/// internal lane packing (node ids and variable ids live in disjoint
-/// ranges).
-fn key_lane(key: TrackKey) -> u64 {
-    match key {
-        TrackKey::Node(n) => n.index() as u64,
-        TrackKey::Var(v) => (1u64 << 32) | v.index() as u64,
+/// Pops `journal` back to `len`, restoring each popped key's old value in
+/// `map` (the undo half of the path-local map journals).
+fn undo_map<K: Hash + Eq, V>(
+    map: &mut FxHashMap<K, V>,
+    journal: &mut Vec<(K, Option<V>)>,
+    len: usize,
+) {
+    for (k, old) in journal.drain(len..).rev() {
+        match old {
+            Some(v) => map.insert(k, v),
+            None => map.remove(&k),
+        };
     }
-}
-
-/// One hash lane per operand; constants and variables in disjoint ranges.
-fn operand_lane(op: Operand) -> u64 {
-    match op {
-        Operand::Const(c) => mix(c.as_int() as u64),
-        Operand::Var(v) => mix((1u64 << 63) | v.index() as u64),
-    }
-}
-
-/// Packs an instruction id into one hash lane.
-fn pack_inst(id: InstId) -> u64 {
-    ((id.func.index() as u64) << 40) ^ ((id.block.index() as u64) << 20) ^ id.inst as u64
-}
-
-/// Fingerprint fact for one predicate definition.
-fn cond_fact(v: VarId, p: &PredDef) -> u64 {
-    hash4(
-        TAG_COND,
-        v.index() as u64,
-        p.op as u64,
-        operand_lane(p.lhs),
-        operand_lane(p.rhs),
-    )
-}
-
-/// Fingerprint fact for heap object `idx` of the frame at `depth`.
-fn heap_fact(depth: usize, idx: usize, h: &HeapObject) -> u64 {
-    hash4(
-        TAG_HEAP,
-        ((depth as u64) << 32) | idx as u64,
-        key_lane(h.key),
-        pack_inst(h.inst_id),
-        0,
-    )
-}
-
-/// Fingerprint fact for the pending continuation at stack index `i`.
-fn cont_fact(i: usize, c: &Cont) -> u64 {
-    hash4(
-        TAG_CONT,
-        i as u64,
-        c.func.index() as u64,
-        ((c.block.index() as u64) << 20) | c.next_inst as u64,
-        c.dst.map_or(u64::MAX, |v| v.index() as u64),
-    )
 }
 
 fn to_smt_op(op: CmpOp) -> SmtOp {
@@ -2516,7 +1547,7 @@ mod tests {
     use crate::config::AnalysisConfig;
 
     /// Forked diamonds with a helper call, a loop, heap traffic and real
-    /// bugs on some paths: every fingerprint domain (graph, states,
+    /// bugs on some paths: every forkable structure (graph, states,
     /// cond/sym/fptr maps, frames, visit counts, heap objects,
     /// continuations) is exercised, and both fork directions carry
     /// different state.
@@ -2560,7 +1591,7 @@ mod tests {
         }
     "#;
 
-    fn explore_all(config: &AnalysisConfig, verify_fp: bool) -> (usize, u64, ForkStats) {
+    fn explore_all(config: &AnalysisConfig) -> (usize, u64, ForkStats) {
         let mut module = pata_cc::compile_one("d.c", DIAMOND_SRC).unwrap();
         let checkers: Vec<Box<dyn Checker>> =
             config.checkers.iter().map(|k| k.instantiate()).collect();
@@ -2570,36 +1601,12 @@ mod tests {
         let mut paths = 0;
         let mut forks = ForkStats::default();
         for root in roots {
-            let mut ex = Explorer::new(&module, config, &checkers, root);
-            ex.verify_fp = verify_fp;
-            let result = ex.explore();
+            let result = Explorer::new(&module, config, &checkers, root).explore();
             candidates += result.candidates.len();
             paths += result.stats.paths_explored;
             forks.merge(&result.fork_stats);
         }
         (candidates, paths, forks)
-    }
-
-    /// Satellite of the CoW PR: the fingerprint accumulator cross-check
-    /// promoted from `debug_assert` to a real test that runs the slow fold
-    /// against the incremental value at every block entry — including in
-    /// release mode, where `debug_assert` compiles out (CI runs this test
-    /// under `--release` explicitly).
-    #[test]
-    fn fingerprint_accumulators_match_slow_fold_over_forked_diamonds() {
-        let config = AnalysisConfig::default();
-        let (candidates, paths, _) = explore_all(&config, true);
-        assert!(paths > 8, "diamond corpus should fork: {paths} paths");
-        assert!(candidates > 0, "corpus should produce candidate bugs");
-
-        // Same cross-check under clone-based forking: the restore path
-        // must leave the accumulators exactly where rollback would.
-        let clone_config = AnalysisConfig {
-            cow_state: false,
-            ..AnalysisConfig::default()
-        };
-        let (c2, p2, _) = explore_all(&clone_config, true);
-        assert_eq!((candidates, paths), (c2, p2));
     }
 
     /// CoW and clone forking are observationally identical, and the fork
@@ -2616,8 +1623,8 @@ mod tests {
             cow_state: false,
             ..AnalysisConfig::default()
         };
-        let (c1, p1, f1) = explore_all(&cow, false);
-        let (c2, p2, f2) = explore_all(&clone, false);
+        let (c1, p1, f1) = explore_all(&cow);
+        let (c2, p2, f2) = explore_all(&clone);
         assert_eq!((c1, p1), (c2, p2));
         assert_eq!(f1.forks, f2.forks, "same branches explored");
         assert!(f1.forks > 0);

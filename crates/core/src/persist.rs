@@ -509,9 +509,9 @@ fn closure_word(sum: u64, count: u64) -> u64 {
 /// Fingerprint of the verdict-relevant configuration. Two configurations
 /// with equal fingerprints produce byte-identical reports on the same
 /// input, so cached results can be shared between them. Deliberately
-/// excluded: `threads`, `telemetry`, and the verdict-neutral cache
-/// switches (`validation_cache`, `exploration_cache`, `callee_memo`) — the
-/// load-bearing determinism invariant says they never change a verdict.
+/// excluded: `threads`, `telemetry`, and the verdict-neutral switches
+/// (`validation_cache`, `cow_state`) — the load-bearing determinism
+/// invariant says they never change a verdict.
 pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
     let mut text = String::new();
     for kind in &config.checkers {
@@ -992,11 +992,12 @@ fn write_root(out: &mut String, r: &StoredRoot) {
     write_stats(out, &r.stats);
     match &r.note {
         Some(n) => {
+            // `caches_disabled` is always true: kept for the store layout
+            // until the schema is next bumped.
             out.push_str(&format!(
-                ", \"note\": {{\"root\": {}, \"reason\": {}, \"caches_disabled\": {}}}",
+                ", \"note\": {{\"root\": {}, \"reason\": {}, \"caches_disabled\": true}}",
                 quote(&n.root),
                 quote(&n.reason),
-                n.caches_disabled
             ));
         }
         None => out.push_str(", \"note\": null"),
@@ -1025,7 +1026,6 @@ fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
         n => Some(BudgetNote {
             root: n.get("root")?.as_str()?.to_owned(),
             reason: n.get("reason")?.as_str()?.to_owned(),
-            caches_disabled: n.get("caches_disabled")?.as_bool()?,
         }),
     };
     let degraded = match v.get("degraded") {
@@ -1049,8 +1049,10 @@ fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
 
 /// The per-root exploration counters worth persisting: everything the
 /// explorer itself accumulates. Filter-stage counters (candidates,
-/// reported, validation hits) are recomputed live on every run.
-const STAT_FIELDS: [&str; 11] = [
+/// reported, validation hits) are recomputed live on every run. Readers
+/// look up only these names, so a store carrying other fields (such as
+/// the retired stage-1 cache counters) still loads.
+const STAT_FIELDS: [&str; 8] = [
     "roots",
     "paths_explored",
     "insts_processed",
@@ -1059,9 +1061,6 @@ const STAT_FIELDS: [&str; 11] = [
     "constraints_aware",
     "constraints_unaware",
     "budget_exhausted_roots",
-    "exploration_cache_hits",
-    "callee_memo_hits",
-    "insts_replayed",
 ];
 
 fn stat_field(s: &AnalysisStats, name: &str) -> u64 {
@@ -1074,9 +1073,6 @@ fn stat_field(s: &AnalysisStats, name: &str) -> u64 {
         "constraints_aware" => s.constraints_aware,
         "constraints_unaware" => s.constraints_unaware,
         "budget_exhausted_roots" => s.budget_exhausted_roots,
-        "exploration_cache_hits" => s.exploration_cache_hits,
-        "callee_memo_hits" => s.callee_memo_hits,
-        "insts_replayed" => s.insts_replayed,
         _ => unreachable!("unknown stat field"),
     }
 }
@@ -1091,9 +1087,6 @@ fn stat_field_mut<'a>(s: &'a mut AnalysisStats, name: &str) -> &'a mut u64 {
         "constraints_aware" => &mut s.constraints_aware,
         "constraints_unaware" => &mut s.constraints_unaware,
         "budget_exhausted_roots" => &mut s.budget_exhausted_roots,
-        "exploration_cache_hits" => &mut s.exploration_cache_hits,
-        "callee_memo_hits" => &mut s.callee_memo_hits,
-        "insts_replayed" => &mut s.insts_replayed,
         _ => unreachable!("unknown stat field"),
     }
 }
@@ -1374,7 +1367,6 @@ mod tests {
                 note: Some(BudgetNote {
                     root: "probe".into(),
                     reason: "max_paths".into(),
-                    caches_disabled: false,
                 }),
                 degraded: Some(DegradedRoot {
                     root: "probe".into(),
@@ -1446,8 +1438,7 @@ mod tests {
         neutral.threads = 7;
         neutral.telemetry = true;
         neutral.validation_cache = false;
-        neutral.exploration_cache = false;
-        neutral.callee_memo = false;
+        neutral.cow_state = false;
         assert_eq!(config_fingerprint(&neutral), base_fp);
         // …verdict-relevant knobs do not.
         let mut relevant = base.clone();

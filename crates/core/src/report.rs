@@ -131,7 +131,7 @@ pub struct DegradedRoot {
     pub reason: String,
     /// What the pipeline did: `"quarantined"` (root skipped, its verdicts
     /// absent from this report) or `"demoted"` (verdicts come from a
-    /// bounded cache-free re-run).
+    /// bounded re-run).
     pub action: String,
 }
 
@@ -281,9 +281,9 @@ impl Report {
                 out.push_str(&quote(&n.root));
                 out.push_str(", \"reason\": ");
                 out.push_str(&quote(&n.reason));
-                out.push_str(", \"caches_disabled\": ");
-                out.push_str(if n.caches_disabled { "true" } else { "false" });
-                out.push('}');
+                // Always true: every note comes from a run without stage-1
+                // reuse. Kept for the report schema until it is next bumped.
+                out.push_str(", \"caches_disabled\": true}");
             }
             out.push(']');
         }
@@ -390,10 +390,6 @@ impl Report {
                 budget_notes.push(crate::stats::BudgetNote {
                     root: str_field("root")?,
                     reason: str_field("reason")?,
-                    caches_disabled: item
-                        .get("caches_disabled")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or_else(|| schema("missing budget note field `caches_disabled`"))?,
                 });
             }
         }

@@ -62,8 +62,7 @@ pub struct AnalysisOutcome {
     /// [`TelemetrySnapshot::to_json`] for the stable wire format.
     pub telemetry: TelemetrySnapshot,
     /// Per-root budget-exhaustion detail (in root order): which roots hit
-    /// `max_insts`/`max_paths`, and whether their verdicts come from the
-    /// deterministic cache-free re-run. Empty when no root was truncated.
+    /// which budget. Empty when no root was truncated.
     pub budget_notes: Vec<BudgetNote>,
     /// Roots the fault-containment ladder quarantined or demoted, sorted by
     /// `(root, stage)`. Empty on a healthy run.

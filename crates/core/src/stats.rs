@@ -51,15 +51,16 @@ pub struct AnalysisStats {
     pub validation_scope_reuse: u64,
     /// Roots a worker stole from another worker's queue (root scheduler).
     pub work_steals: u64,
-    /// Stage-1 subsumption hits: blocks whose exact entry state was already
-    /// explored, answered by replaying the recorded effects.
+    /// Always 0: stage 1 has no subsumption table. Kept so the benchmark
+    /// harness compiles until its next revision (ROADMAP "For the
+    /// benchmark's next revision").
+    #[deprecated(note = "stage 1 has no subsumption table; always 0")]
     pub exploration_cache_hits: u64,
-    /// Stage-1 callee-summary hits: inlined calls answered by replaying a
-    /// recorded effect journal instead of re-exploring the callee.
+    /// Always 0: stage 1 has no callee memo. Kept so the benchmark harness
+    /// compiles until its next revision (ROADMAP "For the benchmark's next
+    /// revision").
+    #[deprecated(note = "stage 1 has no callee memo; always 0")]
     pub callee_memo_hits: u64,
-    /// Instructions accounted through cache replay rather than executed.
-    /// `insts_processed - insts_replayed` is the live DFS step count.
-    pub insts_replayed: u64,
     /// Wall-clock analysis time.
     pub time: Duration,
 }
@@ -83,25 +84,13 @@ impl AnalysisStats {
         1.0 - (self.constraints_aware as f64 / self.constraints_unaware as f64)
     }
 
-    /// Stage-1 DFS steps actually executed (replayed work excluded).
+    /// Stage-1 DFS steps: every step is live, so this is
+    /// [`AnalysisStats::insts_processed`]. Kept so the benchmark harness
+    /// compiles until its next revision (ROADMAP "For the benchmark's next
+    /// revision").
+    #[deprecated(note = "every step is live; use `insts_processed`")]
     pub fn live_steps(&self) -> u64 {
-        self.insts_processed.saturating_sub(self.insts_replayed)
-    }
-
-    /// The exploration-volume delta accumulated since `base` — only the
-    /// counters a path subtree mutates (paths, instructions, typestate and
-    /// constraint volumes). Candidate/drop counters are deliberately left
-    /// zero: cache replay recomputes them through the live dedup filter.
-    pub(crate) fn exploration_delta(&self, base: &AnalysisStats) -> AnalysisStats {
-        AnalysisStats {
-            paths_explored: self.paths_explored - base.paths_explored,
-            insts_processed: self.insts_processed - base.insts_processed,
-            typestates_aware: self.typestates_aware - base.typestates_aware,
-            typestates_unaware: self.typestates_unaware - base.typestates_unaware,
-            constraints_aware: self.constraints_aware - base.constraints_aware,
-            constraints_unaware: self.constraints_unaware - base.constraints_unaware,
-            ..AnalysisStats::default()
-        }
+        self.insts_processed
     }
 }
 
@@ -112,13 +101,9 @@ impl AnalysisStats {
 pub struct BudgetNote {
     /// Root function name.
     pub root: String,
-    /// Which budget tripped first: `"max_insts"` or `"max_paths"`.
+    /// Which budget tripped first: `"max_insts"`, `"max_paths"`,
+    /// `"deadline"` or `"live_bytes"`.
     pub reason: String,
-    /// Whether the exploration caches were disabled for this root: a root
-    /// that exhausts its budget with caches enabled is deterministically
-    /// re-explored cache-free, so budget-truncated verdicts stay
-    /// bit-identical to a cache-disabled run.
-    pub caches_disabled: bool,
 }
 
 impl AddAssign<&AnalysisStats> for AnalysisStats {
@@ -141,9 +126,6 @@ impl AddAssign<&AnalysisStats> for AnalysisStats {
         self.validation_cache_misses += rhs.validation_cache_misses;
         self.validation_scope_reuse += rhs.validation_scope_reuse;
         self.work_steals += rhs.work_steals;
-        self.exploration_cache_hits += rhs.exploration_cache_hits;
-        self.callee_memo_hits += rhs.callee_memo_hits;
-        self.insts_replayed += rhs.insts_replayed;
         self.time += rhs.time;
     }
 }

@@ -10,7 +10,7 @@
 use crate::alias::NodeId;
 use crate::checkers::BugKind;
 use crate::config::AliasMode;
-use crate::fingerprint::{hash4, FxHashMap, TAG_STATE};
+use crate::fingerprint::FxHashMap;
 use crate::report::PossibleBug;
 use crate::stats::AnalysisStats;
 use pata_ir::{InstId, Loc, VarId};
@@ -51,45 +51,14 @@ pub struct StateEntry {
 pub struct StateTable {
     map: FxHashMap<(u8, TrackKey), StateEntry>,
     journal: Vec<StateOp>,
-    /// Incremental XOR fingerprint over live entries (see
-    /// [`crate::fingerprint`]).
-    fp: u64,
 }
 
-/// One journaled state mutation: carries the old value for rollback and
-/// the new value for redo (callee-summary replay).
+/// One journaled state mutation: the old value, for rollback.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StateOp {
-    pub(crate) checker: u8,
-    pub(crate) key: TrackKey,
-    pub(crate) old: Option<StateEntry>,
-    pub(crate) new: Option<StateEntry>,
-}
-
-/// Encodes a tracking key into one hashable lane.
-#[inline]
-fn key_lane(key: TrackKey) -> u64 {
-    match key {
-        TrackKey::Node(n) => n.index() as u64,
-        TrackKey::Var(v) => (1u64 << 32) | v.index() as u64,
-    }
-}
-
-/// Fingerprint term for one live `(checker, key) -> entry` fact. The
-/// origin location is a function of the origin instruction, so hashing
-/// the instruction identity suffices.
-#[inline]
-fn fp_entry(checker: u8, key: TrackKey, entry: StateEntry) -> u64 {
-    let origin = (entry.origin_id.func.index() as u64) << 40
-        ^ (entry.origin_id.block.index() as u64) << 20
-        ^ entry.origin_id.inst as u64;
-    hash4(
-        TAG_STATE,
-        u64::from(checker),
-        key_lane(key),
-        u64::from(entry.state),
-        origin,
-    )
+struct StateOp {
+    checker: u8,
+    key: TrackKey,
+    old: Option<StateEntry>,
 }
 
 /// Rollback point for [`StateTable`].
@@ -110,47 +79,17 @@ impl StateTable {
     /// Sets the state, journaling the old value.
     pub fn set(&mut self, checker: u8, key: TrackKey, entry: StateEntry) {
         let old = self.map.insert((checker, key), entry);
-        if let Some(o) = old {
-            self.fp ^= fp_entry(checker, key, o);
-        }
-        self.fp ^= fp_entry(checker, key, entry);
-        self.journal.push(StateOp {
-            checker,
-            key,
-            old,
-            new: Some(entry),
-        });
+        self.journal.push(StateOp { checker, key, old });
     }
 
     /// Clears the state (used when a variable is redefined in PATA-NA mode).
     pub fn clear(&mut self, checker: u8, key: TrackKey) {
         if let Some(old) = self.map.remove(&(checker, key)) {
-            self.fp ^= fp_entry(checker, key, old);
             self.journal.push(StateOp {
                 checker,
                 key,
                 old: Some(old),
-                new: None,
             });
-        }
-    }
-
-    /// The incremental fingerprint of the live entries.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
-    /// The net mutations since `mark` (rollbacks pop their entries).
-    pub(crate) fn ops_since(&self, mark: StateMark) -> &[StateOp] {
-        &self.journal[mark.0..]
-    }
-
-    /// Redoes a recorded mutation via the journaled primitives, so the
-    /// replay rolls back and fingerprints like a live update.
-    pub(crate) fn apply_op(&mut self, op: &StateOp) {
-        match op.new {
-            Some(entry) => self.set(op.checker, op.key, entry),
-            None => self.clear(op.checker, op.key),
         }
     }
 
@@ -184,19 +123,10 @@ impl StateTable {
     /// Rolls back to `mark`.
     pub fn rollback(&mut self, mark: StateMark) {
         while self.journal.len() > mark.0 {
-            let StateOp {
-                checker,
-                key,
-                old,
-                new,
-            } = self.journal.pop().unwrap();
-            if let Some(n) = new {
-                self.fp ^= fp_entry(checker, key, n);
-            }
+            let StateOp { checker, key, old } = self.journal.pop().unwrap();
             match old {
                 Some(entry) => {
                     self.map.insert((checker, key), entry);
-                    self.fp ^= fp_entry(checker, key, entry);
                 }
                 None => {
                     self.map.remove(&(checker, key));
@@ -552,44 +482,6 @@ mod tests {
         t.rollback(mark);
         assert_eq!(t.get(0, key(1)).unwrap().state, 1);
         assert!(t.get(0, key(2)).is_none());
-    }
-
-    #[test]
-    fn fingerprint_tracks_set_clear_rollback() {
-        let mut t = StateTable::new();
-        t.set(0, key(1), entry(1));
-        let fp0 = t.fingerprint();
-        let mark = t.mark();
-        t.set(0, key(1), entry(2));
-        t.set(1, key(2), entry(3));
-        let fp1 = t.fingerprint();
-        assert_ne!(fp1, fp0);
-        t.clear(1, key(2));
-        t.rollback(mark);
-        assert_eq!(t.fingerprint(), fp0);
-        // Replaying the recorded ops reconverges.
-        t.set(0, key(1), entry(2));
-        t.set(1, key(2), entry(3));
-        assert_eq!(t.fingerprint(), fp1);
-    }
-
-    #[test]
-    fn apply_op_replays_net_journal() {
-        let mut t = StateTable::new();
-        t.set(0, key(1), entry(1));
-        let mark = t.mark();
-        t.set(0, key(1), entry(2));
-        t.set(1, key(2), entry(3));
-        t.clear(0, key(1));
-        let ops: Vec<StateOp> = t.ops_since(mark).to_vec();
-        let fp_after = t.fingerprint();
-        t.rollback(mark);
-        for op in &ops {
-            t.apply_op(op);
-        }
-        assert_eq!(t.fingerprint(), fp_after);
-        assert!(t.get(0, key(1)).is_none());
-        assert_eq!(t.get(1, key(2)).unwrap().state, 3);
     }
 
     #[test]

@@ -33,8 +33,6 @@ fn config(cow: bool, threads: usize, telemetry: bool) -> AnalysisConfig {
     AnalysisConfig::builder()
         .threads(threads)
         .telemetry(telemetry)
-        .exploration_cache(false)
-        .callee_memo(false)
         .cow_state(cow)
         .build()
         .unwrap()

@@ -1,12 +1,12 @@
-//! Integration tests for the stage-1 exploration-reuse layer: determinism
-//! across cache configurations and thread counts, and the interaction
-//! between the loop budget and the subsumption table.
+//! Integration tests for stage-1 exploration, the paper's plain DFS over
+//! copy-on-write path state: determinism across fork modes and thread
+//! counts, the loop cut, and budget truncation.
 
 use pata_core::{AnalysisConfig, AnalysisOutcome, AnalysisSession, BugKind, Report};
 
-/// Driver-style code with reconvergent diamonds (subsumption fodder), a
-/// helper called with identical arguments from identical states (callee-memo
-/// fodder), and real bugs on some paths so verdict equality is meaningful.
+/// Driver-style code with reconvergent diamonds, a helper called with
+/// identical arguments from identical states, heap traffic, and real bugs
+/// on some paths so verdict equality is meaningful.
 const REUSE_SRC: &str = r#"
     struct dev { int flags; int mode; int irq; int *res; };
 
@@ -46,23 +46,17 @@ fn module() -> pata_ir::Module {
     pata_cc::compile_one("reuse.c", REUSE_SRC).unwrap()
 }
 
-/// The default checker set (NPD, UVA, ML). Checkers that track integer
-/// value facts from branches (AIU, DBZ) make sibling diamond arms
-/// *genuinely* divergent states — the fingerprint correctly refuses to
-/// subsume them — so the hit-count assertions below use the defaults and
-/// [`all_checkers_stay_equivalent`] covers the full set separately.
-fn config(caches: bool, threads: usize) -> AnalysisConfig {
+fn config(cow: bool, threads: usize) -> AnalysisConfig {
     AnalysisConfig::builder()
         .threads(threads)
         .telemetry(true)
-        .exploration_cache(caches)
-        .callee_memo(caches)
+        .cow_state(cow)
         .build()
         .unwrap()
 }
 
-fn run(caches: bool, threads: usize) -> AnalysisOutcome {
-    AnalysisSession::new(config(caches, threads)).analyze_module(module())
+fn run(cow: bool, threads: usize) -> AnalysisOutcome {
+    AnalysisSession::new(config(cow, threads)).analyze_module(module())
 }
 
 fn report_json(o: &AnalysisOutcome) -> String {
@@ -71,36 +65,8 @@ fn report_json(o: &AnalysisOutcome) -> String {
         .to_json()
 }
 
-/// The caches must be invisible in every observable output: the versioned
-/// report document and the exploration volume (replay accounts for every
-/// path and instruction the live run would have executed).
-#[test]
-fn caches_are_observationally_equivalent() {
-    let off = run(false, 1);
-    let on = run(true, 1);
-
-    assert_eq!(report_json(&on), report_json(&off));
-    assert_eq!(on.stats.paths_explored, off.stats.paths_explored);
-    assert_eq!(on.stats.insts_processed, off.stats.insts_processed);
-
-    // And they must actually do something on this module.
-    assert_eq!(off.stats.insts_replayed, 0);
-    assert!(
-        on.stats.exploration_cache_hits > 0,
-        "expected subsumption hits: {:?}",
-        on.stats
-    );
-    assert!(
-        on.stats.callee_memo_hits > 0,
-        "expected callee-memo hits: {:?}",
-        on.stats
-    );
-    assert!(on.stats.live_steps() < off.stats.live_steps());
-}
-
 /// One heavy root: two symmetric diamonds calling the same helper in both
-/// arms (callee-memo fodder) followed by six constraint-distinct parameter
-/// branches.
+/// arms, followed by six constraint-distinct parameter branches.
 const HEAVY_ROOT_SRC: &str = r#"
     struct dev { int *res; int mode; int flags; };
 
@@ -130,8 +96,8 @@ const HEAVY_ROOT_SRC: &str = r#"
 
 /// Every counter is exact at any thread count: a root is explored by one
 /// worker alone, so the stats (minus wall time and the scheduler's steal
-/// count), the report and the exploration-reuse telemetry of a single heavy
-/// root cannot depend on how many workers the run has.
+/// count), the report and the exploration telemetry of a single heavy root
+/// cannot depend on how many workers the run has.
 #[test]
 fn heavy_root_counters_exact_across_threads() {
     let mk = |threads: usize| {
@@ -142,24 +108,22 @@ fn heavy_root_counters_exact_across_threads() {
         let mut stats = o.stats.clone();
         stats.time = Default::default();
         stats.work_steals = 0;
-        let reuse = ["sub_hits", "memo_hits", "insts_replayed"]
-            .map(|c| o.telemetry.counter(&format!("driver.explore.{c}")));
-        (stats, report_json(o), reuse)
+        let explore = ["path.paths", "path.insts"].map(|c| o.telemetry.counter(c));
+        (stats, report_json(o), explore)
     };
     let base = mk(1);
     assert_eq!(base.stats.roots, 1);
-    assert!(base.stats.callee_memo_hits > 0, "{:?}", base.stats);
+    assert!(base.stats.paths_explored > 64, "{:?}", base.stats);
     for threads in [2, 4] {
         assert_eq!(exact(&mk(threads)), exact(&base), "threads {threads}");
     }
 }
 
-/// Telemetry counter equality across cache configurations: everything
-/// except the `driver.*` family (scheduler metrics and the exploration
-/// hit/replay counters themselves) is a pure function of the explored
-/// program, so replay must reproduce it exactly.
+/// Telemetry counter equality across fork modes and thread counts:
+/// everything except the `driver.*` family (scheduler metrics and fork
+/// costs) is a pure function of the explored program.
 #[test]
-fn counters_exact_across_cache_configurations() {
+fn counters_exact_across_fork_modes_and_threads() {
     let counters = |o: &AnalysisOutcome| {
         let mut cs: Vec<(String, Option<String>, u64)> = o
             .telemetry
@@ -171,80 +135,65 @@ fn counters_exact_across_cache_configurations() {
         cs.sort();
         cs
     };
-    let off = run(false, 1);
-    let on = run(true, 1);
+    let base = run(true, 1);
     assert!(
-        counters(&off)
+        counters(&base)
             .iter()
             .any(|(n, _, v)| n == "path.paths" && *v > 0),
         "expected real exploration work"
     );
-    assert_eq!(counters(&on), counters(&off));
-
-    // Multi-threaded runs keep the same counters too.
-    assert_eq!(counters(&run(true, 4)), counters(&off));
+    assert_eq!(counters(&run(false, 1)), counters(&base));
+    assert_eq!(counters(&run(true, 4)), counters(&base));
 }
 
-/// With every built-in checker enabled the value-tracking ones (AIU, DBZ)
-/// shrink the reuse opportunities, but whatever the caches still replay
-/// must remain observationally invisible.
+/// With every built-in checker enabled, the value-tracking ones (AIU, DBZ)
+/// carry extra path state; the fork representation must stay invisible.
 #[test]
-fn all_checkers_stay_equivalent() {
-    let mk = |caches: bool| {
+fn all_checkers_stay_equivalent_across_fork_modes() {
+    let mk = |cow: bool| {
         let config = AnalysisConfig::builder()
             .checkers(BugKind::ALL.to_vec())
             .threads(1)
-            .exploration_cache(caches)
-            .callee_memo(caches)
+            .cow_state(cow)
             .build()
             .unwrap();
         AnalysisSession::new(config).analyze_module(module())
     };
-    let off = mk(false);
-    let on = mk(true);
-    assert_eq!(report_json(&on), report_json(&off));
-    assert_eq!(on.stats.paths_explored, off.stats.paths_explored);
-    assert_eq!(on.stats.insts_processed, off.stats.insts_processed);
+    let cow = mk(true);
+    let clone = mk(false);
+    assert_eq!(report_json(&cow), report_json(&clone));
+    assert_eq!(cow.stats, {
+        let mut s = clone.stats.clone();
+        s.time = cow.stats.time;
+        s
+    });
 }
 
 /// The fork representation (copy-on-write undo journal vs literal clone,
 /// the `cow_state` knob) must be invisible in every observable output,
-/// whatever the cache configuration or thread count.
+/// whatever the thread count.
 #[test]
 fn cow_state_is_observationally_equivalent() {
-    let mk = |cow: bool, caches: bool, threads: usize| {
-        let config = AnalysisConfig::builder()
-            .threads(threads)
-            .cow_state(cow)
-            .exploration_cache(caches)
-            .callee_memo(caches)
-            .build()
-            .unwrap();
-        AnalysisSession::new(config).analyze_module(module())
-    };
-    let base = mk(true, false, 1);
+    let base = run(true, 1);
     for cow in [true, false] {
-        for caches in [true, false] {
-            for threads in [1usize, 2, 4] {
-                let o = mk(cow, caches, threads);
-                assert_eq!(
-                    report_json(&o),
-                    report_json(&base),
-                    "cow {cow}, caches {caches}, threads {threads}"
-                );
-                assert_eq!(o.stats.paths_explored, base.stats.paths_explored);
-                assert_eq!(o.stats.insts_processed, base.stats.insts_processed);
-            }
+        for threads in [1usize, 2, 4] {
+            let o = run(cow, threads);
+            assert_eq!(
+                report_json(&o),
+                report_json(&base),
+                "cow {cow}, threads {threads}"
+            );
+            assert_eq!(o.stats.paths_explored, base.stats.paths_explored);
+            assert_eq!(o.stats.insts_processed, base.stats.insts_processed);
         }
     }
 }
 
-/// A loop body re-enters its header block with a *different* fingerprint
-/// each iteration (the visit count of a cyclic block is part of the key),
-/// so subsumption never short-circuits the loop cut: with caches on, a
-/// tight loop budget truncates paths at exactly the same place.
+/// The loop cut (§3.1): each extra allowed iteration re-enters the loop
+/// header once more, so paths and steps grow with the bound, and the
+/// truncation lands at the same place in both fork modes.
 #[test]
-fn loop_budget_interacts_soundly_with_subsumption() {
+fn loop_budget_cuts_identically_across_fork_modes() {
     const LOOP_SRC: &str = r#"
         struct dev { int n; int *res; };
 
@@ -261,57 +210,65 @@ fn loop_budget_interacts_soundly_with_subsumption() {
         static struct ops drain_ops = { .drain = drain };
     "#;
     let module = pata_cc::compile_one("loop.c", LOOP_SRC).unwrap();
+    let mut last = (0, 0);
     for iterations in [1usize, 2, 3] {
-        let mk = |caches: bool| {
+        let mk = |cow: bool| {
             let config = AnalysisConfig::builder()
                 .threads(1)
                 .loop_iterations(iterations)
-                .exploration_cache(caches)
-                .callee_memo(caches)
+                .cow_state(cow)
                 .build()
                 .unwrap();
             AnalysisSession::new(config).analyze_module(module.clone())
         };
-        let off = mk(false);
-        let on = mk(true);
+        let cow = mk(true);
+        let clone = mk(false);
         assert_eq!(
-            report_json(&on),
-            report_json(&off),
+            report_json(&cow),
+            report_json(&clone),
             "iterations {iterations}"
         );
-        assert_eq!(on.stats.paths_explored, off.stats.paths_explored);
-        assert_eq!(on.stats.insts_processed, off.stats.insts_processed);
+        assert_eq!(cow.stats.paths_explored, clone.stats.paths_explored);
+        assert_eq!(cow.stats.insts_processed, clone.stats.insts_processed);
+        let volume = (cow.stats.paths_explored, cow.stats.insts_processed);
+        assert!(
+            volume.0 > last.0 && volume.1 > last.1,
+            "iterations {iterations}: {volume:?} must exceed {last:?}"
+        );
+        last = volume;
     }
 }
 
-/// A memo hit consumes exactly the budget of the live exploration it
-/// replaces, and a recording that would cross a budget line triggers the
-/// deterministic cache-free re-run — so even truncated verdicts match.
+/// Budget truncation is deterministic: at instruction budgets that land
+/// mid-exploration, the truncated verdicts and budget notes are identical
+/// across fork modes and thread counts.
 #[test]
-fn budget_exhaustion_reruns_cache_free() {
-    let mk = |caches: bool, max_insts: usize| {
+fn truncated_verdicts_identical_across_fork_modes_and_threads() {
+    let mk = |cow: bool, threads: usize, max_insts: usize| {
         let config = AnalysisConfig::builder()
-            .threads(1)
+            .threads(threads)
             .max_insts(max_insts)
-            .exploration_cache(caches)
-            .callee_memo(caches)
+            .cow_state(cow)
             .build()
             .unwrap();
         AnalysisSession::new(config).analyze_module(module())
     };
-    // Budgets chosen to land mid-exploration: some roots exhaust, some
-    // complete. Every configuration must still agree on the report.
     for max_insts in [50usize, 200, 1000] {
-        let off = mk(false, max_insts);
-        let on = mk(true, max_insts);
-        assert_eq!(report_json(&on), report_json(&off), "max_insts {max_insts}");
-        if !off.budget_notes.is_empty() {
-            // The re-run path marks its notes as cache-free verdicts.
-            assert!(
-                on.budget_notes.iter().all(|n| n.caches_disabled),
-                "exhausted roots must re-run cache-free: {:?}",
-                on.budget_notes
-            );
+        let base = mk(true, 1, max_insts);
+        if max_insts == 50 {
+            assert!(!base.budget_notes.is_empty(), "50 steps must truncate");
+        }
+        for cow in [true, false] {
+            for threads in [1usize, 2, 4] {
+                let o = mk(cow, threads, max_insts);
+                assert_eq!(
+                    report_json(&o),
+                    report_json(&base),
+                    "max_insts {max_insts}, cow {cow}, threads {threads}"
+                );
+                assert_eq!(o.stats.paths_explored, base.stats.paths_explored);
+                assert_eq!(o.stats.insts_processed, base.stats.insts_processed);
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! kill-mid-write, deadline hit, live-bytes ceiling — produces a
 //! well-formed versioned report with a populated `degraded` section, the
 //! session keeps answering, and degraded reports are byte-identical
-//! across thread counts and cache configurations for a fixed fault plan.
+//! across thread counts and fork modes for a fixed fault plan.
 
 use pata_core::{
     AnalysisConfig, AnalysisRequest, AnalysisSession, FaultPlan, Report, SessionError,
@@ -62,12 +62,8 @@ fn plan(spec: &str) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec).expect("valid plan"))
 }
 
-fn config(threads: usize, caches: bool, cow: bool, spec: Option<&str>) -> AnalysisConfig {
-    let mut b = AnalysisConfig::builder()
-        .threads(threads)
-        .exploration_cache(caches)
-        .callee_memo(caches)
-        .cow_state(cow);
+fn config(threads: usize, cow: bool, spec: Option<&str>) -> AnalysisConfig {
+    let mut b = AnalysisConfig::builder().threads(threads).cow_state(cow);
     if let Some(spec) = spec {
         b = b.fault_plan(plan(spec));
     }
@@ -97,12 +93,12 @@ fn assert_well_formed(report: &Report) {
 }
 
 fn baseline() -> SessionOutcome {
-    analyze(config(1, true, true, None))
+    analyze(config(1, true, None))
 }
 
 #[test]
 fn explore_panic_quarantines_one_root_and_keeps_the_rest() {
-    let outcome = analyze(config(1, true, true, Some("explore:net_probe")));
+    let outcome = analyze(config(1, true, Some("explore:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -130,7 +126,7 @@ fn explore_panic_quarantines_one_root_and_keeps_the_rest() {
 
 #[test]
 fn checker_panic_is_contained_like_an_explore_panic() {
-    let outcome = analyze(config(1, true, true, Some("checker:chr_probe@1")));
+    let outcome = analyze(config(1, true, Some("checker:chr_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -147,7 +143,7 @@ fn checker_panic_is_contained_like_an_explore_panic() {
 
 #[test]
 fn validate_panic_drops_the_group_and_reports_it() {
-    let outcome = analyze(config(1, true, true, Some("validate:net_probe")));
+    let outcome = analyze(config(1, true, Some("validate:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -172,9 +168,9 @@ fn validate_panic_drops_the_group_and_reports_it() {
 fn one_shot_run_degrades_like_a_session_run() {
     const SRC: &str = "int f(int *p) { if (p == NULL) { } return *p; }";
     let spec = Some("validate@1,seed=3");
-    let one_shot = AnalysisSession::new(config(1, true, true, spec))
+    let one_shot = AnalysisSession::new(config(1, true, spec))
         .analyze_module(pata_cc::compile_one("f.c", SRC).unwrap());
-    let session = AnalysisSession::new(config(1, true, true, spec))
+    let session = AnalysisSession::new(config(1, true, spec))
         .analyze(&AnalysisRequest::new().file("f.c", SRC))
         .expect("analyze succeeds");
     assert_eq!(one_shot.degraded.len(), 1);
@@ -187,7 +183,7 @@ fn one_shot_run_degrades_like_a_session_run() {
 
 #[test]
 fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
-    let outcome = analyze(config(1, true, true, Some("deadline:net_probe@1")));
+    let outcome = analyze(config(1, true, Some("deadline:net_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -215,7 +211,7 @@ fn deadline_hit_demotes_and_keeps_the_bounded_verdicts() {
 
 #[test]
 fn live_bytes_ceiling_demotes_too() {
-    let outcome = analyze(config(1, true, true, Some("live_bytes:blk_probe@1")));
+    let outcome = analyze(config(1, true, Some("live_bytes:blk_probe@1")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -225,10 +221,83 @@ fn live_bytes_ceiling_demotes_too() {
     );
 }
 
+/// A real `max_live_bytes` trip depends only on the state a root owns, not
+/// on where its variables fall in module numbering: a small root gets the
+/// same (empty) `degraded` section analyzed alone, before or after a
+/// 3,000-function file, and warm from a store after that file.
+#[test]
+fn live_bytes_trip_is_independent_of_file_order() {
+    const SMALL: &str = r#"struct dev { int *res; int mode; };
+int entry_small(struct dev *d, int n) {
+    int *m = malloc(8);
+    if (n > 0) { d->mode = 1; } else { d->mode = 2; }
+    free(m);
+    return *d->res;
+}
+"#;
+    let big: String = (0..3000)
+        .map(|i| {
+            format!("int big_fn{i}(int *p, int n) {{ int a = n + {i}; if (a > 3) {{ a = a - 1; }} return a; }}\n")
+        })
+        .collect();
+    let cfg = || {
+        AnalysisConfig::builder()
+            .max_live_bytes(8000)
+            .build()
+            .expect("valid config")
+    };
+    let run = |files: &[(&str, &str)]| {
+        let mut req = AnalysisRequest::new();
+        for (name, text) in files {
+            req = req.file(*name, *text);
+        }
+        AnalysisSession::new(cfg())
+            .analyze(&req)
+            .expect("analyze succeeds")
+    };
+    let alone = run(&[("small.c", SMALL)]);
+    assert!(
+        alone.report.degraded.is_empty(),
+        "{:?}",
+        alone.report.degraded
+    );
+    let before = run(&[("small.c", SMALL), ("big.c", &big)]);
+    assert!(
+        before.report.degraded.is_empty(),
+        "{:?}",
+        before.report.degraded
+    );
+    let after = run(&[("big.c", &big), ("small.c", SMALL)]);
+    assert!(
+        after.report.degraded.is_empty(),
+        "{:?}",
+        after.report.degraded
+    );
+
+    // Warm: the store holds `entry_small`'s verdict from a run without
+    // `big.c`; adding the file leaves its closure fingerprint unchanged, so
+    // the warm run reuses it and must agree with the cold run above.
+    let dir = tempdir("live-bytes-order");
+    let store = dir.join("store.json");
+    let small_only = AnalysisRequest::new().file("small.c", SMALL);
+    AnalysisSession::open(cfg(), &store)
+        .analyze(&small_only)
+        .expect("analyze succeeds");
+    let both = AnalysisRequest::new()
+        .file("big.c", big.as_str())
+        .file("small.c", SMALL);
+    let warm = AnalysisSession::open(cfg(), &store)
+        .analyze(&both)
+        .expect("analyze succeeds");
+    assert!(warm.incremental.warm_start);
+    assert_eq!(warm.report.to_json(), after.report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unconditional_resource_trip_escalates_to_quarantine() {
     // The rule fires again in the demoted re-run, so the ladder gives up.
-    let outcome = analyze(config(1, true, true, Some("deadline:net_probe")));
+    let outcome = analyze(config(1, true, Some("deadline:net_probe")));
     assert_well_formed(&outcome.report);
     assert_eq!(outcome.report.degraded.len(), 1);
     let d = &outcome.report.degraded[0];
@@ -243,8 +312,8 @@ fn unconditional_resource_trip_escalates_to_quarantine() {
         .any(|r| r.function == "net_probe"));
 }
 
-/// Degraded reports are byte-identical across thread counts and cache /
-/// cow configurations for a fixed fault plan.
+/// Degraded reports are byte-identical across thread counts and cow
+/// configurations for a fixed fault plan.
 #[test]
 fn degraded_reports_byte_identical_across_configs() {
     for spec in [
@@ -255,21 +324,12 @@ fn degraded_reports_byte_identical_across_configs() {
         "live_bytes:blk_probe@1",
         "deadline:net_probe,live_bytes:blk_probe@1,validate:chr_probe",
     ] {
-        let reference = analyze(config(1, true, true, Some(spec))).report.to_json();
-        for (threads, caches, cow) in [
-            (2, true, true),
-            (4, true, true),
-            (1, false, true),
-            (4, false, false),
-            (2, true, false),
-        ] {
-            let got = analyze(config(threads, caches, cow, Some(spec)))
-                .report
-                .to_json();
-            assert_eq!(
-                got, reference,
-                "spec `{spec}` threads={threads} caches={caches} cow={cow}"
-            );
+        let reference = analyze(config(1, true, Some(spec))).report.to_json();
+        for cow in [true, false] {
+            for threads in [1, 2, 4] {
+                let got = analyze(config(threads, cow, Some(spec))).report.to_json();
+                assert_eq!(got, reference, "spec `{spec}` threads={threads} cow={cow}");
+            }
         }
     }
 }
@@ -277,8 +337,8 @@ fn degraded_reports_byte_identical_across_configs() {
 /// An empty fault plan is the null hypothesis: byte-identical to no plan.
 #[test]
 fn zero_fault_runs_match_no_plan_runs() {
-    let with_empty = analyze(config(2, true, true, Some("")));
-    let without = analyze(config(2, true, true, None));
+    let with_empty = analyze(config(2, true, Some("")));
+    let without = analyze(config(2, true, None));
     assert_eq!(with_empty.report.to_json(), without.report.to_json());
     assert!(with_empty.report.degraded.is_empty());
 }

@@ -94,6 +94,37 @@ fn warm_restart_replays_byte_identical_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store written before stage 1 lost its reuse caches carries three more
+/// per-root counters (`exploration_cache_hits`, `callee_memo_hits`,
+/// `insts_replayed`). The reader looks up only the fields it knows, so such
+/// a store stays warm: every root is clean and the report is unchanged.
+#[test]
+fn parent_store_with_cache_counters_stays_warm() {
+    let dir = tempdir("parent-counters");
+    let store = dir.join("store.json");
+    let cold = run(&store, 1, CORPUS);
+    let text = std::fs::read_to_string(&store).unwrap();
+    let key = "\"budget_exhausted_roots\": ";
+    let mut parts = text.split(key);
+    let mut old = parts.next().unwrap().to_owned();
+    for part in parts {
+        let end = part.find('}').expect("stats object closes");
+        old.push_str(key);
+        old.push_str(&part[..end]);
+        old.push_str(", \"exploration_cache_hits\": 3, \"callee_memo_hits\": 1");
+        old.push_str(", \"insts_replayed\": 40");
+        old.push_str(&part[end..]);
+    }
+    assert!(old.contains("\"insts_replayed\": 40"), "counters injected");
+    std::fs::write(&store, old).unwrap();
+
+    let warm = run(&store, 1, CORPUS);
+    assert!(warm.incremental.warm_start);
+    assert_eq!(warm.incremental.clean_roots, warm.incremental.roots);
+    assert_eq!(warm.report.to_json(), cold.report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn store_is_byte_stable_across_identical_runs() {
     let dir = tempdir("stable");

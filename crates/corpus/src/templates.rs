@@ -730,7 +730,7 @@ fn clean_helper_chain(ctx: &Ctx) -> Snippet {
 /// assign the same locals, control falls through) — the quirks-table /
 /// config-flag shape that dominates real probe functions. Path count is
 /// exponential in the diamond count while the analysis state reconverges at
-/// every join, so this is also the shape where exploration reuse pays.
+/// every join.
 fn clean_feature_tune(ctx: &Ctx) -> Snippet {
     let f = ctx.n("tune");
     let mut s = Snippet::default();

@@ -91,8 +91,6 @@ analysis knobs (analyze and serve):
   --resolve-fptrs         resolve function-pointer calls to all candidates
   --loops N               loop unrolling bound (default 2)
   --threads N             worker threads for stage-1 exploration (0 = auto)
-  --no-exploration-cache  disable stage-1 fingerprint subsumption reuse
-  --no-callee-memo        disable the callee summary memo
   --no-cow-state          fork branch state by deep clone instead of the
                           copy-on-write undo journal (differential oracle)
 
@@ -144,8 +142,6 @@ const CONFIG_FLAGS: &[(&str, bool)] = &[
     ("resolve-fptrs", false),
     ("loops", true),
     ("threads", true),
-    ("no-exploration-cache", false),
-    ("no-callee-memo", false),
     ("no-cow-state", false),
     ("root-deadline-ms", true),
     ("max-live-bytes", true),
@@ -295,12 +291,6 @@ fn build_config(
                 .map_err(|_| format!("bad --threads value `{n}`"))?,
         );
     }
-    if flag(flags, "no-exploration-cache").is_some() {
-        builder = builder.exploration_cache(false);
-    }
-    if flag(flags, "no-callee-memo").is_some() {
-        builder = builder.callee_memo(false);
-    }
     if flag(flags, "no-cow-state").is_some() {
         builder = builder.cow_state(false);
     }
@@ -394,13 +384,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             s.work_steals
         );
         eprintln!(
-            "exploration cache hits: {}  callee memo hits: {}  live steps: {} ({} replayed)",
-            s.exploration_cache_hits,
-            s.callee_memo_hits,
-            s.live_steps(),
-            s.insts_replayed
-        );
-        eprintln!(
             "roots dirty/clean: {}/{}  changed functions: {}  warm start: {}",
             incremental.dirty_roots,
             incremental.clean_roots,
@@ -415,16 +398,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if profile {
         eprint!("{}", telemetry.render_profile(10));
         for note in &report.budget_notes {
-            eprintln!(
-                "budget exhausted: root {} ({}){}",
-                note.root,
-                note.reason,
-                if note.caches_disabled {
-                    ""
-                } else {
-                    " [re-run with caches off]"
-                }
-            );
+            eprintln!("budget exhausted: root {} ({})", note.root, note.reason);
         }
     }
     Ok(())

@@ -223,8 +223,7 @@ fn help_enumerates_every_knob() {
         "--resolve-fptrs",
         "--loops",
         "--threads",
-        "--no-exploration-cache",
-        "--no-callee-memo",
+        "--no-cow-state",
         "--store",
         "--socket",
         "--stdio",
