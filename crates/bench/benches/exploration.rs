@@ -11,6 +11,12 @@
 //! Headline numbers land in `results/BENCH_stage1.json` (section
 //! `exploration`): live steps/sec, fork count, peak live-state bytes.
 //!
+//! A second section, `scale_sweep`, records explore nanoseconds per
+//! executed instruction (`--threads 1`) on the linux model at scales 1, 4
+//! and 16. Per-root state must cost what the root reaches, not the module
+//! size, so the bench fails when the scale-16 figure exceeds 1.5x the
+//! scale-1 figure.
+//!
 //! `--smoke` runs a reduced single-round configuration for CI; `--scale F`
 //! sizes the corpus (default 1.0).
 
@@ -59,6 +65,72 @@ fn fork_telemetry(module: &pata_ir::Module) -> (u64, u64, i64) {
         snap.gauge("driver.explore.fork.live_bytes.max")
             .unwrap_or(0),
     )
+}
+
+/// Scales of the per-instruction sweep, smallest first.
+const SWEEP_SCALES: [f64; 3] = [1.0, 4.0, 16.0];
+
+/// Largest allowed scale-16 / scale-1 explore ns per instruction.
+const SWEEP_MAX_RATIO: f64 = 1.5;
+
+/// Explore-stage nanoseconds per executed instruction for one
+/// single-threaded stage-1 run, from the `stage.explore` telemetry span.
+fn explore_ns_per_inst(module: &pata_ir::Module) -> f64 {
+    let session = AnalysisSession::new(
+        AnalysisConfig::builder()
+            .threads(1)
+            .telemetry(true)
+            .build()
+            .expect("valid bench config"),
+    );
+    let (_, _, stats) = session.collect_candidates(module.clone());
+    let snap = session.telemetry().snapshot();
+    let explore_ns = snap.histogram("stage.explore").map_or(0, |h| h.total_ns);
+    explore_ns as f64 / stats.insts_processed.max(1) as f64
+}
+
+/// The `scale_sweep` section: best-of-`rounds` explore ns per executed
+/// instruction at each of [`SWEEP_SCALES`], and the scale-16/scale-1
+/// ratio. Exits 1 above [`SWEEP_MAX_RATIO`].
+fn scale_sweep(rounds: usize) {
+    println!();
+    println!("explore ns per executed instruction (--threads 1, linux model)");
+    let mut ns_per_inst = Vec::new();
+    for scale in SWEEP_SCALES {
+        let corpus = Corpus::generate(&OsProfile::linux().with_scale(scale));
+        let module = corpus.compile().expect("corpus compiles");
+        let best = (0..rounds)
+            .map(|_| explore_ns_per_inst(&module))
+            .fold(f64::INFINITY, f64::min);
+        println!("  scale {scale:>4}: {best:>8.1} ns/inst");
+        ns_per_inst.push(best);
+    }
+    let ratio = ns_per_inst[2] / ns_per_inst[0].max(1e-9);
+    let list = |v: Vec<String>| format!("[{}]", v.join(", "));
+    let section = results::object(&[
+        (
+            "scales",
+            list(SWEEP_SCALES.iter().map(|s| format!("{s}")).collect()),
+        ),
+        (
+            "explore_ns_per_inst",
+            list(ns_per_inst.iter().map(|n| format!("{n:.1}")).collect()),
+        ),
+        ("ratio_16_1", format!("{ratio:.3}")),
+    ]);
+    results::write_section("scale_sweep", &section).expect("write results/BENCH_stage1.json");
+    if ratio <= SWEEP_MAX_RATIO {
+        println!(
+            "PASS: scale-16 explore costs {ratio:.2}x scale-1 per instruction \
+             (target ≤{SWEEP_MAX_RATIO}x)"
+        );
+    } else {
+        println!(
+            "FAIL: scale-16 explore costs {ratio:.2}x scale-1 per instruction \
+             (target ≤{SWEEP_MAX_RATIO}x)"
+        );
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -177,4 +249,6 @@ fn main() {
         );
         std::process::exit(1);
     }
+
+    scale_sweep(rounds.max(3));
 }

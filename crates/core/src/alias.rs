@@ -14,7 +14,20 @@
 //! "COPY" at branches, Fig. 7, implemented as copy-on-return).
 
 use pata_ir::{Symbol, VarId};
+use std::cell::Cell;
 use std::fmt;
+
+thread_local! {
+    /// This thread's spare `var_node` index; every entry is `None`.
+    static SPARE_INDEX: Cell<Vec<Option<NodeId>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Frees the calling thread's spare variable index. The exploration
+/// driver calls it before returning, so a long-lived thread (a `serve`
+/// loop) holds no module-sized buffer between requests.
+pub(crate) fn release_spare_index() {
+    let _ = SPARE_INDEX.try_with(Cell::take);
+}
 
 /// A node in the alias graph — one alias class / abstract object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,18 +128,21 @@ pub struct Mark(usize);
 /// g.handle_gep(q, y, g_field); // q moves … (illustrative)
 /// assert!(g.node_of_var(p).is_some());
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct AliasGraph {
     nodes: Vec<NodeData>,
-    /// Variable → node placement, dense by `VarId::index()`. Variable ids
-    /// are small module-wide integers and this map sits on the hottest
-    /// lookup path of the explorer (`node_of` per operand), so a flat
-    /// vector beats any hash map; untouched variables cost one `None`.
+    /// Variable → node placement, dense by `VarId::index()`. It sits on
+    /// the hottest lookup path of the explorer (`node_of` per operand), so
+    /// it is a flat vector, not a hash map. Its length follows module-wide
+    /// numbering, but it is not allocated per graph: it is the thread's
+    /// spare index, taken at creation and cleared on drop by walking
+    /// `nodes[*].vars` — every `Some` entry is exactly one variable in its
+    /// node's `vars` — so a graph costs what it placed, not the module size.
     var_node: Vec<Option<NodeId>>,
-    /// How many variables are placed in some node. `var_node`'s length
-    /// follows module numbering, this count follows only what the path
-    /// touched; [`AliasGraph::approx_bytes`] uses it so a budget trip does
-    /// not depend on where the root's variables fall in the module.
+    /// How many variables are placed in some node: what the path touched,
+    /// independent of `var_node`'s length. [`AliasGraph::approx_bytes`]
+    /// uses it so a budget trip does not depend on where the root's
+    /// variables fall in the module.
     placed: usize,
     journal: Vec<Op>,
 }
@@ -141,6 +157,37 @@ pub struct StoreInfo {
     pub old_target: Option<NodeId>,
     /// Node of the address operand.
     pub addr_node: NodeId,
+}
+
+impl Default for AliasGraph {
+    /// An empty graph over this thread's spare variable index.
+    fn default() -> Self {
+        AliasGraph {
+            nodes: Vec::new(),
+            var_node: SPARE_INDEX.try_with(Cell::take).unwrap_or_default(),
+            placed: 0,
+            journal: Vec::new(),
+        }
+    }
+}
+
+impl Drop for AliasGraph {
+    /// Clears the entries this graph placed — O(placed), not O(module) —
+    /// and hands the all-`None` index back as the thread's spare, keeping
+    /// the longer of the two if the thread already holds one. Runs on
+    /// unwind too, so a root quarantined by a panic leaves a clean index.
+    fn drop(&mut self) {
+        self.clear_index();
+        let index = std::mem::take(&mut self.var_node);
+        let _ = SPARE_INDEX.try_with(|spare| {
+            let held = spare.take();
+            spare.set(if held.len() >= index.len() {
+                held
+            } else {
+                index
+            });
+        });
+    }
 }
 
 impl AliasGraph {
@@ -432,6 +479,22 @@ impl AliasGraph {
         }
     }
 
+    /// Resets every `var_node` entry this graph placed to `None`; returns
+    /// how many it reset. Runs from `Drop`, so it must not panic: an entry
+    /// is looked up with `get_mut`, not indexed.
+    fn clear_index(&mut self) -> usize {
+        let mut cleared = 0;
+        for node in &self.nodes {
+            for &v in &node.vars {
+                if let Some(slot) = self.var_node.get_mut(v.index()) {
+                    *slot = None;
+                    cleared += 1;
+                }
+            }
+        }
+        cleared
+    }
+
     /// Enumerates the access paths of `AliasSet(n)` up to `max_len` labels —
     /// used for human-readable reports (Example 1 / Fig. 4 of the paper).
     pub fn access_paths(&self, n: NodeId, max_len: usize) -> Vec<AccessPath> {
@@ -659,6 +722,53 @@ mod tests {
         g.rollback(mark);
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.node_of_var(v(0)), None);
+    }
+
+    #[test]
+    fn dropped_graph_leaves_a_clean_index() {
+        let far = v(100_000);
+        let mut g = AliasGraph::new();
+        g.handle_move(far, v(3));
+        drop(g);
+        let g = AliasGraph::new();
+        assert!(g.var_node.len() > far.index(), "the spare index is reused");
+        assert_eq!(g.node_of_var(far), None);
+        assert_eq!(g.node_of_var(v(3)), None);
+    }
+
+    #[test]
+    fn graph_dropped_by_a_panic_leaves_a_clean_index() {
+        let far = v(100_000);
+        let caught = std::panic::catch_unwind(|| {
+            let mut g = AliasGraph::new();
+            g.handle_store(far, v(5));
+            panic!("mid-path fault");
+        });
+        assert!(caught.is_err());
+        let g = AliasGraph::new();
+        assert!(g.var_node.len() > far.index(), "the spare index is reused");
+        assert_eq!(g.node_of_var(far), None);
+        assert_eq!(g.node_of_var(v(5)), None);
+    }
+
+    #[test]
+    fn released_spare_is_not_retained() {
+        let mut g = AliasGraph::new();
+        g.handle_const(v(100_000));
+        drop(g);
+        release_spare_index();
+        assert!(AliasGraph::new().var_node.is_empty());
+    }
+
+    #[test]
+    fn rollback_to_empty_leaves_nothing_to_clear() {
+        let mut g = AliasGraph::new();
+        let mark = g.mark();
+        g.handle_gep(v(100_000), v(7), pata_ir::Interner::new().intern("f"));
+        g.handle_move(v(8), v(7));
+        g.rollback(mark);
+        assert_eq!(g.clear_index(), 0);
+        assert!(g.var_node.iter().all(Option::is_none));
     }
 
     #[test]

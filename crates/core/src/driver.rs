@@ -142,6 +142,9 @@ pub(crate) fn explore_roots(
             }
         });
     }
+    // Workers' spare alias-graph indexes die with their threads; the
+    // calling thread's (the inline worker's) is freed here.
+    crate::alias::release_spare_index();
 
     let mut runs = collected
         .into_inner()

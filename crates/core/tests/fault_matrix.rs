@@ -334,6 +334,63 @@ fn degraded_reports_byte_identical_across_configs() {
     }
 }
 
+/// A root that panics mid-path unwinds through its alias graph's drop,
+/// which must clear the worker's reused variable index. Here the panic
+/// fires inside a helper both roots call, after the helper's variables
+/// (module-global ids, shared by every caller) were placed; the root
+/// explored next on that worker must not see them. Its findings equal a
+/// fault-free run's.
+#[test]
+fn mid_path_panic_leaves_other_roots_findings_intact() {
+    let request = AnalysisRequest::new().file(
+        "drivers/shared.c",
+        r#"
+        int shared_get(int *p) {
+            int *q = p;
+            if (q == NULL) { return 0; }
+            return *q;
+        }
+        int first_probe(int *a) {
+            int v = shared_get(a);
+            return v + *a;
+        }
+        int second_probe(int *b) {
+            int w = shared_get(b);
+            return w + *b;
+        }
+        "#,
+    );
+    let run = |threads: usize, spec: Option<&str>| {
+        AnalysisSession::new(config(threads, true, spec))
+            .analyze(&request)
+            .expect("analyze succeeds")
+            .report
+    };
+    // Hit 3 is the `cmp` in `shared_get`, after `p` and `q` were placed.
+    let spec = "checker:first_probe@3";
+    for threads in [1, 2] {
+        let faulted = run(threads, Some(spec));
+        let d = &faulted.degraded;
+        assert_eq!(d.len(), 1, "threads={threads}");
+        assert_eq!(
+            (d[0].root.as_str(), d[0].action.as_str()),
+            ("first_probe", "quarantined")
+        );
+        let clean = run(threads, None);
+        let others: Vec<_> = clean
+            .reports
+            .iter()
+            .filter(|r| r.function != "first_probe")
+            .collect();
+        assert_eq!(others.len(), 1, "second_probe's NPD is found");
+        assert_eq!(
+            faulted.reports.iter().collect::<Vec<_>>(),
+            others,
+            "threads={threads}"
+        );
+    }
+}
+
 /// An empty fault plan is the null hypothesis: byte-identical to no plan.
 #[test]
 fn zero_fault_runs_match_no_plan_runs() {

@@ -23,10 +23,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "== telemetry overhead bench (smoke)"
 cargo bench -p pata-bench --bench telemetry_overhead -- --smoke
 
-echo "== copy-on-write fork bench (smoke)"
-# Enforces the stage-1 gate: copy-on-write forking delivers ≥2x the
+echo "== copy-on-write fork bench + explore scale sweep (smoke)"
+# Enforces the stage-1 gates: copy-on-write forking delivers ≥2x the
 # live-step throughput of the clone-based baseline — with report
-# byte-identity asserted across cow on/off and threads 1/2/4.
+# byte-identity asserted across cow on/off and threads 1/2/4 — and
+# explore ns per executed instruction at scale 16 is within 1.5x of
+# scale 1 (section scale_sweep; checked again below).
 cargo bench -p pata-bench --bench exploration -- --smoke
 
 echo "== persistence bench (smoke)"
@@ -41,7 +43,7 @@ cargo bench -p pata-bench --bench frontend -- --smoke
 echo "== stage-1 bench summary (results/BENCH_stage1.json)"
 # The smoke benches above just rewrote their sections; print the headline
 # per-stage numbers on one line each.
-grep -E '"(exploration|frontend|persistence)":' results/BENCH_stage1.json \
+grep -E '"(exploration|frontend|persistence|scale_sweep)":' results/BENCH_stage1.json \
     || { echo "BENCH_stage1.json missing expected sections"; exit 1; }
 
 echo "== stage timing summary"
@@ -59,6 +61,29 @@ stage_ns() {
         | sed 's/.*"total_ns": \([0-9]*\).*/\1/' | head -n 1
 }
 echo "stage timing (ns): collect=$(stage_ns collect) explore=$(stage_ns explore) filter=$(stage_ns filter)"
+
+echo "== explore scale sweep (linux model, scales 1/4/16)"
+# Per-root state must cost what the root reaches, not the module size:
+# explore ns per executed instruction (--threads 1) at scale 16 may be at
+# most 1.5x that at scale 1. The exploration bench above recorded the
+# ratio and exited non-zero above the gate; print what it recorded.
+sweep_ratio=$(grep '"scale_sweep":' results/BENCH_stage1.json \
+    | sed 's/.*"ratio_16_1": \([0-9.]*\).*/\1/')
+echo "explore ns/inst, scale 16 over scale 1: ${sweep_ratio}x (gate ≤1.5x)"
+# Reports stay byte-identical across thread counts at every scale.
+for scale in 1 4 16; do
+    sweep_dir="$tmp_dir/sweep$scale"
+    cargo run -q --release --bin pata -- corpus linux --scale "$scale" --seed 7 \
+        --out "$sweep_dir" >/dev/null
+    cargo run -q --release --bin pata -- analyze "$sweep_dir"/*/*.c --json \
+        --threads 1 > "$tmp_dir/sweep_t1.json"
+    cargo run -q --release --bin pata -- analyze "$sweep_dir"/*/*.c --json \
+        --threads 2 > "$tmp_dir/sweep_t2.json"
+    cmp -s "$tmp_dir/sweep_t1.json" "$tmp_dir/sweep_t2.json" \
+        || { echo "scale sweep: --json differs across threads at scale $scale"; exit 1; }
+    rm -rf "$sweep_dir"
+done
+echo "scale sweep OK (reports byte-identical across threads 1/2 at scales 1/4/16)"
 
 echo "== counter exactness across thread counts"
 # One heavy root: two symmetric diamonds calling a helper in both arms,
