@@ -17,6 +17,13 @@
 //! size, so the bench fails when the scale-16 figure exceeds 1.5x the
 //! scale-1 figure.
 //!
+//! The `exploration` section also records `explore_allocs_per_inst`:
+//! allocator calls per executed instruction of a single-threaded stage-1
+//! run, on a deep-path module (one root, ten sequential parameter
+//! branches) and on the linux model at scale 0.2. A counting global
+//! allocator local to this binary measures them; `tests/explore_allocs.rs`
+//! enforces the budget.
+//!
 //! `--smoke` runs a reduced single-round configuration for CI; `--scale F`
 //! sizes the corpus (default 1.0).
 
@@ -24,6 +31,91 @@ use pata_bench::harness::time_once;
 use pata_bench::results;
 use pata_core::{AnalysisConfig, AnalysisSession, AnalysisStats, PossibleBug, Report};
 use pata_corpus::{Corpus, OsProfile};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Delegates to [`System`], counting the calling thread's `alloc`,
+/// `alloc_zeroed` and `realloc` calls while [`COUNTING`] is set.
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            ALLOC_CALLS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`; the
+// counter touches only const-initialized thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls per executed instruction of one single-threaded
+/// stage-1 run over `module` (the worker runs on this thread).
+fn explore_allocs_per_inst(module: &pata_ir::Module) -> f64 {
+    let session = AnalysisSession::new(config(1, true));
+    let module = module.clone();
+    ALLOC_CALLS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let (_, _, stats) = session.collect_candidates(module);
+    COUNTING.with(|on| on.set(false));
+    ALLOC_CALLS.with(Cell::get) as f64 / stats.insts_processed.max(1) as f64
+}
+
+/// The `deep_paths` shape: one root whose ten sequential parameter
+/// branches each update `acc` (1,024 constraint-distinct paths), after a
+/// helper call and field loads.
+fn deep_module() -> pata_ir::Module {
+    let params: Vec<String> = (0..10).map(|b| format!("int a{b}")).collect();
+    let mut src = String::from(
+        "struct dev { int *res; int mode; };\n\
+         static int clamp(int v) { if (v > 8) { v = 8; } return v; }\n",
+    );
+    src.push_str(&format!(
+        "int deep_probe(struct dev *d, int lim, {}) {{\n",
+        params.join(", ")
+    ));
+    src.push_str("    int acc = 0;\n    int w = 0;\n");
+    src.push_str("    if (d->mode > 0) { w = clamp(lim); } else { w = clamp(lim); }\n");
+    for b in 0..10 {
+        src.push_str(&format!(
+            "    if (a{b} > {}) {{ acc = acc + {}; }} else {{ acc = acc - 1; }}\n",
+            10 * b + 5,
+            b + 1
+        ));
+    }
+    src.push_str("    if (d->res == NULL) { acc = 0; }\n    return *d->res + acc + w;\n}\n");
+    pata_cc::compile_one("deep.c", &src).expect("deep module compiles")
+}
 
 fn config(threads: usize, cow: bool) -> AnalysisConfig {
     AnalysisConfig::builder()
@@ -199,6 +291,11 @@ fn main() {
     let cow_speedup = clone_s / cow_s.max(1e-9);
     let steps_per_sec = steps as f64 / cow_s.max(1e-9);
     let (forks, fork_bytes_copied, peak_live_bytes) = fork_telemetry(&module);
+    let allocs_deep = explore_allocs_per_inst(&deep_module());
+    let linux_02 = Corpus::generate(&OsProfile::linux().with_scale(0.2))
+        .compile()
+        .expect("corpus compiles");
+    let allocs_linux = explore_allocs_per_inst(&linux_02);
 
     println!();
     println!("{:<28} {:>10} {:>14}", "configuration", "seconds", "steps");
@@ -215,6 +312,10 @@ fn main() {
     );
     println!("reports: bit-identical across cow on/off at threads 1/2/4");
     println!(
+        "explore allocator calls per instruction: deep paths {allocs_deep:.4}, \
+         linux 0.2 {allocs_linux:.4}"
+    );
+    println!(
         "cow live-step throughput: {:.2e} steps/s, {cow_speedup:.1}x clone-based forking",
         steps_per_sec
     );
@@ -229,6 +330,13 @@ fn main() {
         ("cow_seconds", format!("{cow_s:.6}")),
         ("clone_seconds", format!("{clone_s:.6}")),
         ("cow_speedup", format!("{cow_speedup:.3}")),
+        (
+            "explore_allocs_per_inst",
+            results::object(&[
+                ("deep", format!("{allocs_deep:.4}")),
+                ("linux_0.2", format!("{allocs_linux:.4}")),
+            ]),
+        ),
     ]);
     results::write_section("exploration", &section).expect("write results/BENCH_stage1.json");
     println!(

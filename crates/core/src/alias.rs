@@ -12,22 +12,15 @@
 //! branch and rolls the graph back when backtracking, giving each
 //! control-flow path its own alias graph without cloning (the paper's
 //! "COPY" at branches, Fig. 7, implemented as copy-on-return).
+//!
+//! Rollback frees nothing: a node popped by rollback is kept, emptied
+//! but with its buffers, and the next node the path creates reuses it.
+//! One graph serves every root a worker explores ([`AliasGraph::reset`]
+//! between them), so steady-state exploration makes no allocator calls
+//! for alias state at all.
 
 use pata_ir::{Symbol, VarId};
-use std::cell::Cell;
 use std::fmt;
-
-thread_local! {
-    /// This thread's spare `var_node` index; every entry is `None`.
-    static SPARE_INDEX: Cell<Vec<Option<NodeId>>> = const { Cell::new(Vec::new()) };
-}
-
-/// Frees the calling thread's spare variable index. The exploration
-/// driver calls it before returning, so a long-lived thread (a `serve`
-/// loop) holds no module-sized buffer between requests.
-pub(crate) fn release_spare_index() {
-    let _ = SPARE_INDEX.try_with(Cell::take);
-}
 
 /// A node in the alias graph — one alias class / abstract object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,16 +121,21 @@ pub struct Mark(usize);
 /// g.handle_gep(q, y, g_field); // q moves … (illustrative)
 /// assert!(g.node_of_var(p).is_some());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct AliasGraph {
+    /// The live nodes, indexed by [`NodeId`].
     nodes: Vec<NodeData>,
+    /// Nodes popped by rollback: empty, but with their `vars`/`out`
+    /// buffers, so [`AliasGraph::new_node`] reuses them instead of
+    /// allocating. Not part of the graph's value: a clone starts without.
+    spare: Vec<NodeData>,
     /// Variable → node placement, dense by `VarId::index()`. It sits on
     /// the hottest lookup path of the explorer (`node_of` per operand), so
     /// it is a flat vector, not a hash map. Its length follows module-wide
-    /// numbering, but it is not allocated per graph: it is the thread's
-    /// spare index, taken at creation and cleared on drop by walking
-    /// `nodes[*].vars` — every `Some` entry is exactly one variable in its
-    /// node's `vars` — so a graph costs what it placed, not the module size.
+    /// numbering, but it is not allocated per root: the graph is reused
+    /// across a worker's roots, and [`AliasGraph::reset`] clears only the
+    /// entries the journal placed, so a root costs what it placed, not the
+    /// module size.
     var_node: Vec<Option<NodeId>>,
     /// How many variables are placed in some node: what the path touched,
     /// independent of `var_node`'s length. [`AliasGraph::approx_bytes`]
@@ -159,34 +157,16 @@ pub struct StoreInfo {
     pub addr_node: NodeId,
 }
 
-impl Default for AliasGraph {
-    /// An empty graph over this thread's spare variable index.
-    fn default() -> Self {
+impl Clone for AliasGraph {
+    /// Copies the graph's value; the spare nodes stay behind.
+    fn clone(&self) -> Self {
         AliasGraph {
-            nodes: Vec::new(),
-            var_node: SPARE_INDEX.try_with(Cell::take).unwrap_or_default(),
-            placed: 0,
-            journal: Vec::new(),
+            nodes: self.nodes.clone(),
+            spare: Vec::new(),
+            var_node: self.var_node.clone(),
+            placed: self.placed,
+            journal: self.journal.clone(),
         }
-    }
-}
-
-impl Drop for AliasGraph {
-    /// Clears the entries this graph placed — O(placed), not O(module) —
-    /// and hands the all-`None` index back as the thread's spare, keeping
-    /// the longer of the two if the thread already holds one. Runs on
-    /// unwind too, so a root quarantined by a panic leaves a clean index.
-    fn drop(&mut self) {
-        self.clear_index();
-        let index = std::mem::take(&mut self.var_node);
-        let _ = SPARE_INDEX.try_with(|spare| {
-            let held = spare.take();
-            spare.set(if held.len() >= index.len() {
-                held
-            } else {
-                index
-            });
-        });
     }
 }
 
@@ -199,7 +179,8 @@ impl AliasGraph {
         Self::default()
     }
 
-    /// Number of nodes ever created (including empty ones).
+    /// Number of live nodes (including empty ones): every node created
+    /// since the graph was empty and not rolled back since.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -210,10 +191,12 @@ impl AliasGraph {
     }
 
     /// An O(1) estimate of the live bytes this graph holds — what a
-    /// clone-based branch fork would copy. Counts the nodes, the placed
-    /// variables and the journal by element size; per-node `vars`/`out`
-    /// spill is approximated by the journal (every placement and edge
-    /// passed through it).
+    /// clone-based branch fork would copy. Counts the live nodes, the
+    /// placed variables and the journal by element size; per-node
+    /// `vars`/`out` spill is approximated by the journal (every placement
+    /// and edge passed through it). Lengths only, never capacities: the
+    /// buffers kept for reuse are not path state, and a budget trip must
+    /// not depend on what earlier roots left behind.
     pub(crate) fn approx_bytes(&self) -> u64 {
         (self.nodes.len() * std::mem::size_of::<NodeData>()
             + self.placed * std::mem::size_of::<Option<NodeId>>()
@@ -257,9 +240,11 @@ impl AliasGraph {
     // Journaled primitive mutations
     // --------------------------------------------------------------
 
+    /// Pushes an empty node, reusing a spare one when rollback left any.
     fn new_node(&mut self) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many alias nodes"));
-        self.nodes.push(NodeData::default());
+        let node = self.spare.pop().unwrap_or_default();
+        self.nodes.push(node);
         self.journal.push(Op::NodeCreated);
         id
     }
@@ -472,27 +457,26 @@ impl AliasGraph {
                     self.nodes[n.index()].out.push((label, old));
                 }
                 Op::NodeCreated => {
+                    // Every placement into the node and every edge out of
+                    // it was journaled after its creation, so it is empty
+                    // by now; keep it (and its buffers) for `new_node`.
                     let node = self.nodes.pop().expect("journal/node mismatch");
-                    debug_assert!(node.vars.is_empty(), "rollback order violated");
+                    debug_assert!(
+                        node.vars.is_empty() && node.out.is_empty(),
+                        "rollback order violated"
+                    );
+                    self.spare.push(node);
                 }
             }
         }
     }
 
-    /// Resets every `var_node` entry this graph placed to `None`; returns
-    /// how many it reset. Runs from `Drop`, so it must not panic: an entry
-    /// is looked up with `get_mut`, not indexed.
-    fn clear_index(&mut self) -> usize {
-        let mut cleared = 0;
-        for node in &self.nodes {
-            for &v in &node.vars {
-                if let Some(slot) = self.var_node.get_mut(v.index()) {
-                    *slot = None;
-                    cleared += 1;
-                }
-            }
-        }
-        cleared
+    /// Empties the graph for the next root, keeping every buffer: a
+    /// rollback to the creation mark, so it costs what the journal holds
+    /// (what the last root touched), and every `var_node` entry is `None`
+    /// again however high the placed variable ids were.
+    pub(crate) fn reset(&mut self) {
+        self.rollback(Mark(0));
     }
 
     /// Enumerates the access paths of `AliasSet(n)` up to `max_len` labels —
@@ -725,49 +709,84 @@ mod tests {
     }
 
     #[test]
-    fn dropped_graph_leaves_a_clean_index() {
+    fn reset_leaves_a_clean_index() {
         let far = v(100_000);
         let mut g = AliasGraph::new();
-        g.handle_move(far, v(3));
-        drop(g);
-        let g = AliasGraph::new();
-        assert!(g.var_node.len() > far.index(), "the spare index is reused");
-        assert_eq!(g.node_of_var(far), None);
-        assert_eq!(g.node_of_var(v(3)), None);
+        g.handle_gep(far, v(7), pata_ir::Interner::new().intern("f"));
+        g.handle_move(v(8), v(7));
+        g.handle_store(v(8), v(3));
+        g.reset();
+        assert!(g.var_node.len() > far.index(), "the index is kept");
+        assert!(g.var_node.iter().all(Option::is_none));
+        assert_eq!((g.node_count(), g.placed, g.journal.len()), (0, 0, 0));
+        assert!(!g.spare.is_empty(), "the nodes are kept for reuse");
     }
 
     #[test]
-    fn graph_dropped_by_a_panic_leaves_a_clean_index() {
-        let far = v(100_000);
-        let caught = std::panic::catch_unwind(|| {
-            let mut g = AliasGraph::new();
-            g.handle_store(far, v(5));
-            panic!("mid-path fault");
-        });
-        assert!(caught.is_err());
-        let g = AliasGraph::new();
-        assert!(g.var_node.len() > far.index(), "the spare index is reused");
-        assert_eq!(g.node_of_var(far), None);
-        assert_eq!(g.node_of_var(v(5)), None);
+    fn recycled_nodes_are_empty_and_behave_like_fresh_ones() {
+        let mut interner = pata_ir::Interner::new();
+        let f = interner.intern("f");
+        // The same updates on a fresh graph and on one whose nodes all
+        // come back from a rollback.
+        let build = |g: &mut AliasGraph| {
+            g.handle_gep(v(1), v(0), f);
+            g.handle_move(v(2), v(1));
+            g.handle_store(v(1), v(3));
+            g.handle_load(v(4), v(2));
+        };
+        let mut fresh = AliasGraph::new();
+        build(&mut fresh);
+        let mut reused = AliasGraph::new();
+        let mark = reused.mark();
+        for i in 0..6 {
+            reused.handle_gep(v(10 + i), v(0), f);
+            reused.handle_store(v(10 + i), v(20 + i));
+            reused.handle_move(v(30 + i), v(10 + i));
+        }
+        reused.rollback(mark);
+        assert!(reused.spare.len() >= fresh.node_count());
+        let spare_before = reused.spare.len();
+        build(&mut reused);
+        assert_eq!(reused.spare.len(), spare_before - fresh.node_count());
+        assert_eq!(reused.node_count(), fresh.node_count());
+        for i in 0..fresh.node_count() {
+            let n = NodeId(i as u32);
+            assert_eq!(reused.vars(n), fresh.vars(n));
+            assert_eq!(reused.out_edges(n), fresh.out_edges(n));
+            assert_eq!(reused.alias_set_size(n), fresh.alias_set_size(n));
+            assert_eq!(reused.access_paths(n, 2), fresh.access_paths(n, 2));
+        }
+        // A node re-created after rollback starts with nothing in it.
+        let mark = reused.mark();
+        let n = reused.detach_to_fresh(v(5));
+        reused.rollback(mark);
+        let m = reused.node_of(v(6));
+        assert_eq!(m, n);
+        assert_eq!(reused.vars(m), &[v(6)]);
+        assert!(reused.out_edges(m).is_empty());
     }
 
     #[test]
-    fn released_spare_is_not_retained() {
+    fn clone_leaves_the_spare_nodes_behind() {
         let mut g = AliasGraph::new();
-        g.handle_const(v(100_000));
-        drop(g);
-        release_spare_index();
-        assert!(AliasGraph::new().var_node.is_empty());
+        let mark = g.mark();
+        g.handle_store(v(0), v(1));
+        g.rollback(mark);
+        g.handle_move(v(2), v(3));
+        let copy = g.clone();
+        assert!(copy.spare.is_empty());
+        assert_eq!(copy.node_count(), g.node_count());
+        assert_eq!(copy.node_of_var(v(2)), g.node_of_var(v(3)));
     }
 
     #[test]
-    fn rollback_to_empty_leaves_nothing_to_clear() {
+    fn rollback_to_empty_leaves_a_clean_index() {
         let mut g = AliasGraph::new();
         let mark = g.mark();
         g.handle_gep(v(100_000), v(7), pata_ir::Interner::new().intern("f"));
         g.handle_move(v(8), v(7));
         g.rollback(mark);
-        assert_eq!(g.clear_index(), 0);
+        assert_eq!(g.placed, 0);
         assert!(g.var_node.iter().all(Option::is_none));
     }
 

@@ -4,7 +4,7 @@
 //! are merged back in root order.
 
 use crate::config::AnalysisConfig;
-use crate::path::{ExploreResult, Explorer, ForkStats};
+use crate::path::{ExploreResult, Explorer, ForkStats, Workspace};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Span, Telemetry, TelemetrySink};
@@ -76,6 +76,12 @@ pub(crate) struct RootRun {
 /// workers pull the remaining work instead of waiting. The task set is
 /// static — no queue ever grows — so one full empty scan means the phase is
 /// done. A single worker runs inline on the calling thread.
+///
+/// Each worker owns one exploration [`Workspace`] and passes it from root
+/// to root, so path state is allocated once per worker, not per root. It
+/// is dropped when the worker finishes: nothing outlives this call, and a
+/// long-lived `pata serve` thread holds no exploration buffers between
+/// requests.
 pub(crate) fn explore_roots(
     module: &Module,
     config: &AnalysisConfig,
@@ -105,10 +111,12 @@ pub(crate) fn explore_roots(
         let mut sink = TelemetrySink::new();
         let mut alias_ops = [0u64; 7];
         let mut fork_total = ForkStats::default();
+        let mut ws = Workspace::default();
         while let Some(i) = next_task(&queues, w, &steals) {
             let root = roots[i];
             let span = Span::start(tel_on, "explore.root");
-            let (result, failure) = run_one_root(module, config, checkers, root, &mut sink, tel_on);
+            let (result, failure) =
+                run_one_root(module, config, checkers, root, &mut ws, &mut sink, tel_on);
             if tel_on {
                 let name = module.function(root).name();
                 span.finish_labeled(&mut sink, Some(name.into()));
@@ -142,9 +150,6 @@ pub(crate) fn explore_roots(
             }
         });
     }
-    // Workers' spare alias-graph indexes die with their threads; the
-    // calling thread's (the inline worker's) is freed here.
-    crate::alias::release_spare_index();
 
     let mut runs = collected
         .into_inner()
@@ -202,18 +207,29 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) ->
 /// Recovery telemetry (`driver.recover.*`) lands in the caller's worker
 /// sink; the counters are exact across thread counts for a fixed fault
 /// plan, like every other counter.
+///
+/// Each attempt explores in the worker's workspace `ws` and gives it back.
+/// A panicking attempt unwinds with the workspace, which is dropped; `ws`
+/// is then the empty one `mem::take` left behind, so no state of a
+/// quarantined root reaches the next.
 fn run_one_root(
     module: &Module,
     config: &AnalysisConfig,
     checkers: &[Box<dyn Checker>],
     root: FuncId,
+    ws: &mut Workspace,
     sink: &mut TelemetrySink,
     tel_on: bool,
 ) -> (ExploreResult, Option<RootFailure>) {
-    let attempt = |config: &AnalysisConfig| {
+    let mut attempt = |config: &AnalysisConfig| {
+        let taken = std::mem::take(&mut *ws);
         catch_unwind(AssertUnwindSafe(|| {
-            Explorer::new(module, config, checkers, root).explore()
+            Explorer::with_workspace(module, config, checkers, root, taken).run()
         }))
+        .map(|(result, used)| {
+            *ws = used;
+            result
+        })
         .map_err(|payload| panic_reason(payload.as_ref()))
     };
     let (result, action, reason) = match attempt(config) {
@@ -1191,5 +1207,59 @@ mod tests {
         .analyze_module(m2);
         assert_eq!(seq.reports.len(), par.reports.len());
         assert_eq!(seq.stats.paths_explored, par.stats.paths_explored);
+    }
+
+    /// A root that panics mid-path takes the worker's workspace down with
+    /// it: the next root starts from a fresh workspace, not from the
+    /// quarantined root's half-rolled-back state, and still finds its bug.
+    #[test]
+    fn a_panicking_root_leaves_a_fresh_workspace() {
+        use super::{run_one_root, Workspace};
+        use crate::faultinject::FaultPlan;
+        use crate::telemetry::TelemetrySink;
+        use std::sync::Arc;
+
+        let mut module = pata_cc::compile_one(
+            "t.c",
+            r#"
+            int first(int *p) { int *q = p; if (q == NULL) { } return *q; }
+            int second(int *p) { int *q = p; if (q == NULL) { } return *q; }
+            "#,
+        )
+        .unwrap();
+        let roots = crate::collector::mark_interfaces(&mut module);
+        let name = |i: usize| module.function(roots[i]).name().to_string();
+        assert_eq!((name(0), name(1)), ("first".into(), "second".into()));
+        let plain = AnalysisConfig::default();
+        let faulted = AnalysisConfig {
+            fault_plan: Some(Arc::new(FaultPlan::parse("checker:second@3").unwrap())),
+            ..AnalysisConfig::default()
+        };
+        let checkers: Vec<_> = plain.checkers.iter().map(|k| k.instantiate()).collect();
+        let mut sink = TelemetrySink::new();
+        let mut ws = Workspace::default();
+        let run = |config: &AnalysisConfig, root, ws: &mut Workspace, sink: &mut _| {
+            run_one_root(&module, config, &checkers, root, ws, sink, false)
+        };
+
+        let (warm, failure) = run(&plain, roots[0], &mut ws, &mut sink);
+        assert!(failure.is_none() && !warm.candidates.is_empty());
+        assert!(
+            ws.capacity() > 0,
+            "a finished root hands its workspace back"
+        );
+
+        let (_, failure) = run(&faulted, roots[1], &mut ws, &mut sink);
+        assert_eq!(failure.map(|f| f.action), Some("quarantined"));
+        assert_eq!(ws.capacity(), 0, "the panicked workspace was replaced");
+
+        let (after, failure) = run(&plain, roots[1], &mut ws, &mut sink);
+        let fresh = crate::path::Explorer::new(&module, &plain, &checkers, roots[1]).explore();
+        assert!(failure.is_none());
+        assert_eq!(
+            format!("{:?}", after.candidates),
+            format!("{:?}", fresh.candidates)
+        );
+        assert_eq!(after.stats, fresh.stats);
     }
 }

@@ -25,6 +25,15 @@
 //! Every step runs live: nothing recorded on one path is replayed on
 //! another (DESIGN.md "No reuse cache in stage 1").
 //!
+//! ## Allocation discipline
+//!
+//! Once its buffers have grown, a step makes no allocator calls: all
+//! path state lives in a [`Workspace`] that a worker reuses from root to
+//! root; rollback truncates and recycles (alias nodes, frames) instead
+//! of freeing; the constraint trace holds fixed-size `Copy` records that
+//! become [`Constraint`]s only when a candidate is emitted (DESIGN.md
+//! "Stage-1 allocation discipline").
+//!
 //! ## Calls (paper Fig. 6, HandleCALL)
 //!
 //! A direct call is inlined: actual arguments `MOVE` into formal parameters
@@ -116,6 +125,69 @@ struct Cont {
     dst: Option<VarId>,
 }
 
+/// A constraint operand as the explorer resolves it: an integer or the
+/// symbol of an alias set. `Copy`, unlike [`Term`], so the trace holds
+/// no heap data.
+#[derive(Debug, Clone, Copy)]
+enum Leaf {
+    Int(i64),
+    Sym(SymId),
+}
+
+impl Leaf {
+    fn term(self) -> Term {
+        match self {
+            Leaf::Int(v) => Term::int(v),
+            Leaf::Sym(s) => Term::sym(s),
+        }
+    }
+}
+
+/// One path-trace entry: `lhs op rhs`, or `lhs op (rhs bin rhs2)` when
+/// `bin` is set (the definition of a `Bin` result). Every constraint the
+/// explorer emits has one of these two shapes, so a fixed-size record
+/// stores it: pushing one allocates nothing, and rollback truncates the
+/// trace without freeing anything. [`TraceRec::constraint`] builds the
+/// [`Constraint`] when a candidate snapshots the trace.
+#[derive(Debug, Clone, Copy)]
+struct TraceRec {
+    op: SmtOp,
+    lhs: Leaf,
+    rhs: Leaf,
+    bin: Option<(pata_ir::BinOp, Leaf)>,
+}
+
+impl TraceRec {
+    /// `lhs op rhs`.
+    fn cmp(op: SmtOp, lhs: Leaf, rhs: Leaf) -> Self {
+        TraceRec {
+            op,
+            lhs,
+            rhs,
+            bin: None,
+        }
+    }
+
+    /// `sym == lhs bin rhs`.
+    fn bin_def(sym: SymId, bin: pata_ir::BinOp, lhs: Leaf, rhs: Leaf) -> Self {
+        TraceRec {
+            op: SmtOp::Eq,
+            lhs: Leaf::Sym(sym),
+            rhs: lhs,
+            bin: Some((bin, rhs)),
+        }
+    }
+
+    /// The constraint this record stands for.
+    fn constraint(&self) -> Constraint {
+        let rhs = match self.bin {
+            None => self.rhs.term(),
+            Some((op, rhs2)) => bin_term(op, self.rhs.term(), rhs2.term()),
+        };
+        Constraint::new(self.op, self.lhs.term(), rhs)
+    }
+}
+
 /// A combined rollback point across all journaled structures. `Copy` and
 /// fixed-size by design: taking one allocates nothing, so a branch fork
 /// costs O(changed) regardless of call depth or path length.
@@ -158,17 +230,19 @@ struct CloneSnapshot {
     fptr_journal: Vec<(TrackKey, Option<FuncId>)>,
     heap_journal: Vec<HeapPush>,
     next_sym: u32,
-    trace: Vec<Constraint>,
+    trace: Vec<TraceRec>,
     frames: Vec<Frame>,
 }
 
-/// The per-root path explorer. Construct one per analysis root via
-/// [`Explorer::new`] and run [`Explorer::explore`].
-pub struct Explorer<'a> {
-    module: &'a Module,
-    config: &'a AnalysisConfig,
-    checkers: &'a [Box<dyn Checker>],
-
+/// Every buffer stage 1 reuses from root to root: the journaled path
+/// state, the structural stacks, the candidate dedup map and the
+/// per-instruction scratch. A worker owns one and hands it to each root's
+/// [`Explorer`] in turn; [`Workspace::reset`] empties it in O(what the
+/// last root touched) and keeps every allocation, so after the first few
+/// roots exploration makes no allocator calls except to record
+/// candidates (DESIGN.md "Stage-1 allocation discipline").
+#[derive(Default)]
+pub(crate) struct Workspace {
     graph: AliasGraph,
     states: StateTable,
     cond_defs: FxHashMap<VarId, PredDef>,
@@ -182,18 +256,79 @@ pub struct Explorer<'a> {
     /// Journal of heap-object pushes (see [`HeapPush`]); gives the combined
     /// mark a single O(1) length instead of a per-frame length vector.
     heap_journal: Vec<HeapPush>,
+    /// The path's constraints as fixed-size records; a [`Constraint`] is
+    /// built from them only when a candidate is emitted.
+    trace: Vec<TraceRec>,
+    frames: Vec<Frame>,
+    /// Frames popped off `frames`, kept for their `visited` and
+    /// `heap_objects` buffers; [`Explorer::new_frame`] reuses them.
+    spare_frames: Vec<Frame>,
+    call_stack: Vec<FuncId>,
+    conts: Vec<Cont>,
+    pending: Vec<PendingBug>,
+    seen: FxHashMap<(crate::checkers::BugKind, InstId, InstId), u8>,
+    /// Per-instruction alias-resolution scratch: filled in place and read
+    /// by the checkers, never moved or reallocated.
+    info: UpdateInfo,
+}
+
+impl Workspace {
+    /// Empties every structure for the next root, keeping the buffers.
+    /// The journals are rolled back to empty, which costs what the last
+    /// root left on them, not the module size.
+    fn reset(&mut self) {
+        self.graph.reset();
+        self.states.reset();
+        undo_map(&mut self.cond_defs, &mut self.cond_journal, 0);
+        undo_map(&mut self.syms, &mut self.sym_journal, 0);
+        undo_map(&mut self.fptrs, &mut self.fptr_journal, 0);
+        self.heap_journal.clear();
+        self.trace.clear();
+        self.spare_frames.append(&mut self.frames);
+        self.call_stack.clear();
+        self.conts.clear();
+        self.pending.clear();
+        self.seen.clear();
+    }
+
+    /// Elements of buffer capacity held across the workspace's vectors
+    /// and maps: zero exactly for a workspace that has never run a root.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cond_defs.capacity()
+            + self.cond_journal.capacity()
+            + self.syms.capacity()
+            + self.sym_journal.capacity()
+            + self.fptrs.capacity()
+            + self.fptr_journal.capacity()
+            + self.heap_journal.capacity()
+            + self.trace.capacity()
+            + self.frames.capacity()
+            + self.spare_frames.capacity()
+            + self.call_stack.capacity()
+            + self.conts.capacity()
+            + self.pending.capacity()
+            + self.seen.capacity()
+            + self.info.use_keys.capacity()
+            + self.info.escape_keys.capacity()
+    }
+}
+
+/// The per-root path explorer. Construct one per analysis root via
+/// [`Explorer::new`] and run [`Explorer::explore`].
+pub struct Explorer<'a> {
+    module: &'a Module,
+    config: &'a AnalysisConfig,
+    checkers: &'a [Box<dyn Checker>],
+
+    /// The reusable path state and buffers (see [`Workspace`]).
+    ws: Workspace,
     /// Next frame serial (see [`Frame::serial`]).
     frame_serial: u64,
     next_sym: u32,
-    trace: Vec<Constraint>,
-
-    frames: Vec<Frame>,
-    call_stack: Vec<FuncId>,
 
     root: FuncId,
     exhausted: bool,
-    pending: Vec<PendingBug>,
-    seen: FxHashMap<(crate::checkers::BugKind, InstId, InstId), u8>,
     candidates: Vec<PossibleBug>,
     /// Counters for this root (merged by the driver).
     pub stats: AnalysisStats,
@@ -209,9 +344,6 @@ pub struct Explorer<'a> {
     /// [`AnalysisConfig::root_deadline_ms`] is non-zero; checked at fork
     /// points by `check_resource_budgets`.
     deadline: Option<std::time::Instant>,
-    /// Reusable per-instruction alias-resolution scratch; cleared (keeping
-    /// its `Vec` capacity) instead of reallocated on every instruction.
-    info_scratch: UpdateInfo,
     /// Branch-fork telemetry (`driver.explore.fork.*`), tallied only when
     /// telemetry is enabled.
     fork_stats: ForkStats,
@@ -277,41 +409,46 @@ impl<'a> Explorer<'a> {
         checkers: &'a [Box<dyn Checker>],
         root: FuncId,
     ) -> Self {
+        Self::with_workspace(module, config, checkers, root, Workspace::default())
+    }
+
+    /// Creates an explorer for `root` that runs in `ws`, reset first; a
+    /// worker passes the workspace its previous root gave back.
+    pub(crate) fn with_workspace(
+        module: &'a Module,
+        config: &'a AnalysisConfig,
+        checkers: &'a [Box<dyn Checker>],
+        root: FuncId,
+        mut ws: Workspace,
+    ) -> Self {
+        ws.reset();
         Explorer {
             module,
             config,
             checkers,
-            graph: AliasGraph::new(),
-            states: StateTable::new(),
-            cond_defs: FxHashMap::default(),
-            cond_journal: Vec::new(),
-            syms: FxHashMap::default(),
-            sym_journal: Vec::new(),
-            fptrs: FxHashMap::default(),
-            fptr_journal: Vec::new(),
-            heap_journal: Vec::new(),
+            ws,
             frame_serial: 0,
             next_sym: 0,
-            trace: Vec::new(),
-            frames: Vec::new(),
-            call_stack: Vec::new(),
             root,
             exhausted: false,
-            pending: Vec::new(),
-            seen: FxHashMap::default(),
             candidates: Vec::new(),
             stats: AnalysisStats::default(),
             tel_enabled: config.telemetry,
             alias_ops: [0; ALIAS_OP_NAMES.len()],
             budget_reason: None,
             deadline: None,
-            info_scratch: UpdateInfo::default(),
             fork_stats: ForkStats::default(),
         }
     }
 
     /// Runs the exploration and returns candidates plus statistics.
-    pub fn explore(mut self) -> ExploreResult {
+    pub fn explore(self) -> ExploreResult {
+        self.run().0
+    }
+
+    /// Runs the exploration and returns its result together with the
+    /// workspace, for the worker's next root.
+    pub(crate) fn run(mut self) -> (ExploreResult, Workspace) {
         faultinject::maybe_panic(
             self.config.fault_plan.as_deref(),
             "explore",
@@ -324,11 +461,12 @@ impl<'a> Explorer<'a> {
             );
         }
         let frame = self.new_frame(self.root);
-        self.frames.push(frame);
-        self.call_stack.push(self.root);
+        self.ws.frames.push(frame);
+        self.ws.call_stack.push(self.root);
         let entry = self.module.function(self.root).entry();
-        let mut conts = Vec::new();
+        let mut conts = std::mem::take(&mut self.ws.conts);
         self.exec_block(self.root, entry, &mut conts);
+        self.ws.conts = conts;
         if self.exhausted {
             self.stats.budget_exhausted_roots += 1;
         }
@@ -337,26 +475,34 @@ impl<'a> Explorer<'a> {
             root: self.module.function(self.root).name().to_string(),
             reason: reason.to_string(),
         });
-        ExploreResult {
+        let result = ExploreResult {
             candidates: self.candidates,
             stats: self.stats,
             alias_ops: self.alias_ops,
             budget_note,
             fork_stats: self.fork_stats,
-        }
+        };
+        (result, self.ws)
     }
 
-    /// Allocates a frame for `func` with a fresh serial (see
-    /// [`Frame::serial`]).
+    /// A frame for `func` with a fresh serial (see [`Frame::serial`]),
+    /// built from a spare frame's buffers when there is one.
     fn new_frame(&mut self, func: FuncId) -> Frame {
         let serial = self.frame_serial;
         self.frame_serial += 1;
-        Frame {
+        let blocks = self.module.function(func).blocks().len();
+        let mut frame = self.ws.spare_frames.pop().unwrap_or_else(|| Frame {
             func,
             serial,
-            visited: vec![0; self.module.function(func).blocks().len()],
+            visited: Vec::new(),
             heap_objects: Vec::new(),
-        }
+        });
+        frame.func = func;
+        frame.serial = serial;
+        frame.visited.clear();
+        frame.visited.resize(blocks, 0);
+        frame.heap_objects.clear();
+        frame
     }
 
     /// Counts one alias-graph update of rule `op` (index into
@@ -376,31 +522,35 @@ impl<'a> Explorer<'a> {
 
     fn full_mark(&self) -> FullMark {
         FullMark {
-            graph: self.graph.mark(),
-            states: self.states.mark(),
-            conds: self.cond_journal.len(),
-            syms: self.sym_journal.len(),
-            fptrs: self.fptr_journal.len(),
+            graph: self.ws.graph.mark(),
+            states: self.ws.states.mark(),
+            conds: self.ws.cond_journal.len(),
+            syms: self.ws.sym_journal.len(),
+            fptrs: self.ws.fptr_journal.len(),
             next_sym: self.next_sym,
-            trace: self.trace.len(),
-            heap: self.heap_journal.len(),
+            trace: self.ws.trace.len(),
+            heap: self.ws.heap_journal.len(),
         }
     }
 
     fn full_rollback(&mut self, mark: &FullMark) {
-        self.graph.rollback(mark.graph);
-        self.states.rollback(mark.states);
-        undo_map(&mut self.cond_defs, &mut self.cond_journal, mark.conds);
-        undo_map(&mut self.syms, &mut self.sym_journal, mark.syms);
-        undo_map(&mut self.fptrs, &mut self.fptr_journal, mark.fptrs);
+        self.ws.graph.rollback(mark.graph);
+        self.ws.states.rollback(mark.states);
+        undo_map(
+            &mut self.ws.cond_defs,
+            &mut self.ws.cond_journal,
+            mark.conds,
+        );
+        undo_map(&mut self.ws.syms, &mut self.ws.sym_journal, mark.syms);
+        undo_map(&mut self.ws.fptrs, &mut self.ws.fptr_journal, mark.fptrs);
         self.next_sym = mark.next_sym;
-        self.trace.truncate(mark.trace);
-        for e in self.heap_journal.drain(mark.heap..).rev() {
+        self.ws.trace.truncate(mark.trace);
+        for e in self.ws.heap_journal.drain(mark.heap..).rev() {
             // An entry whose frame has since been discarded (a callee frame
             // dropped at its call site, possibly with objects its dead-end
             // paths never released) needs no undo. The serial distinguishes
             // that case from the live frame now at depth `e.depth`.
-            if let Some(frame) = self.frames.get_mut(e.depth as usize) {
+            if let Some(frame) = self.ws.frames.get_mut(e.depth as usize) {
                 if frame.serial == e.serial {
                     frame.heap_objects.pop();
                 }
@@ -412,9 +562,9 @@ impl<'a> Explorer<'a> {
     /// the push so a later [`Explorer::full_rollback`] can undo it without
     /// the mark having snapshotted any per-frame lengths.
     fn push_heap(&mut self, obj: HeapObject) {
-        let depth = self.frames.len() as u32 - 1;
-        let frame = self.frames.last_mut().expect("frame");
-        self.heap_journal.push(HeapPush {
+        let depth = self.ws.frames.len() as u32 - 1;
+        let frame = self.ws.frames.last_mut().expect("frame");
+        self.ws.heap_journal.push(HeapPush {
             serial: frame.serial,
             depth,
         });
@@ -428,19 +578,19 @@ impl<'a> Explorer<'a> {
 
     fn key_of(&mut self, v: VarId) -> TrackKey {
         match self.config.alias_mode {
-            AliasMode::PathBased => TrackKey::Node(self.graph.node_of(v)),
+            AliasMode::PathBased => TrackKey::Node(self.ws.graph.node_of(v)),
             AliasMode::None => TrackKey::Var(v),
         }
     }
 
     fn sym_for(&mut self, key: TrackKey) -> SymId {
-        if let Some(&s) = self.syms.get(&key) {
+        if let Some(&s) = self.ws.syms.get(&key) {
             return s;
         }
         let s = SymId(self.next_sym);
         self.next_sym += 1;
-        let old = self.syms.insert(key, s);
-        self.sym_journal.push((key, old));
+        let old = self.ws.syms.insert(key, s);
+        self.ws.sym_journal.push((key, old));
         s
     }
 
@@ -450,25 +600,33 @@ impl<'a> Explorer<'a> {
     fn fresh_sym_for(&mut self, key: TrackKey) -> SymId {
         let s = SymId(self.next_sym);
         self.next_sym += 1;
-        let old = self.syms.insert(key, s);
-        self.sym_journal.push((key, old));
+        let old = self.ws.syms.insert(key, s);
+        self.ws.sym_journal.push((key, old));
         s
     }
 
-    fn operand_term(&mut self, op: Operand) -> Term {
+    fn operand_leaf(&mut self, op: Operand) -> Leaf {
         match op {
-            Operand::Const(c) => Term::int(c.as_int()),
+            Operand::Const(c) => Leaf::Int(c.as_int()),
             Operand::Var(v) => {
                 let key = self.key_of(v);
-                Term::sym(self.sym_for(key))
+                Leaf::Sym(self.sym_for(key))
             }
         }
     }
 
-    fn push_constraint(&mut self, c: Constraint) {
+    fn push_constraint(&mut self, rec: TraceRec) {
         self.stats.constraints_aware += 1;
         self.stats.constraints_unaware += 1;
-        self.trace.push(c);
+        self.ws.trace.push(rec);
+    }
+
+    /// Records `v` as a value-read operand (UVA `use`) in the step
+    /// scratch and returns its key.
+    fn note_use(&mut self, v: VarId) -> TrackKey {
+        let key = self.key_of(v);
+        self.ws.info.use_keys.push((v, key));
+        key
     }
 
     /// Counts what an alias-unaware encoding would have emitted for an
@@ -494,7 +652,7 @@ impl<'a> Explorer<'a> {
     /// (paper Fig. 8a's explicit "sync" transitions).
     fn count_unaware_sync(&mut self, key: TrackKey) {
         for c in self.checkers {
-            if self.states.get(c.kind().id(), key).is_some() {
+            if self.ws.states.get(c.kind().id(), key).is_some() {
                 self.stats.typestates_unaware += 1;
             }
         }
@@ -504,13 +662,9 @@ impl<'a> Explorer<'a> {
     // Checker dispatch
     // ==============================================================
 
-    fn run_checkers_inst(
-        &mut self,
-        kind: &InstKind,
-        info: &crate::typestate::UpdateInfo,
-        loc: Loc,
-        inst_id: InstId,
-    ) {
+    /// Runs the checkers' instruction hook on `kind`, with the alias
+    /// resolution the caller left in the step scratch (`ws.info`).
+    fn run_checkers_inst(&mut self, kind: &InstKind, loc: Loc, inst_id: InstId) {
         // Checker callbacks are arbitrary user code (CheckerRegistry); this
         // is the site where a misbehaving checker's panic is simulated.
         faultinject::maybe_panic(
@@ -518,36 +672,36 @@ impl<'a> Explorer<'a> {
             "checker",
             self.module.function(self.root).name(),
         );
-        let graph = &self.graph;
+        let graph = &self.ws.graph;
         let set_size = |k: TrackKey| match k {
             TrackKey::Node(n) => graph.alias_set_size(n),
             TrackKey::Var(_) => 1,
         };
         let mut cx = TrackCtx {
-            states: &mut self.states,
+            states: &mut self.ws.states,
             mode: self.config.alias_mode,
-            bugs: &mut self.pending,
+            bugs: &mut self.ws.pending,
             stats: &mut self.stats,
             set_size: &set_size,
             loc,
             inst_id,
         };
         for c in self.checkers {
-            c.on_inst(&mut cx, kind, info);
+            c.on_inst(&mut cx, kind, &self.ws.info);
         }
         self.flush_pending();
     }
 
     fn run_checkers_branch(&mut self, ev: &BranchEvent) {
-        let graph = &self.graph;
+        let graph = &self.ws.graph;
         let set_size = |k: TrackKey| match k {
             TrackKey::Node(n) => graph.alias_set_size(n),
             TrackKey::Var(_) => 1,
         };
         let mut cx = TrackCtx {
-            states: &mut self.states,
+            states: &mut self.ws.states,
             mode: self.config.alias_mode,
-            bugs: &mut self.pending,
+            bugs: &mut self.ws.pending,
             stats: &mut self.stats,
             set_size: &set_size,
             loc: ev.loc,
@@ -560,15 +714,15 @@ impl<'a> Explorer<'a> {
     }
 
     fn run_checkers_frame_end(&mut self, ev: &FrameEndEvent<'_>) {
-        let graph = &self.graph;
+        let graph = &self.ws.graph;
         let set_size = |k: TrackKey| match k {
             TrackKey::Node(n) => graph.alias_set_size(n),
             TrackKey::Var(_) => 1,
         };
         let mut cx = TrackCtx {
-            states: &mut self.states,
+            states: &mut self.ws.states,
             mode: self.config.alias_mode,
-            bugs: &mut self.pending,
+            bugs: &mut self.ws.pending,
             stats: &mut self.stats,
             set_size: &set_size,
             loc: ev.loc,
@@ -588,11 +742,12 @@ impl<'a> Explorer<'a> {
     const MAX_PATHS_PER_BUG: u8 = 4;
 
     /// Converts pending checker reports into candidates, deduplicating by
-    /// problematic-instruction pair (§4 P3) *before* cloning the trace and
-    /// rendering alias paths.
+    /// problematic-instruction pair (§4 P3) *before* materializing the
+    /// trace's constraints and rendering alias paths.
     fn flush_pending(&mut self) {
-        while let Some(pb) = self.pending.pop() {
+        while let Some(pb) = self.ws.pending.pop() {
             let count = self
+                .ws
                 .seen
                 .entry((pb.kind, pb.origin_id, pb.site_id))
                 .or_insert(0);
@@ -603,8 +758,9 @@ impl<'a> Explorer<'a> {
             *count += 1;
             self.stats.candidates += 1;
             let alias_paths = self.render_alias_paths(pb.key);
+            let constraints = self.ws.trace.iter().map(TraceRec::constraint).collect();
             self.candidates
-                .push(pb.into_possible(self.trace.clone(), alias_paths, self.root));
+                .push(pb.into_possible(constraints, alias_paths, self.root));
         }
     }
 
@@ -622,6 +778,7 @@ impl<'a> Explorer<'a> {
         };
         match key {
             Some(TrackKey::Node(n)) => self
+                .ws
                 .graph
                 .access_paths(n, 1)
                 .into_iter()
@@ -643,7 +800,7 @@ impl<'a> Explorer<'a> {
             return;
         }
         for c in self.checkers {
-            self.states.clear(c.kind().id(), TrackKey::Var(dst));
+            self.ws.states.clear(c.kind().id(), TrackKey::Var(dst));
         }
         self.fresh_sym_for(TrackKey::Var(dst));
     }
@@ -719,7 +876,7 @@ impl<'a> Explorer<'a> {
     /// Whether the loop cut still allows entering `block` in this frame.
     fn may_enter(&self, block: BlockId) -> bool {
         let limit = self.config.budget.loop_iterations as u32 + 1;
-        let frame = self.frames.last().expect("frame");
+        let frame = self.ws.frames.last().expect("frame");
         frame.visited[block.index()] < limit
     }
 
@@ -727,10 +884,10 @@ impl<'a> Explorer<'a> {
         if !self.budget_ok() {
             return;
         }
-        debug_assert_eq!(self.frames.last().expect("frame").func, func);
-        self.frames.last_mut().expect("frame").visited[block.index()] += 1;
+        debug_assert_eq!(self.ws.frames.last().expect("frame").func, func);
+        self.ws.frames.last_mut().expect("frame").visited[block.index()] += 1;
         self.exec_from(func, block, 0, conts);
-        self.frames.last_mut().expect("frame").visited[block.index()] -= 1;
+        self.ws.frames.last_mut().expect("frame").visited[block.index()] -= 1;
     }
 
     fn exec_from(&mut self, func: FuncId, block: BlockId, start: usize, conts: &mut Vec<Cont>) {
@@ -785,7 +942,7 @@ impl<'a> Explorer<'a> {
                     // `budget_ok` (no `path_end` for a truncated path).
                     return;
                 }
-                let pred = self.cond_defs.get(&cond).copied();
+                let pred = self.ws.cond_defs.get(&cond).copied();
                 let mut any = false;
                 for (succ, taken) in [(then_bb, true), (else_bb, false)] {
                     if !self.may_enter(succ) {
@@ -861,12 +1018,12 @@ impl<'a> Explorer<'a> {
     /// clone otherwise), what stays shared, and the journal depth at the
     /// fork point. Only called when telemetry is enabled.
     fn note_fork(&mut self, cow: bool) {
-        let journal_depth = (self.graph.journal_len()
-            + self.states.journal_len()
-            + self.cond_journal.len()
-            + self.sym_journal.len()
-            + self.fptr_journal.len()
-            + self.heap_journal.len()) as u64;
+        let journal_depth = (self.ws.graph.journal_len()
+            + self.ws.states.journal_len()
+            + self.ws.cond_journal.len()
+            + self.ws.sym_journal.len()
+            + self.ws.fptr_journal.len()
+            + self.ws.heap_journal.len()) as u64;
         let live = self.live_bytes_estimate();
         let copied = if cow {
             std::mem::size_of::<FullMark>() as u64
@@ -887,35 +1044,38 @@ impl<'a> Explorer<'a> {
     /// Everything but the per-frame walk (bounded by call depth) is O(1).
     fn live_bytes_estimate(&self) -> u64 {
         use std::mem::size_of;
-        self.graph.approx_bytes()
-            + self.states.approx_bytes()
-            + (self.cond_defs.len() * size_of::<(VarId, PredDef)>()) as u64
-            + (self.cond_journal.len() * size_of::<(VarId, Option<PredDef>)>()) as u64
-            + (self.syms.len() * size_of::<(TrackKey, SymId)>()) as u64
-            + (self.sym_journal.len() * size_of::<(TrackKey, Option<SymId>)>()) as u64
-            + (self.fptrs.len() * size_of::<(TrackKey, FuncId)>()) as u64
-            + (self.fptr_journal.len() * size_of::<(TrackKey, Option<FuncId>)>()) as u64
-            + (self.heap_journal.len() * size_of::<HeapPush>()) as u64
-            + (self.trace.len() * size_of::<Constraint>()) as u64
-            + (self.frames.len() * size_of::<Frame>()) as u64
-            + self.frames.iter().map(Frame::approx_bytes).sum::<u64>()
+        self.ws.graph.approx_bytes()
+            + self.ws.states.approx_bytes()
+            + (self.ws.cond_defs.len() * size_of::<(VarId, PredDef)>()) as u64
+            + (self.ws.cond_journal.len() * size_of::<(VarId, Option<PredDef>)>()) as u64
+            + (self.ws.syms.len() * size_of::<(TrackKey, SymId)>()) as u64
+            + (self.ws.sym_journal.len() * size_of::<(TrackKey, Option<SymId>)>()) as u64
+            + (self.ws.fptrs.len() * size_of::<(TrackKey, FuncId)>()) as u64
+            + (self.ws.fptr_journal.len() * size_of::<(TrackKey, Option<FuncId>)>()) as u64
+            + (self.ws.heap_journal.len() * size_of::<HeapPush>()) as u64
+            // A trace record stands for one `Constraint`; it is counted
+            // at that size, so the estimate (and a `--max-live-bytes`
+            // trip) does not depend on how the trace is stored.
+            + (self.ws.trace.len() * size_of::<Constraint>()) as u64
+            + (self.ws.frames.len() * size_of::<Frame>()) as u64
+            + self.ws.frames.iter().map(Frame::approx_bytes).sum::<u64>()
     }
 
     /// Deep-copies every forkable structure (clone-fork mode).
     fn clone_snapshot(&self) -> CloneSnapshot {
         CloneSnapshot {
-            graph: self.graph.clone(),
-            states: self.states.clone(),
-            cond_defs: self.cond_defs.clone(),
-            cond_journal: self.cond_journal.clone(),
-            syms: self.syms.clone(),
-            sym_journal: self.sym_journal.clone(),
-            fptrs: self.fptrs.clone(),
-            fptr_journal: self.fptr_journal.clone(),
-            heap_journal: self.heap_journal.clone(),
+            graph: self.ws.graph.clone(),
+            states: self.ws.states.clone(),
+            cond_defs: self.ws.cond_defs.clone(),
+            cond_journal: self.ws.cond_journal.clone(),
+            syms: self.ws.syms.clone(),
+            sym_journal: self.ws.sym_journal.clone(),
+            fptrs: self.ws.fptrs.clone(),
+            fptr_journal: self.ws.fptr_journal.clone(),
+            heap_journal: self.ws.heap_journal.clone(),
             next_sym: self.next_sym,
-            trace: self.trace.clone(),
-            frames: self.frames.clone(),
+            trace: self.ws.trace.clone(),
+            frames: self.ws.frames.clone(),
         }
     }
 
@@ -924,18 +1084,18 @@ impl<'a> Explorer<'a> {
     /// the journal-depth telemetry and the live-bytes estimate agree across
     /// both fork modes.
     fn restore_snapshot(&mut self, snap: CloneSnapshot) {
-        self.graph = snap.graph;
-        self.states = snap.states;
-        self.cond_defs = snap.cond_defs;
-        self.cond_journal = snap.cond_journal;
-        self.syms = snap.syms;
-        self.sym_journal = snap.sym_journal;
-        self.fptrs = snap.fptrs;
-        self.fptr_journal = snap.fptr_journal;
-        self.heap_journal = snap.heap_journal;
+        self.ws.graph = snap.graph;
+        self.ws.states = snap.states;
+        self.ws.cond_defs = snap.cond_defs;
+        self.ws.cond_journal = snap.cond_journal;
+        self.ws.syms = snap.syms;
+        self.ws.sym_journal = snap.sym_journal;
+        self.ws.fptrs = snap.fptrs;
+        self.ws.fptr_journal = snap.fptr_journal;
+        self.ws.heap_journal = snap.heap_journal;
         self.next_sym = snap.next_sym;
-        self.trace = snap.trace;
-        self.frames = snap.frames;
+        self.ws.trace = snap.trace;
+        self.ws.frames = snap.frames;
     }
 
     fn assert_branch(&mut self, p: PredDef, taken: bool, loc: Loc, inst_id: InstId) {
@@ -948,10 +1108,9 @@ impl<'a> Explorer<'a> {
         let eff_op = if taken { op } else { op.negate() };
 
         // Table 3: brt(e) / brf(e) constraints.
-        let lt = self.operand_term(lhs);
-        let rt = self.operand_term(rhs);
-        let smt_op = to_smt_op(eff_op);
-        self.push_constraint(Constraint::new(smt_op, lt, rt));
+        let lt = self.operand_leaf(lhs);
+        let rt = self.operand_leaf(rhs);
+        self.push_constraint(TraceRec::cmp(to_smt_op(eff_op), lt, rt));
 
         // Checker branch events.
         let lhs_is_pointer = match lhs {
@@ -989,7 +1148,7 @@ impl<'a> Explorer<'a> {
             Some(Operand::Var(v)) => Some(self.key_of(v)),
             _ => None,
         };
-        let frame_objects = std::mem::take(&mut self.frames.last_mut().unwrap().heap_objects);
+        let frame_objects = std::mem::take(&mut self.ws.frames.last_mut().unwrap().heap_objects);
         {
             let ev = FrameEndEvent {
                 heap_objects: &frame_objects,
@@ -999,18 +1158,15 @@ impl<'a> Explorer<'a> {
             };
             self.run_checkers_frame_end(&ev);
         }
-        self.frames.last_mut().unwrap().heap_objects = frame_objects;
+        self.ws.frames.last_mut().unwrap().heap_objects = frame_objects;
 
         // UVA `use` of the returned value.
         if let Some(Operand::Var(v)) = value {
-            let key = self.key_of(v);
-            let info = crate::typestate::UpdateInfo {
-                use_keys: vec![(v, key)],
-                ..Default::default()
-            };
+            self.ws.info.clear();
+            self.note_use(v);
             // Reuse the Move shape so checkers treat it as a plain use.
             let kind = InstKind::Move { dst: v, src: v };
-            self.run_checkers_inst(&kind, &info, loc, inst_id);
+            self.run_checkers_inst(&kind, loc, inst_id);
         }
 
         if conts.is_empty() {
@@ -1021,8 +1177,8 @@ impl<'a> Explorer<'a> {
 
         // Return into the caller's continuation.
         let cont = conts.pop().expect("cont");
-        let frame = self.frames.pop().expect("frame");
-        let callee = self.call_stack.pop().unwrap();
+        let frame = self.ws.frames.pop().expect("frame");
+        let callee = self.ws.call_stack.pop().unwrap();
 
         if let Some(dst) = cont.dst {
             self.bind_value(dst, value, loc, inst_id);
@@ -1030,17 +1186,17 @@ impl<'a> Explorer<'a> {
             // SNF in the caller's frame).
             let dst_key = self.key_of(dst);
             let ml_id = crate::checkers::BugKind::MemoryLeak.id();
-            if let Some(entry) = self.states.get(ml_id, dst_key) {
+            if let Some(entry) = self.ws.states.get(ml_id, dst_key) {
                 if entry.state == ml::S_RETURNED {
-                    let graph = &self.graph;
+                    let graph = &self.ws.graph;
                     let set_size = |k: TrackKey| match k {
                         TrackKey::Node(n) => graph.alias_set_size(n),
                         TrackKey::Var(_) => 1,
                     };
                     let mut cx = TrackCtx {
-                        states: &mut self.states,
+                        states: &mut self.ws.states,
                         mode: self.config.alias_mode,
-                        bugs: &mut self.pending,
+                        bugs: &mut self.ws.pending,
                         stats: &mut self.stats,
                         set_size: &set_size,
                         loc,
@@ -1059,8 +1215,8 @@ impl<'a> Explorer<'a> {
         self.exec_from(cont.func, cont.block, cont.next_inst, conts);
 
         // Restore structural stacks for sibling paths in the callee.
-        self.call_stack.push(callee);
-        self.frames.push(frame);
+        self.ws.call_stack.push(callee);
+        self.ws.frames.push(frame);
         conts.push(cont);
     }
 
@@ -1069,61 +1225,51 @@ impl<'a> Explorer<'a> {
         match value {
             Some(Operand::Var(src)) => {
                 self.na_clear_def(dst);
-                let info = match self.config.alias_mode {
+                let (dk, sk) = match self.config.alias_mode {
                     AliasMode::PathBased => {
-                        let n = self.graph.handle_move(dst, src);
+                        let n = self.ws.graph.handle_move(dst, src);
                         self.count_unaware_alias_op(src);
                         self.count_unaware_sync(nkey(n));
-                        crate::typestate::UpdateInfo {
-                            dst_key: Some(nkey(n)),
-                            move_pair: Some((nkey(n), nkey(n))),
-                            ..Default::default()
-                        }
+                        (nkey(n), nkey(n))
                     }
                     AliasMode::None => {
                         let dk = TrackKey::Var(dst);
                         let sk = TrackKey::Var(src);
                         let d = self.sym_for(dk);
                         let s = self.sym_for(sk);
-                        self.push_constraint(Constraint::new(
-                            SmtOp::Eq,
-                            Term::sym(d),
-                            Term::sym(s),
-                        ));
-                        crate::typestate::UpdateInfo {
-                            dst_key: Some(dk),
-                            move_pair: Some((dk, sk)),
-                            ..Default::default()
-                        }
+                        self.push_constraint(TraceRec::cmp(SmtOp::Eq, Leaf::Sym(d), Leaf::Sym(s)));
+                        (dk, sk)
                     }
                 };
+                let info = &mut self.ws.info;
+                info.clear();
+                info.dst_key = Some(dk);
+                info.move_pair = Some((dk, sk));
                 let kind = InstKind::Move { dst, src };
-                self.run_checkers_inst(&kind, &info, loc, inst_id);
+                self.run_checkers_inst(&kind, loc, inst_id);
             }
             Some(Operand::Const(c)) => {
                 self.na_clear_def(dst);
                 let key = match self.config.alias_mode {
-                    AliasMode::PathBased => nkey(self.graph.handle_const(dst)),
+                    AliasMode::PathBased => nkey(self.ws.graph.handle_const(dst)),
                     AliasMode::None => TrackKey::Var(dst),
                 };
                 let s = self.sym_for(key);
-                self.push_constraint(Constraint::new(
+                self.push_constraint(TraceRec::cmp(
                     SmtOp::Eq,
-                    Term::sym(s),
-                    Term::int(c.as_int()),
+                    Leaf::Sym(s),
+                    Leaf::Int(c.as_int()),
                 ));
+                self.ws.info.clear();
+                self.ws.info.dst_key = Some(key);
                 let kind = InstKind::Const { dst, value: c };
-                let info = crate::typestate::UpdateInfo {
-                    dst_key: Some(key),
-                    ..Default::default()
-                };
-                self.run_checkers_inst(&kind, &info, loc, inst_id);
+                self.run_checkers_inst(&kind, loc, inst_id);
             }
             None => {
                 // void return into a destination: havoc.
                 self.na_clear_def(dst);
                 if self.config.alias_mode == AliasMode::PathBased {
-                    self.graph.handle_const(dst);
+                    self.ws.graph.handle_const(dst);
                 }
             }
         }
@@ -1142,72 +1288,67 @@ impl<'a> Explorer<'a> {
     ) -> Flow {
         let loc = inst.loc;
         let alias = self.config.alias_mode == AliasMode::PathBased;
-        // Calls carry their own scratch discipline (checker dispatch happens
-        // before recursing into the callee); delegate before borrowing ours.
         if let InstKind::Call { dst, callee, args } = &inst.kind {
             return self.apply_call(func, inst_id, loc, *dst, *callee, args, &inst.kind, conts);
         }
-        // Reuse one scratch `UpdateInfo` per explorer: `clear` keeps the
-        // `use_keys`/`escape_keys` capacity, removing an alloc/free pair
-        // from every instruction step.
-        let mut info = std::mem::take(&mut self.info_scratch);
-        info.clear();
+        // The step scratch is filled in place: `clear` keeps the
+        // `use_keys`/`escape_keys` capacity, and nothing is moved.
+        self.ws.info.clear();
         match &inst.kind {
             InstKind::Move { dst, src } => {
-                info.use_keys.push((*src, self.key_of(*src)));
+                self.note_use(*src);
                 self.na_clear_def(*dst);
-                if alias {
+                let (dk, sk) = if alias {
                     self.tally_alias_op(0);
-                    let n = self.graph.handle_move(*dst, *src);
+                    let n = self.ws.graph.handle_move(*dst, *src);
                     self.count_unaware_alias_op(*src);
                     self.count_unaware_sync(nkey(n));
-                    info.dst_key = Some(nkey(n));
-                    info.move_pair = Some((nkey(n), nkey(n)));
+                    (nkey(n), nkey(n))
                 } else {
                     let dk = TrackKey::Var(*dst);
                     let sk = TrackKey::Var(*src);
                     let d = self.sym_for(dk);
                     let s = self.sym_for(sk);
-                    self.push_constraint(Constraint::new(SmtOp::Eq, Term::sym(d), Term::sym(s)));
-                    info.dst_key = Some(dk);
-                    info.move_pair = Some((dk, sk));
-                }
+                    self.push_constraint(TraceRec::cmp(SmtOp::Eq, Leaf::Sym(d), Leaf::Sym(s)));
+                    (dk, sk)
+                };
+                self.ws.info.dst_key = Some(dk);
+                self.ws.info.move_pair = Some((dk, sk));
             }
             InstKind::Const { dst, value } => {
                 self.na_clear_def(*dst);
                 let key = if alias {
                     self.tally_alias_op(1);
-                    nkey(self.graph.handle_const(*dst))
+                    nkey(self.ws.graph.handle_const(*dst))
                 } else {
                     TrackKey::Var(*dst)
                 };
                 let s = self.sym_for(key);
-                self.push_constraint(Constraint::new(
+                self.push_constraint(TraceRec::cmp(
                     SmtOp::Eq,
-                    Term::sym(s),
-                    Term::int(value.as_int()),
+                    Leaf::Sym(s),
+                    Leaf::Int(value.as_int()),
                 ));
-                info.dst_key = Some(key);
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Load { dst, addr } => {
-                info.use_keys.push((*addr, self.key_of(*addr)));
-                info.deref_key = Some(self.key_of(*addr));
+                self.ws.info.deref_key = Some(self.note_use(*addr));
                 self.na_clear_def(*dst);
-                if alias {
+                let key = if alias {
                     self.tally_alias_op(2);
-                    let n = self.graph.handle_load(*dst, *addr);
+                    let n = self.ws.graph.handle_load(*dst, *addr);
                     self.count_unaware_alias_op(*dst);
                     self.count_unaware_sync(nkey(n));
-                    info.dst_key = Some(nkey(n));
+                    nkey(n)
                 } else {
-                    info.dst_key = Some(TrackKey::Var(*dst));
-                }
+                    TrackKey::Var(*dst)
+                };
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Store { addr, val } => {
-                info.use_keys.push((*addr, self.key_of(*addr)));
-                info.deref_key = Some(self.key_of(*addr));
+                self.ws.info.deref_key = Some(self.note_use(*addr));
                 if let Operand::Var(v) = val {
-                    info.use_keys.push((*v, self.key_of(*v)));
+                    self.note_use(*v);
                 }
                 if alias {
                     self.tally_alias_op(3);
@@ -1216,61 +1357,60 @@ impl<'a> Explorer<'a> {
                             // A stored function pointer keeps its binding:
                             // the value's node IS the new deref target, so
                             // the fptr map needs no update in alias mode.
-                            let si = self.graph.handle_store(*addr, *v);
+                            let si = self.ws.graph.handle_store(*addr, *v);
                             self.count_unaware_alias_op(*v);
-                            info.stored_val_key = Some(nkey(si.new_target));
-                            info.store_old_target = si.old_target.map(|n| nkey(n));
+                            self.ws.info.stored_val_key = Some(nkey(si.new_target));
+                            self.ws.info.store_old_target = si.old_target.map(nkey);
                         }
                         Operand::Const(c) => {
-                            let si = self.graph.handle_store_const(*addr);
+                            let si = self.ws.graph.handle_store_const(*addr);
                             let key = nkey(si.new_target);
                             let s = self.sym_for(key);
-                            self.push_constraint(Constraint::new(
+                            self.push_constraint(TraceRec::cmp(
                                 SmtOp::Eq,
-                                Term::sym(s),
-                                Term::int(c.as_int()),
+                                Leaf::Sym(s),
+                                Leaf::Int(c.as_int()),
                             ));
-                            info.stored_const = Some((key, *c));
-                            info.store_old_target = si.old_target.map(|n| nkey(n));
+                            self.ws.info.stored_const = Some((key, *c));
+                            self.ws.info.store_old_target = si.old_target.map(nkey);
                         }
                     }
                 }
             }
             InstKind::Gep { dst, base, field } => {
-                info.use_keys.push((*base, self.key_of(*base)));
-                info.deref_key = Some(self.key_of(*base));
+                self.ws.info.deref_key = Some(self.note_use(*base));
                 self.na_clear_def(*dst);
-                if alias {
+                let key = if alias {
                     self.tally_alias_op(4);
-                    let n = self.graph.handle_gep(*dst, *base, *field);
+                    let n = self.ws.graph.handle_gep(*dst, *base, *field);
                     self.count_unaware_alias_op(*dst);
                     self.count_unaware_sync(nkey(n));
-                    info.dst_key = Some(nkey(n));
+                    nkey(n)
                 } else {
-                    info.dst_key = Some(TrackKey::Var(*dst));
-                }
+                    TrackKey::Var(*dst)
+                };
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::AddrOf { dst, src } => {
                 self.na_clear_def(*dst);
-                if alias {
+                let key = if alias {
                     self.tally_alias_op(5);
-                    let n = self.graph.handle_addr_of(*dst, *src);
+                    let n = self.ws.graph.handle_addr_of(*dst, *src);
                     self.count_unaware_alias_op(*dst);
-                    info.dst_key = Some(nkey(n));
+                    nkey(n)
                 } else {
-                    info.dst_key = Some(TrackKey::Var(*dst));
-                }
+                    TrackKey::Var(*dst)
+                };
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Index { dst, base, index } => {
-                info.use_keys.push((*base, self.key_of(*base)));
-                info.deref_key = Some(self.key_of(*base));
+                self.ws.info.deref_key = Some(self.note_use(*base));
                 if let Operand::Var(v) = index {
-                    info.use_keys.push((*v, self.key_of(*v)));
-                    info.index_key = Some(self.key_of(*v));
+                    self.ws.info.index_key = Some(self.note_use(*v));
                 }
-                info.index_const = index.as_const().map(|c| c.as_int());
+                self.ws.info.index_const = index.as_const().map(|c| c.as_int());
                 self.na_clear_def(*dst);
-                if alias {
+                let key = if alias {
                     // Element access paths are keyed by the index operand
                     // (paper §5.2: array-insensitive access paths).
                     let label = match index {
@@ -1278,46 +1418,46 @@ impl<'a> Explorer<'a> {
                         Operand::Var(v) => Label::ElemVar(v.index() as u32),
                     };
                     self.tally_alias_op(6);
-                    let n = self.graph.handle_index(*dst, *base, label);
+                    let n = self.ws.graph.handle_index(*dst, *base, label);
                     self.count_unaware_alias_op(*dst);
-                    info.dst_key = Some(nkey(n));
+                    nkey(n)
                 } else {
-                    info.dst_key = Some(TrackKey::Var(*dst));
-                }
+                    TrackKey::Var(*dst)
+                };
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Bin { dst, op, lhs, rhs } => {
                 for o in [lhs, rhs] {
                     if let Operand::Var(v) = o {
-                        info.use_keys.push((*v, self.key_of(*v)));
+                        self.note_use(*v);
                     }
                 }
                 if op.traps_on_zero() {
                     if let Operand::Var(v) = rhs {
-                        info.divisor_key = Some(self.key_of(*v));
+                        self.ws.info.divisor_key = Some(self.key_of(*v));
                     }
-                    info.divisor_const = rhs.as_const().map(|c| c.as_int());
+                    self.ws.info.divisor_const = rhs.as_const().map(|c| c.as_int());
                 }
-                let lt = self.operand_term(*lhs);
-                let rt = self.operand_term(*rhs);
+                let lt = self.operand_leaf(*lhs);
+                let rt = self.operand_leaf(*rhs);
                 self.na_clear_def(*dst);
                 let key = if alias {
-                    nkey(self.graph.handle_const(*dst))
+                    nkey(self.ws.graph.handle_const(*dst))
                 } else {
                     TrackKey::Var(*dst)
                 };
                 let s = self.sym_for(key);
-                let rhs_term = bin_term(*op, lt, rt);
-                self.push_constraint(Constraint::new(SmtOp::Eq, Term::sym(s), rhs_term));
-                info.dst_key = Some(key);
+                self.push_constraint(TraceRec::bin_def(s, *op, lt, rt));
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Cmp { dst, op, lhs, rhs } => {
                 for o in [lhs, rhs] {
                     if let Operand::Var(v) = o {
-                        info.use_keys.push((*v, self.key_of(*v)));
+                        self.note_use(*v);
                     }
                 }
                 // Remember the predicate for the branch that consumes dst.
-                let old = self.cond_defs.insert(
+                let old = self.ws.cond_defs.insert(
                     *dst,
                     PredDef {
                         op: *op,
@@ -1325,61 +1465,57 @@ impl<'a> Explorer<'a> {
                         rhs: *rhs,
                     },
                 );
-                self.cond_journal.push((*dst, old));
-                self.na_clear_def(*dst);
-                if alias {
-                    let n = self.graph.handle_const(*dst);
-                    info.dst_key = Some(nkey(n));
-                } else {
-                    info.dst_key = Some(TrackKey::Var(*dst));
-                }
-            }
-            InstKind::Call { .. } => unreachable!("calls are delegated before the scratch borrow"),
-            InstKind::FuncAddr { dst, func: target } => {
+                self.ws.cond_journal.push((*dst, old));
                 self.na_clear_def(*dst);
                 let key = if alias {
-                    nkey(self.graph.handle_const(*dst))
+                    nkey(self.ws.graph.handle_const(*dst))
                 } else {
                     TrackKey::Var(*dst)
                 };
-                let old = self.fptrs.insert(key, *target);
-                self.fptr_journal.push((key, old));
-                info.dst_key = Some(key);
+                self.ws.info.dst_key = Some(key);
+            }
+            InstKind::Call { .. } => unreachable!("calls are delegated above"),
+            InstKind::FuncAddr { dst, func: target } => {
+                self.na_clear_def(*dst);
+                let key = if alias {
+                    nkey(self.ws.graph.handle_const(*dst))
+                } else {
+                    TrackKey::Var(*dst)
+                };
+                let old = self.ws.fptrs.insert(key, *target);
+                self.ws.fptr_journal.push((key, old));
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Alloca { dst, .. } => {
                 self.na_clear_def(*dst);
                 let key = if alias {
-                    nkey(self.graph.handle_const(*dst))
+                    nkey(self.ws.graph.handle_const(*dst))
                 } else {
                     TrackKey::Var(*dst)
                 };
-                info.dst_key = Some(key);
+                self.ws.info.dst_key = Some(key);
             }
             InstKind::Malloc { dst } => {
                 self.na_clear_def(*dst);
                 let key = if alias {
-                    nkey(self.graph.handle_const(*dst))
+                    nkey(self.ws.graph.handle_const(*dst))
                 } else {
                     TrackKey::Var(*dst)
                 };
-                info.dst_key = Some(key);
+                self.ws.info.dst_key = Some(key);
                 self.push_heap(HeapObject { key, loc, inst_id });
             }
             InstKind::Free { ptr } => {
-                info.use_keys.push((*ptr, self.key_of(*ptr)));
-                info.free_key = Some(self.key_of(*ptr));
+                self.ws.info.free_key = Some(self.note_use(*ptr));
             }
             InstKind::Memset { ptr } => {
-                info.use_keys.push((*ptr, self.key_of(*ptr)));
-                info.deref_key = Some(self.key_of(*ptr));
+                self.ws.info.deref_key = Some(self.note_use(*ptr));
             }
             InstKind::Lock { obj } | InstKind::Unlock { obj } => {
-                info.use_keys.push((*obj, self.key_of(*obj)));
-                info.lock_key = Some(self.key_of(*obj));
+                self.ws.info.lock_key = Some(self.note_use(*obj));
             }
         }
-        self.run_checkers_inst(&inst.kind, &info, loc, inst_id);
-        self.info_scratch = info;
+        self.run_checkers_inst(&inst.kind, loc, inst_id);
         Flow::Continue
     }
 
@@ -1395,11 +1531,10 @@ impl<'a> Explorer<'a> {
         kind: &InstKind,
         conts: &mut Vec<Cont>,
     ) -> Flow {
-        let mut info = std::mem::take(&mut self.info_scratch);
-        info.clear();
+        self.ws.info.clear();
         for a in args {
             if let Operand::Var(v) = a {
-                info.use_keys.push((*v, self.key_of(*v)));
+                self.note_use(*v);
             }
         }
 
@@ -1409,7 +1544,7 @@ impl<'a> Explorer<'a> {
         let effective = match callee {
             Callee::Indirect(v) if self.config.resolve_fptrs => {
                 let key = self.key_of(v);
-                match self.fptrs.get(&key) {
+                match self.ws.fptrs.get(&key) {
                     Some(&f) => Callee::Direct(f),
                     None => callee,
                 }
@@ -1418,45 +1553,43 @@ impl<'a> Explorer<'a> {
         };
         let inline_target = match effective {
             Callee::Direct(f)
-                if !self.call_stack.contains(&f)
-                    && self.call_stack.len() < self.config.budget.max_call_depth =>
+                if !self.ws.call_stack.contains(&f)
+                    && self.ws.call_stack.len() < self.config.budget.max_call_depth =>
             {
                 Some(f)
             }
             _ => None,
         };
 
-        if inline_target.is_none() {
+        let Some(f) = inline_target else {
             // Opaque call (external, indirect, recursion cut, depth cap):
             // pointer arguments escape; the result is havoced.
             for a in args {
                 if let Operand::Var(v) = a {
                     if self.module.var(*v).ty.is_pointer() {
-                        info.escape_keys.push(self.key_of(*v));
+                        let key = self.key_of(*v);
+                        self.ws.info.escape_keys.push(key);
                     }
                 }
             }
             if let Some(d) = dst {
                 self.na_clear_def(d);
                 let key = if self.config.alias_mode == AliasMode::PathBased {
-                    nkey(self.graph.handle_const(d))
+                    nkey(self.ws.graph.handle_const(d))
                 } else {
                     TrackKey::Var(d)
                 };
-                info.dst_key = Some(key);
+                self.ws.info.dst_key = Some(key);
             }
             // Dispatch on the original instruction — no rebuilt `InstKind`
             // (the old path cloned the argument vector just to hand the
             // checkers a value identical to `kind`).
-            self.run_checkers_inst(kind, &info, loc, inst_id);
-            self.info_scratch = info;
+            self.run_checkers_inst(kind, loc, inst_id);
             return Flow::Continue;
-        }
+        };
 
-        let f = inline_target.unwrap();
         // Report uses (e.g. passing an uninitialized value) before binding.
-        self.run_checkers_inst(kind, &info, loc, inst_id);
-        self.info_scratch = info;
+        self.run_checkers_inst(kind, loc, inst_id);
 
         // HandleCALL (Fig. 6): parameter passing is a sequence of MOVEs.
         // Borrowed straight from the module (its lifetime outlives `self`
@@ -1477,13 +1610,14 @@ impl<'a> Explorer<'a> {
             next_inst: inst_id.inst + 1,
             dst,
         });
-        self.call_stack.push(f);
+        self.ws.call_stack.push(f);
         let frame = self.new_frame(f);
-        self.frames.push(frame);
+        self.ws.frames.push(frame);
         let entry = self.module.function(f).entry();
         self.exec_block(f, entry, conts);
-        self.frames.pop();
-        self.call_stack.pop();
+        let frame = self.ws.frames.pop().expect("frame");
+        self.ws.spare_frames.push(frame);
+        self.ws.call_stack.pop();
         conts.pop();
         Flow::EnteredCall
     }
@@ -1590,6 +1724,113 @@ mod tests {
             if (r < 0) { log_warn("entry"); }
         }
     "#;
+
+    /// Every trace-record shape builds exactly the constraint the explorer
+    /// used to push directly: leaf comparisons and each `BinOp` definition.
+    #[test]
+    fn trace_records_materialize_the_pushed_constraints() {
+        use pata_ir::BinOp as B;
+        use pata_smt::OpaqueOp as O;
+        let (x, y, z) = (SymId(3), SymId(7), SymId(9));
+        let b = |t: Term| Box::new(t);
+        let (sx, sy, sz) = (Term::Sym(x), Term::Sym(y), Term::Sym(z));
+        // Leaf shapes: branch conditions, copies and constant definitions.
+        for op in [
+            SmtOp::Eq,
+            SmtOp::Ne,
+            SmtOp::Lt,
+            SmtOp::Le,
+            SmtOp::Gt,
+            SmtOp::Ge,
+        ] {
+            let rec = TraceRec::cmp(op, Leaf::Sym(x), Leaf::Int(-4));
+            assert_eq!(
+                rec.constraint(),
+                Constraint {
+                    op,
+                    lhs: sx.clone(),
+                    rhs: Term::Const(-4)
+                }
+            );
+            let rec = TraceRec::cmp(op, Leaf::Sym(x), Leaf::Sym(y));
+            assert_eq!(rec.constraint().rhs, sy.clone());
+        }
+        // `Bin` definitions: `z == x op y`, and with a constant operand.
+        let expected = |op: B, l: Term, r: Term| match op {
+            B::Add => Term::Add(b(l), b(r)),
+            B::Sub => Term::Sub(b(l), b(r)),
+            B::Mul => Term::Mul(b(l), b(r)),
+            B::Div => Term::Opaque(O::Div, b(l), b(r)),
+            B::Rem => Term::Opaque(O::Rem, b(l), b(r)),
+            B::And => Term::Opaque(O::And, b(l), b(r)),
+            B::Or => Term::Opaque(O::Or, b(l), b(r)),
+            B::Xor => Term::Opaque(O::Xor, b(l), b(r)),
+            B::Shl => Term::Opaque(O::Shl, b(l), b(r)),
+            B::Shr => Term::Opaque(O::Shr, b(l), b(r)),
+        };
+        for op in [
+            B::Add,
+            B::Sub,
+            B::Mul,
+            B::Div,
+            B::Rem,
+            B::And,
+            B::Or,
+            B::Xor,
+            B::Shl,
+            B::Shr,
+        ] {
+            let rec = TraceRec::bin_def(z, op, Leaf::Sym(x), Leaf::Sym(y));
+            let want = Constraint::new(SmtOp::Eq, sz.clone(), expected(op, sx.clone(), sy.clone()));
+            assert_eq!(rec.constraint(), want, "{op:?}");
+            let rec = TraceRec::bin_def(z, op, Leaf::Int(5), Leaf::Sym(y));
+            let want = Constraint::new(
+                SmtOp::Eq,
+                sz.clone(),
+                expected(op, Term::Const(5), sy.clone()),
+            );
+            assert_eq!(rec.constraint(), want, "{op:?} with a constant operand");
+        }
+    }
+
+    /// One workspace carried across every root of the diamond module:
+    /// candidates and stats match fresh explorers root for root, and a
+    /// reset leaves no variable placed, however many roots ran before.
+    #[test]
+    fn reused_workspace_matches_fresh_explorers_and_resets_clean() {
+        let config = AnalysisConfig::default();
+        let mut module = pata_cc::compile_one("d.c", DIAMOND_SRC).unwrap();
+        let checkers: Vec<Box<dyn Checker>> =
+            config.checkers.iter().map(|k| k.instantiate()).collect();
+        let roots = crate::collector::mark_interfaces(&mut module);
+        let mut ws = Workspace::default();
+        for _ in 0..2 {
+            for &root in &roots {
+                let fresh = Explorer::new(&module, &config, &checkers, root).explore();
+                let (reused, back) =
+                    Explorer::with_workspace(&module, &config, &checkers, root, ws).run();
+                assert_eq!(
+                    format!("{:?}", reused.candidates),
+                    format!("{:?}", fresh.candidates)
+                );
+                assert_eq!(reused.stats, fresh.stats);
+                ws = back;
+            }
+        }
+        assert!(
+            ws.graph.node_count() > 0,
+            "the last root leaves its base path"
+        );
+        let capacity = ws.capacity();
+        ws.reset();
+        assert!(ws.capacity() >= capacity, "a reset frees no buffer");
+        assert_eq!(ws.graph.node_count(), 0);
+        for i in 0..module.var_count() {
+            assert_eq!(ws.graph.node_of_var(VarId::from_index(i)), None);
+        }
+        assert!(ws.states.is_empty() && ws.syms.is_empty() && ws.trace.is_empty());
+        assert!(ws.frames.is_empty() && !ws.spare_frames.is_empty());
+    }
 
     fn explore_all(config: &AnalysisConfig) -> (usize, u64, ForkStats) {
         let mut module = pata_cc::compile_one("d.c", DIAMOND_SRC).unwrap();

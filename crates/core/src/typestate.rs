@@ -134,6 +134,12 @@ impl StateTable {
             }
         }
     }
+
+    /// Empties the table for the next root, keeping its buffers: a
+    /// rollback to the creation mark, so it costs what the journal holds.
+    pub(crate) fn reset(&mut self) {
+        self.rollback(StateMark(0));
+    }
 }
 
 /// Introspection data describing a checker's FSM (Definition 2 / Table 2).

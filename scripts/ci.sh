@@ -70,6 +70,11 @@ echo "== explore scale sweep (linux model, scales 1/4/16)"
 sweep_ratio=$(grep '"scale_sweep":' results/BENCH_stage1.json \
     | sed 's/.*"ratio_16_1": \([0-9.]*\).*/\1/')
 echo "explore ns/inst, scale 16 over scale 1: ${sweep_ratio}x (gate ≤1.5x)"
+# Allocator calls per executed instruction, recorded by the same bench in
+# its exploration section; tests/explore_allocs.rs enforces the budgets.
+explore_allocs=$(grep '"exploration":' results/BENCH_stage1.json \
+    | sed 's/.*"explore_allocs_per_inst": {\([^}]*\)}.*/\1/')
+echo "explore allocator calls/inst: ${explore_allocs} (budget: deep ≤0.02, linux 0.2 ≤0.1)"
 # Reports stay byte-identical across thread counts at every scale.
 for scale in 1 4 16; do
     sweep_dir="$tmp_dir/sweep$scale"
