@@ -152,8 +152,8 @@ fn fork_telemetry(module: &pata_ir::Module) -> (u64, u64, i64) {
     let _ = session.collect_candidates(module.clone());
     let snap = session.telemetry().snapshot();
     (
-        snap.counter_sum("driver.explore.fork.forks"),
-        snap.counter_sum("driver.explore.fork.bytes_copied"),
+        snap.counter("driver.explore.fork.forks"),
+        snap.counter("driver.explore.fork.bytes_copied"),
         snap.gauge("driver.explore.fork.live_bytes.max")
             .unwrap_or(0),
     )

@@ -97,9 +97,9 @@ fn main() {
         println!("PASS: smoke mode — verdict identity and recording sites exercised");
         return;
     }
-    // Enabled mode is a profiling mode: the per-root labeled histograms
-    // behind `--profile`'s top-N table dominate its cost (~1.5µs per root
-    // for span, label, merge, and snapshot). Gate loosely — the point is
+    // Enabled mode is a profiling mode: the per-root span and the
+    // slowest-roots table behind `--profile` dominate its cost (a clock
+    // read and a 10-entry scan per root). Gate loosely — the point is
     // catching accidental per-instruction recording (which shows up as
     // 2-10x, not percents), while the disabled path stays the product
     // guarantee enforced above.

@@ -7,7 +7,7 @@ use crate::config::AnalysisConfig;
 use crate::path::{ExploreResult, Explorer, ForkStats, Workspace};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
-use crate::telemetry::{Span, Telemetry, TelemetrySink};
+use crate::telemetry::{Telemetry, TelemetrySink};
 use crate::typestate::Checker;
 use pata_ir::{FuncId, Module};
 use std::collections::VecDeque;
@@ -114,17 +114,18 @@ pub(crate) fn explore_roots(
         let mut ws = Workspace::default();
         while let Some(i) = next_task(&queues, w, &steals) {
             let root = roots[i];
-            let span = Span::start(tel_on, "explore.root");
+            let start = tel_on.then(Instant::now);
             let (result, failure) =
                 run_one_root(module, config, checkers, root, &mut ws, &mut sink, tel_on);
-            if tel_on {
-                let name = module.function(root).name();
-                span.finish_labeled(&mut sink, Some(name.into()));
+            if let Some(start) = start {
+                let ns = start.elapsed().as_nanos() as u64;
+                sink.record_ns("explore.root", ns);
+                let fs = &result.fork_stats;
+                sink.record_root(module.function(root).name(), ns, fs.forks, fs.bytes_copied);
                 for (acc, n) in alias_ops.iter_mut().zip(result.alias_ops) {
                     *acc += n;
                 }
-                flush_root_fork_stats(&mut sink, name, &result.fork_stats);
-                fork_total.merge(&result.fork_stats);
+                fork_total.merge(fs);
             }
             lock_ok(collected.lock()).push(RootRun {
                 index: i,
@@ -256,11 +257,7 @@ fn run_one_root(
             let retry = Instant::now();
             let rerun = attempt(&demoted);
             if tel_on {
-                sink.record_ns(
-                    "driver.recover.retry_ns",
-                    Some("explore".into()),
-                    retry.elapsed().as_nanos() as u64,
-                );
+                sink.record_ns("driver.recover.retry_ns", retry.elapsed().as_nanos() as u64);
             }
             match rerun {
                 Ok(result) if resource_trip(&result).is_none() => (result, "demoted", reason),
@@ -273,7 +270,7 @@ fn run_one_root(
         if action == "demoted" {
             sink.add("driver.recover.demoted", 1);
         } else {
-            sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 1);
+            sink.add("driver.recover.quarantined", 1);
         }
     }
     let failure = RootFailure {
@@ -360,37 +357,23 @@ fn lock_ok<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Converts a per-worker alias-op array into labeled `alias.op` counters.
+/// Converts a per-worker alias-op array into `alias.op.*` counters.
 fn flush_alias_ops(sink: &mut TelemetrySink, alias_ops: &[u64; 7]) {
-    for (i, &name) in crate::path::ALIAS_OP_NAMES.iter().enumerate() {
-        if alias_ops[i] > 0 {
-            sink.add_labeled("alias.op", Some(name.into()), alias_ops[i]);
+    for (&name, &n) in crate::path::ALIAS_OP_NAMES.iter().zip(alias_ops) {
+        if n > 0 {
+            sink.add(name, n);
         }
     }
 }
 
-/// Per-root fork counters, labeled by root name so `--profile` can show
-/// forks and copied bytes per slow root. Totals come from summing the
-/// labels (`TelemetrySnapshot::counter_sum`), so no unlabeled counter with
-/// the same name is ever emitted.
-fn flush_root_fork_stats(sink: &mut TelemetrySink, root: &str, fs: &ForkStats) {
-    if fs.forks == 0 {
-        return;
-    }
-    sink.add_labeled("driver.explore.fork.forks", Some(root.into()), fs.forks);
-    sink.add_labeled(
-        "driver.explore.fork.bytes_copied",
-        Some(root.into()),
-        fs.bytes_copied,
-    );
-}
-
-/// Run-wide fork aggregates: shared-vs-copied bytes and the high-water
-/// gauges for undo-journal depth and live state size.
+/// Run-wide fork aggregates: forks, copied-vs-shared bytes and the
+/// high-water gauges for undo-journal depth and live state size.
 fn flush_fork_totals(sink: &mut TelemetrySink, fs: &ForkStats) {
     if fs.forks == 0 {
         return;
     }
+    sink.add("driver.explore.fork.forks", fs.forks);
+    sink.add("driver.explore.fork.bytes_copied", fs.bytes_copied);
     sink.add("driver.explore.fork.bytes_shared", fs.bytes_shared);
     sink.gauge_max(
         "driver.explore.fork.journal_depth.max",

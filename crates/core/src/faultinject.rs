@@ -30,8 +30,8 @@
 //!   guaranteed for `@1` and for unconditional entries.
 //! - `~percent` — fire probabilistically with the given percentage. The
 //!   coin is a pure function of `(seed, site, label, hit)` through the
-//!   in-crate splitmix64 mixer, so the outcome is reproducible and
-//!   independent of thread timing.
+//!   in-crate splitmix64 mixer (`fingerprint::mix`), so the outcome is
+//!   reproducible and independent of thread timing.
 //!
 //! Example: `explore:probe_a@1,deadline:probe_b,store.save~50,seed=7`.
 //!
@@ -39,6 +39,7 @@
 //! the persistent-store configuration fingerprint: two sessions with
 //! different fault plans never share cached results.
 
+use crate::fingerprint::{fnv64, mix};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -111,23 +112,6 @@ impl fmt::Debug for FaultPlan {
             .field("spec", &self.spec)
             .finish()
     }
-}
-
-/// The splitmix64 finalizer — the crate's zero-dependency mixer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 impl FaultPlan {
@@ -272,12 +256,10 @@ impl FaultPlan {
                 && r.label.as_deref().is_none_or(|l| l == label)
                 && r.hit.is_none_or(|n| n == hit)
                 && r.percent.is_none_or(|p| {
-                    let coin = splitmix64(
-                        self.seed
-                            ^ fnv64(site.as_bytes())
-                            ^ fnv64(label.as_bytes()).rotate_left(17)
-                            ^ hit,
-                    );
+                    let coin = mix(self.seed
+                        ^ fnv64(site.as_bytes())
+                        ^ fnv64(label.as_bytes()).rotate_left(17)
+                        ^ hit);
                     coin % 100 < p
                 })
         })

@@ -122,11 +122,7 @@ pub(crate) fn filter_with_faults(
                         });
                         if let Some(tel) = telemetry {
                             tel.record_direct(|sink| {
-                                sink.add_labeled(
-                                    "driver.recover.quarantined",
-                                    Some("validate".into()),
-                                    1,
-                                );
+                                sink.add("driver.recover.quarantined", 1);
                             });
                         }
                         // Neither reported nor a counted false drop: the

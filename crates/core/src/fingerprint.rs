@@ -5,8 +5,9 @@
 //! (variable ids, node ids, packed tuples) for which the default SipHash
 //! is pure overhead; the Fx construction (one multiply and a rotate per
 //! word, as popularized by the rustc compiler's FxHash) is a measurable
-//! share of the copy-on-write path-state speedup. [`mix`] is the
-//! `splitmix64` finalizer the store's function fingerprints build on.
+//! share of the copy-on-write path-state speedup. [`mix`] (the
+//! `splitmix64` finalizer) and [`fnv64`] are the stable hashes behind the
+//! store's fingerprints and the fault plan's coin flips.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -87,6 +88,18 @@ pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// FNV-1a over a byte string. Stable across processes and platforms
+/// (unlike `std`'s `DefaultHasher`, which documents no such guarantee) —
+/// a hard requirement for fingerprints that outlive the process.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 #[cfg(test)]

@@ -379,9 +379,16 @@ impl ForkStats {
     }
 }
 
-/// Labels for the `alias.op` telemetry counter, in `alias_ops` index order.
-pub(crate) const ALIAS_OP_NAMES: [&str; 7] =
-    ["move", "const", "load", "store", "gep", "addr", "index"];
+/// The `alias.op.*` telemetry counters, in `alias_ops` index order.
+pub(crate) const ALIAS_OP_NAMES: [&str; 7] = [
+    "alias.op.move",
+    "alias.op.const",
+    "alias.op.load",
+    "alias.op.store",
+    "alias.op.gep",
+    "alias.op.addr",
+    "alias.op.index",
+];
 
 /// The output of exploring one root.
 pub struct ExploreResult {
@@ -392,7 +399,7 @@ pub struct ExploreResult {
     /// Alias-graph updates by rule, in move/const/load/store/gep/addr/index
     /// order; all zero unless [`crate::AnalysisConfig::telemetry`] is set.
     /// Plain counters rather than a sink: the driver sums arrays per worker
-    /// and materializes labeled metrics once per run, keeping the per-root
+    /// and flushes the `alias.op.*` counters once per run, keeping the per-root
     /// cost away from map operations.
     pub alias_ops: [u64; 7],
     /// Set when this root hit an exploration budget (which one).

@@ -42,7 +42,7 @@ use crate::checkers::BugKind;
 use crate::collector::CallGraph;
 use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject::{self, FaultPlan};
-use crate::fingerprint::mix;
+use crate::fingerprint::{fnv64, mix};
 use crate::json::{quote, JsonValue};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
@@ -63,18 +63,6 @@ pub const STORE_SCHEMA_VERSION: u64 = 2;
 // --------------------------------------------------------------------
 // Fingerprints
 // --------------------------------------------------------------------
-
-/// FNV-1a over a byte string. Stable across processes and platforms
-/// (unlike `std`'s `DefaultHasher`, which documents no such guarantee) —
-/// a hard requirement for fingerprints that outlive the process.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A streaming hash over explicit `u64` words, each folded in through the
 /// splitmix64 finalizer ([`mix`]). Every input has a fixed width (no

@@ -276,7 +276,7 @@ impl AnalysisSession {
         }
         let load_ns = t0.elapsed().as_nanos() as u64;
         session.telemetry.record_direct(|sink| {
-            sink.record_ns("driver.serve.store_load", None, load_ns);
+            sink.record_ns("driver.serve.store_load", load_ns);
             sink.add(
                 "driver.serve.store_loaded",
                 u64::from(session.warm.is_some()),
@@ -460,7 +460,7 @@ impl AnalysisSession {
         })?;
         let compile_ns = start.elapsed().as_nanos() as u64;
         self.telemetry
-            .record_direct(|sink| sink.record_ns("driver.serve.compile", None, compile_ns));
+            .record_direct(|sink| sink.record_ns("driver.serve.compile", compile_ns));
         // The last containment boundary: per-root faults are absorbed by
         // the quarantine/demotion ladder below, but a panic outside those
         // scopes (collection, fingerprinting, splicing, store writing)
@@ -568,7 +568,7 @@ impl AnalysisSession {
         let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
         if tel_on {
             self.telemetry.record_direct(|sink| {
-                sink.record_ns("driver.serve.fingerprint", None, fingerprint_ns);
+                sink.record_ns("driver.serve.fingerprint", fingerprint_ns);
                 sink.add("driver.serve.requests", 1);
                 sink.add("driver.serve.dirty_roots", incremental.dirty_roots);
                 sink.add("driver.serve.clean_roots", incremental.clean_roots);
@@ -679,7 +679,7 @@ impl AnalysisSession {
             self.synced_validation_len = self.cache.len();
             if tel_on {
                 self.telemetry.record_direct(|sink| {
-                    sink.record_ns("driver.serve.store_save", None, save_ns);
+                    sink.record_ns("driver.serve.store_save", save_ns);
                     if !saved {
                         sink.add("driver.serve.store_save_errors", 1);
                     }

@@ -27,27 +27,40 @@
 //!
 //! # Metric names
 //!
-//! Names are dotted strings, optionally labelled (e.g. per root function):
+//! A metric is identified by a static dotted name and nothing else, so the
+//! set of metrics is fixed by the code: the snapshot's size does not grow
+//! with the number of roots. The one per-root view, the slowest-roots
+//! table, is a fixed-size list ([`SLOWEST_ROOTS`] entries) kept next to
+//! the metrics.
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `stage.collect` / `stage.explore` / `stage.filter` | histogram | wall-clock per pipeline stage |
 //! | `collect.roots`, `collect.call_edges` | counter | collector output sizes |
-//! | `explore.root` (label = function) | histogram | per-root exploration time |
+//! | `explore.root` | histogram | one sample per explored root |
 //! | `path.paths`, `path.insts`, `path.budget_exhausted` | counter | exploration volume |
-//! | `alias.op` (label = move/load/store/gep/index/const/addr) | counter | alias-graph updates by rule |
+//! | `alias.op.{move,const,load,store,gep,addr,index}` | counter | alias-graph updates by rule |
 //! | `typestate.transitions` | counter | alias-aware FSM transitions |
 //! | `constraints.emitted` | counter | path constraints pushed |
 //! | `driver.threads` | gauge | worker threads used |
 //! | `driver.work_steals` | counter | roots stolen across queues |
+//! | `driver.explore.fork.{forks,bytes_copied,bytes_shared}` | counter | branch-fork costs |
+//! | `driver.explore.fork.{journal_depth,live_bytes}.max` | gauge | fork high-water marks |
+//! | `driver.recover.{quarantined,demoted,deadline_hits,live_bytes_hits}` | counter | fault-containment actions |
+//! | `driver.recover.retry_ns` | histogram | demoted re-run time |
 //! | `validate.conjunctions` | counter | stage-2 solver questions asked |
-//! | `validate.cache_hit` / `validate.cache_miss` | counter | [`crate::validate::ValidationCache`] outcomes |
+//! | `validate.{cache_hit,cache_miss,scope_reuse}` | counter | [`crate::validate::ValidationCache`] outcomes, solver scopes reused |
 //! | `validate.solve` | histogram | time spent inside stage-2 solving |
 //! | `smt.solve_calls`, `smt.push`, `smt.pop` | counter | solver API traffic |
 //! | `smt.propagations` | counter | interval-propagation iterations |
 //! | `smt.scope_depth.max` | gauge | deepest push/pop nesting seen |
+//! | `filter.{groups,repeated_dropped,false_dropped}` | counter | stage-2 group outcomes |
+//! | `driver.serve.{compile,fingerprint,store_load,store_save}` | histogram | session-layer wall-clock |
+//! | `driver.serve.{requests,dirty_roots,clean_roots,changed_functions,invalidated_roots,store_loaded,store_save_errors}` | counter | incremental-session volume and store outcomes |
 
 use crate::json;
+use crate::path::ALIAS_OP_NAMES;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,7 +73,10 @@ use std::time::Instant;
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Schema version stamped into [`TelemetrySnapshot::to_json`] output.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+
+/// Length of the slowest-roots table kept by every [`TelemetrySink`].
+pub const SLOWEST_ROOTS: usize = 10;
 
 /// One recorded metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,16 +162,27 @@ impl Histogram {
     }
 }
 
-/// Key identifying a metric: a static name plus an optional label (e.g.
-/// the root function for `explore.root`).
-pub type MetricKey = (&'static str, Option<Box<str>>);
+/// One row of the slowest-roots table: a root at its slowest exploration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlowRoot {
+    /// The root function's name.
+    pub root: String,
+    /// Wall-clock of the exploration, in nanoseconds.
+    pub ns: u64,
+    /// Branch-state forks during that exploration.
+    pub forks: u64,
+    /// Bytes copied by those forks.
+    pub bytes_copied: u64,
+}
 
 /// A per-worker shard of recorded metrics. Not shared: each worker (and
 /// each [`crate::path::Explorer`]) owns one and records without locking;
 /// shards are merged into the session [`Telemetry`] at the end.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    metrics: HashMap<MetricKey, Metric>,
+    metrics: HashMap<&'static str, Metric>,
+    /// At most [`SLOWEST_ROOTS`] entries, one per root, in table order.
+    slowest: Vec<SlowRoot>,
 }
 
 impl TelemetrySink {
@@ -166,16 +193,7 @@ impl TelemetrySink {
 
     /// Adds `n` to the counter `name`.
     pub fn add(&mut self, name: &'static str, n: u64) {
-        self.add_labeled(name, None, n);
-    }
-
-    /// Adds `n` to the counter `name` with a label.
-    pub fn add_labeled(&mut self, name: &'static str, label: Option<Box<str>>, n: u64) {
-        match self
-            .metrics
-            .entry((name, label))
-            .or_insert(Metric::Counter(0))
-        {
+        match self.metrics.entry(name).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += n,
             _ => debug_assert!(false, "metric `{name}` is not a counter"),
         }
@@ -183,21 +201,17 @@ impl TelemetrySink {
 
     /// Raises the gauge `name` to at least `v`.
     pub fn gauge_max(&mut self, name: &'static str, v: i64) {
-        match self
-            .metrics
-            .entry((name, None))
-            .or_insert(Metric::Gauge(i64::MIN))
-        {
+        match self.metrics.entry(name).or_insert(Metric::Gauge(i64::MIN)) {
             Metric::Gauge(g) => *g = (*g).max(v),
             _ => debug_assert!(false, "metric `{name}` is not a gauge"),
         }
     }
 
     /// Records a duration sample (in nanoseconds) into histogram `name`.
-    pub fn record_ns(&mut self, name: &'static str, label: Option<Box<str>>, ns: u64) {
+    pub fn record_ns(&mut self, name: &'static str, ns: u64) {
         match self
             .metrics
-            .entry((name, label))
+            .entry(name)
             .or_insert_with(|| Metric::Histogram(Histogram::default()))
         {
             Metric::Histogram(h) => h.record(ns),
@@ -205,9 +219,38 @@ impl TelemetrySink {
         }
     }
 
+    /// Offers one root exploration to the slowest-roots table. A root
+    /// already listed keeps its slowest exploration; the table keeps the
+    /// [`SLOWEST_ROOTS`] slowest roots, ties by name.
+    pub(crate) fn record_root(&mut self, root: &str, ns: u64, forks: u64, bytes_copied: u64) {
+        match self.slowest.iter().position(|e| e.root == root) {
+            Some(i) if self.slowest[i].ns >= ns => return,
+            Some(i) => drop(self.slowest.remove(i)),
+            None => {}
+        }
+        let at = self
+            .slowest
+            .partition_point(|e| (Reverse(e.ns), e.root.as_str()) < (Reverse(ns), root));
+        if at < SLOWEST_ROOTS {
+            let root = root.to_owned();
+            let entry = SlowRoot {
+                root,
+                ns,
+                forks,
+                bytes_copied,
+            };
+            self.slowest.insert(at, entry);
+            self.slowest.truncate(SLOWEST_ROOTS);
+        }
+    }
+
     /// Merges another sink into this one (commutative for counters and
-    /// histograms, max for gauges).
+    /// histograms, max for gauges; the slowest-roots tables merge to the
+    /// slowest of both).
     pub fn merge(&mut self, other: TelemetrySink) {
+        for r in other.slowest {
+            self.record_root(&r.root, r.ns, r.forks, r.bytes_copied);
+        }
         for (key, metric) in other.metrics {
             match self.metrics.entry(key) {
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -225,7 +268,7 @@ impl TelemetrySink {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.metrics.is_empty() && self.slowest.is_empty()
     }
 }
 
@@ -275,21 +318,23 @@ impl Telemetry {
         f(&mut self.merged.lock().unwrap());
     }
 
-    /// Takes a snapshot of everything merged so far, sorted by
-    /// `(name, label)` so output is deterministic.
+    /// Takes a snapshot of everything merged so far, sorted by name so
+    /// output is deterministic.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let merged = self.merged.lock().unwrap();
         let mut entries: Vec<MetricEntry> = merged
             .metrics
             .iter()
-            .map(|((name, label), metric)| MetricEntry {
-                name: (*name).to_owned(),
-                label: label.as_ref().map(|l| l.to_string()),
+            .map(|(&name, metric)| MetricEntry {
+                name,
                 metric: metric.clone(),
             })
             .collect();
-        entries.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
-        TelemetrySnapshot { entries }
+        entries.sort_by_key(|e| e.name);
+        TelemetrySnapshot {
+            entries,
+            slowest_roots: merged.slowest.clone(),
+        }
     }
 }
 
@@ -314,14 +359,9 @@ impl Span {
 
     /// Finishes the span into `sink` (no-op when started disabled).
     pub fn finish(self, sink: &mut TelemetrySink) {
-        self.finish_labeled(sink, None);
-    }
-
-    /// Finishes the span with a label, e.g. the root function name.
-    pub fn finish_labeled(self, sink: &mut TelemetrySink, label: Option<Box<str>>) {
         if let Some(start) = self.start {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            sink.record_ns(self.name, label, ns);
+            sink.record_ns(self.name, ns);
         }
     }
 
@@ -331,22 +371,11 @@ impl Span {
     }
 }
 
-/// Starts a [`Span`]: `span!(enabled, "alias.resolve")`. Sugar so call
-/// sites read as annotations rather than plumbing.
-#[macro_export]
-macro_rules! span {
-    ($enabled:expr, $name:literal) => {
-        $crate::telemetry::Span::start($enabled, $name)
-    };
-}
-
 /// One metric in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricEntry {
     /// Dotted metric name (see module docs for the catalog).
-    pub name: String,
-    /// Optional label, e.g. a function name.
-    pub label: Option<String>,
+    pub name: &'static str,
     /// The recorded value.
     pub metric: Metric,
 }
@@ -355,8 +384,11 @@ pub struct MetricEntry {
 /// Carried on [`crate::AnalysisOutcome`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// All metrics, sorted by `(name, label)`.
+    /// All metrics, sorted by name.
     pub entries: Vec<MetricEntry>,
+    /// The slowest explored roots, at most [`SLOWEST_ROOTS`], slowest
+    /// first.
+    pub slowest_roots: Vec<SlowRoot>,
 }
 
 impl TelemetrySnapshot {
@@ -365,45 +397,33 @@ impl TelemetrySnapshot {
         self.entries.is_empty()
     }
 
-    /// Looks up a metric by name and label.
-    pub fn get(&self, name: &str, label: Option<&str>) -> Option<&Metric> {
+    /// Looks up a metric by name.
+    pub fn get(&self, name: &str) -> Option<&Metric> {
         self.entries
             .iter()
-            .find(|e| e.name == name && e.label.as_deref() == label)
+            .find(|e| e.name == name)
             .map(|e| &e.metric)
     }
 
-    /// The value of an unlabelled counter (0 when absent).
+    /// The value of a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.get(name, None) {
+        match self.get(name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
     }
 
-    /// Sums a counter across all its labels.
-    pub fn counter_sum(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.name == name)
-            .map(|e| match &e.metric {
-                Metric::Counter(c) => *c,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// The value of a gauge (None when absent).
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        match self.get(name, None) {
+        match self.get(name) {
             Some(Metric::Gauge(g)) => Some(*g),
             _ => None,
         }
     }
 
-    /// An unlabelled histogram by name.
+    /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        match self.get(name, None) {
+        match self.get(name) {
             Some(Metric::Histogram(h)) => Some(h),
             _ => None,
         }
@@ -411,11 +431,11 @@ impl TelemetrySnapshot {
 
     /// Only the counter entries, for exactness comparisons across thread
     /// counts (durations and gauges are timing-dependent).
-    pub fn counters(&self) -> Vec<(&str, Option<&str>, u64)> {
+    pub fn counters(&self) -> Vec<(&str, u64)> {
         self.entries
             .iter()
             .filter_map(|e| match &e.metric {
-                Metric::Counter(c) => Some((e.name.as_str(), e.label.as_deref(), *c)),
+                Metric::Counter(c) => Some((e.name, *c)),
                 _ => None,
             })
             .collect()
@@ -426,19 +446,22 @@ impl TelemetrySnapshot {
     ///
     /// ```json
     /// {
-    ///   "schema_version": 1,
+    ///   "schema_version": 2,
     ///   "metrics": [
     ///     {"name": "path.paths", "kind": "counter", "value": 42},
     ///     {"name": "driver.threads", "kind": "gauge", "value": 8},
-    ///     {"name": "explore.root", "label": "probe", "kind": "histogram",
+    ///     {"name": "explore.root", "kind": "histogram",
     ///      "count": 1, "total_ns": 1200, "min_ns": 1200, "max_ns": 1200,
     ///      "buckets": [[11, 1]]}
+    ///   ],
+    ///   "slowest_roots": [
+    ///     {"root": "probe", "ns": 1200, "forks": 3, "bytes_copied": 96}
     ///   ]
     /// }
     /// ```
     ///
-    /// `label` is omitted when absent; `buckets` is sparse
-    /// `[bucket_index, count]` pairs over the fixed log2 buckets.
+    /// `buckets` is sparse `[bucket_index, count]` pairs over the fixed
+    /// log2 buckets; `slowest_roots` is in table order, slowest first.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -447,10 +470,7 @@ impl TelemetrySnapshot {
         );
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(out, "    {{\"name\": {}", json::quote(&e.name));
-            if let Some(label) = &e.label {
-                let _ = write!(out, ", \"label\": {}", json::quote(label));
-            }
+            let _ = write!(out, "    {{\"name\": {}", json::quote(e.name));
             match &e.metric {
                 Metric::Counter(c) => {
                     let _ = write!(out, ", \"kind\": \"counter\", \"value\": {c}");
@@ -479,13 +499,25 @@ impl TelemetrySnapshot {
             }
             out.push('}');
         }
+        out.push_str("\n  ],\n  \"slowest_roots\": [");
+        for (i, r) in self.slowest_roots.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            let _ = write!(
+                out,
+                "    {{\"root\": {}, \"ns\": {}, \"forks\": {}, \"bytes_copied\": {}}}",
+                json::quote(&r.root),
+                r.ns,
+                r.forks,
+                r.bytes_copied
+            );
+        }
         out.push_str("\n  ]\n}");
         out
     }
 
     /// Renders the human `--profile` table: stage wall-clock breakdown,
-    /// top-`top_n` slowest roots, cache hit rates, and solver traffic.
-    pub fn render_profile(&self, top_n: usize) -> String {
+    /// the slowest roots, cache hit rates, and solver traffic.
+    pub fn render_profile(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
             out.push_str("telemetry was disabled; nothing to profile\n");
@@ -515,38 +547,24 @@ impl TelemetrySnapshot {
         }
 
         // Slowest roots.
-        let mut roots: Vec<(&str, u64)> = self
-            .entries
-            .iter()
-            .filter(|e| e.name == "explore.root")
-            .filter_map(|e| match (&e.label, &e.metric) {
-                (Some(l), Metric::Histogram(h)) => Some((l.as_str(), h.total_ns)),
-                _ => None,
-            })
-            .collect();
-        roots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        if !roots.is_empty() {
-            let labeled_counter = |name: &str, label: &str| match self.get(name, Some(label)) {
-                Some(Metric::Counter(c)) => *c,
-                _ => 0,
-            };
+        if !self.slowest_roots.is_empty() {
             let _ = writeln!(
                 out,
                 "top {} slowest roots ({:<28} {:>12} {:>8} {:>10})",
-                top_n.min(roots.len()),
+                self.slowest_roots.len(),
                 "root",
                 "time",
                 "forks",
                 "copied"
             );
-            for (name, ns) in roots.iter().take(top_n) {
-                let forks = labeled_counter("driver.explore.fork.forks", name);
-                let copied = labeled_counter("driver.explore.fork.bytes_copied", name);
+            for r in &self.slowest_roots {
                 let _ = writeln!(
                     out,
-                    "  {name:<28} {:>12} {forks:>8} {:>10}",
-                    fmt_ns(*ns),
-                    fmt_bytes(copied)
+                    "  {:<28} {:>12} {:>8} {:>10}",
+                    r.root,
+                    fmt_ns(r.ns),
+                    r.forks,
+                    fmt_bytes(r.bytes_copied)
                 );
             }
         }
@@ -583,18 +601,21 @@ impl TelemetrySnapshot {
              {} constraints",
             self.counter("path.paths"),
             self.counter("path.insts"),
-            self.counter_sum("alias.op"),
+            ALIAS_OP_NAMES
+                .iter()
+                .map(|name| self.counter(name))
+                .sum::<u64>(),
             self.counter("typestate.transitions"),
             self.counter("constraints.emitted")
         );
         // Branch-fork costs (copy-on-write path state).
-        let forks = self.counter_sum("driver.explore.fork.forks");
+        let forks = self.counter("driver.explore.fork.forks");
         if forks > 0 {
             let _ = writeln!(
                 out,
                 "forks: {forks} state forks, {} copied / {} shared, \
                  journal depth max {}, live state max {}",
-                fmt_bytes(self.counter_sum("driver.explore.fork.bytes_copied")),
+                fmt_bytes(self.counter("driver.explore.fork.bytes_copied")),
                 fmt_bytes(self.counter("driver.explore.fork.bytes_shared")),
                 self.gauge("driver.explore.fork.journal_depth.max")
                     .unwrap_or(0),
@@ -613,7 +634,7 @@ impl TelemetrySnapshot {
         }
         // Fault containment — shown only when the recovery ladder actually
         // intervened, so fault-free profiles are unchanged.
-        let quarantined = self.counter_sum("driver.recover.quarantined");
+        let quarantined = self.counter("driver.recover.quarantined");
         let demoted = self.counter("driver.recover.demoted");
         let deadline_hits = self.counter("driver.recover.deadline_hits");
         let live_bytes_hits = self.counter("driver.recover.live_bytes_hits");
@@ -691,14 +712,14 @@ mod tests {
         let mut b = TelemetrySink::new();
         b.add("x", 5);
         b.gauge_max("g", 1);
-        b.add_labeled("alias.op", Some("move".into()), 4);
+        b.add("alias.op.move", 4);
         a.merge(b);
         let tel = Telemetry::new(true);
         tel.merge(a);
         let snap = tel.snapshot();
         assert_eq!(snap.counter("x"), 7);
         assert_eq!(snap.gauge("g"), Some(3));
-        assert_eq!(snap.counter_sum("alias.op"), 4);
+        assert_eq!(snap.counter("alias.op.move"), 4);
     }
 
     #[test]
@@ -726,17 +747,14 @@ mod tests {
         let mut sink = TelemetrySink::new();
         sink.add("z.last", 1);
         sink.add("a.first", 1);
-        sink.add_labeled("m.mid", Some("b".into()), 1);
-        sink.add_labeled("m.mid", Some("a".into()), 1);
+        sink.add("m.mid", 1);
+        sink.add("m.mid", 1);
         let tel = Telemetry::new(true);
         tel.merge(sink);
-        let names: Vec<String> = tel
-            .snapshot()
-            .entries
-            .iter()
-            .map(|e| format!("{}/{}", e.name, e.label.as_deref().unwrap_or("-")))
-            .collect();
-        assert_eq!(names, ["a.first/-", "m.mid/a", "m.mid/b", "z.last/-"]);
+        let snap = tel.snapshot();
+        let names: Vec<&str> = snap.entries.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["a.first", "m.mid", "z.last"]);
+        assert_eq!(snap.counter("m.mid"), 2);
     }
 
     #[test]
@@ -744,7 +762,8 @@ mod tests {
         let mut sink = TelemetrySink::new();
         sink.add("path.paths", 42);
         sink.gauge_max("driver.threads", 8);
-        sink.record_ns("explore.root", Some("probe".into()), 1200);
+        sink.record_ns("explore.root", 1200);
+        sink.record_root("probe", 1200, 3, 96);
         let tel = Telemetry::new(true);
         tel.merge(sink);
         let snap = tel.snapshot();
@@ -766,30 +785,101 @@ mod tests {
             .iter()
             .find(|m| m.get("kind").unwrap().as_str() == Some("histogram"))
             .unwrap();
-        assert_eq!(hist.get("label").unwrap().as_str(), Some("probe"));
+        assert!(metrics.iter().all(|m| m.get("label").is_none()));
         assert_eq!(hist.get("count").unwrap().as_u64(), Some(1));
         assert_eq!(hist.get("total_ns").unwrap().as_u64(), Some(1200));
         let buckets = hist.get("buckets").unwrap().as_array().unwrap();
         assert_eq!(buckets.len(), 1);
         assert_eq!(buckets[0].as_array().unwrap()[0].as_u64(), Some(11));
+        let roots = v.get("slowest_roots").unwrap().as_array().unwrap();
+        assert_eq!(roots.len(), 1);
+        assert_eq!(roots[0].get("root").unwrap().as_str(), Some("probe"));
+        assert_eq!(roots[0].get("ns").unwrap().as_u64(), Some(1200));
+        assert_eq!(roots[0].get("forks").unwrap().as_u64(), Some(3));
+        assert_eq!(roots[0].get("bytes_copied").unwrap().as_u64(), Some(96));
+    }
+
+    fn table(sink: TelemetrySink) -> Vec<(String, u64)> {
+        let tel = Telemetry::new(true);
+        tel.merge(sink);
+        tel.snapshot()
+            .slowest_roots
+            .into_iter()
+            .map(|r| (r.root, r.ns))
+            .collect()
+    }
+
+    #[test]
+    fn slowest_roots_keep_the_top_ten_once_each() {
+        let mut sink = TelemetrySink::new();
+        for i in 0..12u64 {
+            sink.record_root(&format!("r{i:02}"), 100 + i, 0, 0);
+        }
+        // A root seen again keeps its slowest exploration only.
+        sink.record_root("r11", 50, 0, 0);
+        sink.record_root("r10", 500, 0, 0);
+        // Ties sort by name; a tie with the last entry does not displace it.
+        sink.record_root("a_tie", 105, 0, 0);
+        sink.record_root("z_tie", 103, 0, 0);
+        let got = table(sink);
+        let expect: Vec<(String, u64)> = [
+            ("r10", 500),
+            ("r11", 111),
+            ("r09", 109),
+            ("r08", 108),
+            ("r07", 107),
+            ("r06", 106),
+            ("a_tie", 105),
+            ("r05", 105),
+            ("r04", 104),
+            ("r03", 103),
+        ]
+        .iter()
+        .map(|&(n, ns)| (n.to_owned(), ns))
+        .collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn slowest_roots_merge_to_the_top_ten_of_both() {
+        let shard = |range: std::ops::Range<u64>| {
+            let mut s = TelemetrySink::new();
+            for i in range {
+                s.record_root(&format!("r{}", i % 15), i, i, 2 * i);
+            }
+            s
+        };
+        let all = shard(0..30);
+        let mut a = shard(0..20);
+        a.merge(shard(20..30));
+        let mut b = shard(20..30);
+        b.merge(shard(0..20));
+        let merged = table(a);
+        assert_eq!(merged, table(all));
+        assert_eq!(merged, table(b));
+        assert_eq!(merged.len(), SLOWEST_ROOTS);
+        assert_eq!(merged[0], ("r14".to_owned(), 29));
     }
 
     #[test]
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
-        sink.record_ns("stage.collect", None, 1_000);
-        sink.record_ns("stage.explore", None, 8_000);
-        sink.record_ns("stage.filter", None, 1_000);
-        sink.record_ns("explore.root", Some("slow_fn".into()), 7_000);
+        sink.record_ns("stage.collect", 1_000);
+        sink.record_ns("stage.explore", 8_000);
+        sink.record_ns("stage.filter", 1_000);
+        sink.record_ns("explore.root", 7_000);
+        sink.record_root("slow_fn", 7_000, 4, 2048);
         sink.add("validate.cache_hit", 3);
         sink.add("validate.cache_miss", 1);
         let tel = Telemetry::new(true);
         tel.merge(sink);
-        let text = tel.snapshot().render_profile(5);
+        let text = tel.snapshot().render_profile();
         assert!(text.contains("stage breakdown"), "{text}");
         assert!(text.contains("explore"), "{text}");
         assert!(text.contains("80.0%"), "{text}");
+        assert!(text.contains("top 1 slowest roots"), "{text}");
         assert!(text.contains("slow_fn"), "{text}");
+        assert!(text.contains("2.00KiB"), "{text}");
         assert!(text.contains("75.0% hit rate"), "{text}");
     }
 
@@ -797,17 +887,17 @@ mod tests {
     fn profile_recovery_line_gated_on_recover_counters() {
         let tel = Telemetry::new(true);
         let mut sink = TelemetrySink::new();
-        sink.record_ns("stage.explore", None, 1_000);
+        sink.record_ns("stage.explore", 1_000);
         tel.merge(sink);
-        let quiet = tel.snapshot().render_profile(5);
+        let quiet = tel.snapshot().render_profile();
         assert!(!quiet.contains("recover:"), "{quiet}");
 
         let mut sink = TelemetrySink::new();
-        sink.add_labeled("driver.recover.quarantined", Some("explore".into()), 2);
+        sink.add("driver.recover.quarantined", 2);
         sink.add("driver.recover.demoted", 1);
         sink.add("driver.recover.deadline_hits", 3);
         tel.merge(sink);
-        let noisy = tel.snapshot().render_profile(5);
+        let noisy = tel.snapshot().render_profile();
         assert!(
             noisy.contains(
                 "recover: 2 quarantined, 1 demoted, 3 deadline trips, 0 live-bytes trips"
@@ -821,7 +911,7 @@ mod tests {
         let mk = |a: u64, b: u64| {
             let mut s = TelemetrySink::new();
             s.add("x", a);
-            s.add_labeled("y", Some("l".into()), b);
+            s.add("y", b);
             s
         };
         let t1 = Telemetry::new(true);
@@ -831,11 +921,5 @@ mod tests {
         t2.merge(mk(2, 20));
         t2.merge(mk(1, 10));
         assert_eq!(t1.snapshot().counters(), t2.snapshot().counters());
-    }
-
-    #[test]
-    fn span_macro_compiles() {
-        let s = span!(true, "stage.filter");
-        assert!(s.is_live());
     }
 }

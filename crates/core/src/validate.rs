@@ -438,7 +438,7 @@ impl<'a> PathValidator<'a> {
         let result = self.solve_inner(conj);
         if let Some(started) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.sink.record_ns("validate.solve", None, ns);
+            self.sink.record_ns("validate.solve", ns);
             self.solve_calls += 1;
             self.max_scope_depth = self.max_scope_depth.max(self.solver.scope_depth());
         }

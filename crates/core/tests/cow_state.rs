@@ -46,8 +46,8 @@ fn fork_counters(src: &str, cow: bool) -> (u64, u64) {
     let _ = session.analyze_module(module);
     let snap = session.telemetry().snapshot();
     (
-        snap.counter_sum("driver.explore.fork.forks"),
-        snap.counter_sum("driver.explore.fork.bytes_copied"),
+        snap.counter("driver.explore.fork.forks"),
+        snap.counter("driver.explore.fork.bytes_copied"),
     )
 }
 

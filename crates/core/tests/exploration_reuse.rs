@@ -125,12 +125,12 @@ fn heavy_root_counters_exact_across_threads() {
 #[test]
 fn counters_exact_across_fork_modes_and_threads() {
     let counters = |o: &AnalysisOutcome| {
-        let mut cs: Vec<(String, Option<String>, u64)> = o
+        let mut cs: Vec<(String, u64)> = o
             .telemetry
             .counters()
             .into_iter()
-            .filter(|(name, _, _)| !name.starts_with("driver."))
-            .map(|(n, l, v)| (n.to_owned(), l.map(str::to_owned), v))
+            .filter(|(name, _)| !name.starts_with("driver."))
+            .map(|(n, v)| (n.to_owned(), v))
             .collect();
         cs.sort();
         cs
@@ -139,7 +139,7 @@ fn counters_exact_across_fork_modes_and_threads() {
     assert!(
         counters(&base)
             .iter()
-            .any(|(n, _, v)| n == "path.paths" && *v > 0),
+            .any(|(n, v)| n == "path.paths" && *v > 0),
         "expected real exploration work"
     );
     assert_eq!(counters(&run(false, 1)), counters(&base));

@@ -73,12 +73,12 @@ fn counters_exact_across_thread_counts() {
     let par = analyze_with_threads(4);
 
     let counters = |outcome: &AnalysisOutcome| {
-        let mut cs: Vec<(String, Option<String>, u64)> = outcome
+        let mut cs: Vec<(String, u64)> = outcome
             .telemetry
             .counters()
             .into_iter()
-            .filter(|(name, _, _)| !name.starts_with("driver."))
-            .map(|(n, l, v)| (n.to_owned(), l.map(str::to_owned), v))
+            .filter(|(name, _)| !name.starts_with("driver."))
+            .map(|(n, v)| (n.to_owned(), v))
             .collect();
         cs.sort();
         cs
@@ -87,7 +87,7 @@ fn counters_exact_across_thread_counts() {
     assert!(
         seq_counters
             .iter()
-            .any(|(n, _, v)| n == "path.paths" && *v > 0),
+            .any(|(n, v)| n == "path.paths" && *v > 0),
         "expected real exploration work: {seq_counters:?}"
     );
     assert_eq!(seq_counters, counters(&par));
@@ -114,15 +114,55 @@ fn parallel_run_records_thread_gauge() {
 #[test]
 fn per_root_histogram_covers_every_root() {
     let out = analyze_with_threads(2);
-    for root in ["probe_npd", "probe_leak", "probe_clean", "probe_infeasible"] {
-        let hist = out
-            .telemetry
-            .get("explore.root", Some(root))
-            .unwrap_or_else(|| panic!("missing explore.root histogram for {root}"));
-        match hist {
-            pata_core::telemetry::Metric::Histogram(h) => assert_eq!(h.count, 1),
-            other => panic!("explore.root should be a histogram: {other:?}"),
-        }
+    let hist = out
+        .telemetry
+        .histogram("explore.root")
+        .expect("explore.root histogram");
+    assert_eq!(hist.count, 4, "one sample per explored root");
+    let mut listed: Vec<&str> = out
+        .telemetry
+        .slowest_roots
+        .iter()
+        .map(|r| r.root.as_str())
+        .collect();
+    listed.sort_unstable();
+    assert_eq!(
+        listed,
+        ["probe_clean", "probe_infeasible", "probe_leak", "probe_npd"]
+    );
+}
+
+/// The snapshot's size is set by the code, not by the input: a model four
+/// times larger records the same metric names, the slowest-roots table
+/// stays at its fixed length, and no entry carries a per-input label.
+#[test]
+fn snapshot_cardinality_does_not_grow_with_the_input() {
+    let snapshot_at = |scale: f64| {
+        let profile = pata_corpus::OsProfile::linux().with_scale(scale);
+        let module = pata_corpus::Corpus::generate(&profile)
+            .compile()
+            .expect("corpus compiles");
+        let config = AnalysisConfig::builder()
+            .threads(1)
+            .telemetry(true)
+            .build()
+            .unwrap();
+        let outcome = AnalysisSession::new(config).analyze_module(module);
+        assert!(outcome.stats.roots > 0);
+        outcome.telemetry
+    };
+    let small = snapshot_at(0.05);
+    let large = snapshot_at(0.2);
+    let names = |snap: &pata_core::TelemetrySnapshot| -> Vec<&'static str> {
+        snap.entries.iter().map(|e| e.name).collect()
+    };
+    assert_eq!(names(&small), names(&large));
+    for snap in [&small, &large] {
+        assert!(!snap.slowest_roots.is_empty());
+        assert!(snap.slowest_roots.len() <= pata_core::telemetry::SLOWEST_ROOTS);
+        let doc = pata_core::json::JsonValue::parse(&snap.to_json()).expect("valid JSON");
+        let metrics = doc.get("metrics").and_then(|m| m.as_array()).unwrap();
+        assert!(metrics.iter().all(|m| m.get("label").is_none()));
     }
 }
 

@@ -61,6 +61,12 @@ stage_ns() {
         | sed 's/.*"total_ns": \([0-9]*\).*/\1/' | head -n 1
 }
 echo "stage timing (ns): collect=$(stage_ns collect) explore=$(stage_ns explore) filter=$(stage_ns filter)"
+# Metric identity is a static name, so the snapshot's size is set by the
+# code, not by the number of roots: no entry may carry a per-input label.
+echo "telemetry snapshot: $(grep -c '"kind": ' "$tmp_dir/stats.json") metrics," \
+    "$(wc -c < "$tmp_dir/stats.json") bytes"
+! grep -q '"label"' "$tmp_dir/stats.json" \
+    || { echo "telemetry snapshot: an entry carries a \"label\""; exit 1; }
 
 echo "== explore scale sweep (linux model, scales 1/4/16)"
 # Per-root state must cost what the root reaches, not the module size:

@@ -89,7 +89,7 @@ analysis knobs (analyze and serve):
   --no-validate           skip stage-2 SMT path validation
   --no-validation-cache   disable the cross-root validation verdict cache
   --resolve-fptrs         resolve function-pointer calls to all candidates
-  --loops N               loop unrolling bound (default 2)
+  --loops N               loop unrolling bound (default 1)
   --threads N             worker threads for stage-1 exploration (0 = auto)
   --no-cow-state          fork branch state by deep clone instead of the
                           copy-on-write undo journal (differential oracle)
@@ -396,7 +396,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     if profile {
-        eprint!("{}", telemetry.render_profile(10));
+        eprint!("{}", telemetry.render_profile());
         for note in &report.budget_notes {
             eprintln!("budget exhausted: root {} ({})", note.root, note.reason);
         }
@@ -416,6 +416,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let stdio = flag(&flags, "stdio").is_some();
     if socket.is_some() == stdio {
         return Err("serve needs exactly one of --socket PATH or --stdio".to_owned());
+    }
+    if stdio && flag(&flags, "request-timeout-ms").is_some() {
+        return Err(
+            "--request-timeout-ms applies only to --socket; --stdio has no reply deadline"
+                .to_owned(),
+        );
     }
     let mut options = ServeOptions::default();
     if let Some(Some(n)) = flag(&flags, "max-request-bytes") {

@@ -95,6 +95,13 @@ fn analyze_stats_json_matches_telemetry_schema() {
     ] {
         assert!(names.contains(&expected), "missing {expected}: {names:?}");
     }
+    assert!(metrics.iter().all(|m| m.get("label").is_none()), "{text}");
+    let roots = doc
+        .get("slowest_roots")
+        .and_then(|v| v.as_array())
+        .expect("slowest_roots array");
+    assert_eq!(roots.len(), 1, "{text}");
+    assert_eq!(roots[0].get("root").and_then(|r| r.as_str()), Some("probe"));
 }
 
 #[test]
@@ -109,7 +116,8 @@ fn analyze_profile_prints_stage_breakdown() {
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("stage breakdown"), "{stderr}");
-    assert!(stderr.contains("slowest roots"), "{stderr}");
+    assert!(stderr.contains("top 1 slowest roots"), "{stderr}");
+    assert!(stderr.contains("  probe "), "{stderr}");
 }
 
 #[test]
@@ -243,6 +251,11 @@ fn help_enumerates_every_knob() {
     ] {
         assert!(stdout.contains(knob), "help missing {knob}");
     }
+    let loops = pata::core::PathBudget::default().loop_iterations;
+    assert!(
+        stdout.contains(&format!("loop unrolling bound (default {loops})")),
+        "help must state the default --loops bound {loops}: {stdout}"
+    );
 }
 
 #[test]
@@ -377,6 +390,24 @@ fn serve_stdio_answers_and_shuts_down() {
     assert_eq!(first.get("ok").and_then(|v| v.as_bool()), Some(true));
     assert!(lines[0].contains("null-pointer-dereference"), "{stdout}");
     assert!(lines[1].contains("\"op\": \"shutdown\""));
+}
+
+/// The reply deadline exists only for the socket daemon; on stdio the flag
+/// would be silently ignored, so the combination is refused up front.
+#[test]
+fn serve_stdio_rejects_request_timeout() {
+    let out = pata()
+        .args(["serve", "--stdio", "--request-timeout-ms", "50"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--request-timeout-ms applies only to --socket"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing served: {out:?}");
 }
 
 #[cfg(unix)]
