@@ -19,7 +19,10 @@
 //!
 //! All added sources are compiled into one [`pata_ir::Module`], so direct
 //! calls resolve across files exactly as PATA's information collector
-//! enables.
+//! enables. Compilation is [`Parser::parse_source`] per file followed by
+//! [`lower_units`] over all of them; a caller that keeps the parsed
+//! [`Unit`]s can re-parse only the files that changed and still get the
+//! module a full compile gives.
 //!
 //! # Example
 //!
@@ -55,7 +58,7 @@ mod token;
 pub use ast::*;
 pub use diag::{Diag, DiagKind};
 pub use lexer::Lexer;
-pub use lower::Compiler;
+pub use lower::{lower_units, Compiler};
 pub use parser::{Parser, MAX_NESTING};
 pub use token::{Token, TokenKind};
 

@@ -1,9 +1,10 @@
 //! Lowering from the mini-C AST to PIR.
 //!
-//! The [`Compiler`] gathers any number of source files, parses them, merges
-//! struct definitions and function signatures across files (the paper's
-//! "information collector" making inter-procedural analysis possible across
-//! source files, §4 P1), and lowers every function body to PIR.
+//! The [`Compiler`] gathers any number of source files and parses them;
+//! [`lower_units`] merges struct definitions and function signatures
+//! across the parsed files (the paper's "information collector" making
+//! inter-procedural analysis possible across source files, §4 P1), and
+//! lowers every function body to PIR.
 //!
 //! Lowering conventions:
 //!
@@ -77,97 +78,130 @@ impl Compiler {
         if !diags.is_empty() {
             return Err(diags);
         }
+        let units: Vec<(&Unit, Option<Category>)> = units.iter().map(|(u, c)| (u, *c)).collect();
+        lower_units(&units)
+    }
+}
 
-        let mut module = Module::new();
-        let mut files = Vec::new();
-        for (unit, category) in &units {
-            let cat = category.unwrap_or_else(|| infer_category(&unit.file));
-            files.push(module.add_file_with_meta(&unit.file, unit.lines, cat));
-        }
+/// Lowers parsed units, in the given order, into one [`Module`].
+///
+/// This is the only lowering path: [`Compiler::compile`] parses its sources
+/// and calls it, and a caller that keeps [`Unit`]s across compilations
+/// (re-parsing only the files whose text changed) calls it directly. The
+/// module depends only on the units and their order, never on where they
+/// came from: files, structs, globals and functions get their ids in unit
+/// order, so the same units in the same order give a byte-identical
+/// module. A unit's category is inferred from its file name (see
+/// [`Compiler::add_source`]) when it is `None`.
+///
+/// # Errors
+///
+/// Returns every semantic diagnostic (duplicate function definitions,
+/// unknown variables, misplaced `break`, …); the module is only produced
+/// when all units lower cleanly.
+///
+/// # Example
+///
+/// ```
+/// use pata_cc::{lower_units, Parser};
+///
+/// let a = Parser::parse_source("a.c", "int f(int x) { return g(x); }").unwrap();
+/// let b = Parser::parse_source("b.c", "int g(int y) { return y; }").unwrap();
+/// let module = lower_units(&[(&a, None), (&b, None)]).unwrap();
+/// assert_eq!(module.files().len(), 2);
+/// assert!(module.function_by_name("g").is_some());
+/// ```
+pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Diag>> {
+    let mut diags = Vec::new();
+    let mut module = Module::new();
+    let mut files = Vec::new();
+    for (unit, category) in units {
+        let cat = category.unwrap_or_else(|| infer_category(&unit.file));
+        files.push(module.add_file_with_meta(&unit.file, unit.lines, cat));
+    }
 
-        // Pass 1: declare all struct names (allows recursive/forward refs),
-        // then fill in fields.
-        for (unit, _) in &units {
-            for s in &unit.structs {
-                if module.struct_by_name(&s.name).is_none() {
-                    module.add_struct(StructDef {
-                        name: s.name.clone(),
-                        fields: Vec::new(),
-                    });
-                }
-            }
-        }
-        for (unit, _) in &units {
-            for s in &unit.structs {
-                let fields: Vec<_> = s
-                    .fields
-                    .iter()
-                    .map(|(fname, fty)| {
-                        let sym = module.interner.intern(fname);
-                        let ty = resolve_type(&mut module, fty);
-                        (sym, ty)
-                    })
-                    .collect();
+    // Pass 1: declare all struct names (allows recursive/forward refs),
+    // then fill in fields.
+    for (unit, _) in units {
+        for s in &unit.structs {
+            if module.struct_by_name(&s.name).is_none() {
                 module.add_struct(StructDef {
                     name: s.name.clone(),
-                    fields,
+                    fields: Vec::new(),
                 });
             }
         }
-
-        // Pass 2: globals.
-        let mut globals: HashMap<&str, VarId> = HashMap::new();
-        for (unit, _) in &units {
-            for g in &unit.globals {
-                let ty = resolve_type(&mut module, &g.ty);
-                let id = module.add_global(&g.name, ty);
-                globals.insert(&g.name, id);
-            }
-        }
-
-        // Pass 3: assign function ids in declaration order so direct calls
-        // across files resolve (the information collector's database).
-        let mut func_ids: HashMap<&str, FuncId> = HashMap::new();
-        let mut all_funcs: Vec<(usize, &FuncDecl, FileId, Category)> = Vec::new();
-        for ((unit, category), &file) in units.iter().zip(&files) {
-            let cat = category.unwrap_or_else(|| infer_category(&unit.file));
-            for f in &unit.functions {
-                if func_ids.contains_key(f.name.as_str()) {
-                    diags.push(Diag::new(
-                        DiagKind::Sema,
-                        &unit.file,
-                        f.line,
-                        format!("duplicate definition of function `{}`", f.name),
-                    ));
-                    continue;
-                }
-                func_ids.insert(&f.name, FuncId::from_index(all_funcs.len()));
-                all_funcs.push((all_funcs.len(), f, file, cat));
-            }
-        }
-        if !diags.is_empty() {
-            return Err(diags);
-        }
-
-        // Pass 4: lower bodies in id order.
-        for (idx, decl, file, cat) in &all_funcs {
-            let lowerer = LowerFn::new(
-                &mut module,
-                decl,
-                *file,
-                *cat,
-                &func_ids,
-                &globals,
-                &mut diags,
-            );
-            let got = lowerer.lower();
-            debug_assert_eq!(got.index(), *idx);
-        }
-        if !diags.is_empty() {
-            return Err(diags);
-        }
-        Ok(module)
     }
+    for (unit, _) in units {
+        for s in &unit.structs {
+            let fields: Vec<_> = s
+                .fields
+                .iter()
+                .map(|(fname, fty)| {
+                    let sym = module.interner.intern(fname);
+                    let ty = resolve_type(&mut module, fty);
+                    (sym, ty)
+                })
+                .collect();
+            module.add_struct(StructDef {
+                name: s.name.clone(),
+                fields,
+            });
+        }
+    }
+
+    // Pass 2: globals.
+    let mut globals: HashMap<&str, VarId> = HashMap::new();
+    for (unit, _) in units {
+        for g in &unit.globals {
+            let ty = resolve_type(&mut module, &g.ty);
+            let id = module.add_global(&g.name, ty);
+            globals.insert(&g.name, id);
+        }
+    }
+
+    // Pass 3: assign function ids in declaration order so direct calls
+    // across files resolve (the information collector's database).
+    let mut func_ids: HashMap<&str, FuncId> = HashMap::new();
+    let mut all_funcs: Vec<(usize, &FuncDecl, FileId, Category)> = Vec::new();
+    for ((unit, category), &file) in units.iter().zip(&files) {
+        let cat = category.unwrap_or_else(|| infer_category(&unit.file));
+        for f in &unit.functions {
+            if func_ids.contains_key(f.name.as_str()) {
+                diags.push(Diag::new(
+                    DiagKind::Sema,
+                    &unit.file,
+                    f.line,
+                    format!("duplicate definition of function `{}`", f.name),
+                ));
+                continue;
+            }
+            func_ids.insert(&f.name, FuncId::from_index(all_funcs.len()));
+            all_funcs.push((all_funcs.len(), f, file, cat));
+        }
+    }
+    if !diags.is_empty() {
+        return Err(diags);
+    }
+
+    // Pass 4: lower bodies in id order.
+    for (idx, decl, file, cat) in &all_funcs {
+        let lowerer = LowerFn::new(
+            &mut module,
+            decl,
+            *file,
+            *cat,
+            &func_ids,
+            &globals,
+            &mut diags,
+        );
+        let got = lowerer.lower();
+        debug_assert_eq!(got.index(), *idx);
+    }
+    if !diags.is_empty() {
+        return Err(diags);
+    }
+    Ok(module)
 }
 
 fn infer_category(path: &str) -> Category {

@@ -6,6 +6,10 @@
 //! expressions, prefix operators, postfix and binary folds, pointer
 //! declarators) counts against [`MAX_NESTING`], so neither the parser nor
 //! the recursive lowering over its output can exhaust the stack.
+//!
+//! Statement lists and call arguments are gathered on two stacks the
+//! parser reuses, then moved into a `Vec` of exactly their length: an AST
+//! kept alive across compilations holds no spare capacity.
 
 use crate::ast::*;
 use crate::diag::{Diag, DiagKind};
@@ -34,6 +38,11 @@ pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     depth: u32,
+    /// Statements of the blocks being parsed; a nested block pushes above
+    /// its parent's and drains its own.
+    stmts: Vec<Stmt>,
+    /// Arguments of the calls being parsed, stacked the same way.
+    args: Vec<Expr>,
 }
 
 impl Parser {
@@ -54,6 +63,8 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
+            stmts: Vec::new(),
+            args: Vec::new(),
         };
         let mut unit = parser.parse_unit()?;
         unit.lines = lines;
@@ -310,15 +321,17 @@ impl Parser {
 
     /// Parses statements until the closing `}` (which is consumed).
     fn parse_block_body(&mut self) -> Result<Vec<Stmt>, Diag> {
-        let mut stmts = Vec::new();
+        let mark = self.stmts.len();
         while self.peek() != &TokenKind::RBrace {
             if self.peek() == &TokenKind::Eof {
                 return Err(self.err("unexpected end of input in block"));
             }
-            stmts.push(self.parse_stmt()?);
+            let stmt = self.parse_stmt()?;
+            self.stmts.push(stmt);
         }
         self.expect(TokenKind::RBrace)?;
-        Ok(stmts)
+        // A drain knows its length, so the `Vec` is allocated exactly.
+        Ok(self.stmts.drain(mark..).collect())
     }
 
     /// One statement. Every level of statement nesting repeats this frame,
@@ -709,17 +722,18 @@ impl Parser {
                 ExprKind::Index(base, Box::new(idx))
             }
             _ => {
-                let mut args = Vec::new();
+                let mark = self.args.len();
                 if self.peek() != &TokenKind::RParen {
                     loop {
-                        args.push(self.parse_assignment()?);
+                        let arg = self.parse_assignment()?;
+                        self.args.push(arg);
                         if !self.eat(&TokenKind::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(TokenKind::RParen)?;
-                ExprKind::Call(base, args)
+                ExprKind::Call(base, self.args.drain(mark..).collect())
             }
         };
         Ok(Expr::new(kind, line))

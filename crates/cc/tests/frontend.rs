@@ -2,7 +2,8 @@
 //! corners that the corpus generator and real OS code rely on.
 
 use pata_cc::{
-    compile_one, AstBinOp, Compiler, DiagKind, Expr, ExprKind, Lexer, Parser, StmtKind, MAX_NESTING,
+    compile_one, AstBinOp, Compiler, DiagKind, Expr, ExprKind, Lexer, Parser, Stmt, StmtKind,
+    MAX_NESTING,
 };
 use pata_corpus::{Corpus, OsProfile};
 use pata_ir::{print_module, verify_module, Callee, InstKind, Operand, Terminator, VarId};
@@ -413,6 +414,103 @@ fn pinned_linux_token_count() {
     assert_eq!(tokens, 171_073);
 }
 
+/// Every statement list and call-argument list under `stmts`, as
+/// `(what, len, capacity)`.
+fn list_sizes(stmts: &[Stmt], out: &mut Vec<(&'static str, usize, usize)>) {
+    fn list(stmts: &Vec<Stmt>, out: &mut Vec<(&'static str, usize, usize)>) {
+        out.push(("statements", stmts.len(), stmts.capacity()));
+        list_sizes(stmts, out);
+    }
+    fn expr(e: &Expr, out: &mut Vec<(&'static str, usize, usize)>) {
+        match &e.kind {
+            ExprKind::Call(callee, args) => {
+                out.push(("arguments", args.len(), args.capacity()));
+                expr(callee, out);
+                args.iter().for_each(|a| expr(a, out));
+            }
+            ExprKind::Arrow(inner, _)
+            | ExprKind::Dot(inner, _)
+            | ExprKind::Deref(inner)
+            | ExprKind::AddrOf(inner)
+            | ExprKind::Not(inner)
+            | ExprKind::Neg(inner)
+            | ExprKind::BitNot(inner)
+            | ExprKind::Cast(_, inner) => expr(inner, out),
+            ExprKind::Index(a, b) | ExprKind::Bin(_, a, b) | ExprKind::Assign(a, b) => {
+                expr(a, out);
+                expr(b, out);
+            }
+            ExprKind::Int(_)
+            | ExprKind::Null
+            | ExprKind::Str(_)
+            | ExprKind::Ident(_)
+            | ExprKind::Sizeof => {}
+        }
+    }
+    for s in stmts {
+        match &s.kind {
+            StmtKind::Decl { init, .. } => init.iter().for_each(|e| expr(e, out)),
+            StmtKind::Assign { lhs, rhs } => {
+                expr(lhs, out);
+                expr(rhs, out);
+            }
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => expr(e, out),
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                expr(cond, out);
+                list(then_body, out);
+                list(else_body, out);
+            }
+            StmtKind::While { cond, body } => {
+                expr(cond, out);
+                list(body, out);
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                for clause in init.iter().chain(step) {
+                    list_sizes(std::slice::from_ref(&**clause), out);
+                }
+                cond.iter().for_each(|e| expr(e, out));
+                list(body, out);
+            }
+            StmtKind::Block(body) => list(body, out),
+            StmtKind::Return(None)
+            | StmtKind::Goto(_)
+            | StmtKind::Label(_)
+            | StmtKind::Break
+            | StmtKind::Continue => {}
+        }
+    }
+}
+
+/// The parsed ASTs may be kept alive between compilations, so their lists
+/// carry no spare capacity.
+#[test]
+fn parsed_lists_have_no_spare_capacity() {
+    let corpus = Corpus::generate(&OsProfile::linux().with_scale(0.2));
+    let mut sizes = Vec::new();
+    for file in &corpus.files {
+        let unit = Parser::parse_source(&file.path, &file.text).expect("parses");
+        for f in &unit.functions {
+            sizes.push(("statements", f.body.len(), f.body.capacity()));
+            list_sizes(&f.body, &mut sizes);
+        }
+    }
+    for what in ["statements", "arguments"] {
+        let lists: Vec<_> = sizes.iter().filter(|s| s.0 == what).collect();
+        assert!(lists.iter().filter(|s| s.1 > 1).count() > 50, "{what}");
+        let slack: Vec<_> = lists.iter().filter(|s| s.1 != s.2).collect();
+        assert!(slack.is_empty(), "{what} with spare capacity: {slack:?}");
+    }
+}
+
 // --------------------------------------------------------------------
 // Precedence and associativity: AST shapes.
 // --------------------------------------------------------------------
@@ -744,4 +842,14 @@ fn deeply_nested_reproducers_are_errors() {
         let err = compile_one("deep.c", &src).expect_err("refused");
         assert!(err[0].message.contains("nesting too deep"), "{err:?}");
     }
+}
+
+/// Each binary fold deepens the left spine that lowering recurses down, so
+/// a flat chain of more than `MAX_NESTING` operators is refused too.
+#[test]
+fn long_flat_binary_chains_are_refused() {
+    let chain = |terms: usize| format!("int f(int x) {{ return x{}; }}", " + x".repeat(terms - 1));
+    assert!(compile_one("flat.c", &chain(200)).is_ok());
+    let err = compile_one("flat.c", &chain(300)).expect_err("refused");
+    assert_eq!(err[0].message, "nesting too deep");
 }

@@ -13,7 +13,7 @@
 //! That keeps `u32`/`u64` counters exact through a round-trip, which the
 //! report and telemetry schemas rely on.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// How deep arrays and objects may nest. Every document this crate writes
 /// stays within a handful of levels; deeper input is refused with a
@@ -340,6 +340,17 @@ impl Parser<'_> {
 /// Escapes a string for embedding between JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s`, escaped for embedding between JSON double quotes.
+fn escape_into(out: &mut String, s: &str) {
+    // Names and paths rarely need escaping: copy those whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -347,16 +358,27 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Renders a quoted, escaped JSON string.
 pub fn quote(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
+}
+
+/// Appends `s` as a quoted, escaped JSON string: [`quote`] without the
+/// allocation.
+pub(crate) fn quote_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use crate::collector::CallGraph;
 use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject::{self, FaultPlan};
 use crate::fingerprint::{fnv64, mix};
-use crate::json::{quote, JsonValue};
+use crate::json::{quote_into, JsonValue};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
 use pata_ir::{
@@ -52,6 +52,7 @@ use pata_ir::{
 };
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -789,9 +790,13 @@ pub(crate) struct StoredRoot {
 /// An in-memory image of the on-disk store.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Store {
-    /// Fingerprint of the verdict-relevant configuration.
+    /// Fingerprint of the verdict-relevant configuration. [`Store::parse`]
+    /// checks it; only the round-trip tests read it back.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) config_fp: u64,
-    /// Corpus fingerprint (hash of the function database).
+    /// Corpus fingerprint (hash of the function database); only the
+    /// round-trip tests read it back.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) corpus_fp: u64,
     /// The function database: `(name, fingerprint)`, sorted by name.
     pub(crate) functions: FunctionDb,
@@ -801,56 +806,39 @@ pub(crate) struct Store {
     pub(crate) validation: Vec<(Vec<u8>, SatResult)>,
 }
 
+/// A store document over borrowed parts: what a save serializes, without
+/// copying the session's warm state into a [`Store`] first.
+#[derive(Debug)]
+pub(crate) struct StoreDoc<'a> {
+    /// Fingerprint of the verdict-relevant configuration.
+    pub(crate) config_fp: u64,
+    /// Corpus fingerprint (hash of the function database).
+    pub(crate) corpus_fp: u64,
+    /// The function database.
+    pub(crate) functions: &'a FunctionDb,
+    /// Per-root cached results, in the recorded root order.
+    pub(crate) roots: &'a [StoredRoot],
+    /// Stage-2 verdicts under canonical keys, sorted by key.
+    pub(crate) validation: &'a [(Vec<u8>, SatResult)],
+}
+
 impl Store {
+    /// The store as a document over its own parts.
+    #[cfg(test)]
+    fn doc(&self) -> StoreDoc<'_> {
+        StoreDoc {
+            config_fp: self.config_fp,
+            corpus_fp: self.corpus_fp,
+            functions: &self.functions,
+            roots: &self.roots,
+            validation: &self.validation,
+        }
+    }
+
     /// Serializes the store to its versioned JSON document.
+    #[cfg(test)]
     pub(crate) fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema_version\": ");
-        out.push_str(&STORE_SCHEMA_VERSION.to_string());
-        out.push_str(&format!(
-            ", \"config_fingerprint\": \"{:016x}\"",
-            self.config_fp
-        ));
-        out.push_str(&format!(
-            ", \"corpus_fingerprint\": \"{:016x}\"",
-            self.corpus_fp
-        ));
-        out.push_str(", \"functions\": [");
-        for (i, (name, fp)) in self.functions.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"fp\": \"{fp:016x}\"}}",
-                quote(name)
-            ));
-        }
-        out.push_str("], \"roots\": [");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_root(&mut out, r);
-        }
-        out.push_str("], \"validation\": [");
-        for (i, (key, verdict)) in self.validation.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"key\": \"");
-            for b in key {
-                out.push_str(&format!("{b:02x}"));
-            }
-            out.push_str("\", \"verdict\": \"");
-            out.push_str(match verdict {
-                SatResult::Sat => "sat",
-                SatResult::Unsat => "unsat",
-                SatResult::Unknown => "unknown",
-            });
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
+        self.doc().to_json()
     }
 
     /// Parses a store document written with the *current* schema version
@@ -904,16 +892,76 @@ impl Store {
         Store::parse(&text, expect_config_fp)
     }
 
-    /// Writes the store atomically (temp file in the same directory, then
-    /// rename), so a crash mid-write never leaves a truncated store.
-    /// Production callers thread their fault plan through
-    /// [`Store::save_with_faults`]; this fault-free spelling serves tests.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Writes the store atomically; see [`StoreDoc::save_with_faults`].
+    #[cfg(test)]
     pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
-        self.save_with_faults(path, None)
+        self.doc().save_with_faults(path, None)
     }
 
-    /// [`Store::save`] with fault-injection crash points around the
+    /// [`Store::save`] with fault-injection crash points; see
+    /// [`StoreDoc::save_with_faults`].
+    #[cfg(test)]
+    pub(crate) fn save_with_faults(
+        &self,
+        path: &Path,
+        fault: Option<&FaultPlan>,
+    ) -> io::Result<()> {
+        self.doc().save_with_faults(path, fault)
+    }
+}
+
+impl StoreDoc<'_> {
+    /// Serializes the store to its versioned JSON document.
+    /// Every writer below appends to one `String` (`write!` into a
+    /// `String` cannot fail), so a save allocates only as the document
+    /// grows.
+    pub(crate) fn to_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"schema_version\": {STORE_SCHEMA_VERSION}, \"config_fingerprint\": \"{:016x}\", \
+             \"corpus_fingerprint\": \"{:016x}\"",
+            self.config_fp, self.corpus_fp
+        );
+        out.push_str(", \"functions\": [");
+        for (i, (name, fp)) in self.functions.entries.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"name\": ");
+            quote_into(&mut out, name);
+            let _ = write!(out, ", \"fp\": \"{fp:016x}\"}}");
+        }
+        out.push_str("], \"roots\": [");
+        for (i, r) in self.roots.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_root(&mut out, r);
+        }
+        out.push_str("], \"validation\": [");
+        for (i, (key, verdict)) in self.validation.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"key\": \"");
+            for b in key {
+                let _ = write!(out, "{b:02x}");
+            }
+            out.push_str("\", \"verdict\": \"");
+            out.push_str(match verdict {
+                SatResult::Sat => "sat",
+                SatResult::Unsat => "unsat",
+                SatResult::Unknown => "unknown",
+            });
+            out.push_str("\"}");
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// Writes the store atomically (temp file in the same directory, then
+    /// rename), with fault-injection crash points around the
     /// temp+rename protocol. Each `store.save.*` site simulates a process
     /// killed at that exact instant (a panic the crash-safety tests catch);
     /// the plain `store.save` site yields an IO error the session treats
@@ -967,8 +1015,8 @@ fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
 
 fn write_root(out: &mut String, r: &StoredRoot) {
     out.push_str("{\"root\": ");
-    out.push_str(&quote(&r.root));
-    out.push_str(&format!(", \"closure_fp\": \"{:016x}\"", r.closure_fp));
+    quote_into(out, &r.root);
+    let _ = write!(out, ", \"closure_fp\": \"{:016x}\"", r.closure_fp);
     out.push_str(", \"candidates\": [");
     for (i, b) in r.candidates.iter().enumerate() {
         if i > 0 {
@@ -982,24 +1030,26 @@ fn write_root(out: &mut String, r: &StoredRoot) {
         Some(n) => {
             // `caches_disabled` is always true: kept for the store layout
             // until the schema is next bumped.
-            out.push_str(&format!(
-                ", \"note\": {{\"root\": {}, \"reason\": {}, \"caches_disabled\": true}}",
-                quote(&n.root),
-                quote(&n.reason),
-            ));
+            out.push_str(", \"note\": {\"root\": ");
+            quote_into(out, &n.root);
+            out.push_str(", \"reason\": ");
+            quote_into(out, &n.reason);
+            out.push_str(", \"caches_disabled\": true}");
         }
         None => out.push_str(", \"note\": null"),
     }
     // Emitted only when present so zero-fault stores keep their exact
     // pre-existing byte layout (and older readers' parse shape).
     if let Some(d) = &r.degraded {
-        out.push_str(&format!(
-            ", \"degraded\": {{\"root\": {}, \"stage\": {}, \"reason\": {}, \"action\": {}}}",
-            quote(&d.root),
-            quote(&d.stage),
-            quote(&d.reason),
-            quote(&d.action)
-        ));
+        out.push_str(", \"degraded\": {\"root\": ");
+        quote_into(out, &d.root);
+        out.push_str(", \"stage\": ");
+        quote_into(out, &d.stage);
+        out.push_str(", \"reason\": ");
+        quote_into(out, &d.reason);
+        out.push_str(", \"action\": ");
+        quote_into(out, &d.action);
+        out.push('}');
     }
     out.push('}');
 }
@@ -1085,7 +1135,7 @@ fn write_stats(out: &mut String, s: &AnalysisStats) {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{name}\": {}", stat_field(s, name)));
+        let _ = write!(out, "\"{name}\": {}", stat_field(s, name));
     }
     out.push('}');
 }
@@ -1099,25 +1149,26 @@ fn parse_stats(v: &JsonValue) -> Option<AnalysisStats> {
 }
 
 fn write_bug(out: &mut String, b: &StoredBug) {
-    let inst = |s: &StoredInst| {
-        format!(
-            "{{\"func\": {}, \"block\": {}, \"inst\": {}}}",
-            quote(&s.func),
-            s.block,
-            s.inst
-        )
+    let inst = |out: &mut String, s: &StoredInst| {
+        out.push_str("{\"func\": ");
+        quote_into(out, &s.func);
+        let _ = write!(out, ", \"block\": {}, \"inst\": {}}}", s.block, s.inst);
     };
-    let loc = |l: &StoredLoc| format!("{{\"file\": {}, \"line\": {}}}", quote(&l.file), l.line);
+    let loc = |out: &mut String, l: &StoredLoc| {
+        out.push_str("{\"file\": ");
+        quote_into(out, &l.file);
+        let _ = write!(out, ", \"line\": {}}}", l.line);
+    };
     out.push_str("{\"kind\": ");
-    out.push_str(&quote(b.kind.as_str()));
+    quote_into(out, b.kind.as_str());
     out.push_str(", \"origin\": ");
-    out.push_str(&inst(&b.origin));
+    inst(out, &b.origin);
     out.push_str(", \"origin_loc\": ");
-    out.push_str(&loc(&b.origin_loc));
+    loc(out, &b.origin_loc);
     out.push_str(", \"site\": ");
-    out.push_str(&inst(&b.site));
+    inst(out, &b.site);
     out.push_str(", \"site_loc\": ");
-    out.push_str(&loc(&b.site_loc));
+    loc(out, &b.site_loc);
     out.push_str(", \"constraints\": [");
     for (i, c) in b.constraints.iter().enumerate() {
         if i > 0 {
@@ -1137,7 +1188,7 @@ fn write_bug(out: &mut String, b: &StoredBug) {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&quote(p));
+        quote_into(out, p);
     }
     out.push_str("]}");
 }
@@ -1236,7 +1287,7 @@ fn parse_opaque_op(s: &str) -> Option<OpaqueOp> {
 }
 
 fn write_constraint(out: &mut String, c: &Constraint) {
-    out.push_str(&format!("{{\"op\": \"{}\", \"l\": ", cmp_op_str(c.op)));
+    let _ = write!(out, "{{\"op\": \"{}\", \"l\": ", cmp_op_str(c.op));
     write_term(out, &c.lhs);
     out.push_str(", \"r\": ");
     write_term(out, &c.rhs);
@@ -1253,8 +1304,12 @@ fn parse_constraint(v: &JsonValue) -> Option<Constraint> {
 
 fn write_term(out: &mut String, t: &Term) {
     match t {
-        Term::Const(v) => out.push_str(&format!("{{\"c\": {v}}}")),
-        Term::Sym(s) => out.push_str(&format!("{{\"s\": {}}}", s.0)),
+        Term::Const(v) => {
+            let _ = write!(out, "{{\"c\": {v}}}");
+        }
+        Term::Sym(s) => {
+            let _ = write!(out, "{{\"s\": {}}}", s.0);
+        }
         Term::Add(a, b) => write_binary(out, "+", a, b),
         Term::Sub(a, b) => write_binary(out, "-", a, b),
         Term::Mul(a, b) => write_binary(out, "*", a, b),
@@ -1268,7 +1323,7 @@ fn write_term(out: &mut String, t: &Term) {
 }
 
 fn write_binary(out: &mut String, op: &str, a: &Term, b: &Term) {
-    out.push_str(&format!("{{\"o\": \"{op}\", \"a\": "));
+    let _ = write!(out, "{{\"o\": \"{op}\", \"a\": ");
     write_term(out, a);
     out.push_str(", \"b\": ");
     write_term(out, b);
@@ -1467,6 +1522,37 @@ mod tests {
         assert!(!json.contains("\"degraded\""), "omitted when None");
         let back = Store::parse(&json, store.config_fp).expect("parses");
         assert_eq!(back.roots[0].degraded, None);
+    }
+
+    /// The writer's bytes, pinned: a store written by an older build must
+    /// stay byte-identical to one written now (escapes included).
+    #[test]
+    fn store_document_bytes_are_pinned() {
+        let mut store = sample_store();
+        store.roots[0].candidates[0]
+            .alias_paths
+            .push("q\"\\\n\t\u{1}\u{e9}".into());
+        let expected = concat!(
+            r#"{"schema_version": 2, "config_fingerprint": "0000000000000007", "#,
+            r#""corpus_fingerprint": "5fb1ca4392dda36b", "functions": [{"name": "helper", "#,
+            r#""fp": "000000000000002a"}, {"name": "probe", "fp": "00000000deadbeef"}], "#,
+            r#""roots": [{"root": "probe", "closure_fp": "0000000000001234", "#,
+            r#""candidates": [{"kind": "null-pointer-dereference", "origin": {"func": "probe", "#,
+            r#""block": 0, "inst": 2}, "origin_loc": {"file": "a.c", "line": 10}, "#,
+            r#""site": {"func": "helper", "block": 1, "inst": 0}, "site_loc": {"file": "a.c", "#,
+            r#""line": 14}, "constraints": [{"op": "<=", "l": {"o": "neg", "a": {"o": "+", "#,
+            r#""a": {"s": 3}, "b": {"c": -2}}}, "r": {"o": "*", "a": {"o": "shr", "a": {"s": 1}, "#,
+            r#""b": {"c": 4}}, "b": {"o": "-", "a": {"s": 0}, "b": {"c": 7}}}}], "extra": [], "#,
+            r#""alias_paths": ["probe:p", "q\"\\\n\t\u0001é"]}], "stats": {"roots": 1, "#,
+            r#""paths_explored": 9, "insts_processed": 100, "typestates_aware": 0, "#,
+            r#""typestates_unaware": 0, "constraints_aware": 0, "constraints_unaware": 0, "#,
+            r#""budget_exhausted_roots": 0}, "note": {"root": "probe", "reason": "max_paths", "#,
+            r#""caches_disabled": true}, "degraded": {"root": "probe", "stage": "explore", "#,
+            r#""reason": "deadline", "action": "demoted"}}], "validation": [{"key": "00ff10", "#,
+            r#""verdict": "unsat"}, {"key": "01", "verdict": "sat"}, {"key": "02", "#,
+            r#""verdict": "unknown"}]}"#,
+        );
+        assert_eq!(store.to_json(), expected);
     }
 
     /// Satellite: the store crash-safety matrix. A save killed at any

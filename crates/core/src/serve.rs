@@ -23,8 +23,12 @@
 //! {"protocol_version": 1, "id": 1, "ok": true, "op": "analyze",
 //!  "report": {"schema_version": 1, "reports": [...]},
 //!  "serve": {"roots": 3, "dirty_roots": 1, "clean_roots": 2,
-//!            "changed_functions": 1, "warm_start": true}}
+//!            "changed_functions": 1, "warm_start": true, "parsed_files": 1}}
 //! ```
+//!
+//! `parsed_files` counts the request's files the daemon parsed; every
+//! other file had the same name and text in the previous request, and its
+//! parsed form was reused (see [`crate::IncrementalStats::parsed_files`]).
 //!
 //! A `stats` response reports the running totals since the daemon
 //! started. Failures (bad JSON, unknown op, compile errors) produce
@@ -40,7 +44,7 @@
 //! previously computed root summary and validation verdict.
 
 use crate::json::{quote, JsonValue};
-use crate::session::{AnalysisRequest, AnalysisSession};
+use crate::session::{AnalysisRequest, AnalysisSession, SourceFile};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -215,16 +219,8 @@ pub fn handle_line(
             true,
         ),
         "analyze" => {
-            let mut request = AnalysisRequest::new();
-            for item in doc
-                .get("files")
-                .and_then(JsonValue::as_array)
-                .unwrap_or(&[])
-            {
-                let name = item.get("name").and_then(JsonValue::as_str).unwrap_or("");
-                let text = item.get("text").and_then(JsonValue::as_str).unwrap_or("");
-                request = request.file(name, text);
-            }
+            // The frame's tree is dropped here, before the analysis runs.
+            let request = take_request(doc);
             match session.analyze(&request) {
                 Ok(outcome) => {
                     let inc = outcome.incremental;
@@ -237,13 +233,14 @@ pub fn handle_line(
                             "{{\"protocol_version\": {SERVE_PROTOCOL_VERSION}, \"id\": {id}, \"ok\": true, \"op\": \"analyze\", \
                              \"report\": {}, \
                              \"serve\": {{\"roots\": {}, \"dirty_roots\": {}, \"clean_roots\": {}, \
-                             \"changed_functions\": {}, \"warm_start\": {}}}}}",
+                             \"changed_functions\": {}, \"warm_start\": {}, \"parsed_files\": {}}}}}",
                             outcome.report.to_json(),
                             inc.roots,
                             inc.dirty_roots,
                             inc.clean_roots,
                             inc.changed_functions,
-                            inc.warm_start
+                            inc.warm_start,
+                            inc.parsed_files
                         ),
                         false,
                     )
@@ -263,6 +260,47 @@ pub fn handle_line(
                 false,
             )
         }
+    }
+}
+
+/// Moves the value of `value`'s first `key` field out, leaving `null`
+/// behind; `null` when there is no such field.
+fn take_field(value: &mut JsonValue, key: &str) -> JsonValue {
+    match value {
+        JsonValue::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map_or(JsonValue::Null, |(_, v)| {
+                std::mem::replace(v, JsonValue::Null)
+            }),
+        _ => JsonValue::Null,
+    }
+}
+
+/// The string of `value`'s `key` field, moved out; `""` when the field is
+/// missing or not a string.
+fn take_string(value: &mut JsonValue, key: &str) -> String {
+    match take_field(value, key) {
+        JsonValue::Str(s) => s,
+        _ => String::new(),
+    }
+}
+
+/// The `files` of an `analyze` frame, with their names and texts moved out
+/// of the parsed tree instead of copied.
+fn take_request(mut doc: JsonValue) -> AnalysisRequest {
+    let files = match take_field(&mut doc, "files") {
+        JsonValue::Arr(items) => items,
+        _ => Vec::new(),
+    };
+    AnalysisRequest {
+        files: files
+            .into_iter()
+            .map(|mut item| SourceFile {
+                name: take_string(&mut item, "name"),
+                text: take_string(&mut item, "text"),
+            })
+            .collect(),
     }
 }
 
@@ -710,6 +748,69 @@ mod tests {
         let doc = JsonValue::parse(&response).unwrap();
         assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("id").unwrap().as_u64(), Some(9));
+    }
+
+    #[test]
+    fn missing_or_non_string_file_fields_become_empty() {
+        let frame = format!(
+            "{{\"op\": \"analyze\", \"files\": [{{\"name\": \"a.c\", \"text\": {}}}, \
+             {{\"text\": \"int x;\"}}, {{\"name\": 7, \"text\": null}}, 3]}}",
+            quote(SRC)
+        );
+        let request = take_request(JsonValue::parse(&frame).unwrap());
+        let expected = AnalysisRequest::new()
+            .file("a.c", SRC)
+            .file("", "int x;")
+            .file("", "")
+            .file("", "");
+        assert_eq!(request, expected);
+        // The same frame analyzes: the nameless files are empty units.
+        let mut totals = ServeTotals::default();
+        let (response, _) = handle_line(&mut session(), &frame, &mut totals);
+        let doc = JsonValue::parse(&response).unwrap();
+        assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true), "{response}");
+        let serve = doc.get("serve").unwrap();
+        assert_eq!(serve.get("roots").unwrap().as_u64(), Some(1));
+        // A `files` that is not an array is an empty request.
+        for files in ["5", "{}", "null"] {
+            let frame = format!("{{\"op\": \"analyze\", \"files\": {files}}}");
+            assert_eq!(
+                take_request(JsonValue::parse(&frame).unwrap()),
+                AnalysisRequest::new()
+            );
+        }
+    }
+
+    #[test]
+    fn analyze_response_counts_parsed_files() {
+        let mut s = session();
+        let mut totals = ServeTotals::default();
+        let parsed = |s: &mut AnalysisSession, totals: &mut ServeTotals, frame: &str| {
+            let (response, _) = handle_line(s, frame, totals);
+            // The field follows `warm_start` and closes the serve object.
+            let tail = &response[response.find("\"warm_start\"").unwrap()..];
+            assert!(tail.contains(", \"parsed_files\": "), "{response}");
+            assert!(tail.ends_with("}}"), "{response}");
+            let doc = JsonValue::parse(&response).unwrap();
+            doc.get("serve")
+                .unwrap()
+                .get("parsed_files")
+                .unwrap()
+                .as_u64()
+        };
+        assert_eq!(
+            parsed(&mut s, &mut totals, &analyze_line(1, "t.c", SRC)),
+            Some(1)
+        );
+        assert_eq!(
+            parsed(&mut s, &mut totals, &analyze_line(2, "t.c", SRC)),
+            Some(0)
+        );
+        let edited = SRC.replace("return *p;", "return *p + 1;");
+        assert_eq!(
+            parsed(&mut s, &mut totals, &analyze_line(3, "t.c", &edited)),
+            Some(1)
+        );
     }
 
     /// Sends `frame` and then a ping: the frame gets an error response and

@@ -3,7 +3,8 @@
 //! [`AnalysisSession`] runs the paper's pipeline (Fig. 10): information
 //! collection, per-root exploration (the scheduler in `driver.rs`) and bug
 //! filtering. Around it sit the pieces a long-lived analysis service
-//! needs: source compilation, an optional on-disk store
+//! needs: source compilation that re-parses only the files whose text
+//! changed since the previous request, an optional on-disk store
 //! ([`crate::persist`]), fingerprint-based change detection, and
 //! incremental re-analysis that re-explores only *dirty* roots.
 //!
@@ -31,7 +32,8 @@ use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
 use crate::filter::{self, FilterResult};
 use crate::persist::{
-    self, config_fingerprint, FunctionDb, ModuleFingerprints, Store, StoredBug, StoredRoot,
+    self, config_fingerprint, FunctionDb, ModuleFingerprints, Store, StoreDoc, StoredBug,
+    StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
@@ -39,7 +41,8 @@ use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
-use pata_ir::{FuncId, Module};
+use pata_cc::{Diag, Parser, Unit};
+use pata_ir::{Category, FuncId, Module};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -117,6 +120,10 @@ pub struct IncrementalStats {
     /// Whether warm state (in-memory or loaded from the store) was
     /// available when the request arrived.
     pub warm_start: bool,
+    /// Source files parsed for this request. The others had the same name
+    /// and text in the previous request, and their parsed units were
+    /// reused.
+    pub parsed_files: u64,
 }
 
 /// Why [`AnalysisSession::analyze`] refused a request.
@@ -163,6 +170,77 @@ pub struct SessionOutcome {
     pub telemetry: TelemetrySnapshot,
     /// What incremental re-analysis did for this request.
     pub incremental: IncrementalStats,
+}
+
+/// One source file of the previous request, kept with its parsed unit.
+#[derive(Debug)]
+struct ParsedFile {
+    name: String,
+    text: String,
+    unit: Unit,
+}
+
+/// The session's front end: it parses each request's files, reusing the
+/// unit of every file whose name and text the previous request also had,
+/// and lowers all units in request order.
+#[derive(Debug, Default)]
+struct FrontEnd {
+    /// The previous request's files that parsed, in request order.
+    files: Vec<ParsedFile>,
+}
+
+impl FrontEnd {
+    /// Compiles `files` into one module and counts the files it parsed.
+    /// Afterwards it holds exactly the files of this request that parsed:
+    /// a file the request dropped is evicted, and a file that failed to
+    /// parse is parsed again next time, with the same diagnostic.
+    fn compile(&mut self, files: &[SourceFile]) -> Result<(Module, u64), Vec<Diag>> {
+        let old = std::mem::take(&mut self.files);
+        // A hit needs the same name and the same text. Names may repeat
+        // within a request, so each name maps to all its entries, and each
+        // entry is reused at most once.
+        let hits: Vec<Option<usize>> = {
+            let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(old.len());
+            for (i, file) in old.iter().enumerate() {
+                by_name.entry(&file.name).or_default().push(i);
+            }
+            files
+                .iter()
+                .map(|f| {
+                    let entries = by_name.get_mut(f.name.as_str())?;
+                    let at = entries.iter().position(|&i| old[i].text == f.text)?;
+                    Some(entries.swap_remove(at))
+                })
+                .collect()
+        };
+        let mut old: Vec<Option<ParsedFile>> = old.into_iter().map(Some).collect();
+        let mut diags = Vec::new();
+        let mut parsed = 0;
+        for (f, hit) in files.iter().zip(hits) {
+            if let Some(i) = hit {
+                self.files
+                    .push(old[i].take().expect("an entry is reused once"));
+                continue;
+            }
+            parsed += 1;
+            match Parser::parse_source(&f.name, &f.text) {
+                Ok(unit) => self.files.push(ParsedFile {
+                    name: f.name.clone(),
+                    text: f.text.clone(),
+                    unit,
+                }),
+                Err(d) => diags.push(d),
+            }
+        }
+        // Entries this request did not reuse are evicted before lowering.
+        drop(old);
+        if !diags.is_empty() {
+            return Err(diags);
+        }
+        let units: Vec<(&Unit, Option<Category>)> =
+            self.files.iter().map(|f| (&f.unit, None)).collect();
+        Ok((pata_cc::lower_units(&units)?, parsed))
+    }
 }
 
 /// Warm per-corpus state carried between `analyze` calls (and to/from the
@@ -217,6 +295,7 @@ pub struct AnalysisSession {
     telemetry: Arc<Telemetry>,
     config_fp: u64,
     store_path: Option<PathBuf>,
+    front_end: FrontEnd,
     warm: Option<WarmState>,
     /// True when the on-disk store is known to equal the in-memory warm
     /// state, with `synced_validation_len` verdicts — lets a fully-clean
@@ -241,6 +320,7 @@ impl AnalysisSession {
             config,
             registry,
             store_path: None,
+            front_end: FrontEnd::default(),
             warm: None,
             store_synced: false,
             synced_validation_len: 0,
@@ -445,17 +525,15 @@ impl AnalysisSession {
     /// Compiles and analyzes `request`, re-exploring only roots whose
     /// transitive callee fingerprints changed since the previous call (or
     /// the persisted store), then updates the warm state and re-saves the
-    /// store.
+    /// store. Only the files whose name and text are new since the previous
+    /// call are parsed; lowering always covers every file, so the module
+    /// is the one a cold compile gives.
     pub fn analyze(&mut self, request: &AnalysisRequest) -> Result<SessionOutcome, SessionError> {
         let start = Instant::now();
         if request.files.is_empty() {
             return Err(SessionError::EmptyRequest);
         }
-        let mut cc = pata_cc::Compiler::new();
-        for f in &request.files {
-            cc.add_source(&f.name, &f.text);
-        }
-        let module = cc.compile().map_err(|diags| {
+        let (module, parsed_files) = self.front_end.compile(&request.files).map_err(|diags| {
             SessionError::Compile(diags.iter().map(ToString::to_string).collect())
         })?;
         let compile_ns = start.elapsed().as_nanos() as u64;
@@ -468,7 +546,7 @@ impl AnalysisSession {
         // wrapping it. Warm state may be half-updated at the panic point,
         // so it is discarded wholesale.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_compiled(module, start)
+            self.analyze_compiled(module, parsed_files, start)
         })) {
             Ok(outcome) => Ok(outcome),
             Err(payload) => {
@@ -480,17 +558,24 @@ impl AnalysisSession {
         }
     }
 
-    /// Discards the in-memory warm state so the next request cold-starts.
-    /// Used after a contained internal panic, when the warm image can no
-    /// longer be trusted to mirror either the sources or the store.
+    /// Discards the in-memory warm state and the parsed units so the next
+    /// request cold-starts. Used after a contained internal panic, when the
+    /// warm image can no longer be trusted to mirror either the sources or
+    /// the store.
     pub(crate) fn reset_warm(&mut self) {
+        self.front_end = FrontEnd::default();
         self.warm = None;
         self.store_synced = false;
         self.synced_validation_len = 0;
     }
 
     /// The incremental pipeline on a compiled module.
-    fn analyze_compiled(&mut self, mut module: Module, start: Instant) -> SessionOutcome {
+    fn analyze_compiled(
+        &mut self,
+        mut module: Module,
+        parsed_files: u64,
+        start: Instant,
+    ) -> SessionOutcome {
         let tel_on = self.telemetry.is_enabled();
         let checkers = self.checkers();
         let config = &self.config;
@@ -564,6 +649,7 @@ impl AnalysisSession {
             clean_roots: (roots.len() - dirty_ids.len()) as u64,
             changed_functions,
             warm_start,
+            parsed_files,
         };
         let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
         if tel_on {
@@ -659,16 +745,17 @@ impl AnalysisSession {
         if store_unchanged {
             // Nothing to write; the on-disk store already matches.
         } else if let (Some(path), Some(warm)) = (&self.store_path, &self.warm) {
-            let store = Store {
+            let validation = if config.validation_cache {
+                self.cache.export()
+            } else {
+                Vec::new()
+            };
+            let store = StoreDoc {
                 config_fp: self.config_fp,
                 corpus_fp: warm.functions.corpus_fingerprint(),
-                functions: warm.functions.clone(),
-                roots: warm.roots.clone(),
-                validation: if config.validation_cache {
-                    self.cache.export()
-                } else {
-                    Vec::new()
-                },
+                functions: &warm.functions,
+                roots: &warm.roots,
+                validation: &validation,
             };
             let t0 = Instant::now();
             let saved = store
@@ -794,6 +881,94 @@ mod tests {
         assert_eq!(grown.incremental.dirty_roots, 1);
         assert_eq!(grown.incremental.clean_roots, 2);
         assert_eq!(grown.incremental.changed_functions, 1);
+    }
+
+    #[test]
+    fn unchanged_files_are_not_parsed_again() {
+        let mut s = AnalysisSession::new(config());
+        let probe_c = "int probe_c(int *q) { if (q == NULL) { } return *q; }";
+        let req = request(&[("t.c", TWO_ROOTS), ("u.c", probe_c)]);
+        assert_eq!(s.analyze(&req).unwrap().incremental.parsed_files, 2);
+        assert_eq!(s.analyze(&req).unwrap().incremental.parsed_files, 0);
+        let edited = probe_c.replace("return *q;", "return *q + 1;");
+        let out = s
+            .analyze(&request(&[("t.c", TWO_ROOTS), ("u.c", &edited)]))
+            .unwrap();
+        assert_eq!(out.incremental.parsed_files, 1);
+        assert_eq!(out.incremental.changed_functions, 1);
+    }
+
+    /// Two files may share a name: both are analyzed, cold, warm and after
+    /// an edit of either. A cache keyed by the name alone would hand the
+    /// second file the first one's unit.
+    #[test]
+    fn files_with_the_same_name_are_both_analyzed() {
+        let f = "int f(int *p) { if (p == NULL) { } return *p; }";
+        let g = "int g(int *q) { if (q == NULL) { } return *q; }";
+        let f2 = f.replace("return *p;", "return *p + 1;");
+        let g2 = g.replace("return *q;", "return *q + 2;");
+        let mut s = AnalysisSession::new(config());
+        let steps = [
+            (request(&[("a.c", f), ("a.c", g)]), 2),
+            (request(&[("a.c", f), ("a.c", g)]), 0),
+            (request(&[("a.c", &f2), ("a.c", g)]), 1),
+            (request(&[("a.c", &f2), ("a.c", &g2)]), 1),
+            (request(&[("a.c", &g2), ("a.c", &f2)]), 0),
+        ];
+        for (i, (req, parsed)) in steps.iter().enumerate() {
+            let out = s.analyze(req).unwrap();
+            assert_eq!(out.incremental.roots, 2, "request {i}");
+            assert_eq!(out.incremental.parsed_files, *parsed, "request {i}");
+            let cold = AnalysisSession::new(config()).analyze(req).unwrap();
+            assert_eq!(out.report.to_json(), cold.report.to_json(), "request {i}");
+        }
+    }
+
+    #[test]
+    fn a_file_dropped_from_the_request_is_evicted() {
+        let mut s = AnalysisSession::new(config());
+        let u = "int probe_c(int *q) { if (q == NULL) { } return *q; }";
+        s.analyze(&request(&[("t.c", TWO_ROOTS), ("u.c", u)]))
+            .unwrap();
+        let out = s.analyze(&request(&[("t.c", TWO_ROOTS)])).unwrap();
+        assert_eq!(out.incremental.parsed_files, 0);
+        let names: Vec<&str> = s.front_end.files.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["t.c"]);
+        let out = s
+            .analyze(&request(&[("t.c", TWO_ROOTS), ("u.c", u)]))
+            .unwrap();
+        assert_eq!(out.incremental.parsed_files, 1);
+    }
+
+    #[test]
+    fn a_parse_error_is_reported_again_until_the_text_is_fixed() {
+        let bad = request(&[("t.c", TWO_ROOTS), ("bad.c", "int f( {")]);
+        let cold = AnalysisSession::new(config()).analyze(&bad).unwrap_err();
+        assert!(matches!(cold, SessionError::Compile(_)), "{cold}");
+        let mut s = AnalysisSession::new(config());
+        s.analyze(&request(&[("t.c", TWO_ROOTS)])).unwrap();
+        assert_eq!(s.analyze(&bad).unwrap_err(), cold);
+        assert_eq!(s.analyze(&bad).unwrap_err(), cold);
+        // Only the file that parsed is kept.
+        assert_eq!(s.front_end.files.len(), 1);
+        let fixed = request(&[("t.c", TWO_ROOTS), ("bad.c", "int f(void) { return 0; }")]);
+        let out = s.analyze(&fixed).unwrap();
+        assert_eq!(out.incremental.parsed_files, 1);
+        let cold = AnalysisSession::new(config()).analyze(&fixed).unwrap();
+        assert_eq!(out.report.to_json(), cold.report.to_json());
+    }
+
+    #[test]
+    fn reset_warm_empties_the_parse_cache() {
+        let mut s = AnalysisSession::new(config());
+        let req = request(&[("t.c", TWO_ROOTS)]);
+        s.analyze(&req).unwrap();
+        assert_eq!(s.front_end.files.len(), 1);
+        s.reset_warm();
+        assert!(s.front_end.files.is_empty());
+        let out = s.analyze(&req).unwrap();
+        assert_eq!(out.incremental.parsed_files, 1);
+        assert!(!out.incremental.warm_start);
     }
 
     #[test]

@@ -143,9 +143,10 @@ echo "counter exactness OK"
 echo "== serve round-trip (smoke)"
 # Start a daemon on a unix socket, analyze the generated corpus, touch one
 # corpus function (a new file with one new root), re-analyze, and check
-# that only the touched root was re-explored. Then add a local to the
-# first corpus file and check that only that function changed. Then shut
-# the daemon down cleanly through the client.
+# that only the touched root was re-explored and only the new file parsed.
+# Then add a local to the first corpus file and check that only that
+# function changed and only that file was parsed again. Then shut the
+# daemon down cleanly through the client.
 sock="$tmp_dir/pata.sock"
 cargo run -q --release --bin pata -- serve --socket "$sock" \
     --store "$tmp_dir/serve-store.json" &
@@ -171,6 +172,10 @@ echo "$second" | grep -q '"dirty_roots": 1,' \
     || { echo "serve: edit must dirty exactly one root"; exit 1; }
 echo "$second" | grep -q '"changed_functions": 1,' \
     || { echo "serve: edit must change exactly one function"; exit 1; }
+# The daemon keeps the parsed form of every unchanged file: only the new
+# file is parsed.
+echo "$second" | grep -q '"parsed_files": 1}' \
+    || { echo "serve: second request must parse exactly the new file"; exit 1; }
 # Insert a local on an existing line of the first corpus file's first
 # function. That renumbers every variable lowered after it, but function
 # fingerprints are numbering-independent: exactly one function changes.
@@ -185,10 +190,12 @@ echo "$third" | grep -q '"ok": true' \
     || { echo "serve: third analyze failed"; exit 1; }
 echo "$third" | grep -q '"changed_functions": 1,' \
     || { echo "serve: renumbering edit must change exactly one function"; exit 1; }
+echo "$third" | grep -q '"parsed_files": 1}' \
+    || { echo "serve: third request must parse exactly the edited file"; exit 1; }
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: daemon exited non-zero"; exit 1; }
-echo "serve round-trip OK (second request re-explored 1 root, third changed 1 function)"
+echo "serve round-trip OK (second request re-explored 1 root, third changed 1 function, each parsed 1 file)"
 
 echo "== fault-injection smoke matrix"
 # Inject a panic, a validation panic, a deadline trip, and a store IO
