@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the conjunction solver: the workload of the
 //! paper's Stage-2 path validation (one small constraint system per
-//! candidate bug), plus the incremental push/pop reuse path.
+//! candidate bug), plus a batch of systems that share a long prefix.
 
 use pata_bench::harness::{bench, hold};
 use pata_smt::{CmpOp, SatResult, Solver, Term};
@@ -46,8 +46,8 @@ fn main() {
         hold(s.check())
     });
 
-    // Shared-prefix workload: 50-constraint prefix solved once, 8 two-
-    // constraint suffixes checked against it — batch vs push/pop reuse.
+    // Shared-prefix workload: a 50-constraint prefix plus 8 different two-
+    // constraint suffixes, each system decided by a fresh solver.
     bench("smt/shared_prefix_batch", || {
         let mut total = 0usize;
         for suffix in 0..8i64 {
@@ -59,23 +59,6 @@ fn main() {
             s.assert_cmp(CmpOp::Ge, Term::sym(syms[49]), Term::int(suffix));
             s.assert_cmp(CmpOp::Le, Term::sym(syms[0]), Term::int(suffix));
             total += (s.check() == SatResult::Unsat) as usize;
-        }
-        hold(total)
-    });
-
-    bench("smt/shared_prefix_incremental", || {
-        let mut total = 0usize;
-        let mut s = Solver::new();
-        let syms: Vec<_> = (0..50).map(|_| s.fresh_symbol()).collect();
-        for w in syms.windows(2) {
-            s.assert_cmp(CmpOp::Le, Term::sym(w[0]), Term::sym(w[1]));
-        }
-        for suffix in 0..8i64 {
-            s.push();
-            s.assert_cmp(CmpOp::Ge, Term::sym(syms[49]), Term::int(suffix));
-            s.assert_cmp(CmpOp::Le, Term::sym(syms[0]), Term::int(suffix));
-            total += (s.check() == SatResult::Unsat) as usize;
-            s.pop();
         }
         hold(total)
     });

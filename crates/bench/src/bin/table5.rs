@@ -64,29 +64,27 @@ fn main() {
     }
     rule(126);
 
-    // Stage-2 validation performance: canonical-key cache and incremental
-    // scope reuse (see DESIGN.md "Performance architecture").
+    // Stage-2 validation performance: the canonical-key verdict cache (see
+    // DESIGN.md "Performance architecture").
     println!();
-    println!("Stage-2 validation (cache + incremental solver):");
+    println!("Stage-2 validation (verdict cache):");
     println!(
-        "{:<16} {:>10} {:>10} {:>9} {:>12} {:>10}",
-        "OS", "CacheHit", "CacheMiss", "HitRate", "ScopeReuse", "Steals"
+        "{:<16} {:>10} {:>10} {:>9}",
+        "OS", "CacheHit", "CacheMiss", "HitRate"
     );
-    rule(72);
+    rule(48);
     for (name, run) in &runs {
         let s = &run.outcome.stats;
         let lookups = (s.validation_cache_hits + s.validation_cache_misses).max(1);
         println!(
-            "{:<16} {:>10} {:>10} {:>8.1}% {:>12} {:>10}",
+            "{:<16} {:>10} {:>10} {:>8.1}%",
             name,
             s.validation_cache_hits,
             s.validation_cache_misses,
             100.0 * s.validation_cache_hits as f64 / lookups as f64,
-            s.validation_scope_reuse,
-            s.work_steals,
         );
     }
-    rule(72);
+    rule(48);
     let ts_drop = 100.0 * (1.0 - tot_ts.0 as f64 / tot_ts.1.max(1) as f64);
     let cs_drop = 100.0 * (1.0 - tot_cs.0 as f64 / tot_cs.1.max(1) as f64);
     let fp_rate = 100.0 * (1.0 - tot_real as f64 / tot_found.max(1) as f64);

@@ -55,11 +55,6 @@ impl Compiler {
             .push((name.to_owned(), text.to_owned(), Some(category)));
     }
 
-    /// Number of added sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Parses and lowers all sources.
     ///
     /// # Errors

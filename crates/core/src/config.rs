@@ -37,8 +37,6 @@ pub struct PathBudget {
     pub max_insts: usize,
     /// Maximum inlining (call) depth.
     pub max_call_depth: usize,
-    /// Maximum instructions on one path (guards runaway inlining).
-    pub max_path_len: usize,
     /// How many times a loop body may execute along one path. The paper
     /// unrolls once (§3.1); §7 lists richer loop handling as future work —
     /// raising this explores k-iteration paths at a path-count cost.
@@ -51,7 +49,6 @@ impl Default for PathBudget {
             max_paths: 4096,
             max_insts: 400_000,
             max_call_depth: 24,
-            max_path_len: 16_384,
             loop_iterations: 1,
         }
     }
@@ -253,12 +250,6 @@ impl AnalysisConfigBuilder {
         self
     }
 
-    /// Caps instructions on one path.
-    pub fn max_path_len(mut self, n: usize) -> Self {
-        self.config.budget.max_path_len = n;
-        self
-    }
-
     /// Sets how many times a loop body may run along one path.
     pub fn loop_iterations(mut self, n: usize) -> Self {
         self.config.budget.loop_iterations = n;
@@ -352,7 +343,6 @@ impl AnalysisConfigBuilder {
             ("max_paths", c.budget.max_paths),
             ("max_insts", c.budget.max_insts),
             ("max_call_depth", c.budget.max_call_depth),
-            ("max_path_len", c.budget.max_path_len),
             ("loop_iterations", c.budget.loop_iterations),
         ] {
             if value == 0 {

@@ -1,7 +1,7 @@
 //! The per-root exploration scheduler behind [`crate::AnalysisSession`]
-//! (paper Fig. 10, phase P2): roots are explored by a work-stealing
-//! scheduler, each under the fault-containment ladder, and their results
-//! are merged back in root order.
+//! (paper Fig. 10, phase P2): workers claim roots from one shared cursor,
+//! explore each under the fault-containment ladder, and their results are
+//! merged back in root order.
 
 use crate::config::AnalysisConfig;
 use crate::path::{ExploreResult, Explorer, ForkStats, Workspace};
@@ -10,9 +10,8 @@ use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Telemetry, TelemetrySink};
 use crate::typestate::Checker;
 use pata_ir::{FuncId, Module};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -69,13 +68,12 @@ pub(crate) struct RootRun {
 /// passes every root for a one-shot run, and only the *dirty* roots for an
 /// incremental one. Every root's counters are merged into `stats`.
 ///
-/// Root-level parallelism uses work stealing: roots are dealt round-robin
-/// into per-worker deques; a worker pops from its own queue's front and,
-/// when empty, steals from the back of another worker's queue. Root costs
-/// are wildly uneven (one hot root can dominate a static split), so idle
-/// workers pull the remaining work instead of waiting. The task set is
-/// static — no queue ever grows — so one full empty scan means the phase is
-/// done. A single worker runs inline on the calling thread.
+/// Root-level parallelism uses one shared cursor: each worker claims the
+/// next unexplored root index with a `fetch_add`. Root costs are wildly
+/// uneven (one hot root can dominate a static split), so idle workers pull
+/// the remaining work instead of waiting; the root set is fixed, so the
+/// cursor passing its end means the phase is done. A single worker runs
+/// inline on the calling thread.
 ///
 /// Each worker owns one exploration [`Workspace`] and passes it from root
 /// to root, so path state is allocated once per worker, not per root. It
@@ -100,20 +98,20 @@ pub(crate) fn explore_roots(
     let threads = hw_threads.min(roots.len().max(1));
     let tel_on = telemetry.is_enabled();
 
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..roots.len()).step_by(threads).collect()))
-        .collect();
-    let steals = AtomicU64::new(0);
+    let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::with_capacity(roots.len()));
-    let worker = |w: usize| {
+    let worker = || {
         // Per-worker telemetry shard: lock-free while the worker runs,
         // merged into the shared registry once at exit.
         let mut sink = TelemetrySink::new();
         let mut alias_ops = [0u64; 7];
         let mut fork_total = ForkStats::default();
         let mut ws = Workspace::default();
-        while let Some(i) = next_task(&queues, w, &steals) {
-            let root = roots[i];
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&root) = roots.get(i) else {
+                break;
+            };
             let start = tel_on.then(Instant::now);
             let (result, failure) =
                 run_one_root(module, config, checkers, root, &mut ws, &mut sink, tel_on);
@@ -142,12 +140,11 @@ pub(crate) fn explore_roots(
         }
     };
     if threads == 1 {
-        worker(0);
+        worker();
     } else {
         std::thread::scope(|scope| {
-            for w in 0..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
+            for _ in 0..threads {
+                scope.spawn(worker);
             }
         });
     }
@@ -163,30 +160,13 @@ pub(crate) fn explore_roots(
     for run in &runs {
         *stats += &run.stats;
     }
-    let stolen = steals.into_inner();
-    stats.work_steals += stolen;
     if tel_on {
         telemetry.record_direct(|sink| {
             sink.gauge_max("driver.threads", threads as i64);
-            sink.add("driver.work_steals", stolen);
         });
         record_exploration_counters(telemetry, stats, &base);
     }
     runs
-}
-
-/// The next root index for worker `w`: the front of its own queue, else
-/// the back of the first non-empty other queue (counted as a steal).
-fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) -> Option<usize> {
-    let own = lock_ok(queues[w].lock()).pop_front();
-    own.or_else(|| {
-        let stolen = (1..queues.len())
-            .find_map(|off| lock_ok(queues[(w + off) % queues.len()].lock()).pop_back());
-        if stolen.is_some() {
-            steals.fetch_add(1, Ordering::Relaxed);
-        }
-        stolen
-    })
 }
 
 /// Explores one root under the fault-containment ladder (DESIGN.md
@@ -1096,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_reports_match_single_thread_exactly() {
+    fn parallel_reports_match_single_thread_exactly() {
         // A multi-root module with uneven root costs; the report *list*
         // (kind, file, function, lines), not just its length, must be
         // identical whatever the scheduler does.

@@ -19,7 +19,7 @@ pub struct FilterResult {
     pub real_bugs: Vec<PossibleBug>,
     /// Bug groups whose validation panicked (stage `"validate"`): the group
     /// is quarantined — not reported, not counted as a dropped false bug —
-    /// and the validator is rebuilt so later groups validate normally.
+    /// and later groups validate normally.
     pub failures: Vec<DegradedRoot>,
 }
 
@@ -27,10 +27,9 @@ pub struct FilterResult {
 /// each survivor's path feasibility, updating `stats` (dropped repeated /
 /// false bugs, reported count, validation-cache counters).
 ///
-/// Validation runs through one [`PathValidator`]: the path snapshots of a
-/// group share long constraint prefixes, which the incremental solver keeps
-/// asserted between candidates. When `cache` is given, whole conjunctions
-/// are additionally memoized by canonical key across groups and runs.
+/// Validation runs through one [`PathValidator`], which solves each
+/// conjunction with a fresh solver. When `cache` is given, whole
+/// conjunctions are memoized by canonical key across groups and runs.
 pub fn filter(
     module: &Module,
     candidates: Vec<PossibleBug>,
@@ -95,9 +94,8 @@ pub(crate) fn filter_with_faults(
             let mut witness = None;
             for bug in paths {
                 // Per-candidate quarantine: a panicking validation (SMT
-                // bug, injected fault) drops this group only. The
-                // incremental solver may be mid-assertion-scope, so the
-                // validator is drained and rebuilt before the next group.
+                // bug, injected fault) drops this group only. The validator
+                // keeps no solver between candidates, so it carries on.
                 let verdict = catch_unwind(AssertUnwindSafe(|| {
                     faultinject::maybe_panic(fault, "validate", module.function(bug.root).name());
                     validator.validate(&bug)
@@ -109,11 +107,6 @@ pub(crate) fn filter_with_faults(
                     }
                     Ok(_) => {}
                     Err(payload) => {
-                        let mut broken = std::mem::replace(
-                            &mut validator,
-                            PathValidator::with_telemetry(cache, tel_enabled),
-                        );
-                        drain_validator(&mut broken, stats, telemetry);
                         failures.push(DegradedRoot {
                             root: module.function(bug.root).name().to_string(),
                             stage: "validate".to_string(),
@@ -147,8 +140,11 @@ pub(crate) fn filter_with_faults(
             }
         }
     }
-    drain_validator(&mut validator, stats, telemetry);
+    let vstats = validator.stats();
+    stats.validation_cache_hits += vstats.cache_hits;
+    stats.validation_cache_misses += vstats.cache_misses;
     if let Some(tel) = telemetry {
+        tel.merge(validator.take_telemetry());
         tel.record_direct(|sink| {
             sink.add(
                 "filter.groups",
@@ -168,23 +164,6 @@ pub(crate) fn filter_with_faults(
         reports,
         real_bugs: real,
         failures,
-    }
-}
-
-/// Folds a validator's counters (and buffered telemetry) into the run
-/// totals. Called once at the end for the live validator and once for each
-/// validator abandoned after a validation panic.
-fn drain_validator(
-    validator: &mut PathValidator<'_>,
-    stats: &mut AnalysisStats,
-    telemetry: Option<&Telemetry>,
-) {
-    let vstats = validator.stats();
-    stats.validation_cache_hits += vstats.cache_hits;
-    stats.validation_cache_misses += vstats.cache_misses;
-    stats.validation_scope_reuse += vstats.scope_reuse;
-    if let Some(tel) = telemetry {
-        tel.merge(validator.take_telemetry());
     }
 }
 

@@ -90,15 +90,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Int(i) => Some(*i as f64),
-            JsonValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

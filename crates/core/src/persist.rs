@@ -513,11 +513,10 @@ pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
     });
     let b = &config.budget;
     text.push_str(&format!(
-        ";paths={};insts={};depth={};len={};loops={};validate={};fptrs={}",
+        ";paths={};insts={};depth={};loops={};validate={};fptrs={}",
         b.max_paths,
         b.max_insts,
         b.max_call_depth,
-        b.max_path_len,
         b.loop_iterations,
         config.validate_paths,
         config.resolve_fptrs,

@@ -46,11 +46,12 @@ pub struct AnalysisStats {
     pub validation_cache_hits: u64,
     /// Stage-2 conjunctions solved and inserted into the validation cache.
     pub validation_cache_misses: u64,
-    /// Constraints reused across consecutive stage-2 solves through the
-    /// incremental solver's assertion scopes.
+    /// Always 0: stage 2 solves each cache miss with a fresh solver, so no
+    /// constraints are reused across solves. Kept so the benchmark harness
+    /// compiles until its next revision (ROADMAP "For the benchmark's next
+    /// revision").
+    #[deprecated(note = "stage 2 has no solver scopes; always 0")]
     pub validation_scope_reuse: u64,
-    /// Roots a worker stole from another worker's queue (root scheduler).
-    pub work_steals: u64,
     /// Always 0: stage 1 has no subsumption table. Kept so the benchmark
     /// harness compiles until its next revision (ROADMAP "For the
     /// benchmark's next revision").
@@ -124,8 +125,6 @@ impl AddAssign<&AnalysisStats> for AnalysisStats {
         self.budget_exhausted_roots += rhs.budget_exhausted_roots;
         self.validation_cache_hits += rhs.validation_cache_hits;
         self.validation_cache_misses += rhs.validation_cache_misses;
-        self.validation_scope_reuse += rhs.validation_scope_reuse;
-        self.work_steals += rhs.work_steals;
         self.time += rhs.time;
     }
 }

@@ -7,7 +7,7 @@
 //! a root function, or a solver behaviour. This module is the
 //! observability backbone: every stage records into a [`TelemetrySink`],
 //! per-worker sinks are merged deterministically at the end (mirroring the
-//! work-stealing driver's result merge), and the merged
+//! root-order merge of the driver's results), and the merged
 //! [`TelemetrySnapshot`] travels on [`crate::AnalysisOutcome`] so
 //! the CLI (`--stats-json`, `--profile`) and the bench binaries consume
 //! structured data instead of scraping counters.
@@ -43,17 +43,15 @@
 //! | `typestate.transitions` | counter | alias-aware FSM transitions |
 //! | `constraints.emitted` | counter | path constraints pushed |
 //! | `driver.threads` | gauge | worker threads used |
-//! | `driver.work_steals` | counter | roots stolen across queues |
 //! | `driver.explore.fork.{forks,bytes_copied,bytes_shared}` | counter | branch-fork costs |
 //! | `driver.explore.fork.{journal_depth,live_bytes}.max` | gauge | fork high-water marks |
 //! | `driver.recover.{quarantined,demoted,deadline_hits,live_bytes_hits}` | counter | fault-containment actions |
 //! | `driver.recover.retry_ns` | histogram | demoted re-run time |
 //! | `validate.conjunctions` | counter | stage-2 solver questions asked |
-//! | `validate.{cache_hit,cache_miss,scope_reuse}` | counter | [`crate::validate::ValidationCache`] outcomes, solver scopes reused |
+//! | `validate.{cache_hit,cache_miss}` | counter | [`crate::validate::ValidationCache`] outcomes |
 //! | `validate.solve` | histogram | time spent inside stage-2 solving |
-//! | `smt.solve_calls`, `smt.push`, `smt.pop` | counter | solver API traffic |
-//! | `smt.propagations` | counter | interval-propagation iterations |
-//! | `smt.scope_depth.max` | gauge | deepest push/pop nesting seen |
+//! | `smt.solve_calls` | counter | fresh solvers run (one per cache miss) |
+//! | `smt.propagations` | counter | interval-propagation steps, summed over solves |
 //! | `filter.{groups,repeated_dropped,false_dropped}` | counter | stage-2 group outcomes |
 //! | `driver.serve.{compile,fingerprint,store_load,store_save}` | histogram | session-layer wall-clock |
 //! | `driver.serve.{requests,dirty_roots,clean_roots,changed_functions,invalidated_roots,store_loaded,store_save_errors}` | counter | incremental-session volume and store outcomes |
@@ -585,11 +583,7 @@ impl TelemetrySnapshot {
         if solves > 0 {
             let _ = writeln!(
                 out,
-                "smt: {solves} solve calls, {} push / {} pop, max scope depth {}, \
-                 {} propagation steps",
-                self.counter("smt.push"),
-                self.counter("smt.pop"),
-                self.gauge("smt.scope_depth.max").unwrap_or(0),
+                "smt: {solves} solve calls, {} propagation steps",
                 self.counter("smt.propagations")
             );
         }
@@ -626,11 +620,7 @@ impl TelemetrySnapshot {
             );
         }
         if let Some(threads) = self.gauge("driver.threads") {
-            let _ = writeln!(
-                out,
-                "driver: {threads} threads, {} work steals",
-                self.counter("driver.work_steals")
-            );
+            let _ = writeln!(out, "driver: {threads} threads");
         }
         // Fault containment — shown only when the recovery ladder actually
         // intervened, so fault-free profiles are unchanged.

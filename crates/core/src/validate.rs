@@ -13,25 +13,21 @@
 //!
 //! ## Validation performance
 //!
-//! Two layers make stage 2 cheap (see DESIGN.md "Performance
-//! architecture"):
-//!
-//! * [`PathValidator`] keeps one incremental solver alive across
-//!   candidates. Path snapshots of the same bug share long constraint
-//!   prefixes (they diverge only at late branches), so the validator diffs
-//!   each conjunction against the previously asserted one, pops back to the
-//!   common prefix and re-asserts only the suffix.
-//! * [`ValidationCache`] memoizes whole conjunctions by a canonical
-//!   (order- and symbol-rename-independent) key, so identical constraint
-//!   systems — across candidates, roots, or whole runs — are solved once.
-//!   α-renaming and reordering preserve satisfiability, so a shared key is
-//!   always sound; imperfect canonicalization only costs extra misses.
+//! One layer makes stage 2 cheap (see DESIGN.md "Performance
+//! architecture"): [`ValidationCache`] memoizes whole conjunctions by a
+//! canonical (order- and symbol-rename-independent) key, so identical
+//! constraint systems — across candidates, roots, or whole runs — are
+//! solved once. α-renaming and reordering preserve satisfiability, so a
+//! shared key is always sound; imperfect canonicalization only costs extra
+//! misses. A miss is decided by a fresh solver ([`validate_constraints`]
+//! and [`PathValidator`] share one solving function): the systems are
+//! small, so there is no solver state worth keeping between candidates.
 
 use crate::report::PossibleBug;
 use crate::telemetry::TelemetrySink;
 use pata_smt::{Constraint, SatResult, Solver, SolverStats, Term};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// The verdict for one candidate.
@@ -70,18 +66,26 @@ pub fn validate_constraints(
     path: &[Constraint],
     extra: &[Constraint],
 ) -> (Feasibility, SolverStats) {
+    let conj: Vec<&Constraint> = path.iter().chain(extra).collect();
+    let (result, stats) = solve(&conj);
+    (to_feasibility(result), stats)
+}
+
+/// Decides a conjunction with a fresh solver — the one solving function of
+/// stage 2.
+fn solve(conj: &[&Constraint]) -> (SatResult, SolverStats) {
     let mut solver = Solver::new();
     // Reserve ids at least as high as any symbol mentioned.
-    let mut max_sym = 0u32;
-    for c in path.iter().chain(extra) {
-        max_sym = max_sym.max(max_sym_in(&c.lhs)).max(max_sym_in(&c.rhs));
-    }
+    let max_sym = conj
+        .iter()
+        .map(|c| max_sym_in(&c.lhs).max(max_sym_in(&c.rhs)))
+        .max()
+        .unwrap_or(0);
     solver.reserve_symbols(max_sym + 1);
-    for c in path.iter().chain(extra) {
-        solver.assert_constraint(c.clone());
+    for c in conj {
+        solver.assert_constraint((*c).clone());
     }
-    let (result, stats) = solver.check_with_stats();
-    (to_feasibility(result), stats)
+    solver.check_with_stats()
 }
 
 fn max_sym_in(t: &Term) -> u32 {
@@ -212,15 +216,14 @@ fn encode_term(t: &Term, mut rename: Option<&mut Vec<pata_smt::SymId>>, out: &mu
 // The shared validation cache
 // --------------------------------------------------------------------
 
-const SHARD_COUNT: usize = 16;
-
-/// A concurrent map from canonical conjunction keys to solver verdicts,
-/// shared across candidates, analysis runs and threads (it is `Sync`; PATA
-/// keeps one per analyzer so repeated runs — e.g. benchmark iterations or
-/// re-analysis after small edits — reuse earlier verdicts).
+/// A map from canonical conjunction keys to solver verdicts, shared across
+/// candidates and analysis runs (PATA keeps one per session so repeated
+/// runs — e.g. benchmark iterations or re-analysis after small edits —
+/// reuse earlier verdicts). It is `Sync` behind one lock, which is enough:
+/// stage 2 runs on one thread per request.
 #[derive(Debug, Default)]
 pub struct ValidationCache {
-    shards: [Mutex<HashMap<Vec<u8>, SatResult>>; SHARD_COUNT],
+    verdicts: Mutex<HashMap<Vec<u8>, SatResult>>,
 }
 
 impl ValidationCache {
@@ -229,34 +232,23 @@ impl ValidationCache {
         Self::default()
     }
 
-    fn shard(&self, key: &[u8]) -> &Mutex<HashMap<Vec<u8>, SatResult>> {
-        // FNV-1a over the key picks the shard.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        &self.shards[(h as usize) % SHARD_COUNT]
+    fn verdicts(&self) -> MutexGuard<'_, HashMap<Vec<u8>, SatResult>> {
+        self.verdicts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a canonical key.
     fn get(&self, key: &[u8]) -> Option<SatResult> {
-        let shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        shard.get(key).copied()
+        self.verdicts().get(key).copied()
     }
 
     /// Records a verdict.
     fn insert(&self, key: Vec<u8>, result: SatResult) {
-        let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
-        shard.insert(key, result);
+        self.verdicts().insert(key, result);
     }
 
     /// Number of cached conjunctions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.verdicts().len()
     }
 
     /// Whether the cache is empty.
@@ -266,20 +258,18 @@ impl ValidationCache {
 
     /// Drops every cached verdict.
     pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.verdicts().clear();
     }
 
     /// Snapshots every cached verdict, sorted by key — the deterministic
     /// order the persistence layer serializes (identical caches produce
     /// identical store bytes).
     pub fn export(&self) -> Vec<(Vec<u8>, SatResult)> {
-        let mut entries: Vec<(Vec<u8>, SatResult)> = Vec::with_capacity(self.len());
-        for s in &self.shards {
-            let shard = s.lock().unwrap_or_else(|e| e.into_inner());
-            entries.extend(shard.iter().map(|(k, v)| (k.clone(), *v)));
-        }
+        let mut entries: Vec<(Vec<u8>, SatResult)> = self
+            .verdicts()
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         entries
     }
@@ -288,9 +278,7 @@ impl ValidationCache {
     /// the same key are overwritten; a cached verdict is always safe to
     /// adopt because keys canonically identify the conjunction they answer.
     pub fn import(&self, entries: Vec<(Vec<u8>, SatResult)>) {
-        for (key, verdict) in entries {
-            self.insert(key, verdict);
-        }
+        self.verdicts().extend(entries);
     }
 }
 
@@ -302,26 +290,16 @@ pub struct ValidationStats {
     pub cache_hits: u64,
     /// Conjunctions solved and inserted into the cache.
     pub cache_misses: u64,
-    /// Prefix constraints reused across consecutive solves via solver
-    /// scopes (instead of being re-asserted from scratch).
-    pub scope_reuse: u64,
     /// Conjunctions validated (with or without a cache).
     pub validated: u64,
 }
 
 // --------------------------------------------------------------------
-// The incremental path validator
+// The path validator
 // --------------------------------------------------------------------
 
-/// External symbols stay below this id; opaque symbols interned by the
-/// solver are allocated above it so scope rollback can never collide them
-/// with alias-set symbols. Candidates mentioning larger ids (never produced
-/// by the explorer) fall back to fresh solving.
-const OPAQUE_SYM_BASE: u32 = 1 << 16;
-
-/// Validates a stream of candidate conjunctions with one incremental
-/// solver, reusing shared constraint prefixes between consecutive
-/// candidates and (optionally) a [`ValidationCache`].
+/// Validates a stream of candidate conjunctions, answering repeats from an
+/// optional [`ValidationCache`] and solving each miss with a fresh solver.
 ///
 /// # Example
 ///
@@ -333,15 +311,13 @@ const OPAQUE_SYM_BASE: u32 = 1 << 16;
 /// let mut v = PathValidator::new(Some(&cache));
 /// let guard = Constraint::new(CmpOp::Eq, Term::sym(SymId(0)), Term::int(0));
 /// let deref = Constraint::new(CmpOp::Ne, Term::sym(SymId(0)), Term::int(0));
-/// assert_eq!(v.feasibility(&[guard.clone()], &[]), Feasibility::Feasible);
-/// assert_eq!(v.feasibility(&[guard, deref], &[]), Feasibility::Infeasible);
-/// assert_eq!(v.stats().scope_reuse, 1); // the shared guard was not re-asserted
+/// assert_eq!(v.feasibility(&[guard.clone(), deref.clone()], &[]), Feasibility::Infeasible);
+/// // The same system with its constraints reordered is a cache hit.
+/// assert_eq!(v.feasibility(&[deref, guard], &[]), Feasibility::Infeasible);
+/// assert_eq!((v.stats().cache_hits, v.stats().cache_misses), (1, 1));
 /// ```
 #[derive(Debug)]
 pub struct PathValidator<'a> {
-    solver: Solver,
-    /// The conjunction currently asserted, one solver scope per constraint.
-    asserted: Vec<Constraint>,
     cache: Option<&'a ValidationCache>,
     stats: ValidationStats,
     /// Telemetry gate, checked once per record site (a plain bool: the
@@ -350,9 +326,7 @@ pub struct PathValidator<'a> {
     tel_enabled: bool,
     sink: TelemetrySink,
     solve_calls: u64,
-    pushes: u64,
-    pops: u64,
-    max_scope_depth: usize,
+    propagations: u64,
 }
 
 impl<'a> PathValidator<'a> {
@@ -364,19 +338,13 @@ impl<'a> PathValidator<'a> {
     /// Creates a validator that records solver telemetry when `telemetry`
     /// is true (drain it with [`PathValidator::take_telemetry`]).
     pub fn with_telemetry(cache: Option<&'a ValidationCache>, telemetry: bool) -> Self {
-        let mut solver = Solver::new();
-        solver.reserve_symbols(OPAQUE_SYM_BASE);
         PathValidator {
-            solver,
-            asserted: Vec::new(),
             cache,
             stats: ValidationStats::default(),
             tel_enabled: telemetry,
             sink: TelemetrySink::new(),
             solve_calls: 0,
-            pushes: 0,
-            pops: 0,
-            max_scope_depth: 0,
+            propagations: 0,
         }
     }
 
@@ -396,12 +364,8 @@ impl<'a> PathValidator<'a> {
         sink.add("validate.conjunctions", self.stats.validated);
         sink.add("validate.cache_hit", self.stats.cache_hits);
         sink.add("validate.cache_miss", self.stats.cache_misses);
-        sink.add("validate.scope_reuse", self.stats.scope_reuse);
         sink.add("smt.solve_calls", self.solve_calls);
-        sink.add("smt.push", self.pushes);
-        sink.add("smt.pop", self.pops);
-        sink.add("smt.propagations", self.solver.propagations());
-        sink.gauge_max("smt.scope_depth.max", self.max_scope_depth as i64);
+        sink.add("smt.propagations", self.propagations);
         sink
     }
 
@@ -430,61 +394,16 @@ impl<'a> PathValidator<'a> {
     }
 
     fn solve(&mut self, conj: &[&Constraint]) -> SatResult {
-        let started = if self.tel_enabled {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let result = self.solve_inner(conj);
-        if let Some(started) = started {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.sink.record_ns("validate.solve", ns);
-            self.solve_calls += 1;
-            self.max_scope_depth = self.max_scope_depth.max(self.solver.scope_depth());
+        if !self.tel_enabled {
+            return solve(conj).0;
         }
+        let started = Instant::now();
+        let (result, stats) = solve(conj);
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.sink.record_ns("validate.solve", ns);
+        self.solve_calls += 1;
+        self.propagations += stats.propagations;
         result
-    }
-
-    fn solve_inner(&mut self, conj: &[&Constraint]) -> SatResult {
-        let mut max_sym = 0u32;
-        for c in conj {
-            max_sym = max_sym.max(max_sym_in(&c.lhs)).max(max_sym_in(&c.rhs));
-        }
-        if max_sym >= OPAQUE_SYM_BASE {
-            // Ids this large would collide with interned opaque symbols;
-            // solve from scratch (correct, just not incremental).
-            let mut solver = Solver::new();
-            solver.reserve_symbols(max_sym + 1);
-            for c in conj {
-                solver.assert_constraint((*c).clone());
-            }
-            return solver.check();
-        }
-
-        // Pop back to the longest prefix shared with the previous
-        // conjunction, then assert only the suffix — one scope each, so the
-        // next candidate can rewind to any prefix boundary.
-        let shared = self
-            .asserted
-            .iter()
-            .zip(conj)
-            .take_while(|(have, want)| *have == **want)
-            .count();
-        if self.tel_enabled {
-            self.pops += self.asserted.len().saturating_sub(shared) as u64;
-            self.pushes += (conj.len() - shared) as u64;
-        }
-        while self.asserted.len() > shared {
-            self.solver.pop();
-            self.asserted.pop();
-        }
-        self.stats.scope_reuse += shared as u64;
-        for c in &conj[shared..] {
-            self.solver.push();
-            self.solver.assert_constraint((*c).clone());
-            self.asserted.push((*c).clone());
-        }
-        self.solver.check()
     }
 }
 
@@ -537,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_fresh_on_mixed_stream() {
+    fn validator_matches_fresh_on_mixed_stream() {
         // Candidates sharing prefixes of different lengths, mixing verdicts.
         let streams: Vec<Vec<Constraint>> = vec![
             vec![eq0(0), eq0(1)],
@@ -547,12 +466,14 @@ mod tests {
             vec![eq0(0), eq0(1), ne0(2), ne0(0)], // deep infeasible
             vec![eq0(0), eq0(1), ne0(2)],         // repeat
         ];
-        let mut incremental = PathValidator::new(None);
-        for cs in &streams {
-            let fresh = validate_constraints(cs, &[]).0;
-            assert_eq!(incremental.feasibility(cs, &[]), fresh, "{cs:?}");
+        let cache = ValidationCache::new();
+        for cache in [None, Some(&cache)] {
+            let mut v = PathValidator::new(cache);
+            for cs in &streams {
+                let fresh = validate_constraints(cs, &[]).0;
+                assert_eq!(v.feasibility(cs, &[]), fresh, "{cs:?}");
+            }
         }
-        assert!(incremental.stats().scope_reuse > 0);
     }
 
     #[test]
@@ -593,7 +514,7 @@ mod tests {
 
     #[test]
     fn huge_symbol_ids_fall_back_to_fresh_solving() {
-        let big = OPAQUE_SYM_BASE + 7;
+        let big = (1 << 16) + 7;
         let cs = vec![eq0(big), ne0(big)];
         let mut v = PathValidator::new(None);
         assert_eq!(v.feasibility(&cs, &[]), Feasibility::Infeasible);
@@ -616,8 +537,14 @@ mod tests {
         assert_eq!(snap.counter("validate.cache_hit"), 1);
         assert_eq!(snap.counter("validate.cache_miss"), 2);
         assert_eq!(snap.counter("smt.solve_calls"), 2);
-        assert_eq!(snap.counter("smt.push"), 3);
-        assert!(snap.gauge("smt.scope_depth.max") >= Some(2));
+        // The two solves' propagation steps add up (the disequality's
+        // shortest-path search makes the sum positive).
+        let fresh: u64 = [vec![eq0(0), eq0(1)], vec![eq0(0), eq0(1), ne0(0)]]
+            .iter()
+            .map(|cs| validate_constraints(cs, &[]).1.propagations)
+            .sum();
+        assert!(fresh > 0);
+        assert_eq!(snap.counter("smt.propagations"), fresh);
         assert_eq!(snap.histogram("validate.solve").unwrap().count, 2);
     }
 

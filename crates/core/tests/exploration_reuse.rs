@@ -95,8 +95,7 @@ const HEAVY_ROOT_SRC: &str = r#"
 "#;
 
 /// Every counter is exact at any thread count: a root is explored by one
-/// worker alone, so the stats (minus wall time and the scheduler's steal
-/// count), the report and the exploration telemetry of a single heavy root
+/// worker alone, so the stats (minus wall time), the report and the exploration telemetry of a single heavy root
 /// cannot depend on how many workers the run has.
 #[test]
 fn heavy_root_counters_exact_across_threads() {
@@ -107,7 +106,6 @@ fn heavy_root_counters_exact_across_threads() {
     let exact = |o: &AnalysisOutcome| {
         let mut stats = o.stats.clone();
         stats.time = Default::default();
-        stats.work_steals = 0;
         let explore = ["path.paths", "path.insts"].map(|c| o.telemetry.counter(c));
         (stats, report_json(o), explore)
     };

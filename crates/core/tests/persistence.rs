@@ -333,7 +333,6 @@ fn counters(out: &SessionOutcome) -> pata_core::AnalysisStats {
         time: std::time::Duration::ZERO,
         validation_cache_hits: 0,
         validation_cache_misses: 0,
-        validation_scope_reuse: 0,
         ..out.stats.clone()
     }
 }

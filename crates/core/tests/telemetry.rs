@@ -64,9 +64,8 @@ fn analyze_with_threads(threads: usize) -> AnalysisOutcome {
 
 /// Merging per-worker shards must be lossless: every monotonic counter is
 /// a commutative sum, so a 4-thread run reports exactly the same counter
-/// values as a single-threaded one. (Durations, gauges, and scheduler
-/// metrics like `driver.work_steals` legitimately depend on the schedule
-/// and are excluded.)
+/// values as a single-threaded one. (Durations and gauges legitimately
+/// depend on the schedule and are not counters.)
 #[test]
 fn counters_exact_across_thread_counts() {
     let seq = analyze_with_threads(1);
@@ -77,7 +76,6 @@ fn counters_exact_across_thread_counts() {
             .telemetry
             .counters()
             .into_iter()
-            .filter(|(name, _)| !name.starts_with("driver."))
             .map(|(n, v)| (n.to_owned(), v))
             .collect();
         cs.sort();

@@ -138,11 +138,6 @@ impl<'m> FunctionBuilder<'m> {
         self.current = block;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Whether the current block already has a real terminator.
     pub fn is_terminated(&self) -> bool {
         self.terminated[self.current.index()]

@@ -208,11 +208,6 @@ impl Module {
         &self.files[id.index()]
     }
 
-    /// Mutable access to one source file (used to patch line counts).
-    pub fn file_mut(&mut self, id: FileId) -> &mut SourceFile {
-        &mut self.files[id.index()]
-    }
-
     /// Defines a struct; returns the existing id if the name was defined.
     pub fn add_struct(&mut self, def: StructDef) -> StructId {
         if let Some(&id) = self.struct_by_name.get(&def.name) {

@@ -47,11 +47,6 @@ impl Type {
         matches!(self, Type::Ptr(_))
     }
 
-    /// Whether this type is an integer.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Type::Int)
-    }
-
     /// The type obtained by dereferencing this one, if it is a pointer.
     pub fn pointee(&self) -> Option<&Type> {
         match self {

@@ -7,9 +7,11 @@
 //! validation workload actually needs:
 //!
 //! * **Equalities and difference constraints** over integer symbols
-//!   (`x == y + 3`, `x - y <= c`, `x < 7`) are decided exactly with a
-//!   Bellman-Ford negative-cycle check over a difference-constraint graph
-//!   with a virtual zero node (integer difference logic, IDL).
+//!   (`x == y + 3`, `x - y <= c`, `x < 7`) are decided exactly over a
+//!   difference-constraint graph with a virtual zero node (integer
+//!   difference logic, IDL): a feasible potential function is repaired as
+//!   each edge arrives, and a repair that reaches the new edge's source is
+//!   a negative cycle.
 //! * **Disequalities** (`x != y + c`) refute when the difference graph pins
 //!   `x - y` to exactly `c`.
 //! * **Non-linear or otherwise unsupported terms** (e.g. `a * b`, `a / b`)
@@ -23,6 +25,10 @@
 //! way the paper's implementation does (§5.2: residual false positives from
 //! "complex arithmetic conditions"), and never drops a real bug on account
 //! of solver incompleteness.
+//!
+//! A [`Solver`] holds one conjunction and only grows; there are no
+//! assertion scopes. Validation systems are small (every alias set shares
+//! one symbol), so a caller decides each conjunction with a fresh solver.
 //!
 //! # Example
 //!

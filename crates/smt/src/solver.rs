@@ -1,18 +1,16 @@
 //! The conjunction solver: integer difference logic with a zero node,
 //! plus disequality refutation and opaque-term congruence.
 //!
-//! ## Incremental solving
+//! ## Deciding difference logic
 //!
-//! The solver is *incremental*: every asserted constraint is linearized and
-//! classified immediately, and the difference graph maintains a feasible
-//! potential function (`dist[v] <= dist[u] + w` for every edge `v - u <= w`)
-//! that is repaired locally when an edge arrives — the standard incremental
-//! difference-logic propagation of Cotton & Maler (DPLL(T) difference
-//! constraints). [`Solver::push`]/[`Solver::pop`] open and close assertion
-//! scopes by journaling every mutation (edges, adjacency, potentials,
-//! opaque-symbol interning), mirroring the `Mark`/`rollback` undo journal of
-//! PATA's alias graph. Candidates that share a path prefix therefore re-use
-//! the prefix's solved state and only pay for their suffix.
+//! Every asserted constraint is linearized and classified immediately, and
+//! the difference graph maintains a feasible potential function
+//! (`dist[v] <= dist[u] + w` for every edge `v - u <= w`) that is repaired
+//! locally when an edge arrives — the standard incremental difference-logic
+//! propagation of Cotton & Maler (DPLL(T) difference constraints). A
+//! solver only grows: stage 2 builds a fresh one for each conjunction it
+//! has to decide, and the conjunctions are small because every alias set
+//! shares one symbol.
 //!
 //! [`Solver::check`] is cheap: the potential function already certifies
 //! satisfiability of the difference fragment, so only the (rare)
@@ -62,9 +60,7 @@ pub struct SolverStats {
     /// Constraints outside the decided fragment.
     pub unknown: usize,
     /// Cumulative interval-propagation steps (potential repairs plus
-    /// shortest-path relaxations) over the solver's lifetime. Monotonic:
-    /// [`Solver::pop`] does not rewind it — it measures work done, not
-    /// state held.
+    /// shortest-path relaxations) over the solver's lifetime.
     pub propagations: u64,
 }
 
@@ -76,27 +72,13 @@ struct Edge {
     w: i64,
 }
 
-/// A snapshot of every journaled length, taken by [`Solver::push`].
-#[derive(Debug, Clone, Copy)]
-struct Scope {
-    constraints: usize,
-    edges: usize,
-    diseqs: usize,
-    unknown: usize,
-    contradictions: usize,
-    next_sym: u32,
-    opaque_journal: usize,
-    dist_journal: usize,
-    nodes: usize,
-    neg_cycle: bool,
-}
-
 /// A conjunction solver over integer symbols.
 ///
 /// Create symbols with [`Solver::fresh_symbol`], assert constraints with
 /// [`Solver::assert_cmp`] / [`Solver::assert_constraint`], then call
-/// [`Solver::check`]. Open a backtrackable scope with [`Solver::push`] and
-/// undo everything asserted inside it with [`Solver::pop`].
+/// [`Solver::check`]. Checking does not consume the conjunction: more
+/// constraints may be asserted and checked again, but none can be retracted
+/// — decide a different conjunction with a new solver.
 ///
 /// # Example
 ///
@@ -107,18 +89,14 @@ struct Scope {
 /// let x = s.fresh_symbol();
 /// let y = s.fresh_symbol();
 /// s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y).add(Term::int(1)));
-/// s.push();
+/// assert_eq!(s.check(), SatResult::Sat);
 /// s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::sym(y));
 /// assert_eq!(s.check(), SatResult::Unsat); // x == y+1 contradicts x < y
-/// s.pop();
-/// assert_eq!(s.check(), SatResult::Sat); // the contradiction is gone
 /// ```
 #[derive(Debug, Default)]
 pub struct Solver {
     next_sym: u32,
     opaque: HashMap<OpaqueKey, SymId>,
-    /// Keys interned since the outermost scope, for removal on pop.
-    opaque_journal: Vec<OpaqueKey>,
     constraints: Vec<Constraint>,
 
     edges: Vec<Edge>,
@@ -133,20 +111,15 @@ pub struct Solver {
 
     /// Feasible potentials: `dist[v] <= dist[u] + w` for every edge.
     dist: Vec<i64>,
-    /// Overwritten `(node, old_value)` pairs, for rollback.
-    dist_journal: Vec<(u32, i64)>,
     /// A negative cycle was found; the difference fragment is unsat.
     neg_cycle: bool,
     /// Lifetime interval-propagation step count (see [`SolverStats`]).
     propagations: u64,
-
-    scopes: Vec<Scope>,
 }
 
 struct InternerView<'a> {
     next_sym: &'a mut u32,
     opaque: &'a mut HashMap<OpaqueKey, SymId>,
-    journal: &'a mut Vec<OpaqueKey>,
 }
 
 impl OpaqueInterner for InternerView<'_> {
@@ -156,8 +129,7 @@ impl OpaqueInterner for InternerView<'_> {
         }
         let s = SymId(*self.next_sym);
         *self.next_sym += 1;
-        self.opaque.insert(key.clone(), s);
-        self.journal.push(key);
+        self.opaque.insert(key, s);
         s
     }
 }
@@ -192,7 +164,6 @@ impl Solver {
         let mut view = InternerView {
             next_sym: &mut self.next_sym,
             opaque: &mut self.opaque,
-            journal: &mut self.opaque_journal,
         };
         let l = linearize(&c.lhs, &mut view);
         let r = linearize(&c.rhs, &mut view);
@@ -228,74 +199,12 @@ impl Solver {
         self.constraints.is_empty()
     }
 
-    /// Opens a backtrackable assertion scope and returns its depth.
-    pub fn push(&mut self) -> usize {
-        self.scopes.push(Scope {
-            constraints: self.constraints.len(),
-            edges: self.edges.len(),
-            diseqs: self.diseqs.len(),
-            unknown: self.unknown,
-            contradictions: self.contradictions,
-            next_sym: self.next_sym,
-            opaque_journal: self.opaque_journal.len(),
-            dist_journal: self.dist_journal.len(),
-            nodes: self.dist.len(),
-            neg_cycle: self.neg_cycle,
-        });
-        self.scopes.len()
-    }
-
-    /// Closes the innermost scope, undoing every assertion made inside it.
-    /// No-op when no scope is open.
-    pub fn pop(&mut self) {
-        let Some(scope) = self.scopes.pop() else {
-            return;
-        };
-        self.constraints.truncate(scope.constraints);
-        // Remove the scope's edges from the adjacency lists (they were
-        // appended in order, so reverse-pop keeps the lists exact).
-        while self.edges.len() > scope.edges {
-            let e = self.edges.pop().unwrap();
-            if (e.u as usize) < self.adj.len() {
-                self.adj[e.u as usize].pop();
-            }
-        }
-        self.diseqs.truncate(scope.diseqs);
-        self.unknown = scope.unknown;
-        self.contradictions = scope.contradictions;
-        // Restore potentials overwritten inside the scope (reverse order so
-        // repeated overwrites resolve to the oldest value).
-        while self.dist_journal.len() > scope.dist_journal {
-            let (node, old) = self.dist_journal.pop().unwrap();
-            self.dist[node as usize] = old;
-        }
-        self.dist.truncate(scope.nodes);
-        self.adj.truncate(scope.nodes);
-        while self.opaque_journal.len() > scope.opaque_journal {
-            let key = self.opaque_journal.pop().unwrap();
-            self.opaque.remove(&key);
-        }
-        self.next_sym = scope.next_sym;
-        self.neg_cycle = scope.neg_cycle;
-    }
-
-    /// How many scopes are currently open.
-    pub fn scope_depth(&self) -> usize {
-        self.scopes.len()
-    }
-
     fn ensure_node(&mut self, node: u32) {
         let need = node as usize + 1;
         if self.dist.len() < need {
             self.dist.resize(need, 0);
             self.adj.resize(need, Vec::new());
         }
-    }
-
-    /// Records `dist[node] = value`, journaling the old value.
-    fn set_dist(&mut self, node: u32, value: i64) {
-        self.dist_journal.push((node, self.dist[node as usize]));
-        self.dist[node as usize] = value;
     }
 
     /// Inserts a difference edge and repairs the potential function. If the
@@ -306,7 +215,7 @@ impl Solver {
         self.edges.push(e);
         self.adj[e.u as usize].push(self.edges.len() - 1);
         if self.neg_cycle {
-            return; // already unsat; potentials are stale until pop
+            return; // already unsat; potentials stay stale
         }
         if e.u == e.v {
             if e.w < 0 {
@@ -318,7 +227,7 @@ impl Solver {
         if cand >= self.dist[e.v as usize] {
             return; // potentials still feasible
         }
-        self.set_dist(e.v, cand);
+        self.dist[e.v as usize] = cand;
         // Local repair: propagate the decrease. Reaching the inserted
         // edge's source means the new edge closed a negative cycle.
         let mut queue: Vec<u32> = vec![e.v];
@@ -333,7 +242,7 @@ impl Solver {
                         self.neg_cycle = true;
                         return;
                     }
-                    self.set_dist(out.v, cand);
+                    self.dist[out.v as usize] = cand;
                     queue.push(out.v);
                 }
             }
@@ -735,20 +644,13 @@ mod tests {
         s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::sym(y));
         s.assert_cmp(CmpOp::Lt, Term::sym(y), Term::int(0));
         let after_assert = s.propagations();
-        s.push();
         s.assert_cmp(CmpOp::Ne, Term::sym(x), Term::sym(y));
         let (_, stats) = s.check_with_stats();
         assert!(
             stats.propagations > after_assert,
             "check must count Dijkstra pops"
         );
-        let after_check = s.propagations();
-        s.pop();
-        assert_eq!(
-            s.propagations(),
-            after_check,
-            "pop must not rewind the work counter"
-        );
+        assert_eq!(s.propagations(), stats.propagations);
     }
 
     #[test]
@@ -760,150 +662,5 @@ mod tests {
         assert_eq!(s.check(), SatResult::Sat);
         s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(2));
         assert_eq!(s.check(), SatResult::Unsat);
-    }
-
-    // ----------------------------------------------------------------
-    // Incremental scopes
-    // ----------------------------------------------------------------
-
-    #[test]
-    fn pop_restores_satisfiability() {
-        let mut s = Solver::new();
-        let x = s.fresh_symbol();
-        s.assert_cmp(CmpOp::Ge, Term::sym(x), Term::int(0));
-        assert_eq!(s.check(), SatResult::Sat);
-        s.push();
-        s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::int(0));
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn nested_scopes_unwind_exactly() {
-        let mut s = Solver::new();
-        let (x, y) = two_syms(&mut s);
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::sym(y));
-        s.push();
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(1));
-        s.push();
-        s.assert_cmp(CmpOp::Eq, Term::sym(y), Term::int(2));
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(s.check(), SatResult::Sat);
-        s.assert_cmp(CmpOp::Eq, Term::sym(y), Term::int(1));
-        assert_eq!(s.check(), SatResult::Sat);
-        s.pop();
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.scope_depth(), 0);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn pop_restores_unknown_and_contradiction_counts() {
-        let mut s = Solver::new();
-        let (x, y) = two_syms(&mut s);
-        s.push();
-        s.assert_cmp(CmpOp::Eq, Term::int(1), Term::int(2)); // constant false
-        s.assert_cmp(
-            CmpOp::Gt,
-            Term::sym(x).mul(Term::sym(y)).add(Term::sym(x)),
-            Term::int(0),
-        );
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(
-            s.check(),
-            SatResult::Sat,
-            "unknown + contradiction must unwind"
-        );
-    }
-
-    #[test]
-    fn pop_unwinds_opaque_interning() {
-        let mut s = Solver::new();
-        let (x, y) = two_syms(&mut s);
-        let before = s.next_sym;
-        s.push();
-        let t1 = Term::opaque(OpaqueOp::Div, Term::sym(x), Term::sym(y));
-        let t2 = Term::opaque(OpaqueOp::Div, Term::sym(x), Term::sym(y));
-        s.assert_cmp(CmpOp::Ne, t1, t2);
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        assert_eq!(s.next_sym, before, "interned opaque symbols must unwind");
-        assert!(s.opaque.is_empty());
-        assert_eq!(s.check(), SatResult::Sat);
-    }
-
-    #[test]
-    fn pop_after_negative_cycle_recovers() {
-        let mut s = Solver::new();
-        let (x, y) = two_syms(&mut s);
-        s.assert_cmp(CmpOp::Lt, Term::sym(x), Term::sym(y));
-        s.push();
-        s.assert_cmp(CmpOp::Lt, Term::sym(y), Term::sym(x)); // closes a cycle
-        assert_eq!(s.check(), SatResult::Unsat);
-        // Asserting more while unsat must not corrupt the rollback state.
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(7));
-        s.pop();
-        assert_eq!(s.check(), SatResult::Sat);
-        s.push();
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(3));
-        s.assert_cmp(CmpOp::Eq, Term::sym(y), Term::sym(x).add(Term::int(2)));
-        assert_eq!(s.check(), SatResult::Sat);
-        s.pop();
-    }
-
-    #[test]
-    fn scope_reuse_equals_scratch_solving() {
-        // Deterministic stream of mixed constraints checked two ways: via a
-        // shared-prefix scope against a scratch re-solve of the full set.
-        let mk = |k: u64| -> Constraint {
-            let a = SymId((k % 5) as u32);
-            let b = SymId(((k / 5) % 5) as u32);
-            let c = (k % 11) as i64 - 5;
-            let op = match k % 4 {
-                0 => CmpOp::Le,
-                1 => CmpOp::Eq,
-                2 => CmpOp::Ne,
-                _ => CmpOp::Lt,
-            };
-            Constraint::new(op, Term::sym(a), Term::sym(b).add(Term::int(c)))
-        };
-        let prefix: Vec<Constraint> = (0..6).map(|i| mk(i * 7 + 1)).collect();
-        for suffix_seed in 0..40u64 {
-            let suffix: Vec<Constraint> =
-                (0..4).map(|i| mk(suffix_seed * 13 + i * 3 + 2)).collect();
-
-            let mut incremental = Solver::new();
-            incremental.reserve_symbols(5);
-            for c in &prefix {
-                incremental.assert_constraint(c.clone());
-            }
-            incremental.push();
-            for c in &suffix {
-                incremental.assert_constraint(c.clone());
-            }
-            let inc = incremental.check();
-
-            let mut scratch = Solver::new();
-            scratch.reserve_symbols(5);
-            for c in prefix.iter().chain(&suffix) {
-                scratch.assert_constraint(c.clone());
-            }
-            assert_eq!(inc, scratch.check(), "suffix_seed {suffix_seed}");
-            incremental.pop();
-        }
-    }
-
-    #[test]
-    fn pop_without_push_is_noop() {
-        let mut s = Solver::new();
-        let x = s.fresh_symbol();
-        s.assert_cmp(CmpOp::Eq, Term::sym(x), Term::int(1));
-        s.pop();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.check(), SatResult::Sat);
     }
 }

@@ -377,11 +377,8 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             s.repeated_bugs_dropped, s.false_bugs_dropped, s.reported, s.time
         );
         eprintln!(
-            "validation cache hits/misses: {}/{}  scope reuse: {}  work steals: {}",
-            s.validation_cache_hits,
-            s.validation_cache_misses,
-            s.validation_scope_reuse,
-            s.work_steals
+            "validation cache hits/misses: {}/{}",
+            s.validation_cache_hits, s.validation_cache_misses
         );
         eprintln!(
             "roots dirty/clean: {}/{}  changed functions: {}  warm start: {}",

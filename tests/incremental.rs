@@ -33,13 +33,12 @@ fn request(files: &[(String, String)]) -> AnalysisRequest {
 
 /// Counters that must match between warm and cold runs: everything but
 /// wall-clock time and the stage-2 cache counters (a warm session keeps
-/// earlier verdicts, so it solves and reuses scopes differently).
+/// earlier verdicts, so it solves less).
 fn counters(out: &SessionOutcome) -> AnalysisStats {
     AnalysisStats {
         time: std::time::Duration::ZERO,
         validation_cache_hits: 0,
         validation_cache_misses: 0,
-        validation_scope_reuse: 0,
         ..out.stats.clone()
     }
 }
