@@ -33,7 +33,7 @@ pub struct IntraPatternAnalyzer;
 pub(crate) fn expr_keys(module: &Module, func: &Function) -> HashMap<VarId, String> {
     let mut keys: HashMap<VarId, String> = HashMap::new();
     for &p in func.params() {
-        keys.insert(p, module.var(p).name.clone());
+        keys.insert(p, module.var(p).name.to_string());
     }
     // Seed named locals and globals on the fly; temps resolve via defs in
     // program order (defs dominate uses in the lowering).
@@ -41,7 +41,7 @@ pub(crate) fn expr_keys(module: &Module, func: &Function) -> HashMap<VarId, Stri
         if let Some(k) = keys.get(&v) {
             return k.clone();
         }
-        module.var(v).name.clone()
+        module.var(v).name.to_string()
     };
     for block in func.blocks() {
         for inst in &block.insts {
@@ -79,7 +79,8 @@ pub(crate) fn expr_keys(module: &Module, func: &Function) -> HashMap<VarId, Stri
                 }
                 _ => {
                     if let Some(d) = inst.kind.def() {
-                        keys.entry(d).or_insert_with(|| module.var(d).name.clone());
+                        keys.entry(d)
+                            .or_insert_with(|| module.var(d).name.to_string());
                     }
                 }
             }

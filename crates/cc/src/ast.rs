@@ -1,5 +1,7 @@
 //! The mini-C abstract syntax tree.
 
+use crate::name::Name;
+
 /// A parsed type expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeExpr {
@@ -8,7 +10,7 @@ pub enum TypeExpr {
     /// `void`.
     Void,
     /// `struct name`.
-    Struct(String),
+    Struct(Name),
     /// A pointer to another type.
     Ptr(Box<TypeExpr>),
 }
@@ -102,11 +104,11 @@ pub enum ExprKind {
     /// String literal (only valid as a call argument).
     Str(String),
     /// A variable reference.
-    Ident(String),
+    Ident(Name),
     /// `e->field`.
-    Arrow(Box<Expr>, String),
+    Arrow(Box<Expr>, Name),
     /// `e.field`.
-    Dot(Box<Expr>, String),
+    Dot(Box<Expr>, Name),
     /// `e[i]`.
     Index(Box<Expr>, Box<Expr>),
     /// `*e`.
@@ -155,7 +157,7 @@ pub enum StmtKind {
         /// Declared type.
         ty: TypeExpr,
         /// Variable name.
-        name: String,
+        name: Name,
         /// Optional initializer.
         init: Option<Expr>,
         /// Whether declared with `[]` (array of the base type).
@@ -200,9 +202,9 @@ pub enum StmtKind {
     /// `return [e];`.
     Return(Option<Expr>),
     /// `goto label;`.
-    Goto(String),
+    Goto(Name),
     /// `label:` (attaches to the following statement position).
-    Label(String),
+    Label(Name),
     /// `break;`.
     Break,
     /// `continue;`.
@@ -215,9 +217,9 @@ pub enum StmtKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDecl {
     /// Struct name.
-    pub name: String,
+    pub name: Name,
     /// Fields in order.
-    pub fields: Vec<(String, TypeExpr)>,
+    pub fields: Vec<(Name, TypeExpr)>,
     /// Source line of the definition.
     pub line: u32,
 }
@@ -226,7 +228,7 @@ pub struct StructDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamDecl {
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
     /// Parameter type.
     pub ty: TypeExpr,
 }
@@ -235,7 +237,7 @@ pub struct ParamDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncDecl {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Return type.
     pub ret: TypeExpr,
     /// Parameters.
@@ -251,12 +253,12 @@ pub struct FuncDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalDecl {
     /// Global name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: TypeExpr,
     /// Functions referenced by designated initializers — these become
     /// *module interface functions* (no explicit caller, paper's D1).
-    pub registered_funcs: Vec<String>,
+    pub registered_funcs: Vec<Name>,
     /// Source line.
     pub line: u32,
 }

@@ -1,6 +1,7 @@
 //! The mini-C lexer.
 
 use crate::diag::{Diag, DiagKind};
+use crate::name::Name;
 use crate::token::{Token, TokenKind};
 
 /// Lexes mini-C source text into a token stream.
@@ -122,7 +123,7 @@ impl<'s> Lexer<'s> {
             "continue" => TokenKind::KwContinue,
             "NULL" => TokenKind::KwNull,
             "sizeof" => TokenKind::KwSizeof,
-            _ => TokenKind::Ident(text.to_owned()),
+            _ => TokenKind::Ident(Name::new(text)),
         }
     }
 

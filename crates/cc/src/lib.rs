@@ -52,13 +52,15 @@ mod ast;
 mod diag;
 mod lexer;
 mod lower;
+mod name;
 mod parser;
 mod token;
 
 pub use ast::*;
 pub use diag::{Diag, DiagKind};
 pub use lexer::Lexer;
-pub use lower::{lower_units, Compiler};
+pub use lower::{lower_units, Compiler, LoweredModule};
+pub use name::Name;
 pub use parser::{Parser, MAX_NESTING};
 pub use token::{Token, TokenKind};
 

@@ -26,6 +26,7 @@ use pata_ir::{
     Operand, StructDef, StructId, Symbol, Type, VarId,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Compiles a set of mini-C sources into one [`Module`].
 ///
@@ -64,9 +65,10 @@ impl Compiler {
     pub fn compile(self) -> Result<Module, Vec<Diag>> {
         let mut diags = Vec::new();
         let mut units = Vec::new();
-        for (name, text, category) in &self.sources {
-            match Parser::parse_source(name, text) {
-                Ok(unit) => units.push((unit, *category)),
+        // Each text is dropped once parsed: lowering reads only units.
+        for (name, text, category) in self.sources {
+            match Parser::parse_source(&name, &text) {
+                Ok(unit) => units.push((unit, category)),
                 Err(d) => diags.push(d),
             }
         }
@@ -81,13 +83,12 @@ impl Compiler {
 /// Lowers parsed units, in the given order, into one [`Module`].
 ///
 /// This is the only lowering path: [`Compiler::compile`] parses its sources
-/// and calls it, and a caller that keeps [`Unit`]s across compilations
-/// (re-parsing only the files whose text changed) calls it directly. The
-/// module depends only on the units and their order, never on where they
-/// came from: files, structs, globals and functions get their ids in unit
-/// order, so the same units in the same order give a byte-identical
-/// module. A unit's category is inferred from its file name (see
-/// [`Compiler::add_source`]) when it is `None`.
+/// and calls it, and [`LoweredModule::lower`] is the same lowering with the
+/// per-function watermarks kept. The module depends only on the units and
+/// their order, never on where they came from: files, structs, globals and
+/// functions get their ids in unit order, so the same units in the same
+/// order give a byte-identical module. A unit's category is inferred from
+/// its file name (see [`Compiler::add_source`]) when it is `None`.
 ///
 /// # Errors
 ///
@@ -107,6 +108,11 @@ impl Compiler {
 /// assert!(module.function_by_name("g").is_some());
 /// ```
 pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Diag>> {
+    lower_all(units).map(LoweredModule::into_module)
+}
+
+/// Passes 1–4 of [`lower_units`], keeping each function's watermarks.
+fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<Diag>> {
     let mut diags = Vec::new();
     let mut module = Module::new();
     let mut files = Vec::new();
@@ -121,7 +127,7 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
         for s in &unit.structs {
             if module.struct_by_name(&s.name).is_none() {
                 module.add_struct(StructDef {
-                    name: s.name.clone(),
+                    name: s.name.to_string(),
                     fields: Vec::new(),
                 });
             }
@@ -139,7 +145,7 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
                 })
                 .collect();
             module.add_struct(StructDef {
-                name: s.name.clone(),
+                name: s.name.to_string(),
                 fields,
             });
         }
@@ -158,7 +164,7 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
     // Pass 3: assign function ids in declaration order so direct calls
     // across files resolve (the information collector's database).
     let mut func_ids: HashMap<&str, FuncId> = HashMap::new();
-    let mut all_funcs: Vec<(usize, &FuncDecl, FileId, Category)> = Vec::new();
+    let mut all_funcs: Vec<(&FuncDecl, FileId, Category)> = Vec::new();
     for ((unit, category), &file) in units.iter().zip(&files) {
         let cat = category.unwrap_or_else(|| infer_category(&unit.file));
         for f in &unit.functions {
@@ -172,7 +178,7 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
                 continue;
             }
             func_ids.insert(&f.name, FuncId::from_index(all_funcs.len()));
-            all_funcs.push((all_funcs.len(), f, file, cat));
+            all_funcs.push((f, file, cat));
         }
     }
     if !diags.is_empty() {
@@ -180,23 +186,290 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
     }
 
     // Pass 4: lower bodies in id order.
-    for (idx, decl, file, cat) in &all_funcs {
+    let mut marks = Vec::with_capacity(all_funcs.len());
+    for (decl, file, cat) in all_funcs {
+        let before = Lengths::of(&module);
         let lowerer = LowerFn::new(
             &mut module,
             decl,
-            *file,
-            *cat,
+            file,
+            cat,
             &func_ids,
             &globals,
             &mut diags,
+            [Replay::OFF; 2],
         );
-        let got = lowerer.lower();
-        debug_assert_eq!(got.index(), *idx);
+        lowerer.lower();
+        marks.push(before.to(Lengths::of(&module)));
     }
     if !diags.is_empty() {
         return Err(diags);
     }
-    Ok(module)
+    module.shrink_to_fit();
+    Ok(LoweredModule { module, marks })
+}
+
+/// Where one function's lowering began and ended in the module's tables.
+#[derive(Debug, Clone)]
+struct FnMarks {
+    /// The function's variables (a contiguous run).
+    vars: Range<usize>,
+    /// The interner length before and after the function.
+    syms: Range<usize>,
+    /// The struct count before and after the function.
+    structs: Range<usize>,
+}
+
+/// A lowered module with the watermarks of its lowering, so that a later
+/// compilation can lower the files whose text changed again, in place,
+/// and still get exactly the module [`lower_units`] would give.
+///
+/// Pass 3 numbers a file's functions contiguously and pass 4 lowers them in
+/// id order, so a file owns one run of function ids and one run of variable
+/// ids. [`LoweredModule::relower`] lowers an edited file's functions again
+/// with the same per-function lowering, puts their variables in place of
+/// the old run, and renumbers the variables of every later function.
+///
+/// ```
+/// use pata_cc::{lower_units, LoweredModule, Parser};
+///
+/// let a = Parser::parse_source("a.c", "int f(int x) { return g(x); }").unwrap();
+/// let b = Parser::parse_source("b.c", "int g(int y) { return y; }").unwrap();
+/// let kept = LoweredModule::lower(&[(&a, None), (&b, None)]).unwrap();
+/// let a2 = Parser::parse_source("a.c", "int f(int x) { int z = x; return g(z); }").unwrap();
+/// let (kept, relowered) = kept.relower(&[(&a2, None), (&b, None)], &[(0, &a)]).unwrap();
+/// assert_eq!(relowered.len(), 1);
+/// let cold = lower_units(&[(&a2, None), (&b, None)]).unwrap();
+/// assert_eq!(pata_ir::print_module(kept.module()), pata_ir::print_module(&cold));
+/// ```
+#[derive(Debug)]
+pub struct LoweredModule {
+    module: Module,
+    /// Per function id.
+    marks: Vec<FnMarks>,
+}
+
+impl LoweredModule {
+    /// Lowers `units` in full, exactly as [`lower_units`] does, and keeps
+    /// the watermarks.
+    ///
+    /// # Errors
+    ///
+    /// The diagnostics [`lower_units`] returns.
+    pub fn lower(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<Diag>> {
+        lower_all(units)
+    }
+
+    /// The module.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// The module, mutably (the collector marks interface functions on it).
+    /// Changing anything lowering produced voids the watermarks.
+    pub fn module_mut(&mut self) -> &mut Module {
+        &mut self.module
+    }
+
+    /// The module, without the watermarks.
+    pub fn into_module(self) -> Module {
+        self.module
+    }
+
+    /// Lowers the units at the positions in `changed` again, in place.
+    /// `units` are the new units, one per file of the module, with the
+    /// same names in the same order; `changed` pairs each changed position,
+    /// ascending, with the unit this module was lowered from there.
+    /// Returns the module, equal to [`lower_units`] of `units` down to
+    /// every id, and the ids of the functions lowered again.
+    ///
+    /// Returns `None`, and drops the module, when it cannot give exactly
+    /// that module:
+    ///
+    /// * the file names differ, or a changed unit declares other structs
+    ///   (with their fields), globals (with their types) or functions
+    ///   (with their return types) than its old unit, in order;
+    /// * a function lowered again fails the exactness guard: a cold
+    ///   lowering creates a symbol or struct at its first use, so every id
+    ///   the function's first lowering created must be used again, first
+    ///   in id order, and no later-created id may be used at all;
+    /// * lowering reports a diagnostic (the caller's full lowering then
+    ///   reports the cold diagnostics).
+    pub fn relower(
+        mut self,
+        units: &[(&Unit, Option<Category>)],
+        changed: &[(usize, &Unit)],
+    ) -> Option<(LoweredModule, Vec<FuncId>)> {
+        let files = self.module.files();
+        if units.len() != files.len()
+            || units.iter().zip(files).any(|((u, _), f)| u.file != f.name)
+            || changed
+                .iter()
+                .any(|&(i, old)| !same_declarations(old, units[i].0))
+        {
+            return None;
+        }
+        debug_assert!(changed.windows(2).all(|w| w[0].0 < w[1].0));
+        if changed.is_empty() {
+            return Some((self, Vec::new()));
+        }
+        // The tables of passes 2 and 3, which equal declarations keep.
+        let globals: HashMap<&str, VarId> = units
+            .iter()
+            .flat_map(|(u, _)| &u.globals)
+            .map(|g| g.name.as_str())
+            .zip(self.module.globals().iter().copied())
+            .collect();
+        let mut func_ids: HashMap<&str, FuncId> = HashMap::with_capacity(self.marks.len());
+        let mut first_func = Vec::with_capacity(units.len());
+        let mut next_id = 0;
+        for (unit, _) in units {
+            first_func.push(next_id);
+            for f in &unit.functions {
+                func_ids.insert(&f.name, FuncId::from_index(next_id));
+                next_id += 1;
+            }
+        }
+        let mut diags = Vec::new();
+        let mut relowered = Vec::new();
+        for &(i, _) in changed {
+            let (unit, category) = units[i];
+            let file = FileId::from_index(i);
+            self.module.set_file_lines(file, unit.lines);
+            let funcs = first_func[i]..first_func[i] + unit.functions.len();
+            if funcs.is_empty() {
+                continue;
+            }
+            let old_vars = self.marks[funcs.start].vars.start..self.marks[funcs.end - 1].vars.end;
+            let cat = category.unwrap_or_else(|| infer_category(&unit.file));
+            let detached = self
+                .module
+                .detach_functions(FuncId::from_index(funcs.start));
+            // Variables are added after every existing one, then spliced.
+            let added_from = self.module.var_count();
+            let mut new_vars = Vec::with_capacity(funcs.len());
+            for (decl, id) in unit.functions.iter().zip(funcs.clone()) {
+                let old = &self.marks[id];
+                let replay = [Replay::of(&old.syms), Replay::of(&old.structs)];
+                let before = self.module.var_count();
+                let lowerer = LowerFn::new(
+                    &mut self.module,
+                    decl,
+                    file,
+                    cat,
+                    &func_ids,
+                    &globals,
+                    &mut diags,
+                    replay,
+                );
+                if !lowerer.lower() || !diags.is_empty() {
+                    return None;
+                }
+                new_vars.push(before..self.module.var_count());
+            }
+            let spliced = self
+                .module
+                .splice_functions(detached, funcs.len(), old_vars.clone());
+            let at = |v: usize| v - added_from + spliced.start;
+            for (id, vars) in funcs.clone().zip(new_vars) {
+                self.marks[id].vars = at(vars.start)..at(vars.end);
+            }
+            if spliced.end != old_vars.end {
+                let moved = |v: usize| v + spliced.end - old_vars.end;
+                for m in &mut self.marks[funcs.end..] {
+                    m.vars = moved(m.vars.start)..moved(m.vars.end);
+                }
+            }
+            relowered.extend(funcs.map(FuncId::from_index));
+        }
+        Some((self, relowered))
+    }
+}
+
+/// Whether two units declare the same structs (with their fields), globals
+/// (with their types) and functions (with their return types), in the same
+/// order: everything the lowering of other files reads of a unit.
+fn same_declarations(a: &Unit, b: &Unit) -> bool {
+    fn same<T>(a: &[T], b: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| eq(x, y))
+    }
+    same(&a.structs, &b.structs, |x, y| {
+        x.name == y.name && x.fields == y.fields
+    }) && same(&a.globals, &b.globals, |x, y| {
+        x.name == y.name && x.ty == y.ty
+    }) && same(&a.functions, &b.functions, |x, y| {
+        x.name == y.name && x.ret == y.ret
+    })
+}
+
+/// The lengths of the module tables lowering appends to.
+#[derive(Clone, Copy)]
+struct Lengths {
+    vars: usize,
+    syms: usize,
+    structs: usize,
+}
+
+impl Lengths {
+    fn of(module: &Module) -> Lengths {
+        Lengths {
+            vars: module.var_count(),
+            syms: module.interner.len(),
+            structs: module.structs().len(),
+        }
+    }
+
+    fn to(self, after: Lengths) -> FnMarks {
+        FnMarks {
+            vars: self.vars..after.vars,
+            syms: self.syms..after.syms,
+            structs: self.structs..after.structs,
+        }
+    }
+}
+
+/// The exactness guard over one id space (symbols or structs) while a
+/// function is lowered again in place. Its first lowering created the ids
+/// `next..end`, each at its first use. Ids below them existed before the
+/// function and are free to use; the created ones must be first used
+/// again in id order, all of them, and no id at or above `end` may be used
+/// (a cold lowering would give it a smaller id).
+#[derive(Debug, Clone, Copy)]
+struct Replay {
+    next: usize,
+    end: usize,
+    held: bool,
+}
+
+impl Replay {
+    /// No guard: a full lowering creates ids as it goes.
+    const OFF: Replay = Replay {
+        next: usize::MAX,
+        end: usize::MAX,
+        held: true,
+    };
+
+    fn of(created: &Range<usize>) -> Replay {
+        Replay {
+            next: created.start,
+            end: created.end,
+            held: true,
+        }
+    }
+
+    fn use_id(&mut self, id: usize) {
+        if id < self.next {
+            // Created before the function, or already used again.
+        } else if id == self.next && id < self.end {
+            self.next += 1;
+        } else {
+            self.held = false;
+        }
+    }
+
+    fn held(&self) -> bool {
+        self.held && self.next == self.end
+    }
 }
 
 fn infer_category(path: &str) -> Category {
@@ -243,7 +516,7 @@ fn resolve_type(module: &mut Module, t: &TypeExpr) -> Type {
         TypeExpr::Struct(name) => {
             let id = module.struct_by_name(name).unwrap_or_else(|| {
                 module.add_struct(StructDef {
-                    name: name.clone(),
+                    name: name.to_string(),
                     fields: Vec::new(),
                 })
             });
@@ -272,6 +545,8 @@ struct LowerFn<'a, 'm> {
     /// Function-wide label targets (a `goto` may precede its label).
     labels: Vec<(&'a str, BlockId)>,
     loop_stack: Vec<(BlockId, BlockId)>, // (continue target, break target)
+    /// The exactness guard over symbols and over structs.
+    replay: [Replay; 2],
 }
 
 impl<'a, 'm> LowerFn<'a, 'm> {
@@ -284,6 +559,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         func_ids: &'a HashMap<&'a str, FuncId>,
         globals: &'a HashMap<&'a str, VarId>,
         diags: &'a mut Vec<Diag>,
+        replay: [Replay; 2],
     ) -> Self {
         let mut b = FunctionBuilder::new(module, &decl.name, file);
         b.set_category(category);
@@ -298,6 +574,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             struct_locals: HashSet::new(),
             labels: Vec::new(),
             loop_stack: Vec::new(),
+            replay,
         }
     }
 
@@ -306,12 +583,14 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         self.diags.push(Diag::new(DiagKind::Sema, file, line, msg));
     }
 
-    fn lower(mut self) -> FuncId {
+    /// Lowers the function into the module and returns whether the
+    /// exactness guard held (always, when it is off).
+    fn lower(mut self) -> bool {
         let decl = self.decl;
-        let ret = resolve_type(self.b.module(), &decl.ret);
+        let ret = self.resolve(&decl.ret);
         self.b.set_ret_ty(ret);
         for p in &decl.params {
-            let ty = resolve_type(self.b.module(), &p.ty);
+            let ty = self.resolve(&p.ty);
             let v = self.b.param(&p.name, ty);
             self.scopes.push((&p.name, v));
         }
@@ -320,7 +599,29 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             let line = decl.body.last().map(|s| s.line).unwrap_or(decl.line);
             self.b.ret(None, line);
         }
-        self.b.finish()
+        self.b.finish();
+        self.replay.iter().all(Replay::held)
+    }
+
+    /// Interns `name` for the exactness guard's accounting.
+    fn intern(&mut self, name: &str) -> Symbol {
+        let sym = self.b.module().interner.intern(name);
+        self.replay[0].use_id(sym.index());
+        sym
+    }
+
+    /// Resolves `t`, declaring the struct it names if it is new, for the
+    /// exactness guard's accounting.
+    fn resolve(&mut self, t: &TypeExpr) -> Type {
+        let ty = resolve_type(self.b.module(), t);
+        let mut inner = &ty;
+        while let Type::Ptr(pointee) = inner {
+            inner = pointee;
+        }
+        if let Type::Struct(id) = inner {
+            self.replay[1].use_id(id.index());
+        }
+        ty
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
@@ -392,20 +693,18 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                         _ => {}
                     }
                     if let Some(&fid) = self.func_ids.get(name.as_str()) {
-                        if fid.index() < self.b.module().functions().len() {
+                        // Functions are lowered in id order, so only a
+                        // callee with a smaller id has a resolved return
+                        // type; any other call is assumed to return an int.
+                        if fid < self.b.func_id() {
                             return self.b.module().function(fid).ret_ty().clone();
                         }
-                        // Not lowered yet — fall back to the declared AST type
-                        // is unavailable here; assume pointer-sized int.
                         return Type::Int;
                     }
                 }
                 Type::Int
             }
-            ExprKind::Cast(ty, _) => {
-                let t = ty.clone();
-                resolve_type(self.b.module(), &t)
-            }
+            ExprKind::Cast(ty, _) => self.resolve(ty),
             ExprKind::Assign(_, rhs) => self.infer_ty(rhs),
         }
     }
@@ -415,7 +714,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     fn field_ty(&mut self, base_ty: &Type, field: &str) -> Type {
         match base_ty.struct_id() {
             Some(sid) => {
-                let sym = self.b.module().interner.intern(field);
+                let sym = self.intern(field);
                 self.struct_field_ty(sid, sym)
             }
             None => Type::Int,
@@ -472,7 +771,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 init,
                 is_array,
             } => {
-                let resolved = resolve_type(self.b.module(), ty);
+                let resolved = self.resolve(ty);
                 let (var_ty, is_struct_value) = if *is_array {
                     (Type::array(resolved), false)
                 } else if matches!(resolved, Type::Struct(_)) {
@@ -664,7 +963,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
 
     /// A `gep` of `field` off the struct pointer `base`.
     fn field_addr(&mut self, base: VarId, field: &str, line: u32) -> VarId {
-        let sym = self.b.module().interner.intern(field);
+        let sym = self.intern(field);
         let fty = match self.b.module().var(base).ty.struct_id() {
             Some(sid) => self.struct_field_ty(sid, sym),
             None => Type::Int,
@@ -947,7 +1246,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 return Operand::Var(dst);
             }
             // External function.
-            let sym = self.b.module().interner.intern(name);
+            let sym = self.intern(name);
             let dst = self.b.temp(Type::Int);
             self.b.call(Some(dst), Callee::External(sym), arg_ops, line);
             return Operand::Var(dst);
@@ -1252,6 +1551,106 @@ mod tests {
         let undeclared = m.struct_by_name("undeclared").expect("declared");
         let later = m.struct_by_name("later").expect("declared");
         assert!(undeclared.index() < later.index());
+    }
+
+    /// Lowers `old` in full, then `new` in place over it, and returns
+    /// whether that worked; when it did, the module must equal a cold
+    /// lowering of `new`.
+    fn relowers(old: &[(&str, &str)], new: &[(&str, &str)]) -> bool {
+        let parse = |files: &[(&str, &str)]| -> Vec<Unit> {
+            files
+                .iter()
+                .map(|(name, text)| Parser::parse_source(name, text).unwrap())
+                .collect()
+        };
+        let (old, new) = (parse(old), parse(new));
+        fn with_cat(units: &[Unit]) -> Vec<(&Unit, Option<Category>)> {
+            units.iter().map(|u| (u, None)).collect()
+        }
+        let kept = LoweredModule::lower(&with_cat(&old)).unwrap();
+        let changed: Vec<(usize, &Unit)> = old
+            .iter()
+            .zip(&new)
+            .enumerate()
+            .filter(|(_, (o, n))| o != n)
+            .map(|(i, (o, _))| (i, o))
+            .collect();
+        let Some((kept, relowered)) = kept.relower(&with_cat(&new), &changed) else {
+            return false;
+        };
+        let cold = lower_units(&with_cat(&new)).unwrap();
+        assert_eq!(print_module(kept.module()), print_module(&cold));
+        assert_eq!(kept.module().var_count(), cold.var_count());
+        assert_eq!(
+            kept.module().interner.strings().collect::<Vec<_>>(),
+            cold.interner.strings().collect::<Vec<_>>()
+        );
+        assert!(!relowered.is_empty() || changed.is_empty());
+        true
+    }
+
+    #[test]
+    fn relowering_a_body_edit_in_place_matches_a_cold_lowering() {
+        let b = (
+            "b.c",
+            "struct s { int *p; }; int g(struct s *x) { log_g(1); return *x->p; }",
+        );
+        assert!(relowers(
+            &[("a.c", "int f(int n) { log_f(n); return g(0); }"), b],
+            &[
+                (
+                    "a.c",
+                    "int f(int n) {\n int k = 2; if (k > 1) { } log_f(n); return g(k); }"
+                ),
+                b,
+            ],
+        ));
+        // Symbols an earlier function created are free to use.
+        assert!(relowers(
+            &[("a.c", "int f(int n) { log_f(n); return 0; }"), b],
+            &[
+                ("a.c", "int f(int n) { log_f(n); return 0; }"),
+                ("b.c", "struct s { int *p; }; int g(struct s *x) { log_f(2); log_g(1); return *x->p; }"),
+            ],
+        ));
+    }
+
+    #[test]
+    fn relowering_refuses_what_a_cold_lowering_numbers_differently() {
+        let g = ("b.c", "int g(void) { x3(); return 0; }");
+        let old = [("a.c", "int f(void) { x1(); x2(); return 0; }"), g];
+        let refused = [
+            // New symbols, first used in another order.
+            "int f(void) { x2(); x1(); return 0; }",
+            // A symbol the function created is no longer used by it.
+            "int f(void) { x1(); return 0; }",
+            // A symbol a later function created is used first here.
+            "int f(void) { x1(); x2(); x3(); return 0; }",
+            // A brand-new symbol.
+            "int f(void) { x1(); x2(); x4(); return 0; }",
+            // A changed declaration.
+            "int *f(void) { x1(); x2(); return 0; }",
+            // A diagnostic.
+            "int f(void) { x1(); x2(); break; return 0; }",
+        ];
+        for text in refused {
+            assert!(!relowers(&old, &[("a.c", text), g]), "{text}");
+        }
+        // The hazard of `operand_cast_declares_its_struct_in_order`: a
+        // struct a later function declared, now first met earlier.
+        assert!(!relowers(
+            &[
+                ("a.c", "int f(int *p) { return *(struct undeclared *)p; }"),
+                ("b.c", "void g(void) { struct later *q; }"),
+            ],
+            &[
+                (
+                    "a.c",
+                    "int f(int *p) { struct later *r; return *(struct undeclared *)p; }"
+                ),
+                ("b.c", "void g(void) { struct later *q; }"),
+            ],
+        ));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::ast::*;
 use crate::diag::{Diag, DiagKind};
 use crate::lexer::Lexer;
+use crate::name::Name;
 use crate::token::{Token, TokenKind};
 
 /// How deep constructs may nest before the parser refuses the input with a
@@ -133,7 +134,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, Diag> {
+    fn expect_ident(&mut self) -> Result<Name, Diag> {
         match self.bump() {
             TokenKind::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other}"))),
@@ -252,7 +253,7 @@ impl Parser {
                     let pname = match self.peek() {
                         TokenKind::Ident(_) => self.expect_ident()?,
                         // Unnamed parameter (prototype) — synthesize.
-                        _ => format!("__arg{}", params.len()),
+                        _ => format!("__arg{}", params.len()).into(),
                     };
                     if self.eat(&TokenKind::LBracket) {
                         self.expect(TokenKind::RBracket)?;

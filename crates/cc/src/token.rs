@@ -1,12 +1,13 @@
 //! Tokens of the mini-C language.
 
+use crate::name::Name;
 use std::fmt;
 
 /// The kind of one lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
     /// An identifier (`dev`, `probe`, …).
-    Ident(String),
+    Ident(Name),
     /// An integer literal.
     Int(i64),
     /// `struct`

@@ -520,7 +520,7 @@ fn e(kind: ExprKind) -> Expr {
 }
 
 fn id(name: &str) -> Expr {
-    e(ExprKind::Ident(name.to_owned()))
+    e(ExprKind::Ident(name.into()))
 }
 
 fn bin(op: AstBinOp, lhs: Expr, rhs: Expr) -> Expr {
@@ -579,7 +579,7 @@ fn precedence_levels() {
         bin(
             LogOr,
             e(ExprKind::Not(Box::new(id("p")))),
-            e(ExprKind::Arrow(Box::new(id("p")), "f".to_owned()))
+            e(ExprKind::Arrow(Box::new(id("p")), "f".into()))
         )
     );
 }

@@ -67,7 +67,9 @@ impl CallGraph {
     }
 }
 
-/// Builds the call graph and marks interface functions on the module.
+/// Builds the call graph and marks interface functions on the module:
+/// every function's flag is set, to `true` for a root and `false`
+/// otherwise, so a module kept across requests never carries a stale flag.
 /// Returns the analysis roots.
 pub fn mark_interfaces(module: &mut Module) -> Vec<FuncId> {
     mark_interfaces_with_graph(module).0
@@ -79,8 +81,11 @@ pub fn mark_interfaces(module: &mut Module) -> Vec<FuncId> {
 pub fn mark_interfaces_with_graph(module: &mut Module) -> (Vec<FuncId>, CallGraph) {
     let cg = CallGraph::build(module);
     let roots = cg.interface_functions();
-    for &r in &roots {
-        module.function_mut(r).set_interface(true);
+    let mut next_root = roots.iter().peekable();
+    for i in 0..module.functions().len() {
+        let id = FuncId::from_index(i);
+        let is_root = next_root.next_if_eq(&&id).is_some();
+        module.function_mut(id).set_interface(is_root);
     }
     (roots, cg)
 }
@@ -91,6 +96,22 @@ mod tests {
 
     fn compile(src: &str) -> Module {
         pata_cc::compile_one("cg.c", src).unwrap()
+    }
+
+    #[test]
+    fn marking_clears_a_stale_interface_flag() {
+        let mut m = compile(
+            r#"
+            static int helper(int x) { return x + 1; }
+            static int entry(void) { return helper(2); }
+            "#,
+        );
+        let helper = m.function_by_name("helper").unwrap();
+        m.function_mut(helper).set_interface(true);
+        let roots = mark_interfaces(&mut m);
+        assert_eq!(roots, vec![m.function_by_name("entry").unwrap()]);
+        assert!(!m.function(helper).is_interface());
+        assert!(m.function(roots[0]).is_interface());
     }
 
     #[test]

@@ -780,7 +780,7 @@ impl<'a> Explorer<'a> {
             let info = module.var(v);
             match info.func {
                 Some(f) => format!("{}:{}", module.function(f).name(), info.name),
-                None => info.name.clone(),
+                None => info.name.to_string(),
             }
         };
         match key {

@@ -576,11 +576,49 @@ impl FunctionDb {
 pub(crate) struct ModuleFingerprints {
     pub(crate) db: FunctionDb,
     /// Per `FuncId`: [`member_word`] of the function's name and
-    /// fingerprint.
+    /// fingerprint. Empty for a database loaded from a store, which has no
+    /// module.
     members: Vec<u64>,
 }
 
 impl ModuleFingerprints {
+    /// A loaded function database, with no module behind it.
+    pub(crate) fn from_db(db: FunctionDb) -> ModuleFingerprints {
+        ModuleFingerprints {
+            db,
+            members: Vec::new(),
+        }
+    }
+
+    /// Fingerprints `funcs` again after they were lowered again in place
+    /// into `module`, the module these fingerprints were built on, and
+    /// returns how many of their values changed. No other function's
+    /// fingerprint can have moved: the splice renumbered only variables,
+    /// and fingerprints number variables per function.
+    pub(crate) fn refresh(&mut self, module: &Module, funcs: &[FuncId]) -> u64 {
+        debug_assert_eq!(self.members.len(), module.functions().len());
+        if funcs.is_empty() {
+            return 0;
+        }
+        let mut fp = Fingerprinter::new(module);
+        let mut changed = 0;
+        for &id in funcs {
+            let f = module.function(id);
+            let value = fp.function(f);
+            let entry = self
+                .db
+                .entries
+                .get_mut(f.name())
+                .expect("a function lowered again keeps its name");
+            if *entry != value {
+                *entry = value;
+                changed += 1;
+            }
+            self.members[id.index()] = member_word(fp.names[id.index()], value);
+        }
+        changed
+    }
+
     /// Fingerprints every function of `module` in one structural walk.
     /// Returns `None` when two functions share a name — names are the
     /// cross-process identity of functions, so an ambiguous module cannot

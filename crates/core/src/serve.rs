@@ -23,12 +23,17 @@
 //! {"protocol_version": 1, "id": 1, "ok": true, "op": "analyze",
 //!  "report": {"schema_version": 1, "reports": [...]},
 //!  "serve": {"roots": 3, "dirty_roots": 1, "clean_roots": 2,
-//!            "changed_functions": 1, "warm_start": true, "parsed_files": 1}}
+//!            "changed_functions": 1, "warm_start": true, "lowered_functions": 6,
+//!            "parsed_files": 1}}
 //! ```
 //!
 //! `parsed_files` counts the request's files the daemon parsed; every
 //! other file had the same name and text in the previous request, and its
 //! parsed form was reused (see [`crate::IncrementalStats::parsed_files`]).
+//! `lowered_functions` counts the functions it lowered: all of them, or,
+//! when the request names the previous request's files in the same order,
+//! only the changed files' functions
+//! (see [`crate::IncrementalStats::lowered_functions`]).
 //!
 //! A `stats` response reports the running totals since the daemon
 //! started. Failures (bad JSON, unknown op, compile errors) produce
@@ -233,13 +238,15 @@ pub fn handle_line(
                             "{{\"protocol_version\": {SERVE_PROTOCOL_VERSION}, \"id\": {id}, \"ok\": true, \"op\": \"analyze\", \
                              \"report\": {}, \
                              \"serve\": {{\"roots\": {}, \"dirty_roots\": {}, \"clean_roots\": {}, \
-                             \"changed_functions\": {}, \"warm_start\": {}, \"parsed_files\": {}}}}}",
+                             \"changed_functions\": {}, \"warm_start\": {}, \"lowered_functions\": {}, \
+                             \"parsed_files\": {}}}}}",
                             outcome.report.to_json(),
                             inc.roots,
                             inc.dirty_roots,
                             inc.clean_roots,
                             inc.changed_functions,
                             inc.warm_start,
+                            inc.lowered_functions,
                             inc.parsed_files
                         ),
                         false,
@@ -787,7 +794,8 @@ mod tests {
         let mut totals = ServeTotals::default();
         let parsed = |s: &mut AnalysisSession, totals: &mut ServeTotals, frame: &str| {
             let (response, _) = handle_line(s, frame, totals);
-            // The field follows `warm_start` and closes the serve object.
+            // The fields follow `warm_start`; `parsed_files` closes the
+            // serve object.
             let tail = &response[response.find("\"warm_start\"").unwrap()..];
             assert!(tail.contains(", \"parsed_files\": "), "{response}");
             assert!(tail.ends_with("}}"), "{response}");
@@ -811,6 +819,39 @@ mod tests {
             parsed(&mut s, &mut totals, &analyze_line(3, "t.c", &edited)),
             Some(1)
         );
+    }
+
+    #[test]
+    fn analyze_response_counts_lowered_functions() {
+        let mut s = session();
+        let mut totals = ServeTotals::default();
+        let helper = "int helper(int x) { return x + 1; }";
+        let frame = |id: u64, files: &[(&str, &str)]| {
+            let files: Vec<String> = files
+                .iter()
+                .map(|(name, text)| {
+                    format!("{{\"name\": {}, \"text\": {}}}", quote(name), quote(text))
+                })
+                .collect();
+            format!(
+                "{{\"id\": {id}, \"op\": \"analyze\", \"files\": [{}]}}",
+                files.join(", ")
+            )
+        };
+        let mut lowered = |files: &[(&str, &str)]| {
+            let (response, _) = handle_line(&mut s, &frame(1, files), &mut totals);
+            let doc = JsonValue::parse(&response).unwrap();
+            let serve = doc.get("serve").expect("an analyze response");
+            serve.get("lowered_functions").unwrap().as_u64().unwrap()
+        };
+        let edited = SRC.replace("return *p;", "return *p + 1;");
+        assert_eq!(lowered(&[("a.c", SRC), ("b.c", helper)]), 2);
+        assert_eq!(lowered(&[("a.c", SRC), ("b.c", helper)]), 0);
+        // An edit lowers its file again, in place.
+        assert_eq!(lowered(&[("a.c", &edited), ("b.c", helper)]), 1);
+        // A new file changes the file list: everything is lowered.
+        let c = "int third(void) { return 3; }";
+        assert_eq!(lowered(&[("a.c", &edited), ("b.c", helper), ("c.c", c)]), 3);
     }
 
     /// Sends `frame` and then a ping: the frame gets an error response and

@@ -32,8 +32,7 @@ use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
 use crate::filter::{self, FilterResult};
 use crate::persist::{
-    self, config_fingerprint, FunctionDb, ModuleFingerprints, Store, StoreDoc, StoredBug,
-    StoredRoot,
+    self, config_fingerprint, ModuleFingerprints, Store, StoreDoc, StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
@@ -41,7 +40,7 @@ use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
-use pata_cc::{Diag, Parser, Unit};
+use pata_cc::{Diag, LoweredModule, Parser, Unit};
 use pata_ir::{Category, FuncId, Module};
 use std::collections::HashMap;
 use std::fmt;
@@ -124,6 +123,10 @@ pub struct IncrementalStats {
     /// and text in the previous request, and their parsed units were
     /// reused.
     pub parsed_files: u64,
+    /// Functions lowered for this request: every function after a full
+    /// lowering, only the functions of the changed files when the session
+    /// lowered them again in place.
+    pub lowered_functions: u64,
 }
 
 /// Why [`AnalysisSession::analyze`] refused a request.
@@ -180,22 +183,40 @@ struct ParsedFile {
     unit: Unit,
 }
 
-/// The session's front end: it parses each request's files, reusing the
-/// unit of every file whose name and text the previous request also had,
-/// and lowers all units in request order.
+/// The session's front end. It keeps the previous request's parsed units
+/// and, when that request compiled, its lowered module. A request parses
+/// only the files whose name or text is new. When its files have the
+/// previous request's names in the same order, only the changed files are
+/// lowered again, in place ([`LoweredModule::relower`]); otherwise, or
+/// when that cannot give the module a full lowering gives, every unit is
+/// lowered.
 #[derive(Debug, Default)]
 struct FrontEnd {
     /// The previous request's files that parsed, in request order.
     files: Vec<ParsedFile>,
+    /// The previous request's module, if it compiled. The session takes it
+    /// out while it analyzes a request and puts it back afterwards.
+    lowered: Option<LoweredModule>,
+}
+
+/// What [`FrontEnd::compile`] did for one request.
+#[derive(Debug)]
+struct Compiled {
+    parsed_files: u64,
+    /// The functions lowered again in place, or `None` after a full
+    /// lowering.
+    relowered: Option<Vec<FuncId>>,
 }
 
 impl FrontEnd {
-    /// Compiles `files` into one module and counts the files it parsed.
-    /// Afterwards it holds exactly the files of this request that parsed:
-    /// a file the request dropped is evicted, and a file that failed to
-    /// parse is parsed again next time, with the same diagnostic.
-    fn compile(&mut self, files: &[SourceFile]) -> Result<(Module, u64), Vec<Diag>> {
+    /// Compiles `files` into [`FrontEnd::lowered`] and says what it parsed
+    /// and lowered. Afterwards the front end holds exactly the files of
+    /// this request that parsed: a file the request dropped is evicted,
+    /// and a file that failed to parse is parsed again next time, with the
+    /// same diagnostic. It holds a module only if the request compiled.
+    fn compile(&mut self, files: &[SourceFile]) -> Result<Compiled, Vec<Diag>> {
         let old = std::mem::take(&mut self.files);
+        let kept = self.lowered.take();
         // A hit needs the same name and the same text. Names may repeat
         // within a request, so each name maps to all its entries, and each
         // entry is reused at most once.
@@ -213,16 +234,22 @@ impl FrontEnd {
                 })
                 .collect()
         };
+        // Lowering in place needs the previous names in the previous order,
+        // with every reused unit at its own position.
+        let mut in_place = kept.is_some()
+            && old.len() == files.len()
+            && old.iter().zip(files).all(|(o, f)| o.name == f.name);
         let mut old: Vec<Option<ParsedFile>> = old.into_iter().map(Some).collect();
+        let mut changed = Vec::new();
         let mut diags = Vec::new();
-        let mut parsed = 0;
-        for (f, hit) in files.iter().zip(hits) {
-            if let Some(i) = hit {
+        for (i, (f, hit)) in files.iter().zip(hits).enumerate() {
+            if let Some(j) = hit {
+                in_place &= i == j;
                 self.files
-                    .push(old[i].take().expect("an entry is reused once"));
+                    .push(old[j].take().expect("an entry is reused once"));
                 continue;
             }
-            parsed += 1;
+            changed.push(i);
             match Parser::parse_source(&f.name, &f.text) {
                 Ok(unit) => self.files.push(ParsedFile {
                     name: f.name.clone(),
@@ -232,14 +259,35 @@ impl FrontEnd {
                 Err(d) => diags.push(d),
             }
         }
-        // Entries this request did not reuse are evicted before lowering.
-        drop(old);
+        let parsed_files = changed.len() as u64;
         if !diags.is_empty() {
             return Err(diags);
         }
         let units: Vec<(&Unit, Option<Category>)> =
             self.files.iter().map(|f| (&f.unit, None)).collect();
-        Ok((pata_cc::lower_units(&units)?, parsed))
+        if let (true, Some(kept)) = (in_place, kept) {
+            // Every reused unit sits at its own position, so each changed
+            // position's old entry is still in `old`.
+            let changed: Vec<(usize, &Unit)> = changed
+                .iter()
+                .map(|&i| (i, &old[i].as_ref().expect("not reused elsewhere").unit))
+                .collect();
+            if let Some((lowered, relowered)) = kept.relower(&units, &changed) {
+                self.lowered = Some(lowered);
+                return Ok(Compiled {
+                    parsed_files,
+                    relowered: Some(relowered),
+                });
+            }
+        }
+        // The kept module is gone by now, and the entries this request did
+        // not reuse are evicted before the full lowering.
+        drop(old);
+        self.lowered = Some(LoweredModule::lower(&units)?);
+        Ok(Compiled {
+            parsed_files,
+            relowered: None,
+        })
     }
 }
 
@@ -247,7 +295,10 @@ impl FrontEnd {
 /// on-disk store).
 #[derive(Debug)]
 struct WarmState {
-    functions: FunctionDb,
+    /// The fingerprints `roots` were recorded against. Their per-function
+    /// closure members belong to the front end's kept module; a state
+    /// loaded from the store has only the function database.
+    fps: ModuleFingerprints,
     roots: Vec<StoredRoot>,
 }
 
@@ -348,7 +399,7 @@ impl AnalysisSession {
         if let Some(store) = Store::load(&path, session.config_fp) {
             session.cache.import(store.validation);
             session.warm = Some(WarmState {
-                functions: store.functions,
+                fps: ModuleFingerprints::from_db(store.functions),
                 roots: store.roots,
             });
             session.store_synced = true;
@@ -526,16 +577,22 @@ impl AnalysisSession {
     /// transitive callee fingerprints changed since the previous call (or
     /// the persisted store), then updates the warm state and re-saves the
     /// store. Only the files whose name and text are new since the previous
-    /// call are parsed; lowering always covers every file, so the module
-    /// is the one a cold compile gives.
+    /// call are parsed, and when the file names are the previous call's,
+    /// only those files are lowered again; the module is always exactly
+    /// the one a cold compile gives.
     pub fn analyze(&mut self, request: &AnalysisRequest) -> Result<SessionOutcome, SessionError> {
         let start = Instant::now();
         if request.files.is_empty() {
             return Err(SessionError::EmptyRequest);
         }
-        let (module, parsed_files) = self.front_end.compile(&request.files).map_err(|diags| {
+        let compiled = self.front_end.compile(&request.files).map_err(|diags| {
             SessionError::Compile(diags.iter().map(ToString::to_string).collect())
         })?;
+        let mut lowered = self
+            .front_end
+            .lowered
+            .take()
+            .expect("a compiled request keeps its module");
         let compile_ns = start.elapsed().as_nanos() as u64;
         self.telemetry
             .record_direct(|sink| sink.record_ns("driver.serve.compile", compile_ns));
@@ -544,11 +601,14 @@ impl AnalysisSession {
         // scopes (collection, fingerprinting, splicing, store writing)
         // must not take down a long-lived session — or the serve worker
         // wrapping it. Warm state may be half-updated at the panic point,
-        // so it is discarded wholesale.
+        // so it is discarded wholesale, and the module with it.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_compiled(module, parsed_files, start)
+            self.analyze_compiled(lowered.module_mut(), &compiled, start)
         })) {
-            Ok(outcome) => Ok(outcome),
+            Ok(outcome) => {
+                self.front_end.lowered = Some(lowered);
+                Ok(outcome)
+            }
             Err(payload) => {
                 self.reset_warm();
                 Err(SessionError::Internal(crate::driver::panic_reason(
@@ -558,10 +618,10 @@ impl AnalysisSession {
         }
     }
 
-    /// Discards the in-memory warm state and the parsed units so the next
-    /// request cold-starts. Used after a contained internal panic, when the
-    /// warm image can no longer be trusted to mirror either the sources or
-    /// the store.
+    /// Discards the in-memory warm state, the parsed units and the kept
+    /// module so the next request cold-starts. Used after a contained
+    /// internal panic, when the warm image can no longer be trusted to
+    /// mirror either the sources or the store.
     pub(crate) fn reset_warm(&mut self) {
         self.front_end = FrontEnd::default();
         self.warm = None;
@@ -572,8 +632,8 @@ impl AnalysisSession {
     /// The incremental pipeline on a compiled module.
     fn analyze_compiled(
         &mut self,
-        mut module: Module,
-        parsed_files: u64,
+        module: &mut Module,
+        compiled: &Compiled,
         start: Instant,
     ) -> SessionOutcome {
         let tel_on = self.telemetry.is_enabled();
@@ -581,62 +641,83 @@ impl AnalysisSession {
         let config = &self.config;
         faultinject::maybe_panic(config.fault_plan.as_deref(), "session.analyze", "");
 
-        let (roots, call_graph) = self.collect(&mut module);
+        let (roots, call_graph) = self.collect(module);
+        let module = &*module;
 
         // Change detection. `fps` is `None` when function names are
         // ambiguous — then nothing can be cached and every root is dirty.
+        // After an in-place lowering only the functions lowered again are
+        // fingerprinted; the kept fingerprints cover every other one.
         let fp_start = Instant::now();
-        let fps = ModuleFingerprints::build(&module);
+        let prev = self.warm.take();
+        let warm_start = prev.is_some();
+        let (prev_fps, prev_roots) = match prev {
+            Some(w) => (Some(w.fps), w.roots),
+            None => (None, Vec::new()),
+        };
+        let (fps, changed_functions, functions_unchanged) =
+            match (compiled.relowered.as_deref(), prev_fps) {
+                (Some(funcs), Some(mut fps)) => {
+                    let changed = fps.refresh(module, funcs);
+                    (Some(fps), changed, changed == 0)
+                }
+                (_, prev_fps) => {
+                    let fps = ModuleFingerprints::build(module);
+                    let (changed, unchanged) = match (&fps, &prev_fps) {
+                        (Some(f), Some(p)) => (f.db.changed_since(&p.db), f.db == p.db),
+                        (Some(f), None) => (f.db.entries.len() as u64, false),
+                        (None, _) => (module.functions().len() as u64, false),
+                    };
+                    (fps, changed, unchanged)
+                }
+            };
         let closures: Vec<u64> = match &fps {
             Some(fps) => fps.closure_fps(&call_graph, &roots, config.resolve_fptrs),
             None => vec![0; roots.len()],
-        };
-        let db = fps.map(|fps| fps.db);
-        let warm_start = self.warm.is_some();
-        let changed_functions = match (&db, &self.warm) {
-            (Some(db), Some(warm)) => db.changed_since(&warm.functions),
-            (Some(db), None) => db.entries.len() as u64,
-            (None, _) => module.functions().len() as u64,
         };
 
         // Classify each root: clean roots resolve their cached candidates
         // against the new module up front — a resolution failure demotes
         // the root to dirty (never to a wrong answer).
-        let warm_by_name: HashMap<&str, &StoredRoot> = self
-            .warm
-            .as_ref()
-            .map(|w| w.roots.iter().map(|r| (r.root.as_str(), r)).collect())
-            .unwrap_or_default();
-        let file_ids = persist::file_ids(&module);
-        enum Plan<'a> {
-            Clean(&'a StoredRoot, Vec<PossibleBug>),
+        let file_ids = persist::file_ids(module);
+        enum Plan {
+            /// The index of the root's stored result, resolved.
+            Clean(usize, Vec<PossibleBug>),
             Dirty,
         }
-        let plans: Vec<Plan> = roots
-            .iter()
-            .zip(&closures)
-            .map(|(&root, &closure_fp)| {
-                if db.is_none() {
-                    return Plan::Dirty;
-                }
-                let name = module.function(root).name();
-                let Some(&stored) = warm_by_name.get(name) else {
-                    return Plan::Dirty;
-                };
-                if stored.closure_fp != closure_fp {
-                    return Plan::Dirty;
-                }
-                let resolved: Option<Vec<PossibleBug>> = stored
-                    .candidates
-                    .iter()
-                    .map(|b| b.resolve(&module, &file_ids, root))
-                    .collect();
-                match resolved {
-                    Some(candidates) => Plan::Clean(stored, candidates),
-                    None => Plan::Dirty,
-                }
-            })
-            .collect();
+        let plans: Vec<Plan> = {
+            let stored_by_name: HashMap<&str, usize> = prev_roots
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.root.as_str(), i))
+                .collect();
+            roots
+                .iter()
+                .zip(&closures)
+                .map(|(&root, &closure_fp)| {
+                    if fps.is_none() {
+                        return Plan::Dirty;
+                    }
+                    let name = module.function(root).name();
+                    let Some(&at) = stored_by_name.get(name) else {
+                        return Plan::Dirty;
+                    };
+                    let stored = &prev_roots[at];
+                    if stored.closure_fp != closure_fp {
+                        return Plan::Dirty;
+                    }
+                    let resolved: Option<Vec<PossibleBug>> = stored
+                        .candidates
+                        .iter()
+                        .map(|b| b.resolve(module, &file_ids, root))
+                        .collect();
+                    match resolved {
+                        Some(candidates) => Plan::Clean(at, candidates),
+                        None => Plan::Dirty,
+                    }
+                })
+                .collect()
+        };
         let dirty_ids: Vec<pata_ir::FuncId> = roots
             .iter()
             .zip(&plans)
@@ -649,7 +730,11 @@ impl AnalysisSession {
             clean_roots: (roots.len() - dirty_ids.len()) as u64,
             changed_functions,
             warm_start,
-            parsed_files,
+            parsed_files: compiled.parsed_files,
+            lowered_functions: match &compiled.relowered {
+                Some(funcs) => funcs.len(),
+                None => module.functions().len(),
+            } as u64,
         };
         let fingerprint_ns = fp_start.elapsed().as_nanos() as u64;
         if tel_on {
@@ -667,22 +752,28 @@ impl AnalysisSession {
             });
         }
 
-        // Explore the dirty roots, splice clean results from the cache.
-        let mut stats = module_stats(&module);
-        let runs = self.explore(&module, &checkers, &dirty_ids, &mut stats);
+        // Explore the dirty roots; clean roots move their stored results
+        // into the new warm state.
+        let mut stats = module_stats(module);
+        let runs = self.explore(module, &checkers, &dirty_ids, &mut stats);
         let mut runs_iter = runs.into_iter();
         let mut candidates: Vec<PossibleBug> = Vec::new();
         let mut notes: Vec<BudgetNote> = Vec::new();
         let mut degraded: Vec<DegradedRoot> = Vec::new();
+        let prev_root_count = prev_roots.len();
+        let mut prev_roots: Vec<Option<StoredRoot>> = prev_roots.into_iter().map(Some).collect();
         let mut new_roots: Vec<StoredRoot> = Vec::with_capacity(roots.len());
         for ((&root, closure_fp), plan) in roots.iter().zip(&closures).zip(plans) {
             match plan {
-                Plan::Clean(stored, resolved) => {
+                Plan::Clean(at, resolved) => {
+                    let stored = prev_roots[at]
+                        .take()
+                        .expect("a stored result serves one root");
                     stats += &stored.stats;
                     candidates.extend(resolved);
                     notes.extend(stored.note.clone());
                     degraded.extend(stored.degraded.clone());
-                    new_roots.push(stored.clone());
+                    new_roots.push(stored);
                 }
                 Plan::Dirty => {
                     let run: RootRun = runs_iter
@@ -706,7 +797,7 @@ impl AnalysisSession {
                             candidates: run
                                 .candidates
                                 .iter()
-                                .map(|b| StoredBug::from_possible(b, &module))
+                                .map(|b| StoredBug::from_possible(b, module))
                                 .collect(),
                             stats: run.stats,
                             note: run.note.clone(),
@@ -719,8 +810,9 @@ impl AnalysisSession {
                 }
             }
         }
+        drop(prev_roots);
 
-        let result = self.filter(&module, candidates, &mut stats);
+        let result = self.filter(module, candidates, &mut stats);
         degraded.extend(result.failures);
         stats.time = start.elapsed();
 
@@ -728,20 +820,15 @@ impl AnalysisSession {
         // clean request (the same function database, no dirty roots, the
         // same root count, no new validation verdicts) would rewrite the
         // store with the same content — skip the redundant serialization.
-        let prev = self.warm.take().map(|w| (w.functions, w.roots.len()));
-        self.warm = db.map(|functions| WarmState {
-            functions,
-            roots: new_roots,
-        });
         let store_unchanged = self.store_synced
             && incremental.dirty_roots == 0
             && self.cache.len() == self.synced_validation_len
-            && match (&prev, &self.warm) {
-                (Some((functions, roots)), Some(w)) => {
-                    *functions == w.functions && *roots == w.roots.len()
-                }
-                _ => false,
-            };
+            && functions_unchanged
+            && prev_root_count == new_roots.len();
+        self.warm = fps.map(|fps| WarmState {
+            fps,
+            roots: new_roots,
+        });
         if store_unchanged {
             // Nothing to write; the on-disk store already matches.
         } else if let (Some(path), Some(warm)) = (&self.store_path, &self.warm) {
@@ -752,8 +839,8 @@ impl AnalysisSession {
             };
             let store = StoreDoc {
                 config_fp: self.config_fp,
-                corpus_fp: warm.functions.corpus_fingerprint(),
-                functions: &warm.functions,
+                corpus_fp: warm.fps.db.corpus_fingerprint(),
+                functions: &warm.fps.db,
                 roots: &warm.roots,
                 validation: &validation,
             };
@@ -798,6 +885,9 @@ fn module_stats(module: &Module) -> AnalysisStats {
         ..AnalysisStats::default()
     }
 }
+
+#[cfg(test)]
+mod exactness;
 
 #[cfg(test)]
 mod tests {

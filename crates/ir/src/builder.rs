@@ -9,6 +9,9 @@ use crate::inst::{BinOp, Callee, CmpOp, ConstVal, Inst, InstKind, Loc, Operand, 
 use crate::intern::Symbol;
 use crate::module::{Category, FileId, FuncId, Module};
 use crate::types::Type;
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Incrementally builds one [`Function`] inside a [`Module`].
 ///
@@ -93,7 +96,7 @@ impl<'m> FunctionBuilder<'m> {
     /// Declares a formal parameter.
     pub fn param(&mut self, name: &str, ty: Type) -> VarId {
         let v = self.module.add_var(VarInfo {
-            name: name.to_owned(),
+            name: Cow::Owned(name.to_owned()),
             ty,
             kind: VarKind::Param,
             func: Some(self.id),
@@ -106,7 +109,7 @@ impl<'m> FunctionBuilder<'m> {
     /// [`FunctionBuilder::alloca`]).
     pub fn local(&mut self, name: &str, ty: Type) -> VarId {
         self.module.add_var(VarInfo {
-            name: name.to_owned(),
+            name: Cow::Owned(name.to_owned()),
             ty,
             kind: VarKind::Local,
             func: Some(self.id),
@@ -331,8 +334,14 @@ impl<'m> FunctionBuilder<'m> {
     ///
     /// Any block never given a real terminator stays `Unreachable`, which
     /// [`crate::verify_function`] reports unless the block is genuinely
-    /// unreachable.
-    pub fn finish(self) -> FuncId {
+    /// unreachable. The function's lists are cut to their length: a
+    /// session keeps its module alive across requests.
+    pub fn finish(mut self) -> FuncId {
+        for block in &mut self.blocks {
+            block.insts.shrink_to_fit();
+        }
+        self.blocks.shrink_to_fit();
+        self.params.shrink_to_fit();
         let func = Function {
             id: self.id,
             name: self.name,
@@ -348,24 +357,28 @@ impl<'m> FunctionBuilder<'m> {
     }
 }
 
-/// `t{n}`, spelled without the formatting machinery: lowering names a
-/// temporary for nearly every instruction.
-fn temp_name(n: u32) -> String {
-    let mut digits = [0u8; 10];
-    let mut at = digits.len();
-    let mut rest = n;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+/// Temporaries numbered below this get a static name.
+const STATIC_TEMP_NAMES: u32 = 1024;
+
+/// `t{n}`: lowering names a temporary for nearly every instruction. Below
+/// [`STATIC_TEMP_NAMES`] the name is a slice of one string built once per
+/// process, so it costs no allocation.
+fn temp_name(n: u32) -> Cow<'static, str> {
+    static NAMES: OnceLock<(String, Vec<usize>)> = OnceLock::new();
+    if n >= STATIC_TEMP_NAMES {
+        return Cow::Owned(format!("t{n}"));
     }
-    let mut name = String::with_capacity(1 + digits.len() - at);
-    name.push('t');
-    name.extend(digits[at..].iter().map(|&d| char::from(d)));
-    name
+    let (text, ends) = NAMES.get_or_init(|| {
+        let mut text = String::new();
+        let mut ends = vec![0];
+        for i in 0..STATIC_TEMP_NAMES {
+            let _ = write!(text, "t{i}");
+            ends.push(text.len());
+        }
+        (text, ends)
+    });
+    let n = n as usize;
+    Cow::Borrowed(&text[ends[n]..ends[n + 1]])
 }
 
 #[cfg(test)]
@@ -418,8 +431,9 @@ mod tests {
 
     #[test]
     fn temp_names_are_decimal() {
-        for n in [0, 7, 10, 99, 1_234, u32::MAX] {
+        for n in [0, 7, 10, 99, 1_023, 1_024, 1_234, u32::MAX] {
             assert_eq!(temp_name(n), format!("t{n}"));
         }
+        assert!(matches!(temp_name(1_023), Cow::Borrowed(_)));
     }
 }

@@ -8,6 +8,7 @@
 use crate::inst::{Inst, InstId, Loc, Terminator};
 use crate::module::{Category, FileId, FuncId};
 use crate::types::Type;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A module-global variable identifier.
@@ -71,8 +72,9 @@ pub enum VarKind {
 /// Metadata for one variable.
 #[derive(Debug, Clone)]
 pub struct VarInfo {
-    /// Source-level name (`p`, or a generated name like `t12` for temps).
-    pub name: String,
+    /// Source-level name (`p`, or a generated name like `t12` for temps;
+    /// most temporaries' names are static and cost no allocation).
+    pub name: Cow<'static, str>,
     /// Static type.
     pub ty: Type,
     /// Storage kind.
@@ -187,6 +189,18 @@ impl Function {
     /// information collector).
     pub fn set_interface(&mut self, value: bool) {
         self.is_interface = value;
+    }
+
+    /// Applies `f` to every variable the function names: its parameters and
+    /// every operand of its instructions and terminators.
+    pub(crate) fn for_each_var_mut(&mut self, mut f: impl FnMut(&mut VarId)) {
+        self.params.iter_mut().for_each(&mut f);
+        for block in &mut self.blocks {
+            for inst in &mut block.insts {
+                inst.kind.for_each_var_mut(&mut f);
+            }
+            block.term.for_each_var_mut(&mut f);
+        }
     }
 
     /// Total number of instructions including terminators.

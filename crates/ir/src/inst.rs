@@ -490,6 +490,55 @@ impl InstKind {
         }
         out
     }
+
+    /// Applies `f` to every variable this instruction defines or reads.
+    pub(crate) fn for_each_var_mut(&mut self, mut f: impl FnMut(&mut VarId)) {
+        fn operand(op: &mut Operand, f: &mut impl FnMut(&mut VarId)) {
+            if let Operand::Var(v) = op {
+                f(v);
+            }
+        }
+        match self {
+            InstKind::Move { dst, src }
+            | InstKind::AddrOf { dst, src }
+            | InstKind::Load { dst, addr: src }
+            | InstKind::Gep { dst, base: src, .. } => {
+                f(dst);
+                f(src);
+            }
+            InstKind::Const { dst, .. }
+            | InstKind::FuncAddr { dst, .. }
+            | InstKind::Alloca { dst, .. }
+            | InstKind::Malloc { dst } => f(dst),
+            InstKind::Store { addr, val } => {
+                f(addr);
+                operand(val, &mut f);
+            }
+            InstKind::Index { dst, base, index } => {
+                f(dst);
+                f(base);
+                operand(index, &mut f);
+            }
+            InstKind::Bin { dst, lhs, rhs, .. } | InstKind::Cmp { dst, lhs, rhs, .. } => {
+                f(dst);
+                operand(lhs, &mut f);
+                operand(rhs, &mut f);
+            }
+            InstKind::Call { dst, callee, args } => {
+                if let Some(d) = dst {
+                    f(d);
+                }
+                if let Callee::Indirect(v) = callee {
+                    f(v);
+                }
+                for a in args {
+                    operand(a, &mut f);
+                }
+            }
+            InstKind::Free { ptr } | InstKind::Memset { ptr } => f(ptr),
+            InstKind::Lock { obj } | InstKind::Unlock { obj } => f(obj),
+        }
+    }
 }
 
 /// An instruction together with its source location.
@@ -540,6 +589,15 @@ impl Terminator {
                 then_bb, else_bb, ..
             } => vec![*then_bb, *else_bb],
             Terminator::Ret(_) | Terminator::Unreachable => vec![],
+        }
+    }
+
+    /// Applies `f` to the variable this terminator reads, if any.
+    pub(crate) fn for_each_var_mut(&mut self, mut f: impl FnMut(&mut VarId)) {
+        match self {
+            Terminator::Branch { cond, .. } => f(cond),
+            Terminator::Ret(Some(Operand::Var(v))) => f(v),
+            Terminator::Jump(_) | Terminator::Ret(_) | Terminator::Unreachable => {}
         }
     }
 }

@@ -77,6 +77,11 @@ impl Interner {
         &self.strings[sym.index()]
     }
 
+    /// The interned strings, in symbol order.
+    pub fn strings(&self) -> impl Iterator<Item = &str> {
+        self.strings.iter().map(String::as_str)
+    }
+
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()

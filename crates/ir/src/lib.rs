@@ -54,7 +54,9 @@ pub use cfg::{Cfg, ReversePostorder};
 pub use function::{Block, BlockId, Function, VarId, VarInfo, VarKind};
 pub use inst::{BinOp, Callee, CmpOp, ConstVal, Inst, InstId, InstKind, Loc, Operand, Terminator};
 pub use intern::{Interner, Symbol};
-pub use module::{Category, FileId, FuncId, Module, SourceFile, StructDef, StructId};
+pub use module::{
+    Category, DetachedFunctions, FileId, FuncId, Module, SourceFile, StructDef, StructId,
+};
 pub use printer::{function_text, print_module};
 pub use types::Type;
 pub use verify::{verify_function, verify_module, VerifyError};

@@ -9,6 +9,7 @@ use crate::intern::{Interner, Symbol};
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A function identifier within a [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,6 +153,18 @@ pub struct SourceFile {
     pub category: Category,
 }
 
+/// The functions [`Module::detach_functions`] took out of a module, kept
+/// for [`Module::splice_functions`].
+#[derive(Debug)]
+pub struct DetachedFunctions {
+    functions: Vec<Function>,
+    /// The id of the first detached function.
+    first: usize,
+    /// The variable count at detaching: the variables added since belong
+    /// to the functions lowered again.
+    vars_from: usize,
+}
+
 /// A whole-program PIR module.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
@@ -249,7 +262,7 @@ impl Module {
     /// Creates a module-level global variable.
     pub fn add_global(&mut self, name: &str, ty: Type) -> VarId {
         let id = self.add_var(VarInfo {
-            name: name.to_owned(),
+            name: name.to_owned().into(),
             ty,
             kind: VarKind::Global,
             func: None,
@@ -316,6 +329,84 @@ impl Module {
         self.func_by_name.get(name).copied()
     }
 
+    /// Cuts the module's tables to their length (a session keeps its
+    /// module alive across requests).
+    pub fn shrink_to_fit(&mut self) {
+        self.functions.shrink_to_fit();
+        self.vars.shrink_to_fit();
+        self.globals.shrink_to_fit();
+        self.structs.shrink_to_fit();
+        self.files.shrink_to_fit();
+    }
+
+    /// Sets a file's line count (a file lowered again in place may have
+    /// gained or lost lines).
+    pub fn set_file_lines(&mut self, id: FileId, lines: u32) {
+        self.files[id.index()].lines = lines;
+    }
+
+    /// Takes out every function from `first` on, so that a run of functions
+    /// can be lowered again at their old ids: the next function added gets
+    /// id `first`. [`Module::splice_functions`] puts the rest back.
+    pub fn detach_functions(&mut self, first: FuncId) -> DetachedFunctions {
+        DetachedFunctions {
+            functions: self.functions.split_off(first.index()),
+            first: first.index(),
+            vars_from: self.vars.len(),
+        }
+    }
+
+    /// Finishes an in-place re-lowering begun by [`Module::detach_functions`].
+    ///
+    /// The functions added since then replace the first `replaced` detached
+    /// functions, and the variables they added replace `old_vars`, the
+    /// variables of the replaced functions. The other detached functions
+    /// come back after them, with every variable id at or above
+    /// `old_vars.end` moved by the change in length (no pass at all when
+    /// the length is unchanged). Returns the new range of the replacing
+    /// variables.
+    ///
+    /// The renumbering is exact because a function names only its own
+    /// variables, which are contiguous, and globals, which come before
+    /// every function's variables.
+    pub fn splice_functions(
+        &mut self,
+        detached: DetachedFunctions,
+        replaced: usize,
+        old_vars: Range<usize>,
+    ) -> Range<usize> {
+        let DetachedFunctions {
+            functions: tail,
+            first,
+            vars_from,
+        } = detached;
+        debug_assert!(old_vars.end <= vars_from);
+        let new_vars = self.vars.split_off(vars_from);
+        let new_range = old_vars.start..old_vars.start + new_vars.len();
+        for f in &mut self.functions[first..] {
+            f.for_each_var_mut(|v| {
+                if v.index() >= vars_from {
+                    *v = VarId::from_index(v.index() - vars_from + new_range.start);
+                }
+            });
+        }
+        let old_end = old_vars.end;
+        self.vars.splice(old_vars, new_vars);
+        self.vars.shrink_to_fit();
+        let moved = |i: usize| i + new_range.end - old_end;
+        for mut f in tail.into_iter().skip(replaced) {
+            if new_range.end != old_end {
+                f.for_each_var_mut(|v| {
+                    if v.index() >= old_end {
+                        *v = VarId::from_index(moved(v.index()));
+                    }
+                });
+            }
+            self.functions.push(f);
+        }
+        new_range
+    }
+
     /// Total lines of code across all files (Table 4/5 accounting).
     pub fn total_loc(&self) -> u64 {
         self.files.iter().map(|f| u64::from(f.lines)).sum()
@@ -363,6 +454,65 @@ mod tests {
         assert_eq!(m.globals(), &[g]);
         assert_eq!(m.var(g).kind, VarKind::Global);
         assert_eq!(m.var(g).name, "jiffies");
+    }
+
+    /// Builds `f0`, `f1`, `f2` in one file: `f1` with `locals` extra locals,
+    /// the others with one; each loads through its parameter into a global.
+    fn three_functions(m: &mut Module, locals: usize) {
+        let file = m.add_file("t.c");
+        let g = m.add_global("g", Type::Int);
+        for (name, n) in [("f0", 1), ("f1", locals), ("f2", 1)] {
+            let mut b = crate::FunctionBuilder::new(m, name, file);
+            let p = b.param("p", Type::ptr(Type::Int));
+            for i in 0..n {
+                let x = b.local(&format!("x{i}"), Type::Int);
+                b.load(x, p, 1);
+                b.mov(g, x, 2);
+            }
+            b.ret(Some(crate::Operand::Var(p)), 3);
+            b.finish();
+        }
+    }
+
+    #[test]
+    fn splicing_a_relowered_function_renumbers_the_ones_after_it() {
+        for (old, new) in [(1, 3), (3, 1), (2, 2)] {
+            let mut kept = Module::new();
+            three_functions(&mut kept, old);
+            let f1 = kept.function_by_name("f1").unwrap();
+            let old_vars = {
+                let f = kept.function(f1);
+                let first = f.params()[0].index();
+                first..first + 1 + old
+            };
+            // Lower `f1` again, with `new` locals, at its old id.
+            let detached = kept.detach_functions(f1);
+            let mut b = crate::FunctionBuilder::new(&mut kept, "f1", FileId::from_index(0));
+            assert_eq!(b.func_id(), f1);
+            let p = b.param("p", Type::ptr(Type::Int));
+            let g = VarId::from_index(0);
+            for i in 0..new {
+                let x = b.local(&format!("x{i}"), Type::Int);
+                b.load(x, p, 1);
+                b.mov(g, x, 2);
+            }
+            b.ret(Some(crate::Operand::Var(p)), 3);
+            b.finish();
+            let spliced = kept.splice_functions(detached, 1, old_vars.clone());
+            assert_eq!(spliced, old_vars.start..old_vars.start + 1 + new);
+
+            let mut cold = Module::new();
+            three_functions(&mut cold, new);
+            assert_eq!(crate::print_module(&kept), crate::print_module(&cold));
+            assert_eq!(kept.var_count(), cold.var_count());
+            for i in 0..cold.var_count() {
+                let (k, c) = (
+                    kept.var(VarId::from_index(i)),
+                    cold.var(VarId::from_index(i)),
+                );
+                assert_eq!((&k.name, k.func), (&c.name, c.func), "var {i}");
+            }
+        }
     }
 
     #[test]

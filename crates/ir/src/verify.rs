@@ -137,7 +137,7 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
                                 func: func.name().to_owned(),
                                 block: bi,
                                 inst: ii,
-                                var: info.name.clone(),
+                                var: info.name.to_string(),
                             });
                         }
                     }

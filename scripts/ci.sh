@@ -143,10 +143,11 @@ echo "counter exactness OK"
 echo "== serve round-trip (smoke)"
 # Start a daemon on a unix socket, analyze the generated corpus, touch one
 # corpus function (a new file with one new root), re-analyze, and check
-# that only the touched root was re-explored and only the new file parsed.
-# Then add a local to the first corpus file and check that only that
-# function changed and only that file was parsed again. Then shut the
-# daemon down cleanly through the client.
+# that only the touched root was re-explored and only the new file parsed;
+# the file list changed, so every function was lowered. Then add a local
+# to the first corpus file and check that only that function changed,
+# only that file was parsed again and only its functions were lowered
+# again. Then shut the daemon down cleanly through the client.
 sock="$tmp_dir/pata.sock"
 cargo run -q --release --bin pata -- serve --socket "$sock" \
     --store "$tmp_dir/serve-store.json" &
@@ -176,6 +177,11 @@ echo "$second" | grep -q '"changed_functions": 1,' \
 # file is parsed.
 echo "$second" | grep -q '"parsed_files": 1}' \
     || { echo "serve: second request must parse exactly the new file"; exit 1; }
+# A new file changes the file list, so the whole module is lowered.
+all_fns=$(cargo run -q --release --bin pata -- ir "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c" \
+    | grep -c '^fn ')
+echo "$second" | grep -q "\"lowered_functions\": $all_fns," \
+    || { echo "serve: second request must lower all $all_fns functions"; exit 1; }
 # Insert a local on an existing line of the first corpus file's first
 # function. That renumbers every variable lowered after it, but function
 # fingerprints are numbering-independent: exactly one function changes.
@@ -192,10 +198,15 @@ echo "$third" | grep -q '"changed_functions": 1,' \
     || { echo "serve: renumbering edit must change exactly one function"; exit 1; }
 echo "$third" | grep -q '"parsed_files": 1}' \
     || { echo "serve: third request must parse exactly the edited file"; exit 1; }
+# The file list is the second request's, so only the edited file is
+# lowered again, in place.
+first_fns=$(cargo run -q --release --bin pata -- ir "$first_file" | grep -c '^fn ')
+echo "$third" | grep -q "\"lowered_functions\": $first_fns," \
+    || { echo "serve: third request must lower exactly the $first_fns functions of the edited file"; exit 1; }
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: daemon exited non-zero"; exit 1; }
-echo "serve round-trip OK (second request re-explored 1 root, third changed 1 function, each parsed 1 file)"
+echo "serve round-trip OK (second request re-explored 1 root and lowered all $all_fns functions, third changed 1 function and lowered $first_fns, each parsed 1 file)"
 
 echo "== fault-injection smoke matrix"
 # Inject a panic, a validation panic, a deadline trip, and a store IO
