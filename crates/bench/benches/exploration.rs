@@ -4,7 +4,7 @@
 //! The comparison isolates the copy-on-write path-state
 //! representation: branch forking through the undo journal (`cow_state`,
 //! the default) must deliver at least 2x the live-step throughput of
-//! literal clone-based forking (`--no-cow-state`). Both must explore the
+//! literal clone-based forking (`cow_state(false)`). Both must explore the
 //! same paths and produce bit-identical report documents at thread counts
 //! 1, 2 and 4.
 //!

@@ -72,7 +72,8 @@ pub struct AnalysisConfig {
     /// shared [`crate::validate::ValidationCache`] (canonicalized keys, so
     /// α-equivalent constraint systems are solved once across candidates
     /// and runs). Verdict-neutral: only timing and the hit/miss counters
-    /// change. Disable with `--no-validation-cache` to measure the benefit.
+    /// change. Disable to measure the benefit (a differential oracle for
+    /// the equivalence tests and benches; there is no CLI flag).
     pub validation_cache: bool,
     /// Number of worker threads for root-level parallelism (0 = all cores).
     pub threads: usize,
@@ -93,8 +94,8 @@ pub struct AnalysisConfig {
     /// graph, typestate table, path-local maps, frames and constraint
     /// trace at every fork) — observationally identical, and useful as a
     /// differential oracle and as the baseline for the
-    /// `driver.explore.fork.*` cost telemetry. Disable with
-    /// `--no-cow-state` to measure.
+    /// `driver.explore.fork.*` cost telemetry (set by the equivalence tests
+    /// and benches; there is no CLI flag).
     pub cow_state: bool,
     /// Per-root wall-clock deadline in milliseconds, checked at branch fork
     /// points. `0` disables the deadline. A root that exceeds it is demoted

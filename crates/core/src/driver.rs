@@ -329,10 +329,10 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Recovers a scheduler-lock guard from poisoning. The queues hold plain
-/// `usize` indices and `collected` grows by whole-`RootRun` pushes, so a
-/// panicking worker (already contained by `run_one_root`; this is defense
-/// in depth) cannot leave either in a half-written state.
+/// Recovers a scheduler-lock guard from poisoning. `collected` grows by
+/// whole-`RootRun` pushes, so a panicking worker (already contained by
+/// `run_one_root`; this is defense in depth) cannot leave it in a
+/// half-written state.
 fn lock_ok<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -1177,7 +1177,7 @@ mod tests {
     /// quarantined root's half-rolled-back state, and still finds its bug.
     #[test]
     fn a_panicking_root_leaves_a_fresh_workspace() {
-        use super::{run_one_root, Workspace};
+        use super::{run_one_root, Explorer, Workspace};
         use crate::faultinject::FaultPlan;
         use crate::telemetry::TelemetrySink;
         use std::sync::Arc;
@@ -1217,7 +1217,9 @@ mod tests {
         assert_eq!(ws.capacity(), 0, "the panicked workspace was replaced");
 
         let (after, failure) = run(&plain, roots[1], &mut ws, &mut sink);
-        let fresh = crate::path::Explorer::new(&module, &plain, &checkers, roots[1]).explore();
+        let (fresh, _) =
+            Explorer::with_workspace(&module, &plain, &checkers, roots[1], Workspace::default())
+                .run();
         assert!(failure.is_none());
         assert_eq!(
             format!("{:?}", after.candidates),

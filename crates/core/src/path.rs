@@ -18,9 +18,15 @@
 //! bytes copied vs shared, undo-journal depth) quantifies the win against.
 //!
 //! Loops and recursion are unrolled once: a successor block already on the
-//! current within-frame DFS stack is not re-entered, and a callee already on
-//! the call stack is treated as opaque (the paper's Fig. 6 lines 32-38 and
-//! §3.1 soundness discussion).
+//! current within-frame DFS stack is not re-entered, and a callee that
+//! already has a frame on the path is treated as opaque (the paper's Fig. 6
+//! lines 32-38 and §3.1 soundness discussion).
+//!
+//! The walk is one loop over an explicit work stack in the [`Workspace`]:
+//! each task is what a recursive walk would do when control came back to
+//! it (leave a block, undo a fork, run the else-arm, put a callee's frame
+//! back), so a path's length or call depth never grows the thread's
+//! stack.
 //!
 //! Every step runs live: nothing recorded on one path is replayed on
 //! another (DESIGN.md "No reuse cache in stage 1").
@@ -37,8 +43,11 @@
 //! ## Calls (paper Fig. 6, HandleCALL)
 //!
 //! A direct call is inlined: actual arguments `MOVE` into formal parameters
-//! (making them aliases), the callee is explored as a continuation of the
-//! same path, and its `return` value `MOVE`s into the caller's destination.
+//! (making them aliases), and the callee's frame is pushed with its return
+//! site (the caller's block, the instruction after the call and the
+//! destination). Each `return` `MOVE`s its value into that destination and
+//! resumes the caller there, so every path through the callee continues
+//! through the rest of the caller before the callee's next path runs.
 //! External and indirect callees are opaque (PATA does not resolve
 //! function pointers, §7); their pointer arguments conservatively escape.
 //!
@@ -95,6 +104,9 @@ struct Frame {
     visited: Vec<u32>,
     /// Heap objects allocated while this frame was active.
     heap_objects: Vec<HeapObject>,
+    /// Where this activation's paths continue in its caller (the frame
+    /// below); `None` for the root.
+    ret: Option<RetSite>,
 }
 
 impl Frame {
@@ -116,13 +128,45 @@ struct HeapPush {
     depth: u32,
 }
 
-/// A pending return site while a callee is being explored.
+/// A call's return site: the caller's block, the instruction after the
+/// call and the variable that receives the returned value.
 #[derive(Debug, Clone, Copy)]
-struct Cont {
-    func: FuncId,
+struct RetSite {
     block: BlockId,
     next_inst: usize,
     dst: Option<VarId>,
+}
+
+/// One piece of the depth-first walk still to do, on the workspace's work
+/// stack. Each is what a recursive walk would do when control came back to
+/// that point, so a step pushes its tasks in reverse of the order they run.
+/// Blocks are those of the top frame's function.
+#[derive(Debug)]
+enum Task {
+    /// Enter a block: budget check, loop-cut count, then its instructions.
+    Enter(BlockId),
+    /// Run a block from an instruction on: a caller after its callee
+    /// returned.
+    Resume(BlockId, usize),
+    /// Leave a block entered by `Enter`: undo its loop-cut count.
+    Leave(BlockId),
+    /// Fork for one successor of `block`'s branch, assert the predicate as
+    /// taken or not, and enter `succ`.
+    Arm {
+        pred: Option<PredDef>,
+        taken: bool,
+        block: BlockId,
+        succ: BlockId,
+    },
+    /// Roll a copy-on-write fork back.
+    Undo(FullMark),
+    /// Restore the clone fork on top of [`Workspace::snapshots`].
+    Restore,
+    /// Put back the frame of a callee whose caller ran on after its
+    /// return, for the callee's remaining paths.
+    Return(Frame),
+    /// Retire a finished callee's frame to [`Workspace::spare_frames`].
+    Retire,
 }
 
 /// A constraint operand as the explorer resolves it: an integer or the
@@ -216,9 +260,9 @@ struct FullMark {
 /// rollback CoW mode performs (the equivalence tests assert byte-identical
 /// reports across both). It exists as the measured baseline for the
 /// `driver.explore.fork.*` telemetry and as a differential oracle for the
-/// journaled mode. The continuation stack is deliberately absent: branch
-/// arms are call-balanced, so `conts` returns to its fork-time value on its
-/// own.
+/// journaled mode. The work stack is deliberately absent: every task an arm
+/// pushes has run before its `Restore`, so the stack is back at its
+/// fork-time height on its own.
 struct CloneSnapshot {
     graph: AliasGraph,
     states: StateTable,
@@ -263,8 +307,10 @@ pub(crate) struct Workspace {
     /// Frames popped off `frames`, kept for their `visited` and
     /// `heap_objects` buffers; [`Explorer::new_frame`] reuses them.
     spare_frames: Vec<Frame>,
-    call_stack: Vec<FuncId>,
-    conts: Vec<Cont>,
+    /// The walk's work stack (see [`Task`]).
+    work: Vec<Task>,
+    /// Clone-mode fork snapshots, one per `Restore` on `work`.
+    snapshots: Vec<CloneSnapshot>,
     pending: Vec<PendingBug>,
     seen: FxHashMap<(crate::checkers::BugKind, InstId, InstId), u8>,
     /// Per-instruction alias-resolution scratch: filled in place and read
@@ -285,8 +331,7 @@ impl Workspace {
         self.heap_journal.clear();
         self.trace.clear();
         self.spare_frames.append(&mut self.frames);
-        self.call_stack.clear();
-        self.conts.clear();
+        debug_assert!(self.work.is_empty() && self.snapshots.is_empty());
         self.pending.clear();
         self.seen.clear();
     }
@@ -305,8 +350,8 @@ impl Workspace {
             + self.trace.capacity()
             + self.frames.capacity()
             + self.spare_frames.capacity()
-            + self.call_stack.capacity()
-            + self.conts.capacity()
+            + self.work.capacity()
+            + self.snapshots.capacity()
             + self.pending.capacity()
             + self.seen.capacity()
             + self.info.use_keys.capacity()
@@ -314,9 +359,9 @@ impl Workspace {
     }
 }
 
-/// The per-root path explorer. Construct one per analysis root via
-/// [`Explorer::new`] and run [`Explorer::explore`].
-pub struct Explorer<'a> {
+/// The per-root path explorer: one per analysis root, built by
+/// [`Explorer::with_workspace`] and run by [`Explorer::run`].
+pub(crate) struct Explorer<'a> {
     module: &'a Module,
     config: &'a AnalysisConfig,
     checkers: &'a [Box<dyn Checker>],
@@ -331,7 +376,7 @@ pub struct Explorer<'a> {
     exhausted: bool,
     candidates: Vec<PossibleBug>,
     /// Counters for this root (merged by the driver).
-    pub stats: AnalysisStats,
+    stats: AnalysisStats,
     /// Telemetry gate, latched once from `config.telemetry` at
     /// construction: the per-instruction cost when disabled is one branch.
     tel_enabled: bool,
@@ -391,34 +436,24 @@ pub(crate) const ALIAS_OP_NAMES: [&str; 7] = [
 ];
 
 /// The output of exploring one root.
-pub struct ExploreResult {
+pub(crate) struct ExploreResult {
     /// Candidate bugs (already path-locally deduplicated).
-    pub candidates: Vec<PossibleBug>,
+    pub(crate) candidates: Vec<PossibleBug>,
     /// This root's statistics.
-    pub stats: AnalysisStats,
+    pub(crate) stats: AnalysisStats,
     /// Alias-graph updates by rule, in move/const/load/store/gep/addr/index
     /// order; all zero unless [`crate::AnalysisConfig::telemetry`] is set.
     /// Plain counters rather than a sink: the driver sums arrays per worker
     /// and flushes the `alias.op.*` counters once per run, keeping the per-root
     /// cost away from map operations.
-    pub alias_ops: [u64; 7],
+    pub(crate) alias_ops: [u64; 7],
     /// Set when this root hit an exploration budget (which one).
-    pub budget_note: Option<BudgetNote>,
+    pub(crate) budget_note: Option<BudgetNote>,
     /// Branch-fork cost counters (all zero unless telemetry is enabled).
     pub(crate) fork_stats: ForkStats,
 }
 
 impl<'a> Explorer<'a> {
-    /// Creates an explorer for `root`.
-    pub fn new(
-        module: &'a Module,
-        config: &'a AnalysisConfig,
-        checkers: &'a [Box<dyn Checker>],
-        root: FuncId,
-    ) -> Self {
-        Self::with_workspace(module, config, checkers, root, Workspace::default())
-    }
-
     /// Creates an explorer for `root` that runs in `ws`, reset first; a
     /// worker passes the workspace its previous root gave back.
     pub(crate) fn with_workspace(
@@ -448,11 +483,6 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Runs the exploration and returns candidates plus statistics.
-    pub fn explore(self) -> ExploreResult {
-        self.run().0
-    }
-
     /// Runs the exploration and returns its result together with the
     /// workspace, for the worker's next root.
     pub(crate) fn run(mut self) -> (ExploreResult, Workspace) {
@@ -467,13 +497,39 @@ impl<'a> Explorer<'a> {
                     + std::time::Duration::from_millis(self.config.root_deadline_ms),
             );
         }
-        let frame = self.new_frame(self.root);
+        let frame = self.new_frame(self.root, None);
         self.ws.frames.push(frame);
-        self.ws.call_stack.push(self.root);
         let entry = self.module.function(self.root).entry();
-        let mut conts = std::mem::take(&mut self.ws.conts);
-        self.exec_block(self.root, entry, &mut conts);
-        self.ws.conts = conts;
+        self.ws.work.push(Task::Enter(entry));
+        while let Some(task) = self.ws.work.pop() {
+            match task {
+                Task::Enter(block) => {
+                    if self.budget_ok() {
+                        self.top_frame().visited[block.index()] += 1;
+                        self.ws.work.push(Task::Leave(block));
+                        self.exec_from(block, 0);
+                    }
+                }
+                Task::Resume(block, start) => self.exec_from(block, start),
+                Task::Leave(block) => self.top_frame().visited[block.index()] -= 1,
+                Task::Arm {
+                    pred,
+                    taken,
+                    block,
+                    succ,
+                } => self.exec_arm(pred, taken, block, succ),
+                Task::Undo(mark) => self.full_rollback(&mark),
+                Task::Restore => {
+                    let snap = self.ws.snapshots.pop().expect("snapshot");
+                    self.restore_snapshot(snap);
+                }
+                Task::Return(frame) => self.ws.frames.push(frame),
+                Task::Retire => {
+                    let frame = self.ws.frames.pop().expect("frame");
+                    self.ws.spare_frames.push(frame);
+                }
+            }
+        }
         if self.exhausted {
             self.stats.budget_exhausted_roots += 1;
         }
@@ -492,9 +548,10 @@ impl<'a> Explorer<'a> {
         (result, self.ws)
     }
 
-    /// A frame for `func` with a fresh serial (see [`Frame::serial`]),
-    /// built from a spare frame's buffers when there is one.
-    fn new_frame(&mut self, func: FuncId) -> Frame {
+    /// A frame for `func` returning to `ret`, with a fresh serial (see
+    /// [`Frame::serial`]), built from a spare frame's buffers when there
+    /// is one.
+    fn new_frame(&mut self, func: FuncId, ret: Option<RetSite>) -> Frame {
         let serial = self.frame_serial;
         self.frame_serial += 1;
         let blocks = self.module.function(func).blocks().len();
@@ -503,13 +560,19 @@ impl<'a> Explorer<'a> {
             serial,
             visited: Vec::new(),
             heap_objects: Vec::new(),
+            ret,
         });
         frame.func = func;
         frame.serial = serial;
         frame.visited.clear();
         frame.visited.resize(blocks, 0);
         frame.heap_objects.clear();
+        frame.ret = ret;
         frame
+    }
+
+    fn top_frame(&mut self) -> &mut Frame {
+        self.ws.frames.last_mut().expect("frame")
     }
 
     /// Counts one alias-graph update of rule `op` (index into
@@ -579,7 +642,6 @@ impl<'a> Explorer<'a> {
     }
 
     // ==============================================================
-    // Keys, symbols, terms    // ==============================================================
     // Keys, symbols, terms
     // ==============================================================
 
@@ -669,16 +731,10 @@ impl<'a> Explorer<'a> {
     // Checker dispatch
     // ==============================================================
 
-    /// Runs the checkers' instruction hook on `kind`, with the alias
-    /// resolution the caller left in the step scratch (`ws.info`).
-    fn run_checkers_inst(&mut self, kind: &InstKind, loc: Loc, inst_id: InstId) {
-        // Checker callbacks are arbitrary user code (CheckerRegistry); this
-        // is the site where a misbehaving checker's panic is simulated.
-        faultinject::maybe_panic(
-            self.config.fault_plan.as_deref(),
-            "checker",
-            self.module.function(self.root).name(),
-        );
+    /// Runs `f` on a checker context at `loc` / `inst_id` and the step
+    /// scratch (`ws.info`), then turns the bugs it reported into
+    /// candidates.
+    fn track(&mut self, loc: Loc, inst_id: InstId, f: impl FnOnce(&mut TrackCtx, &UpdateInfo)) {
         let graph = &self.ws.graph;
         let set_size = |k: TrackKey| match k {
             TrackKey::Node(n) => graph.alias_set_size(n),
@@ -693,52 +749,26 @@ impl<'a> Explorer<'a> {
             loc,
             inst_id,
         };
-        for c in self.checkers {
-            c.on_inst(&mut cx, kind, &self.ws.info);
-        }
+        f(&mut cx, &self.ws.info);
         self.flush_pending();
     }
 
-    fn run_checkers_branch(&mut self, ev: &BranchEvent) {
-        let graph = &self.ws.graph;
-        let set_size = |k: TrackKey| match k {
-            TrackKey::Node(n) => graph.alias_set_size(n),
-            TrackKey::Var(_) => 1,
-        };
-        let mut cx = TrackCtx {
-            states: &mut self.ws.states,
-            mode: self.config.alias_mode,
-            bugs: &mut self.ws.pending,
-            stats: &mut self.stats,
-            set_size: &set_size,
-            loc: ev.loc,
-            inst_id: ev.inst_id,
-        };
-        for c in self.checkers {
-            c.on_branch(&mut cx, ev);
-        }
-        self.flush_pending();
-    }
-
-    fn run_checkers_frame_end(&mut self, ev: &FrameEndEvent<'_>) {
-        let graph = &self.ws.graph;
-        let set_size = |k: TrackKey| match k {
-            TrackKey::Node(n) => graph.alias_set_size(n),
-            TrackKey::Var(_) => 1,
-        };
-        let mut cx = TrackCtx {
-            states: &mut self.ws.states,
-            mode: self.config.alias_mode,
-            bugs: &mut self.ws.pending,
-            stats: &mut self.stats,
-            set_size: &set_size,
-            loc: ev.loc,
-            inst_id: ev.inst_id,
-        };
-        for c in self.checkers {
-            c.on_frame_end(&mut cx, ev);
-        }
-        self.flush_pending();
+    /// Runs the checkers' instruction hook on `kind`, with the alias
+    /// resolution the caller left in the step scratch (`ws.info`).
+    fn run_checkers_inst(&mut self, kind: &InstKind, loc: Loc, inst_id: InstId) {
+        // Checker callbacks are arbitrary user code (CheckerRegistry); this
+        // is the site where a misbehaving checker's panic is simulated.
+        faultinject::maybe_panic(
+            self.config.fault_plan.as_deref(),
+            "checker",
+            self.module.function(self.root).name(),
+        );
+        let checkers = self.checkers;
+        self.track(loc, inst_id, |cx, info| {
+            for c in checkers {
+                c.on_inst(cx, kind, info);
+            }
+        });
     }
 
     /// How many distinct path snapshots are kept per problematic
@@ -887,40 +917,30 @@ impl<'a> Explorer<'a> {
         frame.visited[block.index()] < limit
     }
 
-    fn exec_block(&mut self, func: FuncId, block: BlockId, conts: &mut Vec<Cont>) {
-        if !self.budget_ok() {
-            return;
-        }
-        debug_assert_eq!(self.ws.frames.last().expect("frame").func, func);
-        self.ws.frames.last_mut().expect("frame").visited[block.index()] += 1;
-        self.exec_from(func, block, 0, conts);
-        self.ws.frames.last_mut().expect("frame").visited[block.index()] -= 1;
-    }
-
-    fn exec_from(&mut self, func: FuncId, block: BlockId, start: usize, conts: &mut Vec<Cont>) {
-        let f = self.module.function(func);
-        let b = f.block(block);
+    /// Runs `block` of the top frame from instruction `start` through its
+    /// terminator, or up to an inlined call.
+    fn exec_from(&mut self, block: BlockId, start: usize) {
+        let func = self.top_frame().func;
+        let b = self.module.function(func).block(block);
         for i in start..b.insts.len() {
             if !self.budget_ok() {
                 return;
             }
             self.stats.insts_processed += 1;
-            let inst = &b.insts[i];
             let inst_id = InstId {
                 func,
                 block,
                 inst: i,
             };
-            match self.apply_inst(func, inst_id, inst, conts) {
-                Flow::Continue => {}
-                Flow::EnteredCall => return, // rest ran via continuation
+            if self.apply_inst(inst_id, &b.insts[i]) {
+                return; // the rest runs when the callee returns
             }
         }
         self.stats.insts_processed += 1;
-        self.exec_terminator(func, block, conts);
+        self.exec_terminator(func, block);
     }
 
-    fn exec_terminator(&mut self, func: FuncId, block: BlockId, conts: &mut Vec<Cont>) {
+    fn exec_terminator(&mut self, func: FuncId, block: BlockId) {
         let f = self.module.function(func);
         let b = f.block(block);
         let term_id = InstId {
@@ -935,7 +955,7 @@ impl<'a> Explorer<'a> {
                     // Loop cut reached: the path ends here (§3.1).
                     self.path_end();
                 } else {
-                    self.exec_block(func, target, conts);
+                    self.ws.work.push(Task::Enter(target));
                 }
             }
             Terminator::Branch {
@@ -951,7 +971,10 @@ impl<'a> Explorer<'a> {
                 }
                 let pred = self.ws.cond_defs.get(&cond).copied();
                 let mut any = false;
-                for (succ, taken) in [(then_bb, true), (else_bb, false)] {
+                // The else-arm is pushed first, so the then-arm runs first.
+                // An arm undoes everything it does, so whether the else-arm
+                // may run is the same before the then-arm as after it.
+                for (succ, taken) in [(else_bb, false), (then_bb, true)] {
                     if !self.may_enter(succ) {
                         continue;
                     }
@@ -965,32 +988,19 @@ impl<'a> Explorer<'a> {
                         }
                     }
                     any = true;
-                    let cow = self.config.cow_state;
-                    if self.tel_enabled {
-                        self.note_fork(cow);
-                    }
-                    if cow {
-                        // Copy-on-write fork: a fixed-size mark; sibling
-                        // arms restore by journal rollback, O(changed).
-                        let mark = self.full_mark();
-                        self.run_branch_arm(pred, taken, term_loc, term_id, func, succ, conts);
-                        self.full_rollback(&mark);
-                    } else {
-                        // Literal COPY semantics (paper Fig. 7): deep-clone
-                        // the live state, restore by move-assignment. The
-                        // measured baseline and differential oracle for the
-                        // journaled mode.
-                        let snap = self.clone_snapshot();
-                        self.run_branch_arm(pred, taken, term_loc, term_id, func, succ, conts);
-                        self.restore_snapshot(snap);
-                    }
+                    self.ws.work.push(Task::Arm {
+                        pred,
+                        taken,
+                        block,
+                        succ,
+                    });
                 }
                 if !any {
                     self.path_end();
                 }
             }
             Terminator::Ret(value) => {
-                self.handle_ret(value, term_loc, term_id, conts);
+                self.handle_ret(value, term_loc, term_id);
             }
             Terminator::Unreachable => {
                 self.path_end();
@@ -998,25 +1008,39 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// One branch successor: assert the effective predicate, then explore.
-    /// The caller brackets this with a fork (mark/rollback or clone/restore
-    /// depending on [`crate::AnalysisConfig::cow_state`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_branch_arm(
-        &mut self,
-        pred: Option<PredDef>,
-        taken: bool,
-        loc: Loc,
-        inst_id: InstId,
-        func: FuncId,
-        succ: BlockId,
-        conts: &mut Vec<Cont>,
-    ) {
+    /// One successor of `block`'s branch: fork, assert the effective
+    /// predicate, then enter `succ`. The fork is undone once the arm's
+    /// last task has run.
+    fn exec_arm(&mut self, pred: Option<PredDef>, taken: bool, block: BlockId, succ: BlockId) {
+        let cow = self.config.cow_state;
+        if self.tel_enabled {
+            self.note_fork(cow);
+        }
+        if cow {
+            // Copy-on-write fork: a fixed-size mark; sibling arms restore
+            // by journal rollback, O(changed).
+            let mark = self.full_mark();
+            self.ws.work.push(Task::Undo(mark));
+        } else {
+            // Literal COPY semantics (paper Fig. 7): deep-clone the live
+            // state, restore by move-assignment. The measured baseline and
+            // differential oracle for the journaled mode.
+            let snap = self.clone_snapshot();
+            self.ws.snapshots.push(snap);
+            self.ws.work.push(Task::Restore);
+        }
         if let Some(p) = pred {
-            self.assert_branch(p, taken, loc, inst_id);
+            let func = self.top_frame().func;
+            let b = self.module.function(func).block(block);
+            let term_id = InstId {
+                func,
+                block,
+                inst: b.insts.len(),
+            };
+            self.assert_branch(p, taken, b.term_loc, term_id);
         }
         if !self.exhausted {
-            self.exec_block(func, succ, conts);
+            self.ws.work.push(Task::Enter(succ));
         }
     }
 
@@ -1064,7 +1088,10 @@ impl<'a> Explorer<'a> {
             // at that size, so the estimate (and a `--max-live-bytes`
             // trip) does not depend on how the trace is stored.
             + (self.ws.trace.len() * size_of::<Constraint>()) as u64
-            + (self.ws.frames.len() * size_of::<Frame>()) as u64
+            // A frame counts without its return site: that is where the
+            // walk goes next, like the work stack, not path state, so the
+            // estimate does not depend on where the walk keeps it.
+            + (self.ws.frames.len() * (size_of::<Frame>() - size_of::<Option<RetSite>>())) as u64
             + self.ws.frames.iter().map(Frame::approx_bytes).sum::<u64>()
     }
 
@@ -1140,32 +1167,34 @@ impl<'a> Explorer<'a> {
             loc,
             inst_id,
         };
-        self.run_checkers_branch(&ev);
+        let checkers = self.checkers;
+        self.track(loc, inst_id, |cx, _| {
+            for c in checkers {
+                c.on_branch(cx, &ev);
+            }
+        });
     }
 
-    fn handle_ret(
-        &mut self,
-        value: Option<Operand>,
-        loc: Loc,
-        inst_id: InstId,
-        conts: &mut Vec<Cont>,
-    ) {
+    fn handle_ret(&mut self, value: Option<Operand>, loc: Loc, inst_id: InstId) {
         // Frame-end events (memory-leak finalization).
         let ret_val_key = match value {
             Some(Operand::Var(v)) => Some(self.key_of(v)),
             _ => None,
         };
-        let frame_objects = std::mem::take(&mut self.ws.frames.last_mut().unwrap().heap_objects);
-        {
-            let ev = FrameEndEvent {
-                heap_objects: &frame_objects,
-                ret_val_key,
-                loc,
-                inst_id,
-            };
-            self.run_checkers_frame_end(&ev);
-        }
-        self.ws.frames.last_mut().unwrap().heap_objects = frame_objects;
+        let frame_objects = std::mem::take(&mut self.top_frame().heap_objects);
+        let ev = FrameEndEvent {
+            heap_objects: &frame_objects,
+            ret_val_key,
+            loc,
+            inst_id,
+        };
+        let checkers = self.checkers;
+        self.track(loc, inst_id, |cx, _| {
+            for c in checkers {
+                c.on_frame_end(cx, &ev);
+            }
+        });
+        self.top_frame().heap_objects = frame_objects;
 
         // UVA `use` of the returned value.
         if let Some(Operand::Var(v)) = value {
@@ -1176,18 +1205,17 @@ impl<'a> Explorer<'a> {
             self.run_checkers_inst(&kind, loc, inst_id);
         }
 
-        if conts.is_empty() {
+        let Some(ret) = self.top_frame().ret else {
             // Root return: the path is complete.
             self.path_end();
             return;
-        }
+        };
 
-        // Return into the caller's continuation.
-        let cont = conts.pop().expect("cont");
+        // Return into the caller, which runs on with the callee's frame
+        // off the stack; the frame goes back afterwards for the callee's
+        // remaining paths.
         let frame = self.ws.frames.pop().expect("frame");
-        let callee = self.ws.call_stack.pop().unwrap();
-
-        if let Some(dst) = cont.dst {
+        if let Some(dst) = ret.dst {
             self.bind_value(dst, value, loc, inst_id);
             // Re-own heap objects transferred by `return p` (ML RETURNED →
             // SNF in the caller's frame).
@@ -1195,22 +1223,9 @@ impl<'a> Explorer<'a> {
             let ml_id = crate::checkers::BugKind::MemoryLeak.id();
             if let Some(entry) = self.ws.states.get(ml_id, dst_key) {
                 if entry.state == ml::S_RETURNED {
-                    let graph = &self.ws.graph;
-                    let set_size = |k: TrackKey| match k {
-                        TrackKey::Node(n) => graph.alias_set_size(n),
-                        TrackKey::Var(_) => 1,
-                    };
-                    let mut cx = TrackCtx {
-                        states: &mut self.ws.states,
-                        mode: self.config.alias_mode,
-                        bugs: &mut self.ws.pending,
-                        stats: &mut self.stats,
-                        set_size: &set_size,
-                        loc,
-                        inst_id,
-                    };
-                    cx.transition(ml_id, dst_key, ml::S_NF, Some(entry));
-                    drop(cx);
+                    self.track(loc, inst_id, |cx, _| {
+                        cx.transition(ml_id, dst_key, ml::S_NF, Some(entry))
+                    });
                     self.push_heap(HeapObject {
                         key: dst_key,
                         loc: entry.origin_loc,
@@ -1219,12 +1234,8 @@ impl<'a> Explorer<'a> {
                 }
             }
         }
-        self.exec_from(cont.func, cont.block, cont.next_inst, conts);
-
-        // Restore structural stacks for sibling paths in the callee.
-        self.ws.call_stack.push(callee);
-        self.ws.frames.push(frame);
-        conts.push(cont);
+        self.ws.work.push(Task::Return(frame));
+        self.ws.work.push(Task::Resume(ret.block, ret.next_inst));
     }
 
     /// Binds `value` into `dst` as the paper's return-MOVE (Fig. 6 line 20).
@@ -1286,17 +1297,13 @@ impl<'a> Explorer<'a> {
     // Instructions
     // ==============================================================
 
-    fn apply_inst(
-        &mut self,
-        func: FuncId,
-        inst_id: InstId,
-        inst: &Inst,
-        conts: &mut Vec<Cont>,
-    ) -> Flow {
+    /// Applies one instruction; returns whether it was a call the
+    /// explorer inlined (see [`Explorer::apply_call`]).
+    fn apply_inst(&mut self, inst_id: InstId, inst: &Inst) -> bool {
         let loc = inst.loc;
         let alias = self.config.alias_mode == AliasMode::PathBased;
         if let InstKind::Call { dst, callee, args } = &inst.kind {
-            return self.apply_call(func, inst_id, loc, *dst, *callee, args, &inst.kind, conts);
+            return self.apply_call(inst_id, loc, *dst, *callee, args, &inst.kind);
         }
         // The step scratch is filled in place: `clear` keeps the
         // `use_keys`/`escape_keys` capacity, and nothing is moved.
@@ -1523,21 +1530,21 @@ impl<'a> Explorer<'a> {
             }
         }
         self.run_checkers_inst(&inst.kind, loc, inst_id);
-        Flow::Continue
+        false
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Applies a call. Returns `true` when the callee is inlined: its
+    /// frame is pushed and its entry is on the work stack, and the rest of
+    /// the caller's block runs when the callee returns.
     fn apply_call(
         &mut self,
-        func: FuncId,
         inst_id: InstId,
         loc: Loc,
         dst: Option<VarId>,
         callee: Callee,
         args: &[Operand],
         kind: &InstKind,
-        conts: &mut Vec<Cont>,
-    ) -> Flow {
+    ) -> bool {
         self.ws.info.clear();
         for a in args {
             if let Operand::Var(v) = a {
@@ -1560,8 +1567,8 @@ impl<'a> Explorer<'a> {
         };
         let inline_target = match effective {
             Callee::Direct(f)
-                if !self.ws.call_stack.contains(&f)
-                    && self.ws.call_stack.len() < self.config.budget.max_call_depth =>
+                if !self.ws.frames.iter().any(|frame| frame.func == f)
+                    && self.ws.frames.len() < self.config.budget.max_call_depth =>
             {
                 Some(f)
             }
@@ -1592,7 +1599,7 @@ impl<'a> Explorer<'a> {
             // (the old path cloned the argument vector just to hand the
             // checkers a value identical to `kind`).
             self.run_checkers_inst(kind, loc, inst_id);
-            return Flow::Continue;
+            return false;
         };
 
         // Report uses (e.g. passing an uninitialized value) before binding.
@@ -1611,28 +1618,17 @@ impl<'a> Explorer<'a> {
             self.bind_value(param, Some(arg), loc, inst_id);
         }
 
-        conts.push(Cont {
-            func,
+        let ret = RetSite {
             block: inst_id.block,
             next_inst: inst_id.inst + 1,
             dst,
-        });
-        self.ws.call_stack.push(f);
-        let frame = self.new_frame(f);
+        };
+        let frame = self.new_frame(f, Some(ret));
         self.ws.frames.push(frame);
-        let entry = self.module.function(f).entry();
-        self.exec_block(f, entry, conts);
-        let frame = self.ws.frames.pop().expect("frame");
-        self.ws.spare_frames.push(frame);
-        self.ws.call_stack.pop();
-        conts.pop();
-        Flow::EnteredCall
+        self.ws.work.push(Task::Retire);
+        self.ws.work.push(Task::Enter(module.function(f).entry()));
+        true
     }
-}
-
-enum Flow {
-    Continue,
-    EnteredCall,
 }
 
 fn nkey(n: NodeId) -> TrackKey {
@@ -1689,9 +1685,9 @@ mod tests {
 
     /// Forked diamonds with a helper call, a loop, heap traffic and real
     /// bugs on some paths: every forkable structure (graph, states,
-    /// cond/sym/fptr maps, frames, visit counts, heap objects,
-    /// continuations) is exercised, and both fork directions carry
-    /// different state.
+    /// cond/sym/fptr maps, frames, visit counts, heap objects, return
+    /// sites) is exercised, and both fork directions carry different
+    /// state.
     const DIAMOND_SRC: &str = r#"
         struct pkt { int len; int mode; int *payload; };
 
@@ -1731,6 +1727,18 @@ mod tests {
             if (r < 0) { log_warn("entry"); }
         }
     "#;
+
+    /// Explores `root` in a fresh workspace.
+    fn explore(
+        module: &Module,
+        config: &AnalysisConfig,
+        checkers: &[Box<dyn Checker>],
+        root: FuncId,
+    ) -> ExploreResult {
+        Explorer::with_workspace(module, config, checkers, root, Workspace::default())
+            .run()
+            .0
+    }
 
     /// Every trace-record shape builds exactly the constraint the explorer
     /// used to push directly: leaf comparisons and each `BinOp` definition.
@@ -1813,7 +1821,7 @@ mod tests {
         let mut ws = Workspace::default();
         for _ in 0..2 {
             for &root in &roots {
-                let fresh = Explorer::new(&module, &config, &checkers, root).explore();
+                let fresh = explore(&module, &config, &checkers, root);
                 let (reused, back) =
                     Explorer::with_workspace(&module, &config, &checkers, root, ws).run();
                 assert_eq!(
@@ -1849,7 +1857,7 @@ mod tests {
         let mut paths = 0;
         let mut forks = ForkStats::default();
         for root in roots {
-            let result = Explorer::new(&module, config, &checkers, root).explore();
+            let result = explore(&module, config, &checkers, root);
             candidates += result.candidates.len();
             paths += result.stats.paths_explored;
             forks.merge(&result.fork_stats);

@@ -173,9 +173,9 @@ pub struct SlowRoot {
     pub bytes_copied: u64,
 }
 
-/// A per-worker shard of recorded metrics. Not shared: each worker (and
-/// each [`crate::path::Explorer`]) owns one and records without locking;
-/// shards are merged into the session [`Telemetry`] at the end.
+/// A per-worker shard of recorded metrics. Not shared: each worker owns
+/// one and records without locking; shards are merged into the session
+/// [`Telemetry`] at the end.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     metrics: HashMap<&'static str, Metric>,

@@ -253,6 +253,39 @@ cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" --json \
     || { echo "fault smoke: clean run must save the store"; exit 1; }
 echo "fault-injection smoke matrix OK"
 
+echo "== deep-input smoke (long paths must not overflow the stack)"
+# Stage 1 walks a path on an explicit work stack: a root with 3,000
+# sequential branches and a chain of 20,000 gotos each get a report, and
+# the daemon answers the deep frame and the ping after it.
+{
+    echo 'int g; int deep_root(int x) {'
+    for i in $(seq 1 3000); do printf '  if (x > %d) g = %d;\n' "$i" "$i"; done
+    echo '  return g; }'
+} > "$tmp_dir/deep_ifs.c"
+{
+    echo 'int g; int goto_root(int x) {'
+    for i in $(seq 1 20000); do printf '  goto L%d; L%d:\n' "$i" "$i"; done
+    echo '  return x; }'
+} > "$tmp_dir/deep_gotos.c"
+for deep in deep_ifs deep_gotos; do
+    cargo run -q --release --bin pata -- analyze "$tmp_dir/$deep.c" --json \
+        > "$tmp_dir/$deep.json" \
+        || { echo "deep smoke: $deep.c exited non-zero"; exit 1; }
+    grep -q '^{"schema_version"' "$tmp_dir/$deep.json" \
+        || { echo "deep smoke: $deep.c printed no report"; exit 1; }
+done
+{
+    printf '{"id": 1, "op": "analyze", "files": [{"name": "deep.c", "text": "int g; int deep_root(int x) {'
+    for i in $(seq 1 3000); do printf ' if (x > %d) g = %d;' "$i" "$i"; done
+    printf ' return g; }"}]}\n{"op": "ping"}\n'
+} > "$tmp_dir/deep_frames.ndjson"
+deep_lines=$(cargo run -q --release --bin pata -- serve --stdio \
+    < "$tmp_dir/deep_frames.ndjson" 2>/dev/null | grep -c '"ok": true') \
+    || { echo "deep smoke: serve --stdio failed on the deep frame"; exit 1; }
+[ "$deep_lines" = 2 ] \
+    || { echo "deep smoke: serve --stdio gave $deep_lines ok responses, expected 2"; exit 1; }
+echo "deep-input smoke OK"
+
 echo "== serve stress round-trip (concurrent clients, malformed + oversized frames)"
 # Drive the daemon through the already-built binary: concurrent
 # `cargo run`s would serialize on cargo's build lock and the clients

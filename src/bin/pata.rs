@@ -87,12 +87,9 @@ analysis knobs (analyze and serve):
                           npd,uva,ml,dl,aiu,dbz,uaf (default npd,uva,ml)
   --na                    disable the path-based alias analysis (PATA-NA)
   --no-validate           skip stage-2 SMT path validation
-  --no-validation-cache   disable the cross-root validation verdict cache
   --resolve-fptrs         resolve function-pointer calls to all candidates
   --loops N               loop unrolling bound (default 1)
   --threads N             worker threads for stage-1 exploration (0 = auto)
-  --no-cow-state          fork branch state by deep clone instead of the
-                          copy-on-write undo journal (differential oracle)
 
 fault containment (analyze and serve):
   --root-deadline-ms N    per-root wall-clock deadline; a root that
@@ -138,11 +135,9 @@ const CONFIG_FLAGS: &[(&str, bool)] = &[
     ("checkers", true),
     ("na", false),
     ("no-validate", false),
-    ("no-validation-cache", false),
     ("resolve-fptrs", false),
     ("loops", true),
     ("threads", true),
-    ("no-cow-state", false),
     ("root-deadline-ms", true),
     ("max-live-bytes", true),
     ("fault-plan", true),
@@ -275,9 +270,6 @@ fn build_config(
     if flag(flags, "no-validate").is_some() {
         builder = builder.validate_paths(false);
     }
-    if flag(flags, "no-validation-cache").is_some() {
-        builder = builder.validation_cache(false);
-    }
     if flag(flags, "resolve-fptrs").is_some() {
         builder = builder.resolve_fptrs(true);
     }
@@ -290,9 +282,6 @@ fn build_config(
             n.parse()
                 .map_err(|_| format!("bad --threads value `{n}`"))?,
         );
-    }
-    if flag(flags, "no-cow-state").is_some() {
-        builder = builder.cow_state(false);
     }
     if let Some(Some(n)) = flag(flags, "root-deadline-ms") {
         builder = builder.root_deadline_ms(

@@ -209,6 +209,9 @@ fn unknown_flag_is_rejected_with_usage() {
         vec!["serve", "--stdio", "--json"],
         vec!["corpus", "tencent", "--threads", "2"],
         vec!["client", "--socket", "x", "--store", "y"],
+        // Differential-oracle switches are config fields, not CLI flags.
+        vec!["analyze", file.to_str().unwrap(), "--no-cow-state"],
+        vec!["analyze", file.to_str().unwrap(), "--no-validation-cache"],
     ] {
         let out = pata().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
@@ -227,11 +230,9 @@ fn help_enumerates_every_knob() {
         "--checkers",
         "--na",
         "--no-validate",
-        "--no-validation-cache",
         "--resolve-fptrs",
         "--loops",
         "--threads",
-        "--no-cow-state",
         "--store",
         "--socket",
         "--stdio",
