@@ -116,7 +116,7 @@ impl fmt::Debug for FaultPlan {
 
 impl FaultPlan {
     /// Every site the pipeline instruments, in documentation order.
-    pub const SITES: [&'static str; 11] = [
+    pub const SITES: [&'static str; 12] = [
         // Per-root panic sites (label = root function name).
         "explore",
         "checker",
@@ -132,6 +132,7 @@ impl FaultPlan {
         "store.save.mid_tmp",
         "store.save.before_rename",
         "store.save.after_rename",
+        "store.save.mid_append",
     ];
 
     /// Parses a plan from its textual spec. An empty spec is a valid plan

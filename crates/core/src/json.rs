@@ -246,54 +246,80 @@ impl Parser<'_> {
         }
     }
 
+    /// Decodes a string: unescaped runs are copied whole, and only the
+    /// escapes between them are decoded, into one allocation.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not paired; the writer never
-                            // emits them (it escapes only control chars).
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // `pos` only ever advances past whole scalars, so it is
-                    // always a char boundary of the original &str.
-                    let c = self.text[self.pos..].chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
+        let Some(first) = find_quote_or_backslash(self.bytes, self.pos) else {
+            self.pos = self.bytes.len();
+            return Err(self.err("unterminated string"));
+        };
+        if self.bytes[first] == b'"' {
+            let out = self.text[self.pos..first].to_owned();
+            self.pos = first + 1;
+            return Ok(out);
         }
+        let mut out = String::with_capacity(self.raw_len(first));
+        loop {
+            // The run ends at an ASCII byte, so both ends are char
+            // boundaries of the original &str.
+            let Some(end) = find_quote_or_backslash(self.bytes, self.pos) else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| self.err("non-ASCII \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogates are not paired; the writer never emits
+                    // them (it escapes only control chars).
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape sequence")),
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Bytes from the cursor to the closing quote of the string it is in,
+    /// searched from `from`: the first `"` after an even run of
+    /// backslashes. Every escape decodes to at most as many bytes as it
+    /// spans, so this bounds the decoded length. Without a closing quote,
+    /// the rest of the input.
+    fn raw_len(&self, from: usize) -> usize {
+        let mut at = from;
+        while let Some(quote) = find_byte(self.bytes, at, b'"') {
+            let backslashes = self.bytes[..quote]
+                .iter()
+                .rev()
+                .take_while(|&&b| b == b'\\')
+                .count();
+            if backslashes % 2 == 0 {
+                return quote - self.pos;
+            }
+            at = quote + 1;
+        }
+        self.bytes.len() - self.pos
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
@@ -325,6 +351,60 @@ impl Parser<'_> {
 }
 
 // --------------------------------------------------------------------
+// Word-at-a-time byte search
+// --------------------------------------------------------------------
+
+/// `0x01` in every byte of a word.
+const LO: u64 = u64::from_le_bytes([1; 8]);
+
+/// Sets the high bit of each zero byte of `w`. The lowest set bit is
+/// exact; a borrow may also flag a byte above a zero byte, never one
+/// below it, so the first match of a search is always right.
+fn zero_bytes(w: u64) -> u64 {
+    w.wrapping_sub(LO) & !w & (LO << 7)
+}
+
+/// The first index at or after `from` whose byte `hit` flags, testing
+/// eight bytes per step with `word_hits`.
+fn find_by(
+    bytes: &[u8],
+    from: usize,
+    word_hits: impl Fn(u64) -> u64,
+    hit: impl Fn(u8) -> bool,
+) -> Option<usize> {
+    let mut at = from;
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let hits = word_hits(word);
+        if hits != 0 {
+            return Some(at + (hits.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let rest = bytes.get(at..)?;
+    rest.iter().position(|&b| hit(b)).map(|i| at + i)
+}
+
+/// The first `b` at or after `from`.
+fn find_byte(bytes: &[u8], from: usize, b: u8) -> Option<usize> {
+    let pattern = LO * u64::from(b);
+    find_by(bytes, from, |w| zero_bytes(w ^ pattern), |x| x == b)
+}
+
+/// The first `"` or `\` at or after `from`: where an unescaped run of a
+/// string ends.
+fn find_quote_or_backslash(bytes: &[u8], from: usize) -> Option<usize> {
+    const QUOTES: u64 = LO * b'"' as u64;
+    const BACKSLASHES: u64 = LO * b'\\' as u64;
+    find_by(
+        bytes,
+        from,
+        |w| zero_bytes(w ^ QUOTES) | zero_bytes(w ^ BACKSLASHES),
+        |b| b == b'"' || b == b'\\',
+    )
+}
+
+// --------------------------------------------------------------------
 // Writer helpers
 // --------------------------------------------------------------------
 
@@ -337,24 +417,27 @@ pub fn escape(s: &str) -> String {
 
 /// Appends `s`, escaped for embedding between JSON double quotes.
 fn escape_into(out: &mut String, s: &str) {
-    // Names and paths rarely need escaping: copy those whole.
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Runs between escapes are copied whole. Every escaped byte is ASCII,
+    // so each run starts and ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Renders a quoted, escaped JSON string.
@@ -375,6 +458,7 @@ pub(crate) fn quote_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pata_corpus::Prng;
 
     #[test]
     fn parses_scalars() {
@@ -439,6 +523,168 @@ mod tests {
         ] {
             let err = JsonValue::parse(&past).unwrap_err();
             assert_eq!(err.message, "nesting too deep");
+        }
+    }
+
+    /// The string decoder as it was before it copied runs: one `char` at a
+    /// time into an unreserved `String`. The oracle for the one in use.
+    fn reference_string(p: &mut Parser) -> Result<String, JsonError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = p
+                                .bytes
+                                .get(p.pos + 1..p.pos + 5)
+                                .ok_or_else(|| p.err("truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| p.err("non-ASCII \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| p.err("bad \\u escape"))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            p.pos += 4;
+                        }
+                        _ => return Err(p.err("bad escape sequence")),
+                    }
+                    p.pos += 1;
+                }
+                Some(_) => {
+                    let c = p.text[p.pos..].chars().next().unwrap();
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Runs `decode` on `text` from byte 0; returns its result and where
+    /// the cursor stopped.
+    fn decode_with(
+        text: &str,
+        decode: fn(&mut Parser) -> Result<String, JsonError>,
+    ) -> (Result<String, JsonError>, usize) {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        let result = decode(&mut p);
+        (result, p.pos)
+    }
+
+    /// A seeded string literal: runs of plain text (long enough to cross
+    /// word boundaries), escapes, multi-byte UTF-8, and now and then a bad
+    /// escape, a truncated `\u` or no closing quote.
+    fn random_literal(rng: &mut Prng) -> String {
+        let mut next = |n: usize| rng.gen_range(0, n);
+        const PIECES: [&str; 24] = [
+            "\\n",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\t",
+            "\\r",
+            "\\b",
+            "\\f",
+            "\\u0041",
+            "\\u00e9",
+            "\\u4e2d",
+            "\\uD83D",
+            "\\u+041",
+            "\\u00\u{e9}",
+            "é",
+            "中",
+            "🦀",
+            "\u{1}",
+            " ",
+            "x",
+            "\\x",
+            "\\",
+            "\\u12",
+            "\\u",
+        ];
+        let mut out = String::from("\"");
+        for _ in 0..next(12) {
+            if next(3) == 0 {
+                let run = next(40);
+                out.extend((0..run).map(|i| (b'a' + (i % 26) as u8) as char));
+            } else {
+                // The last four pieces break the literal.
+                let bad = next(8) == 0;
+                let pick = next(if bad { 24 } else { 20 });
+                out.push_str(PIECES[pick]);
+            }
+        }
+        if next(10) != 0 {
+            out.push('"');
+            if next(4) == 0 {
+                out.push_str(", \"tail\"");
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn string_decoding_matches_the_char_by_char_oracle() {
+        let mut rng = Prng::seed_from_u64(0x5eed);
+        let (mut ok, mut failed) = (0, 0);
+        for case in 0..20_000 {
+            let text = random_literal(&mut rng);
+            let (got, got_end) = decode_with(&text, |p| p.string());
+            let (want, want_end) = decode_with(&text, reference_string);
+            assert_eq!(got, want, "case {case}: {text:?}");
+            match &got {
+                Ok(s) => {
+                    assert_eq!(got_end, want_end, "case {case}: {text:?}");
+                    // One allocation, sized by the raw length.
+                    assert_eq!(s.capacity(), got_end - 2, "case {case}: {text:?}");
+                    ok += 1;
+                }
+                Err(_) => failed += 1,
+            }
+        }
+        assert!(
+            ok > 10_000 && failed > 1_000,
+            "{ok} decoded, {failed} refused"
+        );
+    }
+
+    #[test]
+    fn escape_copies_runs_between_escapes() {
+        for s in ["", "plain", "a\"b", "\"", "é\n中\t🦀\r\u{1f}x\\", "tail\n"] {
+            let quoted = quote(s);
+            assert_eq!(JsonValue::parse(&quoted).unwrap().as_str(), Some(s));
+            let by_char: String = s
+                .chars()
+                .map(|c| match c {
+                    '"' => "\\\"".to_owned(),
+                    '\\' => "\\\\".to_owned(),
+                    '\n' => "\\n".to_owned(),
+                    '\t' => "\\t".to_owned(),
+                    '\r' => "\\r".to_owned(),
+                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                    c => c.to_string(),
+                })
+                .collect();
+            assert_eq!(escape(s), by_char);
         }
     }
 

@@ -1010,8 +1010,12 @@ impl<'a> Explorer<'a> {
 
     /// One successor of `block`'s branch: fork, assert the effective
     /// predicate, then enter `succ`. The fork is undone once the arm's
-    /// last task has run.
+    /// last task has run. After a budget trip the arm does nothing: it
+    /// could not enter `succ`, and its fork would only be undone.
     fn exec_arm(&mut self, pred: Option<PredDef>, taken: bool, block: BlockId, succ: BlockId) {
+        if self.exhausted {
+            return;
+        }
         let cow = self.config.cow_state;
         if self.tel_enabled {
             self.note_fork(cow);
@@ -1039,9 +1043,7 @@ impl<'a> Explorer<'a> {
             };
             self.assert_branch(p, taken, b.term_loc, term_id);
         }
-        if !self.exhausted {
-            self.ws.work.push(Task::Enter(succ));
-        }
+        self.ws.work.push(Task::Enter(succ));
     }
 
     /// Tallies one branch-arm fork into the `driver.explore.fork.*` family:

@@ -1,8 +1,9 @@
 //! The on-disk analysis store behind [`crate::AnalysisSession`].
 //!
-//! A store file is one versioned JSON document (written through the same
-//! in-crate [`crate::json`] machinery as the report schema) holding
-//! everything a later process needs to skip re-exploring unchanged roots:
+//! A store file's first line is one versioned JSON document, the base
+//! (written through the same in-crate [`crate::json`] machinery as the
+//! report schema), holding everything a later process needs to skip
+//! re-exploring unchanged roots:
 //!
 //! * a **header** — [`STORE_SCHEMA_VERSION`], a fingerprint of the
 //!   verdict-relevant configuration, and a corpus fingerprint over the
@@ -19,12 +20,19 @@
 //! * the **validation cache** — stage-2 conjunction verdicts under their
 //!   canonical keys (α-equivalent constraint systems share one entry).
 //!
+//! Each later line is a delta ([`StoreDelta`]) one save appended: the
+//! root records it replaced, the function fingerprints it changed, the
+//! verdicts it added and the new corpus fingerprint. Loading applies the
+//! lines in order. A save that changed anything else, or whose log would
+//! outgrow the base, rewrites the whole file as a new base.
+//!
 //! Loading is infallible by design: a missing file, malformed JSON, a
-//! schema-version bump, a configuration change, or a candidate that no
-//! longer resolves against the new module all degrade to a cold start
-//! (`None`), never an error. Saving goes through a temp file + rename so a
-//! crashed writer leaves either the old store or the new one, not a
-//! truncated hybrid (which the infallible loader would shrug off anyway).
+//! torn last line, a schema-version bump, a configuration change, or a
+//! candidate that no longer resolves against the new module all degrade
+//! to a cold start (`None`), never an error. A full save goes through a
+//! temp file + rename, so a crashed writer leaves either the old store or
+//! the new one, not a truncated hybrid; an append that dies halfway
+//! leaves a last line without its newline, which loads as a cold start.
 //!
 //! Function fingerprints are *structural*: one walk over the function's
 //! PIR feeds tagged `u64` words to a stable mixer (see `Fingerprinter`).
@@ -53,13 +61,13 @@ use pata_ir::{
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Version of the on-disk store schema. Bump on any change to the layout
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
-pub const STORE_SCHEMA_VERSION: u64 = 2;
+pub const STORE_SCHEMA_VERSION: u64 = 3;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -568,6 +576,24 @@ impl FunctionDb {
             .filter(|(name, fp)| old.entries.get(*name) != Some(fp))
             .count() as u64
     }
+
+    /// The names of the functions whose fingerprint differs from `old`'s;
+    /// `None` when a function was added or removed.
+    pub(crate) fn changed_names(&self, old: &FunctionDb) -> Option<Vec<String>> {
+        if self.entries.len() != old.entries.len() {
+            return None;
+        }
+        let mut names = Vec::new();
+        for ((name, fp), (old_name, old_fp)) in self.entries.iter().zip(&old.entries) {
+            if name != old_name {
+                return None;
+            }
+            if fp != old_fp {
+                names.push(name.clone());
+            }
+        }
+        Some(names)
+    }
 }
 
 /// Every fingerprint change detection needs for one module: the function
@@ -592,16 +618,16 @@ impl ModuleFingerprints {
 
     /// Fingerprints `funcs` again after they were lowered again in place
     /// into `module`, the module these fingerprints were built on, and
-    /// returns how many of their values changed. No other function's
+    /// returns the names of those whose value changed. No other function's
     /// fingerprint can have moved: the splice renumbered only variables,
     /// and fingerprints number variables per function.
-    pub(crate) fn refresh(&mut self, module: &Module, funcs: &[FuncId]) -> u64 {
+    pub(crate) fn refresh(&mut self, module: &Module, funcs: &[FuncId]) -> Vec<String> {
         debug_assert_eq!(self.members.len(), module.functions().len());
+        let mut changed = Vec::new();
         if funcs.is_empty() {
-            return 0;
+            return changed;
         }
         let mut fp = Fingerprinter::new(module);
-        let mut changed = 0;
         for &id in funcs {
             let f = module.function(id);
             let value = fp.function(f);
@@ -612,7 +638,7 @@ impl ModuleFingerprints {
                 .expect("a function lowered again keeps its name");
             if *entry != value {
                 *entry = value;
-                changed += 1;
+                changed.push(f.name().to_owned());
             }
             self.members[id.index()] = member_word(fp.names[id.index()], value);
         }
@@ -859,6 +885,40 @@ pub(crate) struct StoreDoc<'a> {
     pub(crate) validation: &'a [(Vec<u8>, SatResult)],
 }
 
+/// What one request changed in a store that equalled the session's warm
+/// state before it: the only changes a save may append as one delta line
+/// instead of rewriting the whole store.
+#[derive(Debug)]
+pub(crate) struct StoreDelta<'a> {
+    /// The new corpus fingerprint.
+    pub(crate) corpus_fp: u64,
+    /// Functions whose fingerprint changed, with the new fingerprint.
+    pub(crate) functions: Vec<(&'a str, u64)>,
+    /// Root records that replace the stored records of the same name.
+    pub(crate) roots: Vec<&'a StoredRoot>,
+    /// Verdicts added since the store was last read or written, sorted by
+    /// key.
+    pub(crate) validation: &'a [(Vec<u8>, SatResult)],
+}
+
+/// The extent of a store file as this process last read or wrote it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StoreFile {
+    /// Bytes of the base document's line, its newline included.
+    pub(crate) base: u64,
+    /// Bytes of the whole file: the base line and the delta lines after it.
+    pub(crate) len: u64,
+}
+
+impl StoreFile {
+    /// Whether a delta line of `line` bytes may be appended: the log after
+    /// the base must stay no larger than the base. Past that, the save
+    /// rewrites the whole store, which compacts the log.
+    fn fits(&self, line: usize) -> bool {
+        self.len - self.base + line as u64 <= self.base
+    }
+}
+
 impl Store {
     /// The store as a document over its own parts.
     #[cfg(test)]
@@ -894,9 +954,8 @@ impl Store {
         let corpus_fp = parse_hex64(doc.get("corpus_fingerprint")?.as_str()?)?;
         let mut functions = FunctionDb::default();
         for item in doc.get("functions")?.as_array()? {
-            let name = item.get("name")?.as_str()?.to_owned();
-            let fp = parse_hex64(item.get("fp")?.as_str()?)?;
-            functions.entries.insert(name, fp);
+            let (name, fp) = parse_function(item)?;
+            functions.entries.insert(name.to_owned(), fp);
         }
         let mut roots = Vec::new();
         for item in doc.get("roots")?.as_array()? {
@@ -904,14 +963,7 @@ impl Store {
         }
         let mut validation = Vec::new();
         for item in doc.get("validation")?.as_array()? {
-            let key = parse_hex_bytes(item.get("key")?.as_str()?)?;
-            let verdict = match item.get("verdict")?.as_str()? {
-                "sat" => SatResult::Sat,
-                "unsat" => SatResult::Unsat,
-                "unknown" => SatResult::Unknown,
-                _ => return None,
-            };
-            validation.push((key, verdict));
+            validation.push(parse_verdict(item)?);
         }
         Some(Store {
             config_fp,
@@ -922,16 +974,63 @@ impl Store {
         })
     }
 
+    /// Parses a whole store file: the base document on the first line,
+    /// then each delta line applied in order. Every line ends in a
+    /// newline. A torn last line, a line that does not parse, or a delta
+    /// naming a function or root the store lacks yields `None`: the caller
+    /// starts cold.
+    pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, StoreFile)> {
+        let mut lines = text.strip_suffix('\n')?.split('\n');
+        let base = lines.next()?;
+        let mut store = Store::parse(base, expect_config_fp)?;
+        let mut root_at: Option<HashMap<String, usize>> = None;
+        for line in lines {
+            let root_at = root_at.get_or_insert_with(|| {
+                let names = store.roots.iter().map(|r| r.root.clone());
+                names.zip(0..).collect()
+            });
+            store.apply_delta(line, root_at)?;
+        }
+        if root_at.is_some() {
+            store.validation.sort_by(|(a, _), (b, _)| a.cmp(b));
+            store.validation.dedup_by(|(a, _), (b, _)| a == b);
+        }
+        let file = StoreFile {
+            base: base.len() as u64 + 1,
+            len: text.len() as u64,
+        };
+        Some((store, file))
+    }
+
+    /// Applies one delta line; `root_at` maps root names to their index.
+    fn apply_delta(&mut self, line: &str, root_at: &HashMap<String, usize>) -> Option<()> {
+        let delta = JsonValue::parse(line).ok()?;
+        self.corpus_fp = parse_hex64(delta.get("corpus_fingerprint")?.as_str()?)?;
+        for item in delta.get("functions")?.as_array()? {
+            let (name, fp) = parse_function(item)?;
+            *self.functions.entries.get_mut(name)? = fp;
+        }
+        for item in delta.get("roots")?.as_array()? {
+            let root = parse_root(item)?;
+            let at = *root_at.get(&root.root)?;
+            self.roots[at] = root;
+        }
+        for item in delta.get("validation")?.as_array()? {
+            self.validation.push(parse_verdict(item)?);
+        }
+        Some(())
+    }
+
     /// Loads a store from disk. Infallible: any I/O or parse problem is a
     /// cold start.
-    pub(crate) fn load(path: &Path, expect_config_fp: u64) -> Option<Store> {
+    pub(crate) fn load(path: &Path, expect_config_fp: u64) -> Option<(Store, StoreFile)> {
         let text = std::fs::read_to_string(path).ok()?;
-        Store::parse(&text, expect_config_fp)
+        Store::parse_file(&text, expect_config_fp)
     }
 
     /// Writes the store atomically; see [`StoreDoc::save_with_faults`].
     #[cfg(test)]
-    pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> io::Result<StoreFile> {
         self.doc().save_with_faults(path, None)
     }
 
@@ -942,7 +1041,7 @@ impl Store {
         &self,
         path: &Path,
         fault: Option<&FaultPlan>,
-    ) -> io::Result<()> {
+    ) -> io::Result<StoreFile> {
         self.doc().save_with_faults(path, fault)
     }
 }
@@ -961,55 +1060,31 @@ impl StoreDoc<'_> {
             self.config_fp, self.corpus_fp
         );
         out.push_str(", \"functions\": [");
-        for (i, (name, fp)) in self.functions.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": ");
-            quote_into(&mut out, name);
-            let _ = write!(out, ", \"fp\": \"{fp:016x}\"}}");
-        }
+        write_list(&mut out, &self.functions.entries, |out, (name, &fp)| {
+            write_function(out, name, fp)
+        });
         out.push_str("], \"roots\": [");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_root(&mut out, r);
-        }
+        write_list(&mut out, self.roots, write_root);
         out.push_str("], \"validation\": [");
-        for (i, (key, verdict)) in self.validation.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"key\": \"");
-            for b in key {
-                let _ = write!(out, "{b:02x}");
-            }
-            out.push_str("\", \"verdict\": \"");
-            out.push_str(match verdict {
-                SatResult::Sat => "sat",
-                SatResult::Unsat => "unsat",
-                SatResult::Unknown => "unknown",
-            });
-            out.push_str("\"}");
-        }
+        write_list(&mut out, self.validation, write_verdict);
         out.push_str("]}");
         out
     }
 
-    /// Writes the store atomically (temp file in the same directory, then
-    /// rename), with fault-injection crash points around the
-    /// temp+rename protocol. Each `store.save.*` site simulates a process
-    /// killed at that exact instant (a panic the crash-safety tests catch);
-    /// the plain `store.save` site yields an IO error the session treats
-    /// like any other failed save. Whatever the crash point, the next
-    /// [`Store::load`] sees either the old store, the new store, or a
-    /// stray `.tmp` it never reads — all of which cold-start cleanly.
+    /// Writes the store atomically as a base document with no log (temp
+    /// file in the same directory, then rename), with fault-injection
+    /// crash points around the temp+rename protocol. Each `store.save.*`
+    /// site simulates a process killed at that exact instant (a panic the
+    /// crash-safety tests catch); the plain `store.save` site yields an IO
+    /// error the session treats like any other failed save. Whatever the
+    /// crash point, the next [`Store::load`] sees either the old store,
+    /// the new store, or a stray `.tmp` it never reads — all of which
+    /// cold-start cleanly.
     pub(crate) fn save_with_faults(
         &self,
         path: &Path,
         fault: Option<&FaultPlan>,
-    ) -> io::Result<()> {
+    ) -> io::Result<StoreFile> {
         faultinject::maybe_io(fault, "store.save")?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -1018,18 +1093,77 @@ impl StoreDoc<'_> {
         }
         let tmp = path.with_extension("tmp");
         faultinject::maybe_panic(fault, "store.save.before_tmp", "");
-        let json = self.to_json();
+        let mut json = self.to_json();
+        json.push('\n');
         if fault.is_some_and(|p| p.should_fire("store.save.mid_tmp", "")) {
             // Simulate dying halfway through the temp write: leave a
             // truncated temp file behind, then "crash".
             let _ = std::fs::write(&tmp, &json.as_bytes()[..json.len() / 2]);
             panic!("fault injected: store.save.mid_tmp");
         }
+        let len = json.len() as u64;
         std::fs::write(&tmp, json)?;
         faultinject::maybe_panic(fault, "store.save.before_rename", "");
         std::fs::rename(&tmp, path)?;
         faultinject::maybe_panic(fault, "store.save.after_rename", "");
-        Ok(())
+        Ok(StoreFile { base: len, len })
+    }
+}
+
+impl StoreDelta<'_> {
+    /// The delta as one line of the store file, its newline included.
+    pub(crate) fn to_line(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"corpus_fingerprint\": \"{:016x}\", \"functions\": [",
+            self.corpus_fp
+        );
+        write_list(&mut out, &self.functions, |out, &(name, fp)| {
+            write_function(out, name, fp)
+        });
+        out.push_str("], \"roots\": [");
+        write_list(&mut out, &self.roots, |out, r| write_root(out, r));
+        out.push_str("], \"validation\": [");
+        write_list(&mut out, self.validation, write_verdict);
+        out.push_str("]}\n");
+        out
+    }
+
+    /// Appends the delta to the store at `path` in one `write`, when the
+    /// file is still the `file` this process last read or wrote and the
+    /// log stays no larger than the base. Returns `Ok(None)`, having
+    /// written nothing, when it may not: the caller then rewrites the
+    /// whole store. The `store.save` IO fault applies as in
+    /// [`StoreDoc::save_with_faults`]; the `store.save.mid_append` crash
+    /// point writes half the line and "crashes", leaving a torn last line
+    /// the next [`Store::load`] treats as a cold start.
+    pub(crate) fn append_with_faults(
+        &self,
+        path: &Path,
+        file: StoreFile,
+        fault: Option<&FaultPlan>,
+    ) -> io::Result<Option<StoreFile>> {
+        let line = self.to_line();
+        if !file.fits(line.len()) {
+            return Ok(None);
+        }
+        let Ok(mut out) = std::fs::OpenOptions::new().append(true).open(path) else {
+            return Ok(None);
+        };
+        if out.metadata().map(|m| m.len()).ok() != Some(file.len) {
+            return Ok(None);
+        }
+        faultinject::maybe_io(fault, "store.save")?;
+        if fault.is_some_and(|p| p.should_fire("store.save.mid_append", "")) {
+            let _ = out.write_all(&line.as_bytes()[..line.len() / 2]);
+            panic!("fault injected: store.save.mid_append");
+        }
+        out.write_all(line.as_bytes())?;
+        Ok(Some(StoreFile {
+            base: file.base,
+            len: file.len + line.len() as u64,
+        }))
     }
 }
 
@@ -1039,6 +1173,56 @@ impl StoreDoc<'_> {
 
 fn parse_hex64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
+}
+
+/// Writes `items` separated by `, `.
+fn write_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write(out, item);
+    }
+}
+
+fn write_function(out: &mut String, name: &str, fp: u64) {
+    out.push_str("{\"name\": ");
+    quote_into(out, name);
+    let _ = write!(out, ", \"fp\": \"{fp:016x}\"}}");
+}
+
+fn parse_function(v: &JsonValue) -> Option<(&str, u64)> {
+    let name = v.get("name")?.as_str()?;
+    Some((name, parse_hex64(v.get("fp")?.as_str()?)?))
+}
+
+fn write_verdict(out: &mut String, (key, verdict): &(Vec<u8>, SatResult)) {
+    out.push_str("{\"key\": \"");
+    for b in key {
+        let _ = write!(out, "{b:02x}");
+    }
+    out.push_str("\", \"verdict\": \"");
+    out.push_str(match verdict {
+        SatResult::Sat => "sat",
+        SatResult::Unsat => "unsat",
+        SatResult::Unknown => "unknown",
+    });
+    out.push_str("\"}");
+}
+
+fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
+    let key = parse_hex_bytes(v.get("key")?.as_str()?)?;
+    let verdict = match v.get("verdict")?.as_str()? {
+        "sat" => SatResult::Sat,
+        "unsat" => SatResult::Unsat,
+        "unknown" => SatResult::Unknown,
+        _ => return None,
+    };
+    Some((key, verdict))
 }
 
 fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
@@ -1570,7 +1754,7 @@ mod tests {
             .alias_paths
             .push("q\"\\\n\t\u{1}\u{e9}".into());
         let expected = concat!(
-            r#"{"schema_version": 2, "config_fingerprint": "0000000000000007", "#,
+            r#"{"schema_version": 3, "config_fingerprint": "0000000000000007", "#,
             r#""corpus_fingerprint": "5fb1ca4392dda36b", "functions": [{"name": "helper", "#,
             r#""fp": "000000000000002a"}, {"name": "probe", "fp": "00000000deadbeef"}], "#,
             r#""roots": [{"root": "probe", "closure_fp": "0000000000001234", "#,
@@ -1592,10 +1776,11 @@ mod tests {
         assert_eq!(store.to_json(), expected);
     }
 
-    /// Satellite: the store crash-safety matrix. A save killed at any
-    /// crash point of the temp+rename protocol leaves the path in a state
-    /// the next cold start handles: either the old store, the new store,
-    /// or nothing readable — never a truncated document that parses.
+    /// The store crash-safety matrix. A save killed at any crash point of
+    /// the temp+rename protocol leaves the path in a state the next cold
+    /// start handles: either the old store, the new store, or nothing
+    /// readable — never a truncated document that parses. An append
+    /// killed halfway leaves a torn last line, which is a cold start.
     #[test]
     fn save_crash_points_cold_start_cleanly() {
         use crate::faultinject::FaultPlan;
@@ -1606,8 +1791,9 @@ mod tests {
         let old = sample_store();
         let mut new = sample_store();
         new.roots[0].closure_fp ^= 0x5555;
-        let old_json = old.to_json();
-        let new_json = new.to_json();
+        let old_text = old.to_json() + "\n";
+        let new_text = new.to_json() + "\n";
+        let read = |path: &Path| std::fs::read_to_string(path).unwrap();
 
         for (site, survives_as_new) in [
             ("store.save.before_tmp", false),
@@ -1625,18 +1811,42 @@ mod tests {
             assert!(killed.is_err(), "{site}: crash point fires");
             // Cold start after the "kill": load never errors, and the
             // surviving content is exactly old-or-new, never a hybrid.
-            let text = std::fs::read_to_string(&path).unwrap();
             if survives_as_new {
-                assert_eq!(text, new_json, "{site}: rename completed");
+                assert_eq!(read(&path), new_text, "{site}: rename completed");
             } else {
-                assert_eq!(text, old_json, "{site}: old store intact");
+                assert_eq!(read(&path), old_text, "{site}: old store intact");
             }
             let loaded = Store::load(&path, old.config_fp);
             assert!(loaded.is_some(), "{site}: cold start parses");
             // A retry with no plan finishes the interrupted save.
             new.save(&path).unwrap();
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), new_json);
+            assert_eq!(read(&path), new_text);
         }
+
+        // The delta that turns `old` into `new`.
+        let delta = StoreDelta {
+            corpus_fp: new.corpus_fp,
+            functions: Vec::new(),
+            roots: vec![&new.roots[0]],
+            validation: &[],
+        };
+        let path = dir.join("store.save.mid_append.store");
+        let file = old.save(&path).unwrap();
+        let plan = FaultPlan::parse("store.save.mid_append").unwrap();
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            delta.append_with_faults(&path, file, Some(&plan))
+        }));
+        assert!(killed.is_err(), "mid_append: crash point fires");
+        let torn = read(&path);
+        assert!(torn.starts_with(&old_text) && torn.len() > old_text.len());
+        assert!(!torn.ends_with('\n'), "mid_append: the last line is torn");
+        assert!(
+            Store::load(&path, old.config_fp).is_none(),
+            "mid_append: a torn last line is a cold start"
+        );
+        // The session rewrites a store it could not load.
+        new.save(&path).unwrap();
+        assert_eq!(read(&path), new_text);
 
         // The plain `store.save` site is an IO error, not a crash: the
         // caller sees `Err`, the old store is untouched.
@@ -1644,10 +1854,23 @@ mod tests {
         old.save(&path).unwrap();
         let plan = FaultPlan::parse("store.save@1").unwrap();
         assert!(new.save_with_faults(&path, Some(&plan)).is_err());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), old_json);
+        assert_eq!(read(&path), old_text);
         // Second attempt (hit 2) succeeds.
         new.save_with_faults(&path, Some(&plan)).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), new_json);
+        assert_eq!(read(&path), new_text);
+        // An append meets the same site: hit 1 fails and leaves the file
+        // alone, hit 2 appends.
+        let file = old.save(&path).unwrap();
+        let plan = FaultPlan::parse("store.save@1").unwrap();
+        assert!(delta.append_with_faults(&path, file, Some(&plan)).is_err());
+        assert_eq!(read(&path), old_text);
+        let appended = delta.append_with_faults(&path, file, Some(&plan)).unwrap();
+        let appended = appended.expect("the delta fits");
+        assert_eq!(read(&path).len() as u64, appended.len);
+        let (loaded, loaded_file) = Store::load(&path, old.config_fp).unwrap();
+        assert_eq!(loaded_file, appended);
+        assert_eq!(loaded.roots, new.roots);
+        assert_eq!(loaded.corpus_fp, new.corpus_fp);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

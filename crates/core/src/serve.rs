@@ -109,7 +109,7 @@ fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
             } else if dropped {
                 Frame::Oversized(total)
             } else {
-                Frame::Line(String::from_utf8_lossy(&line).into_owned())
+                Frame::Line(frame_text(line))
             });
         }
         match buf.iter().position(|&b| b == b'\n') {
@@ -122,7 +122,7 @@ fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
                 return Ok(if dropped || (max > 0 && line.len() > max) {
                     Frame::Oversized(total)
                 } else {
-                    Frame::Line(String::from_utf8_lossy(&line).into_owned())
+                    Frame::Line(frame_text(line))
                 });
             }
             None => {
@@ -139,6 +139,12 @@ fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
             }
         }
     }
+}
+
+/// A frame's bytes as text: moved into the `String` when they are valid
+/// UTF-8, and copied with U+FFFD for each invalid sequence only when not.
+fn frame_text(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Running totals across every request a serve loop has handled.
@@ -683,6 +689,22 @@ mod tests {
         // Framing re-synchronized: the next request still works.
         let ping = JsonValue::parse(lines[1]).unwrap();
         assert_eq!(ping.get("ok").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn frames_with_invalid_utf8_read_as_lossy_text() {
+        let valid = "{\"op\": \"ping\", \"n\": \"é中\"}".as_bytes().to_vec();
+        let mut invalid = valid.clone();
+        invalid.insert(3, 0xff);
+        invalid.extend_from_slice(&[0xe4, 0xb8]); // a truncated sequence
+        for bytes in [valid, invalid] {
+            let mut input = bytes.clone();
+            input.push(b'\n');
+            let Frame::Line(text) = read_frame(&mut input.as_slice(), 0).unwrap() else {
+                panic!("a frame");
+            };
+            assert_eq!(text, String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
 use crate::filter::{self, FilterResult};
 use crate::persist::{
-    self, config_fingerprint, ModuleFingerprints, Store, StoreDoc, StoredBug, StoredRoot,
+    self, config_fingerprint, ModuleFingerprints, Store, StoreDelta, StoreDoc, StoreFile,
+    StoredBug, StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
@@ -348,11 +349,20 @@ pub struct AnalysisSession {
     store_path: Option<PathBuf>,
     front_end: FrontEnd,
     warm: Option<WarmState>,
-    /// True when the on-disk store is known to equal the in-memory warm
-    /// state, with `synced_validation_len` verdicts — lets a fully-clean
-    /// request skip the redundant store rewrite.
-    store_synced: bool,
-    synced_validation_len: usize,
+    /// The on-disk store as this session last read or wrote it, while it
+    /// is known to equal the in-memory warm state: lets a fully-clean
+    /// request skip the save, and an edit append only what it changed.
+    synced: Option<SyncedStore>,
+}
+
+/// A store file that equals the session's warm state.
+#[derive(Debug, Clone, Copy)]
+struct SyncedStore {
+    file: StoreFile,
+    /// The validation cache's mark and size when the file was read or
+    /// written: the verdicts recorded since are the ones the file lacks.
+    cache_mark: u64,
+    cache_len: usize,
 }
 
 impl AnalysisSession {
@@ -373,8 +383,7 @@ impl AnalysisSession {
             store_path: None,
             front_end: FrontEnd::default(),
             warm: None,
-            store_synced: false,
-            synced_validation_len: 0,
+            synced: None,
         }
     }
 
@@ -396,14 +405,17 @@ impl AnalysisSession {
         let mut session = Self::with_registry(config, registry);
         let path = path.as_ref().to_path_buf();
         let t0 = Instant::now();
-        if let Some(store) = Store::load(&path, session.config_fp) {
+        if let Some((store, file)) = Store::load(&path, session.config_fp) {
             session.cache.import(store.validation);
             session.warm = Some(WarmState {
                 fps: ModuleFingerprints::from_db(store.functions),
                 roots: store.roots,
             });
-            session.store_synced = true;
-            session.synced_validation_len = session.cache.len();
+            session.synced = Some(SyncedStore {
+                file,
+                cache_mark: session.cache.mark(),
+                cache_len: session.cache.len(),
+            });
         }
         let load_ns = t0.elapsed().as_nanos() as u64;
         session.telemetry.record_direct(|sink| {
@@ -625,8 +637,7 @@ impl AnalysisSession {
     pub(crate) fn reset_warm(&mut self) {
         self.front_end = FrontEnd::default();
         self.warm = None;
-        self.store_synced = false;
-        self.synced_validation_len = 0;
+        self.synced = None;
     }
 
     /// The incremental pipeline on a compiled module.
@@ -655,22 +666,26 @@ impl AnalysisSession {
             Some(w) => (Some(w.fps), w.roots),
             None => (None, Vec::new()),
         };
-        let (fps, changed_functions, functions_unchanged) =
+        // `changed_names` is `None` when functions were added or removed.
+        let (fps, changed_functions, changed_names) =
             match (compiled.relowered.as_deref(), prev_fps) {
                 (Some(funcs), Some(mut fps)) => {
                     let changed = fps.refresh(module, funcs);
-                    (Some(fps), changed, changed == 0)
+                    (Some(fps), changed.len() as u64, Some(changed))
                 }
                 (_, prev_fps) => {
                     let fps = ModuleFingerprints::build(module);
-                    let (changed, unchanged) = match (&fps, &prev_fps) {
-                        (Some(f), Some(p)) => (f.db.changed_since(&p.db), f.db == p.db),
-                        (Some(f), None) => (f.db.entries.len() as u64, false),
-                        (None, _) => (module.functions().len() as u64, false),
+                    let (changed, names) = match (&fps, &prev_fps) {
+                        (Some(f), Some(p)) => {
+                            (f.db.changed_since(&p.db), f.db.changed_names(&p.db))
+                        }
+                        (Some(f), None) => (f.db.entries.len() as u64, None),
+                        (None, _) => (module.functions().len() as u64, None),
                     };
-                    (fps, changed, unchanged)
+                    (fps, changed, names)
                 }
             };
+        let functions_unchanged = changed_names.as_ref().is_some_and(Vec::is_empty);
         let closures: Vec<u64> = match &fps {
             Some(fps) => fps.closure_fps(&call_graph, &roots, config.resolve_fptrs),
             None => vec![0; roots.len()],
@@ -680,6 +695,13 @@ impl AnalysisSession {
         // against the new module up front — a resolution failure demotes
         // the root to dirty (never to a wrong answer).
         let file_ids = persist::file_ids(module);
+        // Whether the roots are the stored ones, by name and in order: then
+        // a save may replace their records in place.
+        let same_roots = prev_roots.len() == roots.len()
+            && prev_roots
+                .iter()
+                .zip(&roots)
+                .all(|(stored, &root)| stored.root == module.function(root).name());
         enum Plan {
             /// The index of the root's stored result, resolved.
             Clean(usize, Vec<PossibleBug>),
@@ -763,6 +785,8 @@ impl AnalysisSession {
         let prev_root_count = prev_roots.len();
         let mut prev_roots: Vec<Option<StoredRoot>> = prev_roots.into_iter().map(Some).collect();
         let mut new_roots: Vec<StoredRoot> = Vec::with_capacity(roots.len());
+        // Indices into `new_roots` of the records explored afresh.
+        let mut replaced: Vec<usize> = Vec::new();
         for ((&root, closure_fp), plan) in roots.iter().zip(&closures).zip(plans) {
             match plan {
                 Plan::Clean(at, resolved) => {
@@ -791,6 +815,7 @@ impl AnalysisSession {
                     // persist it together with its degraded entry so warm
                     // replays reproduce the report byte-identically.
                     if !quarantined {
+                        replaced.push(new_roots.len());
                         new_roots.push(StoredRoot {
                             root: module.function(root).name().to_owned(),
                             closure_fp: *closure_fp,
@@ -820,11 +845,16 @@ impl AnalysisSession {
         // clean request (the same function database, no dirty roots, the
         // same root count, no new validation verdicts) would rewrite the
         // store with the same content — skip the redundant serialization.
-        let store_unchanged = self.store_synced
+        let store_unchanged = self.synced.is_some_and(|s| s.cache_len == self.cache.len())
             && incremental.dirty_roots == 0
-            && self.cache.len() == self.synced_validation_len
             && functions_unchanged
             && prev_root_count == new_roots.len();
+        // What a delta line may carry: changed function fingerprints and
+        // replaced root records, when no function or root came or went.
+        let delta = changed_names
+            .as_deref()
+            .filter(|_| same_roots && new_roots.len() == roots.len())
+            .map(|changed| (changed, replaced.as_slice()));
         self.warm = fps.map(|fps| WarmState {
             fps,
             roots: new_roots,
@@ -832,29 +862,19 @@ impl AnalysisSession {
         if store_unchanged {
             // Nothing to write; the on-disk store already matches.
         } else if let (Some(path), Some(warm)) = (&self.store_path, &self.warm) {
-            let validation = if config.validation_cache {
-                self.cache.export()
-            } else {
-                Vec::new()
-            };
-            let store = StoreDoc {
-                config_fp: self.config_fp,
-                corpus_fp: warm.fps.db.corpus_fingerprint(),
-                functions: &warm.fps.db,
-                roots: &warm.roots,
-                validation: &validation,
-            };
             let t0 = Instant::now();
-            let saved = store
-                .save_with_faults(path, config.fault_plan.as_deref())
-                .is_ok();
+            let saved = self.save_store(path, warm, delta);
             let save_ns = t0.elapsed().as_nanos() as u64;
-            self.store_synced = saved;
-            self.synced_validation_len = self.cache.len();
+            let saved_ok = saved.is_ok();
+            self.synced = saved.ok().map(|file| SyncedStore {
+                file,
+                cache_mark: self.cache.mark(),
+                cache_len: self.cache.len(),
+            });
             if tel_on {
                 self.telemetry.record_direct(|sink| {
                     sink.record_ns("driver.serve.store_save", save_ns);
-                    if !saved {
+                    if !saved_ok {
                         sink.add("driver.serve.store_save_errors", 1);
                     }
                 });
@@ -862,7 +882,7 @@ impl AnalysisSession {
         } else {
             // No store path or nothing cacheable (ambiguous function
             // names): the disk state no longer mirrors the session.
-            self.store_synced = false;
+            self.synced = None;
         }
 
         let report = Report::new(result.reports)
@@ -874,6 +894,57 @@ impl AnalysisSession {
             telemetry: self.telemetry.snapshot(),
             incremental,
         }
+    }
+
+    /// Saves `warm` to the store at `path`. When the store on disk equals
+    /// the previous warm state and `delta` names what this request changed
+    /// (the functions whose fingerprint changed and the indices of the
+    /// replaced root records), the save appends one delta line with those
+    /// and the verdicts recorded since. Any other save, and one whose log
+    /// would outgrow the base, rewrites the whole store, which compacts
+    /// the log.
+    fn save_store(
+        &self,
+        path: &Path,
+        warm: &WarmState,
+        delta: Option<(&[String], &[usize])>,
+    ) -> std::io::Result<StoreFile> {
+        let fault = self.config.fault_plan.as_deref();
+        let verdicts_since = |mark| {
+            if self.config.validation_cache {
+                self.cache.export_since(mark)
+            } else {
+                Vec::new()
+            }
+        };
+        let corpus_fp = warm.fps.db.corpus_fingerprint();
+        if let (Some(synced), Some((changed, replaced))) = (self.synced, delta) {
+            let validation = verdicts_since(synced.cache_mark);
+            // A cache cleared since the file was synced lost verdicts the
+            // file still holds: only a rewrite drops them.
+            if self.cache.len() == synced.cache_len + validation.len() {
+                let delta = StoreDelta {
+                    corpus_fp,
+                    functions: changed
+                        .iter()
+                        .map(|name| (name.as_str(), warm.fps.db.entries[name]))
+                        .collect(),
+                    roots: replaced.iter().map(|&i| &warm.roots[i]).collect(),
+                    validation: &validation,
+                };
+                if let Some(file) = delta.append_with_faults(path, synced.file, fault)? {
+                    return Ok(file);
+                }
+            }
+        }
+        StoreDoc {
+            config_fp: self.config_fp,
+            corpus_fp,
+            functions: &warm.fps.db,
+            roots: &warm.roots,
+            validation: &verdicts_since(0),
+        }
+        .save_with_faults(path, fault)
     }
 }
 
@@ -888,6 +959,9 @@ fn module_stats(module: &Module) -> AnalysisStats {
 
 #[cfg(test)]
 mod exactness;
+
+#[cfg(test)]
+mod store_log;
 
 #[cfg(test)]
 mod tests {

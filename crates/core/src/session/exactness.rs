@@ -39,7 +39,7 @@ fn dump(m: &Module) -> String {
 /// day and are lowered in place; every other kind must fall back to a
 /// full lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Edit {
+pub(super) enum Edit {
     /// Change an integer constant in a function body.
     Const,
     /// Add `if (k > 1) { }` at the top of a body.
@@ -130,7 +130,7 @@ fn int_literals(line: &str) -> Vec<(usize, usize)> {
 /// Applies `edit` to one function of one seeded file; returns `false` when
 /// the chosen function has no place for it. `roots` names the current
 /// analysis roots.
-fn edit_function(
+pub(super) fn edit_function(
     files: &mut [(String, String)],
     edit: Edit,
     i: usize,
@@ -215,7 +215,7 @@ fn edit_function(
     true
 }
 
-fn request(files: &[(String, String)]) -> AnalysisRequest {
+pub(super) fn request(files: &[(String, String)]) -> AnalysisRequest {
     files
         .iter()
         .fold(AnalysisRequest::new(), |r, (name, text)| r.file(name, text))

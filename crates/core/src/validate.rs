@@ -223,7 +223,24 @@ fn encode_term(t: &Term, mut rename: Option<&mut Vec<pata_smt::SymId>>, out: &mu
 /// stage 2 runs on one thread per request.
 #[derive(Debug, Default)]
 pub struct ValidationCache {
-    verdicts: Mutex<HashMap<Vec<u8>, SatResult>>,
+    verdicts: Mutex<Verdicts>,
+}
+
+/// The cache's map. Each verdict carries the number of the insertion that
+/// recorded it, so a save can find the verdicts recorded since the last
+/// one without copying the rest.
+#[derive(Debug, Default)]
+struct Verdicts {
+    map: HashMap<Vec<u8>, (SatResult, u64)>,
+    /// Insertions so far, cleared ones included.
+    inserted: u64,
+}
+
+impl Verdicts {
+    fn insert(&mut self, key: Vec<u8>, result: SatResult) {
+        self.map.insert(key, (result, self.inserted));
+        self.inserted += 1;
+    }
 }
 
 impl ValidationCache {
@@ -232,13 +249,13 @@ impl ValidationCache {
         Self::default()
     }
 
-    fn verdicts(&self) -> MutexGuard<'_, HashMap<Vec<u8>, SatResult>> {
+    fn verdicts(&self) -> MutexGuard<'_, Verdicts> {
         self.verdicts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a canonical key.
     fn get(&self, key: &[u8]) -> Option<SatResult> {
-        self.verdicts().get(key).copied()
+        self.verdicts().map.get(key).map(|&(result, _)| result)
     }
 
     /// Records a verdict.
@@ -248,7 +265,7 @@ impl ValidationCache {
 
     /// Number of cached conjunctions.
     pub fn len(&self) -> usize {
-        self.verdicts().len()
+        self.verdicts().map.len()
     }
 
     /// Whether the cache is empty.
@@ -258,17 +275,30 @@ impl ValidationCache {
 
     /// Drops every cached verdict.
     pub fn clear(&self) {
-        self.verdicts().clear();
+        self.verdicts().map.clear();
     }
 
     /// Snapshots every cached verdict, sorted by key — the deterministic
     /// order the persistence layer serializes (identical caches produce
     /// identical store bytes).
     pub fn export(&self) -> Vec<(Vec<u8>, SatResult)> {
+        self.export_since(0)
+    }
+
+    /// A mark for [`ValidationCache::export_since`]: the number of
+    /// insertions so far.
+    pub(crate) fn mark(&self) -> u64 {
+        self.verdicts().inserted
+    }
+
+    /// The cached verdicts recorded at or after `mark`, sorted by key.
+    pub(crate) fn export_since(&self, mark: u64) -> Vec<(Vec<u8>, SatResult)> {
         let mut entries: Vec<(Vec<u8>, SatResult)> = self
             .verdicts()
+            .map
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .filter(|(_, &(_, at))| at >= mark)
+            .map(|(k, &(v, _))| (k.clone(), v))
             .collect();
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         entries
@@ -278,7 +308,10 @@ impl ValidationCache {
     /// the same key are overwritten; a cached verdict is always safe to
     /// adopt because keys canonically identify the conjunction they answer.
     pub fn import(&self, entries: Vec<(Vec<u8>, SatResult)>) {
-        self.verdicts().extend(entries);
+        let mut verdicts = self.verdicts();
+        for (key, result) in entries {
+            verdicts.insert(key, result);
+        }
     }
 }
 

@@ -417,3 +417,128 @@ fn earlier_edit_leaves_later_report_strings_alone() {
     assert_eq!(warm.report.to_json(), cold.report.to_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `CORPUS` with `blk_probe`'s second return value set to `-k`: an
+/// in-place edit of one root.
+fn edited(k: u32) -> Vec<(&'static str, String)> {
+    CORPUS
+        .iter()
+        .map(|&(name, text)| (name, text.replace("return -2;", &format!("return -{k};"))))
+        .collect()
+}
+
+fn owned_request(files: &[(&'static str, String)]) -> AnalysisRequest {
+    files
+        .iter()
+        .fold(AnalysisRequest::new(), |r, (name, text)| {
+            r.file(*name, text)
+        })
+}
+
+/// The store file's inode, its line count, and the bytes of its base line
+/// and of the log after it.
+fn store_shape(store: &std::path::Path) -> (u64, usize, usize, usize) {
+    use std::os::unix::fs::MetadataExt;
+    let text = std::fs::read_to_string(store).unwrap();
+    let base = text.find('\n').expect("a base line") + 1;
+    let ino = std::fs::metadata(store).unwrap().ino();
+    (ino, text.lines().count(), base, text.len() - base)
+}
+
+#[test]
+fn edits_append_until_the_log_outgrows_the_base() {
+    let dir = tempdir("compaction");
+    let store = dir.join("store.json");
+    let mut session = AnalysisSession::open(config(1), &store);
+    session.analyze(&request(CORPUS)).unwrap();
+    let (mut ino, mut lines, _, _) = store_shape(&store);
+    assert_eq!(lines, 1, "the first save writes the base alone");
+    let (mut appends, mut compactions) = (0, 0);
+    for k in 3..15 {
+        let files = edited(k);
+        let out = session.analyze(&owned_request(&files)).unwrap();
+        assert_eq!(out.incremental.dirty_roots, 1);
+        let (now_ino, now_lines, base, log) = store_shape(&store);
+        if now_ino == ino {
+            assert_eq!(now_lines, lines + 1, "k={k}: one delta line appended");
+            appends += 1;
+        } else {
+            assert_eq!(now_lines, 1, "k={k}: a rewrite compacts the log");
+            assert!(appends > 0, "k={k}: compaction follows appends");
+            compactions += 1;
+        }
+        assert!(log <= base, "k={k}: the log never outgrows the base");
+        (ino, lines) = (now_ino, now_lines);
+
+        // A restart replays every root from the log.
+        let replay = AnalysisSession::open(config(1), &store)
+            .analyze(&owned_request(&files))
+            .unwrap();
+        assert!(replay.incremental.warm_start, "k={k}");
+        assert_eq!(replay.incremental.dirty_roots, 0, "k={k}");
+        assert_eq!(replay.report.to_json(), out.report.to_json(), "k={k}");
+    }
+    assert!(
+        appends >= 4 && compactions >= 2,
+        "{appends} appends, {compactions} compactions"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_or_bad_log_line_is_a_clean_cold_start() {
+    let dir = tempdir("torn");
+    let store = dir.join("store.json");
+    run(&store, 1, CORPUS);
+    let files = edited(7);
+    let served = AnalysisSession::open(config(1), &store)
+        .analyze(&owned_request(&files))
+        .unwrap();
+    let text = std::fs::read_to_string(&store).unwrap();
+    assert_eq!(text.lines().count(), 2, "the edit appended a delta line");
+    let base = &text[..text.find('\n').unwrap() + 1];
+    let no_op = "{\"corpus_fingerprint\": \"0\", \"functions\": [], \"roots\": [], \
+                 \"validation\": []}\n";
+    let unknown = "{\"corpus_fingerprint\": \"0\", \"functions\": [{\"name\": \"nope\", \
+                   \"fp\": \"1\"}], \"roots\": [], \"validation\": []}\n";
+    for (case, damaged, warm) in [
+        ("no final newline", text[..text.len() - 1].to_owned(), false),
+        ("torn delta", text[..base.len() + 20].to_owned(), false),
+        ("bad line", format!("{text}{{}}\n"), false),
+        ("unknown function", format!("{text}{unknown}"), false),
+        ("blank line", format!("{base}\n"), false),
+        (
+            "a delta that changes nothing",
+            format!("{text}{no_op}"),
+            true,
+        ),
+    ] {
+        std::fs::write(&store, &damaged).unwrap();
+        let out = AnalysisSession::open(config(1), &store)
+            .analyze(&owned_request(&files))
+            .unwrap();
+        assert_eq!(out.incremental.warm_start, warm, "{case}");
+        assert_eq!(out.report.to_json(), served.report.to_json(), "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store the previous schema wrote (version 2, one document with no
+/// final newline) is a clean cold start, and is replaced.
+#[test]
+fn schema_two_store_is_a_clean_cold_start() {
+    let dir = tempdir("schema-two");
+    let store = dir.join("store.json");
+    let cold = run(&store, 1, CORPUS);
+    let text = std::fs::read_to_string(&store).unwrap();
+    let parent = text.trim_end_matches('\n').replace(
+        &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
+        "\"schema_version\": 2",
+    );
+    std::fs::write(&store, &parent).unwrap();
+    let out = run(&store, 1, CORPUS);
+    assert!(!out.incremental.warm_start);
+    assert_eq!(out.report.to_json(), cold.report.to_json());
+    assert_eq!(std::fs::read_to_string(&store).unwrap(), text, "rewritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -147,7 +147,9 @@ echo "== serve round-trip (smoke)"
 # the file list changed, so every function was lowered. Then add a local
 # to the first corpus file and check that only that function changed,
 # only that file was parsed again and only its functions were lowered
-# again. Then shut the daemon down cleanly through the client.
+# again, and that the store was appended to, not renamed over. Then shut
+# the daemon down cleanly through the client, restart it over the same
+# store, and check that it reports the same findings without exploring.
 sock="$tmp_dir/pata.sock"
 cargo run -q --release --bin pata -- serve --socket "$sock" \
     --store "$tmp_dir/serve-store.json" &
@@ -190,6 +192,9 @@ cp "$first_file" "$tmp_dir/first.orig"
 sed -i '0,/^static [^=]*) {$/s//& int ci_renumber = 1;/' "$first_file"
 ! cmp -s "$first_file" "$tmp_dir/first.orig" \
     || { echo "serve: renumbering edit did not apply"; exit 1; }
+serve_store="$tmp_dir/serve-store.json"
+store_inode=$(stat -c %i "$serve_store")
+store_bytes=$(stat -c %s "$serve_store")
 third=$(cargo run -q --release --bin pata -- client --socket "$sock" \
     "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c")
 echo "$third" | grep -q '"ok": true' \
@@ -203,10 +208,36 @@ echo "$third" | grep -q '"parsed_files": 1}' \
 first_fns=$(cargo run -q --release --bin pata -- ir "$first_file" | grep -c '^fn ')
 echo "$third" | grep -q "\"lowered_functions\": $first_fns," \
     || { echo "serve: third request must lower exactly the $first_fns functions of the edited file"; exit 1; }
+# An in-place edit changes root records and fingerprints only, so the save
+# appends one delta line to the store file.
+[ "$(stat -c %i "$serve_store")" = "$store_inode" ] \
+    || { echo "serve: the in-place edit must append to the store, not rename over it"; exit 1; }
+[ "$(stat -c %s "$serve_store")" -gt "$store_bytes" ] \
+    || { echo "serve: the appended store must grow"; exit 1; }
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: daemon exited non-zero"; exit 1; }
-echo "serve round-trip OK (second request re-explored 1 root and lowered all $all_fns functions, third changed 1 function and lowered $first_fns, each parsed 1 file)"
+# A restart loads the base and the log: the same findings, no root
+# explored. Responses match up to their "serve" counters.
+sock="$tmp_dir/pata-restart.sock"
+cargo run -q --release --bin pata -- serve --socket "$sock" --store "$serve_store" &
+serve_pid=$!
+for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
+    [ -S "$sock" ] && break
+    sleep 0.25
+done
+[ -S "$sock" ] || { echo "serve: restarted socket never appeared"; exit 1; }
+restarted=$(cargo run -q --release --bin pata -- client --socket "$sock" \
+    "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c")
+echo "$restarted" | grep -q '"dirty_roots": 0,' \
+    || { echo "serve: a restart over the appended store must explore no root"; exit 1; }
+[ "$(printf '%s\n' "$restarted" | sed 's/, "serve": {.*//')" \
+    = "$(printf '%s\n' "$third" | sed 's/, "serve": {.*//')" ] \
+    || { echo "serve: a restart over the appended store must report the same findings"; exit 1; }
+cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
+    >/dev/null
+wait "$serve_pid" || { echo "serve: restarted daemon exited non-zero"; exit 1; }
+echo "serve round-trip OK (second request re-explored 1 root and lowered all $all_fns functions, third changed 1 function and lowered $first_fns, each parsed 1 file; the third appended to the store, and a restart over it explored no root)"
 
 echo "== fault-injection smoke matrix"
 # Inject a panic, a validation panic, a deadline trip, and a store IO
