@@ -24,6 +24,11 @@
 //! allocator local to this binary measures them; `tests/explore_allocs.rs`
 //! enforces the budget.
 //!
+//! It records `deep_ns_per_step` too: explore nanoseconds per live step
+//! on that deep-path module, best of twenty single-threaded runs, the raw
+//! cost of one DFS step. It depends on the machine, so nothing gates on
+//! it.
+//!
 //! `--smoke` runs a reduced single-round configuration for CI; `--scale F`
 //! sizes the corpus (default 1.0).
 
@@ -165,7 +170,7 @@ const SWEEP_SCALES: [f64; 3] = [1.0, 4.0, 16.0];
 /// Largest allowed scale-16 / scale-1 explore ns per instruction.
 const SWEEP_MAX_RATIO: f64 = 1.5;
 
-/// Explore-stage nanoseconds per executed instruction for one
+/// Explore-stage nanoseconds per executed instruction (live step) for one
 /// single-threaded stage-1 run, from the `stage.explore` telemetry span.
 fn explore_ns_per_inst(module: &pata_ir::Module) -> f64 {
     let session = AnalysisSession::new(
@@ -291,7 +296,11 @@ fn main() {
     let cow_speedup = clone_s / cow_s.max(1e-9);
     let steps_per_sec = steps as f64 / cow_s.max(1e-9);
     let (forks, fork_bytes_copied, peak_live_bytes) = fork_telemetry(&module);
-    let allocs_deep = explore_allocs_per_inst(&deep_module());
+    let deep = deep_module();
+    let allocs_deep = explore_allocs_per_inst(&deep);
+    let deep_ns_per_step = (0..20)
+        .map(|_| explore_ns_per_inst(&deep))
+        .fold(f64::INFINITY, f64::min);
     let linux_02 = Corpus::generate(&OsProfile::linux().with_scale(0.2))
         .compile()
         .expect("corpus compiles");
@@ -315,6 +324,7 @@ fn main() {
         "explore allocator calls per instruction: deep paths {allocs_deep:.4}, \
          linux 0.2 {allocs_linux:.4}"
     );
+    println!("explore ns per live step on the deep-path module: {deep_ns_per_step:.1}");
     println!(
         "cow live-step throughput: {:.2e} steps/s, {cow_speedup:.1}x clone-based forking",
         steps_per_sec
@@ -323,6 +333,7 @@ fn main() {
     let section = results::object(&[
         ("scale", format!("{scale}")),
         ("steps_per_sec", format!("{steps_per_sec:.1}")),
+        ("deep_ns_per_step", format!("{deep_ns_per_step:.1}")),
         ("live_steps", format!("{steps}")),
         ("forks", format!("{forks}")),
         ("fork_bytes_copied", format!("{fork_bytes_copied}")),

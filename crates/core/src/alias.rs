@@ -31,6 +31,13 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The node with raw index `i`, for tests that key tables by node
+    /// without building a graph.
+    #[cfg(test)]
+    pub(crate) fn from_index(i: usize) -> NodeId {
+        NodeId(u32::try_from(i).expect("node index fits u32"))
+    }
 }
 
 impl fmt::Display for NodeId {

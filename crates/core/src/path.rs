@@ -67,8 +67,8 @@ use crate::fingerprint::FxHashMap;
 use crate::report::PossibleBug;
 use crate::stats::{AnalysisStats, BudgetNote};
 use crate::typestate::{
-    BranchEvent, Checker, FrameEndEvent, HeapObject, OperandKey, PendingBug, StateMark, StateTable,
-    TrackCtx, TrackKey, UpdateInfo,
+    BranchEvent, Checker, FrameEndEvent, HeapObject, KeyMap, OperandKey, PendingBug, StateMark,
+    StateTable, TrackCtx, TrackKey, UpdateInfo,
 };
 use pata_ir::{
     BlockId, Callee, CmpOp, ConstVal, FuncId, Inst, InstId, InstKind, Loc, Module, Operand,
@@ -268,9 +268,9 @@ struct CloneSnapshot {
     states: StateTable,
     cond_defs: FxHashMap<VarId, PredDef>,
     cond_journal: Vec<(VarId, Option<PredDef>)>,
-    syms: FxHashMap<TrackKey, SymId>,
+    syms: KeyMap<SymId>,
     sym_journal: Vec<(TrackKey, Option<SymId>)>,
-    fptrs: FxHashMap<TrackKey, FuncId>,
+    fptrs: KeyMap<FuncId>,
     fptr_journal: Vec<(TrackKey, Option<FuncId>)>,
     heap_journal: Vec<HeapPush>,
     next_sym: u32,
@@ -291,11 +291,11 @@ pub(crate) struct Workspace {
     states: StateTable,
     cond_defs: FxHashMap<VarId, PredDef>,
     cond_journal: Vec<(VarId, Option<PredDef>)>,
-    syms: FxHashMap<TrackKey, SymId>,
+    syms: KeyMap<SymId>,
     sym_journal: Vec<(TrackKey, Option<SymId>)>,
     /// Function addresses pinned to alias sets along the current path
     /// (the §7 function-pointer extension; populated by `FuncAddr`).
-    fptrs: FxHashMap<TrackKey, FuncId>,
+    fptrs: KeyMap<FuncId>,
     fptr_journal: Vec<(TrackKey, Option<FuncId>)>,
     /// Journal of heap-object pushes (see [`HeapPush`]); gives the combined
     /// mark a single O(1) length instead of a per-frame length vector.
@@ -326,8 +326,8 @@ impl Workspace {
         self.graph.reset();
         self.states.reset();
         undo_map(&mut self.cond_defs, &mut self.cond_journal, 0);
-        undo_map(&mut self.syms, &mut self.sym_journal, 0);
-        undo_map(&mut self.fptrs, &mut self.fptr_journal, 0);
+        self.syms.undo(&mut self.sym_journal, 0);
+        self.fptrs.undo(&mut self.fptr_journal, 0);
         self.heap_journal.clear();
         self.trace.clear();
         self.spare_frames.append(&mut self.frames);
@@ -340,7 +340,8 @@ impl Workspace {
     /// and maps: zero exactly for a workspace that has never run a root.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
-        self.cond_defs.capacity()
+        self.states.capacity()
+            + self.cond_defs.capacity()
             + self.cond_journal.capacity()
             + self.syms.capacity()
             + self.sym_journal.capacity()
@@ -611,8 +612,8 @@ impl<'a> Explorer<'a> {
             &mut self.ws.cond_journal,
             mark.conds,
         );
-        undo_map(&mut self.ws.syms, &mut self.ws.sym_journal, mark.syms);
-        undo_map(&mut self.ws.fptrs, &mut self.ws.fptr_journal, mark.fptrs);
+        self.ws.syms.undo(&mut self.ws.sym_journal, mark.syms);
+        self.ws.fptrs.undo(&mut self.ws.fptr_journal, mark.fptrs);
         self.next_sym = mark.next_sym;
         self.ws.trace.truncate(mark.trace);
         for e in self.ws.heap_journal.drain(mark.heap..).rev() {
@@ -653,7 +654,7 @@ impl<'a> Explorer<'a> {
     }
 
     fn sym_for(&mut self, key: TrackKey) -> SymId {
-        if let Some(&s) = self.ws.syms.get(&key) {
+        if let Some(s) = self.ws.syms.get(key) {
             return s;
         }
         let s = SymId(self.next_sym);
@@ -1560,8 +1561,8 @@ impl<'a> Explorer<'a> {
         let effective = match callee {
             Callee::Indirect(v) if self.config.resolve_fptrs => {
                 let key = self.key_of(v);
-                match self.ws.fptrs.get(&key) {
-                    Some(&f) => Callee::Direct(f),
+                match self.ws.fptrs.get(key) {
+                    Some(f) => Callee::Direct(f),
                     None => callee,
                 }
             }
@@ -1847,6 +1848,92 @@ mod tests {
         }
         assert!(ws.states.is_empty() && ws.syms.is_empty() && ws.trace.is_empty());
         assert!(ws.frames.is_empty() && !ws.spare_frames.is_empty());
+    }
+
+    /// The workspace's symbol and function-pointer maps against hash-map
+    /// references, written and undone the way the explorer does (a write
+    /// journals the old value, a rollback undoes to a journal length), over
+    /// seeded sequences that mix dense and sparse nodes with variables.
+    /// After every step each touched key reads the same and `len()`
+    /// matches; a workspace reset leaves every dense slot empty, keeps its
+    /// buffers, and [`Workspace::capacity`] counts them.
+    #[test]
+    fn workspace_key_maps_match_a_hash_map_model() {
+        use crate::typestate::tests::model_key;
+        type Model<V> = (FxHashMap<TrackKey, V>, Vec<(TrackKey, Option<V>)>);
+        fn undo<V>(model: &mut Model<V>, len: usize) {
+            for (k, old) in model.1.drain(len..).rev() {
+                match old {
+                    Some(v) => model.0.insert(k, v),
+                    None => model.0.remove(&k),
+                };
+            }
+        }
+        for seed in 0..8u64 {
+            let mut rng = pata_corpus::Prng::seed_from_u64(seed);
+            let mut ws = Workspace::default();
+            assert_eq!(ws.capacity(), 0, "a new workspace holds no buffer");
+            let mut syms: Model<SymId> = Default::default();
+            let mut fptrs: Model<FuncId> = Default::default();
+            let mut marks: Vec<(usize, usize)> = Vec::new();
+            let mut touched: Vec<TrackKey> = Vec::new();
+            for step in 0..2_000u32 {
+                let key = model_key(&mut rng);
+                match rng.gen_range(0, 100) {
+                    0..=34 => {
+                        let s = SymId(step);
+                        let old = ws.syms.insert(key, s);
+                        ws.sym_journal.push((key, old));
+                        syms.1.push((key, syms.0.insert(key, s)));
+                        assert_eq!(old, syms.1.last().unwrap().1);
+                    }
+                    35..=54 => {
+                        let f = FuncId::from_index(rng.gen_range(0, 9));
+                        let old = ws.fptrs.insert(key, f);
+                        ws.fptr_journal.push((key, old));
+                        fptrs.1.push((key, fptrs.0.insert(key, f)));
+                        assert_eq!(old, fptrs.1.last().unwrap().1);
+                    }
+                    55..=69 => {
+                        assert_eq!(ws.syms.get(key), syms.0.get(&key).copied());
+                        assert_eq!(ws.fptrs.get(key), fptrs.0.get(&key).copied());
+                    }
+                    70..=82 => marks.push((ws.sym_journal.len(), ws.fptr_journal.len())),
+                    83..=96 => {
+                        if !marks.is_empty() {
+                            let i = rng.gen_range(0, marks.len());
+                            let (s, f) = marks[i];
+                            marks.truncate(i);
+                            ws.syms.undo(&mut ws.sym_journal, s);
+                            ws.fptrs.undo(&mut ws.fptr_journal, f);
+                            undo(&mut syms, s);
+                            undo(&mut fptrs, f);
+                        }
+                    }
+                    _ => {
+                        let capacity = ws.capacity();
+                        ws.reset();
+                        undo(&mut syms, 0);
+                        undo(&mut fptrs, 0);
+                        marks.clear();
+                        assert!(ws.capacity() >= capacity, "a reset frees no buffer");
+                        assert!(ws.syms.is_empty() && ws.fptrs.is_empty());
+                        assert!(ws.syms.node_slots().iter().all(Option::is_none));
+                        assert!(ws.fptrs.node_slots().iter().all(Option::is_none));
+                    }
+                }
+                if !touched.contains(&key) {
+                    touched.push(key);
+                }
+                for &k in &touched {
+                    assert_eq!(ws.syms.get(k), syms.0.get(&k).copied(), "seed {seed}");
+                    assert_eq!(ws.fptrs.get(k), fptrs.0.get(&k).copied(), "seed {seed}");
+                }
+                assert_eq!(ws.syms.len(), syms.0.len(), "seed {seed}, step {step}");
+                assert_eq!(ws.fptrs.len(), fptrs.0.len(), "seed {seed}, step {step}");
+            }
+            assert!(ws.capacity() > 0, "the maps' buffers are counted");
+        }
     }
 
     fn explore_all(config: &AnalysisConfig) -> (usize, u64, ForkStats) {

@@ -43,13 +43,116 @@ pub struct StateEntry {
     pub origin_id: InstId,
 }
 
+/// A map keyed by [`TrackKey`] with no hashing on the alias-aware path.
+///
+/// Alias-graph nodes are dense per-root indices, so [`TrackKey::Node`]
+/// keys index a vector directly; [`TrackKey::Var`] keys (PATA-NA only)
+/// are module-wide variable ids and stay in a hash map, so the vector is
+/// never sized by the module. The vector only grows: a rollback writes
+/// `None` back into the slots it undoes, so emptying the map costs what
+/// was written, not the highest index ever used. `len` counts live
+/// entries in both halves, so size estimates read what the path holds,
+/// not the buffers kept for reuse.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyMap<V> {
+    nodes: Vec<Option<V>>,
+    vars: FxHashMap<VarId, V>,
+    len: usize,
+}
+
+impl<V> Default for KeyMap<V> {
+    fn default() -> Self {
+        KeyMap {
+            nodes: Vec::new(),
+            vars: FxHashMap::default(),
+            len: 0,
+        }
+    }
+}
+
+impl<V: Copy> KeyMap<V> {
+    /// The value at `key`, if any.
+    #[inline]
+    pub(crate) fn get(&self, key: TrackKey) -> Option<V> {
+        match key {
+            TrackKey::Node(n) => self.nodes.get(n.index()).copied().flatten(),
+            TrackKey::Var(v) => self.vars.get(&v).copied(),
+        }
+    }
+
+    /// Sets `key` to `value`, returning the previous value.
+    #[inline]
+    pub(crate) fn insert(&mut self, key: TrackKey, value: V) -> Option<V> {
+        let old = match key {
+            TrackKey::Node(n) => {
+                let i = n.index();
+                if i >= self.nodes.len() {
+                    self.nodes.resize(i + 1, None);
+                }
+                self.nodes[i].replace(value)
+            }
+            TrackKey::Var(v) => self.vars.insert(v, value),
+        };
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Removes `key`, returning its value.
+    #[inline]
+    pub(crate) fn remove(&mut self, key: TrackKey) -> Option<V> {
+        let old = match key {
+            TrackKey::Node(n) => self.nodes.get_mut(n.index()).and_then(Option::take),
+            TrackKey::Var(v) => self.vars.remove(&v),
+        };
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// Pops `journal` back to `len`, putting each popped key's old value
+    /// back (the undo half of a path-local map journal).
+    pub(crate) fn undo(&mut self, journal: &mut Vec<(TrackKey, Option<V>)>, len: usize) {
+        for (key, old) in journal.drain(len..).rev() {
+            match old {
+                Some(v) => self.insert(key, v),
+                None => self.remove(key),
+            };
+        }
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no key has a value.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Elements of buffer capacity held, live or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.nodes.capacity() + self.vars.capacity()
+    }
+
+    /// The dense node slots, for tests that check a reset left none set.
+    #[cfg(test)]
+    pub(crate) fn node_slots(&self) -> &[Option<V>] {
+        &self.nodes
+    }
+}
+
 /// Journal-backed state storage shared by all checkers.
 ///
 /// Mirrors [`crate::alias::AliasGraph`]'s mark/rollback protocol so the path
-/// explorer can backtrack states and alias information in lockstep.
+/// explorer can backtrack states and alias information in lockstep. Each
+/// checker id has its own [`KeyMap`], so a lookup is two vector indexings
+/// in the alias-aware mode.
 #[derive(Debug, Default, Clone)]
 pub struct StateTable {
-    map: FxHashMap<(u8, TrackKey), StateEntry>,
+    /// Indexed by checker id ([`BugKind::id`] for the built-in checkers),
+    /// grown on a checker's first write.
+    maps: Vec<KeyMap<StateEntry>>,
     journal: Vec<StateOp>,
 }
 
@@ -72,19 +175,32 @@ impl StateTable {
     }
 
     /// Current state for `key` under `checker`, if any transition happened.
+    #[inline]
     pub fn get(&self, checker: u8, key: TrackKey) -> Option<StateEntry> {
-        self.map.get(&(checker, key)).copied()
+        self.maps.get(checker as usize)?.get(key)
+    }
+
+    /// The map for `checker`, created on first use.
+    fn map_mut(&mut self, checker: u8) -> &mut KeyMap<StateEntry> {
+        let i = checker as usize;
+        if i >= self.maps.len() {
+            self.maps.resize_with(i + 1, KeyMap::default);
+        }
+        &mut self.maps[i]
     }
 
     /// Sets the state, journaling the old value.
     pub fn set(&mut self, checker: u8, key: TrackKey, entry: StateEntry) {
-        let old = self.map.insert((checker, key), entry);
+        let old = self.map_mut(checker).insert(key, entry);
         self.journal.push(StateOp { checker, key, old });
     }
 
     /// Clears the state (used when a variable is redefined in PATA-NA mode).
     pub fn clear(&mut self, checker: u8, key: TrackKey) {
-        if let Some(old) = self.map.remove(&(checker, key)) {
+        let Some(map) = self.maps.get_mut(checker as usize) else {
+            return;
+        };
+        if let Some(old) = map.remove(key) {
             self.journal.push(StateOp {
                 checker,
                 key,
@@ -95,7 +211,7 @@ impl StateTable {
 
     /// Number of live state entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.maps.iter().map(KeyMap::len).sum()
     }
 
     /// Journal length (undo depth since the table was created).
@@ -103,16 +219,18 @@ impl StateTable {
         self.journal.len()
     }
 
-    /// O(1) estimate of the heap bytes a deep clone of this table copies.
+    /// O(1) estimate of the heap bytes a deep clone of this table copies,
+    /// at a hash-map entry's size per live state: what the path holds, not
+    /// how the table stores it.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<((u8, TrackKey), StateEntry)>() as u64;
         let op = std::mem::size_of::<StateOp>() as u64;
-        self.map.len() as u64 * entry + self.journal.len() as u64 * op
+        self.len() as u64 * entry + self.journal.len() as u64 * op
     }
 
     /// Whether no states are tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.maps.iter().all(KeyMap::is_empty)
     }
 
     /// Snapshots for rollback.
@@ -124,14 +242,11 @@ impl StateTable {
     pub fn rollback(&mut self, mark: StateMark) {
         while self.journal.len() > mark.0 {
             let StateOp { checker, key, old } = self.journal.pop().unwrap();
+            let map = &mut self.maps[checker as usize];
             match old {
-                Some(entry) => {
-                    self.map.insert((checker, key), entry);
-                }
-                None => {
-                    self.map.remove(&(checker, key));
-                }
-            }
+                Some(entry) => map.insert(key, entry),
+                None => map.remove(key),
+            };
         }
     }
 
@@ -139,6 +254,19 @@ impl StateTable {
     /// rollback to the creation mark, so it costs what the journal holds.
     pub(crate) fn reset(&mut self) {
         self.rollback(StateMark(0));
+    }
+
+    /// Elements of buffer capacity held across the per-checker maps and
+    /// the journal.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.maps.iter().map(KeyMap::capacity).sum::<usize>() + self.journal.capacity()
+    }
+
+    /// The per-checker maps, for tests that inspect their slots.
+    #[cfg(test)]
+    pub(crate) fn maps(&self) -> &[KeyMap<StateEntry>] {
+        &self.maps
     }
 }
 
@@ -446,7 +574,7 @@ pub trait Checker: Send + Sync {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn key(i: usize) -> TrackKey {
@@ -488,6 +616,110 @@ mod tests {
         t.rollback(mark);
         assert_eq!(t.get(0, key(1)).unwrap().state, 1);
         assert!(t.get(0, key(2)).is_none());
+    }
+
+    /// Keys the model tests draw from: dense low node indices, sparse
+    /// high ones, and variables (PATA-NA keys) both small and far apart.
+    pub(crate) fn model_key(rng: &mut pata_corpus::Prng) -> TrackKey {
+        match rng.gen_range(0, 10) {
+            0..=5 => TrackKey::Node(NodeId::from_index(rng.gen_range(0, 48))),
+            6 => TrackKey::Node(NodeId::from_index(1_000 + 2_371 * rng.gen_range(0, 8))),
+            7 | 8 => TrackKey::Var(VarId::from_index(rng.gen_range(0, 48))),
+            _ => TrackKey::Var(VarId::from_index(100_000 + 487_903 * rng.gen_range(0, 8))),
+        }
+    }
+
+    /// The table against a hash-map reference with the same journal
+    /// discipline, over seeded sequences of set, clear, get, mark,
+    /// rollback and reset across every built-in checker id (and one
+    /// custom id past them): after every step each touched key reads the
+    /// same, `len()` and `approx_bytes()` match the reference, and a reset
+    /// leaves every dense slot empty.
+    #[test]
+    fn state_table_matches_a_hash_map_model() {
+        type Key = (u8, TrackKey);
+        let entry_size = std::mem::size_of::<((u8, TrackKey), StateEntry)>() as u64;
+        let op_size = std::mem::size_of::<StateOp>() as u64;
+        for seed in 0..8u64 {
+            let mut rng = pata_corpus::Prng::seed_from_u64(seed);
+            let mut t = StateTable::new();
+            let mut model: FxHashMap<Key, StateEntry> = FxHashMap::default();
+            let mut journal: Vec<(Key, Option<StateEntry>)> = Vec::new();
+            let mut marks: Vec<(StateMark, usize)> = Vec::new();
+            let mut touched: Vec<Key> = Vec::new();
+            let undo = |model: &mut FxHashMap<Key, StateEntry>,
+                        journal: &mut Vec<(Key, Option<StateEntry>)>,
+                        len: usize| {
+                for (k, old) in journal.drain(len..).rev() {
+                    match old {
+                        Some(e) => model.insert(k, e),
+                        None => model.remove(&k),
+                    };
+                }
+            };
+            for step in 0..2_000usize {
+                let checker = if rng.gen_range(0, 40) == 0 {
+                    9
+                } else {
+                    rng.gen_range(0, 7) as u8
+                };
+                let key = model_key(&mut rng);
+                match rng.gen_range(0, 100) {
+                    0..=39 => {
+                        let mut e = entry(rng.gen_range(1, 6) as StateVal);
+                        e.origin_id.inst = step;
+                        t.set(checker, key, e);
+                        journal.push(((checker, key), model.insert((checker, key), e)));
+                    }
+                    40..=59 => {
+                        t.clear(checker, key);
+                        if let Some(old) = model.remove(&(checker, key)) {
+                            journal.push(((checker, key), Some(old)));
+                        }
+                    }
+                    60..=74 => {
+                        assert_eq!(t.get(checker, key), model.get(&(checker, key)).copied());
+                    }
+                    75..=84 => marks.push((t.mark(), journal.len())),
+                    85..=96 => {
+                        if !marks.is_empty() {
+                            let i = rng.gen_range(0, marks.len());
+                            let (mark, len) = marks[i];
+                            marks.truncate(i);
+                            t.rollback(mark);
+                            undo(&mut model, &mut journal, len);
+                        }
+                    }
+                    _ => {
+                        t.reset();
+                        undo(&mut model, &mut journal, 0);
+                        marks.clear();
+                        assert!(t.is_empty());
+                        for map in t.maps() {
+                            assert!(map.is_empty());
+                            assert!(map.node_slots().iter().all(Option::is_none));
+                        }
+                    }
+                }
+                if !touched.contains(&(checker, key)) {
+                    touched.push((checker, key));
+                }
+                for &(c, k) in &touched {
+                    assert_eq!(t.get(c, k), model.get(&(c, k)).copied(), "seed {seed}");
+                }
+                assert_eq!(t.len(), model.len(), "seed {seed}, step {step}");
+                assert_eq!(t.is_empty(), model.is_empty());
+                assert_eq!(
+                    t.approx_bytes(),
+                    model.len() as u64 * entry_size + journal.len() as u64 * op_size
+                );
+            }
+            t.reset();
+            for map in t.maps() {
+                assert!(map.node_slots().iter().all(Option::is_none));
+            }
+            assert_eq!((t.len(), t.approx_bytes()), (0, 0));
+        }
     }
 
     #[test]

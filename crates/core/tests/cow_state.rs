@@ -9,9 +9,12 @@
 //! while the clone-based baseline (`cow_state(false)`) grows.
 //!
 //! Independently, both representations must be observationally equivalent:
-//! byte-identical report documents across cow on/off and threads 1/2/4.
+//! byte-identical report documents and identical stats across cow on/off
+//! and threads 1/2/4, in both alias modes and with every checker. The fork
+//! telemetry of one fixed root is pinned, so a storage change cannot move
+//! a `--max-live-bytes` trip point unnoticed.
 
-use pata_core::{AnalysisConfig, AnalysisSession, Report};
+use pata_core::{AliasMode, AnalysisConfig, AnalysisSession, BugKind, Report};
 
 /// One interface root with `k` live heap allocations before a single
 /// branch: the deeper the state, the more a clone-based fork must copy.
@@ -83,8 +86,12 @@ fn fork_cost_is_flat_in_live_state_depth() {
     );
 }
 
-/// Byte-identical report documents across the fork representation and
-/// every tested thread count, on a corpus with enough roots to schedule.
+/// Byte-identical report documents and identical stats across the fork
+/// representation and every tested thread count, on a corpus with enough
+/// roots to schedule. The default mode keys path state by alias-graph
+/// node and PATA-NA by variable; each runs with the default checkers and
+/// with all seven, so every checker's state namespace and both halves of
+/// the key space go through both fork modes.
 #[test]
 fn reports_identical_across_cow_and_threads() {
     let mut src = String::new();
@@ -99,25 +106,89 @@ fn reports_identical_across_cow_and_threads() {
     }
     let module = pata_cc::compile_one("many.c", &src).unwrap();
 
-    let report = |cow: bool, threads: usize| {
-        let outcome =
-            AnalysisSession::new(config(cow, threads, false)).analyze_module(module.clone());
-        Report::new(outcome.reports)
-            .with_budget_notes(outcome.budget_notes)
-            .to_json()
-    };
-    let base = report(true, 1);
-    assert!(
-        base.contains("null-pointer-dereference"),
-        "a non-empty report document is expected: {base}"
-    );
-    for cow in [true, false] {
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                report(cow, threads),
-                base,
-                "cow {cow}, threads {threads} must match the sequential cow run"
+    for mode in [AliasMode::PathBased, AliasMode::None] {
+        for checkers in [AnalysisConfig::default().checkers, BugKind::ALL.to_vec()] {
+            let run = |cow: bool, threads: usize| {
+                let config = AnalysisConfig::builder()
+                    .threads(threads)
+                    .cow_state(cow)
+                    .alias_mode(mode)
+                    .checkers(checkers.clone())
+                    .build()
+                    .unwrap();
+                let outcome = AnalysisSession::new(config).analyze_module(module.clone());
+                let mut stats = outcome.stats;
+                stats.time = std::time::Duration::ZERO;
+                let report = Report::new(outcome.reports)
+                    .with_budget_notes(outcome.budget_notes)
+                    .to_json();
+                (report, stats)
+            };
+            let (base, base_stats) = run(true, 1);
+            let name = format!("{mode:?}, {} checkers", checkers.len());
+            assert!(
+                base.contains("null-pointer-dereference"),
+                "{name}: a non-empty report document is expected: {base}"
             );
+            for cow in [true, false] {
+                for threads in [1usize, 2, 4] {
+                    let (report, stats) = run(cow, threads);
+                    assert_eq!(
+                        report, base,
+                        "{name}: cow {cow}, threads {threads} must match the sequential cow run"
+                    );
+                    assert_eq!(stats, base_stats, "{name}: cow {cow}, threads {threads}");
+                }
+            }
+        }
+    }
+}
+
+/// The fork telemetry of one fixed root is pinned in both fork modes, in
+/// the default mode and in PATA-NA with every checker, so a change to how
+/// path state is stored cannot move a `--max-live-bytes` trip point (or
+/// any `driver.explore.fork.*` value) unnoticed. The pinned values are
+/// `(forks, bytes_copied, bytes_shared, journal_depth.max,
+/// live_bytes.max)`.
+#[test]
+fn fork_telemetry_of_a_fixed_root_is_pinned() {
+    let module = pata_cc::compile_one("deep.c", &deep_src(16)).unwrap();
+    let default = AnalysisConfig::builder();
+    let na_all = AnalysisConfig::builder()
+        .alias_mode(AliasMode::None)
+        .checkers(BugKind::ALL.to_vec());
+    let pinned = [
+        (
+            "default",
+            default,
+            [(2, 128, 14552, 104, 7276), (2, 14552, 0, 104, 7276)],
+        ),
+        (
+            "na, all checkers",
+            na_all,
+            [(2, 128, 26080, 149, 13040), (2, 26080, 0, 149, 13040)],
+        ),
+    ];
+    for (name, builder, want) in pinned {
+        for (cow, want) in [true, false].into_iter().zip(want) {
+            let config = builder
+                .clone()
+                .threads(1)
+                .telemetry(true)
+                .cow_state(cow)
+                .build()
+                .unwrap();
+            let session = AnalysisSession::new(config);
+            let _ = session.analyze_module(module.clone());
+            let snap = session.telemetry().snapshot();
+            let got = (
+                snap.counter("driver.explore.fork.forks"),
+                snap.counter("driver.explore.fork.bytes_copied"),
+                snap.counter("driver.explore.fork.bytes_shared"),
+                snap.gauge("driver.explore.fork.journal_depth.max").unwrap(),
+                snap.gauge("driver.explore.fork.live_bytes.max").unwrap(),
+            );
+            assert_eq!(got, want, "{name}, cow {cow}");
         }
     }
 }

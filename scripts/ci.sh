@@ -81,6 +81,11 @@ echo "explore ns/inst, scale 16 over scale 1: ${sweep_ratio}x (gate ≤1.5x)"
 explore_allocs=$(grep '"exploration":' results/BENCH_stage1.json \
     | sed 's/.*"explore_allocs_per_inst": {\([^}]*\)}.*/\1/')
 echo "explore allocator calls/inst: ${explore_allocs} (budget: deep ≤0.02, linux 0.2 ≤0.1)"
+# Raw DFS step cost on the deep-path module, recorded by the same bench.
+# It depends on the machine, so it is printed, not gated.
+deep_ns=$(grep '"exploration":' results/BENCH_stage1.json \
+    | sed 's/.*"deep_ns_per_step": \([0-9.]*\).*/\1/')
+echo "explore ns per live step, deep-path module: ${deep_ns} (not gated)"
 # Reports stay byte-identical across thread counts at every scale.
 for scale in 1 4 16; do
     sweep_dir="$tmp_dir/sweep$scale"
