@@ -189,18 +189,28 @@ fn explore_ns_per_inst(module: &pata_ir::Module) -> f64 {
 /// The `scale_sweep` section: best-of-`rounds` explore ns per executed
 /// instruction at each of [`SWEEP_SCALES`], and the scale-16/scale-1
 /// ratio. Exits 1 above [`SWEEP_MAX_RATIO`].
+///
+/// The rounds interleave: round `r` measures every scale before round
+/// `r + 1` starts, so a slow phase of the host lands on all scales alike
+/// instead of on the one measured during it.
 fn scale_sweep(rounds: usize) {
     println!();
     println!("explore ns per executed instruction (--threads 1, linux model)");
-    let mut ns_per_inst = Vec::new();
-    for scale in SWEEP_SCALES {
-        let corpus = Corpus::generate(&OsProfile::linux().with_scale(scale));
-        let module = corpus.compile().expect("corpus compiles");
-        let best = (0..rounds)
-            .map(|_| explore_ns_per_inst(&module))
-            .fold(f64::INFINITY, f64::min);
+    let modules: Vec<pata_ir::Module> = SWEEP_SCALES
+        .iter()
+        .map(|&scale| {
+            let corpus = Corpus::generate(&OsProfile::linux().with_scale(scale));
+            corpus.compile().expect("corpus compiles")
+        })
+        .collect();
+    let mut ns_per_inst = vec![f64::INFINITY; SWEEP_SCALES.len()];
+    for _ in 0..rounds {
+        for (best, module) in ns_per_inst.iter_mut().zip(&modules) {
+            *best = best.min(explore_ns_per_inst(module));
+        }
+    }
+    for (scale, best) in SWEEP_SCALES.iter().zip(&ns_per_inst) {
         println!("  scale {scale:>4}: {best:>8.1} ns/inst");
-        ns_per_inst.push(best);
     }
     let ratio = ns_per_inst[2] / ns_per_inst[0].max(1e-9);
     let list = |v: Vec<String>| format!("[{}]", v.join(", "));

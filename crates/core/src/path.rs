@@ -360,12 +360,34 @@ impl Workspace {
     }
 }
 
+/// Per struct of `module`: the implicit field equalities an alias-unaware
+/// encoding adds when a pointer to it is copied — one per field, plus one
+/// per field of each struct-typed field (paper Fig. 9). Computed once per
+/// module for [`Explorer::count_unaware_alias_op`].
+pub(crate) fn unaware_struct_fields(module: &Module) -> Vec<u64> {
+    module
+        .structs()
+        .iter()
+        .map(|def| {
+            let inner: usize = def
+                .fields
+                .iter()
+                .filter_map(|(_, fty)| fty.struct_id())
+                .map(|id| module.struct_def(id).field_count())
+                .sum();
+            (def.field_count() + inner) as u64
+        })
+        .collect()
+}
+
 /// The per-root path explorer: one per analysis root, built by
 /// [`Explorer::with_workspace`] and run by [`Explorer::run`].
 pub(crate) struct Explorer<'a> {
     module: &'a Module,
     config: &'a AnalysisConfig,
     checkers: &'a [Box<dyn Checker>],
+    /// Per struct of the module: [`unaware_struct_fields`].
+    struct_fields: &'a [u64],
 
     /// The reusable path state and buffers (see [`Workspace`]).
     ws: Workspace,
@@ -457,18 +479,22 @@ pub(crate) struct ExploreResult {
 impl<'a> Explorer<'a> {
     /// Creates an explorer for `root` that runs in `ws`, reset first; a
     /// worker passes the workspace its previous root gave back.
+    /// `struct_fields` is [`unaware_struct_fields`] of `module`.
     pub(crate) fn with_workspace(
         module: &'a Module,
         config: &'a AnalysisConfig,
         checkers: &'a [Box<dyn Checker>],
+        struct_fields: &'a [u64],
         root: FuncId,
         mut ws: Workspace,
     ) -> Self {
+        debug_assert_eq!(struct_fields.len(), module.structs().len());
         ws.reset();
         Explorer {
             module,
             config,
             checkers,
+            struct_fields,
             ws,
             frame_serial: 0,
             next_sym: 0,
@@ -704,16 +730,10 @@ impl<'a> Explorer<'a> {
     /// implicit equality per (transitively reachable, depth-2) struct
     /// field (paper Fig. 9: `R'(p1)==R'(p2) → R'(p1->f)==R'(p2->f)`).
     fn count_unaware_alias_op(&mut self, v: VarId) {
-        let mut fields = 0u64;
-        if let Some(sid) = self.module.var(v).ty.struct_id() {
-            let def = self.module.struct_def(sid);
-            fields += def.field_count() as u64;
-            for (_, fty) in &def.fields {
-                if let Some(inner) = fty.struct_id() {
-                    fields += self.module.struct_def(inner).field_count() as u64;
-                }
-            }
-        }
+        let fields = match self.module.var(v).ty.struct_id() {
+            Some(sid) => self.struct_fields[sid.index()],
+            None => 0,
+        };
         self.stats.constraints_unaware += 1 + fields;
     }
 
@@ -1738,9 +1758,17 @@ mod tests {
         checkers: &[Box<dyn Checker>],
         root: FuncId,
     ) -> ExploreResult {
-        Explorer::with_workspace(module, config, checkers, root, Workspace::default())
-            .run()
-            .0
+        let fields = unaware_struct_fields(module);
+        Explorer::with_workspace(
+            module,
+            config,
+            checkers,
+            &fields,
+            root,
+            Workspace::default(),
+        )
+        .run()
+        .0
     }
 
     /// Every trace-record shape builds exactly the constraint the explorer
@@ -1821,12 +1849,13 @@ mod tests {
         let checkers: Vec<Box<dyn Checker>> =
             config.checkers.iter().map(|k| k.instantiate()).collect();
         let roots = crate::collector::mark_interfaces(&mut module);
+        let fields = unaware_struct_fields(&module);
         let mut ws = Workspace::default();
         for _ in 0..2 {
             for &root in &roots {
                 let fresh = explore(&module, &config, &checkers, root);
                 let (reused, back) =
-                    Explorer::with_workspace(&module, &config, &checkers, root, ws).run();
+                    Explorer::with_workspace(&module, &config, &checkers, &fields, root, ws).run();
                 assert_eq!(
                     format!("{:?}", reused.candidates),
                     format!("{:?}", fresh.candidates)

@@ -522,9 +522,13 @@ impl TelemetrySnapshot {
             return out;
         }
 
-        // Stage breakdown.
+        // Stage breakdown, in pipeline order. A one-shot run over a
+        // compiled module records no compile or fingerprint time; their
+        // rows then read zero.
         let stages = [
+            ("compile", "driver.serve.compile"),
             ("collect", "stage.collect"),
+            ("fingerprint", "driver.serve.fingerprint"),
             ("explore", "stage.explore"),
             ("filter", "stage.filter"),
         ];
@@ -541,7 +545,7 @@ impl TelemetrySnapshot {
             } else {
                 100.0 * ns as f64 / total_ns as f64
             };
-            let _ = writeln!(out, "  {label:<10} {:>12}  {pct:5.1}%", fmt_ns(ns));
+            let _ = writeln!(out, "  {label:<11} {:>12}  {pct:5.1}%", fmt_ns(ns));
         }
 
         // Slowest roots.
@@ -854,9 +858,11 @@ mod tests {
     #[test]
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
+        sink.record_ns("driver.serve.compile", 6_000);
         sink.record_ns("stage.collect", 1_000);
+        sink.record_ns("driver.serve.fingerprint", 2_000);
         sink.record_ns("stage.explore", 8_000);
-        sink.record_ns("stage.filter", 1_000);
+        sink.record_ns("stage.filter", 3_000);
         sink.record_ns("explore.root", 7_000);
         sink.record_root("slow_fn", 7_000, 4, 2048);
         sink.add("validate.cache_hit", 3);
@@ -865,8 +871,27 @@ mod tests {
         tel.merge(sink);
         let text = tel.snapshot().render_profile();
         assert!(text.contains("stage breakdown"), "{text}");
-        assert!(text.contains("explore"), "{text}");
-        assert!(text.contains("80.0%"), "{text}");
+        let rows: Vec<(&str, &str)> = text
+            .lines()
+            .skip_while(|l| *l != "stage breakdown")
+            .skip(1)
+            .take(5)
+            .map(|l| {
+                let cols: Vec<&str> = l.split_whitespace().collect();
+                (cols[0], cols[cols.len() - 1])
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("compile", "30.0%"),
+                ("collect", "5.0%"),
+                ("fingerprint", "10.0%"),
+                ("explore", "40.0%"),
+                ("filter", "15.0%"),
+            ],
+            "{text}"
+        );
         assert!(text.contains("top 1 slowest roots"), "{text}");
         assert!(text.contains("slow_fn"), "{text}");
         assert!(text.contains("2.00KiB"), "{text}");

@@ -402,6 +402,16 @@ impl<'a> PathValidator<'a> {
         sink
     }
 
+    /// Counts one conjunction whose verdict the caller kept from an
+    /// earlier validation through the same cache: what validating it again
+    /// would count, a cache hit.
+    pub(crate) fn count_kept_verdict(&mut self) {
+        self.stats.validated += 1;
+        if self.cache.is_some() {
+            self.stats.cache_hits += 1;
+        }
+    }
+
     /// Validates one candidate bug.
     pub fn validate(&mut self, bug: &PossibleBug) -> Feasibility {
         self.feasibility(&bug.constraints, &bug.extra)
