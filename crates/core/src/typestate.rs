@@ -545,9 +545,9 @@ impl PendingBug {
             origin_id: self.origin_id,
             site_loc: self.site_loc,
             site_id: self.site_id,
-            constraints,
-            extra: self.extra,
-            alias_paths,
+            constraints: constraints.into(),
+            extra: self.extra.into(),
+            alias_paths: alias_paths.into(),
             root,
         }
     }
