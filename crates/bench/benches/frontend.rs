@@ -3,9 +3,13 @@
 //!
 //! The three layers are nested public entry points: `Lexer::lex`,
 //! `Parser::parse_source` (lex + parse) and `Compiler::compile` (lex +
-//! parse + lower). A round times each entry point once, back to back; a
+//! parse + lower). A round times each entry point once, back to back, at
+//! every scale in turn, so a slow phase of the host hits every scale; a
 //! layer's time in that round is its entry point's minus the one it
-//! contains, and the reported time is the median over the rounds.
+//! contains, and the reported time is the median over the rounds. The
+//! parser pulls tokens from the lexer without collecting them, so the
+//! parse layer is `parse_source` minus a collecting `Lexer::lex`: the
+//! token vector's cost is charged to lexing.
 //!
 //! Times depend on the machine and are only reported. The gate is on what
 //! does not: at every pinned scale the token count, the module's
@@ -14,8 +18,10 @@
 //! and ASTs. A faster front end must compile the same module.
 //!
 //! Headline numbers land in `results/BENCH_stage1.json` (section
-//! `frontend`): per-layer milliseconds, tokens, IR instructions and
-//! nanoseconds per token at each scale.
+//! `frontend`): per-layer milliseconds, tokens, IR instructions,
+//! nanoseconds per token and lowering nanoseconds per IR instruction at
+//! each scale, and `lower_ratio_4_02`, the last at scale 4 over scale 0.2
+//! (lowering should cost the same per instruction at every scale).
 //!
 //! `--smoke` takes fewer rounds for CI; `--scale F` times one scale only.
 
@@ -55,6 +61,10 @@ impl Row {
     fn ns_per_token(&self) -> f64 {
         (self.lex_ms + self.parse_ms + self.lower_ms) * 1e6 / self.tokens as f64
     }
+
+    fn lower_ns_per_inst(&self) -> f64 {
+        self.lower_ms * 1e6 / self.ir_insts as f64
+    }
 }
 
 fn lex_all(corpus: &Corpus) -> usize {
@@ -91,32 +101,69 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn measure(scale: f64, rounds: usize) -> Row {
-    let corpus = Corpus::generate(&OsProfile::linux().with_scale(scale));
-    let tokens = lex_all(&corpus);
-    let module = compile_all(&corpus);
-    let ir_insts = module.functions().iter().map(|f| f.inst_count()).sum();
-    let hash = fnv1a64(print_module(&module).as_bytes());
-    drop(module);
+/// One scale's corpus, its machine-independent values and its samples.
+struct Scale {
+    scale: f64,
+    corpus: Corpus,
+    tokens: usize,
+    ir_insts: usize,
+    hash: u64,
+    lex: Vec<f64>,
+    parse: Vec<f64>,
+    lower: Vec<f64>,
+}
 
-    let (mut lex, mut parse, mut lower) = (Vec::new(), Vec::new(), Vec::new());
+impl Scale {
+    fn new(scale: f64) -> Scale {
+        let corpus = Corpus::generate(&OsProfile::linux().with_scale(scale));
+        let tokens = lex_all(&corpus);
+        let module = compile_all(&corpus);
+        let ir_insts = module.functions().iter().map(|f| f.inst_count()).sum();
+        let hash = fnv1a64(print_module(&module).as_bytes());
+        Scale {
+            scale,
+            corpus,
+            tokens,
+            ir_insts,
+            hash,
+            lex: Vec::new(),
+            parse: Vec::new(),
+            lower: Vec::new(),
+        }
+    }
+
+    /// Times one round of the three entry points.
+    fn sample(&mut self) {
+        let lexed = ms(|| lex_all(&self.corpus));
+        let parsed = ms(|| parse_all(&self.corpus));
+        let compiled = ms(|| compile_all(&self.corpus));
+        self.lex.push(lexed);
+        self.parse.push((parsed - lexed).max(0.0));
+        self.lower.push((compiled - parsed).max(0.0));
+    }
+
+    fn row(self) -> Row {
+        Row {
+            scale: self.scale,
+            lex_ms: median(self.lex),
+            parse_ms: median(self.parse),
+            lower_ms: median(self.lower),
+            tokens: self.tokens,
+            ir_insts: self.ir_insts,
+            hash: self.hash,
+        }
+    }
+}
+
+/// Samples every scale once per round, round by round.
+fn measure(scales: &[f64], rounds: usize) -> Vec<Row> {
+    let mut scales: Vec<Scale> = scales.iter().map(|&s| Scale::new(s)).collect();
     for _ in 0..rounds {
-        let lexed = ms(|| lex_all(&corpus));
-        let parsed = ms(|| parse_all(&corpus));
-        let compiled = ms(|| compile_all(&corpus));
-        lex.push(lexed);
-        parse.push((parsed - lexed).max(0.0));
-        lower.push((compiled - parsed).max(0.0));
+        for s in &mut scales {
+            s.sample();
+        }
     }
-    Row {
-        scale,
-        lex_ms: median(lex),
-        parse_ms: median(parse),
-        lower_ms: median(lower),
-        tokens,
-        ir_insts,
-        hash,
-    }
+    scales.into_iter().map(Scale::row).collect()
 }
 
 fn list<T>(rows: &[Row], f: impl Fn(&Row) -> T) -> String
@@ -144,17 +191,17 @@ fn main() {
         if smoke { ", smoke mode" } else { "" }
     );
 
-    let rows: Vec<Row> = scales.iter().map(|&s| measure(s, rounds)).collect();
+    let rows = measure(&scales, rounds);
 
     println!();
     println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}  module hash",
-        "scale", "lex ms", "parse ms", "lower ms", "tokens", "IR insts", "ns/tok"
+        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9}  module hash",
+        "scale", "lex ms", "parse ms", "lower ms", "tokens", "IR insts", "ns/tok", "lower/ins"
     );
-    println!("{}", "-".repeat(84));
+    println!("{}", "-".repeat(94));
     for r in &rows {
         println!(
-            "{:>6} {:>9.2} {:>9.2} {:>9.2} {:>9} {:>9} {:>8.1}  {:#018x}",
+            "{:>6} {:>9.2} {:>9.2} {:>9.2} {:>9} {:>9} {:>8.1} {:>9.1}  {:#018x}",
             r.scale,
             r.lex_ms,
             r.parse_ms,
@@ -162,8 +209,22 @@ fn main() {
             r.tokens,
             r.ir_insts,
             r.ns_per_token(),
+            r.lower_ns_per_inst(),
             r.hash
         );
+    }
+    // Lowering's cost per instruction at the largest scale over the
+    // smallest; recorded only when both were measured.
+    let per_inst = |scale: f64| {
+        rows.iter()
+            .find(|r| r.scale == scale)
+            .map(Row::lower_ns_per_inst)
+    };
+    let lower_ratio = per_inst(4.0)
+        .zip(per_inst(0.2))
+        .map(|(large, small)| large / small);
+    if let Some(ratio) = lower_ratio {
+        println!("lower ns/inst, scale 4 over scale 0.2: {ratio:.2}x");
     }
 
     let section = results::object(&[
@@ -176,6 +237,14 @@ fn main() {
         (
             "ns_per_token",
             list(&rows, |r| format!("{:.1}", r.ns_per_token())),
+        ),
+        (
+            "lower_ns_per_inst",
+            list(&rows, |r| format!("{:.1}", r.lower_ns_per_inst())),
+        ),
+        (
+            "lower_ratio_4_02",
+            lower_ratio.map_or("null".to_owned(), |r| format!("{r:.3}")),
         ),
         (
             "module_hash",

@@ -20,12 +20,13 @@
 
 use crate::ast::*;
 use crate::diag::{Diag, DiagKind};
+use crate::name::Name;
 use crate::parser::Parser;
 use pata_ir::{
-    BinOp, BlockId, Callee, Category, CmpOp, ConstVal, FileId, FuncId, FunctionBuilder, Module,
-    Operand, StructDef, StructId, Symbol, Type, VarId,
+    BinOp, BlockId, BuildBuffers, Callee, Category, CmpOp, ConstVal, FileId, FuncId,
+    FunctionBuilder, Module, Operand, StructDef, StructId, Symbol, Type, VarId,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Compiles a set of mini-C sources into one [`Module`].
@@ -115,11 +116,15 @@ pub fn lower_units(units: &[(&Unit, Option<Category>)]) -> Result<Module, Vec<Di
 fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<Diag>> {
     let mut diags = Vec::new();
     let mut module = Module::new();
-    let mut files = Vec::new();
+    // The generated corpora lower to 0.96–1.00 variables per source line.
+    // Room the module does not use is never touched, and is cut at the end.
+    module.reserve_vars(units.iter().map(|(u, _)| u.lines as usize).sum());
+    let mut files = Vec::with_capacity(units.len());
     for (unit, category) in units {
         let cat = category.unwrap_or_else(|| infer_category(&unit.file));
-        files.push(module.add_file_with_meta(&unit.file, unit.lines, cat));
+        files.push((module.add_file_with_meta(&unit.file, unit.lines, cat), cat));
     }
+    let mut scratch = Scratch::default();
 
     // Pass 1: declare all struct names (allows recursive/forward refs),
     // then fill in fields.
@@ -127,48 +132,53 @@ fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<D
         for s in &unit.structs {
             if module.struct_by_name(&s.name).is_none() {
                 module.add_struct(StructDef {
-                    name: s.name.to_string(),
+                    name: s.name.as_str().to_owned(),
                     fields: Vec::new(),
                 });
             }
         }
     }
+    let mut applied: Vec<Option<&StructDecl>> = vec![None; module.structs().len()];
     for (unit, _) in units {
         for s in &unit.structs {
+            let id = module.struct_by_name(&s.name).expect("declared above");
+            // The definition in force again (a header many files include)
+            // interns and declares nothing new and gives the same fields.
+            if applied[id.index()].is_some_and(|last| last.fields == s.fields) {
+                continue;
+            }
+            applied[id.index()] = Some(s);
             let fields: Vec<_> = s
                 .fields
                 .iter()
                 .map(|(fname, fty)| {
                     let sym = module.interner.intern(fname);
-                    let ty = resolve_type(&mut module, fty);
+                    let ty = resolve_type(&mut module, fty, &mut scratch.pointers);
                     (sym, ty)
                 })
                 .collect();
-            module.add_struct(StructDef {
-                name: s.name.to_string(),
-                fields,
-            });
+            module.set_struct_fields(id, fields);
         }
     }
 
     // Pass 2: globals.
-    let mut globals: HashMap<Box<str>, VarId> = HashMap::new();
+    let mut globals: HashMap<Name, VarId> = HashMap::new();
     for (unit, _) in units {
         for g in &unit.globals {
-            let ty = resolve_type(&mut module, &g.ty);
+            let ty = resolve_type(&mut module, &g.ty, &mut scratch.pointers);
             let id = module.add_global(&g.name, ty);
-            globals.insert(g.name.as_str().into(), id);
+            globals.insert(g.name.clone(), id);
         }
     }
 
     // Pass 3: assign function ids in declaration order so direct calls
     // across files resolve (the information collector's database).
-    let mut func_ids: HashMap<Box<str>, FuncId> = HashMap::new();
-    let mut all_funcs: Vec<(&FuncDecl, FileId, Category)> = Vec::new();
-    for ((unit, category), &file) in units.iter().zip(&files) {
-        let cat = category.unwrap_or_else(|| infer_category(&unit.file));
+    let declared = units.iter().map(|(u, _)| u.functions.len()).sum();
+    let mut func_ids: HashMap<Name, FuncId> = HashMap::with_capacity(declared);
+    let mut all_funcs: Vec<(&FuncDecl, FileId, Category)> = Vec::with_capacity(declared);
+    for ((unit, _), &(file, cat)) in units.iter().zip(&files) {
         for f in &unit.functions {
-            if func_ids.contains_key(f.name.as_str()) {
+            if func_ids.contains_key(&f.name) {
                 diags.push(Diag::new(
                     DiagKind::Sema,
                     &unit.file,
@@ -177,7 +187,7 @@ fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<D
                 ));
                 continue;
             }
-            func_ids.insert(f.name.as_str().into(), FuncId::from_index(all_funcs.len()));
+            func_ids.insert(f.name.clone(), FuncId::from_index(all_funcs.len()));
             all_funcs.push((f, file, cat));
         }
     }
@@ -186,6 +196,7 @@ fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<D
     }
 
     // Pass 4: lower bodies in id order.
+    module.reserve_functions(all_funcs.len());
     let mut marks = Vec::with_capacity(all_funcs.len());
     for (decl, file, cat) in all_funcs {
         let before = Lengths::of(&module);
@@ -198,8 +209,9 @@ fn lower_all(units: &[(&Unit, Option<Category>)]) -> Result<LoweredModule, Vec<D
             &globals,
             &mut diags,
             [Replay::OFF; 2],
+            scratch,
         );
-        lowerer.lower();
+        scratch = lowerer.lower().1;
         marks.push(before.to(Lengths::of(&module)));
     }
     if !diags.is_empty() {
@@ -254,11 +266,11 @@ pub struct LoweredModule {
     marks: Vec<FnMarks>,
     /// Pass 3's table: each function's name and id. Relowering in place
     /// keeps every function at its id (equal declarations).
-    func_ids: HashMap<Box<str>, FuncId>,
+    func_ids: HashMap<Name, FuncId>,
     /// Pass 2's table: each global's name and id. Relowering in place
     /// keeps every global (equal declarations), and globals come before
     /// every function's variables, so no splice moves their ids.
-    globals: HashMap<Box<str>, VarId>,
+    globals: HashMap<Name, VarId>,
 }
 
 impl LoweredModule {
@@ -333,6 +345,7 @@ impl LoweredModule {
         }
         let mut diags = Vec::new();
         let mut relowered = Vec::new();
+        let mut scratch = Scratch::default();
         for &(i, _) in changed {
             let (unit, category) = units[i];
             let file = FileId::from_index(i);
@@ -362,8 +375,11 @@ impl LoweredModule {
                     &self.globals,
                     &mut diags,
                     replay,
+                    scratch,
                 );
-                if !lowerer.lower() || !diags.is_empty() {
+                let held;
+                (held, scratch) = lowerer.lower();
+                if !held || !diags.is_empty() {
                     return None;
                 }
                 new_vars.push(before..self.module.var_count());
@@ -510,42 +526,114 @@ fn cast_on_typed_spine(e: &Expr) -> bool {
     }
 }
 
-fn resolve_type(module: &mut Module, t: &TypeExpr) -> Type {
+fn resolve_type(module: &mut Module, t: &TypeExpr, pointers: &mut PointerTypes) -> Type {
     match t {
         TypeExpr::Int => Type::Int,
         TypeExpr::Void => Type::Void,
         TypeExpr::Struct(name) => {
             let id = module.struct_by_name(name).unwrap_or_else(|| {
                 module.add_struct(StructDef {
-                    name: name.to_string(),
+                    name: name.as_str().to_owned(),
                     fields: Vec::new(),
                 })
             });
             Type::Struct(id)
         }
-        TypeExpr::Ptr(inner) => Type::ptr(resolve_type(module, inner)),
+        TypeExpr::Ptr(inner) => {
+            let pointee = resolve_type(module, inner, pointers);
+            pointers.to(pointee)
+        }
     }
 }
 
-/// Per-function lowering state. It borrows the function's AST: names in
-/// the scope and label stacks point into it.
+/// The lists one function's lowering grows, empty between functions. A
+/// `lower_all` or `relower` call passes them from each function to the
+/// next, so a function grows lists that already have room; they are
+/// dropped when the call returns. Names in them point into the AST.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// Every visible declaration, outermost first; a scope is the suffix
+    /// pushed since its mark ([`LowerFn::scoped`]). Lookups search from the
+    /// innermost end, so a shadowing declaration wins.
+    scopes: Vec<(&'a Name, VarId)>,
+    /// Locals declared as struct *values*: the VarId is the address of the
+    /// storage, so `&x` is the variable itself. A function has few.
+    struct_locals: Vec<VarId>,
+    /// Function-wide label targets (a `goto` may precede its label).
+    labels: Vec<(&'a Name, BlockId)>,
+    loop_stack: Vec<(BlockId, BlockId)>, // (continue target, break target)
+    /// The first field and external-function names the function interned,
+    /// with their symbols. A function names few, each many times, so a
+    /// scan with byte compares beats hashing the name into the interner.
+    symbols: Vec<(&'a Name, Symbol)>,
+    /// The first struct names the function resolved, likewise.
+    structs: Vec<(&'a Name, StructId)>,
+    /// Kept across functions: struct ids hold for the whole call.
+    pointers: PointerTypes,
+    /// The builder's blocks, terminated flags and parameters; the
+    /// builder holds them while it builds a function.
+    bufs: BuildBuffers,
+}
+
+impl Scratch<'_> {
+    /// Empties the lists of one function, keeping their capacity.
+    fn clear(&mut self) {
+        self.scopes.clear();
+        self.struct_locals.clear();
+        self.labels.clear();
+        self.loop_stack.clear();
+        self.symbols.clear();
+        self.structs.clear();
+    }
+}
+
+/// The pointer types a `lower_all` or `relower` call has made, one per
+/// pointee struct or scalar, shared by every variable of that type: most
+/// of lowering's types are such pointers, and sharing makes each one
+/// allocation instead of one per variable.
+#[derive(Default)]
+struct PointerTypes {
+    /// By struct id.
+    to_struct: Vec<Option<Type>>,
+    /// To `int`, `void` and `bool`.
+    to_scalar: [Option<Type>; 3],
+}
+
+impl PointerTypes {
+    /// The type of a pointer to `pointee`.
+    fn to(&mut self, pointee: Type) -> Type {
+        let slot = match pointee {
+            Type::Struct(id) => {
+                if self.to_struct.len() <= id.index() {
+                    self.to_struct.resize(id.index() + 1, None);
+                }
+                &mut self.to_struct[id.index()]
+            }
+            Type::Int => &mut self.to_scalar[0],
+            Type::Void => &mut self.to_scalar[1],
+            Type::Bool => &mut self.to_scalar[2],
+            Type::Ptr(_) | Type::Array(_) => return Type::ptr(pointee),
+        };
+        slot.get_or_insert_with(|| Type::ptr(pointee)).clone()
+    }
+}
+
+/// How many names a function's [`Scratch::symbols`] and
+/// [`Scratch::structs`] remember; past that, names go to the module's
+/// tables every time.
+const REMEMBERED: usize = 32;
+
+/// Per-function lowering state. It borrows the function's AST for `'a`
+/// (names in the scope and label stacks point into it) and the module,
+/// the name tables and the diagnostics for `'m`.
 struct LowerFn<'a, 'm> {
     b: FunctionBuilder<'m>,
     file: FileId,
     decl: &'a FuncDecl,
-    func_ids: &'a HashMap<Box<str>, FuncId>,
-    globals: &'a HashMap<Box<str>, VarId>,
-    diags: &'a mut Vec<Diag>,
-    /// Every visible declaration, outermost first; a scope is the suffix
-    /// pushed since its mark ([`LowerFn::scoped`]). Lookups search from the
-    /// innermost end, so a shadowing declaration wins.
-    scopes: Vec<(&'a str, VarId)>,
-    /// Locals declared as struct *values*: the VarId is the address of the
-    /// storage, so `&x` is the variable itself.
-    struct_locals: HashSet<VarId>,
-    /// Function-wide label targets (a `goto` may precede its label).
-    labels: Vec<(&'a str, BlockId)>,
-    loop_stack: Vec<(BlockId, BlockId)>, // (continue target, break target)
+    func_ids: &'m HashMap<Name, FuncId>,
+    globals: &'m HashMap<Name, VarId>,
+    diags: &'m mut Vec<Diag>,
+    s: Scratch<'a>,
     /// The exactness guard over symbols and over structs.
     replay: [Replay; 2],
 }
@@ -557,12 +645,14 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         decl: &'a FuncDecl,
         file: FileId,
         category: Category,
-        func_ids: &'a HashMap<Box<str>, FuncId>,
-        globals: &'a HashMap<Box<str>, VarId>,
-        diags: &'a mut Vec<Diag>,
+        func_ids: &'m HashMap<Name, FuncId>,
+        globals: &'m HashMap<Name, VarId>,
+        diags: &'m mut Vec<Diag>,
         replay: [Replay; 2],
+        mut scratch: Scratch<'a>,
     ) -> Self {
-        let mut b = FunctionBuilder::new(module, &decl.name, file);
+        let bufs = std::mem::take(&mut scratch.bufs);
+        let mut b = FunctionBuilder::with_buffers(module, &decl.name, file, bufs);
         b.set_category(category);
         LowerFn {
             b,
@@ -571,10 +661,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             func_ids,
             globals,
             diags,
-            scopes: Vec::new(),
-            struct_locals: HashSet::new(),
-            labels: Vec::new(),
-            loop_stack: Vec::new(),
+            s: scratch,
             replay,
         }
     }
@@ -585,48 +672,79 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     }
 
     /// Lowers the function into the module and returns whether the
-    /// exactness guard held (always, when it is off).
-    fn lower(mut self) -> bool {
+    /// exactness guard held (always, when it is off), with the emptied
+    /// lists for the next function.
+    fn lower(mut self) -> (bool, Scratch<'a>) {
         let decl = self.decl;
         let ret = self.resolve(&decl.ret);
         self.b.set_ret_ty(ret);
         for p in &decl.params {
             let ty = self.resolve(&p.ty);
             let v = self.b.param(&p.name, ty);
-            self.scopes.push((&p.name, v));
+            self.s.scopes.push((&p.name, v));
         }
         self.lower_stmts(&decl.body);
         if !self.b.is_terminated() {
             let line = decl.body.last().map(|s| s.line).unwrap_or(decl.line);
             self.b.ret(None, line);
         }
-        self.b.finish();
-        self.replay.iter().all(Replay::held)
+        let held = self.replay.iter().all(Replay::held);
+        let (_, bufs) = self.b.finish_with_buffers();
+        let mut scratch = self.s;
+        scratch.bufs = bufs;
+        scratch.clear();
+        (held, scratch)
     }
 
     /// Interns `name` for the exactness guard's accounting.
-    fn intern(&mut self, name: &str) -> Symbol {
-        let sym = self.b.module().interner.intern(name);
+    fn intern(&mut self, name: &'a Name) -> Symbol {
+        let sym = match self.s.symbols.iter().find(|(n, _)| *n == name) {
+            Some(&(_, sym)) => sym,
+            None => {
+                let sym = self.b.module().interner.intern(name);
+                if self.s.symbols.len() < REMEMBERED {
+                    self.s.symbols.push((name, sym));
+                }
+                sym
+            }
+        };
         self.replay[0].use_id(sym.index());
         sym
     }
 
     /// Resolves `t`, declaring the struct it names if it is new, for the
     /// exactness guard's accounting.
-    fn resolve(&mut self, t: &TypeExpr) -> Type {
-        let ty = resolve_type(self.b.module(), t);
-        let mut inner = &ty;
-        while let Type::Ptr(pointee) = inner {
-            inner = pointee;
+    fn resolve(&mut self, t: &'a TypeExpr) -> Type {
+        match t {
+            TypeExpr::Int => Type::Int,
+            TypeExpr::Void => Type::Void,
+            TypeExpr::Ptr(inner) => {
+                let pointee = self.resolve(inner);
+                self.ptr(pointee)
+            }
+            TypeExpr::Struct(name) => {
+                let id = match self.s.structs.iter().find(|(n, _)| *n == name) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let Type::Struct(id) =
+                            resolve_type(self.b.module(), t, &mut self.s.pointers)
+                        else {
+                            unreachable!("a struct name resolves to a struct");
+                        };
+                        if self.s.structs.len() < REMEMBERED {
+                            self.s.structs.push((name, id));
+                        }
+                        id
+                    }
+                };
+                self.replay[1].use_id(id.index());
+                Type::Struct(id)
+            }
         }
-        if let Type::Struct(id) = inner {
-            self.replay[1].use_id(id.index());
-        }
-        ty
     }
 
-    fn lookup(&self, name: &str) -> Option<VarId> {
-        match self.scopes.iter().rev().find(|(n, _)| *n == name) {
+    fn lookup(&self, name: &Name) -> Option<VarId> {
+        match self.s.scopes.iter().rev().find(|(n, _)| *n == name) {
             Some(&(_, v)) => Some(v),
             None => self.globals.get(name).copied(),
         }
@@ -634,6 +752,11 @@ impl<'a, 'm> LowerFn<'a, 'm> {
 
     fn var_ty(&mut self, v: VarId) -> Type {
         self.b.module().var(v).ty.clone()
+    }
+
+    /// The type of a pointer to `pointee`, shared ([`PointerTypes`]).
+    fn ptr(&mut self, pointee: Type) -> Type {
+        self.s.pointers.to(pointee)
     }
 
     /// Materializes an operand into a variable.
@@ -650,11 +773,11 @@ impl<'a, 'm> LowerFn<'a, 'm> {
 
     /// Infers the static type of an expression (best effort; defaults keep
     /// lowering tolerant rather than precise).
-    fn infer_ty(&mut self, e: &Expr) -> Type {
+    fn infer_ty(&mut self, e: &'a Expr) -> Type {
         match &e.kind {
             ExprKind::Int(_) | ExprKind::Sizeof => Type::Int,
-            ExprKind::Null => Type::ptr(Type::Void),
-            ExprKind::Str(_) => Type::ptr(Type::Int),
+            ExprKind::Null => self.ptr(Type::Void),
+            ExprKind::Str(_) => self.ptr(Type::Int),
             ExprKind::Ident(name) => self
                 .lookup(name)
                 .map(|v| self.var_ty(v))
@@ -675,7 +798,10 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 let it = self.infer_ty(inner);
                 it.pointee().cloned().unwrap_or(Type::Int)
             }
-            ExprKind::AddrOf(inner) => Type::ptr(self.infer_ty(inner)),
+            ExprKind::AddrOf(inner) => {
+                let pointee = self.infer_ty(inner);
+                self.ptr(pointee)
+            }
             ExprKind::Not(_) | ExprKind::BitNot(_) => Type::Int,
             ExprKind::Neg(_) => Type::Int,
             ExprKind::Bin(op, lhs, _) => {
@@ -687,13 +813,13 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             }
             ExprKind::Call(callee, _) => {
                 if let ExprKind::Ident(name) = &callee.kind {
-                    match name.as_str() {
-                        "malloc" | "kmalloc" | "kzalloc" | "vmalloc" => {
-                            return Type::ptr(Type::Void)
+                    match name.as_bytes() {
+                        b"malloc" | b"kmalloc" | b"kzalloc" | b"vmalloc" => {
+                            return self.ptr(Type::Void)
                         }
                         _ => {}
                     }
-                    if let Some(&fid) = self.func_ids.get(name.as_str()) {
+                    if let Some(&fid) = self.func_ids.get(name) {
                         // Functions are lowered in id order, so only a
                         // callee with a smaller id has a resolved return
                         // type; any other call is assumed to return an int.
@@ -712,7 +838,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
 
     /// The type of `field` in the struct `base_ty` names (through one
     /// pointer); `Int` when unknown.
-    fn field_ty(&mut self, base_ty: &Type, field: &str) -> Type {
+    fn field_ty(&mut self, base_ty: &Type, field: &'a Name) -> Type {
         match base_ty.struct_id() {
             Some(sid) => {
                 let sym = self.intern(field);
@@ -736,7 +862,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
 
     /// The constant that means "zero/false/null" for a comparison against
     /// the value of `e`.
-    fn zero_for(&mut self, e: &Expr) -> ConstVal {
+    fn zero_for(&mut self, e: &'a Expr) -> ConstVal {
         if self.infer_ty(e).is_pointer() {
             ConstVal::Null
         } else {
@@ -754,12 +880,12 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         }
     }
 
-    fn label_block(&mut self, name: &'a str) -> BlockId {
-        if let Some(&(_, b)) = self.labels.iter().find(|(n, _)| *n == name) {
+    fn label_block(&mut self, name: &'a Name) -> BlockId {
+        if let Some(&(_, b)) = self.s.labels.iter().find(|(n, _)| *n == name) {
             return b;
         }
         let b = self.b.new_block();
-        self.labels.push((name, b));
+        self.s.labels.push((name, b));
         b
     }
 
@@ -776,14 +902,14 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 let (var_ty, is_struct_value) = if *is_array {
                     (Type::array(resolved), false)
                 } else if matches!(resolved, Type::Struct(_)) {
-                    (Type::ptr(resolved), true)
+                    (self.ptr(resolved), true)
                 } else {
                     (resolved, false)
                 };
                 let v = self.b.local(name, var_ty);
-                self.scopes.push((name, v));
+                self.s.scopes.push((name, v));
                 if is_struct_value {
-                    self.struct_locals.insert(v);
+                    self.s.struct_locals.push(v);
                     // The storage itself is fresh and uninitialized.
                     self.b.alloca(v, true, line);
                     return;
@@ -829,9 +955,9 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 self.b.switch_to(header);
                 self.lower_cond(cond, body_bb, exit);
                 self.b.switch_to(body_bb);
-                self.loop_stack.push((header, exit));
+                self.s.loop_stack.push((header, exit));
                 self.scoped(|this| this.lower_stmts(body));
-                self.loop_stack.pop();
+                self.s.loop_stack.pop();
                 self.b.jump(header, line);
                 self.b.switch_to(exit);
             }
@@ -841,7 +967,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 step,
                 body,
             } => {
-                let mark = self.scopes.len();
+                let mark = self.s.scopes.len();
                 if let Some(i) = init {
                     self.lower_stmt(i);
                 }
@@ -856,9 +982,9 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                     None => self.b.jump(body_bb, line),
                 }
                 self.b.switch_to(body_bb);
-                self.loop_stack.push((step_bb, exit));
+                self.s.loop_stack.push((step_bb, exit));
                 self.scoped(|this| this.lower_stmts(body));
-                self.loop_stack.pop();
+                self.s.loop_stack.pop();
                 self.b.jump(step_bb, line);
                 self.b.switch_to(step_bb);
                 if let Some(st) = step {
@@ -866,7 +992,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 }
                 self.b.jump(header, line);
                 self.b.switch_to(exit);
-                self.scopes.truncate(mark);
+                self.s.scopes.truncate(mark);
             }
             StmtKind::Return(value) => {
                 let op = value.as_ref().map(|e| self.lower_expr(e));
@@ -881,11 +1007,11 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 self.b.jump(target, line);
                 self.b.switch_to(target);
             }
-            StmtKind::Break => match self.loop_stack.last() {
+            StmtKind::Break => match self.s.loop_stack.last() {
                 Some(&(_, exit)) => self.b.jump(exit, line),
                 None => self.error(line, "`break` outside of a loop"),
             },
-            StmtKind::Continue => match self.loop_stack.last() {
+            StmtKind::Continue => match self.s.loop_stack.last() {
                 Some(&(cont, _)) => self.b.jump(cont, line),
                 None => self.error(line, "`continue` outside of a loop"),
             },
@@ -894,9 +1020,9 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     }
 
     fn scoped(&mut self, f: impl FnOnce(&mut Self)) {
-        let mark = self.scopes.len();
+        let mark = self.s.scopes.len();
         f(self);
-        self.scopes.truncate(mark);
+        self.s.scopes.truncate(mark);
     }
 
     fn assign_into_var(&mut self, dst: VarId, rv: Operand, line: u32) {
@@ -913,7 +1039,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                     self.error(line, format!("assignment to unknown variable `{name}`"));
                     return;
                 };
-                if self.struct_locals.contains(&v) {
+                if self.s.struct_locals.contains(&v) {
                     // Struct copy — out of scope for mini-C; treat as memset.
                     let _ = self.lower_expr(rhs);
                     self.b.memset(v, line);
@@ -951,25 +1077,26 @@ impl<'a, 'm> LowerFn<'a, 'm> {
     // ------------------------------------------------------------------
 
     /// `&base->field`.
-    fn lower_field_addr_arrow(&mut self, base: &'a Expr, field: &str, line: u32) -> VarId {
+    fn lower_field_addr_arrow(&mut self, base: &'a Expr, field: &'a Name, line: u32) -> VarId {
         let bv = self.lower_expr_as_var(base);
         self.field_addr(bv, field, line)
     }
 
     /// `&base.field` — base must itself be addressable.
-    fn lower_field_addr_dot(&mut self, base: &'a Expr, field: &str, line: u32) -> VarId {
+    fn lower_field_addr_dot(&mut self, base: &'a Expr, field: &'a Name, line: u32) -> VarId {
         let addr = self.lower_addr(base, line);
         self.field_addr(addr, field, line)
     }
 
     /// A `gep` of `field` off the struct pointer `base`.
-    fn field_addr(&mut self, base: VarId, field: &str, line: u32) -> VarId {
+    fn field_addr(&mut self, base: VarId, field: &'a Name, line: u32) -> VarId {
         let sym = self.intern(field);
         let fty = match self.b.module().var(base).ty.struct_id() {
             Some(sid) => self.struct_field_ty(sid, sym),
             None => Type::Int,
         };
-        let t = self.b.temp(Type::ptr(fty));
+        let ty = self.ptr(fty);
+        let t = self.b.temp(ty);
         self.b.gep(t, base, sym, line);
         t
     }
@@ -982,7 +1109,8 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             bt.element().cloned().unwrap_or(Type::Int)
         };
         let iv = self.lower_expr(idx);
-        let t = self.b.temp(Type::ptr(ety));
+        let ty = self.ptr(ety);
+        let t = self.b.temp(ty);
         self.b.index(t, bv, iv, line);
         t
     }
@@ -993,13 +1121,15 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             ExprKind::Ident(name) => {
                 let Some(v) = self.lookup(name) else {
                     self.error(line, format!("address of unknown variable `{name}`"));
-                    return self.b.temp(Type::ptr(Type::Int));
+                    let ty = self.ptr(Type::Int);
+                    return self.b.temp(ty);
                 };
-                if self.struct_locals.contains(&v) {
+                if self.s.struct_locals.contains(&v) {
                     // Struct-value locals *are* their own address.
                     v
                 } else {
-                    let ty = Type::ptr(self.var_ty(v));
+                    let pointee = self.var_ty(v);
+                    let ty = self.ptr(pointee);
                     let t = self.b.temp(ty);
                     self.b.addr_of(t, v, line);
                     t
@@ -1011,7 +1141,8 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             ExprKind::Deref(inner) => self.lower_expr_as_var(inner),
             _ => {
                 self.error(line, "cannot take the address of this expression");
-                self.b.temp(Type::ptr(Type::Int))
+                let ty = self.ptr(Type::Int);
+                self.b.temp(ty)
             }
         }
     }
@@ -1051,12 +1182,13 @@ impl<'a, 'm> LowerFn<'a, 'm> {
             ExprKind::Ident(name) => match self.lookup(name) {
                 Some(v) => Operand::Var(v),
                 None => {
-                    if let Some(&fid) = self.func_ids.get(name.as_str()) {
+                    if let Some(&fid) = self.func_ids.get(name) {
                         // Function used as a value: a first-class function
                         // address (runtime callback registration). The
                         // analysis may resolve indirect calls through it
                         // (the paper's §7 extension).
-                        let t = self.b.temp(Type::ptr(Type::Void));
+                        let ty = self.ptr(Type::Void);
+                        let t = self.b.temp(ty);
                         self.b.func_addr(t, fid, line);
                         Operand::Var(t)
                     } else {
@@ -1181,32 +1313,34 @@ impl<'a, 'm> LowerFn<'a, 'm> {
         }
         if let ExprKind::Ident(name) = &callee.kind {
             // OS allocation / locking idioms become dedicated instructions.
-            match name.as_str() {
-                "malloc" | "kmalloc" | "vmalloc" | "tos_mmheap_alloc" => {
+            match name.as_bytes() {
+                b"malloc" | b"kmalloc" | b"vmalloc" | b"tos_mmheap_alloc" => {
                     for a in args {
                         let _ = self.lower_expr(a);
                     }
-                    let t = self.b.temp(Type::ptr(Type::Void));
+                    let ty = self.ptr(Type::Void);
+                    let t = self.b.temp(ty);
                     self.b.malloc(t, line);
                     return Operand::Var(t);
                 }
-                "kzalloc" | "calloc" | "devm_kzalloc" => {
+                b"kzalloc" | b"calloc" | b"devm_kzalloc" => {
                     for a in args {
                         let _ = self.lower_expr(a);
                     }
-                    let t = self.b.temp(Type::ptr(Type::Void));
+                    let ty = self.ptr(Type::Void);
+                    let t = self.b.temp(ty);
                     self.b.malloc(t, line);
                     self.b.memset(t, line);
                     return Operand::Var(t);
                 }
-                "free" | "kfree" | "vfree" | "tos_mmheap_free" => {
+                b"free" | b"kfree" | b"vfree" | b"tos_mmheap_free" => {
                     if let Some(a) = args.first() {
                         let v = self.lower_expr_as_var(a);
                         self.b.free(v, line);
                     }
                     return Operand::Const(ConstVal::Int(0));
                 }
-                "memset" | "memcpy" | "memmove" => {
+                b"memset" | b"memcpy" | b"memmove" => {
                     if let Some(a) = args.first() {
                         let v = self.lower_expr_as_var(a);
                         self.b.memset(v, line);
@@ -1216,19 +1350,22 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                     }
                     return Operand::Const(ConstVal::Int(0));
                 }
-                "spin_lock" | "mutex_lock" | "raw_spin_lock" | "spin_lock_irqsave"
-                | "tos_knl_sched_lock" => {
+                b"spin_lock"
+                | b"mutex_lock"
+                | b"raw_spin_lock"
+                | b"spin_lock_irqsave"
+                | b"tos_knl_sched_lock" => {
                     if let Some(a) = args.first() {
                         let v = self.lower_expr_as_var(a);
                         self.b.lock(v, line);
                     }
                     return Operand::Const(ConstVal::Int(0));
                 }
-                "spin_unlock"
-                | "mutex_unlock"
-                | "raw_spin_unlock"
-                | "spin_unlock_irqrestore"
-                | "tos_knl_sched_unlock" => {
+                b"spin_unlock"
+                | b"mutex_unlock"
+                | b"raw_spin_unlock"
+                | b"spin_unlock_irqrestore"
+                | b"tos_knl_sched_unlock" => {
                     if let Some(a) = args.first() {
                         let v = self.lower_expr_as_var(a);
                         self.b.unlock(v, line);
@@ -1238,7 +1375,7 @@ impl<'a, 'm> LowerFn<'a, 'm> {
                 _ => {}
             }
             let arg_ops: Vec<Operand> = args.iter().map(|a| self.lower_expr(a)).collect();
-            if let Some(&fid) = self.func_ids.get(name.as_str()) {
+            if let Some(&fid) = self.func_ids.get(name) {
                 // The callee may not be lowered yet, so its return type is
                 // unknown here. A pointer-compatible `Int` result is
                 // adequate: PIR is not type-checked across assignments.

@@ -12,6 +12,10 @@ const INLINE: usize = 22;
 /// one on the heap. Nearly every identifier is short, and a session keeps
 /// every file's AST alive, so most names cost no allocation.
 ///
+/// Names hash and compare as their bytes, exactly as the `str` they hold
+/// does, so a table keyed by `Name` is probed with a `&Name` without
+/// checking UTF-8 again (or with a `&str`, through [`Borrow`]).
+///
 /// ```
 /// use pata_cc::Name;
 ///
@@ -38,6 +42,14 @@ impl Name {
         let mut bytes = [0; INLINE];
         bytes[..s.len()].copy_from_slice(s.as_bytes());
         Name(Repr::Inline(s.len() as u8, bytes))
+    }
+
+    /// The name's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
     }
 
     /// The name as a string slice.
@@ -84,8 +96,14 @@ impl From<String> for Name {
 }
 
 impl PartialEq for Name {
+    /// A name is inline exactly when it is short, and its unused inline
+    /// bytes are zero, so two inline names compare as fixed-size arrays.
     fn eq(&self, other: &Name) -> bool {
-        self.as_str() == other.as_str()
+        match (&self.0, &other.0) {
+            (Repr::Inline(a_len, a), Repr::Inline(b_len, b)) => a_len == b_len && a == b,
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            _ => false,
+        }
     }
 }
 
@@ -93,19 +111,22 @@ impl Eq for Name {}
 
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for Name {
     fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl Hash for Name {
+    /// Feeds the hasher what `str`'s `Hash` does: the bytes, then `0xff`
+    /// (a byte no UTF-8 text contains), so `Borrow<str>` lookups agree.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -145,5 +166,27 @@ mod tests {
             Name::new(&"a".repeat(INLINE + 1)).0,
             Repr::Heap(_)
         ));
+    }
+
+    /// A table keyed by names answers `&Name` and `&str` probes alike.
+    #[test]
+    fn names_hash_as_their_str() {
+        use std::collections::hash_map::RandomState;
+        use std::collections::HashMap;
+        use std::hash::BuildHasher;
+
+        let state = RandomState::new();
+        let mut table = HashMap::new();
+        for (i, s) in ["", "x", "ünï", &"c".repeat(INLINE), &"d".repeat(INLINE + 9)]
+            .into_iter()
+            .enumerate()
+        {
+            let name = Name::new(s);
+            assert_eq!(state.hash_one(&name), state.hash_one(s), "{s:?}");
+            assert_eq!(name.as_bytes(), s.as_bytes());
+            table.insert(name, i);
+            assert_eq!(table.get(s), Some(&i));
+            assert_eq!(table.get(&Name::new(s)), Some(&i));
+        }
     }
 }

@@ -1,129 +1,176 @@
 //! Tokens of the mini-C language.
+//!
+//! One list of the punctuation and keyword kinds gives both the public
+//! [`TokenKind`], which carries an identifier's name, an integer's value
+//! and a string's text, and the crate's [`Kind`], which carries nothing
+//! and is `Copy`: the parser's window holds [`Kind`]s and takes a value
+//! from the source only when it keeps it.
 
 use crate::name::Name;
 use std::fmt;
 
-/// The kind of one lexed token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
-    /// An identifier (`dev`, `probe`, …).
-    Ident(Name),
-    /// An integer literal.
-    Int(i64),
+/// Declares [`TokenKind`] and [`Kind`] with the kinds that carry no
+/// value, each with the text it is spelled as.
+macro_rules! token_kinds {
+    ($($(#[$doc:meta])* $variant:ident = $text:literal,)*) => {
+        /// The kind of one lexed token.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TokenKind {
+            /// An identifier (`dev`, `probe`, …).
+            Ident(Name),
+            /// An integer literal.
+            Int(i64),
+            /// A string literal (kept only for call arguments like format
+            /// strings).
+            Str(String),
+            /// End of input.
+            Eof,
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// A [`TokenKind`] without its value.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Kind {
+            Ident,
+            Int,
+            Str,
+            Eof,
+            $($variant,)*
+        }
+
+        impl Kind {
+            /// The token kind, for a kind that carries no value.
+            pub(crate) fn fixed(self) -> Option<TokenKind> {
+                match self {
+                    Kind::Eof => Some(TokenKind::Eof),
+                    $(Kind::$variant => Some(TokenKind::$variant),)*
+                    Kind::Ident | Kind::Int | Kind::Str => None,
+                }
+            }
+        }
+
+        impl TokenKind {
+            fn literal(&self) -> &'static str {
+                match self {
+                    $(TokenKind::$variant => $text,)*
+                    _ => "?",
+                }
+            }
+        }
+    };
+}
+
+token_kinds! {
     /// `struct`
-    KwStruct,
+    KwStruct = "struct",
     /// `int`
-    KwInt,
+    KwInt = "int",
     /// `void`
-    KwVoid,
+    KwVoid = "void",
     /// `char` (treated as `int`)
-    KwChar,
+    KwChar = "char",
     /// `long` (treated as `int`)
-    KwLong,
+    KwLong = "long",
     /// `unsigned` (modifier, ignored)
-    KwUnsigned,
+    KwUnsigned = "unsigned",
     /// `static`
-    KwStatic,
+    KwStatic = "static",
     /// `const` (ignored qualifier)
-    KwConst,
+    KwConst = "const",
     /// `inline` (ignored qualifier)
-    KwInline,
+    KwInline = "inline",
     /// `if`
-    KwIf,
+    KwIf = "if",
     /// `else`
-    KwElse,
+    KwElse = "else",
     /// `while`
-    KwWhile,
+    KwWhile = "while",
     /// `for`
-    KwFor,
+    KwFor = "for",
     /// `return`
-    KwReturn,
+    KwReturn = "return",
     /// `goto`
-    KwGoto,
+    KwGoto = "goto",
     /// `break`
-    KwBreak,
+    KwBreak = "break",
     /// `continue`
-    KwContinue,
+    KwContinue = "continue",
     /// `NULL`
-    KwNull,
+    KwNull = "NULL",
     /// `sizeof`
-    KwSizeof,
+    KwSizeof = "sizeof",
     /// `(`
-    LParen,
+    LParen = "(",
     /// `)`
-    RParen,
+    RParen = ")",
     /// `{`
-    LBrace,
+    LBrace = "{",
     /// `}`
-    RBrace,
+    RBrace = "}",
     /// `[`
-    LBracket,
+    LBracket = "[",
     /// `]`
-    RBracket,
+    RBracket = "]",
     /// `;`
-    Semi,
+    Semi = ";",
     /// `,`
-    Comma,
+    Comma = ",",
     /// `.`
-    Dot,
+    Dot = ".",
     /// `->`
-    Arrow,
+    Arrow = "->",
     /// `=`
-    Assign,
+    Assign = "=",
     /// `+`
-    Plus,
+    Plus = "+",
     /// `-`
-    Minus,
+    Minus = "-",
     /// `*`
-    Star,
+    Star = "*",
     /// `/`
-    Slash,
+    Slash = "/",
     /// `%`
-    Percent,
+    Percent = "%",
     /// `==`
-    EqEq,
+    EqEq = "==",
     /// `!=`
-    NotEq,
+    NotEq = "!=",
     /// `<`
-    Lt,
+    Lt = "<",
     /// `<=`
-    Le,
+    Le = "<=",
     /// `>`
-    Gt,
+    Gt = ">",
     /// `>=`
-    Ge,
+    Ge = ">=",
     /// `!`
-    Not,
+    Not = "!",
     /// `&&`
-    AndAnd,
+    AndAnd = "&&",
     /// `||`
-    OrOr,
+    OrOr = "||",
     /// `&`
-    Amp,
+    Amp = "&",
     /// `|`
-    Pipe,
+    Pipe = "|",
     /// `^`
-    Caret,
+    Caret = "^",
     /// `~`
-    Tilde,
+    Tilde = "~",
     /// `<<`
-    Shl,
+    Shl = "<<",
     /// `>>`
-    Shr,
+    Shr = ">>",
     /// `++`
-    PlusPlus,
+    PlusPlus = "++",
     /// `--`
-    MinusMinus,
+    MinusMinus = "--",
     /// `+=`
-    PlusAssign,
+    PlusAssign = "+=",
     /// `-=`
-    MinusAssign,
+    MinusAssign = "-=",
     /// `:`
-    Colon,
-    /// A string literal (kept only for call arguments like format strings).
-    Str(String),
-    /// End of input.
-    Eof,
+    Colon = ":",
 }
 
 impl TokenKind {
@@ -135,67 +182,6 @@ impl TokenKind {
             TokenKind::Str(_) => "string literal".to_owned(),
             TokenKind::Eof => "end of input".to_owned(),
             other => format!("`{}`", other.literal()),
-        }
-    }
-
-    fn literal(&self) -> &'static str {
-        match self {
-            TokenKind::KwStruct => "struct",
-            TokenKind::KwInt => "int",
-            TokenKind::KwVoid => "void",
-            TokenKind::KwChar => "char",
-            TokenKind::KwLong => "long",
-            TokenKind::KwUnsigned => "unsigned",
-            TokenKind::KwStatic => "static",
-            TokenKind::KwConst => "const",
-            TokenKind::KwInline => "inline",
-            TokenKind::KwIf => "if",
-            TokenKind::KwElse => "else",
-            TokenKind::KwWhile => "while",
-            TokenKind::KwFor => "for",
-            TokenKind::KwReturn => "return",
-            TokenKind::KwGoto => "goto",
-            TokenKind::KwBreak => "break",
-            TokenKind::KwContinue => "continue",
-            TokenKind::KwNull => "NULL",
-            TokenKind::KwSizeof => "sizeof",
-            TokenKind::LParen => "(",
-            TokenKind::RParen => ")",
-            TokenKind::LBrace => "{",
-            TokenKind::RBrace => "}",
-            TokenKind::LBracket => "[",
-            TokenKind::RBracket => "]",
-            TokenKind::Semi => ";",
-            TokenKind::Comma => ",",
-            TokenKind::Dot => ".",
-            TokenKind::Arrow => "->",
-            TokenKind::Assign => "=",
-            TokenKind::Plus => "+",
-            TokenKind::Minus => "-",
-            TokenKind::Star => "*",
-            TokenKind::Slash => "/",
-            TokenKind::Percent => "%",
-            TokenKind::EqEq => "==",
-            TokenKind::NotEq => "!=",
-            TokenKind::Lt => "<",
-            TokenKind::Le => "<=",
-            TokenKind::Gt => ">",
-            TokenKind::Ge => ">=",
-            TokenKind::Not => "!",
-            TokenKind::AndAnd => "&&",
-            TokenKind::OrOr => "||",
-            TokenKind::Amp => "&",
-            TokenKind::Pipe => "|",
-            TokenKind::Caret => "^",
-            TokenKind::Tilde => "~",
-            TokenKind::Shl => "<<",
-            TokenKind::Shr => ">>",
-            TokenKind::PlusPlus => "++",
-            TokenKind::MinusMinus => "--",
-            TokenKind::PlusAssign => "+=",
-            TokenKind::MinusAssign => "-=",
-            TokenKind::Colon => ":",
-            _ => "?",
         }
     }
 }

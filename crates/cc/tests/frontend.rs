@@ -853,3 +853,143 @@ fn long_flat_binary_chains_are_refused() {
     let err = compile_one("flat.c", &chain(300)).expect_err("refused");
     assert_eq!(err[0].message, "nesting too deep");
 }
+
+// --------------------------------------------------------------------
+// Which error wins, and line counts: the parser pulls tokens from the
+// lexer as it goes, yet reports what lexing the whole file first would.
+// --------------------------------------------------------------------
+
+/// One snippet per lexical error kind, with the message it gives.
+const LEX_ERRORS: &[(&str, &str)] = &[
+    ("/* oops", "unterminated block comment"),
+    ("\"oops", "unterminated string literal"),
+    ("'ab'", "unterminated char literal"),
+    ("0x;", "bad hex literal"),
+    ("99999999999999999999;", "integer literal overflows"),
+    ("@", "unexpected character `@`"),
+];
+
+/// `(kind, line, message)` of the diagnostic `src` gives.
+fn first_diag(src: &str) -> (DiagKind, u32, String) {
+    let d = Parser::parse_source("bad.c", src).expect_err("refused");
+    assert_eq!(d.file, "bad.c");
+    (d.kind, d.line, d.message)
+}
+
+#[test]
+fn the_first_lexical_error_wins_wherever_it_is() {
+    let parse_error = "int f(void) {\n  return 1 +;\n}\n";
+    for &(lex, message) in LEX_ERRORS {
+        let cases = [
+            // Alone.
+            (format!("int a;\n{lex}\n"), 2),
+            // After a parse error, past the parser's lookahead.
+            (format!("{parse_error}{lex}\n"), 4),
+            // Before a parse error.
+            (format!("{lex}\n{parse_error}"), 1),
+            // Right after a parse error, inside the lookahead window.
+            (format!("int f(void) {{ return 1 + ; {lex} }}\n"), 1),
+            // In the middle of a statement the parser would refuse later.
+            (format!("int f(void) {{\n return 1 {lex} +; }}\n"), 2),
+        ];
+        for (src, line) in cases {
+            assert_eq!(
+                first_diag(&src),
+                (DiagKind::Lex, line, message.to_owned()),
+                "{src:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn parse_errors_without_lexical_errors_are_unchanged() {
+    let cases = [
+        (
+            "int f(void) {\n  return 1 +;\n}\n",
+            2,
+            "expected expression, found `;`",
+        ),
+        ("int f(void) {\n", 2, "unexpected end of input in block"),
+        ("int f(void) {\n  int x = sizeof(", 2, "unterminated sizeof"),
+        (
+            "struct s {\n  int a;\n",
+            3,
+            "expected type, found end of input",
+        ),
+        ("int f(void) { g(1, 2 }", 1, "expected `)`, found `}`"),
+        ("int 3;", 1, "expected identifier, found integer `3`"),
+        ("struct s x y;", 1, "expected `;`, found identifier `y`"),
+    ];
+    for (src, line, message) in cases {
+        assert_eq!(
+            first_diag(src),
+            (DiagKind::Parse, line, message.to_owned()),
+            "{src:?}"
+        );
+    }
+}
+
+#[test]
+fn unit_lines_count_a_last_line_with_or_without_its_newline() {
+    for (src, lines) in [
+        ("", 0),
+        ("\n", 1),
+        ("int x;", 1),
+        ("int x;\n", 1),
+        ("int x;\nint y;", 2),
+        ("int x;\nint y;\n", 2),
+        ("int x;\n\n\n", 3),
+        ("int x; /* a\nb */", 2),
+        ("int x; // a\n", 1),
+        ("#define N 1\nint x;", 2),
+        ("int f(void) { g(\"a\nb\"); return '\n'; }", 3),
+        ("int f(void) { g(\"a\nb\"); return '\n'; }\n", 3),
+    ] {
+        let unit = Parser::parse_source("l.c", src).expect("parses");
+        assert_eq!(unit.lines, lines, "{src:?}");
+        assert_eq!(unit.lines as usize, src.lines().count(), "{src:?}");
+    }
+}
+
+#[test]
+fn lines_after_newlines_inside_literals_stay_attributed() {
+    let m = compile("int f(void) {\n g(\"a\nb\");\n return '\n' + 1;\n}\n");
+    let f = m.function(m.function_by_name("f").unwrap());
+    let ret_line = f
+        .blocks()
+        .iter()
+        .find(|b| matches!(b.term, Terminator::Ret(Some(_))))
+        .map(|b| b.term_loc.line)
+        .expect("a return");
+    assert_eq!(ret_line, 4);
+}
+
+/// A module kept by a session carries no spare capacity in its blocks'
+/// instruction lists either.
+#[test]
+fn lowered_instruction_lists_have_no_spare_capacity() {
+    let corpus = Corpus::generate(&OsProfile::linux().with_scale(0.2));
+    let mut cc = Compiler::new();
+    for f in &corpus.files {
+        cc.add_source(&f.path, &f.text);
+    }
+    let m = cc.compile().expect("compiles");
+    let blocks: Vec<_> = m.functions().iter().flat_map(|f| f.blocks()).collect();
+    assert!(blocks.iter().filter(|b| b.insts.len() > 1).count() > 1_000);
+    let slack = blocks
+        .iter()
+        .filter(|b| b.insts.len() != b.insts.capacity())
+        .count();
+    assert_eq!(slack, 0, "of {} blocks", blocks.len());
+}
+
+/// An array length skipped up to its `]` stops at the end of input too.
+#[test]
+fn unclosed_array_lengths_are_parse_errors() {
+    for src in ["struct s { int a[", "int f(void) { int a[4", "int f(int a["] {
+        let (kind, _, message) = first_diag(src);
+        assert_eq!(kind, DiagKind::Parse, "{src:?}");
+        assert_eq!(message, "expected `]`, found end of input", "{src:?}");
+    }
+}

@@ -97,12 +97,6 @@ pub(crate) fn explore_roots(
     };
     let threads = hw_threads.min(roots.len().max(1));
     let tel_on = telemetry.is_enabled();
-    // Shared by every root; a request that explores none needs no table.
-    let struct_fields = match roots.is_empty() {
-        true => Vec::new(),
-        false => crate::path::unaware_struct_fields(module),
-    };
-    let struct_fields = &struct_fields[..];
 
     let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<RootRun>> = Mutex::new(Vec::with_capacity(roots.len()));
@@ -119,16 +113,8 @@ pub(crate) fn explore_roots(
                 break;
             };
             let start = tel_on.then(Instant::now);
-            let (result, failure) = run_one_root(
-                module,
-                config,
-                checkers,
-                struct_fields,
-                root,
-                &mut ws,
-                &mut sink,
-                tel_on,
-            );
+            let (result, failure) =
+                run_one_root(module, config, checkers, root, &mut ws, &mut sink, tel_on);
             if let Some(start) = start {
                 let ns = start.elapsed().as_nanos() as u64;
                 sink.record_ns("explore.root", ns);
@@ -212,7 +198,6 @@ fn run_one_root(
     module: &Module,
     config: &AnalysisConfig,
     checkers: &[Box<dyn Checker>],
-    struct_fields: &[u64],
     root: FuncId,
     ws: &mut Workspace,
     sink: &mut TelemetrySink,
@@ -221,7 +206,7 @@ fn run_one_root(
     let mut attempt = |config: &AnalysisConfig| {
         let taken = std::mem::take(&mut *ws);
         catch_unwind(AssertUnwindSafe(|| {
-            Explorer::with_workspace(module, config, checkers, struct_fields, root, taken).run()
+            Explorer::with_workspace(module, config, checkers, root, taken).run()
         }))
         .map(|(result, used)| {
             *ws = used;
@@ -1217,9 +1202,8 @@ mod tests {
         let checkers: Vec<_> = plain.checkers.iter().map(|k| k.instantiate()).collect();
         let mut sink = TelemetrySink::new();
         let mut ws = Workspace::default();
-        let fields = crate::path::unaware_struct_fields(&module);
         let run = |config: &AnalysisConfig, root, ws: &mut Workspace, sink: &mut _| {
-            run_one_root(&module, config, &checkers, &fields, root, ws, sink, false)
+            run_one_root(&module, config, &checkers, root, ws, sink, false)
         };
 
         let (warm, failure) = run(&plain, roots[0], &mut ws, &mut sink);
@@ -1234,15 +1218,9 @@ mod tests {
         assert_eq!(ws.capacity(), 0, "the panicked workspace was replaced");
 
         let (after, failure) = run(&plain, roots[1], &mut ws, &mut sink);
-        let (fresh, _) = Explorer::with_workspace(
-            &module,
-            &plain,
-            &checkers,
-            &fields,
-            roots[1],
-            Workspace::default(),
-        )
-        .run();
+        let (fresh, _) =
+            Explorer::with_workspace(&module, &plain, &checkers, roots[1], Workspace::default())
+                .run();
         assert!(failure.is_none());
         assert_eq!(
             format!("{:?}", after.candidates),

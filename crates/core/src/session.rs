@@ -204,6 +204,8 @@ struct FrontEnd {
 #[derive(Debug)]
 struct Compiled {
     parsed_files: u64,
+    /// Time spent before lowering: the hit check and parsing.
+    parse_ns: u64,
     /// The functions lowered again in place, or `None` after a full
     /// lowering.
     relowered: Option<Vec<FuncId>>,
@@ -216,6 +218,7 @@ impl FrontEnd {
     /// and a file that failed to parse is parsed again next time, with the
     /// same diagnostic. It holds a module only if the request compiled.
     fn compile(&mut self, files: &[SourceFile]) -> Result<Compiled, Vec<Diag>> {
+        let start = Instant::now();
         let old = std::mem::take(&mut self.files);
         let kept = self.lowered.take();
         // A hit needs the same name and the same text. Names may repeat
@@ -264,6 +267,7 @@ impl FrontEnd {
         if !diags.is_empty() {
             return Err(diags);
         }
+        let parse_ns = start.elapsed().as_nanos() as u64;
         let units: Vec<(&Unit, Option<Category>)> =
             self.files.iter().map(|f| (&f.unit, None)).collect();
         if let (true, Some(kept)) = (in_place, kept) {
@@ -277,6 +281,7 @@ impl FrontEnd {
                 self.lowered = Some(lowered);
                 return Ok(Compiled {
                     parsed_files,
+                    parse_ns,
                     relowered: Some(relowered),
                 });
             }
@@ -287,6 +292,7 @@ impl FrontEnd {
         self.lowered = Some(LoweredModule::lower(&units)?);
         Ok(Compiled {
             parsed_files,
+            parse_ns,
             relowered: None,
         })
     }
@@ -678,8 +684,13 @@ impl AnalysisSession {
             .take()
             .expect("a compiled request keeps its module");
         let compile_ns = start.elapsed().as_nanos() as u64;
-        self.telemetry
-            .record_direct(|sink| sink.record_ns("driver.serve.compile", compile_ns));
+        self.telemetry.record_direct(|sink| {
+            sink.record_ns("driver.serve.parse", compiled.parse_ns);
+            sink.record_ns(
+                "driver.serve.lower",
+                compile_ns.saturating_sub(compiled.parse_ns),
+            );
+        });
         // The last containment boundary: per-root faults are absorbed by
         // the quarantine/demotion ladder below, but a panic outside those
         // scopes (collection, fingerprinting, splicing, store writing)

@@ -523,10 +523,11 @@ impl TelemetrySnapshot {
         }
 
         // Stage breakdown, in pipeline order. A one-shot run over a
-        // compiled module records no compile or fingerprint time; their
+        // compiled module records no parse, lower or fingerprint time; their
         // rows then read zero.
         let stages = [
-            ("compile", "driver.serve.compile"),
+            ("parse", "driver.serve.parse"),
+            ("lower", "driver.serve.lower"),
             ("collect", "stage.collect"),
             ("fingerprint", "driver.serve.fingerprint"),
             ("explore", "stage.explore"),
@@ -858,7 +859,8 @@ mod tests {
     #[test]
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
-        sink.record_ns("driver.serve.compile", 6_000);
+        sink.record_ns("driver.serve.parse", 4_000);
+        sink.record_ns("driver.serve.lower", 2_000);
         sink.record_ns("stage.collect", 1_000);
         sink.record_ns("driver.serve.fingerprint", 2_000);
         sink.record_ns("stage.explore", 8_000);
@@ -875,7 +877,7 @@ mod tests {
             .lines()
             .skip_while(|l| *l != "stage breakdown")
             .skip(1)
-            .take(5)
+            .take(6)
             .map(|l| {
                 let cols: Vec<&str> = l.split_whitespace().collect();
                 (cols[0], cols[cols.len() - 1])
@@ -884,7 +886,8 @@ mod tests {
         assert_eq!(
             rows,
             [
-                ("compile", "30.0%"),
+                ("parse", "20.0%"),
+                ("lower", "10.0%"),
                 ("collect", "5.0%"),
                 ("fingerprint", "10.0%"),
                 ("explore", "40.0%"),

@@ -10,6 +10,7 @@ use crate::module::{Category, FileId, FuncId};
 use crate::types::Type;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A module-global variable identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,7 +116,8 @@ impl Default for Block {
 #[derive(Debug, Clone)]
 pub struct Function {
     pub(crate) id: FuncId,
-    pub(crate) name: String,
+    /// Shared with the module's name table.
+    pub(crate) name: Arc<str>,
     pub(crate) params: Vec<VarId>,
     pub(crate) ret_ty: Type,
     pub(crate) blocks: Vec<Block>,

@@ -49,7 +49,7 @@ mod printer;
 mod types;
 mod verify;
 
-pub use builder::FunctionBuilder;
+pub use builder::{BuildBuffers, FunctionBuilder};
 pub use cfg::{Cfg, ReversePostorder};
 pub use function::{Block, BlockId, Function, VarId, VarInfo, VarKind};
 pub use inst::{BinOp, Callee, CmpOp, ConstVal, Inst, InstId, InstKind, Loc, Operand, Terminator};

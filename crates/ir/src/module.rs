@@ -10,6 +10,7 @@ use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A function identifier within a [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,7 +170,7 @@ pub struct DetachedFunctions {
 #[derive(Debug, Clone, Default)]
 pub struct Module {
     functions: Vec<Function>,
-    func_by_name: HashMap<String, FuncId>,
+    func_by_name: HashMap<Arc<str>, FuncId>,
     vars: Vec<VarInfo>,
     structs: Vec<StructDef>,
     struct_by_name: HashMap<String, StructId>,
@@ -231,6 +232,12 @@ impl Module {
         self.struct_by_name.insert(def.name.clone(), id);
         self.structs.push(def);
         id
+    }
+
+    /// Replaces the fields of struct `id` (a later definition of the same
+    /// struct wins, as with [`Module::add_struct`]).
+    pub fn set_struct_fields(&mut self, id: StructId, fields: Vec<(Symbol, Type)>) {
+        self.structs[id.index()].fields = fields;
     }
 
     /// Looks up a struct by name.
@@ -297,6 +304,19 @@ impl Module {
         self.func_by_name.insert(func.name.clone(), id);
         self.functions.push(func);
         id
+    }
+
+    /// Makes room for `additional` more variables, when their number can
+    /// be estimated before they are created.
+    pub fn reserve_vars(&mut self, additional: usize) {
+        self.vars.reserve(additional);
+    }
+
+    /// Makes room for `additional` more functions, when their number is
+    /// known before they are built.
+    pub fn reserve_functions(&mut self, additional: usize) {
+        self.functions.reserve_exact(additional);
+        self.func_by_name.reserve(additional);
     }
 
     /// Reserves the next function id (used by the builder).

@@ -7,8 +7,12 @@
 
 use crate::module::StructId;
 use std::fmt;
+use std::sync::Arc;
 
-/// A PIR type.
+/// A PIR type. A pointer or array type shares its element type: a clone
+/// copies a pointer and counts a reference, and a producer that makes
+/// many pointers to one type (lowering, for each struct) can give them
+/// one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// The `void` type (function returns only).
@@ -18,11 +22,11 @@ pub enum Type {
     /// A boolean produced by comparison instructions.
     Bool,
     /// A pointer to another type.
-    Ptr(Box<Type>),
+    Ptr(Arc<Type>),
     /// A named struct defined in the owning [`crate::Module`].
     Struct(StructId),
     /// A fixed- or unknown-length array of an element type.
-    Array(Box<Type>),
+    Array(Arc<Type>),
 }
 
 impl Type {
@@ -34,12 +38,12 @@ impl Type {
     /// assert!(t.is_pointer());
     /// ```
     pub fn ptr(inner: Type) -> Type {
-        Type::Ptr(Box::new(inner))
+        Type::Ptr(Arc::new(inner))
     }
 
     /// Convenience constructor for an array of `elem`.
     pub fn array(elem: Type) -> Type {
-        Type::Array(Box::new(elem))
+        Type::Array(Arc::new(elem))
     }
 
     /// Whether this type is a pointer.

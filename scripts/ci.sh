@@ -86,6 +86,11 @@ echo "explore allocator calls/inst: ${explore_allocs} (budget: deep ≤0.02, lin
 deep_ns=$(grep '"exploration":' results/BENCH_stage1.json \
     | sed 's/.*"deep_ns_per_step": \([0-9.]*\).*/\1/')
 echo "explore ns per live step, deep-path module: ${deep_ns} (not gated)"
+# Lowering ns per IR instruction at scale 4 over scale 0.2, recorded by the
+# front-end bench above. Flat lowering reads near 1.0; printed, not gated.
+lower_ratio=$(grep '"frontend":' results/BENCH_stage1.json \
+    | sed 's/.*"lower_ratio_4_02": \([0-9.a-z]*\).*/\1/')
+echo "lower ns/inst, scale 4 over scale 0.2: ${lower_ratio}x (not gated)"
 # Reports stay byte-identical across thread counts at every scale.
 for scale in 1 4 16; do
     sweep_dir="$tmp_dir/sweep$scale"
