@@ -1,12 +1,15 @@
 //! The bug filter (paper §4, phase P3): cross-root deduplication of
 //! repeated bugs, then alias-aware path validation.
 //!
-//! A session keeps each request's groups ([`KeptGroups`]): a group's
-//! members, how many validations it took, and whether it was reported. On
-//! the next request a group whose members are the same candidates of
-//! clean roots takes its verdict from there instead of validating again,
-//! counting exactly what validating it again through the same cache
-//! would count.
+//! [`filter_roots`] is the one implementation of P3 behind every entry
+//! point: it groups a per-root candidate stream by problematic-instruction
+//! pair and settles each group. A session that serves edits passes its
+//! kept groups ([`KeptGroups`]): a group's members, how many validations
+//! it took, and whether it was reported. On the next request a group whose
+//! members are the same candidates of clean roots takes its verdict from
+//! there instead of validating again, counting exactly what validating it
+//! again through the same cache would count: the cache only grows, so
+//! every verdict the group recorded would be a hit.
 
 use crate::checkers::BugKind;
 use crate::faultinject::{self, FaultPlan};
@@ -47,46 +50,21 @@ pub fn filter(
     telemetry: Option<&Telemetry>,
     stats: &mut AnalysisStats,
 ) -> FilterResult {
-    filter_with_faults(
+    let stream = [RootCandidates {
+        candidates: &candidates,
+        dirty: true,
+    }];
+    let (witnesses, failures) = filter_roots(
         module,
-        candidates,
+        &stream,
+        None,
         validate_paths,
         cache,
         telemetry,
         stats,
         None,
-    )
-}
-
-/// [`filter`] with an active fault plan: the `validate` injection site
-/// fires per candidate, labeled with the candidate's root name.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn filter_with_faults(
-    module: &Module,
-    candidates: Vec<PossibleBug>,
-    validate_paths: bool,
-    cache: Option<&ValidationCache>,
-    telemetry: Option<&Telemetry>,
-    stats: &mut AnalysisStats,
-    fault: Option<&FaultPlan>,
-) -> FilterResult {
-    let stream = [RootCandidates {
-        candidates: &candidates,
-        dirty: true,
-    }];
-    let mut run = Run::new(module, validate_paths, cache, telemetry, fault, stats);
-    let mut witnesses = Vec::new();
-    for group in groups(&stream, stats) {
-        if let Outcome::Reported((_, i)) = run.settle(&stream, &group.members, None, stats).0 {
-            witnesses.push(i);
-        }
-    }
-    let failures = run.finish(stats);
-    let mut candidates: Vec<Option<PossibleBug>> = candidates.into_iter().map(Some).collect();
-    let real_bugs: Vec<PossibleBug> = witnesses
-        .into_iter()
-        .map(|i| candidates[i].take().expect("one witness per group"))
-        .collect();
+    );
+    let real_bugs: Vec<PossibleBug> = witnesses.into_iter().cloned().collect();
     FilterResult {
         reports: real_bugs
             .iter()
@@ -95,6 +73,90 @@ pub(crate) fn filter_with_faults(
         real_bugs,
         failures,
     }
+}
+
+/// P3 over `stream`, the candidates of every root in root order: groups
+/// them, settles each group and returns the reported groups' witnesses in
+/// group order, with the quarantined groups. With an active fault plan
+/// the `validate` injection site fires per validation, labeled with the
+/// candidate's root name.
+///
+/// `kept` is `Some` only for a request whose groups the session keeps. A
+/// group whose members are the kept ones, none of them from a dirty root,
+/// replays its kept verdicts; that needs the same module ids as the
+/// request that kept them and, when validating, the cache they went
+/// through. This request's groups then replace the kept ones. With `None`
+/// nothing is replayed and nothing is recorded.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn filter_roots<'c>(
+    module: &Module,
+    stream: &[RootCandidates<'c>],
+    mut kept: Option<&mut KeptGroups>,
+    validate_paths: bool,
+    cache: Option<&ValidationCache>,
+    telemetry: Option<&Telemetry>,
+    stats: &mut AnalysisStats,
+    fault: Option<&FaultPlan>,
+) -> (Vec<&'c PossibleBug>, Vec<DegradedRoot>) {
+    let mut prev = match kept.as_deref_mut() {
+        Some(kept) => {
+            #[cfg(test)]
+            {
+                kept.replayed = 0;
+            }
+            std::mem::take(&mut kept.groups)
+        }
+        None => FxHashMap::default(),
+    };
+    let mut run = Run::new(module, validate_paths, cache, telemetry, fault, stats);
+    let current = groups(stream, stats);
+    if let Some(kept) = kept.as_deref_mut() {
+        kept.groups.reserve(current.len());
+    }
+    let mut witnesses = Vec::with_capacity(current.len());
+    let member_id = |&(r, i): &Member| (stream[r].candidates[i].root, i);
+    for group in current {
+        let replay = prev.remove(&group.key).filter(|old| {
+            old.members.len() == group.members.len()
+                && group.members.iter().all(|&(r, _)| !stream[r].dirty)
+                && old
+                    .members
+                    .iter()
+                    .copied()
+                    .eq(group.members.iter().map(member_id))
+        });
+        let (outcome, calls) = run.settle(stream, &group.members, replay.as_ref(), stats);
+        let reported = match outcome {
+            Outcome::Quarantined => continue,
+            Outcome::False => false,
+            Outcome::Reported((r, i)) => {
+                witnesses.push(&stream[r].candidates[i]);
+                true
+            }
+        };
+        let Some(kept) = kept.as_deref_mut() else {
+            continue;
+        };
+        let members = match replay {
+            Some(replay) => {
+                #[cfg(test)]
+                {
+                    kept.replayed += 1;
+                }
+                replay.members
+            }
+            None => group.members.iter().map(member_id).collect(),
+        };
+        kept.groups.insert(
+            group.key,
+            KeptGroup {
+                members,
+                calls,
+                reported,
+            },
+        );
+    }
+    (witnesses, run.finish(stats))
 }
 
 /// One root's stage-1 candidates, in exploration order.
@@ -306,87 +368,14 @@ struct KeptGroup {
 }
 
 /// The P3 groups of a session's previous request, by problematic
-/// instruction pair. A quarantined group is not kept, so it is validated
-/// again.
+/// instruction pair (see [`filter_roots`]). A quarantined group is not
+/// kept, so it is validated again.
 #[derive(Debug, Default)]
 pub(crate) struct KeptGroups {
     groups: FxHashMap<GroupKey, KeptGroup>,
-    /// How many groups the last [`KeptGroups::filter`] replayed.
+    /// How many groups the last [`filter_roots`] replayed and kept again.
     #[cfg(test)]
     pub(crate) replayed: usize,
-}
-
-impl KeptGroups {
-    /// [`filter`] over `stream`, the candidates of every root in root
-    /// order, keeping this request's groups in place of the previous
-    /// one's. With `reuse`, a group whose members are the previous
-    /// request's, none of them from a dirty root, replays its kept
-    /// verdicts; that needs the same module ids as the previous request
-    /// and, when validating, every verdict it recorded still in the cache.
-    /// Returns the reports and the quarantined groups.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn filter(
-        &mut self,
-        module: &Module,
-        stream: &[RootCandidates<'_>],
-        reuse: bool,
-        validate_paths: bool,
-        cache: Option<&ValidationCache>,
-        telemetry: Option<&Telemetry>,
-        stats: &mut AnalysisStats,
-        fault: Option<&FaultPlan>,
-    ) -> (Vec<BugReport>, Vec<DegradedRoot>) {
-        let mut prev = std::mem::take(&mut self.groups);
-        if !reuse {
-            prev.clear();
-        }
-        #[cfg(test)]
-        {
-            self.replayed = 0;
-        }
-        let mut run = Run::new(module, validate_paths, cache, telemetry, fault, stats);
-        let current = groups(stream, stats);
-        self.groups.reserve(current.len());
-        let mut reports = Vec::with_capacity(current.len());
-        let member_id = |&(r, i): &Member| (stream[r].candidates[i].root, i);
-        for group in current {
-            let kept = prev.remove(&group.key).filter(|kept| {
-                kept.members.len() == group.members.len()
-                    && group.members.iter().all(|&(r, _)| !stream[r].dirty)
-                    && kept
-                        .members
-                        .iter()
-                        .copied()
-                        .eq(group.members.iter().map(member_id))
-            });
-            #[cfg(test)]
-            {
-                self.replayed += usize::from(kept.is_some());
-            }
-            let (outcome, calls) = run.settle(stream, &group.members, kept.as_ref(), stats);
-            let reported = match outcome {
-                Outcome::Quarantined => continue,
-                Outcome::False => false,
-                Outcome::Reported((r, i)) => {
-                    reports.push(BugReport::from_possible(&stream[r].candidates[i], module));
-                    true
-                }
-            };
-            let members = match kept {
-                Some(kept) => kept.members,
-                None => group.members.iter().map(member_id).collect(),
-            };
-            self.groups.insert(
-                group.key,
-                KeptGroup {
-                    members,
-                    calls,
-                    reported,
-                },
-            );
-        }
-        (reports, run.finish(stats))
-    }
 }
 
 /// A kept group in comparable form (see [`KeptGroups::dump`]).
@@ -516,6 +505,77 @@ mod tests {
         assert_eq!(stats.false_bugs_dropped, 2);
         assert_eq!(stats.validation_cache_misses, 1);
         assert_eq!(stats.validation_cache_hits, 1);
+    }
+
+    /// P3 groups across the whole stream: the same candidates give the
+    /// same reports, statistics and telemetry as one flat entry, split per
+    /// root, and split per root while recording groups.
+    #[test]
+    fn a_flat_and_a_per_root_stream_agree() {
+        let corpus =
+            pata_corpus::Corpus::generate(&pata_corpus::OsProfile::linux().with_scale(0.3));
+        let mut cc = pata_cc::Compiler::new();
+        for f in &corpus.files {
+            cc.add_source(&f.path, &f.text);
+        }
+        let session = crate::AnalysisSession::new(crate::AnalysisConfig::default());
+        let (module, candidates, _) = session.collect_candidates(cc.compile().unwrap());
+        let stream: Vec<RootCandidates<'_>> = candidates
+            .chunk_by(|a, b| a.root == b.root)
+            .map(|candidates| RootCandidates {
+                candidates,
+                dirty: true,
+            })
+            .collect();
+        let run = |split: bool, record: bool| {
+            let (cache, tel) = (ValidationCache::new(), Telemetry::new(true));
+            let mut stats = AnalysisStats::default();
+            let (reports, real_bugs) = if split {
+                let mut groups = KeptGroups::default();
+                let (witnesses, _) = filter_roots(
+                    &module,
+                    &stream,
+                    record.then_some(&mut groups),
+                    true,
+                    Some(&cache),
+                    Some(&tel),
+                    &mut stats,
+                    None,
+                );
+                let reports: Vec<BugReport> = witnesses
+                    .iter()
+                    .map(|bug| BugReport::from_possible(bug, &module))
+                    .collect();
+                (reports, format!("{witnesses:?}"))
+            } else {
+                let out = filter(
+                    &module,
+                    candidates.clone(),
+                    true,
+                    Some(&cache),
+                    Some(&tel),
+                    &mut stats,
+                );
+                (
+                    out.reports,
+                    format!("{:?}", out.real_bugs.iter().collect::<Vec<_>>()),
+                )
+            };
+            let snapshot = tel.snapshot();
+            let counters: Vec<(String, u64)> = snapshot
+                .counters()
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("filter.") || name.starts_with("validate."))
+                .map(|(name, value)| (name.to_owned(), value))
+                .collect();
+            (reports, real_bugs, stats, counters)
+        };
+        let flat = run(false, false);
+        assert!(stream.len() > 1, "candidates from several roots");
+        assert!(flat.2.repeated_bugs_dropped > 0 && flat.2.false_bugs_dropped > 0);
+        assert!(!flat.0.is_empty() && !flat.3.is_empty());
+        assert!(run(true, false) == flat, "split per root");
+        assert!(run(true, true) == flat, "split per root, recording groups");
     }
 
     #[test]

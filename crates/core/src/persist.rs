@@ -594,31 +594,23 @@ impl FunctionDb {
         h.finish()
     }
 
-    /// How many functions changed (different fingerprint) or appeared
-    /// relative to `old`.
-    pub(crate) fn changed_since(&self, old: &FunctionDb) -> u64 {
-        self.entries
-            .iter()
-            .filter(|(name, fp)| old.entries.get(*name) != Some(fp))
-            .count() as u64
-    }
-
-    /// The names of the functions whose fingerprint differs from `old`'s;
-    /// `None` when a function was added or removed.
-    pub(crate) fn changed_names(&self, old: &FunctionDb) -> Option<Vec<String>> {
-        if self.entries.len() != old.entries.len() {
-            return None;
-        }
+    /// Compares with `old`: how many functions changed (a different
+    /// fingerprint) or appeared, and the names of the changed ones, `None`
+    /// when a function was added or removed.
+    pub(crate) fn diff(&self, old: &FunctionDb) -> (u64, Option<Vec<String>>) {
         let mut names = Vec::new();
-        for ((name, fp), (old_name, old_fp)) in self.entries.iter().zip(&old.entries) {
-            if name != old_name {
-                return None;
-            }
-            if fp != old_fp {
-                names.push(name.clone());
+        let mut appeared = 0;
+        for (name, fp) in &self.entries {
+            match old.entries.get(name) {
+                Some(old_fp) if old_fp == fp => {}
+                Some(_) => names.push(name.clone()),
+                None => appeared += 1,
             }
         }
-        Some(names)
+        let changed = (names.len() + appeared) as u64;
+        // Every name is an old one and there are as many: the same names.
+        let same_names = appeared == 0 && self.entries.len() == old.entries.len();
+        (changed, same_names.then_some(names))
     }
 }
 
@@ -1977,7 +1969,7 @@ mod tests {
         ]);
         assert_ne!(edited.entries["alpha"], base.entries["alpha"]);
         assert_eq!(edited.entries["beta"], base.entries["beta"]);
-        assert_eq!(edited.changed_since(&base), 1);
+        assert_eq!(edited.diff(&base), (1, Some(vec!["alpha".to_owned()])));
     }
 
     #[test]

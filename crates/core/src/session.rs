@@ -30,7 +30,7 @@ use crate::collector::{self, CallGraph};
 use crate::config::AnalysisConfig;
 use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
-use crate::filter::{self, FilterResult, KeptGroups, RootCandidates};
+use crate::filter::{self, KeptGroups, RootCandidates};
 use crate::persist::{
     self, config_fingerprint, ModuleFingerprints, Store, StoreDelta, StoreDoc, StoreFile,
     StoredBug, StoredRoot,
@@ -330,13 +330,9 @@ struct Bound {
     candidates: Vec<Vec<PossibleBug>>,
     /// Per function id: the index of the function's root record.
     record_of: Vec<Option<usize>>,
-    /// The P3 groups of the request.
+    /// The P3 groups of the request. The validation cache only grows, so
+    /// it still holds every verdict they recorded.
     groups: KeptGroups,
-    /// The validation cache's mark and size after the request: the cache
-    /// still holds every verdict the groups recorded while the size grew
-    /// by exactly the insertions since.
-    cache_mark: u64,
-    cache_len: usize,
 }
 
 /// A persistent analysis session.
@@ -395,10 +391,9 @@ pub struct AnalysisSession {
 #[derive(Debug, Clone, Copy)]
 struct SyncedStore {
     file: StoreFile,
-    /// The validation cache's mark and size when the file was read or
-    /// written: the verdicts recorded since are the ones the file lacks.
+    /// The validation cache's mark when the file was read or written: the
+    /// verdicts recorded since are the ones the file lacks.
     cache_mark: u64,
-    cache_len: usize,
 }
 
 impl AnalysisSession {
@@ -451,7 +446,6 @@ impl AnalysisSession {
             session.synced = Some(SyncedStore {
                 file,
                 cache_mark: session.cache.mark(),
-                cache_len: session.cache.len(),
             });
         }
         let load_ns = t0.elapsed().as_nanos() as u64;
@@ -502,22 +496,28 @@ impl AnalysisSession {
         checkers: &[Box<dyn Checker>],
     ) -> AnalysisOutcome {
         let start = Instant::now();
-        let (runs, mut stats) = self.collect_and_explore(&mut module, checkers);
-        let mut candidates = Vec::new();
+        let (mut runs, mut stats) = self.collect_and_explore(&mut module, checkers);
         let mut budget_notes = Vec::new();
         let mut degraded = Vec::new();
-        for run in runs {
-            candidates.extend(run.candidates);
-            budget_notes.extend(run.note);
+        for run in &mut runs {
+            budget_notes.extend(run.note.take());
             degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
         }
-        let result = self.filter(&module, candidates, &mut stats);
-        degraded.extend(result.failures);
+        let stream: Vec<RootCandidates<'_>> = runs
+            .iter()
+            .map(|run| RootCandidates {
+                candidates: &run.candidates,
+                dirty: true,
+            })
+            .collect();
+        let (reports, witnesses, failures) = self.filter_roots(&module, &stream, None, &mut stats);
+        let real_bugs = witnesses.into_iter().cloned().collect();
+        degraded.extend(failures);
         degraded.sort();
         stats.time = start.elapsed();
         AnalysisOutcome {
-            reports: result.reports,
-            real_bugs: result.real_bugs,
+            reports,
+            real_bugs,
             stats,
             module,
             telemetry: self.telemetry.snapshot(),
@@ -609,58 +609,38 @@ impl AnalysisSession {
         runs
     }
 
-    /// P3 of a session request over the candidates of every root, in
-    /// root order, through the session's validation cache and `groups`,
-    /// the previous request's groups, which it replaces with this one's.
-    fn filter_kept(
+    /// P3 over the candidates of every root, in root order, through the
+    /// session's validation cache with the configured fault plan armed:
+    /// the reports, their witnesses and the quarantined groups. `groups`,
+    /// when the session keeps this request's groups, holds the previous
+    /// request's to replay and receives this one's.
+    fn filter_roots<'c>(
         &self,
         module: &Module,
-        stream: &[RootCandidates<'_>],
-        groups: &mut KeptGroups,
-        reuse: bool,
+        stream: &[RootCandidates<'c>],
+        groups: Option<&mut KeptGroups>,
         stats: &mut AnalysisStats,
-    ) -> (Vec<BugReport>, Vec<DegradedRoot>) {
+    ) -> (Vec<BugReport>, Vec<&'c PossibleBug>, Vec<DegradedRoot>) {
         let tel_on = self.telemetry.is_enabled();
         let span = Span::start(tel_on, "stage.filter");
-        let result = groups.filter(
+        let (witnesses, failures) = filter::filter_roots(
             module,
             stream,
-            reuse,
+            groups,
             self.config.validate_paths,
             self.config.validation_cache.then(|| &*self.cache),
             Some(&self.telemetry),
             stats,
             self.config.fault_plan.as_deref(),
         );
+        let reports = witnesses
+            .iter()
+            .map(|bug| BugReport::from_possible(bug, module))
+            .collect();
         if tel_on {
             self.telemetry.record_direct(|sink| span.finish(sink));
         }
-        result
-    }
-
-    /// P3: bug filtering (dedup + path validation) through the session's
-    /// validation cache, with the configured fault plan armed.
-    fn filter(
-        &self,
-        module: &Module,
-        candidates: Vec<PossibleBug>,
-        stats: &mut AnalysisStats,
-    ) -> FilterResult {
-        let tel_on = self.telemetry.is_enabled();
-        let span = Span::start(tel_on, "stage.filter");
-        let result = filter::filter_with_faults(
-            module,
-            candidates,
-            self.config.validate_paths,
-            self.config.validation_cache.then(|| &*self.cache),
-            Some(&self.telemetry),
-            stats,
-            self.config.fault_plan.as_deref(),
-        );
-        if tel_on {
-            self.telemetry.record_direct(|sink| span.finish(sink));
-        }
-        result
+        (reports, witnesses, failures)
     }
 
     /// Compiles and analyzes `request`, re-exploring only roots whose
@@ -769,7 +749,7 @@ impl AnalysisSession {
             (_, prev_fps) => {
                 let fps = ModuleFingerprints::build(module);
                 let (changed, names) = match (&fps, &prev_fps) {
-                    (Some(f), Some(p)) => (f.db.changed_since(&p.db), f.db.changed_names(&p.db)),
+                    (Some(f), Some(p)) => f.db.diff(&p.db),
                     (Some(f), None) => (f.db.entries.len() as u64, None),
                     (None, _) => (module.functions().len() as u64, None),
                 };
@@ -969,33 +949,28 @@ impl AnalysisSession {
         }
         drop(prev_roots);
 
-        // Only a request that relowered in place keeps its products: a
+        // Every request filters its per-root stream. Only a request that
+        // relowered in place keeps its groups, with its other products: a
         // session that has not (a one-shot analysis, a restart from the
-        // store) is not serving edits yet, and filters as `filter` does.
-        let (reports, failures, kept) = if relowered.is_some() {
-            let stream: Vec<RootCandidates<'_>> = candidates
-                .iter()
-                .zip(&explored)
-                .map(|(candidates, &dirty)| RootCandidates { candidates, dirty })
-                .collect();
-            // Kept groups replay their verdicts only over the same module
-            // ids and, when they validated, the same cache contents.
-            let reuse = bound.as_ref().is_some_and(|b| {
-                !config.validate_paths
-                    || (config.validation_cache
-                        && self.cache.len() as u64
-                            == b.cache_len as u64 + (self.cache.mark() - b.cache_mark))
-            });
-            let mut groups = bound.map(|b| b.groups).unwrap_or_default();
-            let (reports, failures) =
-                self.filter_kept(module, &stream, &mut groups, reuse, &mut stats);
-            drop(stream);
-            (reports, failures, Some((candidates, groups)))
-        } else {
-            let candidates = candidates.into_iter().flatten().collect();
-            let result = self.filter(module, candidates, &mut stats);
-            (result.reports, result.failures, None)
-        };
+        // store) is not serving edits yet. Kept groups replay their
+        // verdicts only over the same module ids and, when validating,
+        // through the cache that recorded them.
+        let stream: Vec<RootCandidates<'_>> = candidates
+            .iter()
+            .zip(&explored)
+            .map(|(candidates, &dirty)| RootCandidates { candidates, dirty })
+            .collect();
+        let replay = !config.validate_paths || config.validation_cache;
+        let mut groups = relowered.map(|_| {
+            bound
+                .filter(|_| replay)
+                .map(|b| b.groups)
+                .unwrap_or_default()
+        });
+        let (reports, _, failures) =
+            self.filter_roots(module, &stream, groups.as_mut(), &mut stats);
+        drop(stream);
+        let kept = groups.map(|groups| (candidates, groups));
         degraded.extend(failures);
         stats.time = start.elapsed();
 
@@ -1003,7 +978,9 @@ impl AnalysisSession {
         // clean request (the same function database, no dirty roots, the
         // same root count, no new validation verdicts) would rewrite the
         // store with the same content — skip the redundant serialization.
-        let store_unchanged = self.synced.is_some_and(|s| s.cache_len == self.cache.len())
+        let store_unchanged = self
+            .synced
+            .is_some_and(|s| s.cache_mark == self.cache.mark())
             && incremental.dirty_roots == 0
             && functions_unchanged
             && prev_root_count == new_roots.len();
@@ -1022,8 +999,6 @@ impl AnalysisSession {
                 candidates,
                 record_of,
                 groups,
-                cache_mark: self.cache.mark(),
-                cache_len: self.cache.len(),
             }),
         });
         if store_unchanged {
@@ -1036,7 +1011,6 @@ impl AnalysisSession {
             self.synced = saved.ok().map(|file| SyncedStore {
                 file,
                 cache_mark: self.cache.mark(),
-                cache_len: self.cache.len(),
             });
             if tel_on {
                 self.telemetry.record_direct(|sink| {
@@ -1086,22 +1060,17 @@ impl AnalysisSession {
         };
         let corpus_fp = warm.fps.db.corpus_fingerprint();
         if let (Some(synced), Some((changed, replaced))) = (self.synced, delta) {
-            let validation = verdicts_since(synced.cache_mark);
-            // A cache cleared since the file was synced lost verdicts the
-            // file still holds: only a rewrite drops them.
-            if self.cache.len() == synced.cache_len + validation.len() {
-                let delta = StoreDelta {
-                    corpus_fp,
-                    functions: changed
-                        .iter()
-                        .map(|name| (name.as_str(), warm.fps.db.entries[name]))
-                        .collect(),
-                    roots: replaced.iter().map(|&i| &warm.roots[i]).collect(),
-                    validation: &validation,
-                };
-                if let Some(file) = delta.append_with_faults(path, synced.file, fault)? {
-                    return Ok(file);
-                }
+            let delta = StoreDelta {
+                corpus_fp,
+                functions: changed
+                    .iter()
+                    .map(|name| (name.as_str(), warm.fps.db.entries[name]))
+                    .collect(),
+                roots: replaced.iter().map(|&i| &warm.roots[i]).collect(),
+                validation: &verdicts_since(synced.cache_mark),
+            };
+            if let Some(file) = delta.append_with_faults(path, synced.file, fault)? {
+                return Ok(file);
             }
         }
         StoreDoc {

@@ -68,7 +68,7 @@ pub(super) enum Edit {
 }
 
 impl Edit {
-    fn in_place(self) -> bool {
+    pub(super) fn in_place(self) -> bool {
         matches!(
             self,
             Edit::Const | Edit::Stmt | Edit::Local | Edit::CallRoot

@@ -182,3 +182,183 @@ fn a_quarantined_group_is_validated_again() {
     assert_eq!(kept.groups.dump().len(), 2);
     assert_eq!(kept.groups.replayed, 1, "only probe_b's group replays");
 }
+
+/// Serves `files` on `session` and checks the outcome: its report against
+/// a cold session's, its statistics against `rederiving`'s (which derives
+/// every product again) and, after an in-place lowering, its kept products
+/// against a fresh session's. After a full lowering nothing is bound. With
+/// `stored`, root records compare as a store keeps them. Returns whether
+/// the request lowered in place.
+fn serve_and_check(
+    session: &mut AnalysisSession,
+    rederiving: &mut AnalysisSession,
+    files: &[(String, String)],
+    stored: bool,
+    what: &str,
+) -> bool {
+    let out = session.analyze(&request(files)).expect("analyzes");
+    rederiving.front_end = FrontEnd::default();
+    let rederived = rederiving.analyze(&request(files)).expect("analyzes");
+    assert!(
+        outcome_of(&out) == outcome_of(&rederived),
+        "{what}: the served statistics or report differ"
+    );
+    let config = session.config().clone();
+    let mut fresh = AnalysisSession::new(config);
+    let cold = fresh.analyze(&request(files)).expect("analyzes");
+    assert!(
+        out.report.to_json() == cold.report.to_json(),
+        "{what}: the served report differs from a cold one"
+    );
+    let in_place = out.incremental.lowered_functions < module_len(session);
+    let bound = session.warm.as_ref().unwrap().bound.is_some();
+    assert_eq!(bound, in_place, "{what}: products kept after {in_place}");
+    if in_place {
+        fresh.analyze(&request(files)).expect("analyzes");
+        let (graph, plans, groups) = kept(session);
+        let (cold_graph, cold_plans, cold_groups) = kept(&fresh);
+        assert!(graph == cold_graph, "{what}: call graph or roots");
+        if stored {
+            assert!(
+                stored_plans(session) == stored_plans(&fresh),
+                "{what}: per-root plans"
+            );
+        } else {
+            assert!(plans == cold_plans, "{what}: per-root plans");
+        }
+        assert_eq!(groups, cold_groups, "{what}: P3 groups");
+    }
+    in_place
+}
+
+/// The per-root records and bound candidates of [`kept`], with each
+/// record's statistics as a store keeps them: a record loaded from a
+/// store has no candidate or repeated-bug count.
+fn stored_plans(session: &AnalysisSession) -> String {
+    let warm = session.warm.as_ref().expect("a warm state");
+    let records: Vec<StoredRoot> = warm
+        .roots
+        .iter()
+        .cloned()
+        .map(|mut record| {
+            record.stats.candidates = 0;
+            record.stats.repeated_bugs_dropped = 0;
+            record
+        })
+        .collect();
+    let bound = warm.bound.as_ref().expect("products bound to the module");
+    format!("{records:?} {:?}", bound.candidates)
+}
+
+/// Applies an in-place `edit` to one function of `files`.
+fn edit(
+    files: &mut [(String, String)],
+    session: &AnalysisSession,
+    edit: Edit,
+    i: usize,
+    rng: &mut Prng,
+) {
+    let roots: Vec<String> = session
+        .warm
+        .as_ref()
+        .unwrap()
+        .roots
+        .iter()
+        .map(|r| r.root.clone())
+        .collect();
+    while !edit_function(files, edit, i, rng, &roots) {}
+}
+
+fn linux_files(scale: f64) -> Vec<(String, String)> {
+    Corpus::generate(&OsProfile::linux().with_scale(scale))
+        .files
+        .iter()
+        .map(|f| (f.path.clone(), f.text.clone()))
+        .collect()
+}
+
+/// A request that adds or reorders a file lowers every function and
+/// keeps no products; the in-place edits after it keep them again, equal
+/// to a fresh session's after every request.
+#[test]
+fn kept_products_survive_a_full_lowering_mid_sequence() {
+    let mut files = linux_files(0.2);
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    let mut rng = Prng::seed_from_u64(0x5_1c4e);
+    let mut session = AnalysisSession::new(config.clone());
+    let mut rederiving = AnalysisSession::new(config);
+    session.analyze(&request(&files)).expect("analyzes");
+    rederiving.analyze(&request(&files)).expect("analyzes");
+    let steps = [
+        Edit::Const,
+        Edit::Stmt,
+        Edit::AddFile,
+        Edit::Local,
+        Edit::Const,
+        Edit::Reorder,
+        Edit::Stmt,
+        Edit::Local,
+        Edit::Const,
+    ];
+    for (i, step) in steps.into_iter().enumerate() {
+        match step {
+            Edit::AddFile => files.push((
+                "drivers/switch/added.c".to_owned(),
+                "static int switch_added(int *p) { if (p == NULL) { } return *p; }\n".to_owned(),
+            )),
+            Edit::Reorder => files.swap(0, 1),
+            _ => edit(&mut files, &session, step, i, &mut rng),
+        }
+        let what = format!("step {i} ({step:?})");
+        let in_place = serve_and_check(&mut session, &mut rederiving, &files, false, &what);
+        assert_eq!(in_place, step.in_place(), "{what}");
+    }
+}
+
+/// A session reopened over its store loads no session products; its first
+/// request lowers in full and its in-place edits after that keep products
+/// equal to a fresh session's after every edit. The re-deriving session
+/// restarts from a copy of the same store: a clean root replays its
+/// record's statistics, and a record stores only the explorer's.
+#[test]
+fn a_reopened_store_session_keeps_products_from_its_edits() {
+    let mut files = linux_files(0.2);
+    let dir = std::env::temp_dir().join(format!("pata-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, copy) = (dir.join("store.json"), dir.join("copy.json"));
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    AnalysisSession::open(config.clone(), &path)
+        .analyze(&request(&files))
+        .expect("analyzes");
+    std::fs::copy(&path, &copy).unwrap();
+    let mut session = AnalysisSession::open(config.clone(), &path);
+    let mut rederiving = AnalysisSession::open(config, &copy);
+    assert!(session.warm.as_ref().unwrap().bound.is_none());
+    assert!(!serve_and_check(
+        &mut session,
+        &mut rederiving,
+        &files,
+        true,
+        "restart"
+    ));
+    let mut rng = Prng::seed_from_u64(0x0_5e0e);
+    let kinds = [Edit::Const, Edit::Stmt, Edit::Local];
+    for i in 0..6 {
+        edit(&mut files, &session, kinds[i % 3], i, &mut rng);
+        serve_and_check(
+            &mut session,
+            &mut rederiving,
+            &files,
+            true,
+            &format!("edit {i}"),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

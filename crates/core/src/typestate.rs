@@ -93,7 +93,11 @@ impl<V: Copy> KeyMap<V> {
             }
             TrackKey::Var(v) => self.vars.insert(v, value),
         };
-        self.len += usize::from(old.is_none());
+        // A branch, not `+= usize::from(..)`: rustc 1.95.0 miscompiled
+        // that shape in the lexer's release build.
+        if old.is_none() {
+            self.len += 1;
+        }
         old
     }
 
@@ -104,7 +108,9 @@ impl<V: Copy> KeyMap<V> {
             TrackKey::Node(n) => self.nodes.get_mut(n.index()).and_then(Option::take),
             TrackKey::Var(v) => self.vars.remove(&v),
         };
-        self.len -= usize::from(old.is_some());
+        if old.is_some() {
+            self.len -= 1;
+        }
         old
     }
 

@@ -221,6 +221,11 @@ fn encode_term(t: &Term, mut rename: Option<&mut Vec<pata_smt::SymId>>, out: &mu
 /// runs — e.g. benchmark iterations or re-analysis after small edits —
 /// reuse earlier verdicts). It is `Sync` behind one lock, which is enough:
 /// stage 2 runs on one thread per request.
+///
+/// The cache only grows: no verdict is ever dropped. A session relies on
+/// that twice. A kept P3 group replays its verdicts as cache hits, which
+/// they still are; and the verdicts recorded since a mark are exactly the
+/// ones a store written at that mark lacks.
 #[derive(Debug, Default)]
 pub struct ValidationCache {
     verdicts: Mutex<Verdicts>,
@@ -232,7 +237,7 @@ pub struct ValidationCache {
 #[derive(Debug, Default)]
 struct Verdicts {
     map: HashMap<Vec<u8>, (SatResult, u64)>,
-    /// Insertions so far, cleared ones included.
+    /// Insertions so far.
     inserted: u64,
 }
 
@@ -271,11 +276,6 @@ impl ValidationCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached verdict.
-    pub fn clear(&self) {
-        self.verdicts().map.clear();
     }
 
     /// Snapshots every cached verdict, sorted by key — the deterministic

@@ -17,6 +17,13 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== KeyMap and StateTable model tests (release build)"
+# The stage-1 key maps count their entries; a release build that
+# miscompiles a count passes the debug tests above, so run the model
+# tests optimized too.
+cargo test -q --release -p pata-core --lib -- \
+    typestate:: path::tests::workspace_key_maps_match_a_hash_map_model
+
 echo "== cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
