@@ -2,29 +2,30 @@
 //!
 //! A store file's first line is one versioned JSON document, the base
 //! (written through the same in-crate [`crate::json`] machinery as the
-//! report schema), holding everything a later process needs to skip
-//! re-exploring unchanged roots:
+//! report schema), holding only what a later process cannot derive and
+//! needs to skip re-exploring unchanged roots:
 //!
-//! * a **header** — [`STORE_SCHEMA_VERSION`], a fingerprint of the
-//!   verdict-relevant configuration, and a corpus fingerprint over the
-//!   function database;
+//! * a **header** — [`STORE_SCHEMA_VERSION`] and a fingerprint of the
+//!   verdict-relevant configuration;
 //! * the **function database** (paper §4 P1: "records function information
-//!   in a database") — one `(name, fingerprint)` pair per function, the
-//!   input to change detection;
+//!   in a database") — one object mapping each function name to its
+//!   fingerprint, the input to change detection;
 //! * **per-root results** — the stage-1 candidates, exploration counters
 //!   and budget note of each analysis root, keyed by the root's *closure
 //!   fingerprint* (a hash over every function transitively reachable from
 //!   it). A root whose closure fingerprint is unchanged is *clean*: its
 //!   exploration is deterministic, so the cached candidates are exactly
-//!   what re-exploring would produce;
+//!   what re-exploring would produce. A record stores seven counters in
+//!   a fixed order (see `stored_counters`); the reader derives the other
+//!   three from the record itself;
 //! * the **validation cache** — stage-2 conjunction verdicts under their
 //!   canonical keys (α-equivalent constraint systems share one entry).
 //!
 //! Each later line is a delta ([`StoreDelta`]) one save appended: the
-//! root records it replaced, the function fingerprints it changed, the
-//! verdicts it added and the new corpus fingerprint. Loading applies the
-//! lines in order. A save that changed anything else, or whose log would
-//! outgrow the base, rewrites the whole file as a new base.
+//! root records it replaced, the function fingerprints it changed and the
+//! verdicts it added. Loading applies the lines in order. A save that
+//! changed anything else, or whose log would outgrow the base, rewrites
+//! the whole file as a new base.
 //!
 //! Loading is infallible by design: a missing file, malformed JSON, a
 //! torn last line, a schema-version bump, a configuration change, or a
@@ -68,7 +69,13 @@ use std::sync::Arc;
 /// Version of the on-disk store schema. Bump on any change to the layout
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
-pub const STORE_SCHEMA_VERSION: u64 = 3;
+///
+/// Version 4 holds only what a restart cannot derive: the header is the
+/// version and the configuration fingerprint, the function database is
+/// one `{name: "fp hex"}` object, and a root record keeps seven counters
+/// in one array, its budget reason as `note` and its demotion reason as
+/// `demoted`, each written only when present.
+pub const STORE_SCHEMA_VERSION: u64 = 4;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -576,24 +583,13 @@ pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
 }
 
 /// The function database: every function's name mapped to its
-/// fingerprint, sorted by name so serialization (and the corpus
-/// fingerprint) is deterministic.
+/// fingerprint, sorted by name so serialization is deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FunctionDb {
     pub(crate) entries: BTreeMap<String, u64>,
 }
 
 impl FunctionDb {
-    /// Hash of the whole corpus — the store-header fingerprint.
-    pub(crate) fn corpus_fingerprint(&self) -> u64 {
-        let mut h = StableHash::new();
-        for (name, &fp) in &self.entries {
-            h.str(name);
-            h.word(fp);
-        }
-        h.finish()
-    }
-
     /// Compares with `old`: how many functions changed (a different
     /// fingerprint) or appeared, and the names of the changed ones, `None`
     /// when a function was added or removed.
@@ -671,26 +667,23 @@ impl ModuleFingerprints {
     }
 
     /// Fingerprints every function of `module` in one structural walk.
-    /// Returns `None` when two functions share a name — names are the
-    /// cross-process identity of functions, so an ambiguous module cannot
-    /// be persisted (the session then runs every root cold, which is
-    /// always safe).
-    pub(crate) fn build(module: &Module) -> Option<ModuleFingerprints> {
+    /// Names are the cross-process identity of functions; lowering
+    /// refuses a duplicate definition, so no two functions share one.
+    pub(crate) fn build(module: &Module) -> ModuleFingerprints {
         let mut fp = Fingerprinter::new(module);
         let mut entries = BTreeMap::new();
         let mut members = Vec::with_capacity(module.functions().len());
         for f in module.functions() {
             let value = fp.function(f);
-            if entries.insert(f.name().to_owned(), value).is_some() {
-                return None;
-            }
+            let previous = entries.insert(f.name().to_owned(), value);
+            assert!(previous.is_none(), "lowering refuses a duplicate function");
             members.push(member_word(fp.t.names[f.id().index()], value));
         }
-        Some(ModuleFingerprints {
+        ModuleFingerprints {
             db: FunctionDb { entries },
             members,
             tables: fp.t,
-        })
+        }
     }
 
     /// The closure fingerprint of each of `roots`, in order: a hash over
@@ -881,14 +874,6 @@ pub(crate) struct StoredRoot {
 /// An in-memory image of the on-disk store.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Store {
-    /// Fingerprint of the verdict-relevant configuration. [`Store::parse`]
-    /// checks it; only the round-trip tests read it back.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) config_fp: u64,
-    /// Corpus fingerprint (hash of the function database); only the
-    /// round-trip tests read it back.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) corpus_fp: u64,
     /// The function database: `(name, fingerprint)`, sorted by name.
     pub(crate) functions: FunctionDb,
     /// Per-root cached results, in the recorded root order.
@@ -903,8 +888,6 @@ pub(crate) struct Store {
 pub(crate) struct StoreDoc<'a> {
     /// Fingerprint of the verdict-relevant configuration.
     pub(crate) config_fp: u64,
-    /// Corpus fingerprint (hash of the function database).
-    pub(crate) corpus_fp: u64,
     /// The function database.
     pub(crate) functions: &'a FunctionDb,
     /// Per-root cached results, in the recorded root order.
@@ -918,8 +901,6 @@ pub(crate) struct StoreDoc<'a> {
 /// instead of rewriting the whole store.
 #[derive(Debug)]
 pub(crate) struct StoreDelta<'a> {
-    /// The new corpus fingerprint.
-    pub(crate) corpus_fp: u64,
     /// Functions whose fingerprint changed, with the new fingerprint.
     pub(crate) functions: Vec<(&'a str, u64)>,
     /// Root records that replace the stored records of the same name.
@@ -948,24 +929,6 @@ impl StoreFile {
 }
 
 impl Store {
-    /// The store as a document over its own parts.
-    #[cfg(test)]
-    fn doc(&self) -> StoreDoc<'_> {
-        StoreDoc {
-            config_fp: self.config_fp,
-            corpus_fp: self.corpus_fp,
-            functions: &self.functions,
-            roots: &self.roots,
-            validation: &self.validation,
-        }
-    }
-
-    /// Serializes the store to its versioned JSON document.
-    #[cfg(test)]
-    pub(crate) fn to_json(&self) -> String {
-        self.doc().to_json()
-    }
-
     /// Parses a store document written with the *current* schema version
     /// and `expect_config_fp`. Any deviation — malformed JSON, version or
     /// fingerprint mismatch, missing or mistyped field — yields `None`:
@@ -975,16 +938,14 @@ impl Store {
         if doc.get("schema_version")?.as_u64()? != STORE_SCHEMA_VERSION {
             return None;
         }
-        let config_fp = parse_hex64(doc.get("config_fingerprint")?.as_str()?)?;
-        if config_fp != expect_config_fp {
+        if parse_hex64(doc.get("config_fingerprint")?.as_str()?)? != expect_config_fp {
             return None;
         }
-        let corpus_fp = parse_hex64(doc.get("corpus_fingerprint")?.as_str()?)?;
-        let mut functions = FunctionDb::default();
-        for item in doc.get("functions")?.as_array()? {
-            let (name, fp) = parse_function(item)?;
-            functions.entries.insert(name.to_owned(), fp);
-        }
+        let functions = FunctionDb {
+            entries: function_entries(doc.get("functions")?)?
+                .map(|entry| entry.map(|(name, fp)| (name.to_owned(), fp)))
+                .collect::<Option<_>>()?,
+        };
         let mut roots = Vec::new();
         for item in doc.get("roots")?.as_array()? {
             roots.push(parse_root(item)?);
@@ -994,8 +955,6 @@ impl Store {
             validation.push(parse_verdict(item)?);
         }
         Some(Store {
-            config_fp,
-            corpus_fp,
             functions,
             roots,
             validation,
@@ -1033,9 +992,8 @@ impl Store {
     /// Applies one delta line; `root_at` maps root names to their index.
     fn apply_delta(&mut self, line: &str, root_at: &HashMap<String, usize>) -> Option<()> {
         let delta = JsonValue::parse(line).ok()?;
-        self.corpus_fp = parse_hex64(delta.get("corpus_fingerprint")?.as_str()?)?;
-        for item in delta.get("functions")?.as_array()? {
-            let (name, fp) = parse_function(item)?;
+        for entry in function_entries(delta.get("functions")?)? {
+            let (name, fp) = entry?;
             *self.functions.entries.get_mut(name)? = fp;
         }
         for item in delta.get("roots")?.as_array()? {
@@ -1055,23 +1013,6 @@ impl Store {
         let text = std::fs::read_to_string(path).ok()?;
         Store::parse_file(&text, expect_config_fp)
     }
-
-    /// Writes the store atomically; see [`StoreDoc::save_with_faults`].
-    #[cfg(test)]
-    pub(crate) fn save(&self, path: &Path) -> io::Result<StoreFile> {
-        self.doc().save_with_faults(path, None)
-    }
-
-    /// [`Store::save`] with fault-injection crash points; see
-    /// [`StoreDoc::save_with_faults`].
-    #[cfg(test)]
-    pub(crate) fn save_with_faults(
-        &self,
-        path: &Path,
-        fault: Option<&FaultPlan>,
-    ) -> io::Result<StoreFile> {
-        self.doc().save_with_faults(path, fault)
-    }
 }
 
 impl StoreDoc<'_> {
@@ -1084,14 +1025,12 @@ impl StoreDoc<'_> {
         let _ = write!(
             out,
             "{{\"schema_version\": {STORE_SCHEMA_VERSION}, \"config_fingerprint\": \"{:016x}\", \
-             \"corpus_fingerprint\": \"{:016x}\"",
-            self.config_fp, self.corpus_fp
+             \"functions\": ",
+            self.config_fp
         );
-        out.push_str(", \"functions\": [");
-        write_list(&mut out, &self.functions.entries, |out, (name, &fp)| {
-            write_function(out, name, fp)
-        });
-        out.push_str("], \"roots\": [");
+        let entries = self.functions.entries.iter();
+        write_functions(&mut out, entries.map(|(name, &fp)| (name.as_str(), fp)));
+        out.push_str(", \"roots\": [");
         write_list(&mut out, self.roots, write_root);
         out.push_str("], \"validation\": [");
         write_list(&mut out, self.validation, write_verdict);
@@ -1141,16 +1080,9 @@ impl StoreDoc<'_> {
 impl StoreDelta<'_> {
     /// The delta as one line of the store file, its newline included.
     pub(crate) fn to_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"corpus_fingerprint\": \"{:016x}\", \"functions\": [",
-            self.corpus_fp
-        );
-        write_list(&mut out, &self.functions, |out, &(name, fp)| {
-            write_function(out, name, fp)
-        });
-        out.push_str("], \"roots\": [");
+        let mut out = String::from("{\"functions\": ");
+        write_functions(&mut out, self.functions.iter().copied());
+        out.push_str(", \"roots\": [");
         write_list(&mut out, &self.roots, |out, r| write_root(out, r));
         out.push_str("], \"validation\": [");
         write_list(&mut out, self.validation, write_verdict);
@@ -1217,15 +1149,27 @@ fn write_list<T>(
     }
 }
 
-fn write_function(out: &mut String, name: &str, fp: u64) {
-    out.push_str("{\"name\": ");
-    quote_into(out, name);
-    let _ = write!(out, ", \"fp\": \"{fp:016x}\"}}");
+/// Writes function fingerprints as one `{name: "fp hex"}` object.
+fn write_functions<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, u64)>) {
+    out.push('{');
+    write_list(out, entries, |out, (name, fp)| {
+        quote_into(out, name);
+        let _ = write!(out, ": \"{fp:016x}\"");
+    });
+    out.push('}');
 }
 
-fn parse_function(v: &JsonValue) -> Option<(&str, u64)> {
-    let name = v.get("name")?.as_str()?;
-    Some((name, parse_hex64(v.get("fp")?.as_str()?)?))
+/// The entries of a `{name: "fp hex"}` object, each `None` when its value
+/// is not a fingerprint; `None` when `v` is not an object.
+fn function_entries(v: &JsonValue) -> Option<impl Iterator<Item = Option<(&str, u64)>>> {
+    let JsonValue::Obj(fields) = v else {
+        return None;
+    };
+    Some(
+        fields
+            .iter()
+            .map(|(name, fp)| Some((name.as_str(), parse_hex64(fp.as_str()?)?))),
+    )
 }
 
 fn write_verdict(out: &mut String, (key, verdict): &(Vec<u8>, SatResult)) {
@@ -1262,139 +1206,113 @@ fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
+/// The counters a root record stores, in their on-disk order: the ones the
+/// explorer adds up that nothing else in the record implies. The reader
+/// sets the other three (see [`record_stats`]).
+fn stored_counters(s: &AnalysisStats) -> [u64; 7] {
+    [
+        s.paths_explored,
+        s.insts_processed,
+        s.typestates_aware,
+        s.typestates_unaware,
+        s.constraints_aware,
+        s.constraints_unaware,
+        s.repeated_bugs_dropped,
+    ]
+}
+
+/// A root record's statistics from its stored counters: `roots` is 1,
+/// since a quarantined root is never stored; `candidates` is the record's
+/// candidate count, since the explorer counts one per candidate it keeps;
+/// and `budget_exhausted_roots` is whether the record has a budget note,
+/// since the explorer names a reason exactly when it exhausts a budget.
+fn record_stats(c: [u64; 7], candidates: usize, note: bool) -> AnalysisStats {
+    AnalysisStats {
+        roots: 1,
+        paths_explored: c[0],
+        insts_processed: c[1],
+        typestates_aware: c[2],
+        typestates_unaware: c[3],
+        constraints_aware: c[4],
+        constraints_unaware: c[5],
+        repeated_bugs_dropped: c[6],
+        candidates: candidates as u64,
+        budget_exhausted_roots: u64::from(note),
+        ..AnalysisStats::default()
+    }
+}
+
 fn write_root(out: &mut String, r: &StoredRoot) {
+    let counters = stored_counters(&r.stats);
+    debug_assert_eq!(
+        r.stats,
+        record_stats(counters, r.candidates.len(), r.note.is_some()),
+        "a root record's statistics are its stored counters"
+    );
     out.push_str("{\"root\": ");
     quote_into(out, &r.root);
     let _ = write!(out, ", \"closure_fp\": \"{:016x}\"", r.closure_fp);
     out.push_str(", \"candidates\": [");
-    for (i, b) in r.candidates.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write_bug(out, b);
+    write_list(out, &r.candidates, write_bug);
+    out.push_str("], \"stats\": [");
+    write_list(out, counters, |out, n| {
+        let _ = write!(out, "{n}");
+    });
+    out.push(']');
+    if let Some(n) = &r.note {
+        debug_assert_eq!(n.root, r.root, "a budget note names its record's root");
+        out.push_str(", \"note\": ");
+        quote_into(out, &n.reason);
     }
-    out.push_str("], \"stats\": ");
-    write_stats(out, &r.stats);
-    match &r.note {
-        Some(n) => {
-            // `caches_disabled` is always true: kept for the store layout
-            // until the schema is next bumped.
-            out.push_str(", \"note\": {\"root\": ");
-            quote_into(out, &n.root);
-            out.push_str(", \"reason\": ");
-            quote_into(out, &n.reason);
-            out.push_str(", \"caches_disabled\": true}");
-        }
-        None => out.push_str(", \"note\": null"),
-    }
-    // Emitted only when present so zero-fault stores keep their exact
-    // pre-existing byte layout (and older readers' parse shape).
     if let Some(d) = &r.degraded {
-        out.push_str(", \"degraded\": {\"root\": ");
-        quote_into(out, &d.root);
-        out.push_str(", \"stage\": ");
-        quote_into(out, &d.stage);
-        out.push_str(", \"reason\": ");
+        debug_assert!(
+            d.root == r.root && d.stage == "explore" && d.action == "demoted",
+            "a stored degraded entry is its root's exploration demotion"
+        );
+        out.push_str(", \"demoted\": ");
         quote_into(out, &d.reason);
-        out.push_str(", \"action\": ");
-        quote_into(out, &d.action);
-        out.push('}');
     }
     out.push('}');
 }
 
 fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
+    let root = v.get("root")?.as_str()?;
     let mut candidates = Vec::new();
     for item in v.get("candidates")?.as_array()? {
         candidates.push(parse_bug(item)?);
     }
-    let note = match v.get("note")? {
-        JsonValue::Null => None,
-        n => Some(BudgetNote {
-            root: n.get("root")?.as_str()?.to_owned(),
-            reason: n.get("reason")?.as_str()?.to_owned(),
+    let items = v.get("stats")?.as_array()?;
+    let mut counters = [0u64; 7];
+    if items.len() != counters.len() {
+        return None;
+    }
+    for (counter, item) in counters.iter_mut().zip(items) {
+        *counter = item.as_u64()?;
+    }
+    let note = match v.get("note") {
+        None => None,
+        Some(reason) => Some(BudgetNote {
+            root: root.to_owned(),
+            reason: reason.as_str()?.to_owned(),
         }),
     };
-    let degraded = match v.get("degraded") {
-        None | Some(JsonValue::Null) => None,
-        Some(d) => Some(DegradedRoot {
-            root: d.get("root")?.as_str()?.to_owned(),
-            stage: d.get("stage")?.as_str()?.to_owned(),
-            reason: d.get("reason")?.as_str()?.to_owned(),
-            action: d.get("action")?.as_str()?.to_owned(),
+    let degraded = match v.get("demoted") {
+        None => None,
+        Some(reason) => Some(DegradedRoot {
+            root: root.to_owned(),
+            stage: "explore".to_owned(),
+            reason: reason.as_str()?.to_owned(),
+            action: "demoted".to_owned(),
         }),
     };
     Some(StoredRoot {
-        root: v.get("root")?.as_str()?.to_owned(),
+        root: root.to_owned(),
         closure_fp: parse_hex64(v.get("closure_fp")?.as_str()?)?,
+        stats: record_stats(counters, candidates.len(), note.is_some()),
         candidates,
-        stats: parse_stats(v.get("stats")?)?,
         note,
         degraded,
     })
-}
-
-/// The per-root exploration counters worth persisting: everything the
-/// explorer itself accumulates. Filter-stage counters (candidates,
-/// reported, validation hits) are recomputed live on every run. Readers
-/// look up only these names, so a store carrying other fields (such as
-/// the retired stage-1 cache counters) still loads.
-const STAT_FIELDS: [&str; 8] = [
-    "roots",
-    "paths_explored",
-    "insts_processed",
-    "typestates_aware",
-    "typestates_unaware",
-    "constraints_aware",
-    "constraints_unaware",
-    "budget_exhausted_roots",
-];
-
-fn stat_field(s: &AnalysisStats, name: &str) -> u64 {
-    match name {
-        "roots" => s.roots,
-        "paths_explored" => s.paths_explored,
-        "insts_processed" => s.insts_processed,
-        "typestates_aware" => s.typestates_aware,
-        "typestates_unaware" => s.typestates_unaware,
-        "constraints_aware" => s.constraints_aware,
-        "constraints_unaware" => s.constraints_unaware,
-        "budget_exhausted_roots" => s.budget_exhausted_roots,
-        _ => unreachable!("unknown stat field"),
-    }
-}
-
-fn stat_field_mut<'a>(s: &'a mut AnalysisStats, name: &str) -> &'a mut u64 {
-    match name {
-        "roots" => &mut s.roots,
-        "paths_explored" => &mut s.paths_explored,
-        "insts_processed" => &mut s.insts_processed,
-        "typestates_aware" => &mut s.typestates_aware,
-        "typestates_unaware" => &mut s.typestates_unaware,
-        "constraints_aware" => &mut s.constraints_aware,
-        "constraints_unaware" => &mut s.constraints_unaware,
-        "budget_exhausted_roots" => &mut s.budget_exhausted_roots,
-        _ => unreachable!("unknown stat field"),
-    }
-}
-
-fn write_stats(out: &mut String, s: &AnalysisStats) {
-    out.push('{');
-    for (i, name) in STAT_FIELDS.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{name}\": {}", stat_field(s, name));
-    }
-    out.push('}');
-}
-
-fn parse_stats(v: &JsonValue) -> Option<AnalysisStats> {
-    let mut s = AnalysisStats::default();
-    for name in STAT_FIELDS {
-        *stat_field_mut(&mut s, name) = v.get(name)?.as_u64()?;
-    }
-    Some(s)
 }
 
 fn write_bug(out: &mut String, b: &StoredBug) {
@@ -1419,26 +1337,11 @@ fn write_bug(out: &mut String, b: &StoredBug) {
     out.push_str(", \"site_loc\": ");
     loc(out, &b.site_loc);
     out.push_str(", \"constraints\": [");
-    for (i, c) in b.constraints.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write_constraint(out, c);
-    }
+    write_list(out, b.constraints.iter(), write_constraint);
     out.push_str("], \"extra\": [");
-    for (i, c) in b.extra.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write_constraint(out, c);
-    }
+    write_list(out, b.extra.iter(), write_constraint);
     out.push_str("], \"alias_paths\": [");
-    for (i, p) in b.alias_paths.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        quote_into(out, p);
-    }
+    write_list(out, b.alias_paths.iter(), |out, p| quote_into(out, p));
     out.push_str("]}");
 }
 
@@ -1605,6 +1508,39 @@ mod tests {
     use super::*;
     use pata_smt::SymId;
 
+    /// The configuration fingerprint the tests write their stores under.
+    const CONFIG_FP: u64 = 7;
+
+    impl Store {
+        /// The store as a document over its own parts.
+        fn doc(&self) -> StoreDoc<'_> {
+            StoreDoc {
+                config_fp: CONFIG_FP,
+                functions: &self.functions,
+                roots: &self.roots,
+                validation: &self.validation,
+            }
+        }
+
+        /// Serializes the store to its versioned JSON document.
+        pub(crate) fn to_json(&self) -> String {
+            self.doc().to_json()
+        }
+
+        /// Writes the store atomically; see [`StoreDoc::save_with_faults`].
+        fn save(&self, path: &Path) -> io::Result<StoreFile> {
+            self.save_with_faults(path, None)
+        }
+
+        fn save_with_faults(
+            &self,
+            path: &Path,
+            fault: Option<&FaultPlan>,
+        ) -> io::Result<StoreFile> {
+            self.doc().save_with_faults(path, fault)
+        }
+    }
+
     fn sample_constraint() -> Constraint {
         Constraint::new(
             CmpOp::Le,
@@ -1618,10 +1554,7 @@ mod tests {
         let mut functions = FunctionDb::default();
         functions.entries.insert("probe".into(), 0xdead_beef);
         functions.entries.insert("helper".into(), 42);
-        let corpus_fp = functions.corpus_fingerprint();
         Store {
-            config_fp: 7,
-            corpus_fp,
             functions,
             roots: vec![StoredRoot {
                 root: "probe".into(),
@@ -1654,6 +1587,9 @@ mod tests {
                     roots: 1,
                     paths_explored: 9,
                     insts_processed: 100,
+                    repeated_bugs_dropped: 5,
+                    candidates: 1,
+                    budget_exhausted_roots: 1,
                     ..AnalysisStats::default()
                 },
                 note: Some(BudgetNote {
@@ -1678,9 +1614,7 @@ mod tests {
     #[test]
     fn store_round_trips() {
         let store = sample_store();
-        let back = Store::parse(&store.to_json(), store.config_fp).expect("parses");
-        assert_eq!(back.config_fp, store.config_fp);
-        assert_eq!(back.corpus_fp, store.corpus_fp);
+        let back = Store::parse(&store.to_json(), CONFIG_FP).expect("parses");
         assert_eq!(back.functions, store.functions);
         assert_eq!(back.roots, store.roots);
         assert_eq!(back.validation, store.validation);
@@ -1691,7 +1625,7 @@ mod tests {
     #[test]
     fn wrong_config_fingerprint_is_cold_start() {
         let store = sample_store();
-        assert!(Store::parse(&store.to_json(), store.config_fp + 1).is_none());
+        assert!(Store::parse(&store.to_json(), CONFIG_FP + 1).is_none());
     }
 
     #[test]
@@ -1768,8 +1702,8 @@ mod tests {
         let mut store = sample_store();
         store.roots[0].degraded = None;
         let json = store.to_json();
-        assert!(!json.contains("\"degraded\""), "omitted when None");
-        let back = Store::parse(&json, store.config_fp).expect("parses");
+        assert!(!json.contains("\"demoted\""), "omitted when None");
+        let back = Store::parse(&json, CONFIG_FP).expect("parses");
         assert_eq!(back.roots[0].degraded, None);
     }
 
@@ -1781,9 +1715,8 @@ mod tests {
         store.roots[0].candidates[0].alias_paths =
             Arc::new(["probe:p".into(), "q\"\\\n\t\u{1}\u{e9}".into()]);
         let expected = concat!(
-            r#"{"schema_version": 3, "config_fingerprint": "0000000000000007", "#,
-            r#""corpus_fingerprint": "5fb1ca4392dda36b", "functions": [{"name": "helper", "#,
-            r#""fp": "000000000000002a"}, {"name": "probe", "fp": "00000000deadbeef"}], "#,
+            r#"{"schema_version": 4, "config_fingerprint": "0000000000000007", "#,
+            r#""functions": {"helper": "000000000000002a", "probe": "00000000deadbeef"}, "#,
             r#""roots": [{"root": "probe", "closure_fp": "0000000000001234", "#,
             r#""candidates": [{"kind": "null-pointer-dereference", "origin": {"func": "probe", "#,
             r#""block": 0, "inst": 2}, "origin_loc": {"file": "a.c", "line": 10}, "#,
@@ -1791,12 +1724,8 @@ mod tests {
             r#""line": 14}, "constraints": [{"op": "<=", "l": {"o": "neg", "a": {"o": "+", "#,
             r#""a": {"s": 3}, "b": {"c": -2}}}, "r": {"o": "*", "a": {"o": "shr", "a": {"s": 1}, "#,
             r#""b": {"c": 4}}, "b": {"o": "-", "a": {"s": 0}, "b": {"c": 7}}}}], "extra": [], "#,
-            r#""alias_paths": ["probe:p", "q\"\\\n\t\u0001é"]}], "stats": {"roots": 1, "#,
-            r#""paths_explored": 9, "insts_processed": 100, "typestates_aware": 0, "#,
-            r#""typestates_unaware": 0, "constraints_aware": 0, "constraints_unaware": 0, "#,
-            r#""budget_exhausted_roots": 0}, "note": {"root": "probe", "reason": "max_paths", "#,
-            r#""caches_disabled": true}, "degraded": {"root": "probe", "stage": "explore", "#,
-            r#""reason": "deadline", "action": "demoted"}}], "validation": [{"key": "00ff10", "#,
+            r#""alias_paths": ["probe:p", "q\"\\\n\t\u0001é"]}], "stats": [9, 100, 0, 0, 0, 0, 5], "#,
+            r#""note": "max_paths", "demoted": "deadline"}], "validation": [{"key": "00ff10", "#,
             r#""verdict": "unsat"}, {"key": "01", "verdict": "sat"}, {"key": "02", "#,
             r#""verdict": "unknown"}]}"#,
         );
@@ -1843,7 +1772,7 @@ mod tests {
             } else {
                 assert_eq!(read(&path), old_text, "{site}: old store intact");
             }
-            let loaded = Store::load(&path, old.config_fp);
+            let loaded = Store::load(&path, CONFIG_FP);
             assert!(loaded.is_some(), "{site}: cold start parses");
             // A retry with no plan finishes the interrupted save.
             new.save(&path).unwrap();
@@ -1852,7 +1781,6 @@ mod tests {
 
         // The delta that turns `old` into `new`.
         let delta = StoreDelta {
-            corpus_fp: new.corpus_fp,
             functions: Vec::new(),
             roots: vec![&new.roots[0]],
             validation: &[],
@@ -1868,7 +1796,7 @@ mod tests {
         assert!(torn.starts_with(&old_text) && torn.len() > old_text.len());
         assert!(!torn.ends_with('\n'), "mid_append: the last line is torn");
         assert!(
-            Store::load(&path, old.config_fp).is_none(),
+            Store::load(&path, CONFIG_FP).is_none(),
             "mid_append: a torn last line is a cold start"
         );
         // The session rewrites a store it could not load.
@@ -1894,10 +1822,9 @@ mod tests {
         let appended = delta.append_with_faults(&path, file, Some(&plan)).unwrap();
         let appended = appended.expect("the delta fits");
         assert_eq!(read(&path).len() as u64, appended.len);
-        let (loaded, loaded_file) = Store::load(&path, old.config_fp).unwrap();
+        let (loaded, loaded_file) = Store::load(&path, CONFIG_FP).unwrap();
         assert_eq!(loaded_file, appended);
         assert_eq!(loaded.roots, new.roots);
-        assert_eq!(loaded.corpus_fp, new.corpus_fp);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1911,7 +1838,7 @@ mod tests {
             int lonely(void) { return 5; }
         "#;
         let m = pata_cc::compile_one("cf.c", src).unwrap();
-        let fps = ModuleFingerprints::build(&m).unwrap();
+        let fps = ModuleFingerprints::build(&m);
         let cg = CallGraph::build(&m);
         let id = |name: &str| m.function_by_name(name).unwrap();
         let roots = [id("top"), id("lonely")];
@@ -1919,7 +1846,7 @@ mod tests {
 
         // Change `leaf` by pretending its fingerprint moved: top's closure
         // reacts, lonely's does not.
-        let mut moved = ModuleFingerprints::build(&m).unwrap();
+        let mut moved = ModuleFingerprints::build(&m);
         let leaf = id("leaf").index();
         moved.members[leaf] = member_word(str_word("leaf"), fps.db.entries["leaf"] ^ 1);
         let after = moved.closure_fps(&cg, &roots, false);
@@ -1946,9 +1873,7 @@ mod tests {
         for (name, text) in files {
             cc.add_source(name, text);
         }
-        ModuleFingerprints::build(&cc.compile().unwrap())
-            .unwrap()
-            .db
+        ModuleFingerprints::build(&cc.compile().unwrap()).db
     }
 
     #[test]

@@ -43,10 +43,12 @@
 //! # Batch queue
 //!
 //! The unix-socket daemon ([`serve_unix`]) accepts many concurrent
-//! connections; every request line is forwarded to a single worker thread
+//! connections; every request frame is forwarded to a single worker thread
 //! that owns the session, so requests are analyzed strictly in arrival
 //! order against one warm cache — concurrent clients share every
-//! previously computed root summary and validation verdict.
+//! previously computed root summary and validation verdict. An oversized
+//! frame goes to the worker too, which refuses it and counts the refusal
+//! in its totals, as the stdio loop does.
 
 use crate::json::{quote, JsonValue};
 use crate::session::{AnalysisRequest, AnalysisSession, SourceFile};
@@ -84,8 +86,6 @@ impl Default for ServeOptions {
 
 /// One framed request line, read with a size bound.
 enum Frame {
-    /// End of stream (no more requests).
-    Eof,
     /// A complete request line (without the newline).
     Line(String),
     /// A line longer than the bound; carries the discarded byte count.
@@ -97,7 +97,8 @@ enum Frame {
 /// streaming an endless line cannot balloon daemon memory: once the bound
 /// is crossed the remainder is consumed and dropped chunk-by-chunk until
 /// the newline, keeping the stream synchronized for the next request.
-fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
+/// `None` at the end of the stream.
+fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Option<Frame>> {
     let mut line: Vec<u8> = Vec::new();
     let mut dropped = false;
     let mut total = 0usize;
@@ -105,11 +106,11 @@ fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
             return Ok(if total == 0 {
-                Frame::Eof
+                None
             } else if dropped {
-                Frame::Oversized(total)
+                Some(Frame::Oversized(total))
             } else {
-                Frame::Line(frame_text(line))
+                Some(Frame::Line(frame_text(line)))
             });
         }
         match buf.iter().position(|&b| b == b'\n') {
@@ -119,11 +120,11 @@ fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Frame> {
                 }
                 total += pos + 1;
                 reader.consume(pos + 1);
-                return Ok(if dropped || (max > 0 && line.len() > max) {
+                return Ok(Some(if dropped || (max > 0 && line.len() > max) {
                     Frame::Oversized(total)
                 } else {
                     Frame::Line(frame_text(line))
-                });
+                }));
             }
             None => {
                 let n = buf.len();
@@ -341,13 +342,48 @@ fn handle_line_contained(
     }
 }
 
-/// Renders the error response for a frame longer than the configured
-/// [`ServeOptions::max_request_bytes`].
-fn oversized_response(dropped: usize, max: usize) -> String {
-    error_response(
-        "null",
-        &format!("request line of {dropped} bytes exceeds the {max}-byte limit"),
-    )
+/// Answers one frame: a request line through [`handle_line`] behind the
+/// panic boundary, or the refusal of a line longer than `max` bytes, which
+/// counts as a failed request.
+fn answer_frame(
+    session: &mut AnalysisSession,
+    frame: Frame,
+    max: usize,
+    totals: &mut ServeTotals,
+) -> (String, bool) {
+    match frame {
+        Frame::Line(line) => handle_line_contained(session, &line, totals),
+        Frame::Oversized(dropped) => {
+            totals.requests += 1;
+            totals.errors += 1;
+            let message = format!("request line of {dropped} bytes exceeds the {max}-byte limit");
+            (error_response("null", &message), false)
+        }
+    }
+}
+
+/// The frame loop both transports run: reads frames of at most `max`
+/// bytes from `reader` until EOF, skips blank lines, and writes the
+/// response line `answer` gives each, until it asks to stop.
+fn frame_loop<R: BufRead, W: Write>(
+    mut reader: R,
+    mut writer: W,
+    max: usize,
+    mut answer: impl FnMut(Frame) -> (String, bool),
+) -> io::Result<()> {
+    while let Some(frame) = read_frame(&mut reader, max)? {
+        if matches!(&frame, Frame::Line(line) if line.trim().is_empty()) {
+            continue;
+        }
+        let (response, quit) = answer(frame);
+        writer.write_all(response.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if quit {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Serves requests from `reader` to `writer` until `shutdown` or EOF —
@@ -364,36 +400,15 @@ pub fn serve_loop<R: BufRead, W: Write>(
 /// [`serve_loop`] with explicit [`ServeOptions`].
 pub fn serve_loop_with<R: BufRead, W: Write>(
     session: &mut AnalysisSession,
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
     options: ServeOptions,
 ) -> io::Result<ServeTotals> {
     let mut totals = ServeTotals::default();
-    loop {
-        let (response, quit) = match read_frame(&mut reader, options.max_request_bytes)? {
-            Frame::Eof => break,
-            Frame::Oversized(dropped) => {
-                totals.requests += 1;
-                totals.errors += 1;
-                (
-                    oversized_response(dropped, options.max_request_bytes),
-                    false,
-                )
-            }
-            Frame::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line_contained(session, &line, &mut totals)
-            }
-        };
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if quit {
-            break;
-        }
-    }
+    let max = options.max_request_bytes;
+    frame_loop(reader, writer, max, |frame| {
+        answer_frame(session, frame, max, &mut totals)
+    })?;
     Ok(totals)
 }
 
@@ -405,9 +420,10 @@ pub mod unix {
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     struct Job {
-        line: String,
+        frame: Frame,
         reply: mpsc::Sender<String>,
     }
 
@@ -444,8 +460,12 @@ pub mod unix {
             std::thread::spawn(move || {
                 let mut totals = ServeTotals::default();
                 while let Ok(job) = rx.recv() {
-                    let (response, quit) =
-                        handle_line_contained(&mut session, &job.line, &mut totals);
+                    let (response, quit) = answer_frame(
+                        &mut session,
+                        job.frame,
+                        options.max_request_bytes,
+                        &mut totals,
+                    );
                     let _ = job.reply.send(response);
                     if quit {
                         shutdown.store(true, Ordering::SeqCst);
@@ -466,71 +486,31 @@ pub mod unix {
             let Ok(stream) = conn else { continue };
             let tx = tx.clone();
             conns.push(std::thread::spawn(move || {
-                let mut reader = io::BufReader::new(match stream.try_clone() {
+                let reader = io::BufReader::new(match stream.try_clone() {
                     Ok(s) => s,
                     Err(_) => return,
                 });
-                let mut writer = stream;
-                loop {
-                    let response = match read_frame(&mut reader, options.max_request_bytes) {
-                        Err(_) | Ok(Frame::Eof) => break,
-                        Ok(Frame::Oversized(dropped)) => {
-                            // Refused locally; the worker (and its totals)
-                            // never see the frame, and the connection is
-                            // already re-synchronized at the newline.
-                            oversized_response(dropped, options.max_request_bytes)
-                        }
-                        Ok(Frame::Line(line)) => {
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            let (reply_tx, reply_rx) = mpsc::channel();
-                            if tx
-                                .send(Job {
-                                    line,
-                                    reply: reply_tx,
-                                })
-                                .is_ok()
-                            {
-                                let reply = if options.request_timeout_ms > 0 {
-                                    reply_rx
-                                        .recv_timeout(std::time::Duration::from_millis(
-                                            options.request_timeout_ms,
-                                        ))
-                                        .map_err(|e| match e {
-                                            mpsc::RecvTimeoutError::Timeout => error_response(
-                                                "null",
-                                                &format!(
-                                                    "request timed out after {} ms",
-                                                    options.request_timeout_ms
-                                                ),
-                                            ),
-                                            mpsc::RecvTimeoutError::Disconnected => {
-                                                error_response("null", "daemon shut down")
-                                            }
-                                        })
-                                } else {
-                                    reply_rx
-                                        .recv()
-                                        .map_err(|_| error_response("null", "daemon shut down"))
-                                };
-                                match reply {
-                                    Ok(r) | Err(r) => r,
-                                }
-                            } else {
-                                error_response("null", "daemon shut down")
-                            }
-                        }
-                    };
-                    if writer
-                        .write_all(response.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        break;
+                let max = options.max_request_bytes;
+                // A read or write error ends the connection, like EOF.
+                let _ = frame_loop(reader, stream, max, |frame| {
+                    let (reply, reply_rx) = mpsc::channel();
+                    if tx.send(Job { frame, reply }).is_err() {
+                        return (error_response("null", "daemon shut down"), false);
                     }
-                }
+                    let response = if options.request_timeout_ms > 0 {
+                        let timeout = Duration::from_millis(options.request_timeout_ms);
+                        reply_rx.recv_timeout(timeout).map_err(|e| match e {
+                            mpsc::RecvTimeoutError::Timeout => {
+                                format!("request timed out after {} ms", options.request_timeout_ms)
+                            }
+                            mpsc::RecvTimeoutError::Disconnected => "daemon shut down".to_owned(),
+                        })
+                    } else {
+                        reply_rx.recv().map_err(|_| "daemon shut down".to_owned())
+                    };
+                    let response = response.unwrap_or_else(|e| error_response("null", &e));
+                    (response, false)
+                });
             }));
         }
         drop(tx);
@@ -700,7 +680,7 @@ mod tests {
         for bytes in [valid, invalid] {
             let mut input = bytes.clone();
             input.push(b'\n');
-            let Frame::Line(text) = read_frame(&mut input.as_slice(), 0).unwrap() else {
+            let Some(Frame::Line(text)) = read_frame(&mut input.as_slice(), 0).unwrap() else {
                 panic!("a frame");
             };
             assert_eq!(text, String::from_utf8_lossy(&bytes));
@@ -951,6 +931,43 @@ mod tests {
         let (_session, totals) = daemon.join().unwrap();
         assert_eq!(totals.analyzed, 2);
         assert!(!socket.exists(), "socket file cleaned up");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The socket daemon counts a refused oversized frame like any failed
+    /// request, as the stdio loop does.
+    #[cfg(unix)]
+    #[test]
+    fn unix_daemon_counts_an_oversized_frame() {
+        let options = ServeOptions {
+            max_request_bytes: 256,
+            request_timeout_ms: 0,
+        };
+        let dir = std::env::temp_dir().join(format!("pata-serve-big-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("pata.sock");
+        let s = session();
+        let daemon = {
+            let socket = socket.clone();
+            std::thread::spawn(move || serve_unix_with(s, &socket, options).unwrap())
+        };
+        for _ in 0..200 {
+            if socket.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let big = format!("{{\"op\": \"ping\", \"pad\": \"{}\"}}", "x".repeat(4096));
+        let refused = client_request(&socket, &big).unwrap();
+        assert!(refused.contains("256-byte limit"), "{refused}");
+        let stats = client_request(&socket, "{\"op\": \"stats\"}").unwrap();
+        let doc = JsonValue::parse(&stats).unwrap();
+        let serve = doc.get("serve").unwrap();
+        assert_eq!(serve.get("requests").unwrap().as_u64(), Some(2), "{stats}");
+        assert_eq!(serve.get("errors").unwrap().as_u64(), Some(1), "{stats}");
+        client_request(&socket, "{\"op\": \"shutdown\"}").unwrap();
+        let (_session, totals) = daemon.join().unwrap();
+        assert_eq!((totals.requests, totals.errors), (3, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

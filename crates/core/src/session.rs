@@ -735,32 +735,27 @@ impl AnalysisSession {
         let (roots, call_graph) = self.collect(module, kept_graph);
         let module = &*module;
 
-        // Change detection. `fps` is `None` when function names are
-        // ambiguous — then nothing can be cached and every root is dirty.
-        // After an in-place lowering only the functions lowered again are
-        // fingerprinted; the kept fingerprints cover every other one.
+        // Change detection. After an in-place lowering only the functions
+        // lowered again are fingerprinted; the kept fingerprints cover
+        // every other one.
         let fp_start = Instant::now();
         // `changed_names` is `None` when functions were added or removed.
         let (fps, changed_functions, changed_names) = match (relowered, prev_fps) {
             (Some(funcs), Some(mut fps)) => {
                 let changed = fps.refresh(module, funcs);
-                (Some(fps), changed.len() as u64, Some(changed))
+                (fps, changed.len() as u64, Some(changed))
             }
             (_, prev_fps) => {
                 let fps = ModuleFingerprints::build(module);
-                let (changed, names) = match (&fps, &prev_fps) {
-                    (Some(f), Some(p)) => f.db.diff(&p.db),
-                    (Some(f), None) => (f.db.entries.len() as u64, None),
-                    (None, _) => (module.functions().len() as u64, None),
+                let (changed, names) = match &prev_fps {
+                    Some(p) => fps.db.diff(&p.db),
+                    None => (fps.db.entries.len() as u64, None),
                 };
                 (fps, changed, names)
             }
         };
         let functions_unchanged = changed_names.as_ref().is_some_and(Vec::is_empty);
-        let closures: Vec<u64> = match &fps {
-            Some(fps) => fps.closure_fps(&call_graph, &roots, config.resolve_fptrs),
-            None => vec![0; roots.len()],
-        };
+        let closures = fps.closure_fps(&call_graph, &roots, config.resolve_fptrs);
 
         // Each root's previous record: by id while the module stays bound,
         // by name otherwise.
@@ -802,8 +797,7 @@ impl AnalysisSession {
             .zip(&closures)
             .zip(&records)
             .map(|((&root, &closure_fp), &record)| {
-                let at = record
-                    .filter(|&at| fps.is_some() && prev_roots[at].closure_fp == closure_fp)?;
+                let at = record.filter(|&at| prev_roots[at].closure_fp == closure_fp)?;
                 if prev_candidates[at].is_none() {
                     let resolved: Option<Vec<PossibleBug>> = prev_roots[at]
                         .candidates
@@ -990,7 +984,7 @@ impl AnalysisSession {
             .as_deref()
             .filter(|_| same_roots && new_roots.len() == roots.len())
             .map(|changed| (changed, replaced.as_slice()));
-        self.warm = fps.map(|fps| WarmState {
+        let warm = WarmState {
             fps,
             roots: new_roots,
             bound: kept.map(|(candidates, groups)| Bound {
@@ -1000,12 +994,12 @@ impl AnalysisSession {
                 record_of,
                 groups,
             }),
-        });
+        };
         if store_unchanged {
             // Nothing to write; the on-disk store already matches.
-        } else if let (Some(path), Some(warm)) = (&self.store_path, &self.warm) {
+        } else if let Some(path) = &self.store_path {
             let t0 = Instant::now();
-            let saved = self.save_store(path, warm, delta);
+            let saved = self.save_store(path, &warm, delta);
             let save_ns = t0.elapsed().as_nanos() as u64;
             let saved_ok = saved.is_ok();
             self.synced = saved.ok().map(|file| SyncedStore {
@@ -1020,11 +1014,8 @@ impl AnalysisSession {
                     }
                 });
             }
-        } else {
-            // No store path or nothing cacheable (ambiguous function
-            // names): the disk state no longer mirrors the session.
-            self.synced = None;
         }
+        self.warm = Some(warm);
 
         let report = Report::new(reports)
             .with_budget_notes(notes)
@@ -1058,10 +1049,8 @@ impl AnalysisSession {
                 Vec::new()
             }
         };
-        let corpus_fp = warm.fps.db.corpus_fingerprint();
         if let (Some(synced), Some((changed, replaced))) = (self.synced, delta) {
             let delta = StoreDelta {
-                corpus_fp,
                 functions: changed
                     .iter()
                     .map(|name| (name.as_str(), warm.fps.db.entries[name]))
@@ -1075,7 +1064,6 @@ impl AnalysisSession {
         }
         StoreDoc {
             config_fp: self.config_fp,
-            corpus_fp,
             functions: &warm.fps.db,
             roots: &warm.roots,
             validation: &verdicts_since(0),

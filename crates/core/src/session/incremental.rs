@@ -186,14 +186,12 @@ fn a_quarantined_group_is_validated_again() {
 /// Serves `files` on `session` and checks the outcome: its report against
 /// a cold session's, its statistics against `rederiving`'s (which derives
 /// every product again) and, after an in-place lowering, its kept products
-/// against a fresh session's. After a full lowering nothing is bound. With
-/// `stored`, root records compare as a store keeps them. Returns whether
-/// the request lowered in place.
+/// against a fresh session's. After a full lowering nothing is bound.
+/// Returns whether the request lowered in place.
 fn serve_and_check(
     session: &mut AnalysisSession,
     rederiving: &mut AnalysisSession,
     files: &[(String, String)],
-    stored: bool,
     what: &str,
 ) -> bool {
     let out = session.analyze(&request(files)).expect("analyzes");
@@ -218,36 +216,10 @@ fn serve_and_check(
         let (graph, plans, groups) = kept(session);
         let (cold_graph, cold_plans, cold_groups) = kept(&fresh);
         assert!(graph == cold_graph, "{what}: call graph or roots");
-        if stored {
-            assert!(
-                stored_plans(session) == stored_plans(&fresh),
-                "{what}: per-root plans"
-            );
-        } else {
-            assert!(plans == cold_plans, "{what}: per-root plans");
-        }
+        assert!(plans == cold_plans, "{what}: per-root plans");
         assert_eq!(groups, cold_groups, "{what}: P3 groups");
     }
     in_place
-}
-
-/// The per-root records and bound candidates of [`kept`], with each
-/// record's statistics as a store keeps them: a record loaded from a
-/// store has no candidate or repeated-bug count.
-fn stored_plans(session: &AnalysisSession) -> String {
-    let warm = session.warm.as_ref().expect("a warm state");
-    let records: Vec<StoredRoot> = warm
-        .roots
-        .iter()
-        .cloned()
-        .map(|mut record| {
-            record.stats.candidates = 0;
-            record.stats.repeated_bugs_dropped = 0;
-            record
-        })
-        .collect();
-    let bound = warm.bound.as_ref().expect("products bound to the module");
-    format!("{records:?} {:?}", bound.candidates)
 }
 
 /// Applies an in-place `edit` to one function of `files`.
@@ -313,16 +285,16 @@ fn kept_products_survive_a_full_lowering_mid_sequence() {
             _ => edit(&mut files, &session, step, i, &mut rng),
         }
         let what = format!("step {i} ({step:?})");
-        let in_place = serve_and_check(&mut session, &mut rederiving, &files, false, &what);
+        let in_place = serve_and_check(&mut session, &mut rederiving, &files, &what);
         assert_eq!(in_place, step.in_place(), "{what}");
     }
 }
 
 /// A session reopened over its store loads no session products; its first
 /// request lowers in full and its in-place edits after that keep products
-/// equal to a fresh session's after every edit. The re-deriving session
-/// restarts from a copy of the same store: a clean root replays its
-/// record's statistics, and a record stores only the explorer's.
+/// equal to a fresh session's after every edit, records and their
+/// statistics included. The re-deriving session restarts from a copy of
+/// the same store: a clean root replays its record's statistics.
 #[test]
 fn a_reopened_store_session_keeps_products_from_its_edits() {
     let mut files = linux_files(0.2);
@@ -345,20 +317,13 @@ fn a_reopened_store_session_keeps_products_from_its_edits() {
         &mut session,
         &mut rederiving,
         &files,
-        true,
         "restart"
     ));
     let mut rng = Prng::seed_from_u64(0x0_5e0e);
     let kinds = [Edit::Const, Edit::Stmt, Edit::Local];
     for i in 0..6 {
         edit(&mut files, &session, kinds[i % 3], i, &mut rng);
-        serve_and_check(
-            &mut session,
-            &mut rederiving,
-            &files,
-            true,
-            &format!("edit {i}"),
-        );
+        serve_and_check(&mut session, &mut rederiving, &files, &format!("edit {i}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

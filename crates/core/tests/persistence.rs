@@ -94,21 +94,22 @@ fn warm_restart_replays_byte_identical_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store written before stage 1 lost its reuse caches carries three more
-/// per-root counters (`exploration_cache_hits`, `callee_memo_hits`,
-/// `insts_replayed`). The reader looks up only the fields it knows, so such
-/// a store stays warm: every root is clean and the report is unchanged.
+/// A root record carrying fields the reader does not know, such as the
+/// retired stage-1 cache counters (`exploration_cache_hits`,
+/// `callee_memo_hits`, `insts_replayed`), stays warm: the reader looks up
+/// only the fields it knows, so every root is clean and the report is
+/// unchanged.
 #[test]
 fn parent_store_with_cache_counters_stays_warm() {
     let dir = tempdir("parent-counters");
     let store = dir.join("store.json");
     let cold = run(&store, 1, CORPUS);
     let text = std::fs::read_to_string(&store).unwrap();
-    let key = "\"budget_exhausted_roots\": ";
+    let key = "\"stats\": [";
     let mut parts = text.split(key);
     let mut old = parts.next().unwrap().to_owned();
     for part in parts {
-        let end = part.find('}').expect("stats object closes");
+        let end = part.find(']').expect("stats array closes") + 1;
         old.push_str(key);
         old.push_str(&part[..end]);
         old.push_str(", \"exploration_cache_hits\": 3, \"callee_memo_hits\": 1");
@@ -497,10 +498,8 @@ fn torn_or_bad_log_line_is_a_clean_cold_start() {
     let text = std::fs::read_to_string(&store).unwrap();
     assert_eq!(text.lines().count(), 2, "the edit appended a delta line");
     let base = &text[..text.find('\n').unwrap() + 1];
-    let no_op = "{\"corpus_fingerprint\": \"0\", \"functions\": [], \"roots\": [], \
-                 \"validation\": []}\n";
-    let unknown = "{\"corpus_fingerprint\": \"0\", \"functions\": [{\"name\": \"nope\", \
-                   \"fp\": \"1\"}], \"roots\": [], \"validation\": []}\n";
+    let no_op = "{\"functions\": {}, \"roots\": [], \"validation\": []}\n";
+    let unknown = "{\"functions\": {\"nope\": \"1\"}, \"roots\": [], \"validation\": []}\n";
     for (case, damaged, warm) in [
         ("no final newline", text[..text.len() - 1].to_owned(), false),
         ("torn delta", text[..base.len() + 20].to_owned(), false),
@@ -523,22 +522,84 @@ fn torn_or_bad_log_line_is_a_clean_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store the previous schema wrote (version 2, one document with no
-/// final newline) is a clean cold start, and is replaced.
+/// A store the previous schema wrote (version 3, whose header carries a
+/// corpus fingerprint) is a clean cold start, and is replaced.
 #[test]
-fn schema_two_store_is_a_clean_cold_start() {
-    let dir = tempdir("schema-two");
+fn schema_three_store_is_a_clean_cold_start() {
+    let dir = tempdir("schema-three");
     let store = dir.join("store.json");
     let cold = run(&store, 1, CORPUS);
     let text = std::fs::read_to_string(&store).unwrap();
-    let parent = text.trim_end_matches('\n').replace(
+    let parent = text.replace(
         &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
-        "\"schema_version\": 2",
+        "\"schema_version\": 3",
     );
+    let parent = parent.replace(
+        ", \"functions\": ",
+        ", \"corpus_fingerprint\": \"5fb1ca4392dda36b\", \"functions\": ",
+    );
+    assert!(parent.contains("\"corpus_fingerprint\""));
     std::fs::write(&store, &parent).unwrap();
     let out = run(&store, 1, CORPUS);
     assert!(!out.incremental.warm_start);
     assert_eq!(out.report.to_json(), cold.report.to_json());
     assert_eq!(std::fs::read_to_string(&store).unwrap(), text, "rewritten");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A root with one `NULL` check and six branches before the dereference:
+/// 128 paths reach the dereference, the explorer keeps four candidates of
+/// the bug and drops the other 60 as repeated.
+const SIX_BRANCHES: &str = "struct dev { int *res; };\n\
+    int six_probe(struct dev *d, int a0, int a1, int a2, int a3, int a4, int a5) {\n\
+        int acc = 0;\n\
+        if (d->res == NULL) { acc = 1; }\n\
+        if (a0 > 10) { acc = acc + 1; }\n\
+        if (a1 > 20) { acc = acc + 2; }\n\
+        if (a2 > 30) { acc = acc + 3; }\n\
+        if (a3 > 40) { acc = acc + 4; }\n\
+        if (a4 > 50) { acc = acc + 5; }\n\
+        if (a5 > 60) { acc = acc + 6; }\n\
+        return *d->res + acc;\n\
+    }\n";
+
+/// A session reopened over a store gives the statistics of the cold run
+/// that wrote it, every counter included: a root record keeps the
+/// explorer's repeated-bug drops, and its candidate count follows from its
+/// candidates.
+#[test]
+fn a_restart_reports_the_statistics_of_the_run_that_wrote_the_store() {
+    let linux: Vec<(String, String)> =
+        pata_corpus::Corpus::generate(&pata_corpus::OsProfile::linux().with_scale(0.2))
+            .files
+            .into_iter()
+            .map(|f| (f.path, f.text))
+            .collect();
+    let inputs = [
+        ("six branches", request(&[("six.c", SIX_BRANCHES)])),
+        (
+            "linux 0.2",
+            linux
+                .iter()
+                .fold(AnalysisRequest::new(), |r, (name, text)| r.file(name, text)),
+        ),
+    ];
+    for (what, request) in inputs {
+        let dir = tempdir("restart-stats");
+        let store = dir.join("store.json");
+        let cold = AnalysisSession::open(config(1), &store)
+            .analyze(&request)
+            .unwrap();
+        let warm = AnalysisSession::open(config(1), &store)
+            .analyze(&request)
+            .unwrap();
+        assert!(!cold.incremental.warm_start, "{what}");
+        assert_eq!(warm.incremental.dirty_roots, 0, "{what}");
+        assert!(
+            cold.stats.repeated_bugs_dropped > 0,
+            "{what}: drops to keep"
+        );
+        assert_eq!(counters(&warm), counters(&cold), "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -301,6 +301,26 @@ cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" --json \
     || { echo "fault smoke: clean run must save the store"; exit 1; }
 echo "fault-injection smoke matrix OK"
 
+echo "== store restart keeps --stats"
+# A --store run and a second run that replays every root from its store
+# must print the same --stats, apart from the wall time, the validation
+# cache line (the restart starts with the stored verdicts) and the
+# incremental line. Beside the fault corpus, the heavy root drops repeated
+# candidates during exploration: only its stored record carries them.
+restart_stats() {
+    cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" \
+        "$tmp_dir/ci_heavy.c" --stats --store "$tmp_dir/restart-store.json" \
+        2>&1 >/dev/null \
+        | sed -e 's/time: [^ ]*//' -e '/^validation cache hits/d' \
+            -e '/^roots dirty\/clean/d'
+}
+restart_cold=$(restart_stats)
+restart_warm=$(restart_stats)
+[ "$restart_cold" = "$restart_warm" ] \
+    || { echo "store restart: --stats differ after the restart"; \
+         echo "cold: $restart_cold"; echo "restart: $restart_warm"; exit 1; }
+echo "store restart OK: same --stats; store $(wc -c < "$tmp_dir/restart-store.json") bytes (not gated)"
+
 echo "== deep-input smoke (long paths must not overflow the stack)"
 # Stage 1 walks a path on an explicit work stack: a root with 3,000
 # sequential branches and a chain of 20,000 gotos each get a report, and
