@@ -18,6 +18,10 @@
 //! and the daemon-served report (through the NDJSON serve loop) must be
 //! byte-identical at every tested thread count.
 //!
+//! It also records the store layer on its own: `store_load_ms`, the
+//! median time `AnalysisSession::open` takes to read the store in the
+//! warm rounds, and `store_bytes`, the size of the store it reads.
+//!
 //! `--smoke` runs a reduced configuration for CI; `--scale F` sizes the
 //! corpus (default 1.0).
 
@@ -73,6 +77,14 @@ fn run(store: &Path, threads: usize, req: &AnalysisRequest) -> SessionOutcome {
         .expect("corpus analyzes")
 }
 
+/// [`run`], with the seconds `AnalysisSession::open` took to load the
+/// store.
+fn run_timed_open(store: &Path, req: &AnalysisRequest) -> (SessionOutcome, f64) {
+    let (mut session, load_s) = time_once(|| AnalysisSession::open(config(1), store));
+    let out = session.analyze(req).expect("corpus analyzes");
+    (out, load_s)
+}
+
 fn fresh_store(dir: &Path, tag: &str) -> PathBuf {
     let path = dir.join(format!("store-{tag}.json"));
     let _ = std::fs::remove_file(&path);
@@ -126,7 +138,8 @@ fn main() {
     // Timed region: cold full analysis vs. warm incremental re-analysis
     // after the one-function edit, interleaved round by round, fresh store
     // per cold round so nothing replays.
-    let (mut colds, mut warms) = (Vec::new(), Vec::new());
+    let (mut colds, mut warms, mut loads) = (Vec::new(), Vec::new(), Vec::new());
+    let mut store_bytes = 0;
     let mut cold_out = None;
     let mut warm_out = None;
     for round in 0..rounds {
@@ -136,7 +149,9 @@ fn main() {
         colds.push(t);
         cold_out = Some(out);
 
-        let (out, t) = time_once(|| run(&store, 1, &edited_req));
+        store_bytes = std::fs::metadata(&store).expect("the cold run saved").len();
+        let ((out, load_s), t) = time_once(|| run_timed_open(&store, &edited_req));
+        loads.push(load_s);
         assert!(out.incremental.warm_start, "second run must load the store");
         assert_eq!(
             out.incremental.changed_functions, 1,
@@ -160,6 +175,7 @@ fn main() {
         .map(|(cold, warm)| cold / warm.max(1e-9))
         .collect();
     let (cold_s, warm_s, speedup) = (median(colds), median(warms), median(ratios));
+    let load_ms = median(loads) * 1e3;
     let cold_out = cold_out.unwrap();
     let warm_out = warm_out.unwrap();
 
@@ -233,6 +249,7 @@ fn main() {
     println!();
     println!("reports: byte-identical cold/warm/served at threads 1, 2, 4");
     println!("warm speedup: {speedup:.1}x, median of {rounds} rounds (target ≥5x)");
+    println!("store load: {load_ms:.3} ms median over the warm rounds, {store_bytes} bytes");
 
     let section = results::object(&[
         ("scale", format!("{scale}")),
@@ -247,6 +264,8 @@ fn main() {
             "clean_roots",
             format!("{}", warm_out.incremental.clean_roots),
         ),
+        ("store_load_ms", format!("{load_ms:.3}")),
+        ("store_bytes", format!("{store_bytes}")),
     ]);
     results::write_section("persistence", &section).expect("write results/BENCH_stage1.json");
     println!(

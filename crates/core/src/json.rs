@@ -4,8 +4,10 @@
 //! schema ([`crate::report::Report`]) and the telemetry snapshot
 //! ([`crate::telemetry::TelemetrySnapshot`]) serialize through this module
 //! instead of an external serde stack. The writer side is a handful of
-//! escape/format helpers; the reader side is a small recursive-descent
-//! parser producing a [`JsonValue`] tree.
+//! escape/format helpers. The reader side is one pull reader, [`Reader`],
+//! which walks a document value by value without building anything; the
+//! [`JsonValue`] tree is one client of it, and the on-disk analysis store
+//! reads straight into its own types through it.
 //!
 //! The parser accepts standard JSON (RFC 8259) with one simplification:
 //! numbers are split into [`JsonValue::Int`] (when the literal is an
@@ -13,6 +15,7 @@
 //! That keeps `u32`/`u64` counters exact through a round-trip, which the
 //! report and telemetry schemas rely on.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// How deep arrays and objects may nest. Every document this crate writes
@@ -43,18 +46,9 @@ impl JsonValue {
     /// Parses a JSON document. The whole input must be one value (plus
     /// surrounding whitespace).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut r = Reader::new(text);
+        let v = r.tree()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -124,15 +118,246 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// A number literal, as [`JsonValue::Int`] or [`JsonValue::Float`] holds
+/// it, without the tree's drop glue.
+#[derive(Clone, Copy)]
+enum Number {
+    Int(i64),
+    Float(f64),
+}
+
+/// A pull reader over one JSON document: the crate's only tokenizer.
+///
+/// A client walks the document value by value. [`Reader::begin_object`]
+/// and [`Reader::begin_array`] open a container, then
+/// [`Reader::next_key`] or [`Reader::next_item`] step through it until
+/// they report its end; every key or item they announce must be consumed
+/// by one read ([`Reader::str`], [`Reader::int`], a nested container) or
+/// by [`Reader::skip_value`]. [`Reader::finish`] checks that only
+/// whitespace follows the document. [`JsonValue::parse`] is the
+/// tree-building client.
+///
+/// The typed reads are lenient about types and strict about syntax: a
+/// well-formed value of another type is consumed and reads as `None` (or
+/// `false`), while malformed input is a [`JsonError`]. Keys and strings
+/// are borrowed from the input unless they hold escapes. Containers nest
+/// at most [`MAX_DEPTH`] deep, so no input can exhaust the stack.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the cursor.
     depth: u32,
+    /// The innermost open container has announced no key or item yet.
+    fresh: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`'s one value.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        let mut r = Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// Checks that only whitespace follows the value just read.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    /// Opens the next value when it is an object and returns `true`;
+    /// consumes any other value and returns `false`.
+    pub fn begin_object(&mut self) -> Result<bool, JsonError> {
+        self.begin(b'{')
+    }
+
+    /// Opens the next value when it is an array and returns `true`;
+    /// consumes any other value and returns `false`.
+    pub fn begin_array(&mut self) -> Result<bool, JsonError> {
+        self.begin(b'[')
+    }
+
+    fn begin(&mut self, open: u8) -> Result<bool, JsonError> {
+        if self.peek() != Some(open) {
+            self.skip_value()?;
+            return Ok(false);
+        }
+        self.open()?;
+        Ok(true)
+    }
+
+    /// Enters the array or object at the cursor, one level deeper, within
+    /// [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Steps past the closing bracket at the cursor.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+        self.fresh = false;
+    }
+
+    /// The next key of the open object, its value next at the cursor, or
+    /// `None` once the object has closed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.fresh {
+            if self.peek() == Some(b'}') {
+                self.close();
+                return Ok(None);
+            }
+        } else {
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                Some(b'}') => {
+                    self.close();
+                    return Ok(None);
+                }
+                _ => return Err(self.err("expected `,` or `}` in object")),
+            }
+        }
+        self.fresh = false;
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Whether the open array has another item, next at the cursor;
+    /// `false` once the array has closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        if self.fresh {
+            if self.peek() == Some(b']') {
+                self.close();
+                return Ok(false);
+            }
+        } else {
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                Some(b']') => {
+                    self.close();
+                    return Ok(false);
+                }
+                _ => return Err(self.err("expected `,` or `]` in array")),
+            }
+        }
+        self.fresh = false;
+        Ok(true)
+    }
+
+    /// Reads the next value: its text when it is a string, `None` for any
+    /// other value.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.peek() != Some(b'"') {
+            self.skip_value()?;
+            return Ok(None);
+        }
+        self.string().map(Some)
+    }
+
+    /// Reads the next value: an integer literal that fits `i64` (what
+    /// [`JsonValue::Int`] holds), `None` for any other value.
+    pub fn int(&mut self) -> Result<Option<i64>, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.skip_value()?;
+            return Ok(None);
+        }
+        match self.number()? {
+            Number::Int(i) => Ok(Some(i)),
+            Number::Float(_) => Ok(None),
+        }
+    }
+
+    /// Consumes the next value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                self.open()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.open()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            _ => {
+                self.scalar()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds the next value as a tree.
+    fn tree(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                self.open()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.tree()?));
+                }
+                Ok(JsonValue::Obj(fields))
+            }
+            Some(b'[') => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.tree()?);
+                }
+                Ok(JsonValue::Arr(items))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// Reads a value that is not an array or object.
+    fn scalar(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                Number::Int(i) => JsonValue::Int(i),
+                Number::Float(f) => JsonValue::Float(f),
+            }),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             pos: self.pos,
@@ -150,13 +375,20 @@ impl Parser<'_> {
         }
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
+            Err(self.expected(b))
         }
+    }
+
+    /// The error of [`Reader::expect`], out of the way of its hot path.
+    #[cold]
+    fn expected(&self, b: u8) -> JsonError {
+        self.err(&format!("expected `{}`", b as char))
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -168,96 +400,19 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    /// Parses an array or object one level deeper, within [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.depth += 1;
-        let value = parse(self)?;
-        self.depth -= 1;
-        Ok(value)
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    /// Decodes a string: unescaped runs are copied whole, and only the
-    /// escapes between them are decoded, into one allocation.
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Decodes a string. One without escapes is borrowed from the input;
+    /// otherwise unescaped runs are copied whole, and only the escapes
+    /// between them are decoded, into one allocation.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let Some(first) = find_quote_or_backslash(self.bytes, self.pos) else {
             self.pos = self.bytes.len();
             return Err(self.err("unterminated string"));
         };
         if self.bytes[first] == b'"' {
-            let out = self.text[self.pos..first].to_owned();
+            let out = &self.text[self.pos..first];
             self.pos = first + 1;
-            return Ok(out);
+            return Ok(Cow::Borrowed(out));
         }
         let mut out = String::with_capacity(self.raw_len(first));
         loop {
@@ -270,7 +425,7 @@ impl Parser<'_> {
             out.push_str(&self.text[self.pos..end]);
             self.pos = end + 1;
             if self.bytes[end] == b'"' {
-                return Ok(out);
+                return Ok(Cow::Owned(out));
             }
             match self.peek() {
                 Some(b'"') => out.push('"'),
@@ -322,7 +477,7 @@ impl Parser<'_> {
         self.bytes.len() - self.pos
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -338,14 +493,15 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // The literal is ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(JsonValue::Int(i));
+                return Ok(Number::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(JsonValue::Float)
+            .map(Number::Float)
             .map_err(|_| self.err("bad number literal"))
     }
 }
@@ -528,7 +684,7 @@ mod tests {
 
     /// The string decoder as it was before it copied runs: one `char` at a
     /// time into an unreserved `String`. The oracle for the one in use.
-    fn reference_string(p: &mut Parser) -> Result<String, JsonError> {
+    fn reference_string(p: &mut Reader) -> Result<String, JsonError> {
         p.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -578,14 +734,9 @@ mod tests {
     /// the cursor stopped.
     fn decode_with(
         text: &str,
-        decode: fn(&mut Parser) -> Result<String, JsonError>,
+        decode: fn(&mut Reader) -> Result<String, JsonError>,
     ) -> (Result<String, JsonError>, usize) {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Reader::new(text);
         let result = decode(&mut p);
         (result, p.pos)
     }
@@ -648,7 +799,7 @@ mod tests {
         let (mut ok, mut failed) = (0, 0);
         for case in 0..20_000 {
             let text = random_literal(&mut rng);
-            let (got, got_end) = decode_with(&text, |p| p.string());
+            let (got, got_end) = decode_with(&text, |p| p.string().map(Cow::into_owned));
             let (want, want_end) = decode_with(&text, reference_string);
             assert_eq!(got, want, "case {case}: {text:?}");
             match &got {
@@ -685,6 +836,115 @@ mod tests {
                 })
                 .collect();
             assert_eq!(escape(s), by_char);
+        }
+    }
+
+    /// Error positions and messages, pinned from the recursive-descent
+    /// parser the reader replaced: a bad frame's error response quotes
+    /// them.
+    #[test]
+    fn errors_keep_their_positions_and_messages() {
+        for (text, pos, message) in [
+            ("", 0, "expected a JSON value"),
+            ("   ", 3, "expected a JSON value"),
+            ("{", 1, "expected `\"`"),
+            ("}", 0, "expected a JSON value"),
+            ("[", 1, "expected a JSON value"),
+            ("]", 0, "expected a JSON value"),
+            ("{\"a\" 1}", 5, "expected `:`"),
+            ("{\"a\": }", 6, "expected a JSON value"),
+            ("{1: 2}", 1, "expected `\"`"),
+            ("{\"a\": 1,}", 8, "expected `\"`"),
+            ("{\"a\": 1 \"b\": 2}", 8, "expected `,` or `}` in object"),
+            ("[1 2]", 3, "expected `,` or `]` in array"),
+            ("[1,]", 3, "expected a JSON value"),
+            ("[,1]", 1, "expected a JSON value"),
+            ("tru", 0, "expected `true`"),
+            ("nul", 0, "expected `null`"),
+            ("fals", 0, "expected `false`"),
+            ("-", 1, "bad number literal"),
+            ("1.2.3", 5, "bad number literal"),
+            ("1e", 2, "bad number literal"),
+            ("--1", 3, "bad number literal"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"a\\qb\"", 3, "bad escape sequence"),
+            ("\"\\u12\"", 2, "truncated \\u escape"),
+            ("\"\\uzzzz\"", 2, "bad \\u escape"),
+            ("{\"a\": [1, {\"b\": x}]}", 16, "expected a JSON value"),
+            ("[1] 2", 4, "trailing characters after JSON value"),
+            (" {} x", 4, "trailing characters after JSON value"),
+            ("{\"a\":1}}", 7, "trailing characters after JSON value"),
+            ("[\"\\u00e9\" , tru]", 12, "expected `true`"),
+            ("{\"k\": \"v\", \"k\": \"w\", }", 21, "expected `\"`"),
+            ("[[[[]]]", 7, "expected `,` or `]` in array"),
+            (
+                "{\"a\": {\"b\": {\"c\": [1, 2, ]}}}",
+                25,
+                "expected a JSON value",
+            ),
+            ("@", 0, "expected a JSON value"),
+            ("\"\\ud83d\"x", 8, "trailing characters after JSON value"),
+        ] {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert_eq!((err.pos, err.message.as_str()), (pos, message), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn reader_borrows_plain_keys_and_strings() {
+        let text = r#"{"plain": "text", "esc\u0061ped": "a\nb", "n": [1, -2]}"#;
+        let mut r = Reader::new(text);
+        assert!(r.begin_object().unwrap());
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("plain")), "{key:?}");
+        assert!(matches!(r.str().unwrap(), Some(Cow::Borrowed("text"))));
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(&key, Cow::Owned(k) if k == "escaped"), "{key:?}");
+        assert!(matches!(r.str().unwrap(), Some(Cow::Owned(s)) if s == "a\nb"));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert!(r.begin_array().unwrap());
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.int().unwrap(), Some(1));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.int().unwrap(), Some(-2));
+        assert!(!r.next_item().unwrap());
+        assert!(r.next_key().unwrap().is_none());
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn typed_reads_consume_other_values_and_refuse_bad_syntax() {
+        let text = r#"[1.5, "s", {"a": [null, true]}, 99999999999999999999, 7, [], 3]"#;
+        let mut r = Reader::new(text);
+        assert!(r.begin_array().unwrap());
+        let mut ints = Vec::new();
+        while r.next_item().unwrap() {
+            ints.push(r.int().unwrap());
+        }
+        assert_eq!(ints, [None, None, None, None, Some(7), None, Some(3)]);
+        r.finish().unwrap();
+        let mut r = Reader::new("[1, 2]");
+        assert!(!r.begin_object().unwrap(), "an array is not an object");
+        r.finish().unwrap();
+        let mut r = Reader::new("[1, 2] x");
+        assert_eq!(r.str().unwrap(), None);
+        assert!(r.finish().is_err());
+        for bad in ["[1, tru]", "{\"a\" 1}", "\"open", "-", "[1,]"] {
+            assert!(Reader::new(bad).skip_value().is_err(), "{bad}");
+            assert!(Reader::new(bad).int().is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn skipping_keeps_the_depth_bound() {
+        let depth = MAX_DEPTH as usize;
+        let at_limit = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut r = Reader::new(&at_limit);
+        r.skip_value().unwrap();
+        r.finish().unwrap();
+        for past in [format!("[{at_limit}]"), "{\"a\": ".repeat(100_000)] {
+            let err = Reader::new(&past).skip_value().unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
         }
     }
 

@@ -27,6 +27,12 @@
 //! changed anything else, or whose log would outgrow the base, rewrites
 //! the whole file as a new base.
 //!
+//! Loading reads each line once, through the pull reader
+//! [`crate::json::Reader`], straight into [`Store`]: no `JsonValue` tree
+//! and no `String` per key. It accepts what a tree walk would: keys in
+//! any order, the first of two equal keys winning, unknown keys skipped
+//! (their values must still be well-formed).
+//!
 //! Loading is infallible by design: a missing file, malformed JSON, a
 //! torn last line, a schema-version bump, a configuration change, or a
 //! candidate that no longer resolves against the new module all degrade
@@ -52,7 +58,7 @@ use crate::collector::CallGraph;
 use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject::{self, FaultPlan};
 use crate::fingerprint::{fnv64, mix};
-use crate::json::{quote_into, JsonValue};
+use crate::json::{quote_into, JsonError, Reader};
 use crate::report::{DegradedRoot, PossibleBug};
 use crate::stats::{AnalysisStats, BudgetNote};
 use pata_ir::{
@@ -60,7 +66,8 @@ use pata_ir::{
     Operand, StructId, Terminator, Type, VarId, VarKind,
 };
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -583,23 +590,66 @@ pub(crate) fn config_fingerprint(config: &AnalysisConfig) -> u64 {
 }
 
 /// The function database: every function's name mapped to its
-/// fingerprint, sorted by name so serialization is deterministic.
+/// fingerprint, sorted by name so serialization is deterministic and a
+/// lookup is a binary search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FunctionDb {
-    pub(crate) entries: BTreeMap<String, u64>,
+    /// `(name, fingerprint)`, sorted by name, each name once. A database
+    /// built from a module shares the module's function names.
+    entries: Vec<(Arc<str>, u64)>,
 }
 
 impl FunctionDb {
+    /// The database of `entries`, given in any order; of two entries with
+    /// one name, the later wins.
+    pub(crate) fn from_entries(mut entries: Vec<(Arc<str>, u64)>) -> FunctionDb {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        FunctionDb { entries }
+    }
+
+    /// How many functions the database holds.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The fingerprint of the function `name`.
+    pub(crate) fn get(&self, name: &str) -> Option<u64> {
+        self.at(name).map(|i| self.entries[i].1)
+    }
+
+    fn get_mut(&mut self, name: &str) -> Option<&mut u64> {
+        self.at(name).map(|i| &mut self.entries[i].1)
+    }
+
+    fn at(&self, name: &str) -> Option<usize> {
+        self.entries.binary_search_by(|(n, _)| (**n).cmp(name)).ok()
+    }
+
+    /// `(name, fingerprint)` in name order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.entries.iter().map(|(name, fp)| (&**name, *fp))
+    }
+
     /// Compares with `old`: how many functions changed (a different
-    /// fingerprint) or appeared, and the names of the changed ones, `None`
-    /// when a function was added or removed.
+    /// fingerprint) or appeared, and the names of the changed ones in name
+    /// order, `None` when a function was added or removed. One walk over
+    /// both sorted lists.
     pub(crate) fn diff(&self, old: &FunctionDb) -> (u64, Option<Vec<String>>) {
         let mut names = Vec::new();
         let mut appeared = 0;
+        let mut old_entries = old.entries.iter().peekable();
         for (name, fp) in &self.entries {
-            match old.entries.get(name) {
-                Some(old_fp) if old_fp == fp => {}
-                Some(_) => names.push(name.clone()),
+            while old_entries.next_if(|(o, _)| o < name).is_some() {}
+            match old_entries.next_if(|(o, _)| o == name) {
+                Some((_, old_fp)) if old_fp == fp => {}
+                Some(_) => names.push(name.to_string()),
                 None => appeared += 1,
             }
         }
@@ -653,7 +703,6 @@ impl ModuleFingerprints {
             let value = fp.function(f);
             let entry = self
                 .db
-                .entries
                 .get_mut(f.name())
                 .expect("a function lowered again keeps its name");
             if *entry != value {
@@ -671,16 +720,21 @@ impl ModuleFingerprints {
     /// refuses a duplicate definition, so no two functions share one.
     pub(crate) fn build(module: &Module) -> ModuleFingerprints {
         let mut fp = Fingerprinter::new(module);
-        let mut entries = BTreeMap::new();
+        let mut entries = Vec::with_capacity(module.functions().len());
         let mut members = Vec::with_capacity(module.functions().len());
         for f in module.functions() {
             let value = fp.function(f);
-            let previous = entries.insert(f.name().to_owned(), value);
-            assert!(previous.is_none(), "lowering refuses a duplicate function");
+            entries.push((Arc::clone(f.shared_name()), value));
             members.push(member_word(fp.t.names[f.id().index()], value));
         }
+        let db = FunctionDb::from_entries(entries);
+        assert_eq!(
+            db.len(),
+            module.functions().len(),
+            "lowering refuses a duplicate function"
+        );
         ModuleFingerprints {
-            db: FunctionDb { entries },
+            db,
             members,
             tables: fp.t,
         }
@@ -872,7 +926,7 @@ pub(crate) struct StoredRoot {
 // --------------------------------------------------------------------
 
 /// An in-memory image of the on-disk store.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Store {
     /// The function database: `(name, fingerprint)`, sorted by name.
     pub(crate) functions: FunctionDb,
@@ -932,32 +986,44 @@ impl Store {
     /// Parses a store document written with the *current* schema version
     /// and `expect_config_fp`. Any deviation — malformed JSON, version or
     /// fingerprint mismatch, missing or mistyped field — yields `None`:
-    /// the caller starts cold.
+    /// the caller starts cold. Keys may come in any order, the first of
+    /// two equal keys wins, and unknown keys are ignored.
     pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
-        let doc = JsonValue::parse(text).ok()?;
-        if doc.get("schema_version")?.as_u64()? != STORE_SCHEMA_VERSION {
+        let mut r = Reader::new(text);
+        let mut version = None;
+        let mut config_fp = None;
+        let mut functions = None;
+        let mut roots = None;
+        let mut validation = None;
+        each_field(&mut r, |r, key| {
+            match &*key {
+                "schema_version" if version.is_none() => version = Some(read(r.int())?),
+                "config_fingerprint" if config_fp.is_none() => config_fp = Some(read_hex64(r)?),
+                "functions" if functions.is_none() => {
+                    let mut entries = Vec::new();
+                    each_field(r, |r, name| {
+                        entries.push((Arc::from(&*name), read_hex64(r)?));
+                        Some(())
+                    })?;
+                    functions = Some(FunctionDb::from_entries(entries));
+                }
+                "roots" if roots.is_none() => roots = Some(read_list(r, read_root)?),
+                "validation" if validation.is_none() => {
+                    validation = Some(read_list(r, read_verdict)?);
+                }
+                _ => r.skip_value().ok()?,
+            }
+            Some(())
+        })?;
+        r.finish().ok()?;
+        let current = i64::try_from(STORE_SCHEMA_VERSION).ok();
+        if version != current || config_fp != Some(expect_config_fp) {
             return None;
-        }
-        if parse_hex64(doc.get("config_fingerprint")?.as_str()?)? != expect_config_fp {
-            return None;
-        }
-        let functions = FunctionDb {
-            entries: function_entries(doc.get("functions")?)?
-                .map(|entry| entry.map(|(name, fp)| (name.to_owned(), fp)))
-                .collect::<Option<_>>()?,
-        };
-        let mut roots = Vec::new();
-        for item in doc.get("roots")?.as_array()? {
-            roots.push(parse_root(item)?);
-        }
-        let mut validation = Vec::new();
-        for item in doc.get("validation")?.as_array()? {
-            validation.push(parse_verdict(item)?);
         }
         Some(Store {
-            functions,
-            roots,
-            validation,
+            functions: functions?,
+            roots: roots?,
+            validation: validation?,
         })
     }
 
@@ -970,15 +1036,12 @@ impl Store {
         let mut lines = text.strip_suffix('\n')?.split('\n');
         let base = lines.next()?;
         let mut store = Store::parse(base, expect_config_fp)?;
-        let mut root_at: Option<HashMap<String, usize>> = None;
+        let mut by_name: Option<Vec<usize>> = None;
         for line in lines {
-            let root_at = root_at.get_or_insert_with(|| {
-                let names = store.roots.iter().map(|r| r.root.clone());
-                names.zip(0..).collect()
-            });
-            store.apply_delta(line, root_at)?;
+            let by_name = by_name.get_or_insert_with(|| store.roots_by_name());
+            store.apply_delta(line, by_name)?;
         }
-        if root_at.is_some() {
+        if by_name.is_some() {
             store.validation.sort_by(|(a, _), (b, _)| a.cmp(b));
             store.validation.dedup_by(|(a, _), (b, _)| a == b);
         }
@@ -989,22 +1052,58 @@ impl Store {
         Some((store, file))
     }
 
-    /// Applies one delta line; `root_at` maps root names to their index.
-    fn apply_delta(&mut self, line: &str, root_at: &HashMap<String, usize>) -> Option<()> {
-        let delta = JsonValue::parse(line).ok()?;
-        for entry in function_entries(delta.get("functions")?)? {
-            let (name, fp) = entry?;
-            *self.functions.entries.get_mut(name)? = fp;
-        }
-        for item in delta.get("roots")?.as_array()? {
-            let root = parse_root(item)?;
-            let at = *root_at.get(&root.root)?;
-            self.roots[at] = root;
-        }
-        for item in delta.get("validation")?.as_array()? {
-            self.validation.push(parse_verdict(item)?);
-        }
-        Some(())
+    /// The indices of the root records, sorted by root name; records of
+    /// one name stay in record order.
+    fn roots_by_name(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.roots.len()).collect();
+        order.sort_by(|&a, &b| self.roots[a].root.cmp(&self.roots[b].root));
+        order
+    }
+
+    /// The index of the root record named `name` in `by_name` (see
+    /// [`Store::roots_by_name`]), the last of several.
+    fn root_at(&self, by_name: &[usize], name: &str) -> Option<usize> {
+        let end = by_name.partition_point(|&i| self.roots[i].root.as_str() <= name);
+        let at = *by_name[..end].last()?;
+        (self.roots[at].root == name).then_some(at)
+    }
+
+    /// Applies one delta line; `by_name` orders the root records by name.
+    fn apply_delta(&mut self, line: &str, by_name: &[usize]) -> Option<()> {
+        let mut r = Reader::new(line);
+        let (mut functions, mut roots, mut validation) = (false, false, false);
+        each_field(&mut r, |r, key| {
+            match &*key {
+                "functions" if !functions => {
+                    functions = true;
+                    each_field(r, |r, name| {
+                        let fp = read_hex64(r)?;
+                        *self.functions.get_mut(&name)? = fp;
+                        Some(())
+                    })?;
+                }
+                "roots" if !roots => {
+                    roots = true;
+                    each_item(r, |r| {
+                        let root = read_root(r)?;
+                        let at = self.root_at(by_name, &root.root)?;
+                        self.roots[at] = root;
+                        Some(())
+                    })?;
+                }
+                "validation" if !validation => {
+                    validation = true;
+                    each_item(r, |r| {
+                        self.validation.push(read_verdict(r)?);
+                        Some(())
+                    })?;
+                }
+                _ => r.skip_value().ok()?,
+            }
+            Some(())
+        })?;
+        r.finish().ok()?;
+        (functions && roots && validation).then_some(())
     }
 
     /// Loads a store from disk. Infallible: any I/O or parse problem is a
@@ -1028,8 +1127,7 @@ impl StoreDoc<'_> {
              \"functions\": ",
             self.config_fp
         );
-        let entries = self.functions.entries.iter();
-        write_functions(&mut out, entries.map(|(name, &fp)| (name.as_str(), fp)));
+        write_functions(&mut out, self.functions.iter());
         out.push_str(", \"roots\": [");
         write_list(&mut out, self.roots, write_root);
         out.push_str("], \"validation\": [");
@@ -1135,6 +1233,60 @@ fn parse_hex64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
+/// The value of a read, `None` for malformed JSON or a value of another
+/// type alike: either way the store is a cold start.
+fn read<T>(value: Result<Option<T>, JsonError>) -> Option<T> {
+    value.ok().flatten()
+}
+
+/// Reads a `"fp hex"` string.
+fn read_hex64(r: &mut Reader) -> Option<u64> {
+    parse_hex64(&read(r.str())?)
+}
+
+/// Reads an object, handing each key to `field` with its value next;
+/// `None` when the value is not an object or `field` fails.
+fn each_field<'a>(
+    r: &mut Reader<'a>,
+    mut field: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Option<()>,
+) -> Option<()> {
+    if !r.begin_object().ok()? {
+        return None;
+    }
+    while let Some(key) = r.next_key().ok()? {
+        field(r, key)?;
+    }
+    Some(())
+}
+
+/// Reads an array, calling `item` with each item next; `None` when the
+/// value is not an array or `item` fails.
+fn each_item<'a>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Option<()>,
+) -> Option<()> {
+    if !r.begin_array().ok()? {
+        return None;
+    }
+    while r.next_item().ok()? {
+        item(r)?;
+    }
+    Some(())
+}
+
+/// Reads an array whose every item `item` reads.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut out = Vec::new();
+    each_item(r, |r| {
+        out.push(item(r)?);
+        Some(())
+    })?;
+    Some(out)
+}
+
 /// Writes `items` separated by `, `.
 fn write_list<T>(
     out: &mut String,
@@ -1159,19 +1311,6 @@ fn write_functions<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str,
     out.push('}');
 }
 
-/// The entries of a `{name: "fp hex"}` object, each `None` when its value
-/// is not a fingerprint; `None` when `v` is not an object.
-fn function_entries(v: &JsonValue) -> Option<impl Iterator<Item = Option<(&str, u64)>>> {
-    let JsonValue::Obj(fields) = v else {
-        return None;
-    };
-    Some(
-        fields
-            .iter()
-            .map(|(name, fp)| Some((name.as_str(), parse_hex64(fp.as_str()?)?))),
-    )
-}
-
 fn write_verdict(out: &mut String, (key, verdict): &(Vec<u8>, SatResult)) {
     out.push_str("{\"key\": \"");
     for b in key {
@@ -1186,15 +1325,24 @@ fn write_verdict(out: &mut String, (key, verdict): &(Vec<u8>, SatResult)) {
     out.push_str("\"}");
 }
 
-fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
-    let key = parse_hex_bytes(v.get("key")?.as_str()?)?;
-    let verdict = match v.get("verdict")?.as_str()? {
-        "sat" => SatResult::Sat,
-        "unsat" => SatResult::Unsat,
-        "unknown" => SatResult::Unknown,
-        _ => return None,
-    };
-    Some((key, verdict))
+fn read_verdict(r: &mut Reader) -> Option<(Vec<u8>, SatResult)> {
+    let (mut key, mut verdict) = (None, None);
+    each_field(r, |r, name| {
+        match &*name {
+            "key" if key.is_none() => key = Some(parse_hex_bytes(&read(r.str())?)?),
+            "verdict" if verdict.is_none() => {
+                verdict = Some(match &*read(r.str())? {
+                    "sat" => SatResult::Sat,
+                    "unsat" => SatResult::Unsat,
+                    "unknown" => SatResult::Unknown,
+                    _ => return None,
+                });
+            }
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
+    Some((key?, verdict?))
 }
 
 fn parse_hex_bytes(s: &str) -> Option<Vec<u8>> {
@@ -1275,44 +1423,57 @@ fn write_root(out: &mut String, r: &StoredRoot) {
     out.push('}');
 }
 
-fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
-    let root = v.get("root")?.as_str()?;
-    let mut candidates = Vec::new();
-    for item in v.get("candidates")?.as_array()? {
-        candidates.push(parse_bug(item)?);
-    }
-    let items = v.get("stats")?.as_array()?;
-    let mut counters = [0u64; 7];
-    if items.len() != counters.len() {
-        return None;
-    }
-    for (counter, item) in counters.iter_mut().zip(items) {
-        *counter = item.as_u64()?;
-    }
-    let note = match v.get("note") {
-        None => None,
-        Some(reason) => Some(BudgetNote {
-            root: root.to_owned(),
-            reason: reason.as_str()?.to_owned(),
-        }),
-    };
-    let degraded = match v.get("demoted") {
-        None => None,
-        Some(reason) => Some(DegradedRoot {
-            root: root.to_owned(),
-            stage: "explore".to_owned(),
-            reason: reason.as_str()?.to_owned(),
-            action: "demoted".to_owned(),
-        }),
-    };
+fn read_root(r: &mut Reader) -> Option<StoredRoot> {
+    let mut root = None;
+    let mut closure_fp = None;
+    let mut candidates = None;
+    let mut counters = None;
+    let mut note = None;
+    let mut demoted = None;
+    each_field(r, |r, key| {
+        match &*key {
+            "root" if root.is_none() => root = Some(read(r.str())?.into_owned()),
+            "closure_fp" if closure_fp.is_none() => closure_fp = Some(read_hex64(r)?),
+            "candidates" if candidates.is_none() => candidates = Some(read_list(r, read_bug)?),
+            "stats" if counters.is_none() => counters = Some(read_counters(r)?),
+            "note" if note.is_none() => note = Some(read(r.str())?.into_owned()),
+            "demoted" if demoted.is_none() => demoted = Some(read(r.str())?.into_owned()),
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
+    let root = root?;
+    let candidates: Vec<StoredBug> = candidates?;
+    let note = note.map(|reason| BudgetNote {
+        root: root.clone(),
+        reason,
+    });
+    let degraded = demoted.map(|reason| DegradedRoot {
+        root: root.clone(),
+        stage: "explore".to_owned(),
+        reason,
+        action: "demoted".to_owned(),
+    });
     Some(StoredRoot {
-        root: root.to_owned(),
-        closure_fp: parse_hex64(v.get("closure_fp")?.as_str()?)?,
-        stats: record_stats(counters, candidates.len(), note.is_some()),
+        stats: record_stats(counters?, candidates.len(), note.is_some()),
+        closure_fp: closure_fp?,
+        root,
         candidates,
         note,
         degraded,
     })
+}
+
+/// Reads a record's `stats`: exactly seven non-negative integers.
+fn read_counters(r: &mut Reader) -> Option<[u64; 7]> {
+    let mut counters = [0u64; 7];
+    let mut n = 0;
+    each_item(r, |r| {
+        *counters.get_mut(n)? = u64::try_from(read(r.int())?).ok()?;
+        n += 1;
+        Some(())
+    })?;
+    (n == counters.len()).then_some(counters)
 }
 
 fn write_bug(out: &mut String, b: &StoredBug) {
@@ -1345,42 +1506,76 @@ fn write_bug(out: &mut String, b: &StoredBug) {
     out.push_str("]}");
 }
 
-fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
-    let inst = |v: &JsonValue| -> Option<StoredInst> {
-        Some(StoredInst {
-            func: v.get("func")?.as_str()?.to_owned(),
-            block: usize::try_from(v.get("block")?.as_u64()?).ok()?,
-            inst: usize::try_from(v.get("inst")?.as_u64()?).ok()?,
-        })
-    };
-    let loc = |v: &JsonValue| -> Option<StoredLoc> {
-        Some(StoredLoc {
-            file: v.get("file")?.as_str()?.to_owned(),
-            line: u32::try_from(v.get("line")?.as_u64()?).ok()?,
-        })
-    };
-    let constraints = |name: &str| -> Option<Arc<[Constraint]>> {
-        v.get(name)?
-            .as_array()?
-            .iter()
-            .map(parse_constraint)
-            .collect()
-    };
-    let alias_paths = v
-        .get("alias_paths")?
-        .as_array()?
-        .iter()
-        .map(|p| p.as_str().map(str::to_owned))
-        .collect::<Option<Arc<[_]>>>()?;
+fn read_bug(r: &mut Reader) -> Option<StoredBug> {
+    let mut kind = None;
+    let mut origin = None;
+    let mut origin_loc = None;
+    let mut site = None;
+    let mut site_loc = None;
+    let mut constraints = None;
+    let mut extra = None;
+    let mut alias_paths = None;
+    each_field(r, |r, key| {
+        match &*key {
+            "kind" if kind.is_none() => kind = Some(BugKind::parse(&read(r.str())?)?),
+            "origin" if origin.is_none() => origin = Some(read_inst(r)?),
+            "origin_loc" if origin_loc.is_none() => origin_loc = Some(read_loc(r)?),
+            "site" if site.is_none() => site = Some(read_inst(r)?),
+            "site_loc" if site_loc.is_none() => site_loc = Some(read_loc(r)?),
+            "constraints" if constraints.is_none() => {
+                constraints = Some(read_list(r, read_constraint)?);
+            }
+            "extra" if extra.is_none() => extra = Some(read_list(r, read_constraint)?),
+            "alias_paths" if alias_paths.is_none() => {
+                alias_paths = Some(read_list(r, |r| Some(read(r.str())?.into_owned()))?);
+            }
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
     Some(StoredBug {
-        kind: BugKind::parse(v.get("kind")?.as_str()?)?,
-        origin: inst(v.get("origin")?)?,
-        origin_loc: loc(v.get("origin_loc")?)?,
-        site: inst(v.get("site")?)?,
-        site_loc: loc(v.get("site_loc")?)?,
-        constraints: constraints("constraints")?,
-        extra: constraints("extra")?,
-        alias_paths,
+        kind: kind?,
+        origin: origin?,
+        origin_loc: origin_loc?,
+        site: site?,
+        site_loc: site_loc?,
+        constraints: constraints?.into(),
+        extra: extra?.into(),
+        alias_paths: alias_paths?.into(),
+    })
+}
+
+fn read_inst(r: &mut Reader) -> Option<StoredInst> {
+    let (mut func, mut block, mut inst) = (None, None, None);
+    each_field(r, |r, key| {
+        match &*key {
+            "func" if func.is_none() => func = Some(read(r.str())?.into_owned()),
+            "block" if block.is_none() => block = Some(usize::try_from(read(r.int())?).ok()?),
+            "inst" if inst.is_none() => inst = Some(usize::try_from(read(r.int())?).ok()?),
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
+    Some(StoredInst {
+        func: func?,
+        block: block?,
+        inst: inst?,
+    })
+}
+
+fn read_loc(r: &mut Reader) -> Option<StoredLoc> {
+    let (mut file, mut line) = (None, None);
+    each_field(r, |r, key| {
+        match &*key {
+            "file" if file.is_none() => file = Some(read(r.str())?.into_owned()),
+            "line" if line.is_none() => line = Some(u32::try_from(read(r.int())?).ok()?),
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
+    Some(StoredLoc {
+        file: file?,
+        line: line?,
     })
 }
 
@@ -1446,12 +1641,18 @@ fn write_constraint(out: &mut String, c: &Constraint) {
     out.push('}');
 }
 
-fn parse_constraint(v: &JsonValue) -> Option<Constraint> {
-    Some(Constraint::new(
-        parse_cmp_op(v.get("op")?.as_str()?)?,
-        parse_term(v.get("l")?)?,
-        parse_term(v.get("r")?)?,
-    ))
+fn read_constraint(r: &mut Reader) -> Option<Constraint> {
+    let (mut op, mut lhs, mut rhs) = (None, None, None);
+    each_field(r, |r, key| {
+        match &*key {
+            "op" if op.is_none() => op = Some(parse_cmp_op(&read(r.str())?)?),
+            "l" if lhs.is_none() => lhs = Some(read(read_term(r))?),
+            "r" if rhs.is_none() => rhs = Some(read(read_term(r))?),
+            _ => r.skip_value().ok()?,
+        }
+        Some(())
+    })?;
+    Some(Constraint::new(op?, lhs?, rhs?))
 }
 
 fn write_term(out: &mut String, t: &Term) {
@@ -1482,26 +1683,54 @@ fn write_binary(out: &mut String, op: &str, a: &Term, b: &Term) {
     out.push('}');
 }
 
-fn parse_term(v: &JsonValue) -> Option<Term> {
-    if let Some(c) = v.get("c") {
-        return Some(Term::Const(c.as_i64()?));
+/// Reads one term: `Err` for malformed JSON, `Ok(None)` for a
+/// well-formed value that is not a term. A term is judged by its keys
+/// alone: with `c` it is a constant and with `s` a symbol whatever else it
+/// holds, and a negation ignores its `b`, so those other values only need
+/// to be well-formed. Nesting is bounded by the reader's depth limit.
+fn read_term(r: &mut Reader) -> Result<Option<Term>, JsonError> {
+    if !r.begin_object()? {
+        return Ok(None);
     }
-    if let Some(s) = v.get("s") {
-        return Some(Term::Sym(pata_smt::SymId(u32::try_from(s.as_u64()?).ok()?)));
+    let (mut c, mut s, mut o, mut a, mut b) = (None, None, None, None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "c" if c.is_none() => c = Some(r.int()?),
+            "s" if s.is_none() => s = Some(r.int()?),
+            "o" if o.is_none() => o = Some(r.str()?),
+            "a" if a.is_none() => a = Some(read_term(r)?),
+            "b" if b.is_none() => b = Some(read_term(r)?),
+            _ => r.skip_value()?,
+        }
     }
-    let op = v.get("o")?.as_str()?;
-    let a = parse_term(v.get("a")?)?;
+    if let Some(c) = c {
+        return Ok(c.map(Term::Const));
+    }
+    if let Some(s) = s {
+        return Ok(s
+            .and_then(|s| u32::try_from(s).ok())
+            .map(|s| Term::Sym(pata_smt::SymId(s))));
+    }
+    let (Some(Some(op)), Some(Some(a))) = (o, a) else {
+        return Ok(None);
+    };
     if op == "neg" {
-        return Some(Term::Neg(Box::new(a)));
+        return Ok(Some(Term::Neg(Box::new(a))));
     }
-    let b = parse_term(v.get("b")?)?;
-    Some(match op {
-        "+" => Term::Add(Box::new(a), Box::new(b)),
-        "-" => Term::Sub(Box::new(a), Box::new(b)),
-        "*" => Term::Mul(Box::new(a), Box::new(b)),
-        other => Term::Opaque(parse_opaque_op(other)?, Box::new(a), Box::new(b)),
+    let Some(Some(b)) = b else {
+        return Ok(None);
+    };
+    let (a, b) = (Box::new(a), Box::new(b));
+    Ok(match &*op {
+        "+" => Some(Term::Add(a, b)),
+        "-" => Some(Term::Sub(a, b)),
+        "*" => Some(Term::Mul(a, b)),
+        other => parse_opaque_op(other).map(|op| Term::Opaque(op, a, b)),
     })
 }
+
+#[cfg(test)]
+pub(crate) mod tree_reader;
 
 #[cfg(test)]
 mod tests {
@@ -1551,9 +1780,8 @@ mod tests {
     }
 
     fn sample_store() -> Store {
-        let mut functions = FunctionDb::default();
-        functions.entries.insert("probe".into(), 0xdead_beef);
-        functions.entries.insert("helper".into(), 42);
+        let functions =
+            FunctionDb::from_entries(vec![("probe".into(), 0xdead_beef), ("helper".into(), 42)]);
         Store {
             functions,
             roots: vec![StoredRoot {
@@ -1848,7 +2076,7 @@ mod tests {
         // reacts, lonely's does not.
         let mut moved = ModuleFingerprints::build(&m);
         let leaf = id("leaf").index();
-        moved.members[leaf] = member_word(str_word("leaf"), fps.db.entries["leaf"] ^ 1);
+        moved.members[leaf] = member_word(str_word("leaf"), fps.db.get("leaf").unwrap() ^ 1);
         let after = moved.closure_fps(&cg, &roots, false);
         assert_ne!(after[0], before[0]);
         assert_eq!(after[1], before[1]);
@@ -1892,15 +2120,15 @@ mod tests {
             ),
             later,
         ]);
-        assert_ne!(edited.entries["alpha"], base.entries["alpha"]);
-        assert_eq!(edited.entries["beta"], base.entries["beta"]);
+        assert_ne!(edited.get("alpha"), base.get("alpha"));
+        assert_eq!(edited.get("beta"), base.get("beta"));
         assert_eq!(edited.diff(&base), (1, Some(vec!["alpha".to_owned()])));
     }
 
     #[test]
     fn fingerprints_see_what_the_analysis_reads() {
         let base_src = "struct s { int *p; };\nint beta(struct s *x) { return *x->p + 1; }\n";
-        let base = fingerprints(&[("a.c", base_src)]).entries["beta"];
+        let base = fingerprints(&[("a.c", base_src)]).get("beta");
         for (what, src) in [
             (
                 "constant",
@@ -1919,10 +2147,10 @@ mod tests {
                 "struct s { int **p; };\nint beta(struct s *x) { return **x->p + 1; }\n",
             ),
         ] {
-            let changed = fingerprints(&[("a.c", src)]).entries["beta"];
+            let changed = fingerprints(&[("a.c", src)]).get("beta");
             assert_ne!(changed, base, "{what} edit must change the fingerprint");
         }
         // The file name is part of every location.
-        assert_ne!(fingerprints(&[("b.c", base_src)]).entries["beta"], base);
+        assert_ne!(fingerprints(&[("b.c", base_src)]).get("beta"), base);
     }
 }

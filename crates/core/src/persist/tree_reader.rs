@@ -1,0 +1,230 @@
+//! The store reader as it was before the one-pass reader: every line is
+//! parsed into a [`JsonValue`] tree, which is then walked. It is the
+//! oracle of the differential mutation test in `session::store_mutation`,
+//! so its acceptance rules are the one-pass reader's specification.
+
+use super::*;
+use crate::json::JsonValue;
+use std::collections::BTreeMap;
+
+/// A store while the oracle reads it: the function database as a map.
+struct TreeStore {
+    functions: BTreeMap<String, u64>,
+    roots: Vec<StoredRoot>,
+    validation: Vec<(Vec<u8>, SatResult)>,
+}
+
+impl TreeStore {
+    fn into_store(self) -> Store {
+        let entries = self.functions.into_iter();
+        Store {
+            functions: FunctionDb::from_entries(entries.map(|(n, fp)| (n.into(), fp)).collect()),
+            roots: self.roots,
+            validation: self.validation,
+        }
+    }
+}
+
+/// [`Store::parse`] through a tree.
+pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
+    parse_base(text, expect_config_fp).map(TreeStore::into_store)
+}
+
+fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
+    let doc = JsonValue::parse(text).ok()?;
+    if doc.get("schema_version")?.as_u64()? != STORE_SCHEMA_VERSION {
+        return None;
+    }
+    if parse_hex64(doc.get("config_fingerprint")?.as_str()?)? != expect_config_fp {
+        return None;
+    }
+    let functions = function_entries(doc.get("functions")?)?
+        .map(|entry| entry.map(|(name, fp)| (name.to_owned(), fp)))
+        .collect::<Option<_>>()?;
+    let mut roots = Vec::new();
+    for item in doc.get("roots")?.as_array()? {
+        roots.push(parse_root(item)?);
+    }
+    let mut validation = Vec::new();
+    for item in doc.get("validation")?.as_array()? {
+        validation.push(parse_verdict(item)?);
+    }
+    Some(TreeStore {
+        functions,
+        roots,
+        validation,
+    })
+}
+
+/// [`Store::parse_file`] through a tree.
+pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, StoreFile)> {
+    let mut lines = text.strip_suffix('\n')?.split('\n');
+    let base = lines.next()?;
+    let mut store = parse_base(base, expect_config_fp)?;
+    let mut root_at: Option<HashMap<String, usize>> = None;
+    for line in lines {
+        let root_at = root_at.get_or_insert_with(|| {
+            let names = store.roots.iter().map(|r| r.root.clone());
+            names.zip(0..).collect()
+        });
+        apply_delta(&mut store, line, root_at)?;
+    }
+    if root_at.is_some() {
+        store.validation.sort_by(|(a, _), (b, _)| a.cmp(b));
+        store.validation.dedup_by(|(a, _), (b, _)| a == b);
+    }
+    let file = StoreFile {
+        base: base.len() as u64 + 1,
+        len: text.len() as u64,
+    };
+    Some((store.into_store(), file))
+}
+
+fn apply_delta(store: &mut TreeStore, line: &str, root_at: &HashMap<String, usize>) -> Option<()> {
+    let delta = JsonValue::parse(line).ok()?;
+    for entry in function_entries(delta.get("functions")?)? {
+        let (name, fp) = entry?;
+        *store.functions.get_mut(name)? = fp;
+    }
+    for item in delta.get("roots")?.as_array()? {
+        let root = parse_root(item)?;
+        let at = *root_at.get(&root.root)?;
+        store.roots[at] = root;
+    }
+    for item in delta.get("validation")?.as_array()? {
+        store.validation.push(parse_verdict(item)?);
+    }
+    Some(())
+}
+
+/// The entries of a `{name: "fp hex"}` object, each `None` when its value
+/// is not a fingerprint; `None` when `v` is not an object.
+fn function_entries(v: &JsonValue) -> Option<impl Iterator<Item = Option<(&str, u64)>>> {
+    let JsonValue::Obj(fields) = v else {
+        return None;
+    };
+    Some(
+        fields
+            .iter()
+            .map(|(name, fp)| Some((name.as_str(), parse_hex64(fp.as_str()?)?))),
+    )
+}
+
+fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
+    let key = parse_hex_bytes(v.get("key")?.as_str()?)?;
+    let verdict = match v.get("verdict")?.as_str()? {
+        "sat" => SatResult::Sat,
+        "unsat" => SatResult::Unsat,
+        "unknown" => SatResult::Unknown,
+        _ => return None,
+    };
+    Some((key, verdict))
+}
+
+fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
+    let root = v.get("root")?.as_str()?;
+    let mut candidates = Vec::new();
+    for item in v.get("candidates")?.as_array()? {
+        candidates.push(parse_bug(item)?);
+    }
+    let items = v.get("stats")?.as_array()?;
+    let mut counters = [0u64; 7];
+    if items.len() != counters.len() {
+        return None;
+    }
+    for (counter, item) in counters.iter_mut().zip(items) {
+        *counter = item.as_u64()?;
+    }
+    let note = match v.get("note") {
+        None => None,
+        Some(reason) => Some(BudgetNote {
+            root: root.to_owned(),
+            reason: reason.as_str()?.to_owned(),
+        }),
+    };
+    let degraded = match v.get("demoted") {
+        None => None,
+        Some(reason) => Some(DegradedRoot {
+            root: root.to_owned(),
+            stage: "explore".to_owned(),
+            reason: reason.as_str()?.to_owned(),
+            action: "demoted".to_owned(),
+        }),
+    };
+    Some(StoredRoot {
+        root: root.to_owned(),
+        closure_fp: parse_hex64(v.get("closure_fp")?.as_str()?)?,
+        stats: record_stats(counters, candidates.len(), note.is_some()),
+        candidates,
+        note,
+        degraded,
+    })
+}
+
+fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
+    let inst = |v: &JsonValue| -> Option<StoredInst> {
+        Some(StoredInst {
+            func: v.get("func")?.as_str()?.to_owned(),
+            block: usize::try_from(v.get("block")?.as_u64()?).ok()?,
+            inst: usize::try_from(v.get("inst")?.as_u64()?).ok()?,
+        })
+    };
+    let loc = |v: &JsonValue| -> Option<StoredLoc> {
+        Some(StoredLoc {
+            file: v.get("file")?.as_str()?.to_owned(),
+            line: u32::try_from(v.get("line")?.as_u64()?).ok()?,
+        })
+    };
+    let constraints = |name: &str| -> Option<Arc<[Constraint]>> {
+        v.get(name)?
+            .as_array()?
+            .iter()
+            .map(parse_constraint)
+            .collect()
+    };
+    let alias_paths = v
+        .get("alias_paths")?
+        .as_array()?
+        .iter()
+        .map(|p| p.as_str().map(str::to_owned))
+        .collect::<Option<Arc<[_]>>>()?;
+    Some(StoredBug {
+        kind: BugKind::parse(v.get("kind")?.as_str()?)?,
+        origin: inst(v.get("origin")?)?,
+        origin_loc: loc(v.get("origin_loc")?)?,
+        site: inst(v.get("site")?)?,
+        site_loc: loc(v.get("site_loc")?)?,
+        constraints: constraints("constraints")?,
+        extra: constraints("extra")?,
+        alias_paths,
+    })
+}
+
+fn parse_constraint(v: &JsonValue) -> Option<Constraint> {
+    Some(Constraint::new(
+        parse_cmp_op(v.get("op")?.as_str()?)?,
+        parse_term(v.get("l")?)?,
+        parse_term(v.get("r")?)?,
+    ))
+}
+
+fn parse_term(v: &JsonValue) -> Option<Term> {
+    if let Some(c) = v.get("c") {
+        return Some(Term::Const(c.as_i64()?));
+    }
+    if let Some(s) = v.get("s") {
+        return Some(Term::Sym(pata_smt::SymId(u32::try_from(s.as_u64()?).ok()?)));
+    }
+    let op = v.get("o")?.as_str()?;
+    let a = parse_term(v.get("a")?)?;
+    if op == "neg" {
+        return Some(Term::Neg(Box::new(a)));
+    }
+    let b = parse_term(v.get("b")?)?;
+    Some(match op {
+        "+" => Term::Add(Box::new(a), Box::new(b)),
+        "-" => Term::Sub(Box::new(a), Box::new(b)),
+        "*" => Term::Mul(Box::new(a), Box::new(b)),
+        other => Term::Opaque(parse_opaque_op(other)?, Box::new(a), Box::new(b)),
+    })
+}

@@ -749,7 +749,7 @@ impl AnalysisSession {
                 let fps = ModuleFingerprints::build(module);
                 let (changed, names) = match &prev_fps {
                     Some(p) => fps.db.diff(&p.db),
-                    None => (fps.db.entries.len() as u64, None),
+                    None => (fps.db.len() as u64, None),
                 };
                 (fps, changed, names)
             }
@@ -1053,7 +1053,10 @@ impl AnalysisSession {
             let delta = StoreDelta {
                 functions: changed
                     .iter()
-                    .map(|name| (name.as_str(), warm.fps.db.entries[name]))
+                    .map(|name| {
+                        let fp = warm.fps.db.get(name).expect("a changed function is stored");
+                        (name.as_str(), fp)
+                    })
                     .collect(),
                 roots: replaced.iter().map(|&i| &warm.roots[i]).collect(),
                 validation: &verdicts_since(synced.cache_mark),
@@ -1089,6 +1092,9 @@ mod incremental;
 
 #[cfg(test)]
 mod store_log;
+
+#[cfg(test)]
+mod store_mutation;
 
 #[cfg(test)]
 mod tests {

@@ -523,15 +523,17 @@ impl TelemetrySnapshot {
         }
 
         // Stage breakdown, in pipeline order. A one-shot run over a
-        // compiled module records no parse, lower or fingerprint time; their
-        // rows then read zero.
+        // compiled module records no store, parse, lower or fingerprint
+        // time; their rows then read zero.
         let stages = [
+            ("store load", "driver.serve.store_load"),
             ("parse", "driver.serve.parse"),
             ("lower", "driver.serve.lower"),
             ("collect", "stage.collect"),
             ("fingerprint", "driver.serve.fingerprint"),
             ("explore", "stage.explore"),
             ("filter", "stage.filter"),
+            ("store save", "driver.serve.store_save"),
         ];
         let total_ns: u64 = stages
             .iter()
@@ -859,12 +861,14 @@ mod tests {
     #[test]
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
+        sink.record_ns("driver.serve.store_load", 3_000);
         sink.record_ns("driver.serve.parse", 4_000);
         sink.record_ns("driver.serve.lower", 2_000);
         sink.record_ns("stage.collect", 1_000);
         sink.record_ns("driver.serve.fingerprint", 2_000);
         sink.record_ns("stage.explore", 8_000);
         sink.record_ns("stage.filter", 3_000);
+        sink.record_ns("driver.serve.store_save", 2_000);
         sink.record_ns("explore.root", 7_000);
         sink.record_root("slow_fn", 7_000, 4, 2048);
         sink.add("validate.cache_hit", 3);
@@ -873,25 +877,29 @@ mod tests {
         tel.merge(sink);
         let text = tel.snapshot().render_profile();
         assert!(text.contains("stage breakdown"), "{text}");
-        let rows: Vec<(&str, &str)> = text
+        // Each row as its label and share, without the time column.
+        let rows: Vec<String> = text
             .lines()
             .skip_while(|l| *l != "stage breakdown")
             .skip(1)
-            .take(6)
+            .take(8)
             .map(|l| {
-                let cols: Vec<&str> = l.split_whitespace().collect();
-                (cols[0], cols[cols.len() - 1])
+                let mut cols: Vec<&str> = l.split_whitespace().collect();
+                cols.remove(cols.len() - 2);
+                cols.join(" ")
             })
             .collect();
         assert_eq!(
             rows,
             [
-                ("parse", "20.0%"),
-                ("lower", "10.0%"),
-                ("collect", "5.0%"),
-                ("fingerprint", "10.0%"),
-                ("explore", "40.0%"),
-                ("filter", "15.0%"),
+                "store load 12.0%",
+                "parse 16.0%",
+                "lower 8.0%",
+                "collect 4.0%",
+                "fingerprint 8.0%",
+                "explore 32.0%",
+                "filter 12.0%",
+                "store save 8.0%",
             ],
             "{text}"
         );

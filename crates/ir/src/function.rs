@@ -142,6 +142,12 @@ impl Function {
         &self.name
     }
 
+    /// The function's name as the module's shared copy, for tables that
+    /// outlive a borrow of the module.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The formal parameters, in declaration order.
     pub fn params(&self) -> &[VarId] {
         &self.params

@@ -98,6 +98,14 @@ echo "explore ns per live step, deep-path module: ${deep_ns} (not gated)"
 lower_ratio=$(grep '"frontend":' results/BENCH_stage1.json \
     | sed 's/.*"lower_ratio_4_02": \([0-9.a-z]*\).*/\1/')
 echo "lower ns/inst, scale 4 over scale 0.2: ${lower_ratio}x (not gated)"
+# The store layer, recorded by the persistence bench above: the median
+# time AnalysisSession::open takes to read the store in its warm rounds,
+# and the store's size. Printed, not gated.
+store_load=$(grep '"persistence":' results/BENCH_stage1.json \
+    | sed 's/.*"store_load_ms": \([0-9.]*\).*/\1/')
+store_bytes=$(grep '"persistence":' results/BENCH_stage1.json \
+    | sed 's/.*"store_bytes": \([0-9]*\).*/\1/')
+echo "store load: ${store_load} ms for ${store_bytes} bytes (not gated)"
 # Reports stay byte-identical across thread counts at every scale.
 for scale in 1 4 16; do
     sweep_dir="$tmp_dir/sweep$scale"

@@ -334,12 +334,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let profile = flag(&flags, "profile").is_some();
     let mut session = open_session(&flags, stats_json.is_some() || profile)?;
     let request = read_request(&files)?;
+    let outcome = session.analyze(&request).map_err(|e| e.to_string())?;
     let SessionOutcome {
         report,
         stats,
         telemetry,
         incremental,
-    } = session.analyze(&request).map_err(|e| e.to_string())?;
+    } = &outcome;
 
     if flag(&flags, "json").is_some() {
         println!("{}", report.to_json());
@@ -352,7 +353,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
     }
     if flag(&flags, "stats").is_some() {
-        let s = &stats;
+        let s = stats;
         eprintln!(
             "roots: {}  paths: {}  insts: {}",
             s.roots, s.paths_explored, s.insts_processed
@@ -387,6 +388,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             eprintln!("budget exhausted: root {} ({})", note.root, note.reason);
         }
     }
+    std::io::stdout()
+        .flush()
+        .map_err(|e| format!("cannot write the report: {e}"))?;
+    // The process exits next, which returns every page at once: freeing
+    // the session's tables, the request and the report one by one would
+    // only delay the exit.
+    std::mem::forget(outcome);
+    std::mem::forget(request);
+    std::mem::forget(session);
     Ok(())
 }
 
