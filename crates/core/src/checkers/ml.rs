@@ -141,7 +141,6 @@ impl Checker for MlChecker {
                 if entry.state == S_NF {
                     let origin = StateEntry {
                         state: entry.state,
-                        origin_loc: obj.loc,
                         origin_id: obj.inst_id,
                     };
                     cx.report(BugKind::MemoryLeak, obj.key, origin, Vec::new());

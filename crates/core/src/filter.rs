@@ -400,24 +400,25 @@ impl KeptGroups {
 mod tests {
     use super::*;
     use crate::checkers::BugKind;
-    use pata_ir::{BlockId, FuncId, InstId, Loc};
+    use pata_ir::{BlockId, FuncId, InstId};
     use pata_smt::{CmpOp, Constraint, SymId, Term};
     use std::sync::Arc;
 
+    /// One function whose entry block holds the instructions `bug` names.
     fn module_with_one_fn() -> Module {
-        pata_cc::compile_one("f.c", "void f(void) { }").unwrap()
+        let m = pata_cc::compile_one("f.c", "void f(int x) { x = 1; x = 2; x = 3; }").unwrap();
+        assert!(m.function(FuncId::from_index(0)).blocks()[0].insts.len() >= 3);
+        m
     }
 
     fn bug(site: usize, constraints: Vec<Constraint>) -> PossibleBug {
         PossibleBug {
             kind: BugKind::NullPointerDeref,
-            origin_loc: Loc::default(),
             origin_id: InstId {
                 func: FuncId::from_index(0),
                 block: BlockId::from_index(0),
                 inst: 0,
             },
-            site_loc: Loc::default(),
             site_id: InstId {
                 func: FuncId::from_index(0),
                 block: BlockId::from_index(0),

@@ -9,11 +9,38 @@
 //! [`JsonValue`] tree is one client of it, and the on-disk analysis store
 //! reads straight into its own types through it.
 //!
-//! The parser accepts standard JSON (RFC 8259) with one simplification:
-//! numbers are split into [`JsonValue::Int`] (when the literal is an
+//! Numbers are split into [`JsonValue::Int`] (when the literal is an
 //! integer that fits `i64`) and [`JsonValue::Float`] (everything else).
 //! That keeps `u32`/`u64` counters exact through a round-trip, which the
 //! report and telemetry schemas rely on.
+//!
+//! # Accepted grammar
+//!
+//! [`Reader`] accepts every RFC 8259 document (`-0` included) and this
+//! exact superset of it; everything else is a [`JsonError`]:
+//!
+//! * **Numbers.** A number starts with `-` or a digit (so `+1` and `.5`
+//!   are refused) and runs over the longest stretch of `0-9 . e E + -`
+//!   after it. The stretch must be an integer literal with any number
+//!   of digits, read as [`JsonValue::Int`] when it fits `i64`, or a
+//!   float literal: digits with an optional `.` and optional fraction
+//!   digits, or a `.` and fraction digits, then an optional exponent
+//!   (`e`/`E`, an optional sign, digits). So leading zeros (`007`,
+//!   `-007`, `01.5`), a point with no fraction (`1.`, `1.e5`) and a point
+//!   with no integer part after the minus (`-.5`) parse; `-`, `1-2` and
+//!   `1.5E` do not. An integer outside `i64` reads as a
+//!   [`JsonValue::Float`], and an exponent past `f64`'s range as an
+//!   infinity.
+//! * **Strings.** Raw characters U+0000 to U+001F (a tab, U+0001) stand for
+//!   themselves: only `"` and `\` are special inside a string. A `\u`
+//!   escape reads its four bytes as a hexadecimal number that may carry
+//!   a leading `+` (`\u+041` is `A`). A `\u` escape of a surrogate reads
+//!   as U+FFFD: surrogate pairs are not combined.
+//!
+//! Whitespace, the literals `true`, `false` and `null`, arrays, objects and
+//! the other escapes are RFC 8259's. An object may repeat a key: the tree
+//! keeps both, and its lookups, like the store's reader, take the first.
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -945,6 +972,40 @@ mod tests {
         for past in [format!("[{at_limit}]"), "{\"a\": ".repeat(100_000)] {
             let err = Reader::new(&past).skip_value().unwrap_err();
             assert_eq!(err.message, "nesting too deep");
+        }
+    }
+
+    /// Every case of the module docs' "Accepted grammar", read as a value
+    /// of a one-key object, the shape of a serve frame and a store field.
+    #[test]
+    fn accepted_grammar_is_rfc_8259_plus_the_documented_superset() {
+        let read = |value: &str| {
+            let text = format!("{{\"x\": {value}}}");
+            JsonValue::parse(&text).map(|v| v.get("x").cloned().unwrap())
+        };
+        let str = |s: &str| JsonValue::Str(s.to_owned());
+        let accepted = [
+            ("-0", JsonValue::Int(0)),
+            ("007", JsonValue::Int(7)),
+            ("-007", JsonValue::Int(-7)),
+            ("01.5", JsonValue::Float(1.5)),
+            ("1.", JsonValue::Float(1.0)),
+            ("1.e5", JsonValue::Float(1e5)),
+            ("-.5", JsonValue::Float(-0.5)),
+            ("2E+2", JsonValue::Float(200.0)),
+            ("99999999999999999999", JsonValue::Float(1e20)),
+            ("1e400", JsonValue::Float(f64::INFINITY)),
+            ("\"a\tb\"", str("a\tb")),
+            ("\"a\u{1}b\"", str("a\u{1}b")),
+            (r#""\u+041""#, str("A")),
+            (r#""\uD83D\uDE00""#, str("\u{fffd}\u{fffd}")),
+        ];
+        for (value, want) in accepted {
+            assert_eq!(read(value), Ok(want), "{value:?}");
+        }
+        let refused = "+1 .5 - --1 1-2 1.5E 1e 0x1 NaN Infinity tru True".split(' ');
+        for value in refused.chain([r#""\x""#, r#""\u12""#, "\"open"]) {
+            assert!(read(value).is_err(), "{value:?}");
         }
     }
 

@@ -71,8 +71,8 @@ use crate::typestate::{
     StateTable, TrackCtx, TrackKey, UpdateInfo,
 };
 use pata_ir::{
-    BlockId, Callee, CmpOp, ConstVal, FuncId, Inst, InstId, InstKind, Loc, Module, Operand,
-    StructId, Terminator, VarId,
+    BlockId, Callee, CmpOp, ConstVal, FuncId, Inst, InstId, InstKind, Module, Operand, StructId,
+    Terminator, VarId,
 };
 use pata_smt::{CmpOp as SmtOp, Constraint, SymId, Term};
 use std::hash::Hash;
@@ -761,10 +761,9 @@ impl<'a> Explorer<'a> {
     // Checker dispatch
     // ==============================================================
 
-    /// Runs `f` on a checker context at `loc` / `inst_id` and the step
-    /// scratch (`ws.info`), then turns the bugs it reported into
-    /// candidates.
-    fn track(&mut self, loc: Loc, inst_id: InstId, f: impl FnOnce(&mut TrackCtx, &UpdateInfo)) {
+    /// Runs `f` on a checker context at `inst_id` and the step scratch
+    /// (`ws.info`), then turns the bugs it reported into candidates.
+    fn track(&mut self, inst_id: InstId, f: impl FnOnce(&mut TrackCtx, &UpdateInfo)) {
         let graph = &self.ws.graph;
         let set_size = |k: TrackKey| match k {
             TrackKey::Node(n) => graph.alias_set_size(n),
@@ -776,7 +775,6 @@ impl<'a> Explorer<'a> {
             bugs: &mut self.ws.pending,
             stats: &mut self.stats,
             set_size: &set_size,
-            loc,
             inst_id,
         };
         f(&mut cx, &self.ws.info);
@@ -785,7 +783,7 @@ impl<'a> Explorer<'a> {
 
     /// Runs the checkers' instruction hook on `kind`, with the alias
     /// resolution the caller left in the step scratch (`ws.info`).
-    fn run_checkers_inst(&mut self, kind: &InstKind, loc: Loc, inst_id: InstId) {
+    fn run_checkers_inst(&mut self, kind: &InstKind, inst_id: InstId) {
         // Checker callbacks are arbitrary user code (CheckerRegistry); this
         // is the site where a misbehaving checker's panic is simulated.
         faultinject::maybe_panic(
@@ -794,7 +792,7 @@ impl<'a> Explorer<'a> {
             self.module.function(self.root).name(),
         );
         let checkers = self.checkers;
-        self.track(loc, inst_id, |cx, info| {
+        self.track(inst_id, |cx, info| {
             for c in checkers {
                 c.on_inst(cx, kind, info);
             }
@@ -978,7 +976,6 @@ impl<'a> Explorer<'a> {
             block,
             inst: b.insts.len(),
         };
-        let term_loc = b.term_loc;
         match b.term.clone() {
             Terminator::Jump(target) => {
                 if !self.may_enter(target) {
@@ -1030,7 +1027,7 @@ impl<'a> Explorer<'a> {
                 }
             }
             Terminator::Ret(value) => {
-                self.handle_ret(value, term_loc, term_id);
+                self.handle_ret(value, term_id);
             }
             Terminator::Unreachable => {
                 self.path_end();
@@ -1071,7 +1068,7 @@ impl<'a> Explorer<'a> {
                 block,
                 inst: b.insts.len(),
             };
-            self.assert_branch(p, taken, b.term_loc, term_id);
+            self.assert_branch(p, taken, term_id);
         }
         self.ws.work.push(Task::Enter(succ));
     }
@@ -1164,7 +1161,7 @@ impl<'a> Explorer<'a> {
         self.ws.frames = snap.frames;
     }
 
-    fn assert_branch(&mut self, p: PredDef, taken: bool, loc: Loc, inst_id: InstId) {
+    fn assert_branch(&mut self, p: PredDef, taken: bool, inst_id: InstId) {
         // Normalize the variable (if any) to the lhs.
         let (mut op, mut lhs, mut rhs) = (p.op, p.lhs, p.rhs);
         if lhs.as_var().is_none() && rhs.as_var().is_some() {
@@ -1196,18 +1193,17 @@ impl<'a> Explorer<'a> {
             lhs: lhs_key,
             rhs: rhs_key,
             lhs_is_pointer,
-            loc,
             inst_id,
         };
         let checkers = self.checkers;
-        self.track(loc, inst_id, |cx, _| {
+        self.track(inst_id, |cx, _| {
             for c in checkers {
                 c.on_branch(cx, &ev);
             }
         });
     }
 
-    fn handle_ret(&mut self, value: Option<Operand>, loc: Loc, inst_id: InstId) {
+    fn handle_ret(&mut self, value: Option<Operand>, inst_id: InstId) {
         // Frame-end events (memory-leak finalization).
         let ret_val_key = match value {
             Some(Operand::Var(v)) => Some(self.key_of(v)),
@@ -1217,11 +1213,10 @@ impl<'a> Explorer<'a> {
         let ev = FrameEndEvent {
             heap_objects: &frame_objects,
             ret_val_key,
-            loc,
             inst_id,
         };
         let checkers = self.checkers;
-        self.track(loc, inst_id, |cx, _| {
+        self.track(inst_id, |cx, _| {
             for c in checkers {
                 c.on_frame_end(cx, &ev);
             }
@@ -1234,7 +1229,7 @@ impl<'a> Explorer<'a> {
             self.note_use(v);
             // Reuse the Move shape so checkers treat it as a plain use.
             let kind = InstKind::Move { dst: v, src: v };
-            self.run_checkers_inst(&kind, loc, inst_id);
+            self.run_checkers_inst(&kind, inst_id);
         }
 
         let Some(ret) = self.top_frame().ret else {
@@ -1248,19 +1243,18 @@ impl<'a> Explorer<'a> {
         // remaining paths.
         let frame = self.ws.frames.pop().expect("frame");
         if let Some(dst) = ret.dst {
-            self.bind_value(dst, value, loc, inst_id);
+            self.bind_value(dst, value, inst_id);
             // Re-own heap objects transferred by `return p` (ML RETURNED →
             // SNF in the caller's frame).
             let dst_key = self.key_of(dst);
             let ml_id = crate::checkers::BugKind::MemoryLeak.id();
             if let Some(entry) = self.ws.states.get(ml_id, dst_key) {
                 if entry.state == ml::S_RETURNED {
-                    self.track(loc, inst_id, |cx, _| {
+                    self.track(inst_id, |cx, _| {
                         cx.transition(ml_id, dst_key, ml::S_NF, Some(entry))
                     });
                     self.push_heap(HeapObject {
                         key: dst_key,
-                        loc: entry.origin_loc,
                         inst_id: entry.origin_id,
                     });
                 }
@@ -1271,7 +1265,7 @@ impl<'a> Explorer<'a> {
     }
 
     /// Binds `value` into `dst` as the paper's return-MOVE (Fig. 6 line 20).
-    fn bind_value(&mut self, dst: VarId, value: Option<Operand>, loc: Loc, inst_id: InstId) {
+    fn bind_value(&mut self, dst: VarId, value: Option<Operand>, inst_id: InstId) {
         match value {
             Some(Operand::Var(src)) => {
                 self.na_clear_def(dst);
@@ -1296,7 +1290,7 @@ impl<'a> Explorer<'a> {
                 info.dst_key = Some(dk);
                 info.move_pair = Some((dk, sk));
                 let kind = InstKind::Move { dst, src };
-                self.run_checkers_inst(&kind, loc, inst_id);
+                self.run_checkers_inst(&kind, inst_id);
             }
             Some(Operand::Const(c)) => {
                 self.na_clear_def(dst);
@@ -1313,7 +1307,7 @@ impl<'a> Explorer<'a> {
                 self.ws.info.clear();
                 self.ws.info.dst_key = Some(key);
                 let kind = InstKind::Const { dst, value: c };
-                self.run_checkers_inst(&kind, loc, inst_id);
+                self.run_checkers_inst(&kind, inst_id);
             }
             None => {
                 // void return into a destination: havoc.
@@ -1332,10 +1326,9 @@ impl<'a> Explorer<'a> {
     /// Applies one instruction; returns whether it was a call the
     /// explorer inlined (see [`Explorer::apply_call`]).
     fn apply_inst(&mut self, inst_id: InstId, inst: &Inst) -> bool {
-        let loc = inst.loc;
         let alias = self.config.alias_mode == AliasMode::PathBased;
         if let InstKind::Call { dst, callee, args } = &inst.kind {
-            return self.apply_call(inst_id, loc, *dst, *callee, args, &inst.kind);
+            return self.apply_call(inst_id, *dst, *callee, args, &inst.kind);
         }
         // The step scratch is filled in place: `clear` keeps the
         // `use_keys`/`escape_keys` capacity, and nothing is moved.
@@ -1549,7 +1542,7 @@ impl<'a> Explorer<'a> {
                     TrackKey::Var(*dst)
                 };
                 self.ws.info.dst_key = Some(key);
-                self.push_heap(HeapObject { key, loc, inst_id });
+                self.push_heap(HeapObject { key, inst_id });
             }
             InstKind::Free { ptr } => {
                 self.ws.info.free_key = Some(self.note_use(*ptr));
@@ -1561,7 +1554,7 @@ impl<'a> Explorer<'a> {
                 self.ws.info.lock_key = Some(self.note_use(*obj));
             }
         }
-        self.run_checkers_inst(&inst.kind, loc, inst_id);
+        self.run_checkers_inst(&inst.kind, inst_id);
         false
     }
 
@@ -1571,7 +1564,6 @@ impl<'a> Explorer<'a> {
     fn apply_call(
         &mut self,
         inst_id: InstId,
-        loc: Loc,
         dst: Option<VarId>,
         callee: Callee,
         args: &[Operand],
@@ -1630,12 +1622,12 @@ impl<'a> Explorer<'a> {
             // Dispatch on the original instruction — no rebuilt `InstKind`
             // (the old path cloned the argument vector just to hand the
             // checkers a value identical to `kind`).
-            self.run_checkers_inst(kind, loc, inst_id);
+            self.run_checkers_inst(kind, inst_id);
             return false;
         };
 
         // Report uses (e.g. passing an uninitialized value) before binding.
-        self.run_checkers_inst(kind, loc, inst_id);
+        self.run_checkers_inst(kind, inst_id);
 
         // HandleCALL (Fig. 6): parameter passing is a sequence of MOVEs.
         // Borrowed straight from the module (its lifetime outlives `self`
@@ -1647,7 +1639,7 @@ impl<'a> Explorer<'a> {
                 .get(i)
                 .copied()
                 .unwrap_or(Operand::Const(ConstVal::Int(0)));
-            self.bind_value(param, Some(arg), loc, inst_id);
+            self.bind_value(param, Some(arg), inst_id);
         }
 
         let ret = RetSite {

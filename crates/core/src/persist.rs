@@ -17,7 +17,10 @@
 //!   exploration is deterministic, so the cached candidates are exactly
 //!   what re-exploring would produce. A record stores seven counters in
 //!   a fixed order (see `stored_counters`); the reader derives the other
-//!   three from the record itself;
+//!   three from the record itself. A candidate is its kind, its origin and
+//!   site instructions (function name, block, index), its constraints and
+//!   its alias paths: the module the instructions resolve against gives
+//!   their source lines;
 //! * the **validation cache** — stage-2 conjunction verdicts under their
 //!   canonical keys (α-equivalent constraint systems share one entry).
 //!
@@ -34,9 +37,11 @@
 //! (their values must still be well-formed).
 //!
 //! Loading is infallible by design: a missing file, malformed JSON, a
-//! torn last line, a schema-version bump, a configuration change, or a
-//! candidate that no longer resolves against the new module all degrade
-//! to a cold start (`None`), never an error. A full save goes through a
+//! torn last line, a schema-version bump or a configuration change all
+//! degrade to a cold start (`None`), never an error. A stored candidate
+//! that no longer resolves against the new module only marks its root
+//! dirty: that root re-explores, and every other clean root still
+//! replays its record. A full save goes through a
 //! temp file + rename, so a crashed writer leaves either the old store or
 //! the new one, not a truncated hybrid; an append that dies halfway
 //! leaves a last line without its newline, which loads as a cold start.
@@ -67,7 +72,6 @@ use pata_ir::{
 };
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -77,12 +81,14 @@ use std::sync::Arc;
 /// or meaning of the document; [`Store::parse`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
 ///
-/// Version 4 holds only what a restart cannot derive: the header is the
+/// Version 5 holds only what a restart cannot derive: the header is the
 /// version and the configuration fingerprint, the function database is
 /// one `{name: "fp hex"}` object, and a root record keeps seven counters
 /// in one array, its budget reason as `note` and its demotion reason as
-/// `demoted`, each written only when present.
-pub const STORE_SCHEMA_VERSION: u64 = 4;
+/// `demoted`, each written only when present. A candidate names its
+/// origin and site instructions and no source position: a reader takes
+/// the lines from the module it resolves the instructions against.
+pub const STORE_SCHEMA_VERSION: u64 = 5;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -788,13 +794,6 @@ impl ModuleFingerprints {
 // Stored candidates
 // --------------------------------------------------------------------
 
-/// One source location in module-independent form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StoredLoc {
-    pub(crate) file: String,
-    pub(crate) line: u32,
-}
-
 /// One instruction identity in module-independent form: function *name*
 /// plus block/instruction indices. Indices are stable for an unchanged
 /// function (the fingerprint covers the printed block structure), and a
@@ -807,7 +806,10 @@ pub(crate) struct StoredInst {
 }
 
 /// A [`PossibleBug`] detached from module-specific ids, so it can be
-/// replayed into a freshly compiled module. SMT symbol ids are kept
+/// replayed into a freshly compiled module. It names its two instructions
+/// only: their source lines are read from the module they resolve to
+/// ([`Module::loc_of`]), and an unchanged closure fingerprint means
+/// unchanged lines (the fingerprint hashes them). SMT symbol ids are kept
 /// verbatim: exploration is deterministic, so an unchanged root assigns
 /// the same `SymId`s it assigned when the bug was recorded. The
 /// constraints and alias paths are shared with the [`PossibleBug`]s it
@@ -816,9 +818,7 @@ pub(crate) struct StoredInst {
 pub(crate) struct StoredBug {
     pub(crate) kind: BugKind,
     pub(crate) origin: StoredInst,
-    pub(crate) origin_loc: StoredLoc,
     pub(crate) site: StoredInst,
-    pub(crate) site_loc: StoredLoc,
     pub(crate) constraints: Arc<[Constraint]>,
     pub(crate) extra: Arc<[Constraint]>,
     pub(crate) alias_paths: Arc<[String]>,
@@ -831,32 +831,20 @@ impl StoredBug {
             block: id.block.index(),
             inst: id.inst,
         };
-        let loc = |l: Loc| StoredLoc {
-            file: module.file(l.file).name.clone(),
-            line: l.line,
-        };
         StoredBug {
             kind: bug.kind,
             origin: inst(bug.origin_id),
-            origin_loc: loc(bug.origin_loc),
             site: inst(bug.site_id),
-            site_loc: loc(bug.site_loc),
             constraints: Arc::clone(&bug.constraints),
             extra: Arc::clone(&bug.extra),
             alias_paths: Arc::clone(&bug.alias_paths),
         }
     }
 
-    /// Re-binds the bug to `module`, whose files `file_ids` maps by name
-    /// (see [`file_ids`]). `None` when a function or file named in the
+    /// Re-binds the bug to `module`. `None` when a function named in the
     /// record no longer exists or an index is out of range — the caller
     /// then treats the whole root as dirty.
-    pub(crate) fn resolve(
-        &self,
-        module: &Module,
-        file_ids: &HashMap<&str, FileId>,
-        root: FuncId,
-    ) -> Option<PossibleBug> {
+    pub(crate) fn resolve(&self, module: &Module, root: FuncId) -> Option<PossibleBug> {
         let inst = |s: &StoredInst| -> Option<InstId> {
             let func = module.function_by_name(&s.func)?;
             let blocks = module.function(func).blocks();
@@ -871,14 +859,9 @@ impl StoredBug {
                 inst: s.inst,
             })
         };
-        let loc = |s: &StoredLoc| -> Option<Loc> {
-            Some(Loc::new(*file_ids.get(s.file.as_str())?, s.line))
-        };
         Some(PossibleBug {
             kind: self.kind,
-            origin_loc: loc(&self.origin_loc)?,
             origin_id: inst(&self.origin)?,
-            site_loc: loc(&self.site_loc)?,
             site_id: inst(&self.site)?,
             constraints: Arc::clone(&self.constraints),
             extra: Arc::clone(&self.extra),
@@ -886,17 +869,6 @@ impl StoredBug {
             root,
         })
     }
-}
-
-/// Maps each file name of `module` to its id (the first, should a name
-/// repeat) — built once per request for [`StoredBug::resolve`].
-pub(crate) fn file_ids(module: &Module) -> HashMap<&str, FileId> {
-    let mut ids = HashMap::with_capacity(module.files().len());
-    for (i, f) in module.files().iter().enumerate() {
-        ids.entry(f.name.as_str())
-            .or_insert_with(|| FileId::from_index(i));
-    }
-    ids
 }
 
 /// One root's persisted exploration result.
@@ -1482,21 +1454,12 @@ fn write_bug(out: &mut String, b: &StoredBug) {
         quote_into(out, &s.func);
         let _ = write!(out, ", \"block\": {}, \"inst\": {}}}", s.block, s.inst);
     };
-    let loc = |out: &mut String, l: &StoredLoc| {
-        out.push_str("{\"file\": ");
-        quote_into(out, &l.file);
-        let _ = write!(out, ", \"line\": {}}}", l.line);
-    };
     out.push_str("{\"kind\": ");
     quote_into(out, b.kind.as_str());
     out.push_str(", \"origin\": ");
     inst(out, &b.origin);
-    out.push_str(", \"origin_loc\": ");
-    loc(out, &b.origin_loc);
     out.push_str(", \"site\": ");
     inst(out, &b.site);
-    out.push_str(", \"site_loc\": ");
-    loc(out, &b.site_loc);
     out.push_str(", \"constraints\": [");
     write_list(out, b.constraints.iter(), write_constraint);
     out.push_str("], \"extra\": [");
@@ -1509,9 +1472,7 @@ fn write_bug(out: &mut String, b: &StoredBug) {
 fn read_bug(r: &mut Reader) -> Option<StoredBug> {
     let mut kind = None;
     let mut origin = None;
-    let mut origin_loc = None;
     let mut site = None;
-    let mut site_loc = None;
     let mut constraints = None;
     let mut extra = None;
     let mut alias_paths = None;
@@ -1519,9 +1480,7 @@ fn read_bug(r: &mut Reader) -> Option<StoredBug> {
         match &*key {
             "kind" if kind.is_none() => kind = Some(BugKind::parse(&read(r.str())?)?),
             "origin" if origin.is_none() => origin = Some(read_inst(r)?),
-            "origin_loc" if origin_loc.is_none() => origin_loc = Some(read_loc(r)?),
             "site" if site.is_none() => site = Some(read_inst(r)?),
-            "site_loc" if site_loc.is_none() => site_loc = Some(read_loc(r)?),
             "constraints" if constraints.is_none() => {
                 constraints = Some(read_list(r, read_constraint)?);
             }
@@ -1536,9 +1495,7 @@ fn read_bug(r: &mut Reader) -> Option<StoredBug> {
     Some(StoredBug {
         kind: kind?,
         origin: origin?,
-        origin_loc: origin_loc?,
         site: site?,
-        site_loc: site_loc?,
         constraints: constraints?.into(),
         extra: extra?.into(),
         alias_paths: alias_paths?.into(),
@@ -1560,22 +1517,6 @@ fn read_inst(r: &mut Reader) -> Option<StoredInst> {
         func: func?,
         block: block?,
         inst: inst?,
-    })
-}
-
-fn read_loc(r: &mut Reader) -> Option<StoredLoc> {
-    let (mut file, mut line) = (None, None);
-    each_field(r, |r, key| {
-        match &*key {
-            "file" if file.is_none() => file = Some(read(r.str())?.into_owned()),
-            "line" if line.is_none() => line = Some(u32::try_from(read(r.int())?).ok()?),
-            _ => r.skip_value().ok()?,
-        }
-        Some(())
-    })?;
-    Some(StoredLoc {
-        file: file?,
-        line: line?,
     })
 }
 
@@ -1794,18 +1735,10 @@ mod tests {
                         block: 0,
                         inst: 2,
                     },
-                    origin_loc: StoredLoc {
-                        file: "a.c".into(),
-                        line: 10,
-                    },
                     site: StoredInst {
                         func: "helper".into(),
                         block: 1,
                         inst: 0,
-                    },
-                    site_loc: StoredLoc {
-                        file: "a.c".into(),
-                        line: 14,
                     },
                     constraints: Arc::new([sample_constraint()]),
                     extra: Arc::new([]),
@@ -1943,13 +1876,12 @@ mod tests {
         store.roots[0].candidates[0].alias_paths =
             Arc::new(["probe:p".into(), "q\"\\\n\t\u{1}\u{e9}".into()]);
         let expected = concat!(
-            r#"{"schema_version": 4, "config_fingerprint": "0000000000000007", "#,
+            r#"{"schema_version": 5, "config_fingerprint": "0000000000000007", "#,
             r#""functions": {"helper": "000000000000002a", "probe": "00000000deadbeef"}, "#,
             r#""roots": [{"root": "probe", "closure_fp": "0000000000001234", "#,
             r#""candidates": [{"kind": "null-pointer-dereference", "origin": {"func": "probe", "#,
-            r#""block": 0, "inst": 2}, "origin_loc": {"file": "a.c", "line": 10}, "#,
-            r#""site": {"func": "helper", "block": 1, "inst": 0}, "site_loc": {"file": "a.c", "#,
-            r#""line": 14}, "constraints": [{"op": "<=", "l": {"o": "neg", "a": {"o": "+", "#,
+            r#""block": 0, "inst": 2}, "site": {"func": "helper", "block": 1, "inst": 0}, "#,
+            r#""constraints": [{"op": "<=", "l": {"o": "neg", "a": {"o": "+", "#,
             r#""a": {"s": 3}, "b": {"c": -2}}}, "r": {"o": "*", "a": {"o": "shr", "a": {"s": 1}, "#,
             r#""b": {"c": 4}}, "b": {"o": "-", "a": {"s": 0}, "b": {"c": 7}}}}], "extra": [], "#,
             r#""alias_paths": ["probe:p", "q\"\\\n\t\u0001é"]}], "stats": [9, 100, 0, 0, 0, 0, 5], "#,
@@ -1958,6 +1890,42 @@ mod tests {
             r#""verdict": "unknown"}]}"#,
         );
         assert_eq!(store.to_json(), expected);
+    }
+
+    /// The term writer recurses once per term level, and the reader bounds
+    /// that depth: a stored term nests only as deep as
+    /// [`crate::json::MAX_DEPTH`] leaves room for below the objects and
+    /// arrays around it. A term at that depth loads, survives a full
+    /// rewrite and reloads equal; one level more is a cold start.
+    #[test]
+    fn the_deepest_storable_term_survives_a_full_rewrite() {
+        // The levels around a constraint's terms: the document, `roots`,
+        // the record, `candidates`, the candidate, `constraints` and the
+        // constraint.
+        const AROUND: u32 = 7;
+        let with_term_levels = |levels: u32| {
+            let mut store = sample_store();
+            let term = (1..levels).fold(Term::sym(SymId(0)), |t, _| t.neg());
+            let deep = Constraint::new(CmpOp::Eq, term, Term::int(0));
+            store.roots[0].candidates[0].constraints = Arc::new([deep]);
+            store
+        };
+        let dir = std::env::temp_dir().join(format!("pata-deep-term-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+
+        let deepest = with_term_levels(crate::json::MAX_DEPTH - AROUND);
+        let loaded = Store::parse(&deepest.to_json(), CONFIG_FP).expect("loads warm");
+        assert_eq!(loaded, deepest);
+        loaded.save(&path).unwrap();
+        let (reloaded, _) = Store::load(&path, CONFIG_FP).expect("reloads warm");
+        assert_eq!(reloaded, deepest);
+
+        let deeper = with_term_levels(crate::json::MAX_DEPTH - AROUND + 1);
+        deeper.save(&path).unwrap();
+        assert!(Store::load(&path, CONFIG_FP).is_none(), "one level more");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The store crash-safety matrix. A save killed at any crash point of

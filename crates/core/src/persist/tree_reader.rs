@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::json::JsonValue;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A store while the oracle reads it: the function database as a map.
 struct TreeStore {
@@ -169,12 +169,6 @@ fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
             inst: usize::try_from(v.get("inst")?.as_u64()?).ok()?,
         })
     };
-    let loc = |v: &JsonValue| -> Option<StoredLoc> {
-        Some(StoredLoc {
-            file: v.get("file")?.as_str()?.to_owned(),
-            line: u32::try_from(v.get("line")?.as_u64()?).ok()?,
-        })
-    };
     let constraints = |name: &str| -> Option<Arc<[Constraint]>> {
         v.get(name)?
             .as_array()?
@@ -191,9 +185,7 @@ fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
     Some(StoredBug {
         kind: BugKind::parse(v.get("kind")?.as_str()?)?,
         origin: inst(v.get("origin")?)?,
-        origin_loc: loc(v.get("origin_loc")?)?,
         site: inst(v.get("site")?)?,
-        site_loc: loc(v.get("site_loc")?)?,
         constraints: constraints("constraints")?,
         extra: constraints("extra")?,
         alias_paths,

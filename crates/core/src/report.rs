@@ -1,7 +1,7 @@
 //! Bug candidates and final reports.
 
 use crate::checkers::BugKind;
-use pata_ir::{Category, FuncId, InstId, Loc, Module};
+use pata_ir::{Category, FuncId, InstId, Module};
 use std::fmt;
 use std::sync::Arc;
 
@@ -13,13 +13,11 @@ use std::sync::Arc;
 pub struct PossibleBug {
     /// Bug type.
     pub kind: BugKind,
-    /// Where the offending state was established (e.g. the null check).
-    pub origin_loc: Loc,
-    /// Establishing instruction (dedup key component).
+    /// The instruction that established the offending state (e.g. the
+    /// null check); a dedup key component.
     pub origin_id: InstId,
-    /// Where the bug manifests (e.g. the dereference).
-    pub site_loc: Loc,
-    /// Manifesting instruction (dedup key component).
+    /// The instruction where the bug manifests (e.g. the dereference); a
+    /// dedup key component.
     pub site_id: InstId,
     /// The path constraints collected up to the manifestation site
     /// (Table 3 translation with one symbol per alias set).
@@ -64,9 +62,12 @@ pub struct BugReport {
 }
 
 impl BugReport {
-    /// Builds a report from a validated candidate.
+    /// Builds a report from a validated candidate, reading both lines
+    /// from `module` ([`Module::loc_of`]).
     pub fn from_possible(bug: &PossibleBug, module: &Module) -> Self {
         let func = module.function(bug.site_id.func);
+        let origin_line = module.loc_of(bug.origin_id).line;
+        let site_line = module.loc_of(bug.site_id).line;
         let file = module.file(func.file()).name.clone();
         let kind = bug.kind;
         let alias_note = if bug.alias_paths.is_empty() {
@@ -78,16 +79,16 @@ impl BugReport {
             "{} in `{}`: state established at line {} triggers at line {}{}",
             kind.describe(),
             func.name(),
-            bug.origin_loc.line,
-            bug.site_loc.line,
+            origin_line,
+            site_line,
             alias_note
         );
         BugReport {
             kind,
             file,
             function: func.name().to_owned(),
-            origin_line: bug.origin_loc.line,
-            site_line: bug.site_loc.line,
+            origin_line,
+            site_line,
             category: func.category(),
             alias_paths: bug.alias_paths.to_vec(),
             message,
@@ -457,9 +458,7 @@ mod tests {
     fn dedup_key_ignores_path() {
         let a = PossibleBug {
             kind: BugKind::NullPointerDeref,
-            origin_loc: Loc::default(),
             origin_id: inst_id(0, 1),
-            site_loc: Loc::default(),
             site_id: inst_id(0, 5),
             constraints: Arc::new([]),
             extra: Arc::new([]),

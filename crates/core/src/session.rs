@@ -32,8 +32,8 @@ use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
 use crate::filter::{self, KeptGroups, RootCandidates};
 use crate::persist::{
-    self, config_fingerprint, ModuleFingerprints, Store, StoreDelta, StoreDoc, StoreFile,
-    StoredBug, StoredRoot,
+    config_fingerprint, ModuleFingerprints, Store, StoreDelta, StoreDoc, StoreFile, StoredBug,
+    StoredRoot,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
@@ -788,10 +788,6 @@ impl AnalysisSession {
                 .collect(),
             None => prev_roots.iter().map(|_| None).collect(),
         };
-        let file_ids = match bound {
-            Some(_) => HashMap::new(),
-            None => persist::file_ids(module),
-        };
         let plans: Vec<Option<usize>> = roots
             .iter()
             .zip(&closures)
@@ -802,7 +798,7 @@ impl AnalysisSession {
                     let resolved: Option<Vec<PossibleBug>> = prev_roots[at]
                         .candidates
                         .iter()
-                        .map(|b| b.resolve(module, &file_ids, root))
+                        .map(|b| b.resolve(module, root))
                         .collect();
                     prev_candidates[at] = Some(resolved?);
                 }

@@ -13,7 +13,7 @@ use crate::config::AliasMode;
 use crate::fingerprint::FxHashMap;
 use crate::report::PossibleBug;
 use crate::stats::AnalysisStats;
-use pata_ir::{InstId, Loc, VarId};
+use pata_ir::{InstId, VarId};
 
 /// What a typestate (or SMT symbol) is attached to.
 ///
@@ -37,9 +37,8 @@ pub type StateVal = u8;
 pub struct StateEntry {
     /// The checker-specific state value.
     pub state: StateVal,
-    /// Where the state was established (e.g. the `if (!p)` branch).
-    pub origin_loc: Loc,
-    /// The instruction that established the state.
+    /// The instruction that established the state (e.g. the `if (!p)`
+    /// branch).
     pub origin_id: InstId,
 }
 
@@ -327,8 +326,6 @@ pub struct BranchEvent {
     pub rhs: OperandKey,
     /// Whether the left/right operand has pointer type (for null tests).
     pub lhs_is_pointer: bool,
-    /// Location of the branch.
-    pub loc: Loc,
     /// Identity of the branch terminator.
     pub inst_id: InstId,
 }
@@ -399,8 +396,6 @@ impl UpdateInfo {
 pub struct HeapObject {
     /// Key the `malloc` event targeted.
     pub key: TrackKey,
-    /// Allocation site.
-    pub loc: Loc,
     /// Allocation instruction.
     pub inst_id: InstId,
 }
@@ -412,8 +407,6 @@ pub struct FrameEndEvent<'a> {
     pub heap_objects: &'a [HeapObject],
     /// Key of the returned value, if the function returns a variable.
     pub ret_val_key: Option<TrackKey>,
-    /// Location of the `return`.
-    pub loc: Loc,
     /// Identity of the return terminator.
     pub inst_id: InstId,
 }
@@ -431,8 +424,6 @@ pub struct TrackCtx<'a> {
     /// Size of the alias set behind a key (1 in PATA-NA mode) — used for
     /// the paper's alias-aware vs. unaware typestate accounting (Table 5).
     pub set_size: &'a dyn Fn(TrackKey) -> usize,
-    /// Location of the instruction being tracked.
-    pub loc: Loc,
     /// Identity of the instruction being tracked.
     pub inst_id: InstId,
 }
@@ -457,7 +448,6 @@ impl TrackCtx<'_> {
             Some(o) => StateEntry { state, ..o },
             None => StateEntry {
                 state,
-                origin_loc: self.loc,
                 origin_id: self.inst_id,
             },
         };
@@ -493,9 +483,7 @@ impl TrackCtx<'_> {
         self.bugs.push(PendingBug {
             kind,
             key: Some(key),
-            origin_loc: origin.origin_loc,
             origin_id: origin.origin_id,
-            site_loc: self.loc,
             site_id: self.inst_id,
             extra,
         });
@@ -506,9 +494,7 @@ impl TrackCtx<'_> {
         self.bugs.push(PendingBug {
             kind,
             key: None,
-            origin_loc: self.loc,
             origin_id: self.inst_id,
-            site_loc: self.loc,
             site_id: self.inst_id,
             extra,
         });
@@ -524,12 +510,8 @@ pub struct PendingBug {
     pub kind: BugKind,
     /// The alias set (or variable) the bug is about, for report rendering.
     pub key: Option<TrackKey>,
-    /// Where the offending state was established.
-    pub origin_loc: Loc,
     /// Establishing instruction.
     pub origin_id: InstId,
-    /// Where the bug manifests.
-    pub site_loc: Loc,
     /// Manifesting instruction.
     pub site_id: InstId,
     /// Additional bug-condition constraints (e.g. `divisor == 0`).
@@ -547,9 +529,7 @@ impl PendingBug {
     ) -> PossibleBug {
         PossibleBug {
             kind: self.kind,
-            origin_loc: self.origin_loc,
             origin_id: self.origin_id,
-            site_loc: self.site_loc,
             site_id: self.site_id,
             constraints: constraints.into(),
             extra: self.extra.into(),
@@ -590,7 +570,6 @@ pub(crate) mod tests {
     fn entry(state: StateVal) -> StateEntry {
         StateEntry {
             state,
-            origin_loc: Loc::default(),
             origin_id: InstId {
                 func: pata_ir::FuncId::from_index(0),
                 block: pata_ir::BlockId::from_index(0),

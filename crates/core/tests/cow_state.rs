@@ -161,12 +161,12 @@ fn fork_telemetry_of_a_fixed_root_is_pinned() {
         (
             "default",
             default,
-            [(2, 128, 14552, 104, 7276), (2, 14552, 0, 104, 7276)],
+            [(2, 128, 13272, 104, 6636), (2, 13272, 0, 104, 6636)],
         ),
         (
             "na, all checkers",
             na_all,
-            [(2, 128, 26080, 149, 13040), (2, 26080, 0, 149, 13040)],
+            [(2, 128, 22688, 149, 11344), (2, 22688, 0, 149, 11344)],
         ),
     ];
     for (name, builder, want) in pinned {

@@ -547,6 +547,49 @@ fn schema_three_store_is_a_clean_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store schema 4 wrote (each candidate with an `origin_loc` and a
+/// `site_loc` object) is a clean cold start, and is replaced: the reader
+/// would skip the two keys, so only the version refuses it.
+#[test]
+fn schema_four_store_is_a_clean_cold_start() {
+    let dir = tempdir("schema-four");
+    let store = dir.join("store.json");
+    let cold = run(&store, 1, CORPUS);
+    let text = std::fs::read_to_string(&store).unwrap();
+    let loc = "{\"file\": \"drivers/net.c\", \"line\": 4}";
+    let parent = text
+        .replace(
+            &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
+            "\"schema_version\": 4",
+        )
+        .replace(
+            ", \"site\": ",
+            &format!(", \"origin_loc\": {loc}, \"site\": "),
+        )
+        .replace(
+            ", \"constraints\": ",
+            &format!(", \"site_loc\": {loc}, \"constraints\": "),
+        );
+    assert!(parent.contains("\"origin_loc\"") && parent.contains("\"site_loc\""));
+    std::fs::write(&store, &parent).unwrap();
+    let out = run(&store, 1, CORPUS);
+    assert!(!out.incremental.warm_start);
+    assert_eq!(out.report.to_json(), cold.report.to_json());
+    assert_eq!(std::fs::read_to_string(&store).unwrap(), text, "rewritten");
+
+    // The same records under the current version load warm.
+    let current = parent.replace(
+        "\"schema_version\": 4",
+        &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
+    );
+    std::fs::write(&store, &current).unwrap();
+    let out = run(&store, 1, CORPUS);
+    assert!(out.incremental.warm_start);
+    assert_eq!(out.incremental.dirty_roots, 0);
+    assert_eq!(out.report.to_json(), cold.report.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A root with one `NULL` check and six branches before the dereference:
 /// 128 paths reach the dereference, the explorer keeps four candidates of
 /// the bug and drops the other 60 as repeated.

@@ -5,6 +5,7 @@
 //! definition and source-file record, plus the identifier interner.
 
 use crate::function::{Function, VarId, VarInfo, VarKind};
+use crate::inst::{InstId, Loc};
 use crate::intern::{Interner, Symbol};
 use crate::types::Type;
 use std::collections::HashMap;
@@ -344,6 +345,23 @@ impl Module {
         &mut self.functions[id.index()]
     }
 
+    /// The source position of an instruction: its own `loc`, or the
+    /// block's `term_loc` for the terminator (`inst == insts.len()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` names no instruction of this module.
+    pub fn loc_of(&self, id: InstId) -> Loc {
+        let block = self.function(id.func).block(id.block);
+        match block.insts.get(id.inst) {
+            Some(inst) => inst.loc,
+            None => {
+                assert_eq!(id.inst, block.insts.len(), "instruction {id} out of range");
+                block.term_loc
+            }
+        }
+    }
+
     /// Looks up a function by name.
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
         self.func_by_name.get(name).copied()
@@ -492,6 +510,22 @@ mod tests {
             b.ret(Some(crate::Operand::Var(p)), 3);
             b.finish();
         }
+    }
+
+    #[test]
+    fn loc_of_reads_instructions_and_terminators() {
+        let mut m = Module::new();
+        three_functions(&mut m, 2);
+        let f1 = m.function_by_name("f1").unwrap();
+        let entry = m.function(f1).entry();
+        let at = |inst| InstId {
+            func: f1,
+            block: entry,
+            inst,
+        };
+        let lines: Vec<u32> = (0..=4).map(|i| m.loc_of(at(i)).line).collect();
+        assert_eq!(lines, [1, 2, 1, 2, 3]);
+        assert_eq!(m.loc_of(at(4)).file, m.function(f1).file());
     }
 
     #[test]

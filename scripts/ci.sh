@@ -315,19 +315,25 @@ echo "== store restart keeps --stats"
 # cache line (the restart starts with the stored verdicts) and the
 # incremental line. Beside the fault corpus, the heavy root drops repeated
 # candidates during exploration: only its stored record carries them.
+# Both runs' --json reports must be byte-identical too: a restart reads
+# each finding's lines from the module, not from the store.
 restart_stats() {
     cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" \
-        "$tmp_dir/ci_heavy.c" --stats --store "$tmp_dir/restart-store.json" \
-        2>&1 >/dev/null \
+        "$tmp_dir/ci_heavy.c" --json --stats --store "$tmp_dir/restart-store.json" \
+        2>&1 >"$tmp_dir/restart-$1.json" \
         | sed -e 's/time: [^ ]*//' -e '/^validation cache hits/d' \
             -e '/^roots dirty\/clean/d'
 }
-restart_cold=$(restart_stats)
-restart_warm=$(restart_stats)
+restart_cold=$(restart_stats cold)
+restart_warm=$(restart_stats warm)
 [ "$restart_cold" = "$restart_warm" ] \
     || { echo "store restart: --stats differ after the restart"; \
          echo "cold: $restart_cold"; echo "restart: $restart_warm"; exit 1; }
-echo "store restart OK: same --stats; store $(wc -c < "$tmp_dir/restart-store.json") bytes (not gated)"
+grep -q '"site_line"' "$tmp_dir/restart-cold.json" \
+    || { echo "store restart: the cold run must report a finding"; exit 1; }
+cmp "$tmp_dir/restart-cold.json" "$tmp_dir/restart-warm.json" \
+    || { echo "store restart: --json differs after the restart"; exit 1; }
+echo "store restart OK: same --stats and --json; store $(wc -c < "$tmp_dir/restart-store.json") bytes (not gated)"
 
 echo "== deep-input smoke (long paths must not overflow the stack)"
 # Stage 1 walks a path on an explicit work stack: a root with 3,000
