@@ -103,6 +103,7 @@ pub(crate) fn filter_roots<'c>(
             #[cfg(test)]
             {
                 kept.replayed = 0;
+                kept.rendered = 0;
             }
             std::mem::take(&mut kept.groups)
         }
@@ -137,15 +138,15 @@ pub(crate) fn filter_roots<'c>(
         let Some(kept) = kept.as_deref_mut() else {
             continue;
         };
-        let members = match replay {
+        let (members, json) = match replay {
             Some(replay) => {
                 #[cfg(test)]
                 {
                     kept.replayed += 1;
                 }
-                replay.members
+                (replay.members, replay.json)
             }
-            None => group.members.iter().map(member_id).collect(),
+            None => (group.members.iter().map(member_id).collect(), None),
         };
         kept.groups.insert(
             group.key,
@@ -153,6 +154,7 @@ pub(crate) fn filter_roots<'c>(
                 members,
                 calls,
                 reported,
+                json,
             },
         );
     }
@@ -169,7 +171,7 @@ pub(crate) struct RootCandidates<'c> {
 }
 
 /// A P3 group's identity: its problematic-instruction pair.
-type GroupKey = (BugKind, InstId, InstId);
+pub(crate) type GroupKey = (BugKind, InstId, InstId);
 
 /// A group member: the index of its root in the stream and of the
 /// candidate among that root's.
@@ -365,6 +367,10 @@ struct KeptGroup {
     calls: usize,
     /// Whether it was reported; a false bug otherwise.
     reported: bool,
+    /// A reported group's finding as the serve path last rendered it (see
+    /// [`KeptGroups::fragment`]). A replayed group keeps it; any other
+    /// group starts without one.
+    json: Option<Box<str>>,
 }
 
 /// The P3 groups of a session's previous request, by problematic
@@ -376,6 +382,24 @@ pub(crate) struct KeptGroups {
     /// How many groups the last [`filter_roots`] replayed and kept again.
     #[cfg(test)]
     pub(crate) replayed: usize,
+    /// How many fragments the serve path rendered anew since the last
+    /// [`filter_roots`].
+    #[cfg(test)]
+    pub(crate) rendered: usize,
+}
+
+impl KeptGroups {
+    /// The rendered finding of the reported group `key` of the last
+    /// [`filter_roots`]. Whoever writes it keeps it true of the module:
+    /// the same witness renders the same object until its site or origin
+    /// function is lowered again.
+    pub(crate) fn fragment(&mut self, key: GroupKey) -> &mut Option<Box<str>> {
+        &mut self
+            .groups
+            .get_mut(&key)
+            .expect("a reported group is kept")
+            .json
+    }
 }
 
 /// A kept group in comparable form (see [`KeptGroups::dump`]).

@@ -7,7 +7,8 @@
 //! escape/format helpers. The reader side is one pull reader, [`Reader`],
 //! which walks a document value by value without building anything; the
 //! [`JsonValue`] tree is one client of it, and the on-disk analysis store
-//! reads straight into its own types through it.
+//! and the serve loop's request frames read straight into their own types
+//! through it.
 //!
 //! Numbers are split into [`JsonValue::Int`] (when the literal is an
 //! integer that fits `i64`) and [`JsonValue::Float`] (everything else).
@@ -34,8 +35,11 @@
 //! * **Strings.** Raw characters U+0000 to U+001F (a tab, U+0001) stand for
 //!   themselves: only `"` and `\` are special inside a string. A `\u`
 //!   escape reads its four bytes as a hexadecimal number that may carry
-//!   a leading `+` (`\u+041` is `A`). A `\u` escape of a surrogate reads
-//!   as U+FFFD: surrogate pairs are not combined.
+//!   a leading `+` (`\u+041` is `A`). A `\u` escape of a high surrogate
+//!   directly followed by one of a low surrogate reads as the one
+//!   character the pair encodes (`\uD83D\uDE00` is U+1F600), as RFC 8259
+//!   writes characters outside the Basic Multilingual Plane; any other
+//!   surrogate escape, a lone one, reads as U+FFFD.
 //!
 //! Whitespace, the literals `true`, `false` and `null`, arrays, objects and
 //! the other escapes are RFC 8259's. An object may repeat a key: the tree
@@ -392,7 +396,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The byte at the cursor: the first byte of the next value when one
+    /// is due.
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -450,36 +456,90 @@ impl<'a> Reader<'a> {
                 return Err(self.err("unterminated string"));
             };
             out.push_str(&self.text[self.pos..end]);
-            self.pos = end + 1;
             if self.bytes[end] == b'"' {
+                self.pos = end + 1;
                 return Ok(Cow::Owned(out));
             }
-            match self.peek() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b't') => out.push('\t'),
-                Some(b'r') => out.push('\r'),
-                Some(b'b') => out.push('\u{8}'),
-                Some(b'f') => out.push('\u{c}'),
-                Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| self.err("truncated \\u escape"))?;
-                    let hex =
-                        std::str::from_utf8(hex).map_err(|_| self.err("non-ASCII \\u escape"))?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-                    // Surrogates are not paired; the writer never emits
-                    // them (it escapes only control chars).
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    self.pos += 4;
+            let (c, next) = escape_at(self.bytes, end).map_err(|(pos, message)| JsonError {
+                pos,
+                message: message.to_owned(),
+            })?;
+            out.push(c);
+            self.pos = next;
+        }
+    }
+
+    /// Consumes the next value and returns `true` when it is a string that
+    /// decodes to `want`; otherwise leaves the cursor where it was and
+    /// returns `false`. The string is compared in its escaped form: each
+    /// byte between escapes against the same byte of `want`, eight at a
+    /// time, and each escape against `want`'s next char, as
+    /// [`Reader::str`] would decode it. So a string that matches is
+    /// validated but never decoded, and one that differs or is malformed
+    /// is left for [`Reader::str`] to decode or to report.
+    pub(crate) fn string_is(&mut self, want: &str) -> bool {
+        const QUOTES: u64 = LO * b'"' as u64;
+        const BACKSLASHES: u64 = LO * b'\\' as u64;
+        if self.peek() != Some(b'"') {
+            return false;
+        }
+        let (bytes, want) = (self.bytes, want.as_bytes());
+        let (mut at, mut w) = (self.pos + 1, 0);
+        loop {
+            // Step over bytes that equal `want`'s and are neither `"` nor
+            // `\`, a word at a time, up to the first byte that is.
+            while let (Some(a), Some(b)) = (bytes.get(at..at + 8), want.get(w..w + 8)) {
+                let a = u64::from_le_bytes(a.try_into().expect("an 8-byte chunk"));
+                let b = u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
+                let stop = (a ^ b) | zero_bytes(a ^ QUOTES) | zero_bytes(a ^ BACKSLASHES);
+                if stop != 0 {
+                    let n = (stop.trailing_zeros() / 8) as usize;
+                    at += n;
+                    w += n;
+                    break;
                 }
-                _ => return Err(self.err("bad escape sequence")),
+                at += 8;
+                w += 8;
             }
-            self.pos += 1;
+            let decoded = match bytes.get(at) {
+                None => return false,
+                Some(b'"') => {
+                    if w != want.len() {
+                        return false;
+                    }
+                    self.pos = at + 1;
+                    return true;
+                }
+                Some(b'\\') => match bytes.get(at + 1) {
+                    Some(b'u') => {
+                        let Ok((c, next)) = escape_at(bytes, at) else {
+                            return false;
+                        };
+                        let mut buf = [0; 4];
+                        let c = c.encode_utf8(&mut buf).as_bytes();
+                        if want.get(w..w + c.len()) != Some(c) {
+                            return false;
+                        }
+                        w += c.len();
+                        at = next;
+                        continue;
+                    }
+                    Some(&e) => {
+                        let Some(d) = simple_escape(e) else {
+                            return false;
+                        };
+                        at += 1;
+                        d as u8
+                    }
+                    None => return false,
+                },
+                Some(&b) => b,
+            };
+            if want.get(w) != Some(&decoded) {
+                return false;
+            }
+            at += 1;
+            w += 1;
         }
     }
 
@@ -531,6 +591,62 @@ impl<'a> Reader<'a> {
             .map(Number::Float)
             .map_err(|_| self.err("bad number literal"))
     }
+}
+
+/// Decodes the escape whose `\` is at `at`: the char it stands for and
+/// where the input goes on after it. A `\u` escape of a high surrogate
+/// followed by one of a low surrogate is the char the pair encodes; any
+/// other surrogate is U+FFFD. An error carries its position (the byte
+/// after the `\`) and message.
+fn escape_at(bytes: &[u8], at: usize) -> Result<(char, usize), (usize, &'static str)> {
+    let e = bytes.get(at + 1).copied();
+    if let Some(c) = e.and_then(simple_escape) {
+        return Ok((c, at + 2));
+    }
+    match e {
+        Some(b'u') => {
+            let code = hex_escape(bytes, at)?;
+            if (0xd800..0xdc00).contains(&code) && bytes.get(at + 6) == Some(&b'\\') {
+                if let Ok(low @ 0xdc00..=0xdfff) = hex_escape(bytes, at + 6) {
+                    let pair = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                    let c = char::from_u32(pair).expect("a surrogate pair encodes a char");
+                    return Ok((c, at + 12));
+                }
+            }
+            Ok((char::from_u32(code).unwrap_or('\u{fffd}'), at + 6))
+        }
+        _ => Err((at + 1, "bad escape sequence")),
+    }
+}
+
+/// The char a one-letter escape `\e` stands for.
+fn simple_escape(e: u8) -> Option<char> {
+    Some(match e {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'n' => '\n',
+        b't' => '\t',
+        b'r' => '\r',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        _ => return None,
+    })
+}
+
+/// The code unit of the `\u` escape whose `\` is at `at`: four bytes
+/// read as a hexadecimal number (a leading `+` included, as
+/// `u32::from_str_radix` reads it).
+fn hex_escape(bytes: &[u8], at: usize) -> Result<u32, (usize, &'static str)> {
+    let err = |message| (at + 1, message);
+    if bytes.get(at + 1) != Some(&b'u') {
+        return Err(err("bad escape sequence"));
+    }
+    let hex = bytes
+        .get(at + 2..at + 6)
+        .ok_or_else(|| err("truncated \\u escape"))?;
+    let hex = std::str::from_utf8(hex).map_err(|_| err("non-ASCII \\u escape"))?;
+    u32::from_str_radix(hex, 16).map_err(|_| err("bad \\u escape"))
 }
 
 // --------------------------------------------------------------------
@@ -733,16 +849,26 @@ mod tests {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = p
-                                .bytes
-                                .get(p.pos + 1..p.pos + 5)
-                                .ok_or_else(|| p.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| p.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| p.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = reference_hex(p)?;
                             p.pos += 4;
+                            let escape_follows = (0xd800..0xdc00).contains(&code)
+                                && p.bytes.get(p.pos + 1) == Some(&b'\\')
+                                && p.bytes.get(p.pos + 2) == Some(&b'u');
+                            let mut pair = None;
+                            if escape_follows {
+                                let back = p.pos;
+                                p.pos += 2;
+                                match reference_hex(p) {
+                                    Ok(low @ 0xdc00..=0xdfff) => {
+                                        p.pos += 4;
+                                        pair = char::from_u32(
+                                            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00),
+                                        );
+                                    }
+                                    _ => p.pos = back,
+                                }
+                            }
+                            out.push(pair.or(char::from_u32(code)).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(p.err("bad escape sequence")),
                     }
@@ -755,6 +881,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `\u` escape whose `u` is at the cursor, as a number.
+    fn reference_hex(p: &Reader) -> Result<u32, JsonError> {
+        let hex = p
+            .bytes
+            .get(p.pos + 1..p.pos + 5)
+            .ok_or_else(|| p.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| p.err("non-ASCII \\u escape"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| p.err("bad \\u escape"))
     }
 
     /// Runs `decode` on `text` from byte 0; returns its result and where
@@ -773,7 +909,7 @@ mod tests {
     /// escape, a truncated `\u` or no closing quote.
     fn random_literal(rng: &mut Prng) -> String {
         let mut next = |n: usize| rng.gen_range(0, n);
-        const PIECES: [&str; 24] = [
+        const PIECES: [&str; 26] = [
             "\\n",
             "\\\"",
             "\\\\",
@@ -786,6 +922,8 @@ mod tests {
             "\\u00e9",
             "\\u4e2d",
             "\\uD83D",
+            "\\uDE00",
+            "\\uDBFF\\uDFFF",
             "\\u+041",
             "\\u00\u{e9}",
             "é",
@@ -807,7 +945,7 @@ mod tests {
             } else {
                 // The last four pieces break the literal.
                 let bad = next(8) == 0;
-                let pick = next(if bad { 24 } else { 20 });
+                let pick = next(if bad { 26 } else { 22 });
                 out.push_str(PIECES[pick]);
             }
         }
@@ -829,14 +967,32 @@ mod tests {
             let (got, got_end) = decode_with(&text, |p| p.string().map(Cow::into_owned));
             let (want, want_end) = decode_with(&text, reference_string);
             assert_eq!(got, want, "case {case}: {text:?}");
+            // The escaped-form comparison accepts exactly the decoded text
+            // and consumes what decoding consumes; on a miss the cursor
+            // stays put.
+            let compare = |want: &str| {
+                let mut r = Reader::new(&text);
+                (r.string_is(want), r.pos)
+            };
             match &got {
                 Ok(s) => {
                     assert_eq!(got_end, want_end, "case {case}: {text:?}");
                     // One allocation, sized by the raw length.
                     assert_eq!(s.capacity(), got_end - 2, "case {case}: {text:?}");
+                    assert_eq!(compare(s), (true, got_end), "case {case}: {text:?}");
+                    assert_eq!(compare(&format!("{s}x")), (false, 0), "case {case}");
+                    let mut shorter = s.clone();
+                    if let Some(last) = shorter.pop() {
+                        assert_eq!(compare(&shorter), (false, 0), "case {case}: {text:?}");
+                        let other = if last == 'y' { 'z' } else { 'y' };
+                        assert_eq!(compare(&format!("{shorter}{other}")), (false, 0));
+                    }
                     ok += 1;
                 }
-                Err(_) => failed += 1,
+                Err(_) => {
+                    assert_eq!(compare(""), (false, 0), "case {case}: {text:?}");
+                    failed += 1;
+                }
             }
         }
         assert!(
@@ -998,7 +1154,12 @@ mod tests {
             ("\"a\tb\"", str("a\tb")),
             ("\"a\u{1}b\"", str("a\u{1}b")),
             (r#""\u+041""#, str("A")),
-            (r#""\uD83D\uDE00""#, str("\u{fffd}\u{fffd}")),
+            (r#""\uD83D\uDE00""#, str("\u{1f600}")),
+            (r#""\ud83d\ude00""#, str("\u{1f600}")),
+            (r#""\uD83D""#, str("\u{fffd}")),
+            (r#""\uDE00\uD83D""#, str("\u{fffd}\u{fffd}")),
+            (r#""\uD83Dx\uDE00""#, str("\u{fffd}x\u{fffd}")),
+            (r#""\uD83D\u0041""#, str("\u{fffd}A")),
         ];
         for (value, want) in accepted {
             assert_eq!(read(value), Ok(want), "{value:?}");

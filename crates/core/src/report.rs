@@ -1,8 +1,9 @@
 //! Bug candidates and final reports.
 
 use crate::checkers::BugKind;
+use crate::json::quote_into;
 use pata_ir::{Category, FuncId, InstId, Module};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// A possible bug produced by stage 1 (typestate tracking without path
@@ -93,6 +94,35 @@ impl BugReport {
             alias_paths: bug.alias_paths.to_vec(),
             message,
         }
+    }
+}
+
+impl BugReport {
+    /// Appends this report's object of the [`Report`] wire format: the
+    /// one per-finding writer of [`Report::to_json`] and the serve path.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"kind\": ");
+        quote_into(out, self.kind.as_str());
+        out.push_str(", \"file\": ");
+        quote_into(out, &self.file);
+        out.push_str(", \"function\": ");
+        quote_into(out, &self.function);
+        let _ = write!(
+            out,
+            ", \"origin_line\": {}, \"site_line\": {}, \"category\": ",
+            self.origin_line, self.site_line
+        );
+        quote_into(out, self.category.as_str());
+        out.push_str(", \"alias_paths\": [");
+        for (j, p) in self.alias_paths.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            quote_into(out, p);
+        }
+        out.push_str("], \"message\": ");
+        quote_into(out, &self.message);
+        out.push('}');
     }
 }
 
@@ -233,85 +263,22 @@ impl Report {
     /// the order faults were observed in. Identical entries collapse to
     /// one (an unlabeled `validate` fault can hit several candidate groups
     /// of the same root and would otherwise repeat verbatim).
-    pub fn with_degraded(mut self, mut degraded: Vec<DegradedRoot>) -> Self {
-        degraded.sort();
-        degraded.dedup();
-        self.degraded = degraded;
+    pub fn with_degraded(mut self, degraded: Vec<DegradedRoot>) -> Self {
+        self.degraded = sorted_degraded(degraded);
         self
     }
 
     /// Serializes to the versioned JSON wire format.
     pub fn to_json(&self) -> String {
-        use crate::json::quote;
         let mut out = String::new();
-        out.push_str("{\"schema_version\": ");
-        out.push_str(&self.schema_version.to_string());
-        out.push_str(", \"reports\": [");
-        for (i, r) in self.reports.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"kind\": ");
-            out.push_str(&quote(r.kind.as_str()));
-            out.push_str(", \"file\": ");
-            out.push_str(&quote(&r.file));
-            out.push_str(", \"function\": ");
-            out.push_str(&quote(&r.function));
-            out.push_str(", \"origin_line\": ");
-            out.push_str(&r.origin_line.to_string());
-            out.push_str(", \"site_line\": ");
-            out.push_str(&r.site_line.to_string());
-            out.push_str(", \"category\": ");
-            out.push_str(&quote(r.category.as_str()));
-            out.push_str(", \"alias_paths\": [");
-            for (j, p) in r.alias_paths.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&quote(p));
-            }
-            out.push_str("], \"message\": ");
-            out.push_str(&quote(&r.message));
-            out.push('}');
-        }
-        out.push(']');
-        if !self.budget_notes.is_empty() {
-            out.push_str(", \"budget_notes\": [");
-            for (i, n) in self.budget_notes.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"root\": ");
-                out.push_str(&quote(&n.root));
-                out.push_str(", \"reason\": ");
-                out.push_str(&quote(&n.reason));
-                // Always true: every note comes from a run without stage-1
-                // reuse. Kept for the report schema until it is next bumped.
-                out.push_str(", \"caches_disabled\": true}");
-            }
-            out.push(']');
-        }
-        if !self.degraded.is_empty() {
-            out.push_str(", \"degraded\": {\"version\": ");
-            out.push_str(&DEGRADED_SECTION_VERSION.to_string());
-            out.push_str(", \"roots\": [");
-            for (i, d) in self.degraded.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{\"root\": ");
-                out.push_str(&quote(&d.root));
-                out.push_str(", \"stage\": ");
-                out.push_str(&quote(&d.stage));
-                out.push_str(", \"reason\": ");
-                out.push_str(&quote(&d.reason));
-                out.push_str(", \"action\": ");
-                out.push_str(&quote(&d.action));
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
+        write_report(
+            &mut out,
+            self.schema_version,
+            &self.reports,
+            |out, r| r.write_json(out),
+            &self.budget_notes,
+            &self.degraded,
+        );
         out
     }
 
@@ -439,6 +406,78 @@ impl Report {
             degraded,
         })
     }
+}
+
+/// Sorts degraded-root entries by `(root, stage)` and collapses identical
+/// ones, as [`Report::with_degraded`] stores them.
+pub(crate) fn sorted_degraded(mut degraded: Vec<DegradedRoot>) -> Vec<DegradedRoot> {
+    degraded.sort();
+    degraded.dedup();
+    degraded
+}
+
+/// Appends a report document of schema `schema_version`: the envelope
+/// around `findings`, each written by `write_finding`, then the
+/// optional `budget_notes` and `degraded` sections. The one envelope
+/// writer of [`Report::to_json`] and the serve path; `degraded` must be
+/// sorted ([`sorted_degraded`]).
+pub(crate) fn write_report<T>(
+    out: &mut String,
+    schema_version: u64,
+    findings: &[T],
+    mut write_finding: impl FnMut(&mut String, &T),
+    budget_notes: &[crate::stats::BudgetNote],
+    degraded: &[DegradedRoot],
+) {
+    let _ = write!(
+        out,
+        "{{\"schema_version\": {schema_version}, \"reports\": ["
+    );
+    for (i, finding) in findings.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_finding(out, finding);
+    }
+    out.push(']');
+    if !budget_notes.is_empty() {
+        out.push_str(", \"budget_notes\": [");
+        for (i, n) in budget_notes.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"root\": ");
+            quote_into(out, &n.root);
+            out.push_str(", \"reason\": ");
+            quote_into(out, &n.reason);
+            // Always true: every note comes from a run without stage-1
+            // reuse. Kept for the report schema until it is next bumped.
+            out.push_str(", \"caches_disabled\": true}");
+        }
+        out.push(']');
+    }
+    if !degraded.is_empty() {
+        let _ = write!(
+            out,
+            ", \"degraded\": {{\"version\": {DEGRADED_SECTION_VERSION}, \"roots\": ["
+        );
+        for (i, d) in degraded.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str("{\"root\": ");
+            quote_into(out, &d.root);
+            out.push_str(", \"stage\": ");
+            quote_into(out, &d.stage);
+            out.push_str(", \"reason\": ");
+            quote_into(out, &d.reason);
+            out.push_str(", \"action\": ");
+            quote_into(out, &d.action);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push('}');
 }
 
 #[cfg(test)]

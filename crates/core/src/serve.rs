@@ -35,6 +35,25 @@
 //! only the changed files' functions
 //! (see [`crate::IncrementalStats::lowered_functions`]).
 //!
+//! # Serving an edit
+//!
+//! A frame is read in one pass, in document order, without a tree
+//! ([`crate::json::Reader`]); it is accepted, and refused with the same
+//! message at the same byte, exactly as a tree parse would. A file whose
+//! `name` comes before its `text` and equals the name of the file the
+//! session kept at the same position has its text compared with the kept
+//! text in escaped form: run by run, each escape against the next decoded
+//! char, exactly and without a hash. An unchanged text is thus validated
+//! but never decoded or copied; only a text that differs (or that cannot
+//! be matched, such as one before its name) is decoded.
+//!
+//! A session that relowered in place keeps each reported finding's JSON
+//! object with its P3 group. The response's report is written from those
+//! fragments, and a finding is built again only when its group is new,
+//! was settled again, or has a site or origin function that this request
+//! lowered again (an inserted line moves every later function of its
+//! file). The report is byte for byte the one a cold analysis renders.
+//!
 //! A `stats` response reports the running totals since the daemon
 //! started. Failures (bad JSON, unknown op, compile errors) produce
 //! `{"ok": false, "error": "..."}` and never kill the daemon; only
@@ -50,10 +69,13 @@
 //! frame goes to the worker too, which refuses it and counts the refusal
 //! in its totals, as the stdio loop does.
 
-use crate::json::{quote, JsonValue};
-use crate::session::{AnalysisRequest, AnalysisSession, SourceFile};
+use crate::json::{quote, JsonError, Reader};
+use crate::session::{AnalysisSession, FrameFile};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// Version of the request/response protocol. Bump on any incompatible
 /// change; responses always carry it so clients can check.
@@ -165,15 +187,107 @@ pub struct ServeTotals {
     pub changed_functions: u64,
 }
 
-/// Renders the scalar `id` a request carried (anything non-scalar echoes
-/// as `null` — the protocol promises echo, not arbitrary re-serialization).
-fn render_id(id: Option<&JsonValue>) -> String {
-    match id {
-        Some(JsonValue::Int(i)) => i.to_string(),
-        Some(JsonValue::Str(s)) => quote(s),
-        Some(JsonValue::Bool(b)) => b.to_string(),
-        _ => "null".to_owned(),
+/// A request frame as [`read_request`] reads it.
+#[derive(Debug)]
+struct Request<'a> {
+    /// The `id` to echo, rendered: a string, an integer that fits `i64`
+    /// or a boolean echoes as itself, anything else (or none) as `null`.
+    id: String,
+    /// The `op`; `""` when missing or not a string.
+    op: Cow<'a, str>,
+    /// The `files`, each with its `name` and `text` (`""` when missing or
+    /// not a string; a file that is not an object has both empty). Empty
+    /// when `files` is missing or not an array.
+    files: Vec<FrameFile<'a>>,
+}
+
+/// Reads a request frame in one pass, in document order, without building
+/// a tree. The keys `id`, `op` and `files` may come in any order; the
+/// first of two equal keys wins, and any other key is skipped, but every
+/// value must be well-formed, as must anything after the frame's object.
+///
+/// A file's `text` that follows its `name` is compared in its escaped
+/// form with the text of `kept(i)`, the kept file at the same position `i`,
+/// when that file has the same name: a match leaves the text undecoded
+/// (`None`). Any other text is decoded.
+fn read_request<'a, 'k>(
+    line: &'a str,
+    kept: impl Fn(usize) -> Option<(&'k str, &'k str)>,
+) -> Result<Request<'a>, JsonError> {
+    let mut r = Reader::new(line);
+    let mut request = Request {
+        id: "null".to_owned(),
+        op: Cow::Borrowed(""),
+        files: Vec::new(),
+    };
+    let (mut id, mut op, mut files) = (false, false, false);
+    if r.begin_object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "id" if !id => {
+                    id = true;
+                    request.id = match r.peek() {
+                        Some(b'"') => r.str()?.map(|s| quote(&s)),
+                        Some(b'-' | b'0'..=b'9') => r.int()?.map(|i| i.to_string()),
+                        Some(b @ (b't' | b'f')) => {
+                            r.skip_value()?;
+                            Some((b == b't').to_string())
+                        }
+                        _ => {
+                            r.skip_value()?;
+                            None
+                        }
+                    }
+                    .unwrap_or_else(|| "null".to_owned());
+                }
+                "op" if !op => {
+                    op = true;
+                    request.op = r.str()?.unwrap_or_default();
+                }
+                "files" if !files => {
+                    files = true;
+                    if r.begin_array()? {
+                        while r.next_item()? {
+                            let i = request.files.len();
+                            request.files.push(read_file(&mut r, kept(i))?);
+                        }
+                    }
+                }
+                _ => r.skip_value()?,
+            }
+        }
     }
+    r.finish()?;
+    Ok(request)
+}
+
+/// Reads one item of a frame's `files` (see [`read_request`]); `kept` is
+/// the name and text of the kept file at its position.
+fn read_file<'a>(
+    r: &mut Reader<'a>,
+    kept: Option<(&str, &str)>,
+) -> Result<FrameFile<'a>, JsonError> {
+    let (mut name, mut text) = (None, None);
+    if r.begin_object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "name" if name.is_none() => name = Some(r.str()?.unwrap_or_default()),
+                "text" if text.is_none() => {
+                    let same_name =
+                        kept.filter(|&(kept_name, _)| name.as_deref() == Some(kept_name));
+                    text = Some(match same_name {
+                        Some((_, kept_text)) if r.string_is(kept_text) => None,
+                        _ => Some(r.str()?.unwrap_or_default()),
+                    });
+                }
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(FrameFile {
+        name: name.unwrap_or_default(),
+        text: text.unwrap_or(Some(Cow::Borrowed(""))),
+    })
 }
 
 fn error_response(id: &str, message: &str) -> String {
@@ -191,8 +305,9 @@ pub fn handle_line(
     totals: &mut ServeTotals,
 ) -> (String, bool) {
     totals.requests += 1;
-    let doc = match JsonValue::parse(line) {
-        Ok(doc) => doc,
+    let start = Instant::now();
+    let request = match read_request(line, |i| session.kept_file(i)) {
+        Ok(request) => request,
         Err(e) => {
             totals.errors += 1;
             return (
@@ -201,9 +316,9 @@ pub fn handle_line(
             );
         }
     };
-    let id = render_id(doc.get("id"));
-    let op = doc.get("op").and_then(JsonValue::as_str).unwrap_or("");
-    match op {
+    let frame_ns = start.elapsed().as_nanos() as u64;
+    let id = &request.id;
+    match &*request.op {
         "ping" => (
             format!(
                 "{{\"protocol_version\": {SERVE_PROTOCOL_VERSION}, \"id\": {id}, \"ok\": true, \"op\": \"ping\"}}"
@@ -231,90 +346,52 @@ pub fn handle_line(
             true,
         ),
         "analyze" => {
-            // The frame's tree is dropped here, before the analysis runs.
-            let request = take_request(doc);
-            match session.analyze(&request) {
-                Ok(outcome) => {
-                    let inc = outcome.incremental;
+            let mut out = format!(
+                "{{\"protocol_version\": {SERVE_PROTOCOL_VERSION}, \"id\": {id}, \"ok\": true, \"op\": \"analyze\", \
+                 \"report\": "
+            );
+            match session.analyze_served(&request.files, &mut out) {
+                Ok((inc, render_ns)) => {
+                    let wrap = Instant::now();
                     totals.analyzed += 1;
                     totals.dirty_roots += inc.dirty_roots;
                     totals.clean_roots += inc.clean_roots;
                     totals.changed_functions += inc.changed_functions;
-                    (
-                        format!(
-                            "{{\"protocol_version\": {SERVE_PROTOCOL_VERSION}, \"id\": {id}, \"ok\": true, \"op\": \"analyze\", \
-                             \"report\": {}, \
-                             \"serve\": {{\"roots\": {}, \"dirty_roots\": {}, \"clean_roots\": {}, \
-                             \"changed_functions\": {}, \"warm_start\": {}, \"lowered_functions\": {}, \
-                             \"parsed_files\": {}}}}}",
-                            outcome.report.to_json(),
-                            inc.roots,
-                            inc.dirty_roots,
-                            inc.clean_roots,
-                            inc.changed_functions,
-                            inc.warm_start,
-                            inc.lowered_functions,
-                            inc.parsed_files
-                        ),
-                        false,
-                    )
+                    let _ = write!(
+                        out,
+                        ", \"serve\": {{\"roots\": {}, \"dirty_roots\": {}, \"clean_roots\": {}, \
+                         \"changed_functions\": {}, \"warm_start\": {}, \"lowered_functions\": {}, \
+                         \"parsed_files\": {}}}}}",
+                        inc.roots,
+                        inc.dirty_roots,
+                        inc.clean_roots,
+                        inc.changed_functions,
+                        inc.warm_start,
+                        inc.lowered_functions,
+                        inc.parsed_files
+                    );
+                    let render_ns = render_ns + wrap.elapsed().as_nanos() as u64;
+                    session.telemetry().record_direct(|sink| {
+                        sink.record_ns("driver.serve.frame", frame_ns);
+                        sink.record_ns("driver.serve.render", render_ns);
+                    });
+                    (out, false)
                 }
                 // `Internal` already reset the session's warm state; like
                 // every other failure it is a response, not a daemon death.
                 Err(e) => {
                     totals.errors += 1;
-                    (error_response(&id, &e.to_string()), false)
+                    (error_response(id, &e.to_string()), false)
                 }
             }
         }
         other => {
             totals.errors += 1;
             (
-                error_response(&id, &format!("unknown op `{other}` (expected analyze|ping|stats|shutdown)")),
+                error_response(id, &format!("unknown op `{other}` (expected analyze|ping|stats|shutdown)")),
                 false,
             )
         }
-    }
-}
-
-/// Moves the value of `value`'s first `key` field out, leaving `null`
-/// behind; `null` when there is no such field.
-fn take_field(value: &mut JsonValue, key: &str) -> JsonValue {
-    match value {
-        JsonValue::Obj(fields) => fields
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map_or(JsonValue::Null, |(_, v)| {
-                std::mem::replace(v, JsonValue::Null)
-            }),
-        _ => JsonValue::Null,
-    }
-}
-
-/// The string of `value`'s `key` field, moved out; `""` when the field is
-/// missing or not a string.
-fn take_string(value: &mut JsonValue, key: &str) -> String {
-    match take_field(value, key) {
-        JsonValue::Str(s) => s,
-        _ => String::new(),
-    }
-}
-
-/// The `files` of an `analyze` frame, with their names and texts moved out
-/// of the parsed tree instead of copied.
-fn take_request(mut doc: JsonValue) -> AnalysisRequest {
-    let files = match take_field(&mut doc, "files") {
-        JsonValue::Arr(items) => items,
-        _ => Vec::new(),
-    };
-    AnalysisRequest {
-        files: files
-            .into_iter()
-            .map(|mut item| SourceFile {
-                name: take_string(&mut item, "name"),
-                text: take_string(&mut item, "text"),
-            })
-            .collect(),
     }
 }
 
@@ -546,9 +623,17 @@ pub mod unix {
 pub use unix::{client_request, serve_unix, serve_unix_with};
 
 #[cfg(test)]
+mod tree_request;
+
+#[cfg(test)]
+mod frame_mutation;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AnalysisConfig;
+    use crate::json::JsonValue;
+    use crate::session::AnalysisRequest;
 
     fn session() -> AnalysisSession {
         AnalysisSession::new(AnalysisConfig {
@@ -766,7 +851,9 @@ mod tests {
              {{\"text\": \"int x;\"}}, {{\"name\": 7, \"text\": null}}, 3]}}",
             quote(SRC)
         );
-        let request = take_request(JsonValue::parse(&frame).unwrap());
+        let request = tree_request::resolve(read_request(&frame, |_| None).unwrap(), |_| None);
+        assert_eq!(tree_request::oracle(&frame), Ok(request.clone()));
+        let request = request.2;
         let expected = AnalysisRequest::new()
             .file("a.c", SRC)
             .file("", "int x;")
@@ -783,10 +870,8 @@ mod tests {
         // A `files` that is not an array is an empty request.
         for files in ["5", "{}", "null"] {
             let frame = format!("{{\"op\": \"analyze\", \"files\": {files}}}");
-            assert_eq!(
-                take_request(JsonValue::parse(&frame).unwrap()),
-                AnalysisRequest::new()
-            );
+            let request = read_request(&frame, |_| None).unwrap();
+            assert!(request.files.is_empty(), "{frame}");
         }
     }
 
@@ -854,6 +939,41 @@ mod tests {
         // A new file changes the file list: everything is lowered.
         let c = "int third(void) { return 3; }";
         assert_eq!(lowered(&[("a.c", &edited), ("b.c", helper), ("c.c", c)]), 3);
+    }
+
+    /// A served `analyze` request records its frame read (the escaped-form
+    /// comparison included) and its rendering as spans of their own, next
+    /// to the session's stages; the store save keeps its name.
+    #[test]
+    fn served_requests_record_frame_and_render_spans() {
+        let dir = std::env::temp_dir().join(format!("pata-serve-spans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = AnalysisConfig {
+            threads: 1,
+            telemetry: true,
+            ..AnalysisConfig::default()
+        };
+        let mut s = AnalysisSession::open(config, dir.join("store.json"));
+        let mut totals = ServeTotals::default();
+        let edited = SRC.replace("return *p;", "return *p + 1;");
+        for (id, text) in [(1, SRC), (2, &*edited), (3, &*edited)] {
+            handle_line(&mut s, &analyze_line(id, "t.c", text), &mut totals);
+        }
+        handle_line(&mut s, "{\"op\": \"ping\"}", &mut totals);
+        let snapshot = s.telemetry().snapshot();
+        let count = |name: &str| snapshot.histogram(name).map_or(0, |h| h.count);
+        for name in [
+            "driver.serve.frame",
+            "driver.serve.parse",
+            "driver.serve.lower",
+            "stage.filter",
+            "driver.serve.render",
+        ] {
+            assert_eq!(count(name), 3, "{name}");
+        }
+        // The identical third request leaves the store as it is.
+        assert_eq!(count("driver.serve.store_save"), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Sends `frame` and then a ping: the frame gets an error response and

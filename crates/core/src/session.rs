@@ -36,14 +36,15 @@ use crate::persist::{
     StoredRoot,
 };
 use crate::registry::CheckerRegistry;
-use crate::report::{BugReport, DegradedRoot, PossibleBug, Report};
+use crate::report::{self, BugReport, DegradedRoot, PossibleBug, Report};
 use crate::stats::{AnalysisStats, BudgetNote};
 use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
 use pata_cc::{Diag, LoweredModule, Parser, Unit};
 use pata_ir::{Category, FuncId, Module};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -101,6 +102,26 @@ impl AnalysisRequest {
             text: text.into(),
         });
         self
+    }
+}
+
+/// One source file of a request as the front end takes it. The serve
+/// path reads it from a frame, borrowing what it can, and leaves `text`
+/// `None` when it found the text equal to that of the front end's kept
+/// file at the same position ([`AnalysisSession::kept_file`]), which it
+/// compared without decoding it.
+#[derive(Debug)]
+pub(crate) struct FrameFile<'a> {
+    pub(crate) name: Cow<'a, str>,
+    pub(crate) text: Option<Cow<'a, str>>,
+}
+
+impl<'a> From<&'a SourceFile> for FrameFile<'a> {
+    fn from(file: &'a SourceFile) -> Self {
+        FrameFile {
+            name: Cow::Borrowed(&file.name),
+            text: Some(Cow::Borrowed(&file.text)),
+        }
     }
 }
 
@@ -198,6 +219,16 @@ struct FrontEnd {
     /// The previous request's module, if it compiled. The session takes it
     /// out while it analyzes a request and puts it back afterwards.
     lowered: Option<LoweredModule>,
+    /// Whether no two of `files` share a name.
+    distinct_names: bool,
+}
+
+/// What the front end does with one file of a request.
+enum Hit<'f> {
+    /// Reuse the kept file at this index.
+    Reuse(usize),
+    /// Parse this text.
+    Parse(Cow<'f, str>),
 }
 
 /// What [`FrontEnd::compile`] did for one request.
@@ -217,51 +248,81 @@ impl FrontEnd {
     /// this request that parsed: a file the request dropped is evicted,
     /// and a file that failed to parse is parsed again next time, with the
     /// same diagnostic. It holds a module only if the request compiled.
-    fn compile(&mut self, files: &[SourceFile]) -> Result<Compiled, Vec<Diag>> {
+    fn compile(&mut self, files: &[FrameFile<'_>]) -> Result<Compiled, Vec<Diag>> {
         let start = Instant::now();
         let old = std::mem::take(&mut self.files);
         let kept = self.lowered.take();
-        // A hit needs the same name and the same text. Names may repeat
-        // within a request, so each name maps to all its entries, and each
-        // entry is reused at most once.
-        let hits: Vec<Option<usize>> = {
+        let same_names =
+            old.len() == files.len() && old.iter().zip(files).all(|(o, f)| o.name == f.name);
+        // A hit needs the same name and the same text. With the previous
+        // names, distinct and in the previous order, a file can only hit
+        // the entry at its own position. Otherwise names may repeat or
+        // move, so each name maps to all its entries, and each entry is
+        // reused at most once.
+        let positional = same_names && self.distinct_names;
+        let hits: Vec<Hit<'_>> = if positional {
+            files
+                .iter()
+                .zip(&old)
+                .enumerate()
+                .map(|(i, (f, o))| match &f.text {
+                    Some(text) if **text != *o.text => Hit::Parse(Cow::Borrowed(&**text)),
+                    _ => Hit::Reuse(i),
+                })
+                .collect()
+        } else {
             let mut by_name: HashMap<&str, Vec<usize>> = HashMap::with_capacity(old.len());
             for (i, file) in old.iter().enumerate() {
                 by_name.entry(&file.name).or_default().push(i);
             }
             files
                 .iter()
-                .map(|f| {
-                    let entries = by_name.get_mut(f.name.as_str())?;
-                    let at = entries.iter().position(|&i| old[i].text == f.text)?;
-                    Some(entries.swap_remove(at))
+                .enumerate()
+                .map(|(i, f)| {
+                    let text = f.text.as_deref().unwrap_or_else(|| &old[i].text);
+                    let hit = by_name.get_mut(&*f.name).and_then(|entries| {
+                        let at = entries.iter().position(|&j| old[j].text == text)?;
+                        Some(entries.swap_remove(at))
+                    });
+                    match (hit, &f.text) {
+                        (Some(j), _) => Hit::Reuse(j),
+                        (None, Some(text)) => Hit::Parse(Cow::Borrowed(&**text)),
+                        (None, None) => Hit::Parse(Cow::Owned(old[i].text.clone())),
+                    }
                 })
                 .collect()
         };
         // Lowering in place needs the previous names in the previous order,
         // with every reused unit at its own position.
-        let mut in_place = kept.is_some()
-            && old.len() == files.len()
-            && old.iter().zip(files).all(|(o, f)| o.name == f.name);
+        let mut in_place = kept.is_some() && same_names;
         let mut old: Vec<Option<ParsedFile>> = old.into_iter().map(Some).collect();
         let mut changed = Vec::new();
         let mut diags = Vec::new();
         for (i, (f, hit)) in files.iter().zip(hits).enumerate() {
-            if let Some(j) = hit {
-                in_place &= i == j;
-                self.files
-                    .push(old[j].take().expect("an entry is reused once"));
-                continue;
-            }
+            let text = match hit {
+                Hit::Reuse(j) => {
+                    in_place &= i == j;
+                    self.files
+                        .push(old[j].take().expect("an entry is reused once"));
+                    continue;
+                }
+                Hit::Parse(text) => text,
+            };
             changed.push(i);
-            match Parser::parse_source(&f.name, &f.text) {
+            match Parser::parse_source(&f.name, &text) {
                 Ok(unit) => self.files.push(ParsedFile {
-                    name: f.name.clone(),
-                    text: f.text.clone(),
+                    name: f.name.to_string(),
+                    text: text.into_owned(),
                     unit,
                 }),
                 Err(d) => diags.push(d),
             }
+        }
+        // Files kept from distinct names at their own positions have
+        // distinct names.
+        if !positional {
+            let mut names = HashSet::with_capacity(self.files.len());
+            self.distinct_names = self.files.iter().all(|f| names.insert(f.name.as_str()));
         }
         let parsed_files = changed.len() as u64;
         if !diags.is_empty() {
@@ -510,7 +571,8 @@ impl AnalysisSession {
                 dirty: true,
             })
             .collect();
-        let (reports, witnesses, failures) = self.filter_roots(&module, &stream, None, &mut stats);
+        let (reports, witnesses, failures) =
+            self.filter_roots(&module, &stream, None, true, &mut stats);
         let real_bugs = witnesses.into_iter().cloned().collect();
         degraded.extend(failures);
         degraded.sort();
@@ -614,11 +676,15 @@ impl AnalysisSession {
     /// the reports, their witnesses and the quarantined groups. `groups`,
     /// when the session keeps this request's groups, holds the previous
     /// request's to replay and receives this one's.
+    ///
+    /// With `reports`, the reports are built in the filter's span; the
+    /// serve path leaves them to [`render_served`].
     fn filter_roots<'c>(
         &self,
         module: &Module,
         stream: &[RootCandidates<'c>],
         groups: Option<&mut KeptGroups>,
+        reports: bool,
         stats: &mut AnalysisStats,
     ) -> (Vec<BugReport>, Vec<&'c PossibleBug>, Vec<DegradedRoot>) {
         let tel_on = self.telemetry.is_enabled();
@@ -633,10 +699,14 @@ impl AnalysisSession {
             stats,
             self.config.fault_plan.as_deref(),
         );
-        let reports = witnesses
-            .iter()
-            .map(|bug| BugReport::from_possible(bug, module))
-            .collect();
+        let reports = if reports {
+            witnesses
+                .iter()
+                .map(|bug| BugReport::from_possible(bug, module))
+                .collect()
+        } else {
+            Vec::new()
+        };
         if tel_on {
             self.telemetry.record_direct(|sink| span.finish(sink));
         }
@@ -651,11 +721,48 @@ impl AnalysisSession {
     /// only those files are lowered again; the module is always exactly
     /// the one a cold compile gives.
     pub fn analyze(&mut self, request: &AnalysisRequest) -> Result<SessionOutcome, SessionError> {
+        let files: Vec<FrameFile<'_>> = request.files.iter().map(FrameFile::from).collect();
+        let analyzed = self.run(&files, None)?;
+        Ok(SessionOutcome {
+            report: analyzed.report.expect("a report unless served"),
+            stats: analyzed.stats,
+            telemetry: self.telemetry.snapshot(),
+            incremental: analyzed.incremental,
+        })
+    }
+
+    /// The name and text of the front end's kept file at position `i`,
+    /// which the serve path compares with a frame's file at that position.
+    pub(crate) fn kept_file(&self, i: usize) -> Option<(&str, &str)> {
+        let file = self.front_end.files.get(i)?;
+        Some((&file.name, &file.text))
+    }
+
+    /// [`AnalysisSession::analyze`] for the serve path: analyzes `files`
+    /// and appends the report document to `out`, byte for byte what
+    /// [`Report::to_json`] writes for the report `analyze` gives. Returns
+    /// the request's counters and the nanoseconds spent rendering.
+    pub(crate) fn analyze_served(
+        &mut self,
+        files: &[FrameFile<'_>],
+        out: &mut String,
+    ) -> Result<(IncrementalStats, u64), SessionError> {
+        let analyzed = self.run(files, Some(out))?;
+        Ok((analyzed.incremental, analyzed.render_ns))
+    }
+
+    /// Compiles and analyzes `files`: the report is returned, or, when
+    /// `out` is given, rendered into it.
+    fn run(
+        &mut self,
+        files: &[FrameFile<'_>],
+        out: Option<&mut String>,
+    ) -> Result<Analyzed, SessionError> {
         let start = Instant::now();
-        if request.files.is_empty() {
+        if files.is_empty() {
             return Err(SessionError::EmptyRequest);
         }
-        let compiled = self.front_end.compile(&request.files).map_err(|diags| {
+        let compiled = self.front_end.compile(files).map_err(|diags| {
             SessionError::Compile(diags.iter().map(ToString::to_string).collect())
         })?;
         let mut lowered = self
@@ -678,11 +785,11 @@ impl AnalysisSession {
         // wrapping it. Warm state may be half-updated at the panic point,
         // so it is discarded wholesale, and the module with it.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_compiled(lowered.module_mut(), &compiled, start)
+            self.analyze_compiled(lowered.module_mut(), &compiled, start, out)
         })) {
-            Ok(outcome) => {
+            Ok(analyzed) => {
                 self.front_end.lowered = Some(lowered);
-                Ok(outcome)
+                Ok(analyzed)
             }
             Err(payload) => {
                 self.reset_warm();
@@ -709,7 +816,8 @@ impl AnalysisSession {
         module: &mut Module,
         compiled: &Compiled,
         start: Instant,
-    ) -> SessionOutcome {
+        out: Option<&mut String>,
+    ) -> Analyzed {
         let tel_on = self.telemetry.is_enabled();
         let checkers = self.checkers();
         let config = &self.config;
@@ -957,11 +1065,37 @@ impl AnalysisSession {
                 .map(|b| b.groups)
                 .unwrap_or_default()
         });
-        let (reports, _, failures) =
-            self.filter_roots(module, &stream, groups.as_mut(), &mut stats);
-        drop(stream);
-        let kept = groups.map(|groups| (candidates, groups));
+        let (reports, witnesses, failures) =
+            self.filter_roots(module, &stream, groups.as_mut(), out.is_none(), &mut stats);
         degraded.extend(failures);
+        let relowered = relowered.unwrap_or_default();
+        let render_start = Instant::now();
+        let report = match out {
+            None => {
+                forget_moved_fragments(&witnesses, groups.as_mut(), relowered);
+                Some(
+                    Report::new(reports)
+                        .with_budget_notes(notes)
+                        .with_degraded(degraded),
+                )
+            }
+            Some(out) => {
+                let degraded = report::sorted_degraded(degraded);
+                render_served(
+                    module,
+                    &witnesses,
+                    groups.as_mut(),
+                    relowered,
+                    &notes,
+                    &degraded,
+                    out,
+                );
+                None
+            }
+        };
+        let render_ns = render_start.elapsed().as_nanos() as u64;
+        drop((witnesses, stream));
+        let kept = groups.map(|groups| (candidates, groups));
         stats.time = start.elapsed();
 
         // Update the warm state and (if open) the on-disk store. A fully
@@ -1012,15 +1146,11 @@ impl AnalysisSession {
             }
         }
         self.warm = Some(warm);
-
-        let report = Report::new(reports)
-            .with_budget_notes(notes)
-            .with_degraded(degraded);
-        SessionOutcome {
+        Analyzed {
             report,
             stats,
-            telemetry: self.telemetry.snapshot(),
             incremental,
+            render_ns,
         }
     }
 
@@ -1069,6 +1199,79 @@ impl AnalysisSession {
         }
         .save_with_faults(path, fault)
     }
+}
+
+/// What [`AnalysisSession::analyze_compiled`] gives for one request.
+struct Analyzed {
+    /// The report, unless it was rendered into the serve path's buffer.
+    report: Option<Report>,
+    stats: AnalysisStats,
+    incremental: IncrementalStats,
+    /// Time spent rendering the findings after P3.
+    render_ns: u64,
+}
+
+/// Whether lowering `relowered` again may have changed how `bug` renders:
+/// its lines, function, file and category all come from its site and
+/// origin functions, and an edit that adds a line moves every later
+/// function of its file.
+fn moved(bug: &PossibleBug, relowered: &[FuncId]) -> bool {
+    relowered.contains(&bug.site_id.func) || relowered.contains(&bug.origin_id.func)
+}
+
+/// Drops the kept fragments of the `witnesses` that lowering `relowered`
+/// may have moved, when the findings are not rendered from fragments.
+fn forget_moved_fragments(
+    witnesses: &[&PossibleBug],
+    groups: Option<&mut KeptGroups>,
+    relowered: &[FuncId],
+) {
+    let Some(groups) = groups else { return };
+    for bug in witnesses.iter().filter(|bug| moved(bug, relowered)) {
+        *groups.fragment(bug.dedup_key()) = None;
+    }
+}
+
+/// Appends the report document of `witnesses` to `out`. A witness whose
+/// kept group has a fragment that lowering `relowered` did not move is
+/// written from it; every other one is built by
+/// [`BugReport::from_possible`] and, when groups are kept, kept as its
+/// group's fragment for the next request.
+fn render_served(
+    module: &Module,
+    witnesses: &[&PossibleBug],
+    mut groups: Option<&mut KeptGroups>,
+    relowered: &[FuncId],
+    notes: &[BudgetNote],
+    degraded: &[DegradedRoot],
+    out: &mut String,
+) {
+    let write_finding = |out: &mut String, bug: &&PossibleBug| {
+        let slot = groups.as_deref_mut().map(|g| g.fragment(bug.dedup_key()));
+        if let Some(Some(json)) = slot.as_deref() {
+            if !moved(bug, relowered) {
+                out.push_str(json);
+                return;
+            }
+        }
+        let at = out.len();
+        BugReport::from_possible(bug, module).write_json(out);
+        if let Some(slot) = slot {
+            *slot = Some(out[at..].into());
+            #[cfg(test)]
+            {
+                groups.as_deref_mut().expect("kept groups").rendered += 1;
+            }
+        }
+    };
+    report::write_report(
+        out,
+        report::REPORT_SCHEMA_VERSION,
+        witnesses,
+        write_finding,
+        notes,
+        degraded,
+    );
 }
 
 /// A fresh run's statistics before exploration: the module's size.

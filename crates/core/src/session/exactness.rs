@@ -99,7 +99,7 @@ const ROUND: [Edit; 18] = [
 
 /// The name of the function a generated `static <type> name(...) {` line
 /// opens, and the byte offset of that name.
-fn header(line: &str) -> Option<(usize, &str)> {
+pub(super) fn header(line: &str) -> Option<(usize, &str)> {
     if !line.starts_with("static ") || !line.trim_end().ends_with('{') || line.contains('=') {
         return None;
     }

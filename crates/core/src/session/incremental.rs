@@ -7,8 +7,10 @@
 //! equal those of a session that derives everything again on every request
 //! (a fresh session's differ in the validation cache's hits and misses).
 
-use super::exactness::{edit_function, request, Edit};
+use super::exactness::{edit_function, header, request, Edit};
 use super::*;
+use crate::json::quote;
+use crate::serve::{handle_line, ServeTotals};
 use pata_corpus::{Corpus, OsProfile, Prng};
 
 /// A session's last outcome, comparable with another's: the statistics
@@ -325,5 +327,165 @@ fn a_reopened_store_session_keeps_products_from_its_edits() {
         edit(&mut files, &session, kinds[i % 3], i, &mut rng);
         serve_and_check(&mut session, &mut rederiving, &files, &format!("edit {i}"));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Adds a line above the function of one of `report`'s findings, in the
+/// same file: a statement or a local (`edit`) at the top of a root above
+/// it, which the finding's root, unless it is that root, does not reach,
+/// or, with no `edit`, a comment line. Either moves the finding's lines
+/// while its root stays clean. Returns `false` when the chosen finding has
+/// no place above it.
+fn edit_above_a_finding(
+    files: &mut [(String, String)],
+    report: &Report,
+    roots: &[String],
+    edit: Option<Edit>,
+    i: usize,
+    rng: &mut Prng,
+) -> bool {
+    let finding = rng.choose(&report.reports);
+    let Some(file) = files.iter().position(|(name, _)| *name == finding.file) else {
+        return false;
+    };
+    let mut lines: Vec<String> = files[file].1.lines().map(str::to_owned).collect();
+    let headers: Vec<(usize, &str)> = lines
+        .iter()
+        .enumerate()
+        .filter_map(|(l, line)| Some((l, header(line)?.1)))
+        .collect();
+    let Some(below) = headers.iter().position(|&(_, f)| f == finding.function) else {
+        return false;
+    };
+    let k = rng.gen_range(2, 90);
+    let (at, line) = match edit {
+        None => {
+            let at = headers[rng.gen_range(0, below + 1)].0;
+            (at, format!("// served edit {i}"))
+        }
+        Some(edit) => {
+            let above: Vec<usize> = headers[..below]
+                .iter()
+                .filter(|(_, f)| roots.iter().any(|r| r == f))
+                .map(|&(l, _)| l)
+                .collect();
+            if above.is_empty() {
+                return false;
+            }
+            let body = match edit {
+                Edit::Stmt => format!("    if ({k} > 1) {{ }}"),
+                _ => format!("    int served_local{i} = {k};"),
+            };
+            (rng.choose(&above) + 1, body)
+        }
+    };
+    lines.insert(at, line);
+    files[file].1 = lines.join("\n") + "\n";
+    true
+}
+
+/// An `analyze` frame of `files`, as a client writes it.
+fn frame(id: usize, files: &[(String, String)]) -> String {
+    let files: Vec<String> = files
+        .iter()
+        .map(|(name, text)| format!("{{\"name\": {}, \"text\": {}}}", quote(name), quote(text)))
+        .collect();
+    format!(
+        "{{\"id\": {id}, \"op\": \"analyze\", \"files\": [{}]}}",
+        files.join(", ")
+    )
+}
+
+/// The report document of an `analyze` response.
+fn served_report(response: &str) -> &str {
+    let start = response.find("\"report\": ").expect("an analyze response") + 10;
+    let end = response.rfind(", \"serve\": {").expect("a serve object");
+    &response[start..end]
+}
+
+/// A store-backed session served through the frame loop's handler: after
+/// each of 30 seeded in-place edits its response carries exactly the
+/// report a cold analysis of the same sources gives, although it wrote
+/// most findings from the fragments its kept groups held. Three edits in
+/// four add a line above another finding's function in the same file (a
+/// statement or a local in a root above it, or a comment line), which
+/// moves that finding's lines while its root stays clean: a fragment kept
+/// across such an edit would be stale. Four more edits are analyzed
+/// through the public `analyze` between served ones.
+#[test]
+fn served_reports_equal_a_cold_analysis_after_every_edit() {
+    let mut files = linux_files(0.2);
+    let dir = std::env::temp_dir().join(format!("pata-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    let mut session = AnalysisSession::open(config.clone(), dir.join("store.json"));
+    let mut totals = ServeTotals::default();
+    let cold = |files: &[(String, String)]| {
+        let mut fresh = AnalysisSession::new(config.clone());
+        fresh.analyze(&request(files)).expect("analyzes").report
+    };
+    let (response, _) = handle_line(&mut session, &frame(0, &files), &mut totals);
+    let mut report = cold(&files);
+    assert_eq!(served_report(&response), report.to_json());
+
+    let mut rng = Prng::seed_from_u64(0x5e_4fed);
+    let (mut moved, mut findings, mut rendered) = (0, 0, 0);
+    for i in 0..34 {
+        let edit = [Some(Edit::Const), Some(Edit::Stmt), Some(Edit::Local), None][i % 4];
+        let roots: Vec<String> = session
+            .warm
+            .as_ref()
+            .unwrap()
+            .roots
+            .iter()
+            .map(|r| r.root.clone())
+            .collect();
+        if edit == Some(Edit::Const) {
+            while !edit_function(&mut files, Edit::Const, i, &mut rng, &roots) {}
+        } else {
+            while !edit_above_a_finding(&mut files, &report, &roots, edit, i, &mut rng) {}
+            moved += 1;
+        }
+        report = cold(&files);
+        // Every eighth request goes through the public `analyze`, which
+        // builds its findings anew and must not leave a moved one's
+        // fragment for the next served request.
+        if i % 8 == 6 {
+            let out = session.analyze(&request(&files)).expect("analyzes");
+            assert!(out.report == report, "edit {i} ({edit:?}): public report");
+            continue;
+        }
+        let (response, _) = handle_line(&mut session, &frame(i + 1, &files), &mut totals);
+        assert!(
+            response.contains("\"parsed_files\": 1}"),
+            "edit {i} ({edit:?})"
+        );
+        assert!(
+            served_report(&response) == report.to_json(),
+            "edit {i} ({edit:?}): the served report differs from a cold one"
+        );
+        let groups = &session
+            .warm
+            .as_ref()
+            .unwrap()
+            .bound
+            .as_ref()
+            .expect("kept groups")
+            .groups;
+        findings += report.reports.len();
+        rendered += groups.rendered;
+    }
+    assert_eq!(totals.errors, 0);
+    assert_eq!(moved, 25);
+    // The first in-place edit renders every finding; after it, most are
+    // written from their fragments.
+    assert!(
+        rendered * 4 < findings,
+        "{rendered} of {findings} findings rendered"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,7 +53,8 @@
 //! | `smt.solve_calls` | counter | fresh solvers run (one per cache miss) |
 //! | `smt.propagations` | counter | interval-propagation steps, summed over solves |
 //! | `filter.{groups,repeated_dropped,false_dropped}` | counter | stage-2 group outcomes |
-//! | `driver.serve.{compile,fingerprint,store_load,store_save}` | histogram | session-layer wall-clock |
+//! | `driver.serve.{parse,lower,fingerprint,store_load,store_save}` | histogram | session-layer wall-clock |
+//! | `driver.serve.{frame,render}` | histogram | a served `analyze` request's frame read and rendering ([`crate::serve::handle_line`]) |
 //! | `driver.serve.{requests,dirty_roots,clean_roots,changed_functions,invalidated_roots,store_loaded,store_save_errors}` | counter | incremental-session volume and store outcomes |
 
 use crate::json;

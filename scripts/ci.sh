@@ -239,6 +239,23 @@ echo "$third" | grep -q "\"lowered_functions\": $first_fns," \
     || { echo "serve: the in-place edit must append to the store, not rename over it"; exit 1; }
 [ "$(stat -c %s "$serve_store")" -gt "$store_bytes" ] \
     || { echo "serve: the appended store must grow"; exit 1; }
+# The third request relowered in place, so the daemon kept each reported
+# finding's JSON with its group. Its report, and that of a fourth request
+# with the same files, written from those kept findings, must be a cold
+# `pata analyze --json` of the same files, byte for byte.
+cold_json=$(cargo run -q --release --bin pata -- analyze --json \
+    "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c")
+served_report() { printf '%s\n' "$1" | sed 's/^.*"report": //; s/, "serve": {.*//'; }
+[ "$(served_report "$third")" = "$cold_json" ] \
+    || { echo "serve: the in-place edit's report must equal a cold analyze --json"; exit 1; }
+fourth=$(cargo run -q --release --bin pata -- client --socket "$sock" \
+    "$tmp_dir"/corp/*/*.c "$tmp_dir/ci_edit.c")
+echo "$fourth" | grep -q '"parsed_files": 0}' \
+    || { echo "serve: a repeated request must parse no file"; exit 1; }
+echo "$fourth" | grep -q '"dirty_roots": 0,' \
+    || { echo "serve: a repeated request must explore no root"; exit 1; }
+[ "$(served_report "$fourth")" = "$cold_json" ] \
+    || { echo "serve: a repeated request's report must equal a cold analyze --json"; exit 1; }
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: daemon exited non-zero"; exit 1; }
@@ -262,7 +279,7 @@ echo "$restarted" | grep -q '"dirty_roots": 0,' \
 cargo run -q --release --bin pata -- client --socket "$sock" --op shutdown \
     >/dev/null
 wait "$serve_pid" || { echo "serve: restarted daemon exited non-zero"; exit 1; }
-echo "serve round-trip OK (second request re-explored 1 root and lowered all $all_fns functions, third changed 1 function and lowered $first_fns, each parsed 1 file; the third appended to the store, and a restart over it explored no root)"
+echo "serve round-trip OK (second request re-explored 1 root and lowered all $all_fns functions, third changed 1 function and lowered $first_fns, each parsed 1 file; the third appended to the store; the third and a repeated fourth served a cold analyze's report; a restart over the store explored no root)"
 
 echo "== fault-injection smoke matrix"
 # Inject a panic, a validation panic, a deadline trip, and a store IO
