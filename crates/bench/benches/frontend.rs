@@ -1,15 +1,17 @@
 //! Front-end benchmark: lex, parse and lower (`pata-cc`) timed separately
 //! over the linux model at `--scale` 0.2, 1 and 4.
 //!
-//! The three layers are nested public entry points: `Lexer::lex`,
-//! `Parser::parse_source` (lex + parse) and `Compiler::compile` (lex +
-//! parse + lower). A round times each entry point once, back to back, at
-//! every scale in turn, so a slow phase of the host hits every scale; a
-//! layer's time in that round is its entry point's minus the one it
-//! contains, and the reported time is the median over the rounds. The
-//! parser pulls tokens from the lexer without collecting them, so the
-//! parse layer is `parse_source` minus a collecting `Lexer::lex`: the
-//! token vector's cost is charged to lexing.
+//! Lexing and parsing are nested public entry points: `Lexer::lex` and
+//! `Parser::parse_source` (lex + parse). Lowering is timed alone:
+//! `lower_units` over units parsed before the timer starts and dropped
+//! after it stops, with the module it returns dropped after it stops too.
+//! A round times each layer once, back to back, at every scale in turn,
+//! so a slow phase of the host hits every scale; the parse layer's time
+//! in that round is `parse_source`'s minus `Lexer::lex`'s, and the
+//! reported time is the median over the rounds. The parser pulls tokens
+//! from the lexer without collecting them, so the parse layer is
+//! `parse_source` minus a collecting `Lexer::lex`: the token vector's
+//! cost is charged to lexing.
 //!
 //! Times depend on the machine and are only reported. The gate is on what
 //! does not: at every pinned scale the token count, the module's
@@ -27,7 +29,7 @@
 
 use pata_bench::harness::time_once;
 use pata_bench::results;
-use pata_cc::{Compiler, Lexer, Parser};
+use pata_cc::{lower_units, Compiler, Lexer, Parser, Unit};
 use pata_corpus::{Corpus, OsProfile};
 use pata_ir::{print_module, Module};
 use std::hint::black_box;
@@ -81,6 +83,19 @@ fn parse_all(corpus: &Corpus) {
     }
 }
 
+fn parsed_units(corpus: &Corpus) -> Vec<Unit> {
+    corpus
+        .files
+        .iter()
+        .map(|f| Parser::parse_source(&f.path, &f.text).expect("parses"))
+        .collect()
+}
+
+fn lower_all(units: &[Unit]) -> Module {
+    let units: Vec<_> = units.iter().map(|u| (u, None)).collect();
+    lower_units(&units).expect("lowers")
+}
+
 fn compile_all(corpus: &Corpus) -> Module {
     let mut cc = Compiler::new();
     for f in &corpus.files {
@@ -132,14 +147,16 @@ impl Scale {
         }
     }
 
-    /// Times one round of the three entry points.
+    /// Times one round of the three layers.
     fn sample(&mut self) {
         let lexed = ms(|| lex_all(&self.corpus));
         let parsed = ms(|| parse_all(&self.corpus));
-        let compiled = ms(|| compile_all(&self.corpus));
+        let units = parsed_units(&self.corpus);
+        let lowered = ms(|| lower_all(&units));
+        drop(units);
         self.lex.push(lexed);
         self.parse.push((parsed - lexed).max(0.0));
-        self.lower.push((compiled - parsed).max(0.0));
+        self.lower.push(lowered);
     }
 
     fn row(self) -> Row {

@@ -30,21 +30,29 @@
 //! changed anything else, or whose log would outgrow the base, rewrites
 //! the whole file as a new base.
 //!
+//! In memory a root's result is one `RootRecord` whose root and
+//! instructions are ids of a *function space*, a table of one name per
+//! id: the session's module after a request, or after a load the names
+//! the records use, in the order they use them (`Names`). Only
+//! `write_root`/`write_bug` and the readers turn ids into names and back;
+//! a request maps the previous space onto its module once.
+//!
 //! Loading reads each line once, through the pull reader
 //! [`crate::json::Reader`], straight into [`Store`]: no `JsonValue` tree
-//! and no `String` per key. It accepts what a tree walk would: keys in
-//! any order, the first of two equal keys winning, unknown keys skipped
-//! (their values must still be well-formed).
+//! and no `String` per key or name. It accepts what a tree walk would:
+//! keys in any order, the first of two equal keys winning, unknown keys
+//! skipped (their values must still be well-formed). A delta record
+//! replaces the record of its root's interned id.
 //!
 //! Loading is infallible by design: a missing file, malformed JSON, a
 //! torn last line, a schema-version bump or a configuration change all
 //! degrade to a cold start (`None`), never an error. A stored candidate
 //! that no longer resolves against the new module only marks its root
 //! dirty: that root re-explores, and every other clean root still
-//! replays its record. A full save goes through a
-//! temp file + rename, so a crashed writer leaves either the old store or
-//! the new one, not a truncated hybrid; an append that dies halfway
-//! leaves a last line without its newline, which loads as a cold start.
+//! replays its record. A full save goes through a temp file + rename, so
+//! a crashed writer leaves either the old store or the new one, not a
+//! truncated hybrid; an append that dies halfway leaves a last line
+//! without its newline, which loads as a cold start.
 //!
 //! Function fingerprints are *structural*: one walk over the function's
 //! PIR feeds tagged `u64` words to a stable mixer (see `Fingerprinter`).
@@ -64,21 +72,22 @@ use crate::config::{AliasMode, AnalysisConfig};
 use crate::faultinject::{self, FaultPlan};
 use crate::fingerprint::{fnv64, mix};
 use crate::json::{quote_into, JsonError, Reader};
-use crate::report::{DegradedRoot, PossibleBug};
-use crate::stats::{AnalysisStats, BudgetNote};
+use crate::report::PossibleBug;
+use crate::stats::AnalysisStats;
 use pata_ir::{
     BinOp, BlockId, Callee, ConstVal, FileId, FuncId, Function, InstId, InstKind, Loc, Module,
     Operand, StructId, Terminator, Type, VarId, VarKind,
 };
 use pata_smt::{CmpOp, Constraint, OpaqueOp, SatResult, Term};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Version of the on-disk store schema. Bump on any change to the layout
-/// or meaning of the document; [`Store::parse`] treats a mismatch as a
+/// or meaning of the document; [`Store::load`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
 ///
 /// Version 5 holds only what a restart cannot derive: the header is the
@@ -644,10 +653,10 @@ impl FunctionDb {
     }
 
     /// Compares with `old`: how many functions changed (a different
-    /// fingerprint) or appeared, and the names of the changed ones in name
-    /// order, `None` when a function was added or removed. One walk over
-    /// both sorted lists.
-    pub(crate) fn diff(&self, old: &FunctionDb) -> (u64, Option<Vec<String>>) {
+    /// fingerprint) or appeared, and the shared names of the changed ones
+    /// in name order, `None` when a function was added or removed. One
+    /// walk over both sorted lists.
+    pub(crate) fn diff(&self, old: &FunctionDb) -> (u64, Option<Vec<Arc<str>>>) {
         let mut names = Vec::new();
         let mut appeared = 0;
         let mut old_entries = old.entries.iter().peekable();
@@ -655,7 +664,7 @@ impl FunctionDb {
             while old_entries.next_if(|(o, _)| o < name).is_some() {}
             match old_entries.next_if(|(o, _)| o == name) {
                 Some((_, old_fp)) if old_fp == fp => {}
-                Some(_) => names.push(name.to_string()),
+                Some(_) => names.push(Arc::clone(name)),
                 None => appeared += 1,
             }
         }
@@ -693,11 +702,12 @@ impl ModuleFingerprints {
 
     /// Fingerprints `funcs` again after they were lowered again in place
     /// into `module`, the module these fingerprints were built on, and
-    /// returns the names of those whose value changed. No other function's
-    /// fingerprint can have moved: the splice renumbered only variables,
-    /// and fingerprints number variables per function. The kept words
-    /// serve the walk: relowering in place keeps every name and struct.
-    pub(crate) fn refresh(&mut self, module: &Module, funcs: &[FuncId]) -> Vec<String> {
+    /// returns the shared names of those whose value changed. No other
+    /// function's fingerprint can have moved: the splice renumbered only
+    /// variables, and fingerprints number variables per function. The kept
+    /// words serve the walk: relowering in place keeps every name and
+    /// struct.
+    pub(crate) fn refresh(&mut self, module: &Module, funcs: &[FuncId]) -> Vec<Arc<str>> {
         debug_assert_eq!(self.members.len(), module.functions().len());
         let mut changed = Vec::new();
         if funcs.is_empty() {
@@ -713,7 +723,7 @@ impl ModuleFingerprints {
                 .expect("a function lowered again keeps its name");
             if *entry != value {
                 *entry = value;
-                changed.push(f.name().to_owned());
+                changed.push(Arc::clone(f.shared_name()));
             }
             self.members[id.index()] = member_word(fp.t.names[id.index()], value);
         }
@@ -791,106 +801,109 @@ impl ModuleFingerprints {
 }
 
 // --------------------------------------------------------------------
-// Stored candidates
+// Root records
 // --------------------------------------------------------------------
 
-/// One instruction identity in module-independent form: function *name*
-/// plus block/instruction indices. Indices are stable for an unchanged
-/// function (the fingerprint covers the printed block structure), and a
-/// failed bounds check at resolution time just marks the root dirty.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StoredInst {
-    pub(crate) func: String,
-    pub(crate) block: usize,
-    pub(crate) inst: usize,
-}
-
-/// A [`PossibleBug`] detached from module-specific ids, so it can be
-/// replayed into a freshly compiled module. It names its two instructions
-/// only: their source lines are read from the module they resolve to
-/// ([`Module::loc_of`]), and an unchanged closure fingerprint means
-/// unchanged lines (the fingerprint hashes them). SMT symbol ids are kept
-/// verbatim: exploration is deterministic, so an unchanged root assigns
-/// the same `SymId`s it assigned when the bug was recorded. The
-/// constraints and alias paths are shared with the [`PossibleBug`]s it
-/// was recorded from or resolves to, not copied.
+/// One root's exploration result in a function space (see the module
+/// docs). A candidate's source lines are read from the module its
+/// instructions belong to ([`Module::loc_of`]): an unchanged closure
+/// fingerprint means unchanged lines. SMT symbol ids are kept verbatim:
+/// exploration is deterministic, so an unchanged root assigns the same
+/// `SymId`s again.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoredBug {
-    pub(crate) kind: BugKind,
-    pub(crate) origin: StoredInst,
-    pub(crate) site: StoredInst,
-    pub(crate) constraints: Arc<[Constraint]>,
-    pub(crate) extra: Arc<[Constraint]>,
-    pub(crate) alias_paths: Arc<[String]>,
-}
-
-impl StoredBug {
-    pub(crate) fn from_possible(bug: &PossibleBug, module: &Module) -> StoredBug {
-        let inst = |id: InstId| StoredInst {
-            func: module.function(id.func).name().to_owned(),
-            block: id.block.index(),
-            inst: id.inst,
-        };
-        StoredBug {
-            kind: bug.kind,
-            origin: inst(bug.origin_id),
-            site: inst(bug.site_id),
-            constraints: Arc::clone(&bug.constraints),
-            extra: Arc::clone(&bug.extra),
-            alias_paths: Arc::clone(&bug.alias_paths),
-        }
-    }
-
-    /// Re-binds the bug to `module`. `None` when a function named in the
-    /// record no longer exists or an index is out of range — the caller
-    /// then treats the whole root as dirty.
-    pub(crate) fn resolve(&self, module: &Module, root: FuncId) -> Option<PossibleBug> {
-        let inst = |s: &StoredInst| -> Option<InstId> {
-            let func = module.function_by_name(&s.func)?;
-            let blocks = module.function(func).blocks();
-            let block = blocks.get(s.block)?;
-            // `inst == len` denotes the terminator.
-            if s.inst > block.insts.len() {
-                return None;
-            }
-            Some(InstId {
-                func,
-                block: BlockId::from_index(s.block),
-                inst: s.inst,
-            })
-        };
-        Some(PossibleBug {
-            kind: self.kind,
-            origin_id: inst(&self.origin)?,
-            site_id: inst(&self.site)?,
-            constraints: Arc::clone(&self.constraints),
-            extra: Arc::clone(&self.extra),
-            alias_paths: Arc::clone(&self.alias_paths),
-            root,
-        })
-    }
-}
-
-/// One root's persisted exploration result.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoredRoot {
-    /// Root function name.
-    pub(crate) root: String,
+pub(crate) struct RootRecord {
+    pub(crate) root: FuncId,
     /// Closure fingerprint at the time the result was recorded.
     pub(crate) closure_fp: u64,
-    /// Stage-1 candidates, in exploration order.
-    pub(crate) candidates: Vec<StoredBug>,
+    /// Stage-1 candidates in exploration order, each with `root` as root.
+    pub(crate) candidates: Vec<PossibleBug>,
     /// The root's exploration counters (`time` is not persisted — replayed
     /// roots contribute zero wall-clock, which is the point).
     pub(crate) stats: AnalysisStats,
-    /// Budget-exhaustion note, if the root was truncated.
-    pub(crate) note: Option<BudgetNote>,
-    /// Degraded entry for a root the fault-containment ladder demoted —
-    /// persisted so a warm replay reproduces the report's `degraded`
-    /// section byte-identically. Quarantined roots are never persisted
-    /// (they re-explore on the next request), so this is only ever the
-    /// `"demoted"` record. Absent in older stores (parsed as `None`).
-    pub(crate) degraded: Option<DegradedRoot>,
+    /// Which budget truncated the exploration, if one did.
+    pub(crate) note: Option<String>,
+    /// Why the fault-containment ladder demoted the root, if it did: a
+    /// replay reports the demotion again. A quarantined root has no record.
+    pub(crate) demoted: Option<String>,
+}
+
+impl RootRecord {
+    /// Moves the record into another function space, where `to` gives
+    /// each function's id. `None`, with the record half moved, when `to`
+    /// lacks a function.
+    pub(crate) fn renumber(&mut self, mut to: impl FnMut(FuncId) -> Option<FuncId>) -> Option<()> {
+        self.root = to(self.root)?;
+        for bug in &mut self.candidates {
+            bug.root = self.root;
+            bug.origin_id.func = to(bug.origin_id.func)?;
+            bug.site_id.func = to(bug.site_id.func)?;
+        }
+        Some(())
+    }
+}
+
+/// Per function id of a space of `len` functions: the index of the last
+/// of `records` whose root `to` maps to it.
+pub(crate) fn record_at(
+    records: &[RootRecord],
+    len: usize,
+    to: impl Fn(FuncId) -> Option<FuncId>,
+) -> Vec<Option<usize>> {
+    let mut at = vec![None; len];
+    for (i, record) in records.iter().enumerate() {
+        if let Some(f) = to(record.root) {
+            at[f.index()] = Some(i);
+        }
+    }
+    at
+}
+
+/// The function names a store's records use while the store is read,
+/// each interned once, numbered in order of first use and borrowed from
+/// the file where it can. [`Names::finish`] turns them into the store's
+/// function space.
+#[derive(Debug, Default)]
+pub(crate) struct Names<'a> {
+    ids: HashMap<Cow<'a, str>, FuncId>,
+    names: Vec<Cow<'a, str>>,
+    /// The id interned last.
+    last: Option<FuncId>,
+}
+
+impl<'a> Names<'a> {
+    /// The id of `name`. A candidate's functions are mostly its record's
+    /// root, interned just before, so that name is compared first.
+    pub(crate) fn intern(&mut self, name: Cow<'a, str>) -> FuncId {
+        if let Some(last) = self.last.filter(|l| self.names[l.index()] == name) {
+            return last;
+        }
+        let next = FuncId::from_index(self.names.len());
+        let id = *self.ids.entry(name).or_insert_with_key(|name| {
+            self.names.push(name.clone());
+            next
+        });
+        self.last = Some(id);
+        id
+    }
+
+    /// The canonical function space of `records`, with every record
+    /// renumbered into it: the names they use, in the order they use them
+    /// (a root, then its candidates' origin and site functions). Neither
+    /// key order nor a replaced record moves a name, so two readings of one
+    /// store meaning give equal stores.
+    pub(crate) fn finish(self, records: &mut [RootRecord]) -> Arc<[Arc<str>]> {
+        let mut to: Vec<Option<FuncId>> = vec![None; self.names.len()];
+        let mut order = Vec::new();
+        for record in records.iter_mut() {
+            record.renumber(|f| {
+                Some(*to[f.index()].get_or_insert_with(|| {
+                    order.push(f.index());
+                    FuncId::from_index(order.len() - 1)
+                }))
+            });
+        }
+        order.iter().map(|&i| Arc::from(&*self.names[i])).collect()
+    }
 }
 
 // --------------------------------------------------------------------
@@ -902,8 +915,11 @@ pub(crate) struct StoredRoot {
 pub(crate) struct Store {
     /// The function database: `(name, fingerprint)`, sorted by name.
     pub(crate) functions: FunctionDb,
+    /// The function space of `roots`: the names they use, in the order
+    /// they use them ([`Names::finish`]).
+    pub(crate) names: Arc<[Arc<str>]>,
     /// Per-root cached results, in the recorded root order.
-    pub(crate) roots: Vec<StoredRoot>,
+    pub(crate) roots: Vec<RootRecord>,
     /// Stage-2 verdicts under canonical keys, sorted by key.
     pub(crate) validation: Vec<(Vec<u8>, SatResult)>,
 }
@@ -916,8 +932,10 @@ pub(crate) struct StoreDoc<'a> {
     pub(crate) config_fp: u64,
     /// The function database.
     pub(crate) functions: &'a FunctionDb,
+    /// The name of each function of the records' space.
+    pub(crate) names: &'a [Arc<str>],
     /// Per-root cached results, in the recorded root order.
-    pub(crate) roots: &'a [StoredRoot],
+    pub(crate) roots: &'a [RootRecord],
     /// Stage-2 verdicts under canonical keys, sorted by key.
     pub(crate) validation: &'a [(Vec<u8>, SatResult)],
 }
@@ -929,8 +947,10 @@ pub(crate) struct StoreDoc<'a> {
 pub(crate) struct StoreDelta<'a> {
     /// Functions whose fingerprint changed, with the new fingerprint.
     pub(crate) functions: Vec<(&'a str, u64)>,
-    /// Root records that replace the stored records of the same name.
-    pub(crate) roots: Vec<&'a StoredRoot>,
+    /// The name of each function of the records' space.
+    pub(crate) names: &'a [Arc<str>],
+    /// Root records that replace the stored records of the same root.
+    pub(crate) roots: Vec<&'a RootRecord>,
     /// Verdicts added since the store was last read or written, sorted by
     /// key.
     pub(crate) validation: &'a [(Vec<u8>, SatResult)],
@@ -955,12 +975,14 @@ impl StoreFile {
 }
 
 impl Store {
-    /// Parses a store document written with the *current* schema version
-    /// and `expect_config_fp`. Any deviation — malformed JSON, version or
-    /// fingerprint mismatch, missing or mistyped field — yields `None`:
-    /// the caller starts cold. Keys may come in any order, the first of
-    /// two equal keys wins, and unknown keys are ignored.
-    pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
+    /// Reads a base document written with the *current* schema version
+    /// and `expect_config_fp`, interning the names its records use into
+    /// `names` and leaving the store's space empty. Any deviation —
+    /// malformed JSON, version or fingerprint mismatch, missing or
+    /// mistyped field — yields `None`: the caller starts cold. Keys may
+    /// come in any order, the first of two equal keys wins, and unknown
+    /// keys are ignored.
+    fn read_base<'a>(text: &'a str, expect_config_fp: u64, names: &mut Names<'a>) -> Option<Store> {
         let mut r = Reader::new(text);
         let mut version = None;
         let mut config_fp = None;
@@ -979,7 +1001,9 @@ impl Store {
                     })?;
                     functions = Some(FunctionDb::from_entries(entries));
                 }
-                "roots" if roots.is_none() => roots = Some(read_list(r, read_root)?),
+                "roots" if roots.is_none() => {
+                    roots = Some(read_list(r, |r| read_root(r, names))?);
+                }
                 "validation" if validation.is_none() => {
                     validation = Some(read_list(r, read_verdict)?);
                 }
@@ -994,6 +1018,7 @@ impl Store {
         }
         Some(Store {
             functions: functions?,
+            names: Arc::default(),
             roots: roots?,
             validation: validation?,
         })
@@ -1007,16 +1032,20 @@ impl Store {
     pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, StoreFile)> {
         let mut lines = text.strip_suffix('\n')?.split('\n');
         let base = lines.next()?;
-        let mut store = Store::parse(base, expect_config_fp)?;
-        let mut by_name: Option<Vec<usize>> = None;
+        let mut names = Names::default();
+        // Room for a name per 128 bytes: reading rarely grows the table.
+        names.ids.reserve(text.len() / 128);
+        let mut store = Store::read_base(base, expect_config_fp, &mut names)?;
+        let mut at: Option<Vec<Option<usize>>> = None;
         for line in lines {
-            let by_name = by_name.get_or_insert_with(|| store.roots_by_name());
-            store.apply_delta(line, by_name)?;
+            let at = at.get_or_insert_with(|| record_at(&store.roots, names.names.len(), Some));
+            store.apply_delta(line, &mut names, at)?;
         }
-        if by_name.is_some() {
+        if at.is_some() {
             store.validation.sort_by(|(a, _), (b, _)| a.cmp(b));
             store.validation.dedup_by(|(a, _), (b, _)| a == b);
         }
+        store.names = names.finish(&mut store.roots);
         let file = StoreFile {
             base: base.len() as u64 + 1,
             len: text.len() as u64,
@@ -1024,24 +1053,14 @@ impl Store {
         Some((store, file))
     }
 
-    /// The indices of the root records, sorted by root name; records of
-    /// one name stay in record order.
-    fn roots_by_name(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.roots.len()).collect();
-        order.sort_by(|&a, &b| self.roots[a].root.cmp(&self.roots[b].root));
-        order
-    }
-
-    /// The index of the root record named `name` in `by_name` (see
-    /// [`Store::roots_by_name`]), the last of several.
-    fn root_at(&self, by_name: &[usize], name: &str) -> Option<usize> {
-        let end = by_name.partition_point(|&i| self.roots[i].root.as_str() <= name);
-        let at = *by_name[..end].last()?;
-        (self.roots[at].root == name).then_some(at)
-    }
-
-    /// Applies one delta line; `by_name` orders the root records by name.
-    fn apply_delta(&mut self, line: &str, by_name: &[usize]) -> Option<()> {
+    /// Applies one delta line; `at` gives the record of each root the base
+    /// document interned.
+    fn apply_delta<'a>(
+        &mut self,
+        line: &'a str,
+        names: &mut Names<'a>,
+        at: &[Option<usize>],
+    ) -> Option<()> {
         let mut r = Reader::new(line);
         let (mut functions, mut roots, mut validation) = (false, false, false);
         each_field(&mut r, |r, key| {
@@ -1057,9 +1076,9 @@ impl Store {
                 "roots" if !roots => {
                     roots = true;
                     each_item(r, |r| {
-                        let root = read_root(r)?;
-                        let at = self.root_at(by_name, &root.root)?;
-                        self.roots[at] = root;
+                        let record = read_root(r, names)?;
+                        let i = (*at.get(record.root.index())?)?;
+                        self.roots[i] = record;
                         Some(())
                     })?;
                 }
@@ -1101,7 +1120,9 @@ impl StoreDoc<'_> {
         );
         write_functions(&mut out, self.functions.iter());
         out.push_str(", \"roots\": [");
-        write_list(&mut out, self.roots, write_root);
+        write_list(&mut out, self.roots, |out, r| {
+            write_root(out, r, self.names)
+        });
         out.push_str("], \"validation\": [");
         write_list(&mut out, self.validation, write_verdict);
         out.push_str("]}");
@@ -1153,7 +1174,9 @@ impl StoreDelta<'_> {
         let mut out = String::from("{\"functions\": ");
         write_functions(&mut out, self.functions.iter().copied());
         out.push_str(", \"roots\": [");
-        write_list(&mut out, &self.roots, |out, r| write_root(out, r));
+        write_list(&mut out, &self.roots, |out, r| {
+            write_root(out, r, self.names)
+        });
         out.push_str("], \"validation\": [");
         write_list(&mut out, self.validation, write_verdict);
         out.push_str("]}\n");
@@ -1289,11 +1312,7 @@ fn write_verdict(out: &mut String, (key, verdict): &(Vec<u8>, SatResult)) {
         let _ = write!(out, "{b:02x}");
     }
     out.push_str("\", \"verdict\": \"");
-    out.push_str(match verdict {
-        SatResult::Sat => "sat",
-        SatResult::Unsat => "unsat",
-        SatResult::Unknown => "unknown",
-    });
+    out.push_str(spell(&VERDICTS, *verdict));
     out.push_str("\"}");
 }
 
@@ -1303,12 +1322,7 @@ fn read_verdict(r: &mut Reader) -> Option<(Vec<u8>, SatResult)> {
         match &*name {
             "key" if key.is_none() => key = Some(parse_hex_bytes(&read(r.str())?)?),
             "verdict" if verdict.is_none() => {
-                verdict = Some(match &*read(r.str())? {
-                    "sat" => SatResult::Sat,
-                    "unsat" => SatResult::Unsat,
-                    "unknown" => SatResult::Unknown,
-                    _ => return None,
-                });
+                verdict = Some(parse_spelled(&VERDICTS, &read(r.str())?)?);
             }
             _ => r.skip_value().ok()?,
         }
@@ -1362,7 +1376,7 @@ fn record_stats(c: [u64; 7], candidates: usize, note: bool) -> AnalysisStats {
     }
 }
 
-fn write_root(out: &mut String, r: &StoredRoot) {
+fn write_root(out: &mut String, r: &RootRecord, names: &[Arc<str>]) {
     let counters = stored_counters(&r.stats);
     debug_assert_eq!(
         r.stats,
@@ -1370,32 +1384,27 @@ fn write_root(out: &mut String, r: &StoredRoot) {
         "a root record's statistics are its stored counters"
     );
     out.push_str("{\"root\": ");
-    quote_into(out, &r.root);
+    quote_into(out, &names[r.root.index()]);
     let _ = write!(out, ", \"closure_fp\": \"{:016x}\"", r.closure_fp);
     out.push_str(", \"candidates\": [");
-    write_list(out, &r.candidates, write_bug);
+    write_list(out, &r.candidates, |out, b| write_bug(out, b, names));
     out.push_str("], \"stats\": [");
     write_list(out, counters, |out, n| {
         let _ = write!(out, "{n}");
     });
     out.push(']');
-    if let Some(n) = &r.note {
-        debug_assert_eq!(n.root, r.root, "a budget note names its record's root");
+    if let Some(reason) = &r.note {
         out.push_str(", \"note\": ");
-        quote_into(out, &n.reason);
+        quote_into(out, reason);
     }
-    if let Some(d) = &r.degraded {
-        debug_assert!(
-            d.root == r.root && d.stage == "explore" && d.action == "demoted",
-            "a stored degraded entry is its root's exploration demotion"
-        );
+    if let Some(reason) = &r.demoted {
         out.push_str(", \"demoted\": ");
-        quote_into(out, &d.reason);
+        quote_into(out, reason);
     }
     out.push('}');
 }
 
-fn read_root(r: &mut Reader) -> Option<StoredRoot> {
+fn read_root<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Option<RootRecord> {
     let mut root = None;
     let mut closure_fp = None;
     let mut candidates = None;
@@ -1404,9 +1413,11 @@ fn read_root(r: &mut Reader) -> Option<StoredRoot> {
     let mut demoted = None;
     each_field(r, |r, key| {
         match &*key {
-            "root" if root.is_none() => root = Some(read(r.str())?.into_owned()),
+            "root" if root.is_none() => root = Some(names.intern(read(r.str())?)),
             "closure_fp" if closure_fp.is_none() => closure_fp = Some(read_hex64(r)?),
-            "candidates" if candidates.is_none() => candidates = Some(read_list(r, read_bug)?),
+            "candidates" if candidates.is_none() => {
+                candidates = Some(read_list(r, |r| read_bug(r, names))?);
+            }
             "stats" if counters.is_none() => counters = Some(read_counters(r)?),
             "note" if note.is_none() => note = Some(read(r.str())?.into_owned()),
             "demoted" if demoted.is_none() => demoted = Some(read(r.str())?.into_owned()),
@@ -1415,24 +1426,14 @@ fn read_root(r: &mut Reader) -> Option<StoredRoot> {
         Some(())
     })?;
     let root = root?;
-    let candidates: Vec<StoredBug> = candidates?;
-    let note = note.map(|reason| BudgetNote {
-        root: root.clone(),
-        reason,
-    });
-    let degraded = demoted.map(|reason| DegradedRoot {
-        root: root.clone(),
-        stage: "explore".to_owned(),
-        reason,
-        action: "demoted".to_owned(),
-    });
-    Some(StoredRoot {
+    let candidates: Vec<PossibleBug> = candidates?;
+    Some(RootRecord {
         stats: record_stats(counters?, candidates.len(), note.is_some()),
         closure_fp: closure_fp?,
         root,
         candidates,
         note,
-        degraded,
+        demoted,
     })
 }
 
@@ -1448,18 +1449,19 @@ fn read_counters(r: &mut Reader) -> Option<[u64; 7]> {
     (n == counters.len()).then_some(counters)
 }
 
-fn write_bug(out: &mut String, b: &StoredBug) {
-    let inst = |out: &mut String, s: &StoredInst| {
+fn write_bug(out: &mut String, b: &PossibleBug, names: &[Arc<str>]) {
+    let inst = |out: &mut String, id: InstId| {
         out.push_str("{\"func\": ");
-        quote_into(out, &s.func);
-        let _ = write!(out, ", \"block\": {}, \"inst\": {}}}", s.block, s.inst);
+        quote_into(out, &names[id.func.index()]);
+        let (block, inst) = (id.block.index(), id.inst);
+        let _ = write!(out, ", \"block\": {block}, \"inst\": {inst}}}");
     };
     out.push_str("{\"kind\": ");
     quote_into(out, b.kind.as_str());
     out.push_str(", \"origin\": ");
-    inst(out, &b.origin);
+    inst(out, b.origin_id);
     out.push_str(", \"site\": ");
-    inst(out, &b.site);
+    inst(out, b.site_id);
     out.push_str(", \"constraints\": [");
     write_list(out, b.constraints.iter(), write_constraint);
     out.push_str("], \"extra\": [");
@@ -1469,7 +1471,8 @@ fn write_bug(out: &mut String, b: &StoredBug) {
     out.push_str("]}");
 }
 
-fn read_bug(r: &mut Reader) -> Option<StoredBug> {
+/// Reads a candidate; its `root` is left for [`Names::finish`] to set.
+fn read_bug<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Option<PossibleBug> {
     let mut kind = None;
     let mut origin = None;
     let mut site = None;
@@ -1479,8 +1482,8 @@ fn read_bug(r: &mut Reader) -> Option<StoredBug> {
     each_field(r, |r, key| {
         match &*key {
             "kind" if kind.is_none() => kind = Some(BugKind::parse(&read(r.str())?)?),
-            "origin" if origin.is_none() => origin = Some(read_inst(r)?),
-            "site" if site.is_none() => site = Some(read_inst(r)?),
+            "origin" if origin.is_none() => origin = Some(read_inst(r, names)?),
+            "site" if site.is_none() => site = Some(read_inst(r, names)?),
             "constraints" if constraints.is_none() => {
                 constraints = Some(read_list(r, read_constraint)?);
             }
@@ -1492,30 +1495,33 @@ fn read_bug(r: &mut Reader) -> Option<StoredBug> {
         }
         Some(())
     })?;
-    Some(StoredBug {
+    Some(PossibleBug {
         kind: kind?,
-        origin: origin?,
-        site: site?,
+        origin_id: origin?,
+        site_id: site?,
         constraints: constraints?.into(),
         extra: extra?.into(),
         alias_paths: alias_paths?.into(),
+        root: FuncId::from_index(0),
     })
 }
 
-fn read_inst(r: &mut Reader) -> Option<StoredInst> {
+/// Reads an instruction: its function's name, interned, and its block and
+/// instruction indices. A block index is a `u32`, as in any module.
+fn read_inst<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Option<InstId> {
     let (mut func, mut block, mut inst) = (None, None, None);
     each_field(r, |r, key| {
         match &*key {
-            "func" if func.is_none() => func = Some(read(r.str())?.into_owned()),
-            "block" if block.is_none() => block = Some(usize::try_from(read(r.int())?).ok()?),
+            "func" if func.is_none() => func = Some(names.intern(read(r.str())?)),
+            "block" if block.is_none() => block = Some(u32::try_from(read(r.int())?).ok()?),
             "inst" if inst.is_none() => inst = Some(usize::try_from(read(r.int())?).ok()?),
             _ => r.skip_value().ok()?,
         }
         Some(())
     })?;
-    Some(StoredInst {
+    Some(InstId {
         func: func?,
-        block: block?,
+        block: BlockId::from_index(block? as usize),
         inst: inst?,
     })
 }
@@ -1524,58 +1530,47 @@ fn read_inst(r: &mut Reader) -> Option<StoredInst> {
 // Constraint / term serialization
 // --------------------------------------------------------------------
 
-fn cmp_op_str(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "==",
-        CmpOp::Ne => "!=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-    }
+/// Each comparison operator with its spelling in the store.
+const CMP_OPS: [(CmpOp, &str); 6] = [
+    (CmpOp::Eq, "=="),
+    (CmpOp::Ne, "!="),
+    (CmpOp::Lt, "<"),
+    (CmpOp::Le, "<="),
+    (CmpOp::Gt, ">"),
+    (CmpOp::Ge, ">="),
+];
+
+/// Each opaque operator with its spelling in the store.
+const OPAQUE_OPS: [(OpaqueOp, &str); 8] = [
+    (OpaqueOp::Mul, "mul"),
+    (OpaqueOp::Div, "div"),
+    (OpaqueOp::Rem, "rem"),
+    (OpaqueOp::And, "and"),
+    (OpaqueOp::Or, "or"),
+    (OpaqueOp::Xor, "xor"),
+    (OpaqueOp::Shl, "shl"),
+    (OpaqueOp::Shr, "shr"),
+];
+
+/// Each verdict with its spelling in the store.
+const VERDICTS: [(SatResult, &str); 3] = [
+    (SatResult::Sat, "sat"),
+    (SatResult::Unsat, "unsat"),
+    (SatResult::Unknown, "unknown"),
+];
+
+/// The spelling of `value` in `table`, which spells every value.
+fn spell<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table.iter().find(|(v, _)| *v == value).expect("spelled").1
 }
 
-fn parse_cmp_op(s: &str) -> Option<CmpOp> {
-    Some(match s {
-        "==" => CmpOp::Eq,
-        "!=" => CmpOp::Ne,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::Le,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::Ge,
-        _ => return None,
-    })
-}
-
-fn opaque_op_str(op: OpaqueOp) -> &'static str {
-    match op {
-        OpaqueOp::Mul => "mul",
-        OpaqueOp::Div => "div",
-        OpaqueOp::Rem => "rem",
-        OpaqueOp::And => "and",
-        OpaqueOp::Or => "or",
-        OpaqueOp::Xor => "xor",
-        OpaqueOp::Shl => "shl",
-        OpaqueOp::Shr => "shr",
-    }
-}
-
-fn parse_opaque_op(s: &str) -> Option<OpaqueOp> {
-    Some(match s {
-        "mul" => OpaqueOp::Mul,
-        "div" => OpaqueOp::Div,
-        "rem" => OpaqueOp::Rem,
-        "and" => OpaqueOp::And,
-        "or" => OpaqueOp::Or,
-        "xor" => OpaqueOp::Xor,
-        "shl" => OpaqueOp::Shl,
-        "shr" => OpaqueOp::Shr,
-        _ => return None,
-    })
+/// The value spelled `s` in `table`.
+fn parse_spelled<T: Copy>(table: &[(T, &str)], s: &str) -> Option<T> {
+    table.iter().find(|(_, t)| *t == s).map(|(v, _)| *v)
 }
 
 fn write_constraint(out: &mut String, c: &Constraint) {
-    let _ = write!(out, "{{\"op\": \"{}\", \"l\": ", cmp_op_str(c.op));
+    let _ = write!(out, "{{\"op\": \"{}\", \"l\": ", spell(&CMP_OPS, c.op));
     write_term(out, &c.lhs);
     out.push_str(", \"r\": ");
     write_term(out, &c.rhs);
@@ -1586,7 +1581,7 @@ fn read_constraint(r: &mut Reader) -> Option<Constraint> {
     let (mut op, mut lhs, mut rhs) = (None, None, None);
     each_field(r, |r, key| {
         match &*key {
-            "op" if op.is_none() => op = Some(parse_cmp_op(&read(r.str())?)?),
+            "op" if op.is_none() => op = Some(parse_spelled(&CMP_OPS, &read(r.str())?)?),
             "l" if lhs.is_none() => lhs = Some(read(read_term(r))?),
             "r" if rhs.is_none() => rhs = Some(read(read_term(r))?),
             _ => r.skip_value().ok()?,
@@ -1607,7 +1602,7 @@ fn write_term(out: &mut String, t: &Term) {
         Term::Add(a, b) => write_binary(out, "+", a, b),
         Term::Sub(a, b) => write_binary(out, "-", a, b),
         Term::Mul(a, b) => write_binary(out, "*", a, b),
-        Term::Opaque(op, a, b) => write_binary(out, opaque_op_str(*op), a, b),
+        Term::Opaque(op, a, b) => write_binary(out, spell(&OPAQUE_OPS, *op), a, b),
         Term::Neg(a) => {
             out.push_str("{\"o\": \"neg\", \"a\": ");
             write_term(out, a);
@@ -1666,7 +1661,7 @@ fn read_term(r: &mut Reader) -> Result<Option<Term>, JsonError> {
         "+" => Some(Term::Add(a, b)),
         "-" => Some(Term::Sub(a, b)),
         "*" => Some(Term::Mul(a, b)),
-        other => parse_opaque_op(other).map(|op| Term::Opaque(op, a, b)),
+        other => parse_spelled(&OPAQUE_OPS, other).map(|op| Term::Opaque(op, a, b)),
     })
 }
 
@@ -1682,11 +1677,20 @@ mod tests {
     const CONFIG_FP: u64 = 7;
 
     impl Store {
+        /// Parses one base document; see [`Store::read_base`].
+        pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
+            let mut names = Names::default();
+            let mut store = Store::read_base(text, expect_config_fp, &mut names)?;
+            store.names = names.finish(&mut store.roots);
+            Some(store)
+        }
+
         /// The store as a document over its own parts.
         fn doc(&self) -> StoreDoc<'_> {
             StoreDoc {
                 config_fp: CONFIG_FP,
                 functions: &self.functions,
+                names: &self.names,
                 roots: &self.roots,
                 validation: &self.validation,
             }
@@ -1720,29 +1724,31 @@ mod tests {
         )
     }
 
+    /// A store over the space `["probe", "helper"]`: one record of the
+    /// root `probe` whose candidate runs from `probe` into `helper`.
     fn sample_store() -> Store {
         let functions =
             FunctionDb::from_entries(vec![("probe".into(), 0xdead_beef), ("helper".into(), 42)]);
+        let (probe, helper) = (FuncId::from_index(0), FuncId::from_index(1));
+        let inst = |func, block, inst| InstId {
+            func,
+            block: BlockId::from_index(block),
+            inst,
+        };
         Store {
             functions,
-            roots: vec![StoredRoot {
-                root: "probe".into(),
+            names: Arc::new(["probe".into(), "helper".into()]),
+            roots: vec![RootRecord {
+                root: probe,
                 closure_fp: 0x1234,
-                candidates: vec![StoredBug {
+                candidates: vec![PossibleBug {
                     kind: BugKind::NullPointerDeref,
-                    origin: StoredInst {
-                        func: "probe".into(),
-                        block: 0,
-                        inst: 2,
-                    },
-                    site: StoredInst {
-                        func: "helper".into(),
-                        block: 1,
-                        inst: 0,
-                    },
+                    origin_id: inst(probe, 0, 2),
+                    site_id: inst(helper, 1, 0),
                     constraints: Arc::new([sample_constraint()]),
                     extra: Arc::new([]),
                     alias_paths: Arc::new(["probe:p".into()]),
+                    root: probe,
                 }],
                 stats: AnalysisStats {
                     roots: 1,
@@ -1753,16 +1759,8 @@ mod tests {
                     budget_exhausted_roots: 1,
                     ..AnalysisStats::default()
                 },
-                note: Some(BudgetNote {
-                    root: "probe".into(),
-                    reason: "max_paths".into(),
-                }),
-                degraded: Some(DegradedRoot {
-                    root: "probe".into(),
-                    stage: "explore".into(),
-                    reason: "deadline".into(),
-                    action: "demoted".into(),
-                }),
+                note: Some("max_paths".into()),
+                demoted: Some("deadline".into()),
             }],
             validation: vec![
                 (vec![0u8, 255, 16], SatResult::Unsat),
@@ -1777,6 +1775,7 @@ mod tests {
         let store = sample_store();
         let back = Store::parse(&store.to_json(), CONFIG_FP).expect("parses");
         assert_eq!(back.functions, store.functions);
+        assert_eq!(back.names, store.names);
         assert_eq!(back.roots, store.roots);
         assert_eq!(back.validation, store.validation);
         // Byte-stable: serializing the parsed image reproduces the text.
@@ -1861,11 +1860,11 @@ mod tests {
     #[test]
     fn degraded_field_is_optional_and_backward_compatible() {
         let mut store = sample_store();
-        store.roots[0].degraded = None;
+        store.roots[0].demoted = None;
         let json = store.to_json();
         assert!(!json.contains("\"demoted\""), "omitted when None");
         let back = Store::parse(&json, CONFIG_FP).expect("parses");
-        assert_eq!(back.roots[0].degraded, None);
+        assert_eq!(back.roots[0].demoted, None);
     }
 
     /// The writer's bytes, pinned: a store written by an older build must
@@ -1978,6 +1977,7 @@ mod tests {
         // The delta that turns `old` into `new`.
         let delta = StoreDelta {
             functions: Vec::new(),
+            names: &new.names,
             roots: vec![&new.roots[0]],
             validation: &[],
         };
@@ -2090,7 +2090,7 @@ mod tests {
         ]);
         assert_ne!(edited.get("alpha"), base.get("alpha"));
         assert_eq!(edited.get("beta"), base.get("beta"));
-        assert_eq!(edited.diff(&base), (1, Some(vec!["alpha".to_owned()])));
+        assert_eq!(edited.diff(&base), (1, Some(vec![Arc::from("alpha")])));
     }
 
     #[test]

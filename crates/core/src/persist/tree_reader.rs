@@ -5,20 +5,23 @@
 
 use super::*;
 use crate::json::JsonValue;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// A store while the oracle reads it: the function database as a map.
+/// A store while the oracle reads it: the function database as a map, and
+/// the names its records use.
 struct TreeStore {
     functions: BTreeMap<String, u64>,
-    roots: Vec<StoredRoot>,
+    names: Names<'static>,
+    roots: Vec<RootRecord>,
     validation: Vec<(Vec<u8>, SatResult)>,
 }
 
 impl TreeStore {
-    fn into_store(self) -> Store {
+    fn into_store(mut self) -> Store {
         let entries = self.functions.into_iter();
         Store {
             functions: FunctionDb::from_entries(entries.map(|(n, fp)| (n.into(), fp)).collect()),
+            names: self.names.finish(&mut self.roots),
             roots: self.roots,
             validation: self.validation,
         }
@@ -41,9 +44,10 @@ fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
     let functions = function_entries(doc.get("functions")?)?
         .map(|entry| entry.map(|(name, fp)| (name.to_owned(), fp)))
         .collect::<Option<_>>()?;
+    let mut names = Names::default();
     let mut roots = Vec::new();
     for item in doc.get("roots")?.as_array()? {
-        roots.push(parse_root(item)?);
+        roots.push(parse_root(item, &mut names)?);
     }
     let mut validation = Vec::new();
     for item in doc.get("validation")?.as_array()? {
@@ -51,6 +55,7 @@ fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
     }
     Some(TreeStore {
         functions,
+        names,
         roots,
         validation,
     })
@@ -61,15 +66,12 @@ pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, St
     let mut lines = text.strip_suffix('\n')?.split('\n');
     let base = lines.next()?;
     let mut store = parse_base(base, expect_config_fp)?;
-    let mut root_at: Option<HashMap<String, usize>> = None;
+    let mut at: Option<Vec<Option<usize>>> = None;
     for line in lines {
-        let root_at = root_at.get_or_insert_with(|| {
-            let names = store.roots.iter().map(|r| r.root.clone());
-            names.zip(0..).collect()
-        });
-        apply_delta(&mut store, line, root_at)?;
+        let at = at.get_or_insert_with(|| record_at(&store.roots, store.names.names.len(), Some));
+        apply_delta(&mut store, line, at)?;
     }
-    if root_at.is_some() {
+    if at.is_some() {
         store.validation.sort_by(|(a, _), (b, _)| a.cmp(b));
         store.validation.dedup_by(|(a, _), (b, _)| a == b);
     }
@@ -80,16 +82,16 @@ pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, St
     Some((store.into_store(), file))
 }
 
-fn apply_delta(store: &mut TreeStore, line: &str, root_at: &HashMap<String, usize>) -> Option<()> {
+fn apply_delta(store: &mut TreeStore, line: &str, at: &[Option<usize>]) -> Option<()> {
     let delta = JsonValue::parse(line).ok()?;
     for entry in function_entries(delta.get("functions")?)? {
         let (name, fp) = entry?;
         *store.functions.get_mut(name)? = fp;
     }
     for item in delta.get("roots")?.as_array()? {
-        let root = parse_root(item)?;
-        let at = *root_at.get(&root.root)?;
-        store.roots[at] = root;
+        let record = parse_root(item, &mut store.names)?;
+        let i = (*at.get(record.root.index())?)?;
+        store.roots[i] = record;
     }
     for item in delta.get("validation")?.as_array()? {
         store.validation.push(parse_verdict(item)?);
@@ -121,11 +123,11 @@ fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
     Some((key, verdict))
 }
 
-fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
-    let root = v.get("root")?.as_str()?;
+fn parse_root(v: &JsonValue, names: &mut Names<'static>) -> Option<RootRecord> {
+    let root = intern(names, v.get("root")?)?;
     let mut candidates = Vec::new();
     for item in v.get("candidates")?.as_array()? {
-        candidates.push(parse_bug(item)?);
+        candidates.push(parse_bug(item, names)?);
     }
     let items = v.get("stats")?.as_array()?;
     let mut counters = [0u64; 7];
@@ -135,37 +137,31 @@ fn parse_root(v: &JsonValue) -> Option<StoredRoot> {
     for (counter, item) in counters.iter_mut().zip(items) {
         *counter = item.as_u64()?;
     }
-    let note = match v.get("note") {
-        None => None,
-        Some(reason) => Some(BudgetNote {
-            root: root.to_owned(),
-            reason: reason.as_str()?.to_owned(),
-        }),
+    let reason = |key: &str| match v.get(key) {
+        None => Some(None),
+        Some(reason) => Some(Some(reason.as_str()?.to_owned())),
     };
-    let degraded = match v.get("demoted") {
-        None => None,
-        Some(reason) => Some(DegradedRoot {
-            root: root.to_owned(),
-            stage: "explore".to_owned(),
-            reason: reason.as_str()?.to_owned(),
-            action: "demoted".to_owned(),
-        }),
-    };
-    Some(StoredRoot {
-        root: root.to_owned(),
+    let (note, demoted) = (reason("note")?, reason("demoted")?);
+    Some(RootRecord {
+        root,
         closure_fp: parse_hex64(v.get("closure_fp")?.as_str()?)?,
         stats: record_stats(counters, candidates.len(), note.is_some()),
         candidates,
         note,
-        degraded,
+        demoted,
     })
 }
 
-fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
-    let inst = |v: &JsonValue| -> Option<StoredInst> {
-        Some(StoredInst {
-            func: v.get("func")?.as_str()?.to_owned(),
-            block: usize::try_from(v.get("block")?.as_u64()?).ok()?,
+/// The id of the name `v` holds.
+fn intern(names: &mut Names<'static>, v: &JsonValue) -> Option<FuncId> {
+    Some(names.intern(Cow::Owned(v.as_str()?.to_owned())))
+}
+
+fn parse_bug(v: &JsonValue, names: &mut Names<'static>) -> Option<PossibleBug> {
+    let mut inst = |v: &JsonValue| -> Option<InstId> {
+        Some(InstId {
+            func: intern(names, v.get("func")?)?,
+            block: BlockId::from_index(u32::try_from(v.get("block")?.as_u64()?).ok()? as usize),
             inst: usize::try_from(v.get("inst")?.as_u64()?).ok()?,
         })
     };
@@ -182,19 +178,20 @@ fn parse_bug(v: &JsonValue) -> Option<StoredBug> {
         .iter()
         .map(|p| p.as_str().map(str::to_owned))
         .collect::<Option<Arc<[_]>>>()?;
-    Some(StoredBug {
+    Some(PossibleBug {
         kind: BugKind::parse(v.get("kind")?.as_str()?)?,
-        origin: inst(v.get("origin")?)?,
-        site: inst(v.get("site")?)?,
+        origin_id: inst(v.get("origin")?)?,
+        site_id: inst(v.get("site")?)?,
         constraints: constraints("constraints")?,
         extra: constraints("extra")?,
         alias_paths,
+        root: FuncId::from_index(0),
     })
 }
 
 fn parse_constraint(v: &JsonValue) -> Option<Constraint> {
     Some(Constraint::new(
-        parse_cmp_op(v.get("op")?.as_str()?)?,
+        parse_spelled(&CMP_OPS, v.get("op")?.as_str()?)?,
         parse_term(v.get("l")?)?,
         parse_term(v.get("r")?)?,
     ))
@@ -217,6 +214,6 @@ fn parse_term(v: &JsonValue) -> Option<Term> {
         "+" => Term::Add(Box::new(a), Box::new(b)),
         "-" => Term::Sub(Box::new(a), Box::new(b)),
         "*" => Term::Mul(Box::new(a), Box::new(b)),
-        other => Term::Opaque(parse_opaque_op(other)?, Box::new(a), Box::new(b)),
+        other => Term::Opaque(parse_spelled(&OPAQUE_OPS, other)?, Box::new(a), Box::new(b)),
     })
 }

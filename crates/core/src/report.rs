@@ -7,10 +7,10 @@ use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// A possible bug produced by stage 1 (typestate tracking without path
-/// validation, §3.2). Stage 2 deduplicates and validates these. Its
-/// constraints and alias paths are shared, not copied, by the session's
-/// record of the bug ([`crate::persist`]).
-#[derive(Debug, Clone)]
+/// validation, §3.2). Stage 2 deduplicates and validates these. The
+/// session's record of a root ([`crate::persist`]) keeps its candidates
+/// as they are.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PossibleBug {
     /// Bug type.
     pub kind: BugKind,

@@ -32,8 +32,8 @@ use crate::driver::{self, RootFailure, RootRun};
 use crate::faultinject;
 use crate::filter::{self, KeptGroups, RootCandidates};
 use crate::persist::{
-    config_fingerprint, ModuleFingerprints, Store, StoreDelta, StoreDoc, StoreFile, StoredBug,
-    StoredRoot,
+    config_fingerprint, record_at, ModuleFingerprints, RootRecord, Store, StoreDelta, StoreDoc,
+    StoreFile,
 };
 use crate::registry::CheckerRegistry;
 use crate::report::{self, BugReport, DegradedRoot, PossibleBug, Report};
@@ -42,10 +42,11 @@ use crate::telemetry::{Span, Telemetry, TelemetrySnapshot};
 use crate::typestate::Checker;
 use crate::validate::ValidationCache;
 use pata_cc::{Diag, LoweredModule, Parser, Unit};
-use pata_ir::{Category, FuncId, Module};
+use pata_ir::{Category, FuncId, InstId, Module};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::iter::zip;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -363,13 +364,17 @@ impl FrontEnd {
 /// on-disk store).
 #[derive(Debug)]
 struct WarmState {
-    /// The fingerprints `roots` were recorded against. Their per-function
-    /// closure members belong to the front end's kept module; a state
-    /// loaded from the store has only the function database.
+    /// The fingerprints `records` were recorded against. Their
+    /// per-function closure members belong to the front end's kept module;
+    /// a state loaded from the store has only the function database.
     fps: ModuleFingerprints,
-    roots: Vec<StoredRoot>,
-    /// What the request that recorded `roots` derived from the front
-    /// end's kept module, when it relowered that module in place.
+    /// The function space of `records`, one name per id: the kept module's,
+    /// captured by its last full lowering, or a loaded store's.
+    names: Arc<[Arc<str>]>,
+    /// One record per root, in root order.
+    records: Vec<RootRecord>,
+    /// What the request that made `records` derived from the front end's
+    /// kept module, when it relowered that module in place.
     bound: Option<Bound>,
 }
 
@@ -385,12 +390,6 @@ struct Bound {
     graph: CallGraph,
     /// The analysis roots, ascending.
     roots: Vec<FuncId>,
-    /// Per root record of [`WarmState::roots`]: its candidates, bound to
-    /// the module, so a clean root needs no [`StoredBug::resolve`]. They
-    /// share their constraints and alias paths with the record's.
-    candidates: Vec<Vec<PossibleBug>>,
-    /// Per function id: the index of the function's root record.
-    record_of: Vec<Option<usize>>,
     /// The P3 groups of the request. The validation cache only grows, so
     /// it still holds every verdict they recorded.
     groups: KeptGroups,
@@ -501,7 +500,8 @@ impl AnalysisSession {
             session.cache.import(store.validation);
             session.warm = Some(WarmState {
                 fps: ModuleFingerprints::from_db(store.functions),
-                roots: store.roots,
+                names: store.names,
+                records: store.roots,
                 bound: None,
             });
             session.synced = Some(SyncedStore {
@@ -825,21 +825,17 @@ impl AnalysisSession {
 
         let prev = self.warm.take();
         let warm_start = prev.is_some();
-        let (prev_fps, prev_roots, bound) = match prev {
-            Some(w) => (Some(w.fps), w.roots, w.bound),
-            None => (None, Vec::new(), None),
+        let (prev_fps, prev_names, mut prev_records, bound) = match prev {
+            Some(w) => (Some(w.fps), Some(w.names), w.records, w.bound),
+            None => (None, None, Vec::new(), None),
         };
         // The previous request's products stay bound to the module only
         // when this request relowered it in place.
         let relowered = compiled.relowered.as_deref();
-        let mut bound = bound.filter(|_| relowered.is_some());
-        let kept_graph = bound.as_mut().zip(relowered).map(|(b, funcs)| {
-            (
-                std::mem::take(&mut b.graph),
-                std::mem::take(&mut b.roots),
-                funcs,
-            )
-        });
+        let (kept_graph, kept_groups) = match bound.zip(relowered) {
+            Some((b, funcs)) => (Some((b.graph, b.roots, funcs)), Some(b.groups)),
+            None => (None, None),
+        };
         let (roots, call_graph) = self.collect(module, kept_graph);
         let module = &*module;
 
@@ -865,59 +861,60 @@ impl AnalysisSession {
         let functions_unchanged = changed_names.as_ref().is_some_and(Vec::is_empty);
         let closures = fps.closure_fps(&call_graph, &roots, config.resolve_fptrs);
 
-        // Each root's previous record: by id while the module stays bound,
-        // by name otherwise.
-        let records: Vec<Option<usize>> = match &bound {
-            Some(b) => roots.iter().map(|r| b.record_of[r.index()]).collect(),
-            None => {
-                let by_name: HashMap<&str, usize> = prev_roots
+        // This request's records are in the module's function space. A
+        // map from the previous space is the identity (`None`) after
+        // relowering in place, which keeps every id and name, or goes by
+        // name after a full lowering, which captures the names anew.
+        let (map, names): (Option<Vec<Option<FuncId>>>, Arc<[Arc<str>]>) = match prev_names {
+            Some(prev) if relowered.is_some() => (None, prev),
+            prev => (
+                prev.map(|prev| prev.iter().map(|n| module.function_by_name(n)).collect()),
+                module
+                    .functions()
                     .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.root.as_str(), i))
-                    .collect();
-                roots
-                    .iter()
-                    .map(|&r| by_name.get(module.function(r).name()).copied())
-                    .collect()
-            }
+                    .map(|f| Arc::clone(f.shared_name()))
+                    .collect(),
+            ),
         };
+        let record_at = record_at(&prev_records, module.functions().len(), |f| match &map {
+            None => Some(f),
+            Some(map) => map[f.index()],
+        });
         // Whether the roots are the recorded ones, in order: then a save may
         // replace their records in place.
-        let same_roots = prev_roots.len() == roots.len()
-            && records.iter().enumerate().all(|(i, &r)| r == Some(i));
+        let recorded = |(i, r): (usize, &FuncId)| record_at[r.index()] == Some(i);
+        let same_roots =
+            prev_records.len() == roots.len() && roots.iter().enumerate().all(recorded);
         // A root is clean when its record has its closure fingerprint. A
-        // clean root's candidates are the bound ones, or its record's
-        // resolved against the new module up front — a resolution failure
-        // demotes the root to dirty (never to a wrong answer).
-        let mut prev_candidates: Vec<Option<Vec<PossibleBug>>> = match bound.as_mut() {
-            Some(b) => std::mem::take(&mut b.candidates)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => prev_roots.iter().map(|_| None).collect(),
-        };
-        let plans: Vec<Option<usize>> = roots
+        // clean root's record moves into this module's space up front, where
+        // it lies: a function it names that is gone, or an instruction index
+        // out of range, demotes the root to dirty (never to a wrong answer).
+        let clean: Vec<Option<usize>> = roots
             .iter()
             .zip(&closures)
-            .zip(&records)
-            .map(|((&root, &closure_fp), &record)| {
-                let at = record.filter(|&at| prev_roots[at].closure_fp == closure_fp)?;
-                if prev_candidates[at].is_none() {
-                    let resolved: Option<Vec<PossibleBug>> = prev_roots[at]
-                        .candidates
-                        .iter()
-                        .map(|b| b.resolve(module, root))
-                        .collect();
-                    prev_candidates[at] = Some(resolved?);
+            .map(|(&root, &closure_fp)| {
+                let at = record_at[root.index()]?;
+                let record = &mut prev_records[at];
+                if record.closure_fp != closure_fp {
+                    return None;
+                }
+                if let Some(map) = &map {
+                    record.renumber(|f| map[f.index()])?;
+                    // `inst == len` denotes the terminator.
+                    let in_bounds = |id: InstId| {
+                        let block = module.function(id.func).blocks().get(id.block.index());
+                        block.is_some_and(|b| id.inst <= b.insts.len())
+                    };
+                    let resolves = |b: &PossibleBug| in_bounds(b.origin_id) && in_bounds(b.site_id);
+                    if !record.candidates.iter().all(resolves) {
+                        return None;
+                    }
                 }
                 Some(at)
             })
             .collect();
-        let dirty_ids: Vec<FuncId> = roots
-            .iter()
-            .zip(&plans)
-            .filter(|(_, p)| p.is_none())
-            .map(|(&r, _)| r)
+        let dirty_ids: Vec<FuncId> = zip(&roots, &clean)
+            .filter_map(|(&root, clean)| clean.is_none().then_some(root))
             .collect();
         let incremental = IncrementalStats {
             roots: roots.len() as u64,
@@ -947,105 +944,74 @@ impl AnalysisSession {
             });
         }
 
-        // Explore the dirty roots; clean roots move their records and
-        // candidates into the new warm state.
+        // Explore the dirty roots; each explored root gets a new record.
         let mut stats = module_stats(module);
         let runs = self.explore(module, &checkers, &dirty_ids, &mut stats);
-        let quarantined = |run: &RootRun| {
-            run.failure
-                .as_ref()
-                .is_some_and(|f| f.action == "quarantined")
-        };
-        // With the recorded roots in the recorded order, and every dirty
-        // root with a result to record, each record stays where it is and
-        // a re-explored root's new record replaces its old one there.
-        // Otherwise the records move into the new root order.
+        let quarantined =
+            |run: &RootRun| matches!(&run.failure, Some(f) if f.action == "quarantined");
+        // With the recorded roots, in order, and every dirty root recorded
+        // again, each record stays where it is and an explored root's new
+        // one replaces it there. Otherwise the records move into root order.
         let in_place = same_roots && !runs.iter().any(quarantined);
-        let mut runs_iter = runs.into_iter();
+        let prev_count = prev_records.len();
+        let (mut records, mut moved): (Vec<RootRecord>, Vec<Option<RootRecord>>) = if in_place {
+            (prev_records, Vec::new())
+        } else {
+            let moved = prev_records.into_iter().map(Some).collect();
+            (Vec::with_capacity(roots.len()), moved)
+        };
+        let mut runs = runs.into_iter();
         let mut notes: Vec<BudgetNote> = Vec::new();
         let mut degraded: Vec<DegradedRoot> = Vec::new();
-        let prev_root_count = prev_roots.len();
-        let (mut prev_roots, mut new_roots): (Vec<Option<StoredRoot>>, Vec<StoredRoot>) =
-            if in_place {
-                (Vec::new(), prev_roots)
-            } else {
-                let prev = prev_roots.into_iter().map(Some).collect();
-                (prev, Vec::with_capacity(roots.len()))
-            };
-        let mut record_of: Vec<Option<usize>> = vec![None; module.functions().len()];
-        // Per record of `new_roots`, in root order either way: its
-        // candidates, and whether this request explored its root.
-        let mut candidates: Vec<Vec<PossibleBug>> = Vec::with_capacity(roots.len());
+        // Per record: whether this request explored its root.
         let mut explored: Vec<bool> = Vec::with_capacity(roots.len());
-        // Indices into `new_roots` of the records explored afresh.
-        let mut replaced: Vec<usize> = Vec::new();
-        for (i, ((&root, closure_fp), plan)) in roots.iter().zip(&closures).zip(plans).enumerate() {
-            match plan {
-                Some(prev_at) => {
-                    let at = if in_place {
-                        prev_at
-                    } else {
-                        let stored = prev_roots[prev_at]
-                            .take()
-                            .expect("a stored result serves one root");
-                        new_roots.push(stored);
-                        new_roots.len() - 1
-                    };
-                    let stored = &new_roots[at];
-                    stats += &stored.stats;
-                    notes.extend(stored.note.clone());
-                    degraded.extend(stored.degraded.clone());
-                    record_of[root.index()] = Some(at);
-                    candidates.push(
-                        prev_candidates[prev_at]
-                            .take()
-                            .expect("a clean root's candidates"),
-                    );
-                    explored.push(false);
+        for (i, (&root, &clean)) in zip(&roots, &clean).enumerate() {
+            if let Some(at) = clean {
+                if !in_place {
+                    records.push(moved[at].take().expect("a record serves one root"));
                 }
-                None => {
-                    let run: RootRun = runs_iter
-                        .next()
-                        .expect("one exploration result per dirty root");
-                    let run_degraded = run.failure.as_ref().map(|f| f.to_degraded());
-                    // A quarantined root produced no trustworthy result
-                    // (and no candidates): never persist it, so the next
-                    // request re-explores it instead of replaying an empty
-                    // answer as "clean". A demoted root's bounded result
-                    // *is* deterministic — persist it together with its
-                    // degraded entry so warm replays reproduce the report
-                    // byte-identically.
-                    if !quarantined(&run) {
-                        let record = StoredRoot {
-                            root: module.function(root).name().to_owned(),
-                            closure_fp: *closure_fp,
-                            candidates: run
-                                .candidates
-                                .iter()
-                                .map(|b| StoredBug::from_possible(b, module))
-                                .collect(),
-                            stats: run.stats,
-                            note: run.note.clone(),
-                            degraded: run_degraded.clone(),
-                        };
-                        let at = if in_place {
-                            new_roots[i] = record;
-                            i
-                        } else {
-                            new_roots.push(record);
-                            new_roots.len() - 1
-                        };
-                        replaced.push(at);
-                        record_of[root.index()] = Some(at);
-                        candidates.push(run.candidates);
-                        explored.push(true);
-                    }
-                    degraded.extend(run_degraded);
-                    notes.extend(run.note);
-                }
+                let record = &records[if in_place { i } else { records.len() - 1 }];
+                let name = module.function(root).name();
+                stats += &record.stats;
+                notes.extend(record.note.iter().map(|reason| BudgetNote {
+                    root: name.to_owned(),
+                    reason: reason.clone(),
+                }));
+                degraded.extend(record.demoted.iter().map(|reason| DegradedRoot {
+                    root: name.to_owned(),
+                    stage: "explore".to_owned(),
+                    reason: reason.clone(),
+                    action: "demoted".to_owned(),
+                }));
+                explored.push(false);
+                continue;
             }
+            let run: RootRun = runs.next().expect("one exploration result per dirty root");
+            degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
+            notes.extend(run.note.clone());
+            // A quarantined root produced no trustworthy result (and no
+            // candidates): never record it, so the next request re-explores
+            // it instead of replaying an empty answer as "clean". A demoted
+            // root's bounded result *is* deterministic — record it with its
+            // demotion so warm replays reproduce the report byte-identically.
+            if quarantined(&run) {
+                continue;
+            }
+            let record = RootRecord {
+                root,
+                closure_fp: closures[i],
+                candidates: run.candidates,
+                stats: run.stats,
+                note: run.note.map(|n| n.reason),
+                demoted: run.failure.map(|f| f.reason),
+            };
+            match in_place {
+                true => records[i] = record,
+                false => records.push(record),
+            }
+            explored.push(true);
         }
-        drop(prev_roots);
+        drop(moved);
 
         // Every request filters its per-root stream. Only a request that
         // relowered in place keeps its groups, with its other products: a
@@ -1053,18 +1019,16 @@ impl AnalysisSession {
         // store) is not serving edits yet. Kept groups replay their
         // verdicts only over the same module ids and, when validating,
         // through the cache that recorded them.
-        let stream: Vec<RootCandidates<'_>> = candidates
+        let stream: Vec<RootCandidates<'_>> = records
             .iter()
             .zip(&explored)
-            .map(|(candidates, &dirty)| RootCandidates { candidates, dirty })
+            .map(|(record, &dirty)| RootCandidates {
+                candidates: &record.candidates,
+                dirty,
+            })
             .collect();
         let replay = !config.validate_paths || config.validation_cache;
-        let mut groups = relowered.map(|_| {
-            bound
-                .filter(|_| replay)
-                .map(|b| b.groups)
-                .unwrap_or_default()
-        });
+        let mut groups = relowered.map(|_| kept_groups.filter(|_| replay).unwrap_or_default());
         let (reports, witnesses, failures) =
             self.filter_roots(module, &stream, groups.as_mut(), out.is_none(), &mut stats);
         degraded.extend(failures);
@@ -1095,7 +1059,6 @@ impl AnalysisSession {
         };
         let render_ns = render_start.elapsed().as_nanos() as u64;
         drop((witnesses, stream));
-        let kept = groups.map(|groups| (candidates, groups));
         stats.time = start.elapsed();
 
         // Update the warm state and (if open) the on-disk store. A fully
@@ -1107,21 +1070,21 @@ impl AnalysisSession {
             .is_some_and(|s| s.cache_mark == self.cache.mark())
             && incremental.dirty_roots == 0
             && functions_unchanged
-            && prev_root_count == new_roots.len();
+            && prev_count == records.len();
         // What a delta line may carry: changed function fingerprints and
-        // replaced root records, when no function or root came or went.
+        // the records of the explored roots, when no function or root came
+        // or went.
         let delta = changed_names
             .as_deref()
-            .filter(|_| same_roots && new_roots.len() == roots.len())
-            .map(|changed| (changed, replaced.as_slice()));
+            .filter(|_| same_roots && records.len() == roots.len())
+            .map(|changed| (changed, explored.as_slice()));
         let warm = WarmState {
             fps,
-            roots: new_roots,
-            bound: kept.map(|(candidates, groups)| Bound {
+            names,
+            records,
+            bound: groups.map(|groups| Bound {
                 graph: call_graph,
                 roots,
-                candidates,
-                record_of,
                 groups,
             }),
         };
@@ -1156,8 +1119,8 @@ impl AnalysisSession {
 
     /// Saves `warm` to the store at `path`. When the store on disk equals
     /// the previous warm state and `delta` names what this request changed
-    /// (the functions whose fingerprint changed and the indices of the
-    /// replaced root records), the save appends one delta line with those
+    /// (the functions whose fingerprint changed and, per record, whether
+    /// it was explored afresh), the save appends one delta line with those
     /// and the verdicts recorded since. Any other save, and one whose log
     /// would outgrow the base, rewrites the whole store, which compacts
     /// the log.
@@ -1165,7 +1128,7 @@ impl AnalysisSession {
         &self,
         path: &Path,
         warm: &WarmState,
-        delta: Option<(&[String], &[usize])>,
+        delta: Option<(&[Arc<str>], &[bool])>,
     ) -> std::io::Result<StoreFile> {
         let fault = self.config.fault_plan.as_deref();
         let verdicts_since = |mark| {
@@ -1175,16 +1138,16 @@ impl AnalysisSession {
                 Vec::new()
             }
         };
-        if let (Some(synced), Some((changed, replaced))) = (self.synced, delta) {
+        if let (Some(synced), Some((changed, explored))) = (self.synced, delta) {
             let delta = StoreDelta {
                 functions: changed
                     .iter()
-                    .map(|name| {
-                        let fp = warm.fps.db.get(name).expect("a changed function is stored");
-                        (name.as_str(), fp)
-                    })
+                    .map(|name| (&**name, warm.fps.db.get(name).expect("a stored function")))
                     .collect(),
-                roots: replaced.iter().map(|&i| &warm.roots[i]).collect(),
+                names: &warm.names,
+                roots: zip(&warm.records, explored)
+                    .filter_map(|(record, &explored)| explored.then_some(record))
+                    .collect(),
                 validation: &verdicts_since(synced.cache_mark),
             };
             if let Some(file) = delta.append_with_faults(path, synced.file, fault)? {
@@ -1194,7 +1157,8 @@ impl AnalysisSession {
         StoreDoc {
             config_fp: self.config_fp,
             functions: &warm.fps.db,
-            roots: &warm.roots,
+            names: &warm.names,
+            roots: &warm.records,
             validation: &verdicts_since(0),
         }
         .save_with_faults(path, fault)

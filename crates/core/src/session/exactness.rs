@@ -215,6 +215,13 @@ pub(super) fn edit_function(
     true
 }
 
+/// The names of the roots `session` keeps records of, in root order.
+pub(super) fn recorded_roots(session: &AnalysisSession) -> Vec<String> {
+    let warm = session.warm.as_ref().expect("a warm state");
+    let name = |r: &RootRecord| warm.names[r.root.index()].to_string();
+    warm.records.iter().map(name).collect()
+}
+
 pub(super) fn request(files: &[(String, String)]) -> AnalysisRequest {
     files
         .iter()

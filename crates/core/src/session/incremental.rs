@@ -7,7 +7,7 @@
 //! equal those of a session that derives everything again on every request
 //! (a fresh session's differ in the validation cache's hits and misses).
 
-use super::exactness::{edit_function, header, request, Edit};
+use super::exactness::{edit_function, header, recorded_roots, request, Edit};
 use super::*;
 use crate::json::quote;
 use crate::serve::{handle_line, ServeTotals};
@@ -24,8 +24,8 @@ fn outcome_of(out: &SessionOutcome) -> (AnalysisStats, String) {
 }
 
 /// What a session keeps for its next request, in a comparable form: the
-/// call graph, roots and interface flags; the per-root records and
-/// candidates; the P3 groups.
+/// call graph, roots and interface flags; the function space's names and
+/// the per-root records; the P3 groups.
 fn kept(session: &AnalysisSession) -> (String, String, Vec<filter::GroupDump>) {
     let warm = session.warm.as_ref().expect("a warm state");
     let bound = warm.bound.as_ref().expect("products bound to the module");
@@ -35,11 +35,8 @@ fn kept(session: &AnalysisSession) -> (String, String, Vec<filter::GroupDump>) {
         .iter()
         .map(|f| f.is_interface())
         .collect();
-    let graph = format!(
-        "{:?} {:?} {:?} {flags:?}",
-        bound.graph, bound.roots, bound.record_of
-    );
-    let plans = format!("{:?} {:?}", warm.roots, bound.candidates);
+    let graph = format!("{:?} {:?} {flags:?}", bound.graph, bound.roots);
+    let plans = format!("{:?} {:?}", warm.names, warm.records);
     (graph, plans, bound.groups.dump())
 }
 
@@ -232,15 +229,7 @@ fn edit(
     i: usize,
     rng: &mut Prng,
 ) {
-    let roots: Vec<String> = session
-        .warm
-        .as_ref()
-        .unwrap()
-        .roots
-        .iter()
-        .map(|r| r.root.clone())
-        .collect();
-    while !edit_function(files, edit, i, rng, &roots) {}
+    while !edit_function(files, edit, i, rng, &recorded_roots(session)) {}
 }
 
 fn linux_files(scale: f64) -> Vec<(String, String)> {
@@ -436,14 +425,7 @@ fn served_reports_equal_a_cold_analysis_after_every_edit() {
     let (mut moved, mut findings, mut rendered) = (0, 0, 0);
     for i in 0..34 {
         let edit = [Some(Edit::Const), Some(Edit::Stmt), Some(Edit::Local), None][i % 4];
-        let roots: Vec<String> = session
-            .warm
-            .as_ref()
-            .unwrap()
-            .roots
-            .iter()
-            .map(|r| r.root.clone())
-            .collect();
+        let roots = recorded_roots(&session);
         if edit == Some(Edit::Const) {
             while !edit_function(&mut files, Edit::Const, i, &mut rng, &roots) {}
         } else {

@@ -3,7 +3,7 @@
 //! the file gives exactly what a full save of the session's warm state
 //! would write. A session reopened over the log replays every root.
 
-use super::exactness::{edit_function, request, Edit};
+use super::exactness::{edit_function, recorded_roots, request, Edit};
 use super::*;
 use pata_corpus::{Corpus, OsProfile, Prng};
 use std::os::unix::fs::MetadataExt;
@@ -14,7 +14,8 @@ fn full_save(session: &AnalysisSession) -> Store {
     let doc = StoreDoc {
         config_fp: session.config_fp,
         functions: &warm.fps.db,
-        roots: &warm.roots,
+        names: &warm.names,
+        roots: &warm.records,
         validation: &session.cache.export(),
     };
     Store::parse(&doc.to_json(), session.config_fp).expect("a full save parses")
@@ -44,14 +45,7 @@ fn appended_store_loads_as_a_full_save_after_every_edit() {
     let mut rng = Prng::seed_from_u64(0x5703e);
     let kinds = [Edit::Const, Edit::Stmt, Edit::Local];
     for i in 0..24 {
-        let roots: Vec<String> = session
-            .warm
-            .as_ref()
-            .unwrap()
-            .roots
-            .iter()
-            .map(|r| r.root.clone())
-            .collect();
+        let roots = recorded_roots(&session);
         while !edit_function(&mut files, kinds[i % 3], i, &mut rng, &roots) {}
         let before = std::fs::metadata(&path).unwrap();
         let out = session.analyze(&request(&files)).expect("analyzes");

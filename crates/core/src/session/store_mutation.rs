@@ -6,7 +6,7 @@
 //! file that keeps the store's meaning warm-starts and renders the cold
 //! run's report.
 
-use super::exactness::{edit_function, request, Edit};
+use super::exactness::{edit_function, recorded_roots, request, Edit};
 use super::*;
 use crate::json::{quote, JsonValue};
 use crate::persist::tree_reader;
@@ -285,8 +285,7 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
         .into_iter()
         .enumerate()
     {
-        let warm = session.warm.as_ref().unwrap();
-        let roots: Vec<String> = warm.roots.iter().map(|r| r.root.clone()).collect();
+        let roots = recorded_roots(&session);
         while !edit_function(&mut files, kind, i, &mut rng, &roots) {}
         session.analyze(&request(&files)).expect("analyzes");
     }

@@ -522,6 +522,83 @@ fn torn_or_bad_log_line_is_a_clean_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The record of `root` in a store's base line: from its `{"root"` to
+/// the brace that closes it, before the next record or the verdicts.
+fn record_span(base: &str, root: &str) -> std::ops::Range<usize> {
+    let start = base
+        .find(&format!("{{\"root\": \"{root}\""))
+        .expect("the root has a record");
+    let end = [
+        base[start..].find("}, {\"root\": "),
+        base[start..].find("}], \"validation\""),
+    ]
+    .into_iter()
+    .flatten()
+    .min()
+    .expect("the record closes");
+    start..start + end + 1
+}
+
+/// A clean root whose record no longer resolves against the module — a
+/// candidate's block is past its function's last, or its function is gone
+/// — is re-explored alone: the other roots replay their records, the
+/// report is the cold one, and the fresh record is written back, so the
+/// next restart replays every root.
+#[test]
+fn a_record_that_does_not_resolve_dirties_only_its_root() {
+    let dir = tempdir("unresolved");
+    let store = dir.join("store.json");
+    let cold = run(&store, 1, CORPUS);
+    let text = std::fs::read_to_string(&store).unwrap();
+    let record = record_span(&text, "net_probe");
+    let original = &text[record.clone()];
+    assert!(
+        original.contains("\"candidates\": [{"),
+        "net_probe has a candidate"
+    );
+    let block = original
+        .find("\"block\": ")
+        .expect("a candidate instruction")
+        + 9;
+    let digits = original[block..].find(',').unwrap();
+    let at = |pattern: &str, by: &str| {
+        let i = original
+            .find(pattern)
+            .expect("the record holds the pattern");
+        let mut rewritten = original.to_owned();
+        rewritten.replace_range(i..i + pattern.len(), by);
+        rewritten
+    };
+    for (case, rewritten) in [
+        (
+            "block out of range",
+            at(&original[block - 9..block + digits], "\"block\": 999"),
+        ),
+        (
+            "function the module lacks",
+            at("\"func\": \"net_probe\"", "\"func\": \"no_such_function\""),
+        ),
+    ] {
+        assert_ne!(rewritten, original, "{case}: the record changed");
+        let mut damaged = text.clone();
+        damaged.replace_range(record.clone(), &rewritten);
+        std::fs::write(&store, &damaged).unwrap();
+        let out = run(&store, 1, CORPUS);
+        assert!(out.incremental.warm_start, "{case}");
+        assert_eq!(out.incremental.dirty_roots, 1, "{case}");
+        assert_eq!(out.incremental.clean_roots, 2, "{case}");
+        assert_eq!(out.report.to_json(), cold.report.to_json(), "{case}");
+        // The save appends the re-explored root's fresh record.
+        let written = std::fs::read_to_string(&store).unwrap();
+        let delta = written.strip_prefix(&damaged).expect("the save appended");
+        assert!(delta.contains(original), "{case}: the fresh record");
+        let again = run(&store, 1, CORPUS);
+        assert_eq!(again.incremental.dirty_roots, 0, "{case}");
+        assert_eq!(again.report.to_json(), cold.report.to_json(), "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A store the previous schema wrote (version 3, whose header carries a
 /// corpus fingerprint) is a clean cold start, and is replaced.
 #[test]
