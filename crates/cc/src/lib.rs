@@ -59,7 +59,7 @@ mod token;
 pub use ast::*;
 pub use diag::{Diag, DiagKind};
 pub use lexer::Lexer;
-pub use lower::{lower_units, Compiler, LoweredModule};
+pub use lower::{infer_category, lower_units, Compiler, LoweredModule};
 pub use name::Name;
 pub use parser::{Parser, MAX_NESTING};
 pub use token::{Token, TokenKind};

@@ -489,7 +489,9 @@ impl Replay {
     }
 }
 
-fn infer_category(path: &str) -> Category {
+/// The category a file's functions get when the caller gives none: the
+/// one its path prefix names (`drivers/`, `net/`, …), `Other` otherwise.
+pub fn infer_category(path: &str) -> Category {
     let p = path.trim_start_matches('/');
     if p.starts_with("drivers/") {
         Category::Drivers

@@ -5,35 +5,9 @@
 
 use super::*;
 use crate::json::JsonValue;
-use std::collections::BTreeMap;
-
-/// A store while the oracle reads it: the function database as a map, and
-/// the names its records use.
-struct TreeStore {
-    functions: BTreeMap<String, u64>,
-    names: Names<'static>,
-    roots: Vec<RootRecord>,
-    validation: Vec<(Vec<u8>, SatResult)>,
-}
-
-impl TreeStore {
-    fn into_store(mut self) -> Store {
-        let entries = self.functions.into_iter();
-        Store {
-            functions: FunctionDb::from_entries(entries.map(|(n, fp)| (n.into(), fp)).collect()),
-            names: self.names.finish(&mut self.roots),
-            roots: self.roots,
-            validation: self.validation,
-        }
-    }
-}
 
 /// [`Store::parse`] through a tree.
 pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
-    parse_base(text, expect_config_fp).map(TreeStore::into_store)
-}
-
-fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
     let doc = JsonValue::parse(text).ok()?;
     if doc.get("schema_version")?.as_u64()? != STORE_SCHEMA_VERSION {
         return None;
@@ -41,21 +15,39 @@ fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
     if parse_hex64(doc.get("config_fingerprint")?.as_str()?)? != expect_config_fp {
         return None;
     }
-    let functions = function_entries(doc.get("functions")?)?
-        .map(|entry| entry.map(|(name, fp)| (name.to_owned(), fp)))
-        .collect::<Option<_>>()?;
-    let mut names = Names::default();
+    let files = doc
+        .get("files")?
+        .as_array()?
+        .iter()
+        .map(|v| parse_file_entry(v).map(|(_, entry)| entry))
+        .collect::<Option<Vec<_>>>()?;
+    let mut names: Vec<Arc<str>> = Vec::new();
+    let (mut fps, mut func_files) = (Vec::new(), Vec::new());
+    for item in doc.get("functions")?.as_array()? {
+        let [name, fp, file] = item.as_array()? else {
+            return None;
+        };
+        names.push(name.as_str()?.into());
+        fps.push(parse_hex64(fp.as_str()?)?);
+        func_files.push(u32::try_from(file.as_u64()?).ok()?);
+    }
+    if func_files.iter().any(|&f| f as usize >= files.len()) {
+        return None;
+    }
     let mut roots = Vec::new();
     for item in doc.get("roots")?.as_array()? {
-        roots.push(parse_root(item, &mut names)?);
+        roots.push(parse_root(item, names.len())?);
     }
     let mut validation = Vec::new();
     for item in doc.get("validation")?.as_array()? {
         validation.push(parse_verdict(item)?);
     }
-    Some(TreeStore {
-        functions,
-        names,
+    Some(Store {
+        files,
+        names: names.into(),
+        fps,
+        func_files,
+        root_count: doc.get("root_count")?.as_u64()?,
         roots,
         validation,
     })
@@ -65,10 +57,10 @@ fn parse_base(text: &str, expect_config_fp: u64) -> Option<TreeStore> {
 pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, StoreFile)> {
     let mut lines = text.strip_suffix('\n')?.split('\n');
     let base = lines.next()?;
-    let mut store = parse_base(base, expect_config_fp)?;
+    let mut store = parse(base, expect_config_fp)?;
     let mut at: Option<Vec<Option<usize>>> = None;
     for line in lines {
-        let at = at.get_or_insert_with(|| record_at(&store.roots, store.names.names.len(), Some));
+        let at = at.get_or_insert_with(|| record_at(&store.roots, store.names.len(), Some));
         apply_delta(&mut store, line, at)?;
     }
     if at.is_some() {
@@ -79,17 +71,29 @@ pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, St
         base: base.len() as u64 + 1,
         len: text.len() as u64,
     };
-    Some((store.into_store(), file))
+    Some((store, file))
 }
 
-fn apply_delta(store: &mut TreeStore, line: &str, at: &[Option<usize>]) -> Option<()> {
+fn apply_delta(store: &mut Store, line: &str, at: &[Option<usize>]) -> Option<()> {
     let delta = JsonValue::parse(line).ok()?;
-    for entry in function_entries(delta.get("functions")?)? {
-        let (name, fp) = entry?;
-        *store.functions.get_mut(name)? = fp;
+    for item in delta.get("files")?.as_array()? {
+        let (at, entry) = parse_file_entry(item)?;
+        *store.files.get_mut(usize::try_from(at?).ok()?)? = entry;
+    }
+    for item in delta.get("functions")?.as_array()? {
+        let [id, fp, file] = item.as_array()? else {
+            return None;
+        };
+        let id = usize::try_from(id.as_u64()?).ok()?;
+        let fp = parse_hex64(fp.as_str()?)?;
+        let file = u32::try_from(file.as_u64()?).ok()?;
+        if id >= store.names.len() || file as usize >= store.files.len() {
+            return None;
+        }
+        (store.fps[id], store.func_files[id]) = (fp, file);
     }
     for item in delta.get("roots")?.as_array()? {
-        let record = parse_root(item, &mut store.names)?;
+        let record = parse_root(item, store.names.len())?;
         let i = (*at.get(record.root.index())?)?;
         store.roots[i] = record;
     }
@@ -99,17 +103,19 @@ fn apply_delta(store: &mut TreeStore, line: &str, at: &[Option<usize>]) -> Optio
     Some(())
 }
 
-/// The entries of a `{name: "fp hex"}` object, each `None` when its value
-/// is not a fingerprint; `None` when `v` is not an object.
-fn function_entries(v: &JsonValue) -> Option<impl Iterator<Item = Option<(&str, u64)>>> {
-    let JsonValue::Obj(fields) = v else {
-        return None;
+/// A file entry and its `at`, if it has one.
+fn parse_file_entry(v: &JsonValue) -> Option<(Option<u64>, FileEntry)> {
+    let at = match v.get("at") {
+        None => None,
+        Some(at) => Some(at.as_u64()?),
     };
-    Some(
-        fields
-            .iter()
-            .map(|(name, fp)| Some((name.as_str(), parse_hex64(fp.as_str()?)?))),
-    )
+    let entry = FileEntry {
+        name: v.get("name")?.as_str()?.to_owned(),
+        bytes: v.get("bytes")?.as_u64()?,
+        lines: u32::try_from(v.get("lines")?.as_u64()?).ok()?,
+        word: parse_hex64(v.get("word")?.as_str()?)?,
+    };
+    Some((at, entry))
 }
 
 fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
@@ -123,11 +129,15 @@ fn parse_verdict(v: &JsonValue) -> Option<(Vec<u8>, SatResult)> {
     Some((key, verdict))
 }
 
-fn parse_root(v: &JsonValue, names: &mut Names<'static>) -> Option<RootRecord> {
-    let root = intern(names, v.get("root")?)?;
+/// A root record whose functions lie in a space of `functions`.
+fn parse_root(v: &JsonValue, functions: usize) -> Option<RootRecord> {
+    let root = func_id(v.get("root")?, functions)?;
     let mut candidates = Vec::new();
+    let mut lines = Vec::new();
     for item in v.get("candidates")?.as_array()? {
-        candidates.push(parse_bug(item, names)?);
+        let (bug, line) = parse_bug(item, root, functions)?;
+        candidates.push(bug);
+        lines.push(line);
     }
     let items = v.get("stats")?.as_array()?;
     let mut counters = [0u64; 7];
@@ -147,23 +157,26 @@ fn parse_root(v: &JsonValue, names: &mut Names<'static>) -> Option<RootRecord> {
         closure_fp: parse_hex64(v.get("closure_fp")?.as_str()?)?,
         stats: record_stats(counters, candidates.len(), note.is_some()),
         candidates,
+        lines,
         note,
         demoted,
     })
 }
 
-/// The id of the name `v` holds.
-fn intern(names: &mut Names<'static>, v: &JsonValue) -> Option<FuncId> {
-    Some(names.intern(Cow::Owned(v.as_str()?.to_owned())))
+/// The function index `v` holds, when it lies in a space of `functions`.
+fn func_id(v: &JsonValue, functions: usize) -> Option<FuncId> {
+    let i = usize::try_from(v.as_u64()?).ok()?;
+    (i < functions).then(|| FuncId::from_index(i))
 }
 
-fn parse_bug(v: &JsonValue, names: &mut Names<'static>) -> Option<PossibleBug> {
-    let mut inst = |v: &JsonValue| -> Option<InstId> {
-        Some(InstId {
-            func: intern(names, v.get("func")?)?,
+fn parse_bug(v: &JsonValue, root: FuncId, functions: usize) -> Option<(PossibleBug, [u32; 2])> {
+    let inst = |v: &JsonValue| -> Option<(InstId, u32)> {
+        let id = InstId {
+            func: func_id(v.get("func")?, functions)?,
             block: BlockId::from_index(u32::try_from(v.get("block")?.as_u64()?).ok()? as usize),
             inst: usize::try_from(v.get("inst")?.as_u64()?).ok()?,
-        })
+        };
+        Some((id, u32::try_from(v.get("line")?.as_u64()?).ok()?))
     };
     let constraints = |name: &str| -> Option<Arc<[Constraint]>> {
         v.get(name)?
@@ -178,15 +191,18 @@ fn parse_bug(v: &JsonValue, names: &mut Names<'static>) -> Option<PossibleBug> {
         .iter()
         .map(|p| p.as_str().map(str::to_owned))
         .collect::<Option<Arc<[_]>>>()?;
-    Some(PossibleBug {
+    let ((origin_id, origin_line), (site_id, site_line)) =
+        (inst(v.get("origin")?)?, inst(v.get("site")?)?);
+    let bug = PossibleBug {
         kind: BugKind::parse(v.get("kind")?.as_str()?)?,
-        origin_id: inst(v.get("origin")?)?,
-        site_id: inst(v.get("site")?)?,
+        origin_id,
+        site_id,
         constraints: constraints("constraints")?,
         extra: constraints("extra")?,
         alias_paths,
-        root: FuncId::from_index(0),
-    })
+        root,
+    };
+    Some((bug, [origin_line, site_line]))
 }
 
 fn parse_constraint(v: &JsonValue) -> Option<Constraint> {

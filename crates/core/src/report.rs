@@ -67,9 +67,25 @@ impl BugReport {
     /// from `module` ([`Module::loc_of`]).
     pub fn from_possible(bug: &PossibleBug, module: &Module) -> Self {
         let func = module.function(bug.site_id.func);
-        let origin_line = module.loc_of(bug.origin_id).line;
-        let site_line = module.loc_of(bug.site_id).line;
-        let file = module.file(func.file()).name.clone();
+        let lines = [
+            module.loc_of(bug.origin_id).line,
+            module.loc_of(bug.site_id).line,
+        ];
+        let file = &module.file(func.file()).name;
+        Self::from_parts(bug, func.name(), file, func.category(), lines)
+    }
+
+    /// Builds a report from a validated candidate whose site lies in the
+    /// function `function` of the file `file`, with the origin and site
+    /// `lines`: what a session that serves a request from its store's
+    /// records knows of a finding without a module.
+    pub(crate) fn from_parts(
+        bug: &PossibleBug,
+        function: &str,
+        file: &str,
+        category: Category,
+        [origin_line, site_line]: [u32; 2],
+    ) -> Self {
         let kind = bug.kind;
         let alias_note = if bug.alias_paths.is_empty() {
             String::new()
@@ -79,18 +95,18 @@ impl BugReport {
         let message = format!(
             "{} in `{}`: state established at line {} triggers at line {}{}",
             kind.describe(),
-            func.name(),
+            function,
             origin_line,
             site_line,
             alias_note
         );
         BugReport {
             kind,
-            file,
-            function: func.name().to_owned(),
+            file: file.to_owned(),
+            function: function.to_owned(),
             origin_line,
             site_line,
-            category: func.category(),
+            category,
             alias_paths: bug.alias_paths.to_vec(),
             message,
         }

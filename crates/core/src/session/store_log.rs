@@ -13,8 +13,9 @@ fn full_save(session: &AnalysisSession) -> Store {
     let warm = session.warm.as_ref().expect("warm state");
     let doc = StoreDoc {
         config_fp: session.config_fp,
-        functions: &warm.fps.db,
-        names: &warm.names,
+        root_count: warm.root_count,
+        files: &warm.files,
+        functions: warm.table(),
         roots: &warm.records,
         validation: &session.cache.export(),
     };
@@ -64,7 +65,10 @@ fn appended_store_loads_as_a_full_save_after_every_edit() {
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert_eq!(lines, i + 2, "edit {i}: one delta line per save");
         let full = full_save(&session);
-        assert_eq!(loaded.functions, full.functions, "edit {i}");
+        assert_eq!(loaded.files, full.files, "edit {i}");
+        assert_eq!(loaded.names, full.names, "edit {i}");
+        assert_eq!(loaded.fps, full.fps, "edit {i}");
+        assert_eq!(loaded.func_files, full.func_files, "edit {i}");
         assert_eq!(loaded.roots, full.roots, "edit {i}");
         assert_eq!(loaded.validation, full.validation, "edit {i}");
         assert!(

@@ -1,10 +1,12 @@
 //! The one-pass store reader accepts exactly what the tree-based reader it
-//! replaced accepted. A seeded splitmix64 run mutates a real schema-4
-//! store file (a base line and delta lines) and checks three things: no
+//! replaced accepted. A seeded splitmix64 run mutates a real store file
+//! (a base line and delta lines) and checks three things: no
 //! mutation panics or overflows the stack; both readers give an equal
 //! [`Store`], or both give `None`; and a session opened over a mutated
-//! file that keeps the store's meaning warm-starts and renders the cold
-//! run's report.
+//! file that keeps the store's meaning warm-starts, serves the unchanged
+//! tree from its records and renders the cold run's report. Targeted
+//! cases then break the file table, the function table and the candidate
+//! lines of the base and of a delta.
 
 use super::exactness::{edit_function, recorded_roots, request, Edit};
 use super::*;
@@ -302,11 +304,16 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
         .report
         .to_json();
     let mutated = dir.join("mutated.json");
+    // A store of the final tree is served from its records; an earlier
+    // one compiles the tree.
     let warm_report = |text: &str, what: &str| {
         std::fs::write(&mutated, text).unwrap();
         let mut session = AnalysisSession::open(config.clone(), &mutated);
         let out = session.analyze(&request(&files)).expect("analyzes");
         assert!(out.incremental.warm_start, "{what}: warm start");
+        let served = out.incremental.parsed_files == 0;
+        let final_tree = tree_reader::parse_file(text, fp).is_some_and(|(s, _)| s == original);
+        assert_eq!(served, final_tree, "{what}: served from the records");
         assert_eq!(out.report.to_json(), cold, "{what}: the cold run's report");
     };
     warm_report(&text, "the store as written");
@@ -398,32 +405,94 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
         assert!(read_both(&file, fp, what).is_none(), "{what}");
     }
 
-    // Deltas that name a function or a root the store lacks.
-    let mut lines: Vec<&str> = text.lines().collect();
+    // Deltas that name a file position, a function or a root the store
+    // lacks.
+    let lines: Vec<&str> = text.lines().collect();
     let delta = lines[1];
-    let unknown_function = delta.replacen(
-        "{\"functions\": {",
-        "{\"functions\": {\"no_such_function\": \"0000000000000001\", ",
-        1,
-    );
-    let unknown_function = unknown_function.replace(", }", "}");
+    let insert_after = |key: &str, item: &str| {
+        let at = delta.find(key).expect("the delta has the key") + key.len();
+        format!("{}{item}, {}", &delta[..at], &delta[at..]).replace(", ]", "]")
+    };
     let root_at = delta
-        .find("{\"root\": \"")
-        .expect("the delta replaces a root");
-    let unknown_root = format!(
-        "{}{{\"root\": \"no_such_root{}",
-        &delta[..root_at],
-        &delta[root_at + "{\"root\": \"".len()..]
-    );
+        .find("{\"root\": ")
+        .expect("the delta replaces a root")
+        + 9;
+    let digits = delta[root_at..].find(',').expect("the root index ends");
+    let unknown_root = format!("{}999999{}", &delta[..root_at], &delta[root_at + digits..]);
     for (what, line) in [
-        ("unknown function", &unknown_function),
-        ("unknown root", &unknown_root),
+        (
+            "file position past the table",
+            insert_after(
+                "\"files\": [",
+                "{\"at\": 999999, \"name\": \"x.c\", \"bytes\": 1, \"lines\": 1, \"word\": \"01\"}",
+            ),
+        ),
+        (
+            "file entry without a position",
+            insert_after(
+                "\"files\": [",
+                "{\"name\": \"x.c\", \"bytes\": 1, \"lines\": 1, \"word\": \"01\"}",
+            ),
+        ),
+        (
+            "unknown function",
+            insert_after("\"functions\": [", "[999999, \"0000000000000001\", 0]"),
+        ),
+        (
+            "function in a file past the table",
+            insert_after("\"functions\": [", "[0, \"0000000000000001\", 999999]"),
+        ),
+        ("unknown root", unknown_root),
     ] {
-        lines[1] = line;
-        let file = lines.join("\n") + "\n";
+        let mut edited = lines.clone();
+        edited[1] = &line;
+        let file = edited.join("\n") + "\n";
         assert_ne!(file, text, "{what}: the delta changed");
         assert!(read_both(&file, fp, what).is_none(), "{what}");
-        lines[1] = delta;
+    }
+
+    // A base whose file table, function table or candidate lines break
+    // their shape.
+    let base = lines[0];
+    let functions = base.find("\"functions\": [[").expect("a function table") + 15;
+    let first = functions + base[functions..].find(']').expect("the entry closes");
+    let file_index = base[..first].rfind(", ").expect("a file index") + 2;
+    let candidate_line = base.find(", \"line\": ").expect("a candidate line") + 10;
+    let line_digits = base[candidate_line..].find('}').expect("the line ends");
+    let root = base.find("{\"root\": ").expect("a record") + 9;
+    let root_digits = base[root..].find(',').expect("the root index ends");
+    let splice =
+        |at: usize, cut: usize, by: &str| format!("{}{by}{}", &base[..at], &base[at + cut..]);
+    let file_table = base.find("\"files\": [{").expect("a file table") + 11;
+    for (what, rewritten) in [
+        (
+            "a function entry with a fourth item",
+            splice(first, 0, ", 0"),
+        ),
+        (
+            "a function in a file past the table",
+            splice(file_index, first - file_index, "999999"),
+        ),
+        (
+            "a line past a u32",
+            splice(candidate_line, line_digits, "4294967296"),
+        ),
+        (
+            "a root past the function table",
+            splice(root, root_digits, "999999"),
+        ),
+        (
+            "a file entry without a word",
+            base.replacen(", \"word\": \"", ", \"w\": \"", 1),
+        ),
+        (
+            "a file table that is an object",
+            splice(file_table, 0, "\"zz\": 1}, {"),
+        ),
+    ] {
+        assert_ne!(rewritten, base, "{what}: the base changed");
+        let file = format!("{rewritten}\n");
+        assert!(read_both(&file, fp, what).is_none(), "{what}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
