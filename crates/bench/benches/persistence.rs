@@ -20,7 +20,11 @@
 //!
 //! It also records the store layer on its own: `store_load_ms`, the
 //! median time `AnalysisSession::open` takes to read the store in the
-//! warm rounds, and `store_bytes`, the size of the store it reads.
+//! warm rounds, and `store_bytes`, the size of the store it reads. And it
+//! records `restart_ms`, the median time a restart over an unchanged tree
+//! takes (open the store the warm run saved, then analyze the same
+//! sources), which the session serves from the store's records without
+//! compiling; each round times one after its warm run.
 //!
 //! `--smoke` runs a reduced configuration for CI; `--scale F` sizes the
 //! corpus (default 1.0).
@@ -139,6 +143,7 @@ fn main() {
     // after the one-function edit, interleaved round by round, fresh store
     // per cold round so nothing replays.
     let (mut colds, mut warms, mut loads) = (Vec::new(), Vec::new(), Vec::new());
+    let mut restarts = Vec::new();
     let mut store_bytes = 0;
     let mut cold_out = None;
     let mut warm_out = None;
@@ -168,6 +173,18 @@ fn main() {
         );
         warms.push(t);
         warm_out = Some(out);
+
+        let (out, t) = time_once(|| run(&store, 1, &edited_req));
+        assert_eq!(
+            (
+                out.incremental.dirty_roots,
+                out.incremental.parsed_files,
+                out.incremental.lowered_functions
+            ),
+            (0, 0, 0),
+            "a restart over an unchanged tree compiles and explores nothing"
+        );
+        restarts.push(t);
     }
     let ratios: Vec<f64> = colds
         .iter()
@@ -176,6 +193,7 @@ fn main() {
         .collect();
     let (cold_s, warm_s, speedup) = (median(colds), median(warms), median(ratios));
     let load_ms = median(loads) * 1e3;
+    let restart_ms = median(restarts) * 1e3;
     let cold_out = cold_out.unwrap();
     let warm_out = warm_out.unwrap();
 
@@ -250,6 +268,7 @@ fn main() {
     println!("reports: byte-identical cold/warm/served at threads 1, 2, 4");
     println!("warm speedup: {speedup:.1}x, median of {rounds} rounds (target ≥5x)");
     println!("store load: {load_ms:.3} ms median over the warm rounds, {store_bytes} bytes");
+    println!("restart over the unchanged tree: {restart_ms:.3} ms median (open + analyze)");
 
     let section = results::object(&[
         ("scale", format!("{scale}")),
@@ -266,6 +285,7 @@ fn main() {
         ),
         ("store_load_ms", format!("{load_ms:.3}")),
         ("store_bytes", format!("{store_bytes}")),
+        ("restart_ms", format!("{restart_ms:.3}")),
     ]);
     results::write_section("persistence", &section).expect("write results/BENCH_stage1.json");
     println!(

@@ -19,14 +19,16 @@
 
 use std::path::PathBuf;
 
-/// Repo-relative path of the stage-1 results document. Bench binaries run
-/// with the package directory as cwd, so the path is anchored at this
-/// crate's manifest, not the invocation cwd.
+/// Repo-relative path of the stage-1 results document, anchored at this
+/// crate's manifest, not the invocation cwd. The manifest directory is
+/// the one cargo names in `CARGO_MANIFEST_DIR` when it runs the bench, so
+/// a bench run from another checkout writes that checkout's results even
+/// when its binary was built elsewhere; without the variable (a binary
+/// run directly) it is the directory the crate was compiled in.
 pub fn bench_stage1_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_stage1.json"
-    ))
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    manifest.join("../../results/BENCH_stage1.json")
 }
 
 /// Builds a one-line JSON object from pre-encoded values (numbers or

@@ -54,8 +54,18 @@
 //! | `smt.propagations` | counter | interval-propagation steps, summed over solves |
 //! | `filter.{groups,repeated_dropped,false_dropped}` | counter | stage-2 group outcomes |
 //! | `driver.serve.{parse,lower,fingerprint,store_load,store_save}` | histogram | session-layer wall-clock |
+//! | `driver.serve.tree_check` | histogram | a store-loaded session's check whether a request is the tree its records were made from |
 //! | `driver.serve.{frame,render}` | histogram | a served `analyze` request's frame read and rendering ([`crate::serve::handle_line`]) |
 //! | `driver.serve.{requests,dirty_roots,clean_roots,changed_functions,invalidated_roots,store_loaded,store_save_errors}` | counter | incremental-session volume and store outcomes |
+//!
+//! A request a session serves from its store's records (the tree is the
+//! one the store was saved from; see [`crate::AnalysisSession`]) records
+//! `driver.serve.tree_check`, the `stage.filter` span with the `filter.*`
+//! and `validate.*` metrics, and the `driver.serve` request counters. It
+//! compiles, collects and explores nothing, so it records no
+//! `driver.serve.{parse,lower,fingerprint}` sample, no `stage.collect` or
+//! `stage.explore` span and no `collect.*`, `explore.*` or `path.*`
+//! metric.
 
 use crate::json;
 use crate::path::ALIAS_OP_NAMES;
@@ -524,10 +534,13 @@ impl TelemetrySnapshot {
         }
 
         // Stage breakdown, in pipeline order. A one-shot run over a
-        // compiled module records no store, parse, lower or fingerprint
-        // time; their rows then read zero.
+        // compiled module records no store, tree check, parse, lower or
+        // fingerprint time, and a request served from the store's records
+        // no parse, lower, collect, fingerprint or explore time; their rows
+        // then read zero.
         let stages = [
             ("store load", "driver.serve.store_load"),
+            ("tree check", "driver.serve.tree_check"),
             ("parse", "driver.serve.parse"),
             ("lower", "driver.serve.lower"),
             ("collect", "stage.collect"),
@@ -863,6 +876,7 @@ mod tests {
     fn profile_render_mentions_stages_and_caches() {
         let mut sink = TelemetrySink::new();
         sink.record_ns("driver.serve.store_load", 3_000);
+        sink.record_ns("driver.serve.tree_check", 5_000);
         sink.record_ns("driver.serve.parse", 4_000);
         sink.record_ns("driver.serve.lower", 2_000);
         sink.record_ns("stage.collect", 1_000);
@@ -883,7 +897,7 @@ mod tests {
             .lines()
             .skip_while(|l| *l != "stage breakdown")
             .skip(1)
-            .take(8)
+            .take(9)
             .map(|l| {
                 let mut cols: Vec<&str> = l.split_whitespace().collect();
                 cols.remove(cols.len() - 2);
@@ -893,14 +907,15 @@ mod tests {
         assert_eq!(
             rows,
             [
-                "store load 12.0%",
-                "parse 16.0%",
-                "lower 8.0%",
-                "collect 4.0%",
-                "fingerprint 8.0%",
-                "explore 32.0%",
-                "filter 12.0%",
-                "store save 8.0%",
+                "store load 10.0%",
+                "tree check 16.7%",
+                "parse 13.3%",
+                "lower 6.7%",
+                "collect 3.3%",
+                "fingerprint 6.7%",
+                "explore 26.7%",
+                "filter 10.0%",
+                "store save 6.7%",
             ],
             "{text}"
         );
