@@ -33,7 +33,10 @@
 //! `lowered_functions` counts the functions it lowered: all of them, or,
 //! when the request names the previous request's files in the same order,
 //! only the changed files' functions
-//! (see [`crate::IncrementalStats::lowered_functions`]).
+//! (see [`crate::IncrementalStats::lowered_functions`]). A daemon
+//! restarted over a store answers a request over the tree the store was
+//! saved from with both at 0: it serves the store's records without
+//! compiling.
 //!
 //! # Serving an edit
 //!
