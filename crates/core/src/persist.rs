@@ -8,8 +8,8 @@
 //!
 //! * a **header** — [`STORE_SCHEMA_VERSION`], a fingerprint of the
 //!   verdict-relevant configuration and the saving module's root count;
-//! * the **file table** — per request position, the file's name, its
-//!   byte length, its line count and a 64-bit word of its text
+//! * the **file table** — per request position, an array of the file's
+//!   name, its byte length, its line count and a 64-bit word of its text
 //!   ([`text_word`]). A request whose files have these names, lengths and
 //!   words, in order, is the tree the store was saved from;
 //! * the **function table** (paper §4 P1: "records function information
@@ -31,11 +31,11 @@
 //!   canonical keys (α-equivalent constraint systems share one entry).
 //!
 //! Each later line is a delta ([`StoreDelta`]) one save appended: the
-//! file entries, function entries and root records it replaced and the
-//! verdicts it added. Loading applies the lines in order. A save that
-//! changed anything else (a file, function or root that came, went or
-//! moved), or whose log would outgrow the base, rewrites the whole file
-//! as a new base.
+//! file entries (each led by its position), function entries and root
+//! records it replaced and the verdicts it added. Loading applies the
+//! lines in order. A save that changed anything else (a file, function
+//! or root that came, went or moved), or whose log would outgrow the
+//! base, rewrites the whole file as a new base.
 //!
 //! In memory a root's result is one `RootRecord` whose root and
 //! instructions are ids of a function space, a table of one name per id:
@@ -104,16 +104,18 @@ use std::sync::Arc;
 /// or meaning of the document; [`Store::load`] treats a mismatch as a
 /// cold start, so old stores are silently discarded, never misread.
 ///
-/// Version 6 serves a restart over an unchanged tree without compiling
-/// it. The header adds the saving module's root count; a file table gives
-/// each request position's name, length, line count and text word; the
-/// function table lists every function once, in `FuncId` order, with its
-/// fingerprint and file index, and records and deltas name functions by
-/// their index in it; and each candidate instruction carries its source
-/// line. A root record keeps seven counters in one array, its budget
-/// reason as `note` and its demotion reason as `demoted`, each written
-/// only when present.
-pub const STORE_SCHEMA_VERSION: u64 = 6;
+/// Version 7 writes each file-table entry as an array, `[name, bytes,
+/// lines, "word hex"]`, the way function entries are written, and a
+/// delta's as `[at, name, bytes, lines, "word hex"]`. Version 6 added what
+/// serving a restart over an unchanged tree without compiling it needs:
+/// the saving module's root count in the header; a file table of each
+/// request position's name, length, line count and text word; a function
+/// table that lists every function once, in `FuncId` order, with its
+/// fingerprint and file index, by whose index records and deltas name
+/// functions; and each candidate instruction's source line. A root record
+/// keeps seven counters in one array, its budget reason as `note` and its
+/// demotion reason as `demoted`, each written only when present.
+pub const STORE_SCHEMA_VERSION: u64 = 7;
 
 // --------------------------------------------------------------------
 // Fingerprints
@@ -805,12 +807,12 @@ pub(crate) struct RootRecord {
     /// Stage-1 candidates in exploration order, each with `root` as root.
     pub(crate) candidates: Vec<PossibleBug>,
     /// Per candidate: the source lines of its origin and site instructions
-    /// ([`Module::loc_of`]), which a restart over an unchanged tree renders
-    /// without a module. Only a session with a store captures them; empty
-    /// otherwise. A clean record's lines are never stale: fingerprints hash
-    /// every instruction's line, and with `resolve_fptrs` off a candidate's
-    /// functions lie in its root's closure (with it on, every closure is
-    /// the whole module).
+    /// ([`Module::loc_of`]), captured when the root is explored. Every
+    /// session finding renders from them, so no request reads its module
+    /// after exploration. A clean record's lines are never stale:
+    /// fingerprints hash every instruction's line, and with `resolve_fptrs`
+    /// off a candidate's functions lie in its root's closure (with it on,
+    /// every closure is the whole module).
     pub(crate) lines: Vec<[u32; 2]>,
     /// The root's exploration counters (`time` is not persisted — replayed
     /// roots contribute zero wall-clock, which is the point).
@@ -1007,7 +1009,7 @@ impl Store {
                 "config_fingerprint" if config_fp.is_none() => config_fp = Some(read_hex64(r)?),
                 "root_count" if root_count.is_none() => root_count = Some(read_u64(r)?),
                 "files" if files.is_none() => {
-                    files = Some(read_list(r, |r| Some(read_file(r)?.1))?);
+                    files = Some(read_list(r, |r| Some(read_file::<4>(r)?.1))?);
                 }
                 "functions" if functions.is_none() => {
                     let name = |r: &mut Reader<'_>| Some(Arc::from(&*read(r.str())?));
@@ -1087,7 +1089,7 @@ impl Store {
                 "files" if !files => {
                     files = true;
                     each_item(r, |r| {
-                        let (at, entry) = read_file(r)?;
+                        let (at, entry) = read_file::<5>(r)?;
                         *self.files.get_mut(usize::try_from(at?).ok()?)? = entry;
                         Some(())
                     })?;
@@ -1364,32 +1366,29 @@ fn write_list<T>(
     }
 }
 
-/// Writes a file entry; a delta's names its position `at`.
+/// Writes a file entry, `[name, bytes, lines, "word hex"]`; a delta's
+/// starts with its position `at`.
 fn write_file(out: &mut String, at: Option<usize>, f: &FileEntry) {
-    out.push('{');
+    out.push('[');
     if let Some(at) = at {
-        let _ = write!(out, "\"at\": {at}, ");
+        let _ = write!(out, "{at}, ");
     }
-    out.push_str("\"name\": ");
     quote_into(out, &f.name);
-    let _ = write!(
-        out,
-        ", \"bytes\": {}, \"lines\": {}, \"word\": \"{:016x}\"}}",
-        f.bytes, f.lines, f.word
-    );
+    let _ = write!(out, ", {}, {}, \"{:016x}\"]", f.bytes, f.lines, f.word);
 }
 
-/// Reads a file entry and its `at`, if it has one.
-fn read_file(r: &mut Reader) -> Option<(Option<u64>, FileEntry)> {
+/// Reads a file entry of `N` items: 4 in the base, 5 in a delta, whose
+/// first item is the entry's position `at`.
+fn read_file<const N: usize>(r: &mut Reader) -> Option<(Option<u64>, FileEntry)> {
     let (mut at, mut name, mut bytes, mut lines, mut word) = (None, None, None, None, None);
-    each_field(r, |r, key| {
-        match &*key {
-            "at" if at.is_none() => at = Some(read_u64(r)?),
-            "name" if name.is_none() => name = Some(read(r.str())?.into_owned()),
-            "bytes" if bytes.is_none() => bytes = Some(read_u64(r)?),
-            "lines" if lines.is_none() => lines = Some(read_u32(r)?),
-            "word" if word.is_none() => word = Some(read_hex64(r)?),
-            _ => r.skip_value().ok()?,
+    // Items counted from the end, so both shapes share the last four.
+    read_tuple::<N>(r, |i, r| {
+        match N - i {
+            5 => at = Some(read_u64(r)?),
+            4 => name = Some(read(r.str())?.into_owned()),
+            3 => bytes = Some(read_u64(r)?),
+            2 => lines = Some(read_u32(r)?),
+            _ => word = Some(read_hex64(r)?),
         }
         Some(())
     })?;
@@ -2019,10 +2018,9 @@ mod tests {
         store.roots[0].candidates[0].alias_paths =
             Arc::new(["probe:p".into(), "q\"\\\n\t\u{1}\u{e9}".into()]);
         let expected = concat!(
-            r#"{"schema_version": 6, "config_fingerprint": "0000000000000007", "#,
-            r#""root_count": 2, "files": [{"name": "a.c", "bytes": 120, "lines": 9, "#,
-            r#""word": "0000000000005eed"}, {"name": "b.c", "bytes": 31, "lines": 2, "#,
-            r#""word": "000000000000feed"}], "functions": [["probe", "00000000deadbeef", 0], "#,
+            r#"{"schema_version": 7, "config_fingerprint": "0000000000000007", "#,
+            r#""root_count": 2, "files": [["a.c", 120, 9, "0000000000005eed"], "#,
+            r#"["b.c", 31, 2, "000000000000feed"]], "functions": [["probe", "00000000deadbeef", 0], "#,
             r#"["helper", "000000000000002a", 1]], "#,
             r#""roots": [{"root": 0, "closure_fp": "0000000000001234", "#,
             r#""candidates": [{"kind": "null-pointer-dereference", "origin": {"func": 0, "#,

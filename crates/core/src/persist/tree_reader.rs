@@ -19,7 +19,7 @@ pub(crate) fn parse(text: &str, expect_config_fp: u64) -> Option<Store> {
         .get("files")?
         .as_array()?
         .iter()
-        .map(|v| parse_file_entry(v).map(|(_, entry)| entry))
+        .map(|v| parse_file_entry(v, false).map(|(_, entry)| entry))
         .collect::<Option<Vec<_>>>()?;
     let mut names: Vec<Arc<str>> = Vec::new();
     let (mut fps, mut func_files) = (Vec::new(), Vec::new());
@@ -77,7 +77,7 @@ pub(crate) fn parse_file(text: &str, expect_config_fp: u64) -> Option<(Store, St
 fn apply_delta(store: &mut Store, line: &str, at: &[Option<usize>]) -> Option<()> {
     let delta = JsonValue::parse(line).ok()?;
     for item in delta.get("files")?.as_array()? {
-        let (at, entry) = parse_file_entry(item)?;
+        let (at, entry) = parse_file_entry(item, true)?;
         *store.files.get_mut(usize::try_from(at?).ok()?)? = entry;
     }
     for item in delta.get("functions")?.as_array()? {
@@ -103,17 +103,23 @@ fn apply_delta(store: &mut Store, line: &str, at: &[Option<usize>]) -> Option<()
     Some(())
 }
 
-/// A file entry and its `at`, if it has one.
-fn parse_file_entry(v: &JsonValue) -> Option<(Option<u64>, FileEntry)> {
-    let at = match v.get("at") {
-        None => None,
-        Some(at) => Some(at.as_u64()?),
+/// A file entry, `[name, bytes, lines, "word"]`, and the position `at`
+/// that leads a delta's.
+fn parse_file_entry(v: &JsonValue, in_delta: bool) -> Option<(Option<u64>, FileEntry)> {
+    let items = v.as_array()?;
+    let (at, items) = match (in_delta, items) {
+        (true, [at, rest @ ..]) => (Some(at.as_u64()?), rest),
+        (false, items) => (None, items),
+        (true, []) => return None,
+    };
+    let [name, bytes, lines, word] = items else {
+        return None;
     };
     let entry = FileEntry {
-        name: v.get("name")?.as_str()?.to_owned(),
-        bytes: v.get("bytes")?.as_u64()?,
-        lines: u32::try_from(v.get("lines")?.as_u64()?).ok()?,
-        word: parse_hex64(v.get("word")?.as_str()?)?,
+        name: name.as_str()?.to_owned(),
+        bytes: bytes.as_u64()?,
+        lines: u32::try_from(lines.as_u64()?).ok()?,
+        word: parse_hex64(word.as_str()?)?,
     };
     Some((at, entry))
 }

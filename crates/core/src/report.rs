@@ -77,8 +77,8 @@ impl BugReport {
 
     /// Builds a report from a validated candidate whose site lies in the
     /// function `function` of the file `file`, with the origin and site
-    /// `lines`: what a session that serves a request from its store's
-    /// records knows of a finding without a module.
+    /// `lines`: what a session's record of the candidate's root knows of a
+    /// finding, without a module.
     pub(crate) fn from_parts(
         bug: &PossibleBug,
         function: &str,

@@ -7,8 +7,11 @@
 //! changed since the previous request, an optional on-disk store
 //! ([`crate::persist`]), fingerprint-based change detection,
 //! incremental re-analysis that re-explores only *dirty* roots, and a
-//! restart over an unchanged tree answered from the store's records with
-//! no compilation at all.
+//! request over the tree the session's records were made from (a restart
+//! over its store, or a return after a request that did not compile)
+//! answered from those records with no compilation at all. Every request
+//! ends in one tail that filters, renders and saves from the records; the
+//! store is only loaded by `open` and written by `save`.
 //!
 //! ```text
 //! AnalysisConfig::builder() … .build()
@@ -200,14 +203,14 @@ pub struct SessionOutcome {
     pub incremental: IncrementalStats,
 }
 
-/// One source file of the previous request, kept with its parsed unit.
+/// One source file of the previous request, kept with its parsed unit
+/// and the [`text_word`] of its text, which the file table records.
 #[derive(Debug)]
 struct ParsedFile {
     name: String,
     text: String,
     unit: Unit,
-    /// [`text_word`] of `text`, hashed only by a session with a store.
-    word: Option<u64>,
+    word: u64,
 }
 
 /// The session's front end. It keeps the previous request's parsed units
@@ -255,14 +258,10 @@ impl FrontEnd {
     /// and a file that failed to parse is parsed again next time, with the
     /// same diagnostic. It holds a module only if the request compiled.
     ///
-    /// With `words`, each file it parses keeps its [`text_word`]: the
-    /// word of the file at position `i` is `words[i]`, when the caller
-    /// hashed that far, and is hashed here otherwise.
-    fn compile(
-        &mut self,
-        files: &[FrameFile<'_>],
-        words: Option<&[u64]>,
-    ) -> Result<Compiled, Vec<Diag>> {
+    /// Each file it parses keeps its [`text_word`]: the word of the file
+    /// at position `i` is `words[i]`, when the caller hashed that far, and
+    /// is hashed here otherwise.
+    fn compile(&mut self, files: &[FrameFile<'_>], words: &[u64]) -> Result<Compiled, Vec<Diag>> {
         let start = Instant::now();
         let old = std::mem::take(&mut self.files);
         let kept = self.lowered.take();
@@ -325,11 +324,10 @@ impl FrontEnd {
             changed.push(i);
             match Parser::parse_source(&f.name, &text) {
                 Ok(unit) => self.files.push(ParsedFile {
-                    word: words.map(|w| {
-                        w.get(i)
-                            .copied()
-                            .unwrap_or_else(|| text_word(text.as_bytes()))
-                    }),
+                    word: words
+                        .get(i)
+                        .copied()
+                        .unwrap_or_else(|| text_word(text.as_bytes())),
                     name: f.name.to_string(),
                     text: text.into_owned(),
                     unit,
@@ -388,8 +386,8 @@ struct WarmState {
     /// The function space of `records`, one name per id: the kept module's,
     /// captured by its last full lowering, or a loaded store's.
     names: Arc<[Arc<str>]>,
-    /// Per function of `names`: its file's index in `files`. Kept only by
-    /// a session with a store, like `files`.
+    /// Per function of `names`: its file's index in `files`, through which
+    /// a finding renders its file and category.
     func_files: Vec<u32>,
     /// The file table of the request that made `records`.
     files: Vec<FileEntry>,
@@ -410,6 +408,24 @@ impl WarmState {
             fps: &self.fps.fps,
             files: &self.func_files,
         }
+    }
+
+    /// The candidate `(r, i)`: record `r`'s `i`-th.
+    fn candidate(&self, (r, i): Member) -> &PossibleBug {
+        &self.records[r].candidates[i]
+    }
+
+    /// The finding of the candidate `(r, i)`, built from its record: the
+    /// site function's name, its file, that file's category and the
+    /// record's lines. It equals [`BugReport::from_possible`] over the
+    /// module the record was made from.
+    fn report(&self, (r, i): Member) -> BugReport {
+        let record = &self.records[r];
+        let bug = &record.candidates[i];
+        let site = bug.site_id.func.index();
+        let file = &self.files[self.func_files[site] as usize].name;
+        let category = pata_cc::infer_category(file);
+        BugReport::from_parts(bug, &self.names[site], file, category, record.lines[i])
     }
 }
 
@@ -609,14 +625,16 @@ impl AnalysisSession {
                 dirty: true,
             })
             .collect();
-        let (reports, members, failures) = self.filter_roots(
-            &function_space(&module),
-            &stream,
-            None,
-            Some(&module),
-            &mut stats,
-        );
-        let real_bugs = witnesses(&stream, &members).cloned().collect();
+        let (members, failures) =
+            self.filter_roots(&function_space(&module), &stream, None, &mut stats);
+        let real_bugs: Vec<PossibleBug> = members
+            .iter()
+            .map(|&(r, i)| runs[r].candidates[i].clone())
+            .collect();
+        let reports = real_bugs
+            .iter()
+            .map(|bug| BugReport::from_possible(bug, &module))
+            .collect();
         degraded.extend(failures);
         degraded.sort();
         stats.time = start.elapsed();
@@ -656,7 +674,11 @@ impl AnalysisSession {
         checkers: &[Box<dyn Checker>],
     ) -> (Vec<RootRun>, AnalysisStats) {
         let (roots, _) = self.collect(module, None);
-        let mut stats = module_stats(module);
+        let mut stats = AnalysisStats {
+            files_analyzed: module.files().len() as u64,
+            loc_analyzed: module.total_loc(),
+            ..AnalysisStats::default()
+        };
         let runs = self.explore(module, checkers, &roots, &mut stats);
         (runs, stats)
     }
@@ -716,22 +738,17 @@ impl AnalysisSession {
 
     /// P3 over the candidates of every root, in root order, through the
     /// session's validation cache with the configured fault plan armed:
-    /// the reports, their witnesses (see [`filter::filter_roots`]) and the
-    /// quarantined groups. `names` is
-    /// the candidates' function space. `groups`, when the session keeps
-    /// this request's groups, holds the previous request's to replay and
-    /// receives this one's.
-    ///
-    /// With `reports`, the candidates' module, the reports are built in the
-    /// filter's span; the serve path leaves them to [`render_served`].
+    /// the reported witnesses (see [`filter::filter_roots`]) and the
+    /// quarantined groups. `names` is the candidates' function space.
+    /// `groups`, when the session keeps this request's groups, holds the
+    /// previous request's to replay and receives this one's.
     fn filter_roots(
         &self,
         names: &[Arc<str>],
         stream: &[RootCandidates<'_>],
         groups: Option<&mut KeptGroups>,
-        reports: Option<&Module>,
         stats: &mut AnalysisStats,
-    ) -> (Vec<BugReport>, Vec<Member>, Vec<DegradedRoot>) {
+    ) -> (Vec<Member>, Vec<DegradedRoot>) {
         let tel_on = self.telemetry.is_enabled();
         let span = Span::start(tel_on, "stage.filter");
         let (members, failures) = filter::filter_roots(
@@ -744,16 +761,10 @@ impl AnalysisSession {
             stats,
             self.config.fault_plan.as_deref(),
         );
-        let reports = match reports {
-            Some(module) => witnesses(stream, &members)
-                .map(|bug| BugReport::from_possible(bug, module))
-                .collect(),
-            None => Vec::new(),
-        };
         if tel_on {
             self.telemetry.record_direct(|sink| span.finish(sink));
         }
-        (reports, members, failures)
+        (members, failures)
     }
 
     /// Compiles and analyzes `request`, re-exploring only roots whose
@@ -762,11 +773,12 @@ impl AnalysisSession {
     /// store. Only the files whose name and text are new since the previous
     /// call are parsed, and when the file names are the previous call's,
     /// only those files are lowered again; the module is always exactly
-    /// the one a cold compile gives. A session with a store and no kept
-    /// module (a restart) answers a request whose files are the ones its
-    /// records were made from, name for name and text for text, from the
-    /// records without compiling at all; the report and statistics are
-    /// the ones compiling would give.
+    /// the one a cold compile gives. A session with warm state and no kept
+    /// module (a restart over a store, or a session whose last request did
+    /// not compile) answers a request whose files are the ones its records
+    /// were made from, name for name and text for text, from the records
+    /// without compiling at all; the report and statistics are the ones
+    /// compiling would give.
     pub fn analyze(&mut self, request: &AnalysisRequest) -> Result<SessionOutcome, SessionError> {
         let files: Vec<FrameFile<'_>> = request.files.iter().map(FrameFile::from).collect();
         let analyzed = self.run(&files, None)?;
@@ -799,8 +811,8 @@ impl AnalysisSession {
     }
 
     /// Compiles and analyzes `files`: the report is returned, or, when
-    /// `out` is given, rendered into it. A session with a store and no kept
-    /// module first tries to serve `files` from its records
+    /// `out` is given, rendered into it. A session with warm state and no
+    /// kept module first tries to serve `files` from its records
     /// ([`AnalysisSession::serve_from_records`]); any mismatch falls
     /// through to compiling, which reuses the text words the check hashed.
     fn run(
@@ -812,9 +824,8 @@ impl AnalysisSession {
         if files.is_empty() {
             return Err(SessionError::EmptyRequest);
         }
-        let hashing = self.store_path.is_some();
         let mut words = Vec::new();
-        if hashing && self.front_end.lowered.is_none() {
+        if self.front_end.lowered.is_none() && self.warm.is_some() {
             // The same containment boundary as the compiled path's below.
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.serve_from_records(files, start, &mut words, out.as_deref_mut())
@@ -829,12 +840,9 @@ impl AnalysisSession {
                 }
             }
         }
-        let compiled = self
-            .front_end
-            .compile(files, hashing.then_some(&words[..]))
-            .map_err(|diags| {
-                SessionError::Compile(diags.iter().map(ToString::to_string).collect())
-            })?;
+        let compiled = self.front_end.compile(files, &words).map_err(|diags| {
+            SessionError::Compile(diags.iter().map(ToString::to_string).collect())
+        })?;
         let mut lowered = self
             .front_end
             .lowered
@@ -900,12 +908,11 @@ impl AnalysisSession {
 
     /// Serves `files` from the warm state's records, when they are the tree
     /// the records were made from: no parse, lowering, collection,
-    /// fingerprinting or exploration. The records go through the same P3
-    /// as a compiled request's, and each finding renders from its stored
-    /// function and file names and lines, so the report and statistics are
-    /// the ones a compiled request gives. `None`, having done nothing but
-    /// the check, when the tree differs; `words` then holds the text
-    /// words the check hashed.
+    /// fingerprinting or exploration. Every root is clean and nothing
+    /// changed, so the records go through the tail of a compiled request
+    /// ([`AnalysisSession::finish`]) and give its report and statistics.
+    /// `None`, having done nothing but the check, when the tree differs;
+    /// `words` then holds the text words the check hashed.
     fn serve_from_records(
         &mut self,
         files: &[FrameFile<'_>],
@@ -924,93 +931,22 @@ impl AnalysisSession {
         }
         faultinject::maybe_panic(self.config.fault_plan.as_deref(), "session.analyze", "");
         let warm = self.warm.take().expect("a recorded tree has warm state");
-        let mut stats = AnalysisStats {
-            files_analyzed: warm.files.len() as u64,
-            loc_analyzed: warm.files.iter().map(|f| u64::from(f.lines)).sum(),
-            ..AnalysisStats::default()
-        };
-        let mut notes: Vec<BudgetNote> = Vec::new();
-        let mut degraded: Vec<DegradedRoot> = Vec::new();
-        for record in &warm.records {
-            replay_record(
-                record,
-                &warm.names[record.root.index()],
-                &mut stats,
-                &mut notes,
-                &mut degraded,
-            );
-        }
-        let stream: Vec<RootCandidates<'_>> = warm
-            .records
-            .iter()
-            .map(|record| RootCandidates {
-                candidates: &record.candidates,
-                dirty: false,
-            })
-            .collect();
-        let (_, members, failures) =
-            self.filter_roots(&warm.names, &stream, None, None, &mut stats);
-        degraded.extend(failures);
-        let render_start = Instant::now();
-        let reports: Vec<BugReport> = members
-            .iter()
-            .map(|&(r, i)| {
-                let record = &warm.records[r];
-                let bug = &record.candidates[i];
-                let site = bug.site_id.func.index();
-                let file = &warm.files[warm.func_files[site] as usize].name;
-                let category = pata_cc::infer_category(file);
-                BugReport::from_parts(bug, &warm.names[site], file, category, record.lines[i])
-            })
-            .collect();
-        let report = match out {
-            None => Some(
-                Report::new(reports)
-                    .with_budget_notes(notes)
-                    .with_degraded(degraded),
-            ),
-            Some(out) => {
-                report::write_report(
-                    out,
-                    report::REPORT_SCHEMA_VERSION,
-                    &reports,
-                    |out, r| r.write_json(out),
-                    &notes,
-                    &report::sorted_degraded(degraded),
-                );
-                None
-            }
-        };
-        let render_ns = render_start.elapsed().as_nanos() as u64;
-        stats.time = start.elapsed();
         let roots = warm.root_count;
-        let incremental = IncrementalStats {
-            roots,
-            dirty_roots: 0,
-            clean_roots: roots,
-            changed_functions: 0,
-            warm_start: true,
-            parsed_files: 0,
-            lowered_functions: 0,
+        let request = Recorded {
+            explored: vec![false; warm.records.len()],
+            changes: Some(Changes::default()),
+            stats: AnalysisStats::default(),
+            degraded: Vec::new(),
+            incremental: IncrementalStats {
+                roots,
+                clean_roots: roots,
+                warm_start: true,
+                ..IncrementalStats::default()
+            },
+            relowered: &[],
+            warm,
         };
-        self.record_request(&incremental);
-        // Only a verdict P3 recorded anew is missing from the store.
-        let mark = self.cache.mark();
-        if self.synced.is_none_or(|s| s.cache_mark != mark) {
-            let unchanged = Changes {
-                files: Vec::new(),
-                functions: Vec::new(),
-                explored: &[],
-            };
-            self.save(&warm, Some(unchanged));
-        }
-        self.warm = Some(warm);
-        Some(Analyzed {
-            report,
-            stats,
-            incremental,
-            render_ns,
-        })
+        Some(self.finish(request, start, out))
     }
 
     /// Records one request's incremental counters.
@@ -1041,7 +977,9 @@ impl AnalysisSession {
         self.synced = None;
     }
 
-    /// The incremental pipeline on a compiled module.
+    /// The incremental pipeline on a compiled module up to its records:
+    /// collection, change detection and the exploration of the dirty
+    /// roots. [`AnalysisSession::finish`] does the rest.
     fn analyze_compiled(
         &mut self,
         module: &mut Module,
@@ -1052,7 +990,6 @@ impl AnalysisSession {
         let tel_on = self.telemetry.is_enabled();
         let checkers = self.checkers();
         let config = &self.config;
-        let store = self.store_path.is_some();
         faultinject::maybe_panic(config.fault_plan.as_deref(), "session.analyze", "");
 
         let mut prev = self.warm.take();
@@ -1099,7 +1036,6 @@ impl AnalysisSession {
                         .all(|(i, f)| f.map(FuncId::index) == Some(i))
             });
         let func_files: Vec<u32> = match prev.as_mut() {
-            _ if !store => Vec::new(),
             Some(p) if in_place => std::mem::take(&mut p.func_files),
             _ => module
                 .functions()
@@ -1122,8 +1058,7 @@ impl AnalysisSession {
                     (Some(p), Some(map)) => {
                         let changed = fps.changed_since(&p.fps.fps, map);
                         let moved = |i: usize| {
-                            p.fps.fps[i] != fps.fps[i]
-                                || (store && p.func_files[i] != func_files[i])
+                            p.fps.fps[i] != fps.fps[i] || p.func_files[i] != func_files[i]
                         };
                         let ids = same_space.then(|| {
                             (0..n)
@@ -1145,14 +1080,10 @@ impl AnalysisSession {
         // The file table, with the positions whose entry changed when the
         // file names are the previous ones, in order: only a parsed file's
         // entry can have.
-        let (files, changed_files) = if store {
-            self.file_table(
-                prev.as_mut().map(|p| std::mem::take(&mut p.files)),
-                &compiled.parsed,
-            )
-        } else {
-            (Vec::new(), None)
-        };
+        let (files, changed_files) = self.file_table(
+            prev.as_mut().map(|p| std::mem::take(&mut p.files)),
+            &compiled.parsed,
+        );
         let prev_root_count = prev.as_ref().map_or(0, |p| p.root_count);
         drop(prev);
 
@@ -1213,11 +1144,10 @@ impl AnalysisSession {
             self.telemetry.record_direct(|sink| {
                 sink.record_ns("driver.serve.fingerprint", fingerprint_ns);
             });
-            self.record_request(&incremental);
         }
 
         // Explore the dirty roots; each explored root gets a new record.
-        let mut stats = module_stats(module);
+        let mut stats = AnalysisStats::default();
         let runs = self.explore(module, &checkers, &dirty_ids, &mut stats);
         let quarantined =
             |run: &RootRun| matches!(&run.failure, Some(f) if f.action == "quarantined");
@@ -1225,7 +1155,6 @@ impl AnalysisSession {
         // again, each record stays where it is and an explored root's new
         // one replaces it there. Otherwise the records move into root order.
         let in_place = same_roots && !runs.iter().any(quarantined);
-        let prev_count = prev_records.len();
         let (mut records, mut moved): (Vec<RootRecord>, Vec<Option<RootRecord>>) = if in_place {
             (prev_records, Vec::new())
         } else {
@@ -1233,7 +1162,6 @@ impl AnalysisSession {
             (Vec::with_capacity(roots.len()), moved)
         };
         let mut runs = runs.into_iter();
-        let mut notes: Vec<BudgetNote> = Vec::new();
         let mut degraded: Vec<DegradedRoot> = Vec::new();
         // Per record: whether this request explored its root.
         let mut explored: Vec<bool> = Vec::with_capacity(roots.len());
@@ -1242,30 +1170,23 @@ impl AnalysisSession {
                 if !in_place {
                     records.push(moved[at].take().expect("a record serves one root"));
                 }
-                let record = &records[if in_place { i } else { records.len() - 1 }];
-                let name = module.function(root).name();
-                replay_record(record, name, &mut stats, &mut notes, &mut degraded);
                 explored.push(false);
                 continue;
             }
             let run: RootRun = runs.next().expect("one exploration result per dirty root");
-            degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
-            notes.extend(run.note.clone());
             // A quarantined root produced no trustworthy result (and no
             // candidates): never record it, so the next request re-explores
             // it instead of replaying an empty answer as "clean". A demoted
             // root's bounded result *is* deterministic — record it with its
             // demotion so warm replays reproduce the report byte-identically.
             if quarantined(&run) {
+                degraded.extend(run.failure.as_ref().map(RootFailure::to_degraded));
                 continue;
             }
             let record = RootRecord {
                 root,
                 closure_fp: closures[i],
-                lines: match store {
-                    true => candidate_lines(module, &run.candidates),
-                    false => Vec::new(),
-                },
+                lines: candidate_lines(module, &run.candidates),
                 candidates: run.candidates,
                 stats: run.stats,
                 note: run.note.map(|n| n.reason),
@@ -1279,36 +1200,108 @@ impl AnalysisSession {
         }
         drop(moved);
 
-        // Every request filters its per-root stream. Only a request that
-        // relowered in place keeps its groups, with its other products: a
-        // session that has not (a one-shot analysis, a restart from the
-        // store) is not serving edits yet. Kept groups replay their
-        // verdicts only over the same module ids and, when validating,
-        // through the cache that recorded them.
-        let stream: Vec<RootCandidates<'_>> = records
-            .iter()
-            .zip(&explored)
+        // What a delta line may carry: changed file entries, function
+        // entries and the records of the explored roots, when no file,
+        // function or root came, went or moved.
+        let root_count = roots.len() as u64;
+        let same_roots = same_roots && records.len() == roots.len();
+        let changes = match (changed_ids, changed_files) {
+            (Some(functions), Some(files)) if same_roots && prev_root_count == root_count => {
+                Some(Changes { files, functions })
+            }
+            _ => None,
+        };
+        // Only a request that relowered in place keeps its groups, with its
+        // other products: a session that has not (a one-shot analysis, a
+        // restart from the store) is not serving edits yet. Kept groups
+        // replay their verdicts only over the same module ids and, when
+        // validating, through the cache that recorded them.
+        let replay = !config.validate_paths || config.validation_cache;
+        let bound = relowered.map(|_| Bound {
+            graph: call_graph,
+            roots,
+            groups: kept_groups.filter(|_| replay).unwrap_or_default(),
+        });
+        let request = Recorded {
+            warm: WarmState {
+                fps,
+                names,
+                func_files,
+                files,
+                root_count,
+                records,
+                bound,
+            },
+            explored,
+            changes,
+            stats,
+            degraded,
+            incremental,
+            relowered: relowered.unwrap_or_default(),
+        };
+        self.finish(request, start, out)
+    }
+
+    /// The one tail of every request once its records are known, compiled
+    /// or served from the records: replays the clean records, runs P3 over
+    /// every record in root order, renders each finding from its record
+    /// (into `out` when given), records the request's counters, saves
+    /// ([`AnalysisSession::save`]) and installs the warm state.
+    fn finish(
+        &mut self,
+        request: Recorded<'_>,
+        start: Instant,
+        out: Option<&mut String>,
+    ) -> Analyzed {
+        let Recorded {
+            mut warm,
+            explored,
+            changes,
+            mut stats,
+            mut degraded,
+            incremental,
+            relowered,
+        } = request;
+        stats.files_analyzed = warm.files.len() as u64;
+        stats.loc_analyzed = warm.files.iter().map(|f| u64::from(f.lines)).sum();
+        // A clean root's counters replay from its record. Each record's
+        // budget note and demotion, in root order, are the ones exploring
+        // its root gave.
+        let mut notes: Vec<BudgetNote> = Vec::new();
+        for (record, &dirty) in zip(&warm.records, &explored) {
+            if !dirty {
+                stats += &record.stats;
+            }
+            let root = &warm.names[record.root.index()];
+            notes.extend(record.note.iter().map(|reason| BudgetNote {
+                root: root.to_string(),
+                reason: reason.clone(),
+            }));
+            degraded.extend(record.demoted.iter().map(|reason| DegradedRoot {
+                root: root.to_string(),
+                stage: "explore".to_owned(),
+                reason: reason.clone(),
+                action: "demoted".to_owned(),
+            }));
+        }
+
+        let mut bound = warm.bound.take();
+        let mut groups = bound.as_mut().map(|b| &mut b.groups);
+        let stream: Vec<RootCandidates<'_>> = zip(&warm.records, &explored)
             .map(|(record, &dirty)| RootCandidates {
                 candidates: &record.candidates,
                 dirty,
             })
             .collect();
-        let replay = !config.validate_paths || config.validation_cache;
-        let mut groups = relowered.map(|_| kept_groups.filter(|_| replay).unwrap_or_default());
-        let (reports, members, failures) = self.filter_roots(
-            &names,
-            &stream,
-            groups.as_mut(),
-            out.is_none().then_some(module),
-            &mut stats,
-        );
-        let witnesses: Vec<&PossibleBug> = witnesses(&stream, &members).collect();
+        let (members, failures) =
+            self.filter_roots(&warm.names, &stream, groups.as_deref_mut(), &mut stats);
+        drop(stream);
         degraded.extend(failures);
-        let relowered = relowered.unwrap_or_default();
         let render_start = Instant::now();
         let report = match out {
             None => {
-                forget_moved_fragments(&witnesses, groups.as_mut(), relowered);
+                forget_moved_fragments(&warm, &members, groups, relowered);
+                let reports = members.iter().map(|&m| warm.report(m)).collect();
                 Some(
                     Report::new(reports)
                         .with_budget_notes(notes)
@@ -1317,65 +1310,15 @@ impl AnalysisSession {
             }
             Some(out) => {
                 let degraded = report::sorted_degraded(degraded);
-                render_served(
-                    module,
-                    &witnesses,
-                    groups.as_mut(),
-                    relowered,
-                    &notes,
-                    &degraded,
-                    out,
-                );
+                render_served(&warm, &members, groups, relowered, &notes, &degraded, out);
                 None
             }
         };
         let render_ns = render_start.elapsed().as_nanos() as u64;
-        drop((witnesses, stream));
+        warm.bound = bound;
         stats.time = start.elapsed();
-
-        // Update the warm state and (if open) the on-disk store. A fully
-        // clean request (the same files, function table and roots, no dirty
-        // roots, no new validation verdicts) would rewrite the store with
-        // the same content — skip the redundant serialization.
-        let same_roots = same_roots && records.len() == roots.len();
-        let root_count = roots.len() as u64;
-        let store_unchanged = self
-            .synced
-            .is_some_and(|s| s.cache_mark == self.cache.mark())
-            && incremental.dirty_roots == 0
-            && changed_ids.as_ref().is_some_and(Vec::is_empty)
-            && changed_files.as_ref().is_some_and(Vec::is_empty)
-            && prev_count == records.len()
-            && prev_root_count == root_count;
-        let warm = WarmState {
-            fps,
-            names,
-            func_files,
-            files,
-            root_count,
-            records,
-            bound: groups.map(|groups| Bound {
-                graph: call_graph,
-                roots,
-                groups,
-            }),
-        };
-        if !store_unchanged {
-            // What a delta line may carry: changed file entries, function
-            // entries and the records of the explored roots, when no file,
-            // function or root came, went or moved.
-            let delta = match (changed_ids, changed_files) {
-                (Some(functions), Some(files)) if same_roots && prev_root_count == root_count => {
-                    Some(Changes {
-                        files,
-                        functions,
-                        explored: &explored,
-                    })
-                }
-                _ => None,
-            };
-            self.save(&warm, delta);
-        }
+        self.record_request(&incremental);
+        self.save(&warm, &explored, changes);
         self.warm = Some(warm);
         Analyzed {
             report,
@@ -1385,10 +1328,10 @@ impl AnalysisSession {
         }
     }
 
-    /// The file table of the front end's files, hashed as they were
-    /// parsed, built on `prev`, the previous request's table. When the
-    /// file names are `prev`'s, in order, only the `parsed` positions can
-    /// differ, and the positions whose entry did are returned too.
+    /// The file table of the front end's files, built on `prev`, the
+    /// previous request's table. When the file names are `prev`'s, in
+    /// order, only the `parsed` positions can differ, and the positions
+    /// whose entry did are returned too.
     fn file_table(
         &self,
         prev: Option<Vec<FileEntry>>,
@@ -1399,9 +1342,7 @@ impl AnalysisSession {
             name: f.name.clone(),
             bytes: f.text.len() as u64,
             lines: f.unit.lines,
-            word: f
-                .word
-                .expect("a session with a store hashes what it parses"),
+            word: f.word,
         };
         match prev {
             Some(mut files)
@@ -1422,18 +1363,30 @@ impl AnalysisSession {
         }
     }
 
-    /// Saves `warm` to the store, if one is open, and records the save.
+    /// Saves `warm` to the store, if one is open, and records the save;
+    /// `explored` says per record whether the request explored its root.
     /// When the store on disk equals the previous warm state and `delta`
     /// names what this request changed, the save appends one delta line
-    /// with those and the verdicts recorded since. Any other save, and one
-    /// whose log would outgrow the base, rewrites the whole store, which
-    /// compacts the log.
-    fn save(&mut self, warm: &WarmState, delta: Option<Changes<'_>>) {
+    /// with those, the explored roots' records and the verdicts recorded
+    /// since, or writes nothing when that line would carry nothing. Any
+    /// other save, and one whose log would outgrow the base, rewrites the
+    /// whole store, which compacts the log.
+    fn save(&mut self, warm: &WarmState, explored: &[bool], delta: Option<Changes>) {
         let Some(path) = &self.store_path else {
             return;
         };
+        let unchanged = delta
+            .as_ref()
+            .is_some_and(|c| c.files.is_empty() && c.functions.is_empty())
+            && !explored.contains(&true)
+            && self
+                .synced
+                .is_some_and(|s| s.cache_mark == self.cache.mark());
+        if unchanged {
+            return;
+        }
         let t0 = Instant::now();
-        let saved = self.save_store(path, warm, delta);
+        let saved = self.save_store(path, warm, explored, delta);
         let save_ns = t0.elapsed().as_nanos() as u64;
         let saved_ok = saved.is_ok();
         self.synced = saved.ok().map(|file| SyncedStore {
@@ -1453,7 +1406,8 @@ impl AnalysisSession {
         &self,
         path: &Path,
         warm: &WarmState,
-        delta: Option<Changes<'_>>,
+        explored: &[bool],
+        delta: Option<Changes>,
     ) -> std::io::Result<StoreFile> {
         let fault = self.config.fault_plan.as_deref();
         let verdicts_since = |mark| {
@@ -1471,7 +1425,7 @@ impl AnalysisSession {
                     .iter()
                     .map(|&f| (f, warm.fps.fps[f.index()], warm.func_files[f.index()]))
                     .collect(),
-                roots: zip(&warm.records, changes.explored)
+                roots: zip(&warm.records, explored)
                     .filter_map(|(record, &explored)| explored.then_some(record))
                     .collect(),
                 validation: &verdicts_since(synced.cache_mark),
@@ -1494,36 +1448,33 @@ impl AnalysisSession {
 
 /// What a request changed in a store that equals the previous warm state,
 /// in the space of both: the file positions and functions whose entries
-/// changed and, per record, whether its root was explored afresh.
-struct Changes<'a> {
+/// changed.
+#[derive(Default)]
+struct Changes {
     files: Vec<usize>,
     functions: Vec<FuncId>,
-    explored: &'a [bool],
 }
 
-/// Adds a clean root's record, the root `name`, to a request: its
-/// counters, its budget note and its demotion.
-fn replay_record(
-    record: &RootRecord,
-    name: &str,
-    stats: &mut AnalysisStats,
-    notes: &mut Vec<BudgetNote>,
-    degraded: &mut Vec<DegradedRoot>,
-) {
-    *stats += &record.stats;
-    notes.extend(record.note.iter().map(|reason| BudgetNote {
-        root: name.to_owned(),
-        reason: reason.clone(),
-    }));
-    degraded.extend(record.demoted.iter().map(|reason| DegradedRoot {
-        root: name.to_owned(),
-        stage: "explore".to_owned(),
-        reason: reason.clone(),
-        action: "demoted".to_owned(),
-    }));
+/// A request once its records are known: what
+/// [`AnalysisSession::finish`] takes.
+struct Recorded<'a> {
+    /// The request's warm state, with one record per root that has one,
+    /// in root order.
+    warm: WarmState,
+    /// Per record: whether this request explored its root.
+    explored: Vec<bool>,
+    /// What the request changed, when a delta line may carry it.
+    changes: Option<Changes>,
+    /// The counters of the roots this request explored.
+    stats: AnalysisStats,
+    /// The roots exploration quarantined, which have no record.
+    degraded: Vec<DegradedRoot>,
+    incremental: IncrementalStats,
+    /// The functions this request lowered again in place.
+    relowered: &'a [FuncId],
 }
 
-/// What [`AnalysisSession::analyze_compiled`] gives for one request.
+/// What [`AnalysisSession::finish`] gives for one request.
 struct Analyzed {
     /// The report, unless it was rendered into the serve path's buffer.
     report: Option<Report>,
@@ -1541,34 +1492,40 @@ fn moved(bug: &PossibleBug, relowered: &[FuncId]) -> bool {
     relowered.contains(&bug.site_id.func) || relowered.contains(&bug.origin_id.func)
 }
 
-/// Drops the kept fragments of the `witnesses` that lowering `relowered`
-/// may have moved, when the findings are not rendered from fragments.
+/// Drops the kept fragments of the findings `members` of `warm` that
+/// lowering `relowered` may have moved, when the findings are not
+/// rendered from fragments.
 fn forget_moved_fragments(
-    witnesses: &[&PossibleBug],
+    warm: &WarmState,
+    members: &[Member],
     groups: Option<&mut KeptGroups>,
     relowered: &[FuncId],
 ) {
     let Some(groups) = groups else { return };
-    for bug in witnesses.iter().filter(|bug| moved(bug, relowered)) {
-        *groups.fragment(bug.dedup_key()) = None;
+    for &member in members {
+        let bug = warm.candidate(member);
+        if moved(bug, relowered) {
+            *groups.fragment(bug.dedup_key()) = None;
+        }
     }
 }
 
-/// Appends the report document of `witnesses` to `out`. A witness whose
-/// kept group has a fragment that lowering `relowered` did not move is
-/// written from it; every other one is built by
-/// [`BugReport::from_possible`] and, when groups are kept, kept as its
-/// group's fragment for the next request.
+/// Appends the report document of the findings `members` of `warm` to
+/// `out`. A finding whose kept group has a fragment that lowering
+/// `relowered` did not move is written from it; every other one is built
+/// from its record ([`WarmState::report`]) and, when groups are kept,
+/// kept as its group's fragment for the next request.
 fn render_served(
-    module: &Module,
-    witnesses: &[&PossibleBug],
+    warm: &WarmState,
+    members: &[Member],
     mut groups: Option<&mut KeptGroups>,
     relowered: &[FuncId],
     notes: &[BudgetNote],
     degraded: &[DegradedRoot],
     out: &mut String,
 ) {
-    let write_finding = |out: &mut String, bug: &&PossibleBug| {
+    let write_finding = |out: &mut String, &member: &Member| {
+        let bug = warm.candidate(member);
         let slot = groups.as_deref_mut().map(|g| g.fragment(bug.dedup_key()));
         if let Some(Some(json)) = slot.as_deref() {
             if !moved(bug, relowered) {
@@ -1577,7 +1534,7 @@ fn render_served(
             }
         }
         let at = out.len();
-        BugReport::from_possible(bug, module).write_json(out);
+        warm.report(member).write_json(out);
         if let Some(slot) = slot {
             *slot = Some(out[at..].into());
             #[cfg(test)]
@@ -1589,28 +1546,11 @@ fn render_served(
     report::write_report(
         out,
         report::REPORT_SCHEMA_VERSION,
-        witnesses,
+        members,
         write_finding,
         notes,
         degraded,
     );
-}
-
-/// The candidates `members` names in `stream`.
-fn witnesses<'c, 'm>(
-    stream: &'m [RootCandidates<'c>],
-    members: &'m [Member],
-) -> impl Iterator<Item = &'c PossibleBug> + 'm {
-    members.iter().map(|&(r, i)| &stream[r].candidates[i])
-}
-
-/// A fresh run's statistics before exploration: the module's size.
-fn module_stats(module: &Module) -> AnalysisStats {
-    AnalysisStats {
-        files_analyzed: module.files().len() as u64,
-        loc_analyzed: module.total_loc(),
-        ..AnalysisStats::default()
-    }
 }
 
 #[cfg(test)]
@@ -1782,6 +1722,43 @@ mod tests {
         assert_eq!(out.incremental.parsed_files, 1);
         let cold = AnalysisSession::new(config()).analyze(&fixed).unwrap();
         assert_eq!(out.report.to_json(), cold.report.to_json());
+    }
+
+    /// A session without a store that returns to its last compiled tree,
+    /// after a request that did not parse, is served from its records: it
+    /// parses, lowers and explores nothing, and gives the cold report and
+    /// statistics. Its validation cache already holds the verdicts, so its
+    /// cache hits and misses are those of a repeated compiled request.
+    #[test]
+    fn a_store_less_session_serves_its_recorded_tree_after_a_compile_error() {
+        let probe_c = "int probe_c(int *q) { if (q == NULL) { } return *q; }";
+        let tree = request(&[("t.c", TWO_ROOTS), ("u.c", probe_c)]);
+        let bad = request(&[("t.c", TWO_ROOTS), ("u.c", probe_c), ("bad.c", "int f( {")]);
+        let mut s = AnalysisSession::new(config());
+        let cold = s.analyze(&tree).unwrap();
+        assert!(matches!(s.analyze(&bad), Err(SessionError::Compile(_))));
+        let out = s.analyze(&tree).unwrap();
+        let inc = out.incremental;
+        assert_eq!(
+            (inc.parsed_files, inc.lowered_functions, inc.dirty_roots),
+            (0, 0, 0)
+        );
+        assert_eq!((inc.roots, inc.clean_roots), (3, 3));
+        assert!(s.front_end.lowered.is_none(), "nothing was lowered");
+        assert_eq!(out.report.to_json(), cold.report.to_json());
+        let counters = |stats: &AnalysisStats| AnalysisStats {
+            time: std::time::Duration::ZERO,
+            validation_cache_hits: 0,
+            validation_cache_misses: 0,
+            ..stats.clone()
+        };
+        assert_eq!(counters(&out.stats), counters(&cold.stats));
+        let mut compiled = AnalysisSession::new(config());
+        compiled.analyze(&tree).unwrap();
+        let repeated = compiled.analyze(&tree).unwrap().stats;
+        let cache =
+            |stats: &AnalysisStats| (stats.validation_cache_hits, stats.validation_cache_misses);
+        assert_eq!(cache(&out.stats), cache(&repeated));
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn outcome_of(out: &SessionOutcome) -> (AnalysisStats, String) {
 
 /// What a session keeps for its next request, in a comparable form: the
 /// call graph, roots and interface flags; the function space's names and
-/// the per-root records, without the candidate lines only a session with
-/// a store keeps; the P3 groups.
+/// the per-root records, candidate lines included, so that a clean
+/// record's stale line shows; the P3 groups.
 fn kept(session: &AnalysisSession) -> (String, String, Vec<filter::GroupDump>) {
     let warm = session.warm.as_ref().expect("a warm state");
     let bound = warm.bound.as_ref().expect("products bound to the module");
@@ -37,15 +37,7 @@ fn kept(session: &AnalysisSession) -> (String, String, Vec<filter::GroupDump>) {
         .map(|f| f.is_interface())
         .collect();
     let graph = format!("{:?} {:?} {flags:?}", bound.graph, bound.roots);
-    let records: Vec<RootRecord> = warm
-        .records
-        .iter()
-        .map(|r| RootRecord {
-            lines: Vec::new(),
-            ..r.clone()
-        })
-        .collect();
-    let plans = format!("{:?} {records:?}", warm.names);
+    let plans = format!("{:?} {:?}", warm.names, warm.records);
     (graph, plans, bound.groups.dump())
 }
 
@@ -244,11 +236,55 @@ fn edit(
 }
 
 fn linux_files(scale: f64) -> Vec<(String, String)> {
-    Corpus::generate(&OsProfile::linux().with_scale(scale))
+    model_files(OsProfile::linux().with_scale(scale))
+}
+
+fn model_files(profile: OsProfile) -> Vec<(String, String)> {
+    Corpus::generate(&profile)
         .files
         .iter()
         .map(|f| (f.path.clone(), f.text.clone()))
         .collect()
+}
+
+/// Every session finding renders from its record ([`WarmState::report`]):
+/// the site function's name from the function space, its file through
+/// the function's file index and the file table, that file's inferred
+/// category and the record's lines. After a cold, store-less request over
+/// each OS model, that report equals [`BugReport::from_possible`] over
+/// the module for every candidate of every record, reported or not.
+#[test]
+fn every_candidate_renders_from_its_record_as_from_the_module() {
+    let config = AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    };
+    for profile in [
+        OsProfile::linux(),
+        OsProfile::zephyr(),
+        OsProfile::riot(),
+        OsProfile::tencent(),
+    ] {
+        let name = profile.name;
+        let files = model_files(profile.with_scale(0.2));
+        let mut session = AnalysisSession::new(config.clone());
+        session.analyze(&request(&files)).expect("analyzes");
+        let warm = session.warm.as_ref().expect("a warm state");
+        let module = session.front_end.lowered.as_ref().unwrap().module();
+        let mut candidates = 0;
+        for (r, record) in warm.records.iter().enumerate() {
+            for (i, bug) in record.candidates.iter().enumerate() {
+                assert_eq!(
+                    warm.report((r, i)),
+                    BugReport::from_possible(bug, module),
+                    "{name}: candidate {i} of root {}",
+                    warm.names[record.root.index()]
+                );
+                candidates += 1;
+            }
+        }
+        assert!(candidates > 0, "{name}: the model has candidates");
+    }
 }
 
 /// A request that adds or reorders a file lowers every function and

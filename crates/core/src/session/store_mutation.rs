@@ -422,17 +422,11 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
     for (what, line) in [
         (
             "file position past the table",
-            insert_after(
-                "\"files\": [",
-                "{\"at\": 999999, \"name\": \"x.c\", \"bytes\": 1, \"lines\": 1, \"word\": \"01\"}",
-            ),
+            insert_after("\"files\": [", "[999999, \"x.c\", 1, 1, \"01\"]"),
         ),
         (
             "file entry without a position",
-            insert_after(
-                "\"files\": [",
-                "{\"name\": \"x.c\", \"bytes\": 1, \"lines\": 1, \"word\": \"01\"}",
-            ),
+            insert_after("\"files\": [", "[\"x.c\", 1, 1, \"01\"]"),
         ),
         (
             "unknown function",
@@ -463,7 +457,9 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
     let root_digits = base[root..].find(',').expect("the root index ends");
     let splice =
         |at: usize, cut: usize, by: &str| format!("{}{by}{}", &base[..at], &base[at + cut..]);
-    let file_table = base.find("\"files\": [{").expect("a file table") + 11;
+    let file_table = base.find("\"files\": [[").expect("a file table") + 10;
+    let file_end = file_table + base[file_table..].find(']').expect("the entry closes");
+    let word = base[..file_end].rfind(", ").expect("a word");
     for (what, rewritten) in [
         (
             "a function entry with a fourth item",
@@ -483,11 +479,15 @@ fn one_pass_reader_matches_the_tree_reader_under_mutation() {
         ),
         (
             "a file entry without a word",
-            base.replacen(", \"word\": \"", ", \"w\": \"", 1),
+            splice(word, file_end - word, ""),
         ),
         (
-            "a file table that is an object",
-            splice(file_table, 0, "\"zz\": 1}, {"),
+            "a file entry with a position",
+            splice(file_table + 1, 0, "0, "),
+        ),
+        (
+            "a file entry that is an object",
+            splice(file_table, 0, "{\"name\": \"x.c\"}, "),
         ),
     ] {
         assert_ne!(rewritten, base, "{what}: the base changed");

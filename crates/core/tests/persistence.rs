@@ -555,9 +555,9 @@ fn record_span(base: &str, root: usize) -> std::ops::Range<usize> {
 /// tree no longer matches the store, so a restart compiles it.
 fn with_stale_word(text: &str, file: &str) -> String {
     let entry = text
-        .find(&format!("{{\"name\": \"{file}\", "))
+        .find(&format!("[\"{file}\", "))
         .expect("the file has an entry");
-    let word = entry + text[entry..].find("\"word\": \"").unwrap() + 9;
+    let word = entry + text[entry..].find(']').unwrap() - 17;
     format!("{}{}{}", &text[..word], "0".repeat(16), &text[word + 16..])
 }
 
@@ -872,9 +872,10 @@ fn a_restart_served_from_records_replays_a_demotion() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store schema 5 wrote (no root count or file table, the function
-/// database as one `{name: "fp hex"}` object) is a clean cold start, and
-/// is replaced by the current store.
+/// A store an older schema wrote is a clean cold start, and is replaced
+/// by the current store: schema 5's (no root count or file table, the
+/// function database as one `{name: "fp hex"}` object) and schema 6's
+/// (file entries as objects with four keys).
 #[test]
 fn schema_five_store_is_a_clean_cold_start() {
     let dir = tempdir("schema-five");
@@ -882,10 +883,9 @@ fn schema_five_store_is_a_clean_cold_start() {
     let cold = run(&store, 1, CORPUS);
     let text = std::fs::read_to_string(&store).unwrap();
     let doc = pata_core::json::JsonValue::parse(text.trim_end()).unwrap();
-    let entries: Vec<String> = doc
-        .get("functions")
-        .and_then(|t| t.as_array())
-        .unwrap()
+    let table = |key: &str| doc.get(key).and_then(|t| t.as_array()).unwrap();
+    let version = format!("\"schema_version\": {STORE_SCHEMA_VERSION}");
+    let entries: Vec<String> = table("functions")
         .iter()
         .map(|entry| {
             let entry = entry.as_array().unwrap();
@@ -895,21 +895,42 @@ fn schema_five_store_is_a_clean_cold_start() {
         .collect();
     let header_end = text.find(", \"root_count\": ").unwrap();
     let roots = text.find(", \"roots\": ").unwrap();
-    let parent = format!(
+    let five = format!(
         "{}, \"functions\": {{{}}}{}",
         &text[..header_end],
         entries.join(", "),
         &text[roots..]
     )
-    .replace(
-        &format!("\"schema_version\": {STORE_SCHEMA_VERSION}"),
-        "\"schema_version\": 5",
-    );
-    assert!(!parent.contains("\"files\"") && parent.contains("\"functions\": {\""));
-    std::fs::write(&store, &parent).unwrap();
-    let out = run(&store, 1, CORPUS);
-    assert!(!out.incremental.warm_start);
-    assert_eq!(out.report.to_json(), cold.report.to_json());
-    assert_eq!(std::fs::read_to_string(&store).unwrap(), text, "rewritten");
+    .replace(&version, "\"schema_version\": 5");
+    assert!(!five.contains("\"files\"") && five.contains("\"functions\": {\""));
+    let files: Vec<String> = table("files")
+        .iter()
+        .map(|entry| match entry.as_array().unwrap() {
+            [name, bytes, lines, word] => format!(
+                "{{\"name\": \"{}\", \"bytes\": {}, \"lines\": {}, \"word\": \"{}\"}}",
+                name.as_str().unwrap(),
+                bytes.as_u64().unwrap(),
+                lines.as_u64().unwrap(),
+                word.as_str().unwrap()
+            ),
+            other => panic!("a file entry of {} items", other.len()),
+        })
+        .collect();
+    let files_at = text.find("\"files\": [").unwrap();
+    let functions = text.find(", \"functions\": ").unwrap();
+    let six = format!(
+        "{}\"files\": [{}]{}",
+        &text[..files_at],
+        files.join(", "),
+        &text[functions..]
+    )
+    .replace(&version, "\"schema_version\": 6");
+    for older in [five, six] {
+        std::fs::write(&store, &older).unwrap();
+        let out = run(&store, 1, CORPUS);
+        assert!(!out.incremental.warm_start);
+        assert_eq!(out.report.to_json(), cold.report.to_json());
+        assert_eq!(std::fs::read_to_string(&store).unwrap(), text, "rewritten");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -345,15 +345,30 @@ echo "== store restart keeps --stats"
 # incremental line. Beside the fault corpus, the heavy root drops repeated
 # candidates during exploration: only its stored record carries them.
 # Both runs' --json reports must be byte-identical too: a restart reads
-# each finding's lines from the module, not from the store.
-restart_stats() {
+# each finding's lines from the store's records, which a cold run renders
+# from as well. A cold run without a store must print the --store cold
+# run's --json and, apart from the wall time, its --stats.
+run_stats() {
+    run_name=$1
+    shift
     cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" \
-        "$tmp_dir/ci_heavy.c" --json --stats --store "$tmp_dir/restart-store.json" \
-        2>&1 >"$tmp_dir/restart-$1.json" \
-        | sed -e 's/time: [^ ]*//' -e '/^validation cache hits/d' \
-            -e '/^roots dirty\/clean/d'
+        "$tmp_dir/ci_heavy.c" --json --stats "$@" \
+        2>&1 >"$tmp_dir/restart-$run_name.json" \
+        | sed -e 's/time: [^ ]*//'
+}
+restart_stats() {
+    run_stats "$1" --store "$tmp_dir/restart-store.json" \
+        | tee "$tmp_dir/restart-$1.stats" \
+        | sed -e '/^validation cache hits/d' -e '/^roots dirty\/clean/d'
 }
 restart_cold=$(restart_stats cold)
+storeless_cold=$(run_stats storeless)
+[ "$storeless_cold" = "$(cat "$tmp_dir/restart-cold.stats")" ] \
+    || { echo "store restart: --stats without a store differ from the --store cold run"; \
+         echo "store: $(cat "$tmp_dir/restart-cold.stats")"; \
+         echo "no store: $storeless_cold"; exit 1; }
+cmp "$tmp_dir/restart-storeless.json" "$tmp_dir/restart-cold.json" \
+    || { echo "store restart: --json without a store differs from the --store cold run"; exit 1; }
 restart_warm=$(restart_stats warm)
 [ "$restart_cold" = "$restart_warm" ] \
     || { echo "store restart: --stats differ after the restart"; \
@@ -371,7 +386,7 @@ cargo run -q --release --bin pata -- analyze "$tmp_dir/ci_fault.c" \
     "$tmp_dir/ci_heavy.c" --json > "$tmp_dir/restart-edited-cold.json"
 cmp "$tmp_dir/restart-edited.json" "$tmp_dir/restart-edited-cold.json" \
     || { echo "store restart: --json after an edit differs from a cold run"; exit 1; }
-echo "store restart OK: same --stats and --json; an edit over the store gives a cold run's --json; store $(wc -c < "$tmp_dir/restart-store.json") bytes (not gated)"
+echo "store restart OK: same --stats and --json, with or without a store; an edit over the store gives a cold run's --json; store $(wc -c < "$tmp_dir/restart-store.json") bytes (not gated)"
 
 echo "== deep-input smoke (long paths must not overflow the stack)"
 # Stage 1 walks a path on an explicit work stack: a root with 3,000
